@@ -19,7 +19,7 @@ fn bench_frontend(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("compile", name), &bench, |b, bench| {
             b.iter(|| {
                 let module = minic::compile(black_box(bench.source)).unwrap();
-                black_box(flowgraph::build_program(&module))
+                black_box(flowgraph::build_program(module))
             })
         });
     }

@@ -16,7 +16,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let program = flowgraph::build_program(&module);
+    let program = flowgraph::build_program(module);
     let t0 = std::time::Instant::now();
     match profiler::run(&program, &profiler::RunConfig::with_input(input)) {
         Ok(out) => {

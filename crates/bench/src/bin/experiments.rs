@@ -154,7 +154,7 @@ fn fig2(suite_data: &[ProgramData]) {
 fn fig3() {
     header("Figure 3: AST walk for strchr (estimated counts per node)");
     let module = minic::compile(bench::STRCHR_EXAMPLE).expect("compiles");
-    let program = flowgraph::build_program(&module);
+    let program = flowgraph::build_program(module);
     let f = program.function_id("strchr").unwrap();
     let preds = estimators::predict_module(&program.module);
     let freqs = estimators::intra::ast_frequencies(&program, f, &preds, true);
@@ -259,7 +259,7 @@ fn fig5bc(suite_data: &[ProgramData], cutoff: f64, title: &str) {
 fn fig7() {
     header("Figures 6/7: the strchr Markov system and its solution");
     let module = minic::compile(bench::STRCHR_EXAMPLE).expect("compiles");
-    let program = flowgraph::build_program(&module);
+    let program = flowgraph::build_program(module);
     let f = program.function_id("strchr").unwrap();
     let cfg = program.cfg(f);
     let preds = estimators::predict_module(&program.module);

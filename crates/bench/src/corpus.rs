@@ -47,11 +47,13 @@
 
 use cache::codec::Artifact;
 use cache::{ArtifactKey, ArtifactKind, Cache};
+use estimators::branch::predict_module;
 use estimators::eval;
 use estimators::inter::{estimate_invocations, InterEstimator};
-use estimators::intra::{estimate_program, IntraEstimator};
+use estimators::intra::{estimate_function_with, IntraEstimates, IntraEstimator, IntraOptions};
 pub use fuzzgen::corpus::parse_buckets;
 use fuzzgen::corpus::{bucket_indices, bucket_labels, Feature, StructuralFeatures};
+use obs::hash::Fnv128;
 use profiler::{ExecScratch, RunConfig};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashSet};
@@ -361,31 +363,50 @@ impl CorpusReport {
     /// corpus must produce equal digests regardless of `--jobs` or
     /// engine mode; latency and throughput fields are excluded.
     pub fn aggregate_digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |v: u64| {
-            for b in v.to_le_bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-            }
-        };
+        // FNV-1a/64: the first stream of the workspace hash.
+        let mut h = Fnv128::with_basis(0);
         for b in self.buckets.iter().chain(std::iter::once(&self.total)) {
-            eat(b.count);
+            h.word(b.count);
             for hist in &b.hists {
                 for &c in &hist.counts {
-                    eat(c);
+                    h.word(c);
                 }
             }
         }
-        eat(self.duplicates);
-        eat(self.errors);
-        h
+        h.word(self.duplicates);
+        h.word(self.errors);
+        h.finish()
     }
 }
 
-/// Computes the ten heuristic score columns for one program.
+/// Computes the ten heuristic score columns for one program. The
+/// branch predictions are computed once and shared by all three
+/// intra-procedural estimators.
 fn score_columns(program: &flowgraph::Program, profiles: &[profiler::Profile]) -> [f64; 10] {
-    let ia_loop = estimate_program(program, IntraEstimator::Loop);
-    let ia_smart = estimate_program(program, IntraEstimator::Smart);
-    let ia_markov = estimate_program(program, IntraEstimator::Markov);
+    let predictions = predict_module(&program.module);
+    let intra = |which| {
+        let _sp = obs::span("estimate.intra");
+        let options = IntraOptions::default();
+        IntraEstimates {
+            estimator: which,
+            block_freqs: program
+                .module
+                .functions
+                .iter()
+                .map(|f| {
+                    if f.is_defined() {
+                        estimate_function_with(program, f.id, which, &predictions, &options)
+                    } else {
+                        Vec::new()
+                    }
+                })
+                .collect(),
+            predictions: predictions.clone(),
+        }
+    };
+    let ia_loop = intra(IntraEstimator::Loop);
+    let ia_smart = intra(IntraEstimator::Smart);
+    let ia_markov = intra(IntraEstimator::Markov);
     let inter = |w| estimate_invocations(program, &ia_smart, w);
     let ie_callsite = inter(InterEstimator::CallSite);
     let ie_direct = inter(InterEstimator::Direct);
@@ -419,7 +440,7 @@ fn eval_seed_streaming(seq: u64, seed: u64, cache: Option<&Cache>) -> SeedRecord
     let features = StructuralFeatures::of(&prog);
     let src = prog.render();
     let module = minic::compile(&src).expect("generated programs always parse");
-    let program = flowgraph::build_program(&module);
+    let program = flowgraph::build_program(module);
     let cp = profiler::compile(&program);
     let fingerprint = cp.ir_fingerprint();
     let config = run_config(seed);
@@ -603,7 +624,7 @@ fn run_naive(cfg: &CorpusConfig, pool: &pool::Pool, cache: Option<&Cache>) -> Ag
                 let features = StructuralFeatures::of(&prog);
                 let src = prog.render();
                 let module = minic::compile(&src).expect("generated programs always parse");
-                let program = flowgraph::build_program(&module);
+                let program = flowgraph::build_program(module);
                 // First-cut dedup: render the post-fold IR to a string
                 // and hash it. Same equality classes as
                 // `ir_fingerprint`, one ~20 KB allocation worse.

@@ -357,7 +357,7 @@ pub struct Table2 {
 /// Computes Table 2 from an actual run of the strchr example.
 pub fn table2() -> Table2 {
     let module = minic::compile(STRCHR_EXAMPLE).expect("strchr example compiles");
-    let program = flowgraph::build_program(&module);
+    let program = flowgraph::build_program(module);
     let out = profiler::run(&program, &RunConfig::default()).expect("runs");
     let f = program.function_id("strchr").expect("strchr exists");
     let actual: Vec<f64> = out.profile.blocks_of(f).iter().map(|&c| c as f64).collect();
@@ -512,7 +512,7 @@ pub struct Fig8 {
 /// Computes Figure 8's numbers.
 pub fn fig8() -> Fig8 {
     let module = minic::compile(COUNT_NODES_EXAMPLE).expect("example compiles");
-    let program = flowgraph::build_program(&module);
+    let program = flowgraph::build_program(module);
     let ia = estimate_program(&program, IntraEstimator::Smart);
     let local = estimators::inter::local_site_freqs(&program, &ia);
     let cn = program.function_id("count_nodes").expect("exists");

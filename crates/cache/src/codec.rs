@@ -33,9 +33,10 @@
 //!
 //! A `BytecodeMeta` payload is tag `2` followed by four fixed `u64`s.
 
-use crate::{fnv64, BytecodeMeta, FORMAT_VERSION};
+use crate::{BytecodeMeta, FORMAT_VERSION};
 use flowgraph::BlockId;
 use minic::sema::FuncId;
+use obs::hash::fnv64;
 use profiler::reuse::BINS;
 use profiler::{Profile, ReuseTrace};
 

@@ -74,6 +74,7 @@
 
 pub mod codec;
 
+use obs::hash::Fnv128;
 use profiler::{Profile, RunConfig};
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -160,65 +161,24 @@ pub struct BytecodeMeta {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ArtifactKey(pub u128);
 
-/// Incremental FNV-1a over two 64-bit streams with distinct offset
-/// bases. Stable by construction — no std hasher internals involved.
-struct Fnv128 {
-    a: u64,
-    b: u64,
-}
-
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-impl Fnv128 {
-    fn new() -> Self {
-        Fnv128 {
-            a: 0xcbf2_9ce4_8422_2325,
-            // A second, unrelated offset basis (digits of pi) keeps
-            // the two streams independent.
-            b: 0x2437_0747_8584_2225,
-        }
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &x in bytes {
-            self.a = (self.a ^ u64::from(x)).wrapping_mul(FNV_PRIME);
-            self.b = (self.b ^ u64::from(x)).wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// Length-prefixed field update, so `("ab","c")` and `("a","bc")`
-    /// hash differently.
-    fn field(&mut self, bytes: &[u8]) {
-        self.update(&(bytes.len() as u64).to_le_bytes());
-        self.update(bytes);
-    }
-
-    fn finish(&self) -> u128 {
-        (u128::from(self.a) << 64) | u128::from(self.b)
-    }
-}
-
-/// Stand-alone FNV-1a/64 used for payload checksums.
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &x in bytes {
-        h = (h ^ u64::from(x)).wrapping_mul(FNV_PRIME);
-    }
-    h
+/// The key hash: [`obs::hash::Fnv128`] with the cache's own second
+/// offset basis (digits of pi), which persisted keys depend on.
+fn key_hasher() -> Fnv128 {
+    Fnv128::with_basis(0x2437_0747_8584_2225)
 }
 
 impl ArtifactKey {
     /// The key of `kind` for running `source` under `config` — the
     /// input bytes are part of `config`.
     pub fn derive(kind: ArtifactKind, source: &str, config: &RunConfig) -> ArtifactKey {
-        let mut h = Fnv128::new();
+        let mut h = key_hasher();
         h.update(&[kind.tag()]);
         h.update(&FORMAT_VERSION.to_le_bytes());
         h.field(source.as_bytes());
         h.update(&config.max_steps.to_le_bytes());
         h.update(&(config.max_call_depth as u64).to_le_bytes());
         h.field(&config.input);
-        ArtifactKey(h.finish())
+        ArtifactKey(h.digest())
     }
 
     /// The key of an [`ArtifactKind::OptProfile`]: [`ArtifactKey::derive`]
@@ -230,7 +190,7 @@ impl ArtifactKey {
         opt_level: u8,
         pipeline_version: u32,
     ) -> ArtifactKey {
-        let mut h = Fnv128::new();
+        let mut h = key_hasher();
         h.update(&[ArtifactKind::OptProfile.tag()]);
         h.update(&FORMAT_VERSION.to_le_bytes());
         h.field(source.as_bytes());
@@ -239,7 +199,7 @@ impl ArtifactKey {
         h.field(&config.input);
         h.update(&[opt_level]);
         h.update(&pipeline_version.to_le_bytes());
-        ArtifactKey(h.finish())
+        ArtifactKey(h.digest())
     }
 
     /// The key of an [`ArtifactKind::ReuseProfile`]:
@@ -250,7 +210,7 @@ impl ArtifactKey {
     /// summary (flag 0) can coexist without a format bump.
     pub fn derive_reuse(source: &str, config: &RunConfig) -> ArtifactKey {
         const TRACE_MODE: u8 = 1;
-        let mut h = Fnv128::new();
+        let mut h = key_hasher();
         h.update(&[ArtifactKind::ReuseProfile.tag()]);
         h.update(&FORMAT_VERSION.to_le_bytes());
         h.field(source.as_bytes());
@@ -258,7 +218,7 @@ impl ArtifactKey {
         h.update(&(config.max_call_depth as u64).to_le_bytes());
         h.field(&config.input);
         h.update(&[TRACE_MODE]);
-        ArtifactKey(h.finish())
+        ArtifactKey(h.digest())
     }
 
     /// 32 lowercase hex digits.
@@ -602,6 +562,26 @@ mod tests {
             .insert((FuncId(0), BlockId(1), BlockId(2)), seed + 9);
         p.edge_counts.insert((FuncId(1), BlockId(0), BlockId(0)), 3);
         p
+    }
+
+    #[test]
+    fn key_values_are_pinned() {
+        // Entries already on disk are addressed by these exact values.
+        let cfg = RunConfig::with_input("x");
+        let src = "int main(void) { return 0; }";
+        let hex = |k: ArtifactKey| format!("{:032x}", k.0);
+        assert_eq!(
+            hex(ArtifactKey::derive(ArtifactKind::Profile, src, &cfg)),
+            "b8408110251c7e8dec198e412502558d"
+        );
+        assert_eq!(
+            hex(ArtifactKey::derive_opt(src, &cfg, 3, 2)),
+            "4548ee40e17352221c1bca115b5b7722"
+        );
+        assert_eq!(
+            hex(ArtifactKey::derive_reuse(src, &cfg)),
+            "2313bf1cd73db68f22bc295faaca0b8f"
+        );
     }
 
     #[test]

@@ -54,6 +54,14 @@ impl Strategy for ProfileGen {
     }
 }
 
+/// Serializes the tests that go through a [`Cache`]: its hit, miss
+/// and corruption counters live in the process-wide `obs` registry, so
+/// a test asserting exact counts must not overlap a sibling's loads.
+fn cache_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
         "sfe-cache-it-{}-{tag}-{:?}",
@@ -120,6 +128,7 @@ proptest! {
 
 #[test]
 fn corrupt_entry_on_disk_recovers_by_recompute_path() {
+    let _serial = cache_test_lock();
     let cache = Cache::open(temp_dir("corrupt")).unwrap();
     let cfg = RunConfig::with_input("x");
     let key = ArtifactKey::derive(ArtifactKind::Profile, "int main(void){}", &cfg);
@@ -160,6 +169,7 @@ fn corrupt_entry_on_disk_recovers_by_recompute_path() {
 
 #[test]
 fn version_skew_invalidates_without_error() {
+    let _serial = cache_test_lock();
     let cache = Cache::open(temp_dir("version")).unwrap();
     let key = ArtifactKey::derive(ArtifactKind::Profile, "src", &RunConfig::default());
     cache.store(key, &Artifact::Profile(Profile::default()));
@@ -177,6 +187,7 @@ fn version_skew_invalidates_without_error() {
 
 #[test]
 fn bytecode_meta_round_trips_through_the_store() {
+    let _serial = cache_test_lock();
     let cache = Cache::open(temp_dir("meta")).unwrap();
     let key = ArtifactKey::derive(ArtifactKind::BytecodeMeta, "src", &RunConfig::default());
     let meta = BytecodeMeta {

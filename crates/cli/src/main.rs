@@ -196,7 +196,7 @@ fn dispatch(args: &[String], cache_dir: Option<&str>, no_cache: bool, opt_level:
             return ExitCode::FAILURE;
         }
     };
-    let program = flowgraph::build_program(&module);
+    let program = flowgraph::build_program(module);
 
     match command {
         "report" => report(&program),
@@ -580,7 +580,7 @@ fn reuse_eval(
             return None;
         }
     };
-    let program = flowgraph::build_program(&module);
+    let program = flowgraph::build_program(module);
     let est = reuse::estimate(&program);
 
     let compiled = profiler::compile(&program);

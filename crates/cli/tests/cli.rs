@@ -29,6 +29,10 @@ fn demo_file() -> tempfile::NamedFile {
 // A tiny self-cleaning temp file helper (no external crates).
 mod tempfile {
     use std::path::PathBuf;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// Distinguishes files of tests running in parallel in one process.
+    static NEXT: AtomicU64 = AtomicU64::new(0);
 
     pub struct NamedFile {
         path: PathBuf,
@@ -37,7 +41,8 @@ mod tempfile {
     impl NamedFile {
         pub fn new(name: &str) -> Self {
             let mut path = std::env::temp_dir();
-            path.push(format!("sfe-test-{}-{name}", std::process::id()));
+            let n = NEXT.fetch_add(1, Ordering::Relaxed);
+            path.push(format!("sfe-test-{}-{n}-{name}", std::process::id()));
             NamedFile { path }
         }
 

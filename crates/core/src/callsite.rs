@@ -49,7 +49,7 @@ pub fn rankable_sites(program: &Program) -> Vec<CallSiteId> {
 ///         return s + leaf(0);
 ///     }
 /// "#).unwrap();
-/// let program = flowgraph::build_program(&module);
+/// let program = flowgraph::build_program(module);
 /// let ia = intra::estimate_program(&program, intra::IntraEstimator::Smart);
 /// let ie = inter::estimate_invocations(&program, &ia, inter::InterEstimator::Markov);
 /// let sites = callsite::estimate_sites(&program, &ia, &ie);
@@ -97,8 +97,8 @@ mod tests {
             "#,
         )
         .unwrap();
-        let program = flowgraph::build_program(&module);
-        assert_eq!(module.side.call_sites.len(), 3);
+        let program = flowgraph::build_program(module);
+        assert_eq!(program.module.side.call_sites.len(), 3);
         assert_eq!(rankable_sites(&program).len(), 1);
     }
 
@@ -117,7 +117,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        let program = flowgraph::build_program(&module);
+        let program = flowgraph::build_program(module);
         let ia = estimate_program(&program, IntraEstimator::Smart);
         let ie = estimate_invocations(&program, &ia, InterEstimator::Markov);
         let sites = estimate_sites(&program, &ia, &ie);

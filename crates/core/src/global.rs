@@ -147,7 +147,7 @@ mod tests {
 
     fn setup(src: &str) -> (Program, IntraEstimates, InterEstimates, Profile) {
         let module = minic::compile(src).expect("compiles");
-        let program = flowgraph::build_program(&module);
+        let program = flowgraph::build_program(module);
         let ia = estimate_program(&program, IntraEstimator::Smart);
         let ie = estimate_invocations(&program, &ia, InterEstimator::Markov);
         let profile = profiler::run(&program, &RunConfig::default())

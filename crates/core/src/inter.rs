@@ -423,7 +423,7 @@ mod tests {
 
     fn setup(src: &str) -> (Program, IntraEstimates) {
         let module = minic::compile(src).expect("valid MiniC");
-        let program = flowgraph::build_program(&module);
+        let program = flowgraph::build_program(module);
         let intra = estimate_program(&program, IntraEstimator::Smart);
         (program, intra)
     }

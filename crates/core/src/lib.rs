@@ -36,7 +36,7 @@
 //!         return s & 255;
 //!     }
 //! "#).unwrap();
-//! let program = flowgraph::build_program(&module);
+//! let program = flowgraph::build_program(module);
 //!
 //! // Intra-procedural: the loop body is the hottest block.
 //! let ia = intra::estimate_program(&program, intra::IntraEstimator::Smart);

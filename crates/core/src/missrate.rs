@@ -124,7 +124,7 @@ mod tests {
 
     fn setup(src: &str, inputs: &[&str]) -> (Program, Vec<Profile>) {
         let module = minic::compile(src).expect("valid MiniC");
-        let program = flowgraph::build_program(&module);
+        let program = flowgraph::build_program(module);
         let profiles = inputs
             .iter()
             .map(|i| {

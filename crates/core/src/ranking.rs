@@ -182,7 +182,7 @@ mod tests {
     use super::*;
 
     fn program(src: &str) -> Program {
-        flowgraph::build_program(&minic::compile(src).unwrap())
+        flowgraph::build_program(minic::compile(src).unwrap())
     }
 
     const HOT_COLD: &str = r#"

@@ -263,9 +263,9 @@ mod tests {
     fn trips_are_accurate_against_the_interpreter() {
         let src = "int main(void) { int i, s = 0; for (i = 3; i <= 47; i += 4) s++; return s; }";
         let module = minic::compile(src).unwrap();
-        let program = flowgraph::build_program(&module);
+        let program = flowgraph::build_program(module);
         let out = profiler::run(&program, &profiler::RunConfig::default()).unwrap();
-        let trip = *trip_counts(&module).values().next().unwrap();
+        let trip = *trip_counts(&program.module).values().next().unwrap();
         assert_eq!(out.exit_code, trip as i64);
     }
 }

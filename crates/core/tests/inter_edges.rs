@@ -8,7 +8,7 @@ use flowgraph::Program;
 
 fn setup(src: &str) -> (Program, estimators::IntraEstimates) {
     let module = minic::compile(src).expect("valid MiniC");
-    let program = flowgraph::build_program(&module);
+    let program = flowgraph::build_program(module);
     let ia = estimate_program(&program, IntraEstimator::Smart);
     (program, ia)
 }

@@ -91,6 +91,28 @@ pub enum Terminator {
     Return(Option<Expr>),
 }
 
+impl Terminator {
+    /// Rewrites every jump target through `f`.
+    pub fn retarget(&mut self, mut f: impl FnMut(BlockId) -> BlockId) {
+        match self {
+            Terminator::Goto(t) => *t = f(*t),
+            Terminator::Branch {
+                then_blk, else_blk, ..
+            } => {
+                *then_blk = f(*then_blk);
+                *else_blk = f(*else_blk);
+            }
+            Terminator::Switch { cases, default, .. } => {
+                for (_, t) in cases.iter_mut() {
+                    *t = f(*t);
+                }
+                *default = f(*default);
+            }
+            Terminator::Return(_) => {}
+        }
+    }
+}
+
 /// A basic block.
 #[derive(Debug, Clone)]
 pub struct Block {

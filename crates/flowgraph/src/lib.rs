@@ -15,7 +15,7 @@
 //!
 //! ```
 //! let module = minic::compile("int main(void) { return 0; }").unwrap();
-//! let program = flowgraph::build_program(&module);
+//! let program = flowgraph::build_program(module);
 //! let main = program.function_id("main").unwrap();
 //! assert_eq!(program.cfg(main).len(), 1);
 //! ```
@@ -85,18 +85,19 @@ impl Program {
 }
 
 /// Lowers every defined function of `module` and builds the call graph.
-pub fn build_program(module: &Module) -> Program {
+/// The module moves into the returned [`Program`]; nothing is copied.
+pub fn build_program(module: Module) -> Program {
     let _sp = obs::span("flowgraph.build");
     let cfgs: Vec<Option<Cfg>> = {
         let _sp = obs::span("flowgraph.lower");
         module
             .functions
             .iter()
-            .map(|f| f.body.as_ref().map(|_| lower::lower_function(module, f)))
+            .map(|f| f.body.as_ref().map(|_| lower::lower_function(&module, f)))
             .collect()
     };
     let mut program = Program {
-        module: module.clone(),
+        module,
         cfgs,
         callgraph: CallGraph::default(),
     };
@@ -116,7 +117,7 @@ mod tests {
 
     fn program(src: &str) -> Program {
         let module = minic::compile(src).expect("valid MiniC");
-        build_program(&module)
+        build_program(module)
     }
 
     #[test]

@@ -6,7 +6,7 @@ use flowgraph::{Program, Terminator};
 
 fn program(src: &str) -> Program {
     let module = minic::compile(src).expect("valid MiniC");
-    flowgraph::build_program(&module)
+    flowgraph::build_program(module)
 }
 
 #[test]

@@ -152,7 +152,7 @@ pub fn check_source(src: &str, config: &CheckConfig) -> Result<CheckStats, Failu
     round_trip(src, config)?;
 
     // Oracle 2: VM vs AST walker.
-    let program = flowgraph::build_program(&module);
+    let program = flowgraph::build_program(module);
     let run_config = RunConfig {
         input: Vec::new(),
         max_steps: config.max_steps,
@@ -226,8 +226,8 @@ fn round_trip(src: &str, config: &CheckConfig) -> Result<(), Failure> {
         max_steps: config.max_steps,
         max_call_depth: config.max_call_depth,
     };
-    let p1 = flowgraph::build_program(&m1);
-    let p2 = flowgraph::build_program(&m2);
+    let p1 = flowgraph::build_program(m1);
+    let p2 = flowgraph::build_program(m2);
     let r1 = profiler::run(&p1, &run_config)
         .map_err(|e| Failure::new(FailureKind::Runtime, format!("original: {e:?}")))?;
     let r2 = profiler::run(&p2, &run_config).map_err(|e| {

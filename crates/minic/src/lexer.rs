@@ -33,14 +33,25 @@ use std::collections::HashMap;
 /// ```
 pub fn lex(src: &str) -> Result<Vec<Token>, CompileError> {
     let raw = RawLexer::new(src).run()?;
-    expand_macros(raw, src)
+    if raw.defines.is_empty() {
+        return Ok(raw.tokens);
+    }
+    expand_macros(raw)
 }
 
-/// A raw token or a directive marker, before macro expansion.
-enum RawItem {
-    Token(Token),
-    /// `#define name body` (body = raw tokens up to end of line).
-    Define(String, Vec<Token>),
+/// `#define name body` (body = raw tokens up to end of line), placed
+/// before raw token `at`.
+struct Define {
+    at: usize,
+    name: String,
+    body: Vec<Token>,
+}
+
+/// The raw token stream before macro expansion, with the directives
+/// that apply to it.
+struct RawTokens {
+    tokens: Vec<Token>,
+    defines: Vec<Define>,
 }
 
 struct RawLexer<'a> {
@@ -58,26 +69,33 @@ impl<'a> RawLexer<'a> {
         }
     }
 
-    fn run(mut self) -> Result<Vec<RawItem>, CompileError> {
-        let mut items = Vec::new();
+    fn run(mut self) -> Result<RawTokens, CompileError> {
+        let mut raw = RawTokens {
+            tokens: Vec::new(),
+            defines: Vec::new(),
+        };
         loop {
             self.skip_ws_and_comments()?;
             if self.pos >= self.bytes.len() {
                 let span = Span::new(self.pos as u32, self.pos as u32);
-                items.push(RawItem::Token(Token {
+                raw.tokens.push(Token {
                     kind: TokenKind::Eof,
                     span,
-                }));
-                return Ok(items);
+                });
+                return Ok(raw);
             }
             if self.bytes[self.pos] == b'#' {
-                if let Some(item) = self.directive()? {
-                    items.push(item);
+                if let Some((name, body)) = self.directive()? {
+                    raw.defines.push(Define {
+                        at: raw.tokens.len(),
+                        name,
+                        body,
+                    });
                 }
                 continue;
             }
             let tok = self.next_token()?;
-            items.push(RawItem::Token(tok));
+            raw.tokens.push(tok);
         }
     }
 
@@ -121,15 +139,15 @@ impl<'a> RawLexer<'a> {
         }
     }
 
-    fn directive(&mut self) -> Result<Option<RawItem>, CompileError> {
+    /// Lexes a directive line; returns `#define`'s name and body.
+    fn directive(&mut self) -> Result<Option<(String, Vec<Token>)>, CompileError> {
         let start = self.pos;
         self.pos += 1; // '#'
         self.skip_line_ws();
-        let name = self.ident_str();
-        match name.as_str() {
+        match self.ident() {
             "define" => {
                 self.skip_line_ws();
-                let macro_name = self.ident_str();
+                let macro_name = self.ident().to_string();
                 if macro_name.is_empty() {
                     return Err(self.err(start, "#define requires a name"));
                 }
@@ -164,7 +182,7 @@ impl<'a> RawLexer<'a> {
                     }
                     body.push(self.next_token()?);
                 }
-                Ok(Some(RawItem::Define(macro_name, body)))
+                Ok(Some((macro_name, body)))
             }
             "include" => {
                 // Ignore the rest of the line.
@@ -177,14 +195,15 @@ impl<'a> RawLexer<'a> {
         }
     }
 
-    fn ident_str(&mut self) -> String {
+    /// Consumes an identifier-shaped run (possibly empty).
+    fn ident(&mut self) -> &'a str {
         let start = self.pos;
         while self.pos < self.bytes.len()
             && (self.bytes[self.pos].is_ascii_alphanumeric() || self.bytes[self.pos] == b'_')
         {
             self.pos += 1;
         }
-        self.src[start..self.pos].to_string()
+        &self.src[start..self.pos]
     }
 
     fn err(&self, at: usize, msg: &str) -> CompileError {
@@ -199,10 +218,10 @@ impl<'a> RawLexer<'a> {
         let start = self.pos;
         let b = self.bytes[self.pos];
         let kind = if b.is_ascii_alphabetic() || b == b'_' {
-            let s = self.ident_str();
-            match Keyword::lookup(&s) {
+            let s = self.ident();
+            match Keyword::lookup(s) {
                 Some(kw) => TokenKind::Kw(kw),
-                None => TokenKind::Ident(s),
+                None => TokenKind::Ident(s.to_string()),
             }
         } else if b.is_ascii_digit() {
             self.number(start)?
@@ -362,80 +381,69 @@ impl<'a> RawLexer<'a> {
 
     fn punct(&mut self, start: usize) -> Result<TokenKind, CompileError> {
         use Punct::*;
-        let rest = &self.bytes[self.pos..];
-        let table3: &[(&[u8], Punct)] = &[(b"<<=", ShlEq), (b">>=", ShrEq)];
-        for &(pat, p) in table3 {
-            if rest.starts_with(pat) {
-                self.pos += 3;
-                return Ok(TokenKind::Punct(p));
-            }
-        }
-        let table2: &[(&[u8], Punct)] = &[
-            (b"==", EqEq),
-            (b"!=", Ne),
-            (b"<=", Le),
-            (b">=", Ge),
-            (b"&&", AmpAmp),
-            (b"||", PipePipe),
-            (b"<<", Shl),
-            (b">>", Shr),
-            (b"+=", PlusEq),
-            (b"-=", MinusEq),
-            (b"*=", StarEq),
-            (b"/=", SlashEq),
-            (b"%=", PercentEq),
-            (b"&=", AmpEq),
-            (b"|=", PipeEq),
-            (b"^=", CaretEq),
-            (b"++", PlusPlus),
-            (b"--", MinusMinus),
-            (b"->", Arrow),
-        ];
-        for &(pat, p) in table2 {
-            if rest.starts_with(pat) {
-                self.pos += 2;
-                return Ok(TokenKind::Punct(p));
-            }
-        }
-        let p = match rest[0] {
-            b'(' => LParen,
-            b')' => RParen,
-            b'{' => LBrace,
-            b'}' => RBrace,
-            b'[' => LBracket,
-            b']' => RBracket,
-            b';' => Semi,
-            b',' => Comma,
-            b':' => Colon,
-            b'?' => Question,
-            b'+' => Plus,
-            b'-' => Minus,
-            b'*' => Star,
-            b'/' => Slash,
-            b'%' => Percent,
-            b'&' => Amp,
-            b'|' => Pipe,
-            b'^' => Caret,
-            b'~' => Tilde,
-            b'!' => Bang,
-            b'<' => Lt,
-            b'>' => Gt,
-            b'=' => Assign,
-            b'.' => Dot,
-            other => {
+        let at = |i: usize| self.bytes.get(self.pos + i).copied().unwrap_or(0);
+        let (b0, b1) = (at(0), at(1));
+        let (p, len) = match (b0, b1) {
+            (b'<', b'<') if at(2) == b'=' => (ShlEq, 3),
+            (b'>', b'>') if at(2) == b'=' => (ShrEq, 3),
+            (b'=', b'=') => (EqEq, 2),
+            (b'!', b'=') => (Ne, 2),
+            (b'<', b'=') => (Le, 2),
+            (b'>', b'=') => (Ge, 2),
+            (b'&', b'&') => (AmpAmp, 2),
+            (b'|', b'|') => (PipePipe, 2),
+            (b'<', b'<') => (Shl, 2),
+            (b'>', b'>') => (Shr, 2),
+            (b'+', b'=') => (PlusEq, 2),
+            (b'-', b'=') => (MinusEq, 2),
+            (b'*', b'=') => (StarEq, 2),
+            (b'/', b'=') => (SlashEq, 2),
+            (b'%', b'=') => (PercentEq, 2),
+            (b'&', b'=') => (AmpEq, 2),
+            (b'|', b'=') => (PipeEq, 2),
+            (b'^', b'=') => (CaretEq, 2),
+            (b'+', b'+') => (PlusPlus, 2),
+            (b'-', b'-') => (MinusMinus, 2),
+            (b'-', b'>') => (Arrow, 2),
+            (b'(', _) => (LParen, 1),
+            (b')', _) => (RParen, 1),
+            (b'{', _) => (LBrace, 1),
+            (b'}', _) => (RBrace, 1),
+            (b'[', _) => (LBracket, 1),
+            (b']', _) => (RBracket, 1),
+            (b';', _) => (Semi, 1),
+            (b',', _) => (Comma, 1),
+            (b':', _) => (Colon, 1),
+            (b'?', _) => (Question, 1),
+            (b'+', _) => (Plus, 1),
+            (b'-', _) => (Minus, 1),
+            (b'*', _) => (Star, 1),
+            (b'/', _) => (Slash, 1),
+            (b'%', _) => (Percent, 1),
+            (b'&', _) => (Amp, 1),
+            (b'|', _) => (Pipe, 1),
+            (b'^', _) => (Caret, 1),
+            (b'~', _) => (Tilde, 1),
+            (b'!', _) => (Bang, 1),
+            (b'<', _) => (Lt, 1),
+            (b'>', _) => (Gt, 1),
+            (b'=', _) => (Assign, 1),
+            (b'.', _) => (Dot, 1),
+            (other, _) => {
                 return Err(self.err(start, &format!("stray character `{}`", other as char)));
             }
         };
-        self.pos += 1;
+        self.pos += len;
         Ok(TokenKind::Punct(p))
     }
 }
 
-/// Applies object-macro substitution to the raw item stream.
-fn expand_macros(items: Vec<RawItem>, _src: &str) -> Result<Vec<Token>, CompileError> {
+/// Applies object-macro substitution to the raw token stream. Each
+/// `#define` takes effect from the token it precedes on.
+fn expand_macros(raw: RawTokens) -> Result<Vec<Token>, CompileError> {
     const MAX_DEPTH: usize = 16;
     let mut macros: HashMap<String, Vec<Token>> = HashMap::new();
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(raw.tokens.len());
 
     fn push_expanded(
         tok: Token,
@@ -466,13 +474,12 @@ fn expand_macros(items: Vec<RawItem>, _src: &str) -> Result<Vec<Token>, CompileE
         Ok(())
     }
 
-    for item in items {
-        match item {
-            RawItem::Define(name, body) => {
-                macros.insert(name, body);
-            }
-            RawItem::Token(tok) => push_expanded(tok, &macros, &mut out, 0)?,
+    let mut defines = raw.defines.into_iter().peekable();
+    for (i, tok) in raw.tokens.into_iter().enumerate() {
+        while let Some(d) = defines.next_if(|d| d.at == i) {
+            macros.insert(d.name, d.body);
         }
+        push_expanded(tok, &macros, &mut out, 0)?;
     }
     Ok(out)
 }

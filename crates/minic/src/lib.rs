@@ -58,7 +58,7 @@ pub fn compile(src: &str) -> Result<Module, CompileError> {
         parser::parse(src)?
     };
     let _sp = obs::span("minic.sema");
-    sema::analyze(&unit)
+    sema::analyze(unit)
 }
 
 #[cfg(test)]

@@ -29,6 +29,8 @@ pub fn parse(src: &str) -> Result<Unit, CompileError> {
         tokens,
         pos: 0,
         ids: NodeIdGen::new(),
+        depth: 0,
+        height: 0,
     };
     let mut items = Vec::new();
     while !p.at_eof() {
@@ -45,10 +47,32 @@ pub fn parse(src: &str) -> Result<Unit, CompileError> {
     })
 }
 
+/// The deepest nesting the parser accepts, counted in levels of its
+/// one depth counter: statements, initializer braces, declarators,
+/// assignment-level and unary expressions, `?:` else-arms, and each
+/// `*`, `[]` or function-pointer layer of a declared type open one
+/// level; an expression tree may not reach below this depth either.
+///
+/// Every later pass over a declaration — sema, constant folding,
+/// lowering, the pretty-printer, the AST walker and the estimators' AST
+/// walks — recurses along the tree, so this bound is what keeps them
+/// off the end of the stack. In an unoptimized build on a 2 MiB thread
+/// stack (the smallest any pipeline worker gets) every shape measured
+/// (nested blocks, `if`s, parentheses, calls, unary operators, long
+/// sums) survives at least 1.8× this depth; real programs stay below a
+/// few dozen levels.
+pub const MAX_NESTING: u32 = 128;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     ids: NodeIdGen,
+    /// Nesting depth of the construct being parsed (see
+    /// [`MAX_NESTING`]).
+    depth: u32,
+    /// Height of the expression tree most recently returned by an
+    /// expression function (a leaf is 1).
+    height: u32,
 }
 
 impl Parser {
@@ -73,12 +97,34 @@ impl Parser {
         matches!(self.peek(), TokenKind::Eof)
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
+    /// Consumes the current token (never moving past `Eof`) and
+    /// returns its span.
+    fn bump(&mut self) -> Span {
+        let span = self.tokens[self.pos].span;
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        t
+        span
+    }
+
+    /// Consumes the current token if it is an identifier or a string
+    /// literal, moving its text out: the parser never backtracks, so a
+    /// consumed token's text is not read again.
+    fn take_text(&mut self) -> Option<String> {
+        let (TokenKind::Ident(s) | TokenKind::Str(s)) = &mut self.tokens[self.pos].kind else {
+            return None;
+        };
+        let s = std::mem::take(s);
+        self.bump();
+        Some(s)
+    }
+
+    /// Consumes the current token if it is an identifier.
+    fn take_ident(&mut self) -> Option<String> {
+        match self.peek() {
+            TokenKind::Ident(_) => self.take_text(),
+            _ => None,
+        }
     }
 
     fn eat_punct(&mut self, p: Punct) -> bool {
@@ -101,19 +147,17 @@ impl Parser {
 
     fn expect_punct(&mut self, p: Punct) -> Result<Span, CompileError> {
         if self.peek() == &TokenKind::Punct(p) {
-            Ok(self.bump().span)
+            Ok(self.bump())
         } else {
             Err(self.err(format!("expected `{}`, found {}", p.as_str(), self.peek())))
         }
     }
 
     fn expect_ident(&mut self) -> Result<(String, Span), CompileError> {
-        match self.peek().clone() {
-            TokenKind::Ident(s) => {
-                let sp = self.bump().span;
-                Ok((s, sp))
-            }
-            other => Err(self.err(format!("expected identifier, found {other}"))),
+        let sp = self.span();
+        match self.take_ident() {
+            Some(s) => Ok((s, sp)),
+            None => Err(self.err(format!("expected identifier, found {}", self.peek()))),
         }
     }
 
@@ -123,6 +167,48 @@ impl Parser {
 
     fn fresh(&mut self) -> NodeId {
         self.ids.fresh()
+    }
+
+    fn too_deep(&self) -> CompileError {
+        self.err(format!("nesting too deep (more than {MAX_NESTING} levels)"))
+    }
+
+    /// Opens one more nesting level for the rest of the enclosing
+    /// [`Parser::nest`] call.
+    fn charge(&mut self) -> Result<(), CompileError> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        Ok(())
+    }
+
+    /// Runs `f` one nesting level deeper, releasing that level and any
+    /// [`Parser::charge`]d inside `f` when it returns.
+    fn nest<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, CompileError>,
+    ) -> Result<T, CompileError> {
+        let saved = self.depth;
+        self.charge()?;
+        let out = f(self);
+        self.depth = saved;
+        out
+    }
+
+    /// Builds an expression node whose tallest child has height
+    /// `below`, rejecting it if the tree would reach past
+    /// [`MAX_NESTING`] from where it is being parsed.
+    fn expr_node(&mut self, span: Span, kind: ExprKind, below: u32) -> Result<Expr, CompileError> {
+        self.height = below + 1;
+        if self.depth + self.height > MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        Ok(Expr {
+            id: self.fresh(),
+            span,
+            kind,
+        })
     }
 
     // ----- types and declarators -----
@@ -155,7 +241,7 @@ impl Parser {
             || self.eat_kw(Keyword::Extern)
             || self.eat_kw(Keyword::Const)
         {}
-        let base = match self.peek().clone() {
+        let base = match self.peek() {
             TokenKind::Kw(Keyword::Void) => {
                 self.bump();
                 BaseType::Void
@@ -204,13 +290,17 @@ impl Parser {
         Ok(base)
     }
 
-    /// Parses `*`s and optional `const`s following a base type.
-    fn pointer_suffix(&mut self, mut ty: TypeName) -> TypeName {
+    /// Parses `*`s and optional `const`s following a base type; also
+    /// returns how many pointer levels it added.
+    fn pointer_suffix(&mut self, mut ty: TypeName) -> Result<(TypeName, u32), CompileError> {
+        let mut levels = 0;
         while self.eat_punct(Punct::Star) {
             while self.eat_kw(Keyword::Const) {}
+            self.charge()?;
+            levels += 1;
             ty = TypeName::Ptr(Box::new(ty));
         }
-        ty
+        Ok((ty, levels))
     }
 
     /// Parses a declarator after the base type: pointers, a name (or a
@@ -222,8 +312,16 @@ impl Parser {
         base: &BaseType,
         allow_anon: bool,
     ) -> Result<(String, TypeName, Span), CompileError> {
+        self.nest(|p| p.declarator_inner(base, allow_anon))
+    }
+
+    fn declarator_inner(
+        &mut self,
+        base: &BaseType,
+        allow_anon: bool,
+    ) -> Result<(String, TypeName, Span), CompileError> {
         let start = self.span();
-        let ty = self.pointer_suffix(TypeName::Base(base.clone()));
+        let (ty, _) = self.pointer_suffix(TypeName::Base(base.clone()))?;
 
         // Function-pointer declarator: `( * name [dims] ) ( params )`.
         if self.peek() == &TokenKind::Punct(Punct::LParen)
@@ -232,8 +330,10 @@ impl Parser {
             self.bump(); // (
             self.bump(); // *
             let (name, _) = self.expect_ident()?;
+            self.charge()?;
             let mut inner_dims = Vec::new();
             while self.eat_punct(Punct::LBracket) {
+                self.charge()?;
                 let dim = if self.peek() == &TokenKind::Punct(Punct::RBracket) {
                     None
                 } else {
@@ -253,18 +353,16 @@ impl Parser {
             return Ok((name, full, start.to(self.prev_span())));
         }
 
-        let name = match self.peek().clone() {
-            TokenKind::Ident(s) => {
-                self.bump();
-                s
-            }
-            _ if allow_anon => String::new(),
-            other => return Err(self.err(format!("expected a name, found {other}"))),
+        let name = match self.take_ident() {
+            Some(s) => s,
+            None if allow_anon => String::new(),
+            None => return Err(self.err(format!("expected a name, found {}", self.peek()))),
         };
 
         // Array suffixes.
         let mut dims = Vec::new();
         while self.eat_punct(Punct::LBracket) {
+            self.charge()?;
             let dim = if self.peek() == &TokenKind::Punct(Punct::RBracket) {
                 None
             } else {
@@ -314,10 +412,12 @@ impl Parser {
         while self.eat_punct(Punct::Dot) {}
     }
 
-    /// Parses a cast/sizeof type name: base type + pointers only.
-    fn type_name(&mut self) -> Result<TypeName, CompileError> {
+    /// Parses a cast/sizeof type name: base type + pointers only; also
+    /// returns the type's height.
+    fn type_name(&mut self) -> Result<(TypeName, u32), CompileError> {
         let base = self.base_type()?;
-        Ok(self.pointer_suffix(TypeName::Base(base)))
+        let (ty, levels) = self.pointer_suffix(TypeName::Base(base))?;
+        Ok((ty, levels + 1))
     }
 
     // ----- items -----
@@ -386,13 +486,7 @@ impl Parser {
     fn enum_def(&mut self) -> Result<EnumDecl, CompileError> {
         let start = self.span();
         self.bump(); // enum
-        let name = match self.peek().clone() {
-            TokenKind::Ident(n) => {
-                self.bump();
-                n
-            }
-            _ => String::new(),
-        };
+        let name = self.take_ident().unwrap_or_default();
         self.expect_punct(Punct::LBrace)?;
         let mut variants = Vec::new();
         while self.peek() != &TokenKind::Punct(Punct::RBrace) {
@@ -544,6 +638,10 @@ impl Parser {
     }
 
     fn initializer(&mut self) -> Result<Initializer, CompileError> {
+        self.nest(Self::initializer_inner)
+    }
+
+    fn initializer_inner(&mut self) -> Result<Initializer, CompileError> {
         if self.eat_punct(Punct::LBrace) {
             let mut items = Vec::new();
             if self.peek() != &TokenKind::Punct(Punct::RBrace) {
@@ -566,166 +664,155 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt, CompileError> {
+        self.nest(Self::stmt_inner)
+    }
+
+    /// Dispatches on the statement's first token. Each statement form
+    /// has its own function so that the frames on the recursion path
+    /// stay small (see [`MAX_NESTING`]).
+    fn stmt_inner(&mut self) -> Result<Stmt, CompileError> {
         let start = self.span();
-        // Label?
-        if let TokenKind::Ident(name) = self.peek().clone() {
-            if self.peek2() == &TokenKind::Punct(Punct::Colon) {
-                self.bump();
-                self.bump();
-                let inner = self.stmt()?;
-                return Ok(Stmt {
-                    id: self.fresh(),
-                    span: start.to(self.prev_span()),
-                    kind: StmtKind::Label(name, Box::new(inner)),
-                });
-            }
+        if matches!(self.peek(), TokenKind::Ident(_))
+            && self.peek2() == &TokenKind::Punct(Punct::Colon)
+        {
+            return self.label_stmt(start);
         }
         if self.at_type() {
             return self.decl_stmt();
         }
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::Punct(Punct::LBrace) => self.block(),
             TokenKind::Punct(Punct::Semi) => {
                 self.bump();
-                Ok(Stmt {
-                    id: self.fresh(),
-                    span: start,
-                    kind: StmtKind::Empty,
-                })
+                Ok(self.stmt_node(start, StmtKind::Empty))
             }
-            TokenKind::Kw(Keyword::If) => {
-                self.bump();
-                self.expect_punct(Punct::LParen)?;
-                let cond = self.expr()?;
-                self.expect_punct(Punct::RParen)?;
-                let then = Box::new(self.stmt()?);
-                let els = if self.eat_kw(Keyword::Else) {
-                    Some(Box::new(self.stmt()?))
-                } else {
-                    None
-                };
-                Ok(Stmt {
-                    id: self.fresh(),
-                    span: start.to(self.prev_span()),
-                    kind: StmtKind::If(cond, then, els),
-                })
-            }
-            TokenKind::Kw(Keyword::While) => {
-                self.bump();
-                self.expect_punct(Punct::LParen)?;
-                let cond = self.expr()?;
-                self.expect_punct(Punct::RParen)?;
-                let body = Box::new(self.stmt()?);
-                Ok(Stmt {
-                    id: self.fresh(),
-                    span: start.to(self.prev_span()),
-                    kind: StmtKind::While(cond, body),
-                })
-            }
-            TokenKind::Kw(Keyword::Do) => {
-                self.bump();
-                let body = Box::new(self.stmt()?);
-                if !self.eat_kw(Keyword::While) {
-                    return Err(self.err("expected `while` after `do` body".into()));
-                }
-                self.expect_punct(Punct::LParen)?;
-                let cond = self.expr()?;
-                self.expect_punct(Punct::RParen)?;
-                self.expect_punct(Punct::Semi)?;
-                Ok(Stmt {
-                    id: self.fresh(),
-                    span: start.to(self.prev_span()),
-                    kind: StmtKind::DoWhile(body, cond),
-                })
-            }
-            TokenKind::Kw(Keyword::For) => {
-                self.bump();
-                self.expect_punct(Punct::LParen)?;
-                let init = if self.eat_punct(Punct::Semi) {
-                    None
-                } else if self.at_type() {
-                    Some(Box::new(self.decl_stmt()?))
-                } else {
-                    let e = self.expr()?;
-                    self.expect_punct(Punct::Semi)?;
-                    Some(Box::new(Stmt {
-                        id: self.fresh(),
-                        span: e.span,
-                        kind: StmtKind::Expr(e),
-                    }))
-                };
-                let cond = if self.peek() == &TokenKind::Punct(Punct::Semi) {
-                    None
-                } else {
-                    Some(self.expr()?)
-                };
-                self.expect_punct(Punct::Semi)?;
-                let step = if self.peek() == &TokenKind::Punct(Punct::RParen) {
-                    None
-                } else {
-                    Some(self.expr()?)
-                };
-                self.expect_punct(Punct::RParen)?;
-                let body = Box::new(self.stmt()?);
-                Ok(Stmt {
-                    id: self.fresh(),
-                    span: start.to(self.prev_span()),
-                    kind: StmtKind::For(init, cond, step, body),
-                })
-            }
+            TokenKind::Kw(Keyword::If) => self.if_stmt(start),
+            TokenKind::Kw(Keyword::While) => self.while_stmt(start),
+            TokenKind::Kw(Keyword::Do) => self.do_stmt(start),
+            TokenKind::Kw(Keyword::For) => self.for_stmt(start),
             TokenKind::Kw(Keyword::Switch) => self.switch_stmt(start),
             TokenKind::Kw(Keyword::Break) => {
                 self.bump();
                 self.expect_punct(Punct::Semi)?;
-                Ok(Stmt {
-                    id: self.fresh(),
-                    span: start,
-                    kind: StmtKind::Break,
-                })
+                Ok(self.stmt_node(start, StmtKind::Break))
             }
             TokenKind::Kw(Keyword::Continue) => {
                 self.bump();
                 self.expect_punct(Punct::Semi)?;
-                Ok(Stmt {
-                    id: self.fresh(),
-                    span: start,
-                    kind: StmtKind::Continue,
-                })
+                Ok(self.stmt_node(start, StmtKind::Continue))
             }
-            TokenKind::Kw(Keyword::Return) => {
-                self.bump();
-                let e = if self.peek() == &TokenKind::Punct(Punct::Semi) {
-                    None
-                } else {
-                    Some(self.expr()?)
-                };
-                self.expect_punct(Punct::Semi)?;
-                Ok(Stmt {
-                    id: self.fresh(),
-                    span: start.to(self.prev_span()),
-                    kind: StmtKind::Return(e),
-                })
-            }
+            TokenKind::Kw(Keyword::Return) => self.return_stmt(start),
             TokenKind::Kw(Keyword::Goto) => {
                 self.bump();
                 let (name, _) = self.expect_ident()?;
                 self.expect_punct(Punct::Semi)?;
-                Ok(Stmt {
-                    id: self.fresh(),
-                    span: start.to(self.prev_span()),
-                    kind: StmtKind::Goto(name),
-                })
+                let span = start.to(self.prev_span());
+                Ok(self.stmt_node(span, StmtKind::Goto(name)))
             }
             _ => {
                 let e = self.expr()?;
                 self.expect_punct(Punct::Semi)?;
-                Ok(Stmt {
-                    id: self.fresh(),
-                    span: start.to(self.prev_span()),
-                    kind: StmtKind::Expr(e),
-                })
+                let span = start.to(self.prev_span());
+                Ok(self.stmt_node(span, StmtKind::Expr(e)))
             }
         }
+    }
+
+    fn stmt_node(&mut self, span: Span, kind: StmtKind) -> Stmt {
+        Stmt {
+            id: self.fresh(),
+            span,
+            kind,
+        }
+    }
+
+    fn label_stmt(&mut self, start: Span) -> Result<Stmt, CompileError> {
+        let name = self.take_ident().unwrap_or_default();
+        self.bump(); // :
+        let inner = self.stmt()?;
+        let span = start.to(self.prev_span());
+        Ok(self.stmt_node(span, StmtKind::Label(name, Box::new(inner))))
+    }
+
+    fn if_stmt(&mut self, start: Span) -> Result<Stmt, CompileError> {
+        self.bump();
+        self.expect_punct(Punct::LParen)?;
+        let cond = self.expr()?;
+        self.expect_punct(Punct::RParen)?;
+        let then = Box::new(self.stmt()?);
+        let els = if self.eat_kw(Keyword::Else) {
+            Some(Box::new(self.stmt()?))
+        } else {
+            None
+        };
+        let span = start.to(self.prev_span());
+        Ok(self.stmt_node(span, StmtKind::If(cond, then, els)))
+    }
+
+    fn while_stmt(&mut self, start: Span) -> Result<Stmt, CompileError> {
+        self.bump();
+        self.expect_punct(Punct::LParen)?;
+        let cond = self.expr()?;
+        self.expect_punct(Punct::RParen)?;
+        let body = Box::new(self.stmt()?);
+        let span = start.to(self.prev_span());
+        Ok(self.stmt_node(span, StmtKind::While(cond, body)))
+    }
+
+    fn do_stmt(&mut self, start: Span) -> Result<Stmt, CompileError> {
+        self.bump();
+        let body = Box::new(self.stmt()?);
+        if !self.eat_kw(Keyword::While) {
+            return Err(self.err("expected `while` after `do` body".into()));
+        }
+        self.expect_punct(Punct::LParen)?;
+        let cond = self.expr()?;
+        self.expect_punct(Punct::RParen)?;
+        self.expect_punct(Punct::Semi)?;
+        let span = start.to(self.prev_span());
+        Ok(self.stmt_node(span, StmtKind::DoWhile(body, cond)))
+    }
+
+    fn for_stmt(&mut self, start: Span) -> Result<Stmt, CompileError> {
+        self.bump();
+        self.expect_punct(Punct::LParen)?;
+        let init = if self.eat_punct(Punct::Semi) {
+            None
+        } else if self.at_type() {
+            Some(Box::new(self.decl_stmt()?))
+        } else {
+            let e = self.expr()?;
+            self.expect_punct(Punct::Semi)?;
+            let span = e.span;
+            Some(Box::new(self.stmt_node(span, StmtKind::Expr(e))))
+        };
+        let cond = if self.peek() == &TokenKind::Punct(Punct::Semi) {
+            None
+        } else {
+            Some(self.expr()?)
+        };
+        self.expect_punct(Punct::Semi)?;
+        let step = if self.peek() == &TokenKind::Punct(Punct::RParen) {
+            None
+        } else {
+            Some(self.expr()?)
+        };
+        self.expect_punct(Punct::RParen)?;
+        let body = Box::new(self.stmt()?);
+        let span = start.to(self.prev_span());
+        Ok(self.stmt_node(span, StmtKind::For(init, cond, step, body)))
+    }
+
+    fn return_stmt(&mut self, start: Span) -> Result<Stmt, CompileError> {
+        self.bump();
+        let e = if self.peek() == &TokenKind::Punct(Punct::Semi) {
+            None
+        } else {
+            Some(self.expr()?)
+        };
+        self.expect_punct(Punct::Semi)?;
+        let span = start.to(self.prev_span());
+        Ok(self.stmt_node(span, StmtKind::Return(e)))
     }
 
     fn switch_stmt(&mut self, start: Span) -> Result<Stmt, CompileError> {
@@ -787,22 +874,29 @@ impl Parser {
     }
 
     // ----- expressions -----
+    //
+    // Every expression function leaves the height of the tree it
+    // returns in `self.height`; [`Parser::expr_node`] combines child
+    // heights and rejects a node whose subtree would reach deeper than
+    // [`MAX_NESTING`] from the root of its declaration.
 
     fn expr(&mut self) -> Result<Expr, CompileError> {
         let mut e = self.assign_expr()?;
         while self.eat_punct(Punct::Comma) {
+            let below = self.height;
             let rhs = self.assign_expr()?;
+            let below = below.max(self.height);
             let span = e.span.to(rhs.span);
-            e = Expr {
-                id: self.fresh(),
-                span,
-                kind: ExprKind::Comma(Box::new(e), Box::new(rhs)),
-            };
+            e = self.expr_node(span, ExprKind::Comma(Box::new(e), Box::new(rhs)), below)?;
         }
         Ok(e)
     }
 
     fn assign_expr(&mut self) -> Result<Expr, CompileError> {
+        self.nest(Self::assign_expr_inner)
+    }
+
+    fn assign_expr_inner(&mut self) -> Result<Expr, CompileError> {
         let lhs = self.cond_expr()?;
         let op = match self.peek() {
             TokenKind::Punct(Punct::Assign) => Some(None),
@@ -820,13 +914,15 @@ impl Parser {
         };
         if let Some(op) = op {
             self.bump();
+            let below = self.height;
             let rhs = self.assign_expr()?;
+            let below = below.max(self.height);
             let span = lhs.span.to(rhs.span);
-            return Ok(Expr {
-                id: self.fresh(),
+            return self.expr_node(
                 span,
-                kind: ExprKind::Assign(op, Box::new(lhs), Box::new(rhs)),
-            });
+                ExprKind::Assign(op, Box::new(lhs), Box::new(rhs)),
+                below,
+            );
         }
         Ok(lhs)
     }
@@ -834,15 +930,18 @@ impl Parser {
     fn cond_expr(&mut self) -> Result<Expr, CompileError> {
         let cond = self.binary_expr(0)?;
         if self.eat_punct(Punct::Question) {
+            let below = self.height;
             let then = self.assign_expr()?;
+            let below = below.max(self.height);
             self.expect_punct(Punct::Colon)?;
-            let els = self.cond_expr()?;
+            let els = self.nest(Self::cond_expr)?;
+            let below = below.max(self.height);
             let span = cond.span.to(els.span);
-            return Ok(Expr {
-                id: self.fresh(),
+            return self.expr_node(
                 span,
-                kind: ExprKind::Cond(Box::new(cond), Box::new(then), Box::new(els)),
-            });
+                ExprKind::Cond(Box::new(cond), Box::new(then), Box::new(els)),
+                below,
+            );
         }
         Ok(cond)
     }
@@ -876,23 +975,25 @@ impl Parser {
                 break;
             }
             self.bump();
+            let below = self.height;
             let rhs = self.binary_expr(level + 1)?;
+            let below = below.max(self.height);
             let span = lhs.span.to(rhs.span);
             let kind = match kind {
                 OpKind::Or => ExprKind::LogOr(Box::new(lhs), Box::new(rhs)),
                 OpKind::And => ExprKind::LogAnd(Box::new(lhs), Box::new(rhs)),
                 OpKind::Bin(op) => ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)),
             };
-            lhs = Expr {
-                id: self.fresh(),
-                span,
-                kind,
-            };
+            lhs = self.expr_node(span, kind, below)?;
         }
         Ok(lhs)
     }
 
     fn unary_expr(&mut self) -> Result<Expr, CompileError> {
+        self.nest(Self::unary_expr_inner)
+    }
+
+    fn unary_expr_inner(&mut self) -> Result<Expr, CompileError> {
         let start = self.span();
         let op = match self.peek() {
             TokenKind::Punct(Punct::Minus) => Some(UnOp::Neg),
@@ -913,44 +1014,32 @@ impl Parser {
             self.bump();
             let e = self.unary_expr()?;
             let span = start.to(e.span);
-            return Ok(Expr {
-                id: self.fresh(),
-                span,
-                kind: ExprKind::Unary(op, Box::new(e)),
-            });
+            let below = self.height;
+            return self.expr_node(span, ExprKind::Unary(op, Box::new(e)), below);
         }
         if self.peek() == &TokenKind::Kw(Keyword::Sizeof) {
             self.bump();
             if self.peek() == &TokenKind::Punct(Punct::LParen) && self.peek2_is_type() {
                 self.bump();
-                let ty = self.type_name()?;
+                let (ty, levels) = self.type_name()?;
                 self.expect_punct(Punct::RParen)?;
-                return Ok(Expr {
-                    id: self.fresh(),
-                    span: start.to(self.prev_span()),
-                    kind: ExprKind::SizeofType(ty),
-                });
+                let span = start.to(self.prev_span());
+                return self.expr_node(span, ExprKind::SizeofType(ty), levels);
             }
             let e = self.unary_expr()?;
             let span = start.to(e.span);
-            return Ok(Expr {
-                id: self.fresh(),
-                span,
-                kind: ExprKind::SizeofExpr(Box::new(e)),
-            });
+            let below = self.height;
+            return self.expr_node(span, ExprKind::SizeofExpr(Box::new(e)), below);
         }
         // Cast?
         if self.peek() == &TokenKind::Punct(Punct::LParen) && self.peek2_is_type() {
             self.bump();
-            let ty = self.type_name()?;
+            let (ty, levels) = self.type_name()?;
             self.expect_punct(Punct::RParen)?;
             let e = self.unary_expr()?;
             let span = start.to(e.span);
-            return Ok(Expr {
-                id: self.fresh(),
-                span,
-                kind: ExprKind::Cast(ty, Box::new(e)),
-            });
+            let below = self.height.max(levels);
+            return self.expr_node(span, ExprKind::Cast(ty, Box::new(e)), below);
         }
         self.postfix_expr()
     }
@@ -975,129 +1064,86 @@ impl Parser {
     fn postfix_expr(&mut self) -> Result<Expr, CompileError> {
         let mut e = self.primary_expr()?;
         loop {
-            match self.peek().clone() {
+            let lo = e.span;
+            let mut below = self.height;
+            let kind = match self.peek() {
                 TokenKind::Punct(Punct::LParen) => {
                     self.bump();
                     let mut args = Vec::new();
                     if self.peek() != &TokenKind::Punct(Punct::RParen) {
                         loop {
                             args.push(self.assign_expr()?);
+                            below = below.max(self.height);
                             if !self.eat_punct(Punct::Comma) {
                                 break;
                             }
                         }
                     }
                     self.expect_punct(Punct::RParen)?;
-                    let span = e.span.to(self.prev_span());
-                    e = Expr {
-                        id: self.fresh(),
-                        span,
-                        kind: ExprKind::Call(Box::new(e), args),
-                    };
+                    ExprKind::Call(Box::new(e), args)
                 }
                 TokenKind::Punct(Punct::LBracket) => {
                     self.bump();
                     let idx = self.expr()?;
+                    below = below.max(self.height);
                     self.expect_punct(Punct::RBracket)?;
-                    let span = e.span.to(self.prev_span());
-                    e = Expr {
-                        id: self.fresh(),
-                        span,
-                        kind: ExprKind::Index(Box::new(e), Box::new(idx)),
-                    };
+                    ExprKind::Index(Box::new(e), Box::new(idx))
                 }
                 TokenKind::Punct(Punct::Dot) => {
                     self.bump();
-                    let (name, sp) = self.expect_ident()?;
-                    let span = e.span.to(sp);
-                    e = Expr {
-                        id: self.fresh(),
-                        span,
-                        kind: ExprKind::Member(Box::new(e), name, false),
-                    };
+                    let (name, _) = self.expect_ident()?;
+                    ExprKind::Member(Box::new(e), name, false)
                 }
                 TokenKind::Punct(Punct::Arrow) => {
                     self.bump();
-                    let (name, sp) = self.expect_ident()?;
-                    let span = e.span.to(sp);
-                    e = Expr {
-                        id: self.fresh(),
-                        span,
-                        kind: ExprKind::Member(Box::new(e), name, true),
-                    };
+                    let (name, _) = self.expect_ident()?;
+                    ExprKind::Member(Box::new(e), name, true)
                 }
                 TokenKind::Punct(Punct::PlusPlus) => {
                     self.bump();
-                    let span = e.span.to(self.prev_span());
-                    e = Expr {
-                        id: self.fresh(),
-                        span,
-                        kind: ExprKind::Unary(UnOp::PostInc, Box::new(e)),
-                    };
+                    ExprKind::Unary(UnOp::PostInc, Box::new(e))
                 }
                 TokenKind::Punct(Punct::MinusMinus) => {
                     self.bump();
-                    let span = e.span.to(self.prev_span());
-                    e = Expr {
-                        id: self.fresh(),
-                        span,
-                        kind: ExprKind::Unary(UnOp::PostDec, Box::new(e)),
-                    };
+                    ExprKind::Unary(UnOp::PostDec, Box::new(e))
                 }
                 _ => return Ok(e),
-            }
+            };
+            let span = lo.to(self.prev_span());
+            e = self.expr_node(span, kind, below)?;
         }
     }
 
     fn primary_expr(&mut self) -> Result<Expr, CompileError> {
         let start = self.span();
-        match self.peek().clone() {
+        let kind = match *self.peek() {
             TokenKind::Int(v) => {
                 self.bump();
-                Ok(Expr {
-                    id: self.fresh(),
-                    span: start,
-                    kind: ExprKind::IntLit(v),
-                })
+                ExprKind::IntLit(v)
             }
             TokenKind::Float(v) => {
                 self.bump();
-                Ok(Expr {
-                    id: self.fresh(),
-                    span: start,
-                    kind: ExprKind::FloatLit(v),
-                })
+                ExprKind::FloatLit(v)
             }
-            TokenKind::Str(s) => {
-                self.bump();
+            TokenKind::Str(_) => {
+                let mut s = self.take_text().unwrap_or_default();
                 // Adjacent string literals concatenate.
-                let mut s = s;
-                while let TokenKind::Str(next) = self.peek().clone() {
-                    self.bump();
-                    s.push_str(&next);
+                while matches!(self.peek(), TokenKind::Str(_)) {
+                    s.push_str(&self.take_text().unwrap_or_default());
                 }
-                Ok(Expr {
-                    id: self.fresh(),
-                    span: start.to(self.prev_span()),
-                    kind: ExprKind::StrLit(s),
-                })
+                ExprKind::StrLit(s)
             }
-            TokenKind::Ident(name) => {
-                self.bump();
-                Ok(Expr {
-                    id: self.fresh(),
-                    span: start,
-                    kind: ExprKind::Ident(name),
-                })
-            }
+            TokenKind::Ident(_) => ExprKind::Ident(self.take_text().unwrap_or_default()),
             TokenKind::Punct(Punct::LParen) => {
                 self.bump();
                 let e = self.expr()?;
                 self.expect_punct(Punct::RParen)?;
-                Ok(e)
+                return Ok(e);
             }
-            other => Err(self.err(format!("expected an expression, found {other}"))),
-        }
+            _ => return Err(self.err(format!("expected an expression, found {}", self.peek()))),
+        };
+        let span = start.to(self.prev_span());
+        self.expr_node(span, kind, 0)
     }
 }
 

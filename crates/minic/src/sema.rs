@@ -335,17 +335,18 @@ impl Module {
     }
 }
 
-/// Runs semantic analysis over a parsed unit.
+/// Runs semantic analysis over a parsed unit. The unit's function
+/// bodies move into the returned [`Module`]; nothing is copied.
 ///
 /// # Errors
 ///
 /// Returns the first semantic error found.
-pub fn analyze(unit: &Unit) -> Result<Module, CompileError> {
+pub fn analyze(unit: Unit) -> Result<Module, CompileError> {
     let mut cx = Checker::new();
-    cx.collect_enums(unit)?;
-    cx.collect_structs(unit)?;
-    cx.collect_functions_and_globals(unit)?;
-    cx.check_globals(unit)?;
+    cx.collect_enums(&unit)?;
+    cx.collect_structs(&unit)?;
+    cx.collect_functions_and_globals(&unit)?;
+    cx.check_globals(&unit)?;
     cx.check_functions(unit)?;
     Ok(cx.finish())
 }
@@ -832,10 +833,10 @@ impl Checker {
 
     // ----- phase 4: function bodies -----
 
-    fn check_functions(&mut self, unit: &Unit) -> Result<(), CompileError> {
-        for item in &unit.items {
+    fn check_functions(&mut self, unit: Unit) -> Result<(), CompileError> {
+        for item in unit.items {
             let Item::Function(fd) = item else { continue };
-            let Some(body) = &fd.body else { continue };
+            let Some(body) = fd.body else { continue };
             let fid = self.func_ids[&fd.name];
             self.cur_func = fid;
             self.cur_locals = Vec::new();
@@ -859,7 +860,7 @@ impl Checker {
                 }
             });
 
-            self.check_stmt(body)?;
+            self.check_stmt(&body)?;
 
             for (label, span) in std::mem::take(&mut self.gotos) {
                 if !self.labels.contains(&label) {
@@ -870,7 +871,7 @@ impl Checker {
             let f = &mut self.functions[fid.0 as usize];
             f.locals = std::mem::take(&mut self.cur_locals);
             f.frame_size = self.cur_frame;
-            f.body = Some(body.clone());
+            f.body = Some(body);
         }
         Ok(())
     }
@@ -1528,7 +1529,7 @@ mod tests {
 
     fn module(src: &str) -> Module {
         let unit = parse(src).unwrap();
-        match analyze(&unit) {
+        match analyze(unit) {
             Ok(m) => m,
             Err(e) => panic!("sema failed: {}", e.render(src)),
         }
@@ -1536,7 +1537,7 @@ mod tests {
 
     fn sema_err(src: &str) -> CompileError {
         let unit = parse(src).unwrap();
-        analyze(&unit).expect_err("expected a semantic error")
+        analyze(unit).expect_err("expected a semantic error")
     }
 
     #[test]

@@ -263,3 +263,43 @@ fn comma_separated_declarations_mix_derived_types() {
     assert_eq!(m.globals[0].size, 1);
     assert_eq!(m.globals[2].size, 3);
 }
+
+#[test]
+fn nesting_past_the_limit_is_a_parse_diagnostic() {
+    use minic::error::ErrorKind;
+    use minic::parser::MAX_NESTING;
+    let deep = MAX_NESTING as usize;
+    let shapes: [fn(usize) -> String; 4] = [
+        // Parentheses, a long left-associative sum, nested blocks and
+        // a long pointer declarator: each reaches the limit a
+        // different way.
+        |n| {
+            format!(
+                "int main(void) {{ return {}1{}; }}",
+                "(".repeat(n),
+                ")".repeat(n)
+            )
+        },
+        |n| format!("int main(void) {{ return {}1; }}", "1 + ".repeat(n)),
+        |n| {
+            format!(
+                "int main(void) {{ {}{} return 0; }}",
+                "{".repeat(n),
+                "}".repeat(n)
+            )
+        },
+        |n| format!("int main(void) {{ int {}p; return 0; }}", "*".repeat(n)),
+    ];
+    for make in shapes {
+        let ok = make(deep / 4);
+        compile(&ok).unwrap_or_else(|e| panic!("{}", e.render(&ok)));
+        let bad = make(deep * 2);
+        let err = compile(&bad).expect_err("past the nesting limit");
+        assert_eq!(err.kind(), ErrorKind::Parse);
+        let msg = err.render(&bad);
+        assert!(
+            msg.contains("line 1") && msg.contains("nesting too deep"),
+            "{msg}"
+        );
+    }
+}

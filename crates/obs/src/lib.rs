@@ -7,7 +7,9 @@
 //! the lightweight substrate: RAII span timers, monotonic counters,
 //! gauges, and one process-wide thread-safe registry that aggregates
 //! across the parallel `load_suite` threads. Everything is vendored —
-//! no network, no external dependencies.
+//! no network, no external dependencies. The artifact cache, the
+//! service and the profiler all depend on it, so it also holds the
+//! workspace's one content hash, [`hash::Fnv128`].
 //!
 //! ## Design
 //!
@@ -57,6 +59,7 @@
 
 #![warn(missing_docs)]
 
+pub mod hash;
 pub mod json;
 
 use std::cell::RefCell;

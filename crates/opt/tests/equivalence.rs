@@ -148,7 +148,7 @@ fn multi_level_inlining_terminates_on_mutual_recursion() {
         }
     "#;
     let module = minic::compile(src).expect("test program compiles");
-    let cp = compile(&flowgraph::build_program(&module));
+    let cp = compile(&flowgraph::build_program(module));
     let mut plan = OptPlan::full(&cp, 3);
     // Pretend every call site is scorching and the budget is
     // effectively unlimited; the depth and cycle guards alone must

@@ -180,9 +180,12 @@ impl Shared {
         // SAFETY: `ptr` came from `Box::into_raw` in `push` and was
         // claimed exactly once by `find_task`/`drain`.
         let task = unsafe { Box::from_raw(ptr) };
-        (task.0)();
+        // Count before running: the task body itself signals its
+        // scope's completion, so a count taken afterwards could land
+        // after the scope's owner has already read the statistics.
         self.stats.tasks.fetch_add(1, Ordering::Relaxed);
         obs::counter_add("pool.tasks", 1);
+        (task.0)();
     }
 }
 

@@ -43,8 +43,9 @@ use flowgraph::{BlockId, Program};
 use minic::ast::BinOp;
 use minic::builtins::Builtin;
 use minic::sema::FuncId;
+use obs::hash::{Fnv128, FNV64_OFFSET};
 use std::collections::HashMap;
-use std::hash::{DefaultHasher, Hasher};
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Sentinel for "no index" in `u32` fields (branch ids, entry points).
@@ -53,7 +54,7 @@ pub const NONE32: u32 = u32::MAX;
 /// How a binary operator executes, resolved at compile time from the
 /// operands' static types (the dynamic float/int split stays in the
 /// op, exactly as in `Interp::arith`).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Hash)]
 pub enum ArithMode {
     /// A comparison (`< <= > >= == !=`).
     Cmp(BinOp),
@@ -88,7 +89,7 @@ impl ArithMode {
 /// payload (executed before the op's work), so the hot path pays no
 /// separate `Tick` dispatch: a loop iteration is just its eval ops
 /// plus one branching op and one [`Op::EdgeJump`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Hash)]
 #[allow(missing_docs)] // field names are self-describing; semantics live on the variants
 pub enum Op {
     /// `steps += n`, `func_cost[cur] += n`, abort past the limit
@@ -555,7 +556,7 @@ pub enum Op {
 /// A `switch` lowered at compile time. Case values are deduplicated
 /// keeping the first occurrence, so both lookup shapes agree with the
 /// interpreter's linear first-match scan.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 #[allow(missing_docs)] // field names are self-describing; semantics live on the variants
 pub enum SwitchTable {
     /// Compact value range: `targets[v - min]`, `NONE32` = default.
@@ -573,7 +574,7 @@ pub enum SwitchTable {
 }
 
 /// How one parameter is bound on function entry.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Hash)]
 #[allow(missing_docs)] // field names are self-describing; semantics live on the variants
 pub enum ParamBind {
     /// Scalar: convert for the declared type and store into the frame.
@@ -583,7 +584,7 @@ pub enum ParamBind {
 }
 
 /// Per-function compiled metadata.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct FuncMeta {
     /// Entry pc, or [`NONE32`] for bodiless prototypes.
     pub entry: u32,
@@ -731,36 +732,18 @@ impl CompiledProgram {
     /// deduplication counts them once.
     ///
     /// Unlike the process-local compile-cache fingerprint, this one
-    /// uses a fixed FNV-1a construction (the same as the artifact
-    /// cache's key hash) and is stable across processes and runs.
+    /// hashes the IR structurally with the workspace's fixed
+    /// [`obs::hash::Fnv128`] (floats by their bit patterns), so it is
+    /// stable across processes and runs.
     pub fn ir_fingerprint(&self) -> u128 {
-        /// Two independently-salted 64-bit FNV-1a streams fed from one
-        /// `Debug` rendering, without materializing the string.
-        struct Fnv2 {
-            a: u64,
-            b: u64,
-        }
-        impl std::fmt::Write for Fnv2 {
-            fn write_str(&mut self, s: &str) -> std::fmt::Result {
-                for &byte in s.as_bytes() {
-                    self.a = (self.a ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
-                    self.b = (self.b ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
-                }
-                Ok(())
-            }
-        }
-        let mut h = Fnv2 {
-            a: 0xcbf2_9ce4_8422_2325,
-            b: 0xcbf2_9ce4_8422_2325 ^ 0x9E37_79B9_7F4A_7C15,
-        };
-        use std::fmt::Write as _;
-        write!(
-            h,
-            "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
-            self.ops, self.funcs, self.main, self.switch_tables, self.images, self.data_image,
-        )
-        .expect("hashing cannot fail");
-        ((h.a as u128) << 64) | h.b as u128
+        let mut h = Fnv128::with_basis(FNV64_OFFSET ^ 0x9E37_79B9_7F4A_7C15);
+        self.ops.hash(&mut h);
+        self.funcs.hash(&mut h);
+        self.main.hash(&mut h);
+        self.switch_tables.hash(&mut h);
+        self.images.hash(&mut h);
+        self.data_image.hash(&mut h);
+        h.digest()
     }
 
     /// Summary sizes of the compiled image: `(ops, funcs, blocks,
@@ -825,7 +808,7 @@ pub fn compile(program: &Program) -> CompiledProgram {
 ///         return 0;
 ///     }
 /// "#).unwrap();
-/// let program = flowgraph::build_program(&module);
+/// let program = flowgraph::build_program(module);
 /// let out = run(&program, &RunConfig::default()).unwrap();
 /// assert_eq!(out.stdout(), "45\n");
 /// assert_eq!(out.exit_code, 0);
@@ -929,7 +912,7 @@ mod tests {
     #[test]
     fn cache_hits_are_shared() {
         let module = minic::compile("int main(void) { return 7; }").unwrap();
-        let program = flowgraph::build_program(&module);
+        let program = flowgraph::build_program(module);
         let a = cached_compile(&program);
         let b = cached_compile(&program);
         assert!(Arc::ptr_eq(&a, &b));
@@ -939,8 +922,8 @@ mod tests {
     fn distinct_programs_get_distinct_code() {
         let m1 = minic::compile("int main(void) { return 1; }").unwrap();
         let m2 = minic::compile("int main(void) { return 2; }").unwrap();
-        let p1 = flowgraph::build_program(&m1);
-        let p2 = flowgraph::build_program(&m2);
+        let p1 = flowgraph::build_program(m1);
+        let p2 = flowgraph::build_program(m2);
         let c1 = cached_compile(&p1);
         let c2 = cached_compile(&p2);
         assert_eq!(c1.execute(&RunConfig::default()).unwrap().exit_code, 1);

@@ -42,6 +42,20 @@ pub enum Value {
     Fn(FuncId),
 }
 
+/// Hashes the exact bit pattern: floats by [`f64::to_bits`], so `0.0`
+/// and `-0.0` (which behave differently under division) hash apart.
+impl std::hash::Hash for Value {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match *self {
+            Value::Int(v) => v.hash(state),
+            Value::Float(v) => v.to_bits().hash(state),
+            Value::Ptr(p) => p.hash(state),
+            Value::Fn(f) => f.hash(state),
+        }
+    }
+}
+
 impl Value {
     /// C truthiness.
     pub fn truthy(self) -> bool {
@@ -222,7 +236,7 @@ impl RunOutcome {
 ///         return 0;
 ///     }
 /// "#).unwrap();
-/// let program = flowgraph::build_program(&module);
+/// let program = flowgraph::build_program(module);
 /// let out = run_ast(&program, &RunConfig::default()).unwrap();
 /// assert_eq!(out.stdout(), "45\n");
 /// assert_eq!(out.exit_code, 0);
@@ -309,7 +323,7 @@ pub(crate) struct NodeTy {
 
 /// Storage class of a slot, driving value conversion on store. Public
 /// so the optimizer crate can interpret typed bytecode operands.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Hash)]
 pub enum TyClass {
     /// Integer / char word.
     Int,

@@ -24,7 +24,7 @@
 //!         return n;
 //!     }
 //! "#).unwrap();
-//! let program = flowgraph::build_program(&module);
+//! let program = flowgraph::build_program(module);
 //! let out = run(&program, &RunConfig::with_input("banana")).unwrap();
 //! assert_eq!(out.exit_code, 3);
 //! assert_eq!(out.stdout(), "3 a's\n");
@@ -50,7 +50,7 @@ mod tests {
 
     fn program(src: &str) -> Program {
         let module = minic::compile(src).expect("valid MiniC");
-        flowgraph::build_program(&module)
+        flowgraph::build_program(module)
     }
 
     fn run_ok(src: &str) -> RunOutcome {

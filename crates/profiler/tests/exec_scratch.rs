@@ -8,7 +8,7 @@ use profiler::{compile, ExecScratch, RunConfig, RunOutcome, RuntimeError};
 
 fn compiled(src: &str) -> profiler::CompiledProgram {
     let module = minic::compile(src).expect("valid MiniC");
-    compile(&flowgraph::build_program(&module))
+    compile(&flowgraph::build_program(module))
 }
 
 /// Exercises strings/printf (the shared string buffers), deep-ish

@@ -6,7 +6,7 @@ use profiler::{run, RunConfig, RuntimeError};
 
 fn program(src: &str) -> flowgraph::Program {
     let module = minic::compile(src).expect("valid MiniC");
-    flowgraph::build_program(&module)
+    flowgraph::build_program(module)
 }
 
 fn run_ok(src: &str) -> profiler::RunOutcome {

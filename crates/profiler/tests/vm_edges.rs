@@ -10,7 +10,7 @@ use profiler::{run, run_ast, RunConfig, RunOutcome, RuntimeError};
 
 fn program(src: &str) -> flowgraph::Program {
     let module = minic::compile(src).expect("valid MiniC");
-    flowgraph::build_program(&module)
+    flowgraph::build_program(module)
 }
 
 /// Runs on both engines, asserts full agreement, returns the VM's.

@@ -174,7 +174,7 @@ impl Strategy for ProgramGen {
 
 fn compile(src: &str) -> flowgraph::Program {
     let module = minic::compile(src).expect("generated source must compile");
-    flowgraph::build_program(&module)
+    flowgraph::build_program(module)
 }
 
 proptest! {

@@ -621,7 +621,7 @@ mod tests {
 
     fn program(src: &str) -> Program {
         let module = minic::compile(src).expect("valid MiniC");
-        flowgraph::build_program(&module)
+        flowgraph::build_program(module)
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //! reused function is therefore bit-identical to a freshly lowered one,
 //! which is what the differential suite asserts end to end.
 
-use crate::fp::{fold_f64s, Fnv128};
+use crate::fp::{self, fold_f64s};
 use cache::{ArtifactKey, ArtifactKind, Cache};
 use estimators::branch::error_functions;
 use estimators::inter::{estimate_invocations, InterEstimates, InterEstimator};
@@ -50,6 +50,7 @@ use flowgraph::{CallGraph, Program};
 use minic::ast::{Item, Unit};
 use minic::pretty::print_item;
 use minic::sema::{BranchId, FuncId, Module, SwitchId};
+use obs::hash::Fnv128;
 use profiler::{CompiledProgram, ExecScratch, Profile, RunConfig};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
@@ -227,7 +228,7 @@ impl ProgramEntry {
     /// Digest of every materialized estimate, bit-exact — the unit the
     /// storm determinism test compares across `--jobs` values.
     pub fn estimates_digest(&self) -> u128 {
-        let mut h = Fnv128::new();
+        let mut h = fp::hasher();
         h.word(self.fingerprint as u64);
         h.word((self.fingerprint >> 64) as u64);
         for ia in &self.intra {
@@ -238,7 +239,7 @@ impl ProgramEntry {
         for ie in &self.inter {
             fold_f64s(&mut h, &ie.func_freqs);
         }
-        h.finish()
+        h.digest()
     }
 }
 
@@ -332,9 +333,10 @@ impl ServeDb {
     ) -> Result<UpdateOutcome, DbError> {
         let _sp = obs::span("serve.upsert");
         let unit = minic::parser::parse(source).map_err(|e| DbError::Compile(e.render(source)))?;
-        let module = minic::sema::analyze(&unit).map_err(|e| DbError::Compile(e.render(source)))?;
-        let ctx_fp = context_fingerprint(&unit, &module);
         let fn_fps = function_fingerprints(&unit);
+        let decls = declaration_context(&unit);
+        let module = minic::sema::analyze(unit).map_err(|e| DbError::Compile(e.render(source)))?;
+        let ctx_fp = context_fingerprint(decls, &module);
         let old = self.lock_programs().get(name).cloned();
 
         let mut work = WorkCounters::default();
@@ -524,7 +526,7 @@ impl ServeDb {
             );
         }
         let fingerprint = {
-            let mut h = Fnv128::new();
+            let mut h = fp::hasher();
             h.word(ctx_fp as u64);
             h.word((ctx_fp >> 64) as u64);
             for f in &program.module.functions {
@@ -533,7 +535,7 @@ impl ServeDb {
                     h.word((fp >> 64) as u64);
                 }
             }
-            h.finish()
+            h.digest()
         };
         let funcs = program.defined_ids().len();
         let blocks = program.total_blocks();
@@ -729,7 +731,7 @@ impl ServeDb {
     /// insertion order and worker count. The storm determinism test
     /// compares this across `--jobs` values.
     pub fn state_digest(&self) -> u128 {
-        let mut h = Fnv128::new();
+        let mut h = fp::hasher();
         for (name, entry) in self.lock_programs().iter() {
             h.field_str(name);
             h.field_str(&entry.source);
@@ -737,7 +739,7 @@ impl ServeDb {
             h.word(d as u64);
             h.word((d >> 64) as u64);
         }
-        h.finish()
+        h.digest()
     }
 }
 
@@ -770,13 +772,25 @@ fn function_fingerprints(unit: &Unit) -> HashMap<String, u128> {
             if fd.body.is_none() {
                 continue;
             }
-            let mut h = Fnv128::new();
+            let mut h = fp::hasher();
             h.field_str(&print_item(item));
             h.word(u64::from(fd.id.0));
-            out.insert(fd.name.clone(), h.finish());
+            out.insert(fd.name.clone(), h.digest());
         }
     }
     out
+}
+
+/// The first part of the [`context_fingerprint`]: every non-function
+/// declaration of `unit`, hashed before sema consumes the unit.
+fn declaration_context(unit: &Unit) -> Fnv128 {
+    let mut h = fp::hasher();
+    for item in &unit.items {
+        if !matches!(item, Item::Function(_)) {
+            h.field_str(&print_item(item));
+        }
+    }
+    h
 }
 
 /// The module-context fingerprint: every cross-function input of
@@ -785,14 +799,10 @@ fn function_fingerprints(unit: &Unit) -> HashMap<String, u128> {
 /// types, declaration order, and arity; the error-call set is the one
 /// whole-module input of the branch heuristics (`ErrorCall` fires on
 /// calls to functions that always reach `exit`). Any change here
-/// conservatively invalidates every cached function.
-fn context_fingerprint(unit: &Unit, module: &Module) -> u128 {
-    let mut h = Fnv128::new();
-    for item in &unit.items {
-        if !matches!(item, Item::Function(_)) {
-            h.field_str(&print_item(item));
-        }
-    }
+/// conservatively invalidates every cached function. `decls` is
+/// [`declaration_context`] of the unit `module` was analyzed from.
+fn context_fingerprint(decls: Fnv128, module: &Module) -> u128 {
+    let mut h = decls;
     for f in &module.functions {
         h.field_str(&f.name);
         h.field_str(&format!("{:?}", f.sig));
@@ -809,7 +819,7 @@ fn context_fingerprint(unit: &Unit, module: &Module) -> u128 {
     for n in err_names {
         h.field_str(n);
     }
-    h.finish()
+    h.digest()
 }
 
 /// Lifts `old_f`'s CFG out of the previous revision and rewrites the

@@ -139,7 +139,7 @@ mod tests {
             if ma {
                 let src = a.render();
                 let unit = minic::parser::parse(&src).expect("mutant parses");
-                minic::sema::analyze(&unit).expect("mutant analyzes");
+                minic::sema::analyze(unit).expect("mutant analyzes");
             }
         }
     }
@@ -157,7 +157,7 @@ mod tests {
             "{edited}"
         );
         let unit = minic::parser::parse(&edited).expect("edited source parses");
-        minic::sema::analyze(&unit).expect("edited source analyzes");
+        minic::sema::analyze(unit).expect("edited source analyzes");
         assert!(edit_function_source(src, 2).is_none());
     }
 }

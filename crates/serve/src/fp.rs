@@ -1,71 +1,13 @@
-//! 128-bit content fingerprints for the incremental database.
-//!
-//! Same dual-stream FNV-1a construction as the artifact cache's key
-//! hash and the VM's `ir_fingerprint`: two independently-seeded 64-bit
-//! FNV-1a streams over length-prefixed fields, concatenated. Stable by
-//! construction across processes and runs — no std hasher internals.
+//! 128-bit content fingerprints for the incremental database: the
+//! workspace hash [`obs::hash::Fnv128`] over length-prefixed fields,
+//! with the service's own second offset basis so published
+//! fingerprints keep their values.
 
-/// Incremental dual-stream FNV-1a/128 hasher.
-pub struct Fnv128 {
-    a: u64,
-    b: u64,
-}
+use obs::hash::Fnv128;
 
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-impl Default for Fnv128 {
-    fn default() -> Self {
-        Fnv128::new()
-    }
-}
-
-impl Fnv128 {
-    /// A fresh hasher.
-    pub fn new() -> Self {
-        Fnv128 {
-            a: 0xcbf2_9ce4_8422_2325,
-            // A second, unrelated offset basis keeps the streams
-            // independent (same idiom as the cache key hash).
-            b: 0x6c62_272e_07bb_0142,
-        }
-    }
-
-    /// Feeds raw bytes.
-    pub fn update(&mut self, bytes: &[u8]) {
-        for &x in bytes {
-            self.a = (self.a ^ u64::from(x)).wrapping_mul(FNV_PRIME);
-            self.b = (self.b ^ u64::from(x)).wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// Length-prefixed field update, so `("ab","c")` and `("a","bc")`
-    /// hash differently.
-    pub fn field(&mut self, bytes: &[u8]) {
-        self.update(&(bytes.len() as u64).to_le_bytes());
-        self.update(bytes);
-    }
-
-    /// Length-prefixed string field.
-    pub fn field_str(&mut self, s: &str) {
-        self.field(s.as_bytes());
-    }
-
-    /// A `u64` field (fixed width, no prefix needed).
-    pub fn word(&mut self, w: u64) {
-        self.update(&w.to_le_bytes());
-    }
-
-    /// The 128-bit digest.
-    pub fn finish(&self) -> u128 {
-        (u128::from(self.a) << 64) | u128::from(self.b)
-    }
-}
-
-/// Convenience: fingerprint of one string.
-pub fn fp_str(s: &str) -> u128 {
-    let mut h = Fnv128::new();
-    h.field_str(s);
-    h.finish()
+/// A fresh fingerprint hasher.
+pub fn hasher() -> Fnv128 {
+    Fnv128::with_basis(0x6c62_272e_07bb_0142)
 }
 
 /// Folds an `f64` slice into a hasher, bit-exactly.
@@ -81,19 +23,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn field_boundaries_matter() {
-        let mut a = Fnv128::new();
-        a.field_str("ab");
-        a.field_str("c");
-        let mut b = Fnv128::new();
-        b.field_str("a");
-        b.field_str("bc");
-        assert_ne!(a.finish(), b.finish());
-    }
-
-    #[test]
-    fn stable_across_calls() {
-        assert_eq!(fp_str("hello"), fp_str("hello"));
-        assert_ne!(fp_str("hello"), fp_str("hellp"));
+    fn fingerprint_values_are_pinned() {
+        // Published service fingerprints depend on this exact value.
+        let mut h = hasher();
+        h.field_str("hello");
+        assert_eq!(h.digest(), 0xff7a_61ff_1132_0f78_e79f_7ac5_497f_349d);
     }
 }

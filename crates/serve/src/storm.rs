@@ -20,7 +20,9 @@ use crate::db::{ServeDb, WorkCounters};
 use crate::edits::{mutate, xorshift};
 use crate::proto::{num_u64, obj};
 use crate::session::Session;
+use obs::hash::Fnv128;
 use obs::json::Value;
+use std::hash::Hasher;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -173,12 +175,10 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// FNV-1a over one client's concatenated response lines.
-fn response_digest(digest: &mut u64, response: &str) {
-    for &b in response.as_bytes() {
-        *digest = (*digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    *digest = (*digest ^ u64::from(b'\n')).wrapping_mul(0x0000_0100_0000_01b3);
+/// FNV-1a/64 over one client's concatenated response lines.
+fn response_digest(digest: &mut Fnv128, response: &str) {
+    digest.update(response.as_bytes());
+    digest.update(b"\n");
 }
 
 struct ClientResult {
@@ -188,7 +188,7 @@ struct ClientResult {
 }
 
 fn run_client(script: &[String], mut transport: impl FnMut(&str) -> String) -> ClientResult {
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digest = Fnv128::with_basis(0);
     let mut latencies_ns = Vec::with_capacity(script.len());
     let mut errors = 0;
     for req in script {
@@ -201,7 +201,7 @@ fn run_client(script: &[String], mut transport: impl FnMut(&str) -> String) -> C
         response_digest(&mut digest, &resp);
     }
     ClientResult {
-        digest,
+        digest: digest.finish(),
         latencies_ns,
         errors,
     }

@@ -79,8 +79,8 @@ int main(void) {
 }
 "#;
     let unit = minic::parser::parse(src).unwrap();
-    let module = minic::sema::analyze(&unit).unwrap();
-    let program = flowgraph::build_program(&module);
+    let module = minic::sema::analyze(unit).unwrap();
+    let program = flowgraph::build_program(module);
     let compiled = profiler::compile(&program);
     let mut scratch = ExecScratch::default();
     compiled
@@ -166,4 +166,30 @@ fn concurrent_profiles_match_serial() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     assert_eq!(got, expected);
+}
+
+/// A `load` of pathologically nested source (20k parentheses once
+/// overflowed the daemon's stack, killing every session) gets a
+/// `compile-error` response, and the session keeps serving.
+#[test]
+fn deeply_nested_load_is_an_error_response() {
+    let db = Arc::new(ServeDb::new(Some(1), None));
+    let session = Session::new(db);
+    let deep = format!(
+        "int main(void) {{ return {}1{}; }}",
+        "(".repeat(20_000),
+        ")".repeat(20_000)
+    );
+    let out = session.handle(&format!(
+        r#"{{"sfe":"serve/v1","id":1,"method":"load","params":{{"program":"deep","source":"{deep}"}}}}"#
+    ));
+    assert!(
+        out.response.contains("\"compile-error\"") && out.response.contains("nesting too deep"),
+        "{}",
+        out.response
+    );
+    let out = session.handle(&format!(
+        r#"{{"sfe":"serve/v1","id":2,"method":"load","params":{{"program":"p","source":"{SRC}"}}}}"#
+    ));
+    assert!(out.response.contains("\"result\""), "{}", out.response);
 }

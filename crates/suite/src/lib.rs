@@ -58,7 +58,7 @@ impl BenchProgram {
     /// compile, so this is only fallible for modified sources.
     pub fn compile(&self) -> Result<Program, CompileError> {
         let module = minic::compile(self.source)?;
-        Ok(flowgraph::build_program(&module))
+        Ok(flowgraph::build_program(module))
     }
 
     /// The standard (deterministic) input set, four or more inputs.

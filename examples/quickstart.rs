@@ -28,7 +28,7 @@ int main(void) {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Compile MiniC and lower to CFGs.
     let module = minic::compile(SOURCE).map_err(|e| e.render(SOURCE))?;
-    let program = flowgraph::build_program(&module);
+    let program = flowgraph::build_program(module);
 
     // 2. Static estimate (no execution!).
     let estimates = intra::estimate_program(&program, intra::IntraEstimator::Smart);

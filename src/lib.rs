@@ -31,7 +31,7 @@
 //!     }
 //! "#;
 //! let module = minic::compile(src).expect("valid MiniC");
-//! let program = flowgraph::build_program(&module);
+//! let program = flowgraph::build_program(module);
 //! let est = estimators::intra::estimate_function(
 //!     &program,
 //!     program.function_id("strchr").unwrap(),

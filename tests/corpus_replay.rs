@@ -59,3 +59,61 @@ fn every_corpus_counterexample_passes_all_oracles() {
     // corpus must cover at least the three original bug classes.
     assert!(replayed >= 3, "only {replayed} corpus files replayed");
 }
+
+/// Generated `_diag_` cases: pathologically deep programs (10k nested
+/// parentheses is a ~20 KB file that once overflowed the stack of
+/// `sfe blocks`) must fail with the parser's nesting diagnostic, and
+/// the same shapes just inside the limit must pass every oracle.
+#[test]
+fn deep_nesting_is_a_diagnostic_not_an_abort() {
+    type Shape = (&'static str, fn(usize) -> String);
+    let shapes: [Shape; 5] = [
+        ("parens", |n| {
+            format!(
+                "int main(void){{return {}1{};}}",
+                "(".repeat(n),
+                ")".repeat(n)
+            )
+        }),
+        ("sum", |n| {
+            format!("int main(void){{return {}1;}}", "1+".repeat(n))
+        }),
+        ("blocks", |n| {
+            format!(
+                "int main(void){{{}return 0;}}",
+                "{".repeat(n) + &"}".repeat(n)
+            )
+        }),
+        ("ifs", |n| {
+            format!(
+                "int main(void){{int x; x=1; {}x=2; return x;}}",
+                "if (x) ".repeat(n)
+            )
+        }),
+        ("pointers", |n| {
+            format!("int main(void){{int {}p; p=0; return 0;}}", "*".repeat(n))
+        }),
+    ];
+    let config = CheckConfig::default();
+    for (name, make) in shapes {
+        let deep = make(10_000);
+        let failure = check_source(&deep, &config).expect_err(name);
+        assert_eq!(
+            failure.kind,
+            FailureKind::Compile,
+            "{name}: {}",
+            failure.detail
+        );
+        assert!(
+            failure.detail.contains("nesting too deep"),
+            "{name}: {}",
+            failure.detail
+        );
+        // Well inside the limit for every shape (parentheses cost two
+        // levels each).
+        let shallow = make(40);
+        if let Err(f) = check_source(&shallow, &config) {
+            panic!("{name} at depth 40 fired oracle {}:\n{}", f.kind, f.detail);
+        }
+    }
+}

@@ -149,7 +149,7 @@ proptest! {
             Ok(m) => m,
             Err(e) => panic!("generated program failed to compile: {}\n{src}", e.render(&src)),
         };
-        let program = flowgraph::build_program(&module);
+        let program = flowgraph::build_program(module);
 
         // CFG well-formedness: every terminator target is in range and
         // every block is reachable (the simplifier guarantees it).
@@ -194,14 +194,14 @@ proptest! {
     fn pretty_print_preserves_behaviour(stmts in arb_stmts()) {
         let src = to_program(&stmts);
         let module = minic::compile(&src).expect("compiles");
-        let program = flowgraph::build_program(&module);
+        let program = flowgraph::build_program(module);
 
         let printed = minic::pretty::print_unit(&minic::parser::parse(&src).unwrap());
         let module2 = match minic::compile(&printed) {
             Ok(m) => m,
             Err(e) => panic!("printed program failed: {}\n{printed}", e.render(&printed)),
         };
-        let program2 = flowgraph::build_program(&module2);
+        let program2 = flowgraph::build_program(module2);
 
         let cfg = profiler::RunConfig {
             max_steps: 5_000_000,

@@ -26,7 +26,7 @@ int main(void) {
 
 fn strchr_program() -> flowgraph::Program {
     let module = minic::compile(STRCHR).expect("compiles");
-    flowgraph::build_program(&module)
+    flowgraph::build_program(module)
 }
 
 #[test]
@@ -76,7 +76,7 @@ fn figure8_recursion_repair() {
         int main(void) { return count_nodes(0); }
     "#;
     let module = minic::compile(src).expect("compiles");
-    let program = flowgraph::build_program(&module);
+    let program = flowgraph::build_program(module);
     let ia = intra::estimate_program(&program, intra::IntraEstimator::Smart);
 
     // The pathological weight the paper derives: 2 calls × 0.8 = 1.6.
@@ -119,7 +119,7 @@ fn strchr_runs_correctly_too() {
         }
     "#;
     let module = minic::compile(src).expect("compiles");
-    let program = flowgraph::build_program(&module);
+    let program = flowgraph::build_program(module);
     let out = profiler::run(&program, &RunConfig::default()).expect("runs");
     assert_eq!(out.exit_code, 2);
 }
@@ -143,7 +143,7 @@ fn enums_run_correctly_end_to_end() {
         "#,
     )
     .unwrap();
-    let program = flowgraph::build_program(&module);
+    let program = flowgraph::build_program(module);
     let out = profiler::run(&program, &RunConfig::default()).unwrap();
     assert_eq!(out.exit_code, 700 + 70 + 6);
 }

@@ -99,7 +99,7 @@ proptest! {
         let minic::ast::StmtKind::Return(Some(ret)) = &stmts[0].kind else { unreachable!() };
         let folded = minic::fold::fold(ret, &minic::fold::NoEnv);
 
-        let program = flowgraph::build_program(&module);
+        let program = flowgraph::build_program(module);
         let run = profiler::run(&program, &profiler::RunConfig::default());
         match (folded, run) {
             (Some(v), Ok(out)) => {

@@ -30,7 +30,7 @@ fn printed_programs_behave_identically() {
         let printed = print_unit(&parse(bench.source).unwrap());
         let module = minic::compile(&printed)
             .unwrap_or_else(|e| panic!("{name}: printed source fails: {}", e.render(&printed)));
-        let reprinted_program = flowgraph::build_program(&module);
+        let reprinted_program = flowgraph::build_program(module);
 
         let input = bench.inputs().into_iter().next().unwrap();
         let a = profiler::run(&original, &profiler::RunConfig::with_input(input.clone()))

@@ -152,11 +152,8 @@ fn write_trajectory() {
     // tasks, so the `*_cpu_ms` stage columns are CPU-time aggregates
     // summed over workers (they exceed wall time on multi-core runs by
     // design); the `*wall_ms` columns are the only wall-clock figures.
-    // The in-process compile cache is keyed per program, so across 14
-    // distinct programs its *rate* is structurally 0 on a cold run —
-    // report the raw per-run hit/miss counts instead, plus a separate
-    // warm-run row where the persistent artifact cache carries all the
-    // profiling work.
+    // A separate warm-run row reports the persistent artifact cache,
+    // which carries all the profiling work there.
     let entry = format!(
         "{{\"schema\": \"pipeline/v2\", \"wall_ms\": {cold_ms:.1}, \
           \"suite_cold_wall_ms\": {cold_ms:.1}, \"suite_warm_wall_ms\": {warm_ms:.1}, \
@@ -165,7 +162,6 @@ fn write_trajectory() {
           \"estimate_cpu_ms\": {:.1}, \"metric_weight_match_cpu_ms\": {:.1}, \
           \"programs\": {}, \"linsolve_solves\": {}, \
           \"linsolve_damped_fallback\": {}, \"profiler_steps\": {}, \
-          \"profiler_cache_hits\": {}, \"profiler_cache_misses\": {}, \
           \"artifact_cache_hits_cold\": {}, \"artifact_cache_misses_cold\": {}, \
           \"artifact_cache_hits_warm\": {}, \"artifact_cache_misses_warm\": {}, \
           \"pool_workers\": {}, \"pool_threads_env\": \"{}\", \
@@ -189,8 +185,6 @@ fn write_trajectory() {
         counter(&m, "linsolve.solves"),
         counter(&m, "linsolve.scc.damped_fallback"),
         counter(&m, "profiler.steps"),
-        counter(&m, "profiler.cache.hits"),
-        counter(&m, "profiler.cache.misses"),
         counter(&m, "cache.hits"),
         counter(&m, "cache.misses"),
         counter(&m_warm, "cache.hits"),

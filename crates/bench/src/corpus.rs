@@ -35,9 +35,8 @@
 //!
 //! [`EngineMode::Naive`] is the obvious first-cut implementation this
 //! engine replaced, kept runnable so the speedup claim stays
-//! measurable in-tree: public `profiler::run` per program (which
-//! re-fingerprints and re-compiles through the global compile cache —
-//! at corpus scale, CACHE_CAP thrashing makes that a double compile),
+//! measurable in-tree: public `profiler::run` per program (a fresh
+//! compile and a fresh set of VM buffers every call),
 //! the full 18-score [`eval::score_program`] where the corpus reports
 //! ten, a `format!`-then-hash dedup fingerprint, one synchronous
 //! cache write per program, and every program + profile retained
@@ -641,9 +640,7 @@ fn run_naive(cfg: &CorpusConfig, pool: &pool::Pool, cache: Option<&Cache>) -> Ag
                     b.write(rendered.as_bytes());
                     ((a.finish() as u128) << 64) | b.finish() as u128
                 };
-                // `run` fingerprints and re-compiles through the
-                // global compile cache, which thrashes at corpus
-                // scale.
+                // `run` compiles afresh and allocates new VM buffers.
                 let out = match profiler::run(&program, run_cfg) {
                     Ok(out) => out,
                     Err(_) => {

@@ -1061,6 +1061,19 @@ mod tests {
         // Full budget optimizes every function: the rankings agree.
         let or = curve("oracle");
         assert!((st[2] - or[2]).abs() / or[2] < 0.10);
+        // Exact optimized step counts at k=4 and k=16: the optimizer's
+        // cost model must not depend on how the VM places its profile
+        // counters (it lifts the fully instrumented op stream).
+        let steps = |name: &str| {
+            p.curves
+                .iter()
+                .find(|c| c.ranking == name)
+                .expect("ranking present")
+                .steps[1..]
+                .to_vec()
+        };
+        assert_eq!(steps("static"), [615_208, 490_204]);
+        assert_eq!(steps("profile"), [558_786, 508_896]);
     }
 
     #[test]

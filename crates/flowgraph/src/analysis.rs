@@ -6,7 +6,7 @@
 //! algorithm is the machinery behind the Markov call-graph model's
 //! recursion repair (§5.2.2 considers each SCC in isolation).
 
-use crate::cfg::{BlockId, Cfg};
+use crate::cfg::{BlockId, Cfg, Terminator};
 use std::collections::HashSet;
 
 /// Immediate-dominator tree of a CFG, computed by the classic iterative
@@ -19,16 +19,99 @@ pub struct Dominators {
     entry: BlockId,
 }
 
+/// Flat (CSR) adjacency lists: node `v`'s neighbours are
+/// `adj[off[v]..off[v + 1]]` — two allocations for the whole graph
+/// instead of one per block, which is most of the cost of the
+/// analyses below on the small CFGs they usually see.
+struct Csr {
+    off: Vec<u32>,
+    adj: Vec<BlockId>,
+}
+
+impl Csr {
+    /// Successor lists, in terminator order (an edge may repeat; none
+    /// of the analyses care).
+    fn successors(cfg: &Cfg) -> Csr {
+        let mut off = Vec::with_capacity(cfg.blocks.len() + 1);
+        let mut adj = Vec::with_capacity(cfg.blocks.len() * 2);
+        off.push(0);
+        for b in &cfg.blocks {
+            match &b.term {
+                Terminator::Goto(t) => adj.push(*t),
+                Terminator::Branch {
+                    then_blk, else_blk, ..
+                } => adj.extend([*then_blk, *else_blk]),
+                Terminator::Switch { cases, default, .. } => {
+                    adj.extend(cases.iter().map(|&(_, t)| t));
+                    adj.push(*default);
+                }
+                Terminator::Return(_) => {}
+            }
+            off.push(adj.len() as u32);
+        }
+        Csr { off, adj }
+    }
+
+    /// The reversed graph (predecessor lists, in block order).
+    fn reversed(&self) -> Csr {
+        let n = self.off.len() - 1;
+        let mut off = vec![0u32; n + 1];
+        for &t in &self.adj {
+            off[t.0 as usize + 1] += 1;
+        }
+        for v in 0..n {
+            off[v + 1] += off[v];
+        }
+        let mut fill = off.clone();
+        let mut adj = vec![BlockId(0); self.adj.len()];
+        for v in 0..n {
+            for &t in self.of(v) {
+                adj[fill[t.0 as usize] as usize] = BlockId(v as u32);
+                fill[t.0 as usize] += 1;
+            }
+        }
+        Csr { off, adj }
+    }
+
+    fn of(&self, v: usize) -> &[BlockId] {
+        &self.adj[self.off[v] as usize..self.off[v + 1] as usize]
+    }
+}
+
 impl Dominators {
     /// Computes dominators for `cfg`.
     pub fn compute(cfg: &Cfg) -> Self {
+        let succs = Csr::successors(cfg);
+        Self::from_csr(cfg, &succs, &succs.reversed())
+    }
+
+    fn from_csr(cfg: &Cfg, succs: &Csr, preds: &Csr) -> Self {
         let n = cfg.blocks.len();
-        let rpo = cfg.reverse_post_order();
+        // Reverse post-order by iterative DFS from the entry.
+        let mut rpo = Vec::with_capacity(n);
+        let mut visited = vec![false; n];
+        let mut stack = vec![(cfg.entry, 0usize)];
+        visited[cfg.entry.0 as usize] = true;
+        while let Some(&mut (b, ref mut i)) = stack.last_mut() {
+            match succs.of(b.0 as usize).get(*i) {
+                Some(&s) => {
+                    *i += 1;
+                    if !visited[s.0 as usize] {
+                        visited[s.0 as usize] = true;
+                        stack.push((s, 0));
+                    }
+                }
+                None => {
+                    rpo.push(b);
+                    stack.pop();
+                }
+            }
+        }
+        rpo.reverse();
         let mut order = vec![usize::MAX; n];
         for (i, &b) in rpo.iter().enumerate() {
             order[b.0 as usize] = i;
         }
-        let preds = cfg.predecessors();
         let mut idom: Vec<Option<BlockId>> = vec![None; n];
         idom[cfg.entry.0 as usize] = Some(cfg.entry);
         let mut changed = true;
@@ -36,7 +119,7 @@ impl Dominators {
             changed = false;
             for &b in rpo.iter().skip(1) {
                 let mut new_idom: Option<BlockId> = None;
-                for &p in &preds[b.0 as usize] {
+                for &p in preds.of(b.0 as usize) {
                     if idom[p.0 as usize].is_none() {
                         continue;
                     }
@@ -269,22 +352,47 @@ pub fn natural_loops(cfg: &Cfg) -> Vec<NaturalLoop> {
     loops
 }
 
-/// Loop nesting depth of every block (0 = not in any loop).
+/// Loop nesting depth of every block (0 = not in any loop): the
+/// number of distinct loop headers whose loop (every natural loop of
+/// the header, merged) contains the block. Allocation-light — one
+/// stamp array and one work stack for all loops — because the
+/// profiler weighs its counter placement with it on every compile.
 pub fn loop_depths(cfg: &Cfg) -> Vec<usize> {
-    let loops = natural_loops(cfg);
-    let mut depth = vec![0usize; cfg.blocks.len()];
-    // Merge loops with the same header (multiple back edges = one loop).
-    let mut by_header: std::collections::HashMap<BlockId, HashSet<BlockId>> =
-        std::collections::HashMap::new();
-    for l in &loops {
-        by_header
-            .entry(l.header)
-            .or_default()
-            .extend(l.body.iter().copied());
+    let n = cfg.blocks.len();
+    let succs = Csr::successors(cfg);
+    if (0..n).all(|v| succs.of(v).iter().all(|t| t.0 as usize > v)) {
+        // Every edge goes to a later block: no cycle, so no loop.
+        return vec![0; n];
     }
-    for body in by_header.values() {
-        for b in body {
-            depth[b.0 as usize] += 1;
+    let preds = succs.reversed();
+    let dom = Dominators::from_csr(cfg, &succs, &preds);
+    let mut depth = vec![0usize; n];
+    // `seen[b] == h` once `b` is counted in header `h`'s loop.
+    let mut seen = vec![usize::MAX; n];
+    let mut stack = Vec::new();
+    for h in 0..n {
+        let header = BlockId(h as u32);
+        // Back edges `latch → header`: the header dominates the latch.
+        for &latch in preds.of(h) {
+            if !dom.dominates(header, latch) {
+                continue;
+            }
+            if seen[h] != h {
+                seen[h] = h;
+                depth[h] += 1;
+            }
+            // The latch and everything reaching it without passing
+            // through the header.
+            stack.push(latch);
+            while let Some(x) = stack.pop() {
+                let x = x.0 as usize;
+                if seen[x] == h {
+                    continue;
+                }
+                seen[x] = h;
+                depth[x] += 1;
+                stack.extend(preds.of(x).iter().filter(|p| seen[p.0 as usize] != h));
+            }
         }
     }
     depth

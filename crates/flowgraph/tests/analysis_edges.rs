@@ -268,3 +268,27 @@ fn loop_body_postdominated_by_header_in_simple_loop() {
     // Every path from the body back to exit goes through the header.
     assert!(pdom.post_dominates(l.header, l.latch));
 }
+
+#[test]
+fn loop_depths_count_the_merged_natural_loops_of_each_header() {
+    // Reference: one level per distinct header whose natural loops
+    // (merged) contain the block — checked on every suite function,
+    // which covers gotos, multi-latch loops and irreducible-free nests.
+    for bench in suite::all() {
+        let p = bench.compile().expect("suite program compiles");
+        for cfg in p.cfgs.iter().flatten() {
+            let mut bodies: std::collections::BTreeMap<_, std::collections::BTreeSet<_>> =
+                Default::default();
+            for l in natural_loops(cfg) {
+                bodies.entry(l.header).or_default().extend(l.body);
+            }
+            let mut want = vec![0usize; cfg.blocks.len()];
+            for body in bodies.values() {
+                for b in body {
+                    want[b.0 as usize] += 1;
+                }
+            }
+            assert_eq!(loop_depths(cfg), want, "{}", bench.name);
+        }
+    }
+}

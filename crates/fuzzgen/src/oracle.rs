@@ -30,7 +30,8 @@
 //!    bytes, and *count* profile counters (blocks, edges, branches,
 //!    call sites, function entries) as the unoptimized VM. Only
 //!    `steps` and `func_cost` — the quantities the optimizer exists to
-//!    change — are excluded.
+//!    change — are excluded. Both the compiled and the optimized
+//!    bytecode must also pass `profiler::bytecode::verify`.
 //! 7. **Reuse agreement** — the static reuse estimate must be finite,
 //!    non-negative, and normalized (mass sums to 1, or is all-zero
 //!    when the program touches no traced memory); the exact reuse
@@ -602,6 +603,7 @@ fn optimizer_equivalence(
     run_config: &RunConfig,
 ) -> Result<(), Failure> {
     let cp = profiler::compile(program);
+    verified(&cp, "compiled")?;
     let full = opt::OptPlan::full(&cp, 3);
     let randomized = random_plan(&cp);
     for (label, plan) in [("full -O3", &full), ("randomized", &randomized)] {
@@ -635,6 +637,16 @@ fn random_plan(cp: &profiler::bytecode::CompiledProgram) -> opt::OptPlan {
     plan
 }
 
+/// The bytecode invariants the VM's unchecked fast path relies on.
+fn verified(cp: &profiler::bytecode::CompiledProgram, what: &str) -> Result<(), Failure> {
+    profiler::bytecode::verify(cp).map_err(|e| {
+        Failure::new(
+            FailureKind::OptMismatch,
+            format!("{what} bytecode fails verification: {e}"),
+        )
+    })
+}
+
 /// One plan's half of oracle 6.
 fn plan_equivalence(
     cp: &profiler::bytecode::CompiledProgram,
@@ -643,6 +655,7 @@ fn plan_equivalence(
     run_config: &RunConfig,
 ) -> Result<(), Failure> {
     let (ocp, _stats) = opt::optimize(cp, plan);
+    verified(&ocp, "optimized")?;
     // Recosting changes the step count, so a run near the limit could
     // cross it in either direction; 4x headroom keeps the oracle about
     // semantics (the unoptimized run completed well under the limit).

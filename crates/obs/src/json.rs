@@ -145,16 +145,24 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest array/object nesting [`parse`] accepts. Parsing and
+/// dropping a [`Value`] both recurse once per level, so the bound
+/// keeps a hostile document (say, 100k `[`) from overflowing the
+/// stack; every document the workspace writes nests a few levels.
+pub const MAX_NESTING: usize = 128;
+
 /// Parses one JSON document (trailing whitespace allowed).
 ///
 /// # Errors
 ///
 /// Returns a [`ParseError`] with the byte offset of the first
-/// malformed construct.
+/// malformed construct, or of the array/object that nests deeper
+/// than [`MAX_NESTING`].
 pub fn parse(src: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -168,6 +176,8 @@ pub fn parse(src: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -205,8 +215,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_NESTING {
+                    return Err(self.err("arrays/objects nest too deeply"));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -385,6 +406,23 @@ mod tests {
         assert!(parse("\"unterminated").is_err());
         let e = parse("nul").unwrap_err();
         assert!(e.to_string().contains("byte 0"), "{e}");
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let ok = format!("{}{}", "[".repeat(MAX_NESTING), "]".repeat(MAX_NESTING));
+        assert!(parse(&ok).is_ok());
+        let deep = format!(
+            "{}{}",
+            "[".repeat(MAX_NESTING + 1),
+            "]".repeat(MAX_NESTING + 1)
+        );
+        let e = parse(&deep).unwrap_err();
+        assert_eq!(e.at, MAX_NESTING);
+        // 100k unclosed levels (arrays and objects mixed) fail the same
+        // way, long before the stack is at risk.
+        let hostile = "[{\"k\":".repeat(50_000);
+        assert!(parse(&hostile).unwrap_err().msg.contains("nest"));
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! and every register at or above `dst` is dead after the call), and
 //! its original chunks are spliced in with `Ret` rewritten to a move
 //! plus a jump to the split-off continuation. A zero-cost
-//! [`Op::BumpFunc`] replicates the function-entry counter bumps and a
+//! [`Op::BumpFunc`] replicates the function-entry counter bump (the
+//! entry block's count is rebuilt from it) and a
 //! `ZeroLocal` replicates the per-call frame zero-fill, so every
 //! *count* profile counter stays byte-identical; only `CALL_COST`
 //! attribution (`func_cost`) and step accounting change.
@@ -18,9 +19,9 @@
 //! together with the frame, so merging it into the caller's cannot
 //! change what any runtime pointer observes.
 
-use crate::ir::{lift, CallSite, FuncIr};
+use crate::ir::{instrumented_len, lift, CallSite, FuncIr};
 use crate::ops_info;
-use profiler::bytecode::{CompiledProgram, Op, ParamBind, SwitchTable, NONE32};
+use profiler::bytecode::{CompiledProgram, Op, Origin, ParamBind, SwitchTable, NONE32};
 
 /// Upper bound on callee size (ops) for inlining.
 pub const MAX_INLINE_OPS: u32 = 96;
@@ -29,7 +30,10 @@ pub const MAX_INLINE_OPS: u32 = 96;
 fn reject(cp: &CompiledProgram, caller: usize, site: &CallSite) -> bool {
     let callee = &cp.funcs[site.callee as usize];
     let (start, end) = callee.code;
-    if callee.entry == NONE32 || site.callee as usize == caller || end - start > MAX_INLINE_OPS {
+    if callee.entry == NONE32
+        || site.callee as usize == caller
+        || instrumented_len(callee) > MAX_INLINE_OPS
+    {
         return true;
     }
     if !callee
@@ -60,8 +64,7 @@ pub struct Spliced {
 /// Conservative pre-splice growth estimate, for budget checks.
 pub fn growth_estimate(cp: &CompiledProgram, site: &CallSite) -> u32 {
     let callee = &cp.funcs[site.callee as usize];
-    let (start, end) = callee.code;
-    end - start + callee.params.len() as u32 + 4
+    instrumented_len(callee) + callee.params.len() as u32 + 4
 }
 
 /// Whether `site` can be inlined into `caller` at all (size, shape,
@@ -114,6 +117,19 @@ pub fn inline_site(
 
     let mut body = lift(cp, callee_fid, callee_freqs);
     let base = ir.chunks.len() as u32;
+    // The callee's blocks join the caller's origins, nested under the
+    // calling block: an `exit()` inside the body is then booked to
+    // both activations the unoptimized run would have had.
+    let origin_base = ir.origins.len() as u32;
+    let site_origin = ir.chunks[site.chunk as usize].origin;
+    ir.origins.extend(body.origins.iter().map(|o| Origin {
+        caller: if o.caller == NONE32 {
+            site_origin
+        } else {
+            o.caller + origin_base
+        },
+        ..*o
+    }));
     let table_base = ir.tables.len() as u32;
     let post_chunk = base + body.chunks.len() as u32;
     let site_freq = ir.chunks[site.chunk as usize].freq;
@@ -184,7 +200,7 @@ pub fn inline_site(
             let mut op = op;
             ops_info::rebase_regs(&mut op, rb);
             ops_info::rebase_frame(&mut op, fb);
-            ops_info::for_each_target(&mut op, |t| *t += base);
+            op.for_each_target(|t| *t += base);
             if let Op::SwitchJump { table, .. } = &mut op {
                 *table += table_base;
             }
@@ -205,7 +221,11 @@ pub fn inline_site(
         }
         growth += ops.len() as u32;
         ir.chunks.push(crate::ir::Chunk {
-            start_pc: NONE32,
+            origin: if chunk.origin == NONE32 {
+                NONE32
+            } else {
+                chunk.origin + origin_base
+            },
             ops,
             freq: site_freq,
             dead: false,
@@ -219,7 +239,7 @@ pub fn inline_site(
 
     // The continuation chunk.
     ir.chunks.push(crate::ir::Chunk {
-        start_pc: NONE32,
+        origin: site_origin,
         ops: post_ops,
         freq: site_freq,
         dead: false,

@@ -72,9 +72,10 @@ impl OptPlan {
 }
 
 /// The default global inlining budget: a quarter of the program's
-/// original code size.
+/// original code size, fully instrumented.
 pub fn default_inline_budget(cp: &CompiledProgram) -> u32 {
-    (cp.ops.len() / 4) as u32
+    let elided: usize = cp.funcs.iter().map(|f| f.elided.len()).sum();
+    ((cp.ops.len() + elided) / 4) as u32
 }
 
 /// Per-pass work counters for one [`optimize`] run.
@@ -107,6 +108,11 @@ pub fn optimize(cp: &CompiledProgram, plan: &OptPlan) -> (CompiledProgram, OptSt
         passes::recost(f_ir);
     }
     let out = ir::lower(cp, &irs, &pack_order(cp, plan));
+    if cfg!(debug_assertions) {
+        if let Err(e) = profiler::bytecode::verify(&out) {
+            panic!("optimizer emitted invalid bytecode: {e}");
+        }
+    }
 
     if obs::enabled() {
         obs::counter_add("opt.inlined_calls", stats.inlined_calls);

@@ -4,7 +4,8 @@
 //! The optimizer rewrites ops generically (retargeting jumps when
 //! chunks move, rebasing registers and frame slots when a callee is
 //! spliced into its caller), so every field of every op must be
-//! classified exactly once, here. Fields that *look* like offsets but
+//! classified exactly once: here, except the jump targets, which
+//! `Op::for_each_target` classifies for the VM's verifier too. Fields that *look* like offsets but
 //! are not frame-relative — [`Op::MemberAddr`]'s struct-member offset,
 //! the static-data indices of the `*Global` ops, the absolute data
 //! addresses in [`Op::IndexAddrPL`]/[`Op::LoadIdxPL`] — are
@@ -230,53 +231,13 @@ pub fn reg_uses(op: &Op) -> RegUses {
     u
 }
 
-/// Applies `f` to every jump-target field of `op`. `SwitchJump`
-/// targets live in the side table and are retargeted separately.
-pub fn for_each_target(op: &mut Op, mut f: impl FnMut(&mut u32)) {
-    match op {
-        Op::Jump { target, .. }
-        | Op::JumpIfFalse { target, .. }
-        | Op::JumpIfTrue { target, .. }
-        | Op::EdgeJump { target, .. } => f(target),
-        Op::CondBranch { else_target, .. }
-        | Op::CmpBranchLL { else_target, .. }
-        | Op::CmpBranchLI { else_target, .. }
-        | Op::CmpBranchRR { else_target, .. }
-        | Op::CmpBranchRL { else_target, .. }
-        | Op::CmpBranchRI { else_target, .. } => f(else_target),
-        Op::ConstJump { target, .. }
-        | Op::StoreLEdge { target, .. }
-        | Op::IncDecLEdge { target, .. }
-        | Op::ArithRLJumpF { target, .. } => f(target),
-        Op::LoadLBranch { else_target, .. } | Op::CmpBranchRCI { else_target, .. } => {
-            f(else_target)
-        }
-        _ => {}
-    }
-}
-
-/// The jump targets of `op` (not counting switch tables).
+/// The jump targets of `op` (not counting switch tables; the fields
+/// themselves are classified by [`Op::for_each_target`]).
 pub fn targets(op: &Op) -> Vec<u32> {
     let mut out = Vec::new();
     let mut copy = *op;
-    for_each_target(&mut copy, |t| out.push(*t));
+    copy.for_each_target(|t| out.push(*t));
     out
-}
-
-/// Whether `op` unconditionally transfers control (ends a chunk).
-pub fn is_terminator(op: &Op) -> bool {
-    matches!(
-        op,
-        Op::Jump { .. }
-            | Op::SwitchJump { .. }
-            | Op::EdgeJump { .. }
-            | Op::Ret { .. }
-            | Op::Fail(_)
-            | Op::ConstJump { .. }
-            | Op::ConstRet { .. }
-            | Op::StoreLEdge { .. }
-            | Op::IncDecLEdge { .. }
-    )
 }
 
 /// The op's batched-tick payload, if it carries one.

@@ -804,18 +804,12 @@ fn mined_pair(a: Op, b: Op) -> Option<Op> {
                 class,
                 dst,
             },
-            Op::EdgeJump {
-                edge,
-                block,
-                target,
-                tick,
-            },
+            Op::EdgeJump { edge, target, tick },
         ) if dst == src => Some(Op::StoreLEdge {
             off,
             src,
             class,
             edge,
-            block,
             target,
             tick,
         }),
@@ -826,18 +820,12 @@ fn mined_pair(a: Op, b: Op) -> Option<Op> {
                 delta,
                 post: false,
             },
-            Op::EdgeJump {
-                edge,
-                block,
-                target,
-                tick,
-            },
+            Op::EdgeJump { edge, target, tick },
         ) if i8::try_from(delta).is_ok() => Some(Op::IncDecLEdge {
             off,
             dst,
             delta: delta as i8,
             edge,
-            block,
             target,
             tick,
         }),

@@ -23,17 +23,25 @@
 //! a standalone `Tick` survives only on cold paths (before `Fail`,
 //! at a ternary's join) where no carrier op follows.
 //!
-//! ## Counter fusion
+//! ## Counter placement
 //!
-//! Block, edge, branch, and call-site counters live in dense arrays.
-//! Edges need no "previous block" state at runtime: every jump knows
-//! its (src, dst) statically, so each terminator jumps through a tiny
-//! per-successor stub — a single fused `EdgeJump` that ticks, bumps
-//! the edge counter *and* the target's block counter, and jumps. The
-//! only other way into a block is a call, so function entry bumps
-//! `FuncMeta::entry_block` directly and blocks need no counter op of
-//! their own.
-//!
+//! Only the chords of a per-function spanning tree carry a counter;
+//! `place.rs` picks the tree (heaviest under loop nesting depth) and
+//! the peeling order that rebuilds block, tree-edge and branch counts
+//! after the run. Edges need no "previous block" state at runtime:
+//! every jump knows its (src, dst) statically, so each terminator
+//! jumps through a tiny per-successor stub — an `EdgeJump` that
+//! ticks, bumps the edge's counter if it is a chord, and jumps. A
+//! zero-tick then, else or switch stub on a tree edge has nothing to
+//! do and disappears: the else target or switch entry points straight
+//! at the block, and the then arm falls through when the then block
+//! comes next and the else stub is gone too. `FuncMeta::elided`
+//! records each dropped stub so the optimizer can restore the fully
+//! instrumented stream its cost model was built on. Blocks need no
+//! counter op of their own, and a conditional bumps its branch
+//! counter only when both arms reach the same block (so the edge
+//! counts cannot tell them apart).
+
 //! ## Superinstructions
 //!
 //! Emission peepholes fuse the dominant op sequences into single
@@ -53,13 +61,14 @@
 //!   immediate, skipping the architectural register write is
 //!   unobservable.
 
+use super::place::{self, Candidate, CounterPlan};
 use super::{ArithMode, CompiledProgram, FuncMeta, Op, ParamBind, SwitchTable, NONE32};
 use crate::interp::{NodeTables, NodeTy, RuntimeError, TyClass, Value};
+use flowgraph::analysis::loop_depths;
 use flowgraph::{BlockId, Cfg, Instr, Program, Terminator};
 use minic::ast::{BinOp, Expr, ExprKind, UnOp};
 use minic::sema::{CalleeKind, FuncId, InitWord, Resolution};
 use minic::types::Type;
-use std::collections::HashMap;
 
 /// Where an lvalue lives, as far as compile time can tell.
 enum Place {
@@ -105,52 +114,58 @@ pub(super) fn compile(program: &Program) -> CompiledProgram {
         }
     }
 
-    // Flat block-counter layout.
-    let mut block_base = Vec::with_capacity(program.cfgs.len());
-    let mut block_lens = Vec::with_capacity(program.cfgs.len());
-    let mut total_blocks = 0u32;
-    for c in &program.cfgs {
-        block_base.push(total_blocks);
-        let len = c.as_ref().map_or(0, |c| c.len() as u32);
-        block_lens.push(len);
-        total_blocks += len;
-    }
+    let block_lens = program
+        .cfgs
+        .iter()
+        .map(|c| c.as_ref().map_or(0, |c| c.len() as u32))
+        .collect();
 
     let mut c = Compiler {
         program,
         tables: NodeTables::build(program),
         global_addr,
         str_addr,
-        block_base,
         ops: Vec::new(),
         switch_tables: Vec::new(),
         images: Vec::new(),
         fails: Vec::new(),
-        edge_index: HashMap::new(),
+        out_edges: Vec::new(),
         edge_keys: Vec::new(),
+        chord: Vec::new(),
         cur_fn: FuncId(0),
         pending: 0,
         hi: 1,
         fixups: Vec::new(),
+        switches: Vec::new(),
         block_pc: Vec::new(),
+        elided: Vec::new(),
         barrier: 0,
     };
 
     let mut funcs = Vec::with_capacity(module.functions.len());
+    let mut counters = Vec::with_capacity(module.functions.len());
     for f in &module.functions {
-        funcs.push(match program.cfg_opt(f.id) {
-            Some(cfg) => c.compile_func(f.id, cfg),
-            None => FuncMeta {
-                entry: NONE32,
-                entry_block: NONE32,
-                frame_size: f.frame_size as u32,
-                max_regs: 0,
-                params: Vec::new(),
-                name: f.name.clone(),
-                code: (0, 0),
-                block_pc: Vec::new(),
-            },
-        });
+        match program.cfg_opt(f.id) {
+            Some(cfg) => {
+                counters.push(c.place_counters(f.id, cfg));
+                funcs.push(c.compile_func(f.id, cfg));
+            }
+            None => {
+                counters.push(CounterPlan::default());
+                funcs.push(FuncMeta {
+                    entry: NONE32,
+                    frame_size: f.frame_size as u32,
+                    max_regs: 0,
+                    params: Vec::new(),
+                    name: f.name.clone(),
+                    code: (0, 0),
+                    block_pc: Vec::new(),
+                    elided: Vec::new(),
+                    origin_pc: Vec::new(),
+                    origins: Vec::new(),
+                });
+            }
+        }
     }
 
     CompiledProgram {
@@ -161,35 +176,53 @@ pub(super) fn compile(program: &Program) -> CompiledProgram {
         images: c.images,
         fails: c.fails,
         data_image,
-        block_base: c.block_base,
         block_lens,
         edge_keys: c.edge_keys,
+        counters,
         n_branches: module.side.branches.len(),
         n_sites: module.side.call_sites.len(),
     }
 }
+
+/// A jump to a block, patched once every block of the function has
+/// a pc.
+enum Fixup {
+    /// `EdgeJump` at this op index, to this block.
+    Jump(usize, u32),
+    /// Conditional at this op index, whose else edge goes straight to
+    /// this block (its stub was elided).
+    Else(usize, u32),
+}
+
+/// A switch table to build once block pcs exist: `(table, cases,
+/// per-successor stub pc or NONE32 when elided, default block)`.
+type PendingSwitch = (u32, Vec<(i64, BlockId)>, Vec<(BlockId, u32)>, BlockId);
 
 struct Compiler<'p> {
     program: &'p Program,
     tables: NodeTables,
     global_addr: Vec<u64>,
     str_addr: Vec<u64>,
-    block_base: Vec<u32>,
     ops: Vec<Op>,
     switch_tables: Vec<SwitchTable>,
     images: Vec<Vec<Value>>,
     fails: Vec<RuntimeError>,
-    edge_index: HashMap<(u32, u32, u32), u32>,
     edge_keys: Vec<(FuncId, BlockId, BlockId)>,
+    /// Per block of the current function, its out-edges' counter
+    /// range in `edge_keys` (allocated contiguously, in stub order).
+    out_edges: Vec<(u32, u32)>,
+    /// Whether each edge counter is a chord (kept) or a tree edge.
+    chord: Vec<bool>,
     // Per-function state.
     cur_fn: FuncId,
     /// Ticks accumulated since the last flush point.
     pending: u32,
     /// Register watermark (window size so far).
     hi: u16,
-    /// `(op index, target block)` jumps to patch once block pcs exist.
-    fixups: Vec<(usize, u32)>,
+    fixups: Vec<Fixup>,
+    switches: Vec<PendingSwitch>,
     block_pc: Vec<u32>,
+    elided: Vec<(u32, u32)>,
     /// Ops at indices `< barrier` precede a jump target and must not
     /// be rewritten by the fusing emitters.
     barrier: usize,
@@ -718,33 +751,106 @@ impl<'p> Compiler<'p> {
     }
 
     /// The dense counter index of edge `src → dst` in the current
-    /// function, allocating one on first use.
-    fn edge(&mut self, src: BlockId, dst: BlockId) -> u32 {
-        let key = (self.cur_fn.0, src.0, dst.0);
-        if let Some(&i) = self.edge_index.get(&key) {
-            return i;
-        }
-        let i = self.edge_keys.len() as u32;
-        self.edge_index.insert(key, i);
-        self.edge_keys.push((self.cur_fn, src, dst));
-        i
+    /// function (allocated by [`Self::place_counters`]).
+    fn edge(&self, src: BlockId, dst: BlockId) -> u32 {
+        let (lo, hi) = self.out_edges[src.0 as usize];
+        (lo..hi)
+            .find(|&i| self.edge_keys[i as usize].2 == dst)
+            .expect("every CFG edge has a counter index")
     }
 
-    /// Edge stub: one fused op that ticks `tick`, counts the edge and
-    /// the target's block iteration, then jumps to the target block.
+    /// Whether edge `src → dst` carries a counter.
+    fn is_chord(&self, src: BlockId, dst: BlockId) -> bool {
+        self.chord[self.edge(src, dst) as usize]
+    }
+
+    /// Edge stub: one fused op that ticks `tick`, counts the edge if
+    /// it is a chord, then jumps to the target block.
     fn edge_stub(&mut self, src: BlockId, dst: BlockId, tick: u32) -> u32 {
         debug_assert_eq!(self.pending, 0);
         let pc = self.label_here();
         let edge = self.edge(src, dst);
-        let block = self.block_base[self.cur_fn.0 as usize] + dst.0;
+        let edge = if self.chord[edge as usize] {
+            edge
+        } else {
+            NONE32
+        };
         let idx = self.emit(Op::EdgeJump {
             edge,
-            block,
             target: 0,
             tick,
         });
-        self.fixups.push((idx, dst.0));
+        self.fixups.push(Fixup::Jump(idx, dst.0));
         pc
+    }
+
+    /// Records a zero-tick tree-edge stub to `dst` that is left out
+    /// at the current pc.
+    fn elide_stub(&mut self, dst: BlockId) {
+        self.elided.push((self.ops.len() as u32, dst.0));
+    }
+
+    /// Allocates the function's edge counters in stub order and places
+    /// them: only chords of the maximum-weight spanning tree count.
+    fn place_counters(&mut self, fid: FuncId, cfg: &Cfg) -> CounterPlan {
+        let base = self.edge_keys.len() as u32;
+        let depth = loop_depths(cfg);
+        let mut cands: Vec<Candidate> = Vec::new();
+        let mut returns = Vec::new();
+        let mut branches = Vec::new();
+        self.out_edges.clear();
+        for block in &cfg.blocks {
+            let b = block.id;
+            let lo = self.edge_keys.len() as u32;
+            // Allocates `b → dst` unless the block already has it.
+            let mut add = |c: &mut Self, dst: BlockId, rank: u8| -> u32 {
+                let hi = c.edge_keys.len() as u32;
+                if let Some(i) = (lo..hi).find(|&i| c.edge_keys[i as usize].2 == dst) {
+                    return i;
+                }
+                c.edge_keys.push((fid, b, dst));
+                cands.push(Candidate {
+                    src: b.0,
+                    dst: dst.0,
+                    weight: depth[b.0 as usize].min(depth[dst.0 as usize]) as u32,
+                    rank,
+                });
+                hi
+            };
+            match &block.term {
+                Terminator::Goto(t) => {
+                    add(self, *t, 2);
+                }
+                Terminator::Branch {
+                    branch,
+                    then_blk,
+                    else_blk,
+                    ..
+                } => {
+                    let te = add(self, *then_blk, 0);
+                    let ee = add(self, *else_blk, 1);
+                    if let (Some(br), true) = (branch, then_blk != else_blk) {
+                        branches.push((br.0, te, ee));
+                    }
+                }
+                Terminator::Switch { cases, default, .. } => {
+                    for &(_, t) in cases {
+                        add(self, t, 1);
+                    }
+                    add(self, *default, 1);
+                }
+                Terminator::Return(_) => returns.push(b.0),
+            }
+            self.out_edges.push((lo, self.edge_keys.len() as u32));
+        }
+        let peel = place::spanning_tree(cfg.blocks.len(), &cands, &returns, base, &mut self.chord);
+        CounterPlan {
+            entry: cfg.entry.0,
+            n_blocks: cfg.blocks.len() as u32,
+            edges: (base, self.edge_keys.len() as u32),
+            peel,
+            branches,
+        }
     }
 
     fn is_aggregate(ty: &Type) -> bool {
@@ -777,14 +883,12 @@ impl<'p> Compiler<'p> {
         self.fixups.clear();
         self.block_pc = vec![0; cfg.blocks.len()];
 
-        for block in &cfg.blocks {
+        for (i, block) in cfg.blocks.iter().enumerate() {
+            debug_assert_eq!(block.id.0 as usize, i, "blocks are emitted in id order");
             debug_assert_eq!(self.pending, 0);
-            self.block_pc[block.id.0 as usize] = self.label_here();
-            // One tick per block iteration; the block *counter* is
-            // bumped by the incoming `EdgeJump` (or by function
-            // entry). The interpreter ticks before counting, but a
-            // StepLimit-failing run discards its profile, so the
-            // order is unobservable.
+            self.block_pc[i] = self.label_here();
+            // One tick per block iteration; the block *count* is
+            // rebuilt from the edge counts after the run.
             self.pending += 1;
             for instr in &block.instrs {
                 self.instr(func, instr);
@@ -794,11 +898,30 @@ impl<'p> Compiler<'p> {
         }
 
         // Patch intra-function jumps now that every block has a pc.
-        for &(op_idx, blk) in &self.fixups {
-            match &mut self.ops[op_idx] {
-                Op::EdgeJump { target, .. } => *target = self.block_pc[blk as usize],
-                other => unreachable!("fixup on non-jump {other:?}"),
+        for fixup in std::mem::take(&mut self.fixups) {
+            match fixup {
+                Fixup::Jump(op_idx, blk) => match &mut self.ops[op_idx] {
+                    Op::EdgeJump { target, .. } => *target = self.block_pc[blk as usize],
+                    other => unreachable!("fixup on non-jump {other:?}"),
+                },
+                Fixup::Else(op_idx, blk) => {
+                    self.set_else_target(op_idx, self.block_pc[blk as usize])
+                }
             }
+        }
+        for (table, cases, mut stubs, default) in std::mem::take(&mut self.switches) {
+            for (b, pc) in &mut stubs {
+                if *pc == NONE32 {
+                    *pc = self.block_pc[b.0 as usize];
+                }
+            }
+            let default_pc = stubs
+                .iter()
+                .find(|&&(b, _)| b == default)
+                .map(|&(_, pc)| pc)
+                .expect("stub exists for the default");
+            self.switch_tables[table as usize] =
+                Self::build_switch_table(&cases, &stubs, default_pc);
         }
 
         let structs = &self.program.module.structs;
@@ -821,13 +944,15 @@ impl<'p> Compiler<'p> {
 
         FuncMeta {
             entry: self.block_pc[cfg.entry.0 as usize],
-            entry_block: self.block_base[fid.0 as usize] + cfg.entry.0,
             frame_size: func.frame_size as u32,
             max_regs: self.hi as u32,
             params,
             name: func.name.clone(),
             code: (code_start, self.ops.len() as u32),
             block_pc: std::mem::take(&mut self.block_pc),
+            elided: std::mem::take(&mut self.elided),
+            origin_pc: Vec::new(),
+            origins: Vec::new(),
         }
     }
 
@@ -902,12 +1027,30 @@ impl<'p> Compiler<'p> {
             } => {
                 self.eval(cond, 0);
                 let tick = self.take_pending();
-                let brid = branch.map_or(NONE32, |b| b.0);
+                // Out-edge counts tell the arms apart unless both
+                // reach the same block.
+                let brid = match branch {
+                    Some(b) if then_blk == else_blk => b.0,
+                    _ => NONE32,
+                };
                 let cb = self.emit_cond_branch(0, brid, tick);
-                self.edge_stub(blk, *then_blk, 0);
-                let else_pc = self.label_here();
-                self.set_else_target(cb, else_pc);
-                self.edge_stub(blk, *else_blk, 0);
+                let then_tree = !self.is_chord(blk, *then_blk);
+                let else_tree = !self.is_chord(blk, *else_blk);
+                if then_tree && else_tree && then_blk.0 == blk.0 + 1 {
+                    // Nothing to count either way: fall through into
+                    // the then block, which comes next.
+                    self.elide_stub(*then_blk);
+                } else {
+                    self.edge_stub(blk, *then_blk, 0);
+                }
+                if else_tree {
+                    self.elide_stub(*else_blk);
+                    self.fixups.push(Fixup::Else(cb, else_blk.0));
+                } else {
+                    let else_pc = self.label_here();
+                    self.set_else_target(cb, else_pc);
+                    self.edge_stub(blk, *else_blk, 0);
+                }
             }
             Terminator::Switch {
                 scrut,
@@ -918,7 +1061,8 @@ impl<'p> Compiler<'p> {
                 self.eval(scrut, 0);
                 let tick = self.take_pending();
                 let table = self.switch_tables.len() as u32;
-                // Reserve the slot so the op can reference it now.
+                // Reserve the slot so the op can reference it now; the
+                // table is built once every block has a pc.
                 self.switch_tables.push(SwitchTable::Sorted {
                     keys: Vec::new(),
                     targets: Vec::new(),
@@ -929,24 +1073,22 @@ impl<'p> Compiler<'p> {
                     table,
                     tick,
                 });
-                // One stub per distinct successor block.
-                let mut stub_pc: Vec<(BlockId, u32)> = Vec::new();
-                for &(_, t) in cases.iter() {
-                    if !stub_pc.iter().any(|&(b, _)| b == t) {
-                        let pc = self.edge_stub(blk, t, 0);
-                        stub_pc.push((t, pc));
+                // One stub per distinct successor block, unless its
+                // edge carries no counter.
+                let mut stubs: Vec<(BlockId, u32)> = Vec::new();
+                for t in cases.iter().map(|&(_, t)| t).chain([*default]) {
+                    if stubs.iter().any(|&(b, _)| b == t) {
+                        continue;
                     }
+                    let pc = if self.is_chord(blk, t) {
+                        self.edge_stub(blk, t, 0)
+                    } else {
+                        self.elide_stub(t);
+                        NONE32
+                    };
+                    stubs.push((t, pc));
                 }
-                let default_pc = match stub_pc.iter().find(|&&(b, _)| b == *default) {
-                    Some(&(_, pc)) => pc,
-                    None => {
-                        let pc = self.edge_stub(blk, *default, 0);
-                        stub_pc.push((*default, pc));
-                        pc
-                    }
-                };
-                self.switch_tables[table as usize] =
-                    Self::build_switch_table(cases, &stub_pc, default_pc);
+                self.switches.push((table, cases.clone(), stubs, *default));
             }
             Terminator::Return(e) => {
                 match e {

@@ -15,14 +15,17 @@
 //! two UTF-8 bytes in `strlen`, `%s`, `strncpy`, …) are preserved
 //! exactly — the differential oracle covers them.
 
+use super::place::{derive_branches, rebuild};
 use super::{ArithMode, CompiledProgram, Op, ParamBind, SwitchTable, NONE32};
 use crate::interp::{
     convert_for_class, RunConfig, RunOutcome, RuntimeError, Value, CALL_COST, STACK_BASE,
 };
+use crate::profile::Profile;
 use crate::reuse::{MemTap, NoTap};
 use minic::ast::BinOp;
 use minic::builtins::Builtin;
 use std::cmp::Ordering;
+use std::collections::HashMap;
 
 /// Non-local control flow out of a builtin or the dispatch loop.
 enum VmAbort {
@@ -64,8 +67,10 @@ struct Vm<'a, T: MemTap> {
     input_pos: usize,
     output: Vec<u8>,
     rng: u64,
-    // Dense profile counters (reshaped into a `Profile` at the end).
-    blocks: Vec<u64>,
+    /// The pc of the op that called `exit()`, for booking departures.
+    exit_pc: usize,
+    // Dense profile counters (chord edges only during the run; the
+    // rest is rebuilt into a `Profile` at the end).
     edges: Vec<u64>,
     branches: Vec<(u64, u64)>,
     sites: Vec<u64>,
@@ -78,11 +83,11 @@ struct Vm<'a, T: MemTap> {
 }
 
 /// Reusable per-run VM buffers: the data image copy, stack, register
-/// file, frame stack, dense block/edge counters, and builtin string
-/// buffers. One run of a ~12k-step generated program otherwise pays
-/// ten-plus allocations; a corpus run re-executing thousands of
-/// programs on one scratch pays them once and then only grows to the
-/// high-water mark. Buffers that escape into the [`RunOutcome`]
+/// file, frame stack, dense edge counters, the count-rebuild balance
+/// array, and builtin string buffers. One run of a ~12k-step
+/// generated program otherwise pays ten-plus allocations; a corpus
+/// run re-executing thousands of programs on one scratch pays them
+/// once and then only grows to the high-water mark. Buffers that escape into the [`RunOutcome`]
 /// (profile vectors, output) still allocate per run.
 #[derive(Default)]
 pub struct ExecScratch {
@@ -90,8 +95,8 @@ pub struct ExecScratch {
     stack: Vec<Value>,
     regs: Vec<Value>,
     frames: Vec<Frame>,
-    blocks: Vec<u64>,
     edges: Vec<u64>,
+    excess: Vec<i64>,
     sbuf_a: String,
     sbuf_b: String,
     fmt_out: String,
@@ -115,8 +120,8 @@ impl ExecScratch {
         shed(&mut self.stack, max_elems);
         shed(&mut self.regs, max_elems);
         shed(&mut self.frames, max_elems);
-        shed(&mut self.blocks, max_elems);
         shed(&mut self.edges, max_elems);
+        shed(&mut self.excess, max_elems);
         for s in [&mut self.sbuf_a, &mut self.sbuf_b, &mut self.fmt_out] {
             if s.capacity() > max_elems {
                 *s = String::new();
@@ -133,19 +138,12 @@ impl ExecScratch {
             .max(self.stack.capacity())
             .max(self.regs.capacity())
             .max(self.frames.capacity())
-            .max(self.blocks.capacity())
             .max(self.edges.capacity())
+            .max(self.excess.capacity())
             .max(self.sbuf_a.capacity())
             .max(self.sbuf_b.capacity())
             .max(self.fmt_out.capacity())
     }
-}
-
-pub(super) fn execute(
-    cp: &CompiledProgram,
-    config: &RunConfig,
-) -> Result<RunOutcome, RuntimeError> {
-    execute_in(cp, config, &mut ExecScratch::default())
 }
 
 pub(super) fn execute_in(
@@ -180,12 +178,6 @@ pub(super) fn execute_tapped<T: MemTap>(
     regs.clear();
     let mut frames = std::mem::take(&mut scratch.frames);
     frames.clear();
-    let mut blocks = std::mem::take(&mut scratch.blocks);
-    blocks.clear();
-    blocks.resize(
-        cp.block_lens.iter().map(|&n| n as u64).sum::<u64>() as usize,
-        0,
-    );
     let mut edges = std::mem::take(&mut scratch.edges);
     edges.clear();
     edges.resize(cp.edge_keys.len(), 0);
@@ -207,7 +199,7 @@ pub(super) fn execute_tapped<T: MemTap>(
         input_pos: 0,
         output: Vec::new(),
         rng: 0x2545F4914F6CDD1D,
-        blocks,
+        exit_pc: 0,
         edges,
         branches: vec![(0, 0); cp.n_branches],
         sites: vec![0; cp.n_sites],
@@ -218,44 +210,113 @@ pub(super) fn execute_tapped<T: MemTap>(
         fmt_out: std::mem::take(&mut scratch.fmt_out),
     };
     let run_result = vm.run(main.0 as usize);
+    let departures = match run_result {
+        Err(VmAbort::Exit(_)) => vm.live_blocks(),
+        _ => Vec::new(),
+    };
+    let Vm {
+        data,
+        stack,
+        regs,
+        frames,
+        mut edges,
+        branches,
+        sites,
+        func_counts,
+        func_cost,
+        sbuf_a,
+        sbuf_b,
+        fmt_out,
+        output,
+        steps,
+        ..
+    } = vm;
+    scratch.data = data;
+    scratch.stack = stack;
+    scratch.regs = regs;
+    scratch.frames = frames;
+    scratch.sbuf_a = sbuf_a;
+    scratch.sbuf_b = sbuf_b;
+    scratch.fmt_out = fmt_out;
 
-    let mut profile = cp.empty_profile();
-    for (f, counts) in profile.block_counts.iter_mut().enumerate() {
-        let base = cp.block_base[f] as usize;
-        let len = counts.len();
-        counts.copy_from_slice(&vm.blocks[base..base + len]);
+    let exit_code = match run_result {
+        Ok(code) | Err(VmAbort::Exit(code)) => code,
+        Err(VmAbort::Error(e)) => {
+            // A failed run discards its profile: nothing to rebuild.
+            scratch.edges = edges;
+            return Err(e);
+        }
+    };
+    let mut profile = Profile {
+        block_counts: cp.block_lens.iter().map(|&n| vec![0; n as usize]).collect(),
+        branch_counts: branches,
+        call_site_counts: sites,
+        func_counts,
+        edge_counts: HashMap::new(),
+        func_cost,
+    };
+    rebuild_counts(
+        cp,
+        &mut profile,
+        &mut edges,
+        &departures,
+        &mut scratch.excess,
+    );
+    scratch.edges = edges;
+    Ok(RunOutcome {
+        exit_code,
+        profile,
+        output,
+        steps,
+    })
+}
+
+/// Completes `profile` from the run's chord counts in `edges` (see
+/// `place.rs`): block counts, tree-edge counts, and the branch counts
+/// that follow from edges. `departures` holds the `(function, block)`
+/// of every activation `exit()` left live.
+fn rebuild_counts(
+    cp: &CompiledProgram,
+    profile: &mut Profile,
+    edges: &mut [u64],
+    departures: &[(u32, u32)],
+    excess: &mut Vec<i64>,
+) {
+    let bumps = obs::enabled().then(|| edges.iter().sum::<u64>() + profile.total_branches());
+    for (f, plan) in cp.counters.iter().enumerate() {
+        let calls = profile.func_counts[f];
+        if calls == 0 {
+            continue; // never entered: every count stays zero
+        }
+        let live = departures
+            .iter()
+            .filter(|&&(df, _)| df as usize == f)
+            .map(|&(_, b)| b);
+        rebuild(
+            plan,
+            &cp.edge_keys,
+            calls,
+            live,
+            edges,
+            &mut profile.block_counts[f],
+            excess,
+        );
+        derive_branches(plan, edges, &mut profile.branch_counts);
     }
-    profile.branch_counts = vm.branches;
-    profile.call_site_counts = vm.sites;
-    profile.func_counts = vm.func_counts;
-    profile.func_cost = vm.func_cost;
-    for (i, &c) in vm.edges.iter().enumerate() {
+    for (i, &c) in edges.iter().enumerate() {
         if c > 0 {
             profile.edge_counts.insert(cp.edge_keys[i], c);
         }
     }
-
-    scratch.data = vm.data;
-    scratch.stack = vm.stack;
-    scratch.regs = vm.regs;
-    scratch.frames = vm.frames;
-    scratch.blocks = vm.blocks;
-    scratch.edges = vm.edges;
-    scratch.sbuf_a = vm.sbuf_a;
-    scratch.sbuf_b = vm.sbuf_b;
-    scratch.fmt_out = vm.fmt_out;
-
-    let exit_code = match run_result {
-        Ok(code) => code,
-        Err(VmAbort::Exit(code)) => code,
-        Err(VmAbort::Error(e)) => return Err(e),
-    };
-    Ok(RunOutcome {
-        exit_code,
-        profile,
-        output: vm.output,
-        steps: vm.steps,
-    })
+    if let Some(bumps) = bumps {
+        // The counter ledger: increments executed, against those full
+        // block + edge + branch instrumentation would have executed.
+        obs::counter_add("profiler.counter_bumps", bumps);
+        obs::counter_add(
+            "profiler.counter_bumps_full",
+            profile.total_block_count() + edges.iter().sum::<u64>() + profile.total_branches(),
+        );
+    }
 }
 
 impl<'a, T: MemTap> Vm<'a, T> {
@@ -387,6 +448,29 @@ impl<'a, T: MemTap> Vm<'a, T> {
 
     // ----- profile counters -----
 
+    #[inline(always)]
+    fn bump_edge(&mut self, edge: u32) {
+        if edge != NONE32 {
+            self.edges[edge as usize] += 1;
+        }
+    }
+
+    /// The `(function, block)` of every activation live when `exit()`
+    /// ended the run, innermost first: each books one departure to
+    /// its function's EXIT, since it will never return.
+    fn live_blocks(&self) -> Vec<(u32, u32)> {
+        let mut out = Vec::with_capacity(self.frames.len() + 1);
+        let at = |f: usize, pc: usize, out: &mut Vec<(u32, u32)>| {
+            self.cp.funcs[f].blocks_at(f as u32, pc as u32, out);
+        };
+        at(self.cur_fn, self.exit_pc, &mut out);
+        for fr in self.frames.iter().rev() {
+            // `ret_pc` is the op after the call.
+            at(fr.func, fr.ret_pc - 1, &mut out);
+        }
+        out
+    }
+
     #[inline]
     fn bump_branch(&mut self, branch: u32, taken: bool) {
         if branch != NONE32 {
@@ -431,7 +515,6 @@ impl<'a, T: MemTap> Vm<'a, T> {
             .extend(std::iter::repeat_n(Value::Int(0), meta.frame_size as usize));
         self.func_counts[f] += 1;
         self.func_cost[f] += CALL_COST;
-        self.blocks[meta.entry_block as usize] += 1;
         let new_rp = self.rp + self.cp.funcs[self.cur_fn].max_regs as usize;
         if self.regs.len() < new_rp + meta.max_regs as usize {
             self.regs
@@ -478,7 +561,6 @@ impl<'a, T: MemTap> Vm<'a, T> {
         self.regs.resize(meta.max_regs as usize, Value::Int(0));
         self.func_counts[main] += 1;
         self.func_cost[main] += CALL_COST;
-        self.blocks[meta.entry_block as usize] += 1;
         self.cur_fn = main;
         self.fp = 0;
         self.rp = 0;
@@ -532,11 +614,7 @@ impl<'a, T: MemTap> Vm<'a, T> {
             match op {
                 Op::Tick(n) => tick!(n),
                 Op::BumpSite(i) => self.sites[i as usize] += 1,
-                Op::BumpFunc(f) => {
-                    let f = f as usize;
-                    self.func_counts[f] += 1;
-                    self.blocks[cp.funcs[f].entry_block as usize] += 1;
-                }
+                Op::BumpFunc(f) => self.func_counts[f as usize] += 1,
                 Op::BumpBranch { branch, taken } => self.bump_branch(branch, taken),
                 Op::Mov { dst, src } => {
                     let v = self.reg(src);
@@ -1084,15 +1162,9 @@ impl<'a, T: MemTap> Vm<'a, T> {
                         pc = else_target as usize;
                     }
                 }
-                Op::EdgeJump {
-                    edge,
-                    block,
-                    target,
-                    tick,
-                } => {
+                Op::EdgeJump { edge, target, tick } => {
                     tick!(tick);
-                    self.edges[edge as usize] += 1;
-                    self.blocks[block as usize] += 1;
+                    self.bump_edge(edge);
                     pc = target as usize;
                 }
                 Op::SwitchJump { src, table, tick } => {
@@ -1182,6 +1254,7 @@ impl<'a, T: MemTap> Vm<'a, T> {
                             // locals must be visible to `execute`.
                             self.steps = steps;
                             self.func_cost[self.cur_fn] += cost_acc;
+                            self.exit_pc = pc - 1;
                             return Err(abort);
                         }
                     }
@@ -1250,7 +1323,6 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     src,
                     class,
                     edge,
-                    block,
                     target,
                     tick,
                 } => {
@@ -1258,8 +1330,7 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     let v = convert_for_class(class, self.reg(src));
                     self.set_local(off, v);
                     self.set_reg(src, v);
-                    self.edges[edge as usize] += 1;
-                    self.blocks[block as usize] += 1;
+                    self.bump_edge(edge);
                     pc = target as usize;
                 }
                 Op::IncDecLEdge {
@@ -1267,7 +1338,6 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     dst,
                     delta,
                     edge,
-                    block,
                     target,
                     tick,
                 } => {
@@ -1275,8 +1345,7 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     let new = incdec(self.local(off), delta as i64);
                     self.set_local(off, new);
                     self.set_reg(dst, new);
-                    self.edges[edge as usize] += 1;
-                    self.blocks[block as usize] += 1;
+                    self.bump_edge(edge);
                     pc = target as usize;
                 }
                 Op::LoadLBranch {
@@ -1658,7 +1727,10 @@ fn ord_to_int(o: Ordering) -> i64 {
 /// A comparison's truth value; the float/int split stays dynamic and
 /// NaN compares false, exactly as in `Interp::arith`. Public (via
 /// `bytecode`) so the optimizer folds constants with the VM's exact
-/// semantics.
+/// semantics. Always inlined: every compare-and-branch op calls it,
+/// and as an out-of-line call from the dispatch loop it cost more than
+/// the comparison.
+#[inline(always)]
 pub fn cmp_vals(op: BinOp, va: Value, vb: Value) -> bool {
     use BinOp::*;
     let cmp = if matches!(va, Value::Float(_)) || matches!(vb, Value::Float(_)) {
@@ -1686,7 +1758,10 @@ pub fn cmp_vals(op: BinOp, va: Value, vb: Value) -> bool {
 /// Binary arithmetic with the compile-time mode; the float/int split
 /// stays dynamic, exactly as in `Interp::arith`. Public (via
 /// `bytecode`) so the optimizer folds constants with the VM's exact
-/// semantics.
+/// semantics. Always inlined into the dispatch loop, where the
+/// out-of-line call (and its `Result` returned through memory) cost
+/// more than the arithmetic.
+#[inline(always)]
 pub fn arith(mode: ArithMode, va: Value, vb: Value) -> Result<Value, RuntimeError> {
     use BinOp::*;
     Ok(match mode {

@@ -239,8 +239,8 @@ proptest! {
         let program = compile(&case.src);
         let config = RunConfig::with_input(case.input.as_bytes().to_vec());
         let first = run(&program, &config);
-        // A second run hits the compile cache; a rebuilt Program gets a
-        // cache hit by fingerprint. All three must agree.
+        // A second run and a run of a rebuilt Program (each compiled
+        // afresh) must agree with the first.
         let second = run(&program, &config);
         let rebuilt = run(&compile(&case.src), &config);
         match (&first, &second, &rebuilt) {

@@ -12,9 +12,16 @@
 //! returns only after all handler threads are joined — no request is
 //! ever dropped mid-response (the property the CI smoke test's clean-
 //! shutdown assertion checks).
+//!
+//! A request line may be at most [`MAX_LINE_BYTES`] long: a longer
+//! one is skipped to its newline without being buffered and answered
+//! with a `bad-request` error, as is a line that is not UTF-8, and the
+//! session carries on.
 
 use crate::db::ServeDb;
+use crate::proto::error_response;
 use crate::session::Session;
+use obs::json::Value;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -30,25 +37,90 @@ use std::thread;
 pub fn serve_lines<R: BufRead, W: Write>(
     db: &Arc<ServeDb>,
     input: R,
-    mut output: W,
+    output: W,
 ) -> io::Result<u64> {
     let session = Session::new(Arc::clone(db));
+    session_loop(&session, input, output).map(|(handled, _)| handled)
+}
+
+/// The longest request line a session buffers, in bytes (the largest
+/// suite program's `load` is about 20 KB).
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Answers one request per line until EOF or a `shutdown` request.
+/// Returns the number of requests answered and whether the client
+/// asked for shutdown.
+fn session_loop<R: BufRead, W: Write>(
+    session: &Session,
+    mut input: R,
+    mut output: W,
+) -> io::Result<(u64, bool)> {
     let mut handled = 0;
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let out = session.handle(&line);
-        output.write_all(out.response.as_bytes())?;
+    let mut buf = Vec::new();
+    while let Some(len) = read_line_capped(&mut input, &mut buf, MAX_LINE_BYTES)? {
+        let (response, shutdown) = if len > MAX_LINE_BYTES {
+            let msg =
+                format!("request line of {len} bytes exceeds the {MAX_LINE_BYTES}-byte limit");
+            (error_response(&Value::Null, "bad-request", &msg), false)
+        } else {
+            match std::str::from_utf8(&buf) {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => {
+                    let out = session.handle(line);
+                    (out.response, out.shutdown)
+                }
+                Err(_) => {
+                    let msg = "request line is not UTF-8";
+                    (error_response(&Value::Null, "bad-request", msg), false)
+                }
+            }
+        };
+        output.write_all(response.as_bytes())?;
         output.write_all(b"\n")?;
         output.flush()?;
         handled += 1;
-        if out.shutdown {
-            break;
+        if shutdown {
+            return Ok((handled, true));
         }
     }
-    Ok(handled)
+    Ok((handled, false))
+}
+
+/// Reads one line (without its `\n` or `\r\n`) into `buf`, keeping at
+/// most `cap` bytes: the rest of a longer line is consumed unseen.
+/// Returns the line's full length, or `None` at end of input.
+fn read_line_capped<R: BufRead>(
+    input: &mut R,
+    buf: &mut Vec<u8>,
+    cap: usize,
+) -> io::Result<Option<usize>> {
+    buf.clear();
+    let mut len = 0;
+    loop {
+        let chunk = match input.fill_buf() {
+            Ok(c) => c,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            return Ok((len > 0).then_some(len));
+        }
+        let (take, done) = match chunk.iter().position(|&b| b == b'\n') {
+            Some(i) => (i, true),
+            None => (chunk.len(), false),
+        };
+        let room = cap.saturating_sub(buf.len()).min(take);
+        buf.extend_from_slice(&chunk[..room]);
+        len += take;
+        input.consume(take + usize::from(done));
+        if done {
+            if len <= cap && buf.last() == Some(&b'\r') {
+                buf.pop();
+                len -= 1;
+            }
+            return Ok(Some(len));
+        }
+    }
 }
 
 /// Runs the service over stdin/stdout until EOF or `shutdown`.
@@ -164,21 +236,10 @@ fn handle_conn(
 ) -> io::Result<()> {
     let session = Session::new(Arc::clone(db));
     let reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let out = session.handle(&line);
-        writer.write_all(out.response.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
-        if out.shutdown {
-            stop.store(true, Ordering::SeqCst);
-            poke(server_addr);
-            break;
-        }
+    let (_, shutdown) = session_loop(&session, reader, stream)?;
+    if shutdown {
+        stop.store(true, Ordering::SeqCst);
+        poke(server_addr);
     }
     Ok(())
 }
@@ -216,6 +277,33 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         assert_eq!(text.lines().count(), 3);
         assert!(text.contains(r#""programs":["p"]"#), "{text}");
+    }
+
+    #[test]
+    fn long_and_non_utf8_lines_get_errors_and_the_session_goes_on() {
+        let db = Arc::new(ServeDb::new(Some(1), None));
+        let mut input = vec![b'x'; MAX_LINE_BYTES + 10];
+        input.extend_from_slice(b"\n\xff\xfe\r\n");
+        input.extend_from_slice(br#"{"sfe":"serve/v1","id":2,"method":"list"}"#);
+        let mut out = Vec::new();
+        assert_eq!(serve_lines(&db, input.as_slice(), &mut out).unwrap(), 3);
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(lines[0].contains(&format!("line of {} bytes", MAX_LINE_BYTES + 10)));
+        assert!(lines[1].contains("not UTF-8"), "{}", lines[1]);
+        assert!(lines[2].contains(r#""programs":[]"#), "{}", lines[2]);
+    }
+
+    #[test]
+    fn capped_reader_keeps_at_most_the_cap() {
+        let mut input: &[u8] = b"abcdef\nxy\r\n\nlast";
+        let mut buf = Vec::new();
+        let mut next = || read_line_capped(&mut input, &mut buf, 4).unwrap();
+        assert_eq!(next(), Some(6));
+        assert_eq!(next(), Some(2));
+        assert_eq!(next(), Some(0));
+        assert_eq!(next(), Some(4));
+        assert_eq!(next(), None);
     }
 
     #[test]

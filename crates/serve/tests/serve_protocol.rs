@@ -2,8 +2,9 @@
 //!
 //! `goldens/serve_protocol.txt` holds a complete session — every RPC
 //! method plus every error shape — as `>>> request` / `<<< response`
-//! line pairs. The test replays the requests through a fresh session
-//! and asserts each response byte-for-byte. Because every response
+//! line pairs. The test replays the requests through a fresh session's
+//! line reader and asserts each response byte-for-byte. Requests too
+//! long to read in a transcript show their first bytes and length. Because every response
 //! embeds the schema tag, bumping `serve::SCHEMA` fails this test
 //! until the goldens are regenerated — which is the point: a schema
 //! change must be a deliberate, reviewed diff.
@@ -15,7 +16,7 @@
 //! ```
 
 use serve::db::ServeDb;
-use serve::session::Session;
+use serve::server::{serve_lines, MAX_LINE_BYTES};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -67,6 +68,17 @@ fn requests() -> Vec<String> {
         r#"{"sfe":"serve/v1","id":34,"method":"reuse","params":{"program":"arr"}}"#.into(),
         r#"{"sfe":"serve/v1","id":35,"method":"reuse"}"#.into(),
         r#"{"sfe":"serve/v1","id":36,"method":"reuse","params":{"program":"ghost"}}"#.into(),
+        // Hostile input: JSON nested 100k deep, then a line past the
+        // length cap; the session keeps answering after both.
+        format!(
+            r#"{{"sfe":"serve/v1","id":37,"method":"estimate","params":{}"#,
+            "[".repeat(100_000)
+        ),
+        format!(
+            r#"{{"sfe":"serve/v1","id":38,"method":"load","params":{{"program":"big","source":"{}"}}}}"#,
+            "x".repeat(MAX_LINE_BYTES)
+        ),
+        r#"{"sfe":"serve/v1","id":39,"method":"list"}"#.into(),
         // Shutdown last: it ends the session.
         r#"{"sfe":"serve/v1","id":32,"method":"shutdown"}"#.into(),
     ]
@@ -77,18 +89,32 @@ fn golden_path() -> PathBuf {
 }
 
 fn render_transcript() -> String {
-    let session = Session::new(Arc::new(ServeDb::new(Some(1), None)));
+    let requests = requests();
+    let input = requests.join("\n") + "\n";
+    let mut responses = Vec::new();
+    serve_lines(
+        &Arc::new(ServeDb::new(Some(1), None)),
+        input.as_bytes(),
+        &mut responses,
+    )
+    .expect("in-memory streams do not fail");
+    let responses = String::from_utf8(responses).expect("responses are UTF-8");
+    let responses: Vec<&str> = responses.lines().collect();
+    assert_eq!(responses.len(), requests.len(), "one response per request");
     let mut out = String::from(
         "# Protocol golden transcript for serve/v1. Regenerate with\n\
          # SFE_UPDATE_GOLDENS=1 cargo test -p serve --test serve_protocol\n",
     );
-    for req in requests() {
-        let outcome = session.handle(&req);
+    for (req, response) in requests.iter().zip(responses) {
         out.push_str(">>> ");
-        out.push_str(&req);
+        if req.len() > 1024 {
+            out.push_str(&format!("{}… ({} bytes)", &req[..96], req.len()));
+        } else {
+            out.push_str(req);
+        }
         out.push('\n');
         out.push_str("<<< ");
-        out.push_str(&outcome.response);
+        out.push_str(response);
         out.push('\n');
     }
     out

@@ -1,22 +1,18 @@
-//! Corpus engine trajectory: runs the streaming engine and the naive
-//! baseline over the same generated corpus, asserts the streaming
-//! engine's bounded-memory and determinism contracts, and appends one
-//! `corpus/v1` row per engine to `BENCH_pipeline.json`. Run with
-//! `cargo bench -p bench --bench corpus` (`BENCH_QUICK=1` or
-//! `CORPUS_BENCH_QUICK=1` shrinks the corpus for CI).
+//! Corpus engine trajectory: runs the streaming engine over a
+//! generated corpus, asserts its bounded-memory and throughput
+//! contracts, and appends one `corpus/v1` row to
+//! `BENCH_pipeline.json`. Run with `cargo bench -p bench --bench
+//! corpus` (`BENCH_QUICK=1` or `CORPUS_BENCH_QUICK=1` shrinks the
+//! corpus for CI).
 //!
 //! Schema (`corpus/v1`): `programs_per_sec` is sustained wall-clock
 //! throughput over the whole run; `p50_ms`/`p99_ms` are per-program
-//! pipeline latencies; `peak_rss_bytes` is the engine's own
-//! high-water mark (the kernel peak is reset between engines);
-//! `quantiles` holds `[p25, p50, p75]` weight-matching scores per
-//! heuristic over the `all` bucket; `buckets` holds per-stratum
-//! program counts. The streaming row additionally records
-//! `speedup_vs_naive`, the headline of this optimization: both
-//! engines produce byte-identical aggregates (asserted via
-//! `aggregate_digest`), so the ratio compares equal work.
+//! pipeline latencies; `peak_rss_bytes` is the run's high-water mark
+//! (the kernel peak is reset first); `quantiles` holds `[p25, p50,
+//! p75]` weight-matching scores per heuristic over the `all` bucket;
+//! `buckets` holds per-stratum program counts.
 
-use bench::corpus::{run_corpus, CorpusConfig, EngineMode, HEURISTICS};
+use bench::corpus::{run_corpus, CorpusConfig, HEURISTICS};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn quick() -> bool {
@@ -54,24 +50,12 @@ fn write_trajectory() {
     };
 
     obs::reset_peak_rss();
-    let streaming = run_corpus(&base);
-    obs::reset_peak_rss();
-    let naive = run_corpus(&CorpusConfig {
-        mode: EngineMode::Naive,
-        ..base.clone()
-    });
+    let report = run_corpus(&base);
 
-    // Same corpus, same fold order ⇒ the two engines must agree on
-    // every aggregate before their throughputs are comparable.
-    assert_eq!(
-        streaming.aggregate_digest(),
-        naive.aggregate_digest(),
-        "streaming and naive aggregates diverged"
-    );
     // The bounded-memory contract: in-flight state is capped by the
     // window, so peak RSS stays under budget + fixed overhead no
     // matter the corpus size.
-    if let Some(rss) = streaming.peak_rss_bytes {
+    if let Some(rss) = report.peak_rss_bytes {
         assert!(
             rss <= base.mem_budget_bytes + OVERHEAD_BYTES,
             "streaming peak RSS {} MiB exceeds budget {} MiB + {} MiB overhead",
@@ -85,75 +69,59 @@ fn write_trajectory() {
     // reintroduction of per-program recompiles or retained state even
     // on slow shared CI runners.
     assert!(
-        streaming.programs_per_sec >= 150.0,
+        report.programs_per_sec >= 150.0,
         "streaming corpus throughput collapsed: {:.1} programs/sec",
-        streaming.programs_per_sec
+        report.programs_per_sec
     );
 
-    let speedup = streaming.programs_per_sec / naive.programs_per_sec;
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
-    for report in [&streaming, &naive] {
-        let mut buckets = String::new();
-        for b in &report.buckets {
-            if !buckets.is_empty() {
-                buckets.push_str(", ");
-            }
-            buckets.push_str(&format!("\"{}\": {}", b.label, b.count));
+    let mut buckets = String::new();
+    for b in &report.buckets {
+        if !buckets.is_empty() {
+            buckets.push_str(", ");
         }
-        let mut quantiles = String::new();
-        for (h, q) in HEURISTICS.iter().zip(report.total.quantiles()) {
-            if !quantiles.is_empty() {
-                quantiles.push_str(", ");
-            }
-            quantiles.push_str(&format!("\"{h}\": [{:.4}, {:.4}, {:.4}]", q[0], q[1], q[2]));
-        }
-        let extra = if report.mode == EngineMode::Streaming {
-            format!(
-                ", \"naive_programs_per_sec\": {:.1}, \"speedup_vs_naive\": {:.2}",
-                naive.programs_per_sec, speedup
-            )
-        } else {
-            String::new()
-        };
-        let entry = format!(
-            "{{\"schema\": \"corpus/v1\", \"engine\": \"{}\", \"count\": {}, \
-              \"evaluated\": {}, \"duplicates\": {}, \"errors\": {}, \
-              \"wall_s\": {:.2}, \"programs_per_sec\": {:.1}, \
-              \"p50_ms\": {:.2}, \"p99_ms\": {:.2}, \
-              \"peak_rss_bytes\": {}, \"mem_budget_bytes\": {}, \"window\": {}, \
-              \"pool_workers\": {}, \"pool_threads_env\": \"{}\", \
-              \"aggregate_digest\": \"{:016x}\", \
-              \"buckets\": {{{buckets}}}, \"quantiles\": {{{quantiles}}}{extra}}}",
-            report.mode.tag(),
-            report.requested,
-            report.evaluated,
-            report.duplicates,
-            report.errors,
-            report.elapsed_s,
-            report.programs_per_sec,
-            report.p50_ms,
-            report.p99_ms,
-            report.peak_rss_bytes.unwrap_or(0),
-            if report.mode == EngineMode::Streaming {
-                base.mem_budget_bytes
-            } else {
-                0
-            },
-            report.window,
-            report.jobs,
-            report.pool_threads_env.as_deref().unwrap_or("unset"),
-            report.aggregate_digest(),
-        );
-        println!("corpus/record_json: {entry}");
-        let prior = std::fs::read_to_string(path).unwrap_or_default();
-        let trimmed = prior.trim().trim_end_matches(']').trim_end_matches('\n');
-        let body = if trimmed.is_empty() || trimmed == "[" {
-            format!("[\n  {entry}\n]\n")
-        } else {
-            format!("{},\n  {entry}\n]\n", trimmed.trim_end_matches(','))
-        };
-        std::fs::write(path, body).expect("writing BENCH_pipeline.json");
+        buckets.push_str(&format!("\"{}\": {}", b.label, b.count));
     }
+    let mut quantiles = String::new();
+    for (h, q) in HEURISTICS.iter().zip(report.total.quantiles()) {
+        if !quantiles.is_empty() {
+            quantiles.push_str(", ");
+        }
+        quantiles.push_str(&format!("\"{h}\": [{:.4}, {:.4}, {:.4}]", q[0], q[1], q[2]));
+    }
+    let entry = format!(
+        "{{\"schema\": \"corpus/v1\", \"engine\": \"streaming\", \"count\": {}, \
+          \"evaluated\": {}, \"duplicates\": {}, \"errors\": {}, \
+          \"wall_s\": {:.2}, \"programs_per_sec\": {:.1}, \
+          \"p50_ms\": {:.2}, \"p99_ms\": {:.2}, \
+          \"peak_rss_bytes\": {}, \"mem_budget_bytes\": {}, \"window\": {}, \
+          \"pool_workers\": {}, \"pool_threads_env\": \"{}\", \
+          \"aggregate_digest\": \"{:016x}\", \
+          \"buckets\": {{{buckets}}}, \"quantiles\": {{{quantiles}}}}}",
+        report.requested,
+        report.evaluated,
+        report.duplicates,
+        report.errors,
+        report.elapsed_s,
+        report.programs_per_sec,
+        report.p50_ms,
+        report.p99_ms,
+        report.peak_rss_bytes.unwrap_or(0),
+        base.mem_budget_bytes,
+        report.window,
+        report.jobs,
+        report.pool_threads_env.as_deref().unwrap_or("unset"),
+        report.aggregate_digest(),
+    );
+    println!("corpus/record_json: {entry}");
+    let prior = std::fs::read_to_string(path).unwrap_or_default();
+    let trimmed = prior.trim().trim_end_matches(']').trim_end_matches('\n');
+    let body = if trimmed.is_empty() || trimmed == "[" {
+        format!("[\n  {entry}\n]\n")
+    } else {
+        format!("{},\n  {entry}\n]\n", trimmed.trim_end_matches(','))
+    };
+    std::fs::write(path, body).expect("writing BENCH_pipeline.json");
 }
 
 criterion_group!(benches, record_trajectory);

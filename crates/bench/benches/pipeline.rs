@@ -25,6 +25,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use estimators::eval;
+use profiler::{CompiledProgram, ExecScratch};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -67,7 +68,7 @@ fn traced_pass(cache: &cache::Cache) -> (f64, obs::Metrics, String) {
     obs::reset();
     obs::set_enabled(true);
     let wall = Instant::now();
-    let data = bench::load_suite_with(pool::global(), Some(cache));
+    let data = bench::load_suite_with(pool::global(), Some(cache), 0);
     let mut scores = String::new();
     for d in &data {
         use std::fmt::Write as _;
@@ -108,14 +109,16 @@ fn optimizer_pass() -> OptPass {
     obs::reset();
 
     let config = profiler::RunConfig::with_input(bench_prog.inputs().remove(0));
-    let steps_before = cp.execute(&config).expect("compress runs").steps;
-    let steps_after = ocp.execute(&config).expect("optimized compress runs").steps;
+    let steps = |cp: &CompiledProgram, what: &str| {
+        cp.execute(&config, &mut ExecScratch::default(), None)
+            .unwrap_or_else(|e| panic!("{what} runs: {e}"))
+            .steps
+    };
+    let steps_before = steps(&cp, "compress");
+    let steps_after = steps(&ocp, "optimized compress");
     let pass_steps: Vec<(&'static str, u64)> = opt::stage_snapshots(&cp, &plan)
         .into_iter()
-        .map(|(stage, scp)| {
-            let steps = scp.execute(&config).expect("stage snapshot runs").steps;
-            (stage, steps)
-        })
+        .map(|(stage, scp)| (stage, steps(&scp, "stage snapshot")))
         .collect();
     assert_eq!(
         pass_steps.last().map(|&(_, s)| s),

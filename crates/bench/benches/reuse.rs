@@ -15,6 +15,7 @@
 //! `<prog>_score` the weight-matching agreement at the 25% cutoff.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use profiler::ExecScratch;
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
@@ -49,17 +50,22 @@ fn measure(name: &'static str) -> ReuseRow {
     let mut trace = profiler::ReuseTrace::empty(&objects);
     for input in &inputs {
         let config = profiler::RunConfig::with_input(input.clone());
-        let (_, one) = compiled
-            .execute_traced(&config, &objects)
+        let mut tap = profiler::ReuseCollector::new(objects.clone());
+        compiled
+            .execute(&config, &mut ExecScratch::default(), Some(&mut tap))
             .expect("suite program runs traced");
-        trace.merge(&one);
+        trace.merge(&tap.finish());
     }
     let trace_ms = t.elapsed().as_secs_f64() * 1e3;
 
     let t = Instant::now();
     for input in &inputs {
         let config = profiler::RunConfig::with_input(input.clone());
-        black_box(compiled.execute(&config).expect("suite program runs"));
+        black_box(
+            compiled
+                .execute(&config, &mut ExecScratch::default(), None)
+                .expect("suite program runs"),
+        );
     }
     let plain_ms = t.elapsed().as_secs_f64() * 1e3;
 

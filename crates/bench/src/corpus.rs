@@ -30,19 +30,6 @@
 //! thread-local [`profiler::ExecScratch`] per worker. Peak RSS is
 //! therefore `O(window)`, not `O(count)` — the corpus bench asserts
 //! this against the configured budget.
-//!
-//! ## The naive baseline
-//!
-//! [`EngineMode::Naive`] is the obvious first-cut implementation this
-//! engine replaced, kept runnable so the speedup claim stays
-//! measurable in-tree: public `profiler::run` per program (a fresh
-//! compile and a fresh set of VM buffers every call),
-//! the full 18-score [`eval::score_program`] where the corpus reports
-//! ten, a `format!`-then-hash dedup fingerprint, one synchronous
-//! cache write per program, and every program + profile retained
-//! until a final batch aggregation. Both modes fold in seed order and
-//! produce identical aggregate digests — only the resource profile
-//! differs.
 
 use cache::codec::Artifact;
 use cache::{ArtifactKey, ArtifactKind, Cache};
@@ -56,10 +43,9 @@ use obs::hash::Fnv128;
 use profiler::{ExecScratch, RunConfig};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashSet};
-use std::hash::{DefaultHasher, Hasher};
+use std::hash::Hasher;
 use std::path::PathBuf;
 use std::sync::mpsc;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// The ten headline heuristic columns aggregated per bucket: the
@@ -106,8 +92,8 @@ pub fn run_config(seed: u64) -> RunConfig {
 /// Deterministic pseudo-random input bytes for `seed`: a few lines of
 /// digits, letters, and separators (the token shapes `atoi`/`gets`
 /// consumers in generated programs care about), 16–79 bytes long.
-/// Pure function of the seed — identical across engines, job counts,
-/// and platforms, so aggregate digests stay comparable.
+/// Pure function of the seed — identical across job counts and
+/// platforms, so aggregate digests stay comparable.
 pub fn seed_input(seed: u64) -> Vec<u8> {
     // splitmix64 over the seed; independent of the generator's own
     // PRNG stream so adding input never perturbs program shapes.
@@ -129,31 +115,13 @@ pub fn seed_input(seed: u64) -> Vec<u8> {
     input
 }
 
-/// Which engine evaluates the corpus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineMode {
-    /// The streaming bounded-memory engine.
-    Streaming,
-    /// The retained first-cut baseline (see the module docs).
-    Naive,
-}
-
-impl EngineMode {
-    /// Lower-case tag used in reports and JSON rows.
-    pub fn tag(self) -> &'static str {
-        match self {
-            EngineMode::Streaming => "streaming",
-            EngineMode::Naive => "naive",
-        }
-    }
-}
-
 /// Configuration for one corpus run.
 #[derive(Debug, Clone)]
 pub struct CorpusConfig {
     /// Number of seeds to evaluate.
     pub count: u64,
-    /// First seed; seeds are `first_seed .. first_seed + count`.
+    /// First seed; seeds are `first_seed .. first_seed + count`, a
+    /// range that must not overflow `u64`.
     pub first_seed: u64,
     /// Stratification features (one bucket per feature per program).
     pub features: Vec<Feature>,
@@ -162,8 +130,6 @@ pub struct CorpusConfig {
     pub jobs: Option<usize>,
     /// Memory budget driving the backpressure window.
     pub mem_budget_bytes: u64,
-    /// Engine selection.
-    pub mode: EngineMode,
     /// Artifact-cache directory for profile write-through (`None`
     /// disables caching).
     pub cache_dir: Option<PathBuf>,
@@ -177,7 +143,6 @@ impl Default for CorpusConfig {
             features: Feature::ALL.to_vec(),
             jobs: None,
             mem_budget_bytes: 256 * 1024 * 1024,
-            mode: EngineMode::Streaming,
             cache_dir: None,
         }
     }
@@ -276,7 +241,7 @@ struct SeedRecord {
     error: bool,
 }
 
-/// Sequence-ordered aggregation state shared by both engines.
+/// Sequence-ordered aggregation state.
 struct Aggregator {
     features: Vec<Feature>,
     seen: HashSet<u128>,
@@ -322,8 +287,6 @@ impl Aggregator {
 
 /// The report of one corpus run.
 pub struct CorpusReport {
-    /// Engine that produced it.
-    pub mode: EngineMode,
     /// Seeds requested.
     pub requested: u64,
     /// Programs folded into the aggregates (requested − duplicates −
@@ -343,8 +306,7 @@ pub struct CorpusReport {
     pub p99_ms: f64,
     /// Peak RSS over the run, where `/proc` reports it.
     pub peak_rss_bytes: Option<u64>,
-    /// Backpressure window the engine ran with (0 for naive: it has
-    /// none, which is the point).
+    /// Backpressure window the engine ran with.
     pub window: usize,
     /// Worker threads the run actually used.
     pub jobs: usize,
@@ -359,8 +321,8 @@ pub struct CorpusReport {
 impl CorpusReport {
     /// A stable 64-bit digest of every aggregate (bucket counts and
     /// raw histogram bins, including `all`). Two runs over the same
-    /// corpus must produce equal digests regardless of `--jobs` or
-    /// engine mode; latency and throughput fields are excluded.
+    /// corpus must produce equal digests regardless of `--jobs`;
+    /// latency and throughput fields are excluded.
     pub fn aggregate_digest(&self) -> u64 {
         // FNV-1a/64: the first stream of the workspace hash.
         let mut h = Fnv128::with_basis(0);
@@ -432,8 +394,8 @@ thread_local! {
     static SCRATCH: RefCell<ExecScratch> = RefCell::new(ExecScratch::default());
 }
 
-/// The streaming per-seed task: whole pipeline, small record out.
-fn eval_seed_streaming(seq: u64, seed: u64, cache: Option<&Cache>) -> SeedRecord {
+/// The per-seed task: whole pipeline, small record out.
+fn eval_seed(seq: u64, seed: u64, cache: Option<&Cache>) -> SeedRecord {
     let t0 = Instant::now();
     let prog = fuzzgen::generate(seed);
     let features = StructuralFeatures::of(&prog);
@@ -443,7 +405,7 @@ fn eval_seed_streaming(seq: u64, seed: u64, cache: Option<&Cache>) -> SeedRecord
     let cp = profiler::compile(&program);
     let fingerprint = cp.ir_fingerprint();
     let config = run_config(seed);
-    let out = SCRATCH.with(|s| cp.execute_in(&config, &mut s.borrow_mut()));
+    let out = SCRATCH.with(|s| cp.execute(&config, &mut s.borrow_mut(), None));
     let Ok(out) = out else {
         return SeedRecord {
             seq,
@@ -471,7 +433,7 @@ fn eval_seed_streaming(seq: u64, seed: u64, cache: Option<&Cache>) -> SeedRecord
     }
 }
 
-/// Runs the corpus with the configured engine.
+/// Runs the corpus.
 ///
 /// # Panics
 ///
@@ -485,10 +447,7 @@ pub fn run_corpus(cfg: &CorpusConfig) -> CorpusReport {
         .map(|d| Cache::open(d).expect("corpus cache dir"));
 
     let started = Instant::now();
-    let (agg, window) = match cfg.mode {
-        EngineMode::Streaming => run_streaming(cfg, pool, cache.as_ref()),
-        EngineMode::Naive => (run_naive(cfg, pool, cache.as_ref()), 0),
-    };
+    let (agg, window) = run_streaming(cfg, pool, cache.as_ref());
     if let Some(c) = &cache {
         c.flush();
     }
@@ -507,7 +466,6 @@ pub fn run_corpus(cfg: &CorpusConfig) -> CorpusReport {
     obs::counter_add("corpus.duplicates", agg.duplicates);
     obs::counter_add("corpus.errors", agg.errors);
     CorpusReport {
-        mode: cfg.mode,
         requested: cfg.count,
         evaluated: agg.total.count,
         duplicates: agg.duplicates,
@@ -577,7 +535,7 @@ fn run_streaming(
             let seed = cfg.first_seed + seq;
             let tx = tx.clone();
             s.spawn(move |_| {
-                let record = eval_seed_streaming(seq, seed, cache);
+                let record = eval_seed(seq, seed, cache);
                 // The producer owns the receiver for the whole scope.
                 let _ = tx.send(record);
                 gate.release();
@@ -598,111 +556,6 @@ fn run_streaming(
     (agg, window)
 }
 
-/// Everything one naive task retains until the end of the run.
-struct NaiveRow {
-    record: SeedRecord,
-    /// Retained for "later analysis" — the naive engine keeps the
-    /// whole corpus resident, which is exactly what its peak RSS row
-    /// documents.
-    _program: flowgraph::Program,
-    _profiles: Vec<profiler::Profile>,
-}
-
-fn run_naive(cfg: &CorpusConfig, pool: &pool::Pool, cache: Option<&Cache>) -> Aggregator {
-    let rows: Mutex<Vec<NaiveRow>> = Mutex::new(Vec::new());
-    pool.scope(|s| {
-        // No backpressure: every seed is submitted up front and every
-        // result retained.
-        for seq in 0..cfg.count {
-            let seed = cfg.first_seed + seq;
-            let rows = &rows;
-            s.spawn(move |_| {
-                let t0 = Instant::now();
-                let run_cfg = &run_config(seed);
-                let prog = fuzzgen::generate(seed);
-                let features = StructuralFeatures::of(&prog);
-                let src = prog.render();
-                let module = minic::compile(&src).expect("generated programs always parse");
-                let program = flowgraph::build_program(module);
-                // First-cut dedup: render the post-fold IR to a string
-                // and hash it. Same equality classes as
-                // `ir_fingerprint`, one ~20 KB allocation worse.
-                let cp = profiler::compile(&program);
-                let rendered = format!(
-                    "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
-                    cp.ops, cp.funcs, cp.main, cp.switch_tables, cp.images, cp.data_image,
-                );
-                let fingerprint = {
-                    let mut a = DefaultHasher::new();
-                    let mut b = DefaultHasher::new();
-                    b.write_u64(0x9E37_79B9_7F4A_7C15);
-                    a.write(rendered.as_bytes());
-                    b.write(rendered.as_bytes());
-                    ((a.finish() as u128) << 64) | b.finish() as u128
-                };
-                // `run` compiles afresh and allocates new VM buffers.
-                let out = match profiler::run(&program, run_cfg) {
-                    Ok(out) => out,
-                    Err(_) => {
-                        rows.lock().unwrap().push(NaiveRow {
-                            record: SeedRecord {
-                                seq,
-                                fingerprint,
-                                features,
-                                scores: [0.0; 10],
-                                micros: t0.elapsed().as_micros() as u64,
-                                error: true,
-                            },
-                            _program: program,
-                            _profiles: Vec::new(),
-                        });
-                        return;
-                    }
-                };
-                let profiles = vec![out.profile];
-                if let Some(c) = cache {
-                    let key = ArtifactKey::derive(ArtifactKind::Profile, &src, run_cfg);
-                    c.store(key, &Artifact::Profile(profiles[0].clone()));
-                }
-                // The full 18-score evaluation, of which ten are
-                // reported.
-                let s18 = eval::score_program(&program, &profiles);
-                let scores = [
-                    s18.intra[0],
-                    s18.intra[1],
-                    s18.intra[2],
-                    s18.invocation_simple[0],
-                    s18.invocation_simple[1],
-                    s18.invocation_simple[2],
-                    s18.invocation_simple[3],
-                    s18.invocation_markov_25[1],
-                    s18.callsites[0],
-                    s18.callsites[1],
-                ];
-                rows.lock().unwrap().push(NaiveRow {
-                    record: SeedRecord {
-                        seq,
-                        fingerprint,
-                        features,
-                        scores,
-                        micros: t0.elapsed().as_micros() as u64,
-                        error: false,
-                    },
-                    _program: program,
-                    _profiles: profiles,
-                });
-            });
-        }
-    });
-    let mut rows = rows.into_inner().unwrap();
-    rows.sort_by_key(|r| r.record.seq);
-    let mut agg = Aggregator::new(&cfg.features);
-    for row in &rows {
-        agg.fold(&row.record);
-    }
-    agg
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -718,22 +571,34 @@ mod tests {
         assert!((h.quantile(0.99) - 1.0).abs() < 1e-9);
     }
 
+    /// The streaming engine scores ten columns with shared branch
+    /// predictions; they must equal the matching columns of the full
+    /// 18-score evaluation.
     #[test]
-    fn small_corpus_runs_and_digests_match_across_modes() {
-        let base = CorpusConfig {
-            count: 24,
-            jobs: Some(2),
-            ..CorpusConfig::default()
-        };
-        let streaming = run_corpus(&base);
-        let naive = run_corpus(&CorpusConfig {
-            mode: EngineMode::Naive,
-            ..base.clone()
-        });
-        assert_eq!(
-            streaming.evaluated + streaming.duplicates + streaming.errors,
-            24
-        );
-        assert_eq!(streaming.aggregate_digest(), naive.aggregate_digest());
+    fn score_columns_match_the_full_evaluation() {
+        for seed in 1..=24 {
+            let src = fuzzgen::generate(seed).render();
+            let module = minic::compile(&src).expect("generated programs always parse");
+            let program = flowgraph::build_program(module);
+            let out = profiler::run(&program, &run_config(seed)).expect("generated programs run");
+            let profiles = [out.profile];
+            let full = eval::score_program(&program, &profiles);
+            let expected = [
+                full.intra[0],
+                full.intra[1],
+                full.intra[2],
+                full.invocation_simple[0],
+                full.invocation_simple[1],
+                full.invocation_simple[2],
+                full.invocation_simple[3],
+                full.invocation_markov_25[1],
+                full.callsites[0],
+                full.callsites[1],
+            ];
+            let got = score_columns(&program, &profiles);
+            for (h, (g, e)) in HEURISTICS.iter().zip(got.iter().zip(&expected)) {
+                assert_eq!(g.to_bits(), e.to_bits(), "seed {seed} {h}: {g} vs {e}");
+            }
+        }
     }
 }

@@ -19,7 +19,7 @@ use estimators::missrate::{miss_rates, MissRates};
 use estimators::ranking::Ranking;
 use flowgraph::Program;
 use minic::sema::FuncId;
-use profiler::{CompiledProgram, Profile, RunConfig};
+use profiler::{CompiledProgram, ExecScratch, Profile, RunConfig};
 use std::collections::HashSet;
 use std::sync::Arc;
 use suite::BenchProgram;
@@ -36,24 +36,48 @@ pub struct ProgramData {
 
 /// One profile, by cache lookup when possible, by execution otherwise
 /// (writing through on a miss). The unit of work the pool schedules.
+/// At `opt_level` > 0 `compiled` is the optimized image and the entry
+/// is an [`ArtifactKind::OptProfile`] keyed by the level and the pass
+/// pipeline version, so a level change or an optimizer change always
+/// re-executes.
 fn profile_one(
     bench: BenchProgram,
     compiled: &CompiledProgram,
+    opt_level: u8,
     input: Vec<u8>,
     cache: Option<&Cache>,
 ) -> Profile {
     let config = RunConfig::with_input(input);
-    let key = cache.map(|_| ArtifactKey::derive(ArtifactKind::Profile, bench.source, &config));
+    let key = cache.map(|_| {
+        if opt_level == 0 {
+            ArtifactKey::derive(ArtifactKind::Profile, bench.source, &config)
+        } else {
+            ArtifactKey::derive_opt(bench.source, &config, opt_level, opt::PASS_PIPELINE_VERSION)
+        }
+    });
     if let (Some(c), Some(k)) = (cache, key) {
-        if let Some(profile) = c.load_profile(k) {
+        let hit = if opt_level == 0 {
+            c.load_profile(k)
+        } else {
+            c.load_opt_profile(k)
+        };
+        if let Some(profile) = hit {
             return profile;
         }
     }
     let out = compiled
-        .execute(&config)
-        .unwrap_or_else(|e| panic!("{}: runtime error: {e}", bench.name));
+        .execute(&config, &mut ExecScratch::default(), None)
+        .unwrap_or_else(|e| panic!("{}: runtime error at -O{opt_level}: {e}", bench.name));
     if let (Some(c), Some(k)) = (cache, key) {
-        c.store(k, &Artifact::Profile(out.profile.clone()));
+        let profile = out.profile.clone();
+        c.store(
+            k,
+            &if opt_level == 0 {
+                Artifact::Profile(profile)
+            } else {
+                Artifact::OptProfile(profile)
+            },
+        );
     }
     out.profile
 }
@@ -119,7 +143,7 @@ pub fn load_program_with(
     pool.scope(|s| {
         for (slot, input) in profiles.iter_mut().zip(inputs) {
             let compiled = &compiled;
-            s.spawn(move |_| *slot = Some(profile_one(bench, compiled, input, cache)));
+            s.spawn(move |_| *slot = Some(profile_one(bench, compiled, 0, input, cache)));
         }
     });
     let profiles: Vec<Profile> = profiles
@@ -138,11 +162,18 @@ pub fn load_program_with(
 /// Compiles and profiles the whole suite on the global pool with no
 /// artifact cache (a few seconds of work cold).
 pub fn load_suite() -> Vec<ProgramData> {
-    load_suite_with(pool::global(), None)
+    load_suite_with(pool::global(), None, 0)
 }
 
 /// Compiles and profiles the whole suite as *(program, input)* tasks
 /// on `pool`, consulting `cache` per input.
+///
+/// At `opt_level` > 0 every program is optimized at that level (full
+/// budget, static-estimate frequencies — no profiling needed to build
+/// the plan) before profiling, and profiles hit the
+/// [`ArtifactKind::OptProfile`] cache. The returned profiles then carry
+/// optimized `func_cost`; all count counters are identical to
+/// unoptimized runs by the optimizer's contract.
 ///
 /// One compile task per program fans out one profile task per input
 /// into the same scope, so workers drain a single global task supply:
@@ -151,7 +182,11 @@ pub fn load_suite() -> Vec<ProgramData> {
 /// pre-sized slots indexed by (program, input) position, so the
 /// output is byte-identical in Table 1 order for any pool size and
 /// any steal schedule (asserted by `tests/determinism.rs`).
-pub fn load_suite_with(pool: &pool::Pool, cache: Option<&Cache>) -> Vec<ProgramData> {
+pub fn load_suite_with(
+    pool: &pool::Pool,
+    cache: Option<&Cache>,
+    opt_level: u8,
+) -> Vec<ProgramData> {
     // Worker threads carry their own span stacks, so per-program
     // spans show up as overlapping roots; this span is the wall-clock
     // envelope of the whole fan-out.
@@ -181,111 +216,21 @@ pub fn load_suite_with(pool: &pool::Pool, cache: Option<&Cache>) -> Vec<ProgramD
                 let compiled_program = bench
                     .compile()
                     .unwrap_or_else(|e| panic!("{}: {}", bench.name, e.render(bench.source)));
-                let compiled = Arc::new(profiler::compile(&compiled_program));
-                store_bytecode_meta(bench, &compiled, cache);
+                let cp = profiler::compile(&compiled_program);
+                let compiled = if opt_level == 0 {
+                    store_bytecode_meta(bench, &cp, cache);
+                    cp
+                } else {
+                    let ranking = estimators::ranking::StaticRanking::new(&compiled_program);
+                    let plan = plan_from_ranking(&ranking, &cp, opt_level, cp.funcs.len());
+                    opt::optimize(&cp, &plan).0
+                };
+                let compiled = Arc::new(compiled);
                 *program = Some(compiled_program);
                 for (prof_slot, input) in profiles.iter_mut().zip(bench.inputs()) {
                     let compiled = Arc::clone(&compiled);
                     s.spawn(move |_| {
-                        *prof_slot = Some(profile_one(bench, &compiled, input, cache));
-                    });
-                }
-                obs::counter_add("bench.programs", 1);
-            });
-        }
-    });
-    benches
-        .into_iter()
-        .zip(slots)
-        .map(|(bench, slot)| {
-            let profiles: Vec<Profile> = slot
-                .profiles
-                .into_iter()
-                .map(|p| p.expect("pool task filled its profile slot"))
-                .collect();
-            obs::counter_add("bench.profiles", profiles.len() as u64);
-            ProgramData {
-                bench,
-                program: slot.program.expect("compile task filled its slot"),
-                profiles,
-            }
-        })
-        .collect()
-}
-
-/// One optimized-run profile, by cache lookup when possible, by
-/// executing the optimized program otherwise (writing through on a
-/// miss). The cache key is salted with the opt level and the pass
-/// pipeline version, so a level change or an optimizer change always
-/// re-executes.
-fn profile_one_opt(
-    bench: BenchProgram,
-    optimized: &CompiledProgram,
-    opt_level: u8,
-    input: Vec<u8>,
-    cache: Option<&Cache>,
-) -> Profile {
-    let config = RunConfig::with_input(input);
-    let key = cache.map(|_| {
-        ArtifactKey::derive_opt(bench.source, &config, opt_level, opt::PASS_PIPELINE_VERSION)
-    });
-    if let (Some(c), Some(k)) = (cache, key) {
-        if let Some(profile) = c.load_opt_profile(k) {
-            return profile;
-        }
-    }
-    let out = optimized
-        .execute(&config)
-        .unwrap_or_else(|e| panic!("{}: optimized runtime error: {e}", bench.name));
-    if let (Some(c), Some(k)) = (cache, key) {
-        c.store(k, &Artifact::OptProfile(out.profile.clone()));
-    }
-    out.profile
-}
-
-/// [`load_suite_with`], but every program is optimized at `opt_level`
-/// (full budget, static-estimate frequencies — no profiling needed to
-/// build the plan) before profiling, and profiles hit the
-/// [`ArtifactKind::OptProfile`](cache::ArtifactKind::OptProfile)
-/// cache. The returned profiles carry optimized `func_cost`; all
-/// count counters are identical to unoptimized runs by the
-/// optimizer's contract.
-pub fn load_suite_opt(pool: &pool::Pool, cache: Option<&Cache>, opt_level: u8) -> Vec<ProgramData> {
-    let _sp = obs::span("bench.load_suite_opt");
-    let benches = suite::all();
-    struct Slot {
-        program: Option<Program>,
-        profiles: Vec<Option<Profile>>,
-    }
-    let mut slots: Vec<Slot> = benches
-        .iter()
-        .map(|b| {
-            let mut profiles = Vec::new();
-            profiles.resize_with(b.inputs().len(), || None);
-            Slot {
-                program: None,
-                profiles,
-            }
-        })
-        .collect();
-    pool.scope(|s| {
-        for (&bench, slot) in benches.iter().zip(slots.iter_mut()) {
-            s.spawn(move |s| {
-                let Slot { program, profiles } = slot;
-                let compiled_program = bench
-                    .compile()
-                    .unwrap_or_else(|e| panic!("{}: {}", bench.name, e.render(bench.source)));
-                let cp = profiler::compile(&compiled_program);
-                let ranking = estimators::ranking::StaticRanking::new(&compiled_program);
-                let plan = plan_from_ranking(&ranking, &cp, opt_level, cp.funcs.len());
-                let (optimized, _stats) = opt::optimize(&cp, &plan);
-                let optimized = Arc::new(optimized);
-                *program = Some(compiled_program);
-                for (prof_slot, input) in profiles.iter_mut().zip(bench.inputs()) {
-                    let optimized = Arc::clone(&optimized);
-                    s.spawn(move |_| {
-                        *prof_slot =
-                            Some(profile_one_opt(bench, &optimized, opt_level, input, cache));
+                        *prof_slot = Some(profile_one(bench, &compiled, opt_level, input, cache));
                     });
                 }
                 obs::counter_add("bench.programs", 1);
@@ -692,14 +637,20 @@ pub fn fig10_measured_one(name: &'static str, ks: &[usize]) -> Fig10Program {
     let mut inputs = bench.inputs();
     let holdout = inputs.pop().expect("suite programs have inputs");
     let holdout_cfg = RunConfig::with_input(holdout);
-    let baseline = cp.execute(&holdout_cfg).expect("holdout runs");
+    let baseline = cp
+        .execute(&holdout_cfg, &mut ExecScratch::default(), None)
+        .expect("holdout runs");
 
     let training: Vec<Profile> = inputs
         .into_iter()
         .map(|input| {
-            cp.execute(&RunConfig::with_input(input))
-                .expect("training input runs")
-                .profile
+            cp.execute(
+                &RunConfig::with_input(input),
+                &mut ExecScratch::default(),
+                None,
+            )
+            .expect("training input runs")
+            .profile
         })
         .collect();
     let training_refs: Vec<&Profile> = training.iter().collect();
@@ -726,7 +677,9 @@ pub fn fig10_measured_one(name: &'static str, ks: &[usize]) -> Fig10Program {
                 let plan = plan_from_ranking(*ranking, &cp, 3, k);
                 let (ocp, _stats) = opt::optimize(&cp, &plan);
                 let t0 = std::time::Instant::now();
-                let out = ocp.execute(&opt_cfg).expect("optimized holdout runs");
+                let out = ocp
+                    .execute(&opt_cfg, &mut ExecScratch::default(), None)
+                    .expect("optimized holdout runs");
                 wall_ms.push(t0.elapsed().as_secs_f64() * 1e3);
                 assert_eq!(
                     out.output,

@@ -63,12 +63,12 @@ fn cold_and_warm_suite_loads_are_identical() {
     let cache = Cache::open(&dir).unwrap();
     let pool = pool::global();
 
-    let cold = render(&bench::load_suite_with(pool, Some(&cache)));
+    let cold = render(&bench::load_suite_with(pool, Some(&cache), 0));
     assert!(cache.entry_count() > 0, "cold run must populate the cache");
 
     obs::reset();
     obs::set_enabled(true);
-    let warm = render(&bench::load_suite_with(pool, Some(&cache)));
+    let warm = render(&bench::load_suite_with(pool, Some(&cache), 0));
     obs::set_enabled(false);
     let m = obs::snapshot();
     obs::reset();

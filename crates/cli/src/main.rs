@@ -57,7 +57,6 @@
 //! --buckets <spec>   comma-separated strata: recursion,indirect,loopskew,switch (default all)
 //! --jobs <n>         worker threads (default: global pool / SFE_POOL_THREADS)
 //! --mem-budget <mb>  memory budget in MiB driving the backpressure window (default 256)
-//! --naive            run the retained first-cut baseline engine instead
 //! ```
 //!
 //! Global flags (any command):
@@ -387,7 +386,7 @@ fn run(program: &Program, input_path: Option<&str>, opt_level: u8) -> ExitCode {
     } else {
         (compiled, None)
     };
-    let out = match compiled.execute(&config) {
+    let out = match compiled.execute(&config, &mut profiler::ExecScratch::default(), None) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("sfe: runtime error: {e}");
@@ -449,11 +448,7 @@ fn suite_report(cache_dir: Option<&str>, no_cache: bool, opt_level: u8) -> ExitC
             }
         }
     };
-    let data = if opt_level > 0 {
-        bench::load_suite_opt(pool::global(), cache.as_ref(), opt_level)
-    } else {
-        bench::load_suite_with(pool::global(), cache.as_ref())
-    };
+    let data = bench::load_suite_with(pool::global(), cache.as_ref(), opt_level);
     println!(
         "{:<12} {:>8} {:>8} {:>12}  {:>6} {:>6}",
         "program", "funcs", "blocks", "steps", "inv@25", "cs@25"
@@ -600,7 +595,14 @@ fn reuse_eval(
                         return;
                     }
                 }
-                *slot = Some(compiled.execute_traced(&config, objects).map(|(_, t)| {
+                let mut tap = profiler::ReuseCollector::new(objects.clone());
+                let out = compiled.execute(
+                    &config,
+                    &mut profiler::ExecScratch::default(),
+                    Some(&mut tap),
+                );
+                *slot = Some(out.map(|_| {
+                    let t = tap.finish();
                     if let Some(c) = cache {
                         c.store_batched(key, &cache::codec::Artifact::ReuseProfile(t.clone()));
                     }
@@ -812,7 +814,7 @@ fn fig10_json(names: &[&'static str]) -> ExitCode {
 }
 
 fn corpus_report(args: &[String], cache_dir: Option<&str>) -> ExitCode {
-    use bench::corpus::{run_corpus, CorpusConfig, EngineMode, HEURISTICS};
+    use bench::corpus::{run_corpus, CorpusConfig, HEURISTICS};
 
     let mut cfg = CorpusConfig {
         cache_dir: cache_dir.map(std::path::PathBuf::from),
@@ -840,7 +842,13 @@ fn corpus_report(args: &[String], cache_dir: Option<&str>) -> ExitCode {
                 Err(c) => return c,
             },
             "--mem-budget" => match num("--mem-budget") {
-                Ok(mb) => cfg.mem_budget_bytes = mb.max(1) * 1024 * 1024,
+                Ok(mb) => match mb.max(1).checked_mul(1024 * 1024) {
+                    Some(bytes) => cfg.mem_budget_bytes = bytes,
+                    None => {
+                        eprintln!("sfe: corpus --mem-budget {mb} MiB overflows a byte count");
+                        return ExitCode::from(2);
+                    }
+                },
                 Err(c) => return c,
             },
             "--buckets" => match it.next().map(|s| bench::corpus::parse_buckets(s)) {
@@ -854,24 +862,27 @@ fn corpus_report(args: &[String], cache_dir: Option<&str>) -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--naive" => cfg.mode = EngineMode::Naive,
             other => {
                 eprintln!(
                     "sfe: unknown corpus flag `{other}` (see --count, --seed, --buckets, \
-                     --jobs, --mem-budget, --naive)"
+                     --jobs, --mem-budget)"
                 );
                 return ExitCode::from(2);
             }
         }
     }
+    let Some(end_seed) = cfg.first_seed.checked_add(cfg.count) else {
+        eprintln!(
+            "sfe: corpus seeds {}.. + {} programs run past the largest seed",
+            cfg.first_seed, cfg.count
+        );
+        return ExitCode::from(2);
+    };
 
     let r = run_corpus(&cfg);
     println!(
-        "corpus: {} engine, {} programs (seeds {}..{})",
-        r.mode.tag(),
-        r.requested,
-        cfg.first_seed,
-        cfg.first_seed + cfg.count
+        "corpus: {} programs (seeds {}..{end_seed})",
+        r.requested, cfg.first_seed
     );
     println!(
         "  evaluated {} | duplicates {} | vm errors {}",

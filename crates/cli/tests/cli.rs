@@ -127,3 +127,28 @@ fn usage_on_missing_args() {
     let out = sfe(&[]);
     assert_eq!(out.status.code(), Some(2));
 }
+
+#[test]
+fn corpus_rejects_a_memory_budget_that_overflows() {
+    // 2^44 MiB is 2^64 bytes.
+    let out = sfe(&["corpus", "--count", "1", "--mem-budget", "17592186044416"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--mem-budget"), "{err}");
+}
+
+#[test]
+fn corpus_rejects_a_seed_range_that_overflows() {
+    let out = sfe(&["corpus", "--seed", "18446744073709551615", "--count", "2"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("seed"), "{err}");
+}
+
+#[test]
+fn corpus_naive_flag_is_gone() {
+    let out = sfe(&["corpus", "--count", "1", "--naive"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown corpus flag"), "{err}");
+}

@@ -3,7 +3,7 @@
 //! A generated program is first built as a small structured IR
 //! ([`Prog`] / [`Stmt`]) and then rendered to MiniC source. Keeping the
 //! IR around (rather than emitting text directly) is what makes
-//! [`crate::minimize`] possible: the minimizer mutates the IR and
+//! [`crate::minimize()`] possible: the minimizer mutates the IR and
 //! re-renders, so every shrink candidate is well-formed by
 //! construction.
 //!

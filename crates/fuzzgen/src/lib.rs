@@ -16,7 +16,7 @@
 //!   Generated programs terminate and are fully defined *by
 //!   construction*, so every oracle disagreement is a genuine bug.
 //! - [`oracle`] — the six differential checks ([`check_source`]).
-//! - [`minimize`] — IR-level shrinking that preserves the failing
+//! - [`minimize`](mod@minimize) — IR-level shrinking that preserves the failing
 //!   oracle, used by both the CLI (`--minimize`) and the proptest
 //!   target (the vendored proptest cannot shrink).
 //!

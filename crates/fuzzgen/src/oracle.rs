@@ -43,7 +43,7 @@
 use flowgraph::{Program, Terminator};
 use linsolve::FlowSystem;
 use minic::sema::CalleeKind;
-use profiler::{Profile, RunConfig, RunOutcome};
+use profiler::{ExecScratch, Profile, RunConfig, RunOutcome};
 
 /// Limits for one differential check.
 #[derive(Debug, Clone)]
@@ -663,12 +663,14 @@ fn plan_equivalence(
         max_steps: run_config.max_steps.saturating_mul(4),
         ..run_config.clone()
     };
-    let out = ocp.execute(&opt_config).map_err(|e| {
-        Failure::new(
-            FailureKind::OptMismatch,
-            format!("optimized program faults: {e:?}"),
-        )
-    })?;
+    let out = ocp
+        .execute(&opt_config, &mut ExecScratch::default(), None)
+        .map_err(|e| {
+            Failure::new(
+                FailureKind::OptMismatch,
+                format!("optimized program faults: {e:?}"),
+            )
+        })?;
     if out.exit_code != vm.exit_code {
         return Err(Failure::new(
             FailureKind::OptMismatch,
@@ -835,12 +837,17 @@ fn reuse_agreement(
     }
 
     // The exact trace, from both engines.
-    let (vm_out, vm_trace) = profiler::run_traced(program, run_config).map_err(|e| {
-        Failure::new(
-            FailureKind::ReuseMismatch,
-            format!("traced vm run faults where plain run succeeded: {e:?}"),
-        )
-    })?;
+    let objects = profiler::ObjectMap::for_module(&program.module);
+    let mut tap = profiler::ReuseCollector::new(objects.clone());
+    let vm_out = profiler::compile(program)
+        .execute(run_config, &mut ExecScratch::default(), Some(&mut tap))
+        .map_err(|e| {
+            Failure::new(
+                FailureKind::ReuseMismatch,
+                format!("traced vm run faults where plain run succeeded: {e:?}"),
+            )
+        })?;
+    let vm_trace = tap.finish();
     let (ast_out, ast_trace) = profiler::run_ast_traced(program, run_config).map_err(|e| {
         Failure::new(
             FailureKind::ReuseMismatch,
@@ -867,7 +874,6 @@ fn reuse_agreement(
 
     // Merge is a plain per-bin sum: commutative, with the empty trace
     // as identity — the property pool fan-out at any size relies on.
-    let objects = profiler::ObjectMap::for_module(&program.module);
     let mut ab = profiler::ReuseTrace::empty(&objects);
     ab.merge(&vm_trace);
     ab.merge(&ast_trace);

@@ -11,7 +11,7 @@
 
 use opt::{optimize, OptPlan};
 use profiler::bytecode::{compile, verify};
-use profiler::{run_ast, Profile, RunConfig, RuntimeError};
+use profiler::{run_ast, ExecScratch, Profile, RunConfig, RuntimeError};
 
 fn config(input: &str, max_steps: u64) -> RunConfig {
     RunConfig {
@@ -42,7 +42,9 @@ fn check(src: &str, input: &str) -> u64 {
     let ast = run_ast(&program, &cfg).expect("the oracle runs");
     let cp = compile(&program);
     assert_eq!(verify(&cp), Ok(()));
-    let vm = cp.execute(&cfg).expect("the VM runs");
+    let vm = cp
+        .execute(&cfg, &mut ExecScratch::default(), None)
+        .expect("the VM runs");
     assert_eq!(vm.exit_code, ast.exit_code, "exit code");
     assert_eq!(vm.output, ast.output, "output");
     assert_eq!(vm.steps, ast.steps, "steps");
@@ -53,7 +55,9 @@ fn check(src: &str, input: &str) -> u64 {
         let (ocp, stats) = optimize(&cp, &OptPlan::full(&cp, level));
         inlined += stats.inlined_calls;
         assert_eq!(verify(&ocp), Ok(()), "O{level} verifies");
-        let out = ocp.execute(&cfg).expect("optimized code runs");
+        let out = ocp
+            .execute(&cfg, &mut ExecScratch::default(), None)
+            .expect("optimized code runs");
         assert_eq!(out.exit_code, vm.exit_code, "O{level} exit code");
         assert_eq!(out.output, vm.output, "O{level} output");
         assert_eq!(
@@ -220,9 +224,18 @@ fn step_limit_cut_is_an_error_without_a_profile() {
     let limit = RuntimeError::StepLimit { limit: 5_000 };
     assert_eq!(run_ast(&program, &cfg).unwrap_err(), limit);
     let cp = compile(&program);
-    assert_eq!(cp.execute(&cfg).unwrap_err(), limit);
+    assert_eq!(
+        cp.execute(&cfg, &mut ExecScratch::default(), None)
+            .unwrap_err(),
+        limit
+    );
     for level in 1..=3u8 {
         let (ocp, _) = optimize(&cp, &OptPlan::full(&cp, level));
-        assert_eq!(ocp.execute(&cfg).unwrap_err(), limit, "O{level}");
+        assert_eq!(
+            ocp.execute(&cfg, &mut ExecScratch::default(), None)
+                .unwrap_err(),
+            limit,
+            "O{level}"
+        );
     }
 }

@@ -14,7 +14,7 @@
 
 use opt::{optimize, roundtrip, OptPlan};
 use profiler::bytecode::{compile, CompiledProgram};
-use profiler::{Profile, RunConfig, RunOutcome};
+use profiler::{ExecScratch, Profile, RunConfig, RunOutcome};
 
 fn run_cp(cp: &CompiledProgram, input: &[u8], max_steps: u64) -> RunOutcome {
     let config = RunConfig {
@@ -22,7 +22,8 @@ fn run_cp(cp: &CompiledProgram, input: &[u8], max_steps: u64) -> RunOutcome {
         max_steps,
         ..RunConfig::default()
     };
-    cp.execute(&config).expect("suite programs run clean")
+    cp.execute(&config, &mut ExecScratch::default(), None)
+        .expect("suite programs run clean")
 }
 
 /// Everything except `steps`/`func_cost` — the optimizer's invariants.

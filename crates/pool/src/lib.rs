@@ -5,8 +5,8 @@
 //! on a small runner, and a straggler program's inputs still ran on a
 //! single core. This crate replaces all of that with one process-wide
 //! pool of `available_parallelism` workers executing *(program,
-//! input)*-granularity tasks: per-worker LIFO [Chase–Lev
-//! deques](deque) with lock-free stealing, a shared overflow/injector
+//! input)*-granularity tasks: per-worker LIFO Chase–Lev deques
+//! (module `deque`) with lock-free stealing, a shared overflow/injector
 //! queue, and a [`Pool::scope`] API in the style of
 //! `std::thread::scope` / rayon — tasks may borrow from the caller's
 //! stack and may themselves spawn further tasks into the same scope

@@ -21,7 +21,7 @@ use crate::interp::{
     convert_for_class, RunConfig, RunOutcome, RuntimeError, Value, CALL_COST, STACK_BASE,
 };
 use crate::profile::Profile;
-use crate::reuse::{MemTap, NoTap};
+use crate::reuse::MemTap;
 use minic::ast::BinOp;
 use minic::builtins::Builtin;
 use std::cmp::Ordering;
@@ -49,8 +49,9 @@ struct Frame {
 
 struct Vm<'a, T: MemTap> {
     cp: &'a CompiledProgram,
-    /// Data-segment access probe ([`NoTap`] in normal runs — the
-    /// `T::ACTIVE` checks below monomorphize away entirely).
+    /// Data-segment access probe ([`NoTap`](crate::reuse::NoTap) in
+    /// normal runs — the `T::ACTIVE` checks below monomorphize away
+    /// entirely).
     tap: &'a mut T,
     data: Vec<Value>,
     stack: Vec<Value>,
@@ -146,20 +147,12 @@ impl ExecScratch {
     }
 }
 
-pub(super) fn execute_in(
-    cp: &CompiledProgram,
-    config: &RunConfig,
-    scratch: &mut ExecScratch,
-) -> Result<RunOutcome, RuntimeError> {
-    execute_tapped(cp, config, scratch, &mut NoTap)
-}
-
 /// The generic engine: runs `cp` with `tap` observing every
-/// data-segment access. With [`NoTap`] this monomorphizes to the
-/// probe-free fast path `execute_in` has always been; with an active
-/// tap every register/frame/data accessor additionally switches to
-/// checked indexing (see the accessor comments below).
-pub(super) fn execute_tapped<T: MemTap>(
+/// data-segment access. With [`NoTap`](crate::reuse::NoTap) this
+/// monomorphizes to the probe-free fast path; with an active tap every
+/// register/frame/data accessor additionally switches to checked
+/// indexing (see the accessor comments below).
+pub(super) fn execute<T: MemTap>(
     cp: &CompiledProgram,
     config: &RunConfig,
     scratch: &mut ExecScratch,

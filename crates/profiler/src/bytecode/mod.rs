@@ -44,7 +44,7 @@ pub use verify::verify;
 
 use crate::interp::{RunConfig, RunOutcome, RuntimeError, TyClass, Value};
 use crate::profile::Profile;
-use crate::reuse::{ObjectMap, ReuseCollector, ReuseTrace};
+use crate::reuse::{NoTap, ReuseCollector};
 use flowgraph::{BlockId, Program};
 use minic::ast::BinOp;
 use minic::builtins::Builtin;
@@ -739,74 +739,56 @@ impl CompiledProgram {
     /// error — the proptest oracle in `tests/vm_oracle.rs` checks
     /// profile-for-profile equality on random programs.
     ///
+    /// `scratch` holds the VM's reusable buffers: drivers that execute
+    /// many programs or inputs back-to-back keep one [`ExecScratch`]
+    /// per worker and skip the per-run stack / register / counter
+    /// allocations; one-shot callers pass `&mut ExecScratch::default()`.
+    ///
+    /// With `trace`, every *data-segment* access (globals, string
+    /// literals, `malloc` storage — never VM stack traffic) also feeds
+    /// the exact reuse-distance collector; [`ReuseCollector::finish`]
+    /// yields the trace. The tap is a monomorphized generic and both
+    /// instantiations are compiled here, so the untraced dispatch loop
+    /// stays probe-free; the traced one additionally uses *checked*
+    /// register/frame/data indexing, so a trace of a buggy program
+    /// fails deterministically instead of reading garbage. Tracing
+    /// observes memory traffic and changes no frequency counter: the
+    /// outcome is identical either way.
+    ///
     /// # Errors
     ///
-    /// Returns the same [`RuntimeError`]s the AST interpreter would.
-    pub fn execute(&self, config: &RunConfig) -> Result<RunOutcome, RuntimeError> {
-        self.execute_in(config, &mut ExecScratch::default())
-    }
-
-    /// [`Self::execute`] with caller-owned VM buffers: corpus-scale
-    /// drivers that execute thousands of programs back-to-back keep
-    /// one [`ExecScratch`] per worker and skip the per-run stack /
-    /// register / counter-array allocations.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same [`RuntimeError`]s as [`Self::execute`].
-    pub fn execute_in(
+    /// Returns the same [`RuntimeError`]s the AST interpreter would;
+    /// a traced run can also report out-of-stream program-counter
+    /// errors that the unchecked build would turn into UB.
+    pub fn execute(
         &self,
         config: &RunConfig,
         scratch: &mut ExecScratch,
+        trace: Option<&mut ReuseCollector>,
     ) -> Result<RunOutcome, RuntimeError> {
         // One span per run; the dispatch loop itself is never probed —
         // step totals and the counter ledger are read off the outcome
         // after the fact.
         let _sp = obs::span("profiler.execute");
-        let out = exec::execute_in(self, config, scratch);
+        let (out, traced) = match trace {
+            None => (exec::execute(self, config, scratch, &mut NoTap), None),
+            Some(tap) => {
+                let before = tap.events;
+                let out = exec::execute(self, config, scratch, &mut *tap);
+                (out, Some(tap.events - before))
+            }
+        };
         if obs::enabled() {
             obs::counter_add("profiler.runs", 1);
             if let Ok(o) = &out {
                 obs::counter_add("profiler.steps", o.steps);
             }
+            if let Some(accesses) = traced {
+                obs::counter_add("reuse.traced_runs", 1);
+                obs::counter_add("reuse.traced_accesses", accesses);
+            }
         }
         out
-    }
-
-    /// [`Self::execute`] with exact reuse-distance tracing: every
-    /// *data-segment* access (globals, string literals, `malloc`
-    /// storage — never VM stack traffic) feeds an LRU stack-distance
-    /// collector partitioned by the object map. The tap is a
-    /// monomorphized generic, so the normal dispatch loop compiled for
-    /// [`Self::execute`] stays probe-free; the traced instantiation
-    /// additionally uses *checked* register/frame/data indexing, so a
-    /// trace of a buggy program fails deterministically instead of
-    /// reading garbage.
-    ///
-    /// The profile inside the returned [`RunOutcome`] is identical to
-    /// the untraced one — tracing observes memory traffic and changes
-    /// no frequency counter.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same [`RuntimeError`]s as [`Self::execute`], plus
-    /// out-of-stream program-counter errors that the unchecked build
-    /// would turn into UB.
-    pub fn execute_traced(
-        &self,
-        config: &RunConfig,
-        objects: &ObjectMap,
-    ) -> Result<(RunOutcome, ReuseTrace), RuntimeError> {
-        let _sp = obs::span("reuse.trace");
-        let mut tap = ReuseCollector::new(objects.clone());
-        let mut scratch = ExecScratch::default();
-        let out = exec::execute_tapped(self, config, &mut scratch, &mut tap)?;
-        let trace = tap.finish();
-        if obs::enabled() {
-            obs::counter_add("reuse.traced_runs", 1);
-            obs::counter_add("reuse.traced_accesses", trace.events);
-        }
-        Ok((out, trace))
     }
 
     /// 128-bit fingerprint of the post-fold IR: everything execution
@@ -902,22 +884,7 @@ pub fn compile(program: &Program) -> CompiledProgram {
 /// assert_eq!(out.exit_code, 0);
 /// ```
 pub fn run(program: &Program, config: &RunConfig) -> Result<RunOutcome, RuntimeError> {
-    compile(program).execute(config)
-}
-
-/// [`run`] with exact reuse-distance tracing (see
-/// [`CompiledProgram::execute_traced`]); the object map is derived
-/// from the module's global layout.
-///
-/// # Errors
-///
-/// Returns the same [`RuntimeError`]s as [`run`].
-pub fn run_traced(
-    program: &Program,
-    config: &RunConfig,
-) -> Result<(RunOutcome, ReuseTrace), RuntimeError> {
-    let objects = ObjectMap::for_module(&program.module);
-    compile(program).execute_traced(config, &objects)
+    compile(program).execute(config, &mut ExecScratch::default(), None)
 }
 
 #[cfg(test)]

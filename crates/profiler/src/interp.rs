@@ -249,7 +249,8 @@ pub fn run_ast(program: &Program, config: &RunConfig) -> Result<RunOutcome, Runt
 /// `load`/`store` feed every successful *data-segment* access (never
 /// the locals stack) into a [`ReuseCollector`] partitioned by the
 /// module's global layout. The differential oracle for the bytecode
-/// VM's `run_traced` — both must produce bit-identical traces.
+/// VM's traced [`crate::CompiledProgram::execute`] — both must produce
+/// bit-identical traces.
 ///
 /// # Errors
 ///

@@ -38,7 +38,7 @@ pub mod interp;
 pub mod profile;
 pub mod reuse;
 
-pub use bytecode::{compile, run, run_traced, CompiledProgram, ExecScratch};
+pub use bytecode::{compile, run, CompiledProgram, ExecScratch};
 pub use interp::{run_ast, run_ast_traced, RunConfig, RunOutcome, RuntimeError, Value};
 pub use profile::{aggregate, AggregateProfile, Profile};
 pub use reuse::{ObjectMap, ReuseCollector, ReuseTrace};

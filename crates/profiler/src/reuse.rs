@@ -226,7 +226,7 @@ pub struct ReuseCollector {
     next: u32,
     /// Number of distinct live addresses (1-bits in the tree).
     live: u32,
-    events: u64,
+    pub(crate) events: u64,
 }
 
 impl ReuseCollector {

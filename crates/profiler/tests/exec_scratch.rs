@@ -1,14 +1,39 @@
 //! `ExecScratch` reuse and the post-fold IR fingerprint: a shared
-//! scratch across dissimilar programs must be invisible in every
-//! observable output (the corpus engine reuses one scratch per worker
-//! across thousands of programs), and the fingerprint must separate
-//! observationally different programs while collapsing identical IR.
+//! scratch across dissimilar programs, traced or not, must be
+//! invisible in every observable output and every reuse trace (the
+//! corpus engine reuses one scratch per worker across thousands of
+//! programs), and the fingerprint must separate observationally
+//! different programs while collapsing identical IR.
 
-use profiler::{compile, ExecScratch, RunConfig, RunOutcome, RuntimeError};
+use profiler::{
+    compile, CompiledProgram, ExecScratch, ObjectMap, ReuseCollector, ReuseTrace, RunConfig,
+    RunOutcome, RuntimeError,
+};
 
-fn compiled(src: &str) -> profiler::CompiledProgram {
+fn compiled(src: &str) -> CompiledProgram {
     let module = minic::compile(src).expect("valid MiniC");
     compile(&flowgraph::build_program(module))
+}
+
+fn objects(src: &str) -> ObjectMap {
+    ObjectMap::for_module(&minic::compile(src).expect("valid MiniC"))
+}
+
+/// An untraced run on a fresh scratch: the reference outcome.
+fn fresh(cp: &CompiledProgram, cfg: &RunConfig) -> Result<RunOutcome, RuntimeError> {
+    cp.execute(cfg, &mut ExecScratch::default(), None)
+}
+
+/// A traced run on `scratch` with a fresh collector.
+fn traced(
+    cp: &CompiledProgram,
+    objects: &ObjectMap,
+    cfg: &RunConfig,
+    scratch: &mut ExecScratch,
+) -> (Result<RunOutcome, RuntimeError>, ReuseTrace) {
+    let mut tap = ReuseCollector::new(objects.clone());
+    let out = cp.execute(cfg, scratch, Some(&mut tap));
+    (out, tap.finish())
 }
 
 /// Exercises strings/printf (the shared string buffers), deep-ish
@@ -63,8 +88,37 @@ fn reused_scratch_is_observationally_invisible() {
     // fresh execute each time.
     let mut scratch = ExecScratch::default();
     for _ in 0..3 {
-        assert_same(&big.execute(&cfg), &big.execute_in(&cfg, &mut scratch));
-        assert_same(&small.execute(&cfg), &small.execute_in(&cfg, &mut scratch));
+        assert_same(&fresh(&big, &cfg), &big.execute(&cfg, &mut scratch, None));
+        assert_same(
+            &fresh(&small, &cfg),
+            &small.execute(&cfg, &mut scratch, None),
+        );
+    }
+
+    // Traced runs (checked indexing, a live tap) alternate with
+    // untraced ones on the same scratch: every outcome matches a fresh
+    // untraced run and every trace a fresh traced run.
+    let programs = [(&big, objects(BUSY)), (&small, objects(SMALL))];
+    let refs: Vec<_> = programs
+        .iter()
+        .map(|(cp, objs)| {
+            let (out, trace) = traced(cp, objs, &cfg, &mut ExecScratch::default());
+            assert_same(&fresh(cp, &cfg), &out);
+            assert!(trace.events > 0, "the program touches its data segment");
+            trace
+        })
+        .collect();
+    for round in 0..4 {
+        for (i, ((cp, objs), want_trace)) in programs.iter().zip(&refs).enumerate() {
+            let want = fresh(cp, &cfg);
+            if (round + i) % 2 == 0 {
+                let (out, trace) = traced(cp, objs, &cfg, &mut scratch);
+                assert_same(&want, &out);
+                assert_eq!(&trace, want_trace, "shared scratch perturbed the trace");
+            } else {
+                assert_same(&want, &cp.execute(&cfg, &mut scratch, None));
+            }
+        }
     }
 }
 
@@ -74,10 +128,10 @@ fn reused_scratch_survives_a_runtime_error() {
     let ok = compiled(SMALL);
     let cfg = RunConfig::default();
     let mut scratch = ExecScratch::default();
-    assert!(trap.execute_in(&cfg, &mut scratch).is_err());
+    assert!(trap.execute(&cfg, &mut scratch, None).is_err());
     // The error path must still recycle the buffers and leave the
     // scratch usable.
-    assert_same(&ok.execute(&cfg), &ok.execute_in(&cfg, &mut scratch));
+    assert_same(&fresh(&ok, &cfg), &ok.execute(&cfg, &mut scratch, None));
 }
 
 #[test]

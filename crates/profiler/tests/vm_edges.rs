@@ -6,7 +6,7 @@
 //! also cross-checks the AST walker so the two engines can't drift
 //! apart on these paths.
 
-use profiler::{run, run_ast, RunConfig, RunOutcome, RuntimeError};
+use profiler::{run, run_ast, ExecScratch, RunConfig, RunOutcome, RuntimeError};
 
 fn program(src: &str) -> flowgraph::Program {
     let module = minic::compile(src).expect("valid MiniC");
@@ -122,7 +122,7 @@ fn goto_into_for_loop_skips_init_and_first_test() {
 }
 
 #[test]
-fn switch_fallthrough_chains_execute_in_order() {
+fn switch_fallthrough_chains_run_in_order() {
     let out = run_ok(
         r#"
         int main(void) {
@@ -371,7 +371,11 @@ fn compile_once_execute_many_inputs() {
     let compiled = profiler::compile(&p);
     for (input, want) in [("7", 7), ("19", 19), ("305", 305)] {
         let out = compiled
-            .execute(&RunConfig::with_input(input))
+            .execute(
+                &RunConfig::with_input(input),
+                &mut ExecScratch::default(),
+                None,
+            )
             .expect("runs clean");
         assert_eq!(out.exit_code, want);
     }

@@ -12,7 +12,7 @@
 //! function pointers, global array traffic, `getchar` consuming a
 //! random input, and string builtins.
 
-use profiler::{run, run_ast, run_ast_traced, run_traced, RunConfig};
+use profiler::{run, run_ast, run_ast_traced, ExecScratch, ObjectMap, ReuseCollector, RunConfig};
 use proptest::test_runner::ProptestConfig;
 use proptest::{proptest, Strategy, TestRng};
 
@@ -215,7 +215,10 @@ proptest! {
             ..RunConfig::with_input(case.input.as_bytes().to_vec())
         };
         let plain = run(&program, &config);
-        let vm = run_traced(&program, &config);
+        let mut tap = ReuseCollector::new(ObjectMap::for_module(&program.module));
+        let vm = profiler::compile(&program)
+            .execute(&config, &mut ExecScratch::default(), Some(&mut tap))
+            .map(|out| (out, tap.finish()));
         let ast = run_ast_traced(&program, &config);
         match (vm, ast) {
             (Ok((vo, vt)), Ok((ao, at))) => {

@@ -32,8 +32,9 @@
 //!    their write at distance 0.
 //!
 //! [`score`] compares a prediction against the exact trace collected
-//! by `profiler::run_traced` with the same weight-matching metric the
-//! frequency estimators use (§6 of the paper).
+//! by a traced `profiler::CompiledProgram::execute` with the same
+//! weight-matching metric the frequency estimators use (§6 of the
+//! paper).
 
 #![warn(missing_docs)]
 
@@ -617,7 +618,7 @@ fn collect_mods(module: &Module, b: &Block, out: &mut HashSet<VarRef>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use profiler::{run_traced, RunConfig};
+    use profiler::{ExecScratch, ReuseCollector, RunConfig};
 
     fn program(src: &str) -> Program {
         let module = minic::compile(src).expect("valid MiniC");
@@ -695,7 +696,15 @@ mod tests {
             "#,
         );
         let est = estimate(&p);
-        let (_, trace) = run_traced(&p, &RunConfig::default()).expect("runs");
+        let mut tap = ReuseCollector::new(ObjectMap::for_module(&p.module));
+        profiler::compile(&p)
+            .execute(
+                &RunConfig::default(),
+                &mut ExecScratch::default(),
+                Some(&mut tap),
+            )
+            .expect("runs");
+        let trace = tap.finish();
         let s = score(&est, &trace);
         assert!(s > 0.5, "weight-matching score too low: {s}");
     }

@@ -6,13 +6,15 @@
 //! deliberately conservative — the point is to catch regressions in
 //! the model, not to freeze today's exact scores.
 
-use profiler::{run_traced, RunConfig};
+use profiler::{ExecScratch, ReuseCollector, RunConfig};
 use reuse::{estimate, score};
 
 fn traced_score(name: &str) -> f64 {
     let prog = suite::by_name(name).expect("known program");
     let program = prog.compile().expect("suite program compiles");
     let est = estimate(&program);
+    let compiled = profiler::compile(&program);
+    let objects = profiler::ObjectMap::for_module(&program.module);
     let inputs = prog.inputs();
     let mut merged = None;
     for input in &inputs {
@@ -20,7 +22,11 @@ fn traced_score(name: &str) -> f64 {
             input: input.clone(),
             ..RunConfig::default()
         };
-        let (_, trace) = run_traced(&program, &config).expect("suite program runs");
+        let mut tap = ReuseCollector::new(objects.clone());
+        compiled
+            .execute(&config, &mut ExecScratch::default(), Some(&mut tap))
+            .expect("suite program runs");
+        let trace = tap.finish();
         match &mut merged {
             None => merged = Some(trace),
             Some(m) => m.merge(&trace),
@@ -65,8 +71,11 @@ fn merged_trace_is_identical_at_any_pool_size() {
                 let objects = &objects;
                 s.spawn(move |_| {
                     let config = RunConfig::with_input(input.clone());
-                    let (_, t) = compiled.execute_traced(&config, objects).expect("runs");
-                    *slot = Some(t);
+                    let mut tap = ReuseCollector::new(objects.clone());
+                    compiled
+                        .execute(&config, &mut ExecScratch::default(), Some(&mut tap))
+                        .expect("runs");
+                    *slot = Some(tap.finish());
                 });
             }
         });

@@ -625,7 +625,7 @@ impl ServeDb {
             .unwrap_or_else(|e| e.into_inner())
             .pop()
             .unwrap_or_default();
-        let out = compiled.execute_in(&config, &mut scratch);
+        let out = compiled.execute(&config, &mut scratch, None);
         // Return the scratch before error handling so a failing run
         // doesn't leak it; shed outlier capacity either way.
         scratch.trim(SCRATCH_TRIM_ELEMS);

@@ -84,7 +84,7 @@ int main(void) {
     let compiled = profiler::compile(&program);
     let mut scratch = ExecScratch::default();
     compiled
-        .execute_in(&RunConfig::default(), &mut scratch)
+        .execute(&RunConfig::default(), &mut scratch, None)
         .unwrap();
     let grown = scratch.high_water();
     assert!(
@@ -101,14 +101,14 @@ int main(void) {
 
     // Trimmed scratch still executes correctly.
     let out = compiled
-        .execute_in(&RunConfig::default(), &mut scratch)
+        .execute(&RunConfig::default(), &mut scratch, None)
         .unwrap();
     assert_eq!(out.exit_code, 5000 & 255);
 
     // Trim is a no-op for buffers under the bound.
     let mut small = ExecScratch::default();
     compiled
-        .execute_in(&RunConfig::default(), &mut small)
+        .execute(&RunConfig::default(), &mut small, None)
         .unwrap();
     let before = small.high_water();
     small.trim(usize::MAX);

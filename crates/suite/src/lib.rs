@@ -31,7 +31,7 @@ pub mod inputs;
 
 use flowgraph::Program;
 use minic::CompileError;
-use profiler::{Profile, RunConfig, RunOutcome, RuntimeError};
+use profiler::{ExecScratch, Profile, RunConfig, RunOutcome, RuntimeError};
 
 /// One benchmark program: source, metadata, and inputs.
 #[derive(Debug, Clone, Copy)]
@@ -107,7 +107,8 @@ impl BenchProgram {
             for (slot, input) in results.iter_mut().zip(inputs) {
                 let compiled = &compiled;
                 s.spawn(move |_| {
-                    *slot = Some(compiled.execute(&RunConfig::with_input(input)));
+                    let config = RunConfig::with_input(input);
+                    *slot = Some(compiled.execute(&config, &mut ExecScratch::default(), None));
                 });
             }
         });

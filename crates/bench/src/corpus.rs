@@ -28,8 +28,8 @@
 //! is far below the scores' own noise), profiles stream into the
 //! artifact cache's batched write tier, and VM buffers live in one
 //! thread-local [`profiler::ExecScratch`] per worker. Peak RSS is
-//! therefore `O(window)`, not `O(count)` — the corpus bench asserts
-//! this against the configured budget.
+//! therefore `O(window)`, not `O(count)` — `tests/perf_floors.rs`
+//! asserts this against the configured budget.
 
 use cache::codec::Artifact;
 use cache::{ArtifactKey, ArtifactKind, Cache};

@@ -3,8 +3,8 @@
 //! Regenerates every table and figure of the paper's evaluation from
 //! the reproduction's own suite and profiles. The `experiments` binary
 //! prints them; the functions here return structured data so the
-//! integration tests and Criterion benches can assert on the same
-//! numbers (see DESIGN.md for the experiment index).
+//! integration tests can assert on the same numbers (see DESIGN.md for
+//! the experiment index).
 
 #![warn(missing_docs)]
 

@@ -2,7 +2,8 @@
 //! streaming engine must populate every stratum, reproduce the pinned
 //! aggregate digest, be invariant under `--jobs`, and write their
 //! profiles through the artifact cache. CI runs this as the corpus
-//! gate; the full 10k run lives in `benches/corpus.rs`.
+//! gate; the release-only RSS and throughput floors over 1000 programs
+//! live in `perf_floors.rs`.
 
 use bench::corpus::{run_corpus, CorpusConfig};
 use fuzzgen::corpus::Feature;

@@ -1,0 +1,103 @@
+//! Wall-clock and memory floors, in one file.
+//!
+//! These tests time real work, so they mean something only in an
+//! optimized build and only with the machine to themselves. They are
+//! `#[ignore]`d (the workspace gate runs debug builds in parallel) and
+//! run explicitly, one at a time, because the telemetry registry and
+//! the peak-RSS high-water mark are process-global:
+//!
+//! ```sh
+//! cargo test --release -p bench --test perf_floors -- --ignored --test-threads 1
+//! ```
+//!
+//! The floors sit far below measured figures: a failure means a
+//! regression in kind (retained state, per-program recompiles, a
+//! probe on the hot path), not a slow runner.
+
+use bench::corpus::{run_corpus, CorpusConfig};
+use profiler::RunConfig;
+use std::hint::black_box;
+use std::time::Instant;
+
+/// Allowance on top of the corpus window budget for everything that is
+/// not in-flight corpus state: the binary, the suite, pool stacks and
+/// allocator slack. The measured peak is ~8 MiB against the 384 MiB
+/// bound (2-core x86-64 VM), so a violation means retention crept
+/// back in, not that the allowance is tight.
+const CORPUS_RSS_OVERHEAD_BYTES: u64 = 128 * 1024 * 1024;
+
+/// Sustained corpus throughput floor. Measured is ~2,000 programs/s
+/// on a 2-core x86-64 VM; this catches per-program recompiles or
+/// retained state even on a slow shared runner.
+const CORPUS_MIN_PROGRAMS_PER_SEC: f64 = 150.0;
+
+/// Budget for the enabled-telemetry slowdown of a compress run.
+const TELEMETRY_OVERHEAD_BUDGET: f64 = 0.02;
+
+/// Interleaved disabled/enabled pairs behind the median ratio.
+const TELEMETRY_PAIRS: usize = 7;
+
+#[test]
+#[ignore = "release-only timing floor; run with --release -- --ignored --test-threads 1"]
+fn corpus_stays_in_budget_and_above_throughput_floor() {
+    let config = CorpusConfig {
+        count: 1000,
+        ..CorpusConfig::default()
+    };
+    obs::reset_peak_rss();
+    let report = run_corpus(&config);
+
+    // In-flight state is capped by the window, so peak RSS stays under
+    // budget + fixed overhead whatever the corpus size.
+    if let Some(rss) = report.peak_rss_bytes {
+        assert!(
+            rss <= config.mem_budget_bytes + CORPUS_RSS_OVERHEAD_BYTES,
+            "streaming peak RSS {} MiB exceeds budget {} MiB + {} MiB overhead",
+            rss >> 20,
+            config.mem_budget_bytes >> 20,
+            CORPUS_RSS_OVERHEAD_BYTES >> 20,
+        );
+    }
+    assert!(
+        report.programs_per_sec >= CORPUS_MIN_PROGRAMS_PER_SEC,
+        "streaming corpus throughput collapsed: {:.1} programs/sec (floor {CORPUS_MIN_PROGRAMS_PER_SEC})",
+        report.programs_per_sec
+    );
+}
+
+#[test]
+#[ignore = "release-only timing floor; run with --release -- --ignored --test-threads 1"]
+fn telemetry_overhead_is_under_two_percent() {
+    let bench_prog = suite::by_name("compress").expect("compress in suite");
+    let program = bench_prog.compile().expect("compress compiles");
+    let config = RunConfig::with_input(bench_prog.inputs().remove(0));
+    let timed = || {
+        let t = Instant::now();
+        black_box(profiler::run(&program, &config).expect("compress runs"));
+        t.elapsed().as_secs_f64()
+    };
+
+    // Adjacent disabled/enabled reps sample nearly the same host state,
+    // so their ratio isolates the probe cost from host-load noise.
+    // Enabled probes do strictly more work than disabled ones, so the
+    // enabled overhead bounds what the shipping default pays.
+    obs::set_enabled(false);
+    let mut ratios = Vec::with_capacity(TELEMETRY_PAIRS);
+    for _ in 0..TELEMETRY_PAIRS {
+        let disabled = timed();
+        obs::set_enabled(true);
+        let enabled = timed();
+        obs::set_enabled(false);
+        obs::reset();
+        ratios.push(enabled / disabled);
+    }
+    ratios.sort_by(f64::total_cmp);
+    let overhead = ratios[ratios.len() / 2] - 1.0;
+    assert!(
+        overhead <= TELEMETRY_OVERHEAD_BUDGET,
+        "enabled-telemetry overhead {:+.2}% over {TELEMETRY_PAIRS} pairs (median ratio) \
+         exceeds the {:.0}% budget",
+        overhead * 100.0,
+        TELEMETRY_OVERHEAD_BUDGET * 100.0
+    );
+}

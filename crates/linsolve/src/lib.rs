@@ -12,7 +12,7 @@
 //! - the original dense path ([`Matrix`] Gaussian elimination with
 //!   partial pivoting plus a globally damped power-iteration fallback,
 //!   [`FlowSystem::solve_dense`]), kept as the reference baseline for
-//!   property tests and the `solver_scaling` bench.
+//!   the property tests.
 //!
 //! The damped fallback handles systems no direct method can (e.g.
 //! graphs containing loops that can never exit, which make `I - A`

@@ -15,7 +15,7 @@
 //! [`FlowSystem::solve`] exploits the graph's sparsity and SCC structure
 //! (see [`crate::sparse`]); [`FlowSystem::solve_dense`] is the original
 //! `O(n³)` Gaussian elimination, kept as the oracle the property tests
-//! and the `solver_scaling` bench compare against.
+//! compare against.
 
 use std::error::Error;
 use std::fmt;
@@ -236,8 +236,7 @@ impl FlowSystem {
     ///
     /// [`FlowSystem::solve`] is faster on every graph and identical in
     /// result up to floating-point reassociation; this path is kept as
-    /// the reference implementation the property tests oracle against
-    /// and the `solver_scaling` bench uses as its baseline.
+    /// the reference implementation the property tests oracle against.
     ///
     /// # Errors
     ///

@@ -370,10 +370,21 @@ struct Checker {
     cur_func: FuncId,
     cur_locals: Vec<Local>,
     cur_frame: usize,
+    /// Words of global data laid out so far (the VM's data image).
+    global_words: usize,
     labels: Vec<String>,
     gotos: Vec<(String, Span)>,
     loop_depth: usize,
     switch_depth: usize,
+}
+
+/// `a + b` words, or `None` past [`MAX_OBJECT_WORDS`].
+fn words_add(a: usize, b: usize) -> Option<usize> {
+    a.checked_add(b).filter(|&words| words <= MAX_OBJECT_WORDS)
+}
+
+fn too_large(what: &str) -> String {
+    format!("{what} is too large: more than {MAX_OBJECT_WORDS} words")
 }
 
 struct SizeEnv<'a> {
@@ -414,6 +425,7 @@ impl Checker {
             cur_func: FuncId(0),
             cur_locals: Vec::new(),
             cur_frame: 0,
+            global_words: 0,
             labels: Vec::new(),
             gotos: Vec::new(),
             loop_depth: 0,
@@ -506,7 +518,9 @@ impl Checker {
                     ty,
                     offset,
                 });
-                offset += size;
+                offset = words_add(offset, size).ok_or_else(|| {
+                    self.err(sd.span, too_large(&format!("struct `{}`", sd.name)))
+                })?;
             }
             // Replace the placeholder.
             let slot = id.0 as usize;
@@ -560,7 +574,11 @@ impl Checker {
                     }
                     None => 0, // unsized; sized by initializer or decays
                 };
-                Ok(Type::Array(Box::new(elem), n))
+                let ty = Type::Array(Box::new(elem), n);
+                if ty.try_size_words(&self.structs).is_none() {
+                    return Err(self.err(span, too_large("array")));
+                }
+                Ok(ty)
             }
             TypeName::FnPtr(ret, params) => {
                 let ret = self.resolve_type(ret, span)?;
@@ -658,6 +676,8 @@ impl Checker {
                         if self.global_ids.contains_key(&d.name) {
                             return Err(self.err(d.span, format!("global `{}` redefined", d.name)));
                         }
+                        self.global_words = words_add(self.global_words, size)
+                            .ok_or_else(|| self.err(d.span, too_large("the global data")))?;
                         let id = GlobalId(self.globals.len() as u32);
                         self.global_ids.insert(d.name.clone(), id);
                         self.globals.push(Global {
@@ -881,6 +901,10 @@ impl Checker {
             return Err(self.err(span, format!("variable `{name}` has type void")));
         };
         let size = size.max(1);
+        let frame = words_add(self.cur_frame, size).ok_or_else(|| {
+            let func = &self.functions[self.cur_func.0 as usize].name;
+            self.err(span, too_large(&format!("the frame of `{func}`")))
+        })?;
         let id = LocalId(self.cur_locals.len() as u32);
         self.cur_locals.push(Local {
             id,
@@ -889,7 +913,7 @@ impl Checker {
             offset: self.cur_frame,
             size,
         });
-        self.cur_frame += size;
+        self.cur_frame = frame;
         self.scopes
             .last_mut()
             .expect("scope stack is never empty")

@@ -6,6 +6,14 @@
 
 use std::fmt;
 
+/// The largest object, data image or stack frame sema admits, in
+/// words: a bigger word count times the size of an
+/// [`InitWord`](crate::sema::InitWord) would exceed `isize::MAX` bytes,
+/// which no allocation can hold. Sizing past it is a diagnostic, not a
+/// wrapped count or an allocator panic.
+pub const MAX_OBJECT_WORDS: usize =
+    isize::MAX as usize / std::mem::size_of::<crate::sema::InitWord>();
+
 /// Identifies a struct definition within a module.
 // The derived `partial_cmp` delegates to `Ord` on a `u32` — total, so
 // exempt from the workspace NaN-ordering ban (clippy.toml).
@@ -84,14 +92,18 @@ impl Type {
     }
 
     /// Size in words (cells), or `None` for `Void` (including `void`
-    /// reached through an array element type). Structs require the
-    /// layout table. This is the fallible query sema uses to turn
-    /// sizeless types into diagnostics instead of aborts.
+    /// reached through an array element type) and for arrays whose
+    /// word count overflows or exceeds [`MAX_OBJECT_WORDS`]. Structs
+    /// require the layout table. This is the fallible query sema uses
+    /// to turn sizeless types into diagnostics instead of aborts.
     pub fn try_size_words(&self, layouts: &StructLayouts) -> Option<usize> {
         match self {
             Type::Void => None,
             Type::Int | Type::Char | Type::Float | Type::Ptr(_) | Type::FnPtr(_) => Some(1),
-            Type::Array(elem, n) => Some(elem.try_size_words(layouts)? * n),
+            Type::Array(elem, n) => elem
+                .try_size_words(layouts)?
+                .checked_mul(*n)
+                .filter(|&words| words <= MAX_OBJECT_WORDS),
             Type::Struct(id) => Some(layouts.layout(*id).size),
         }
     }
@@ -100,9 +112,10 @@ impl Type {
     ///
     /// # Panics
     ///
-    /// Panics if `self` has no size (`Void`); callers must size only
-    /// object types — sema guarantees that for every type it admits
-    /// into a sized position (see [`Type::try_size_words`]).
+    /// Panics if `self` has no size (`Void`, or an oversized array);
+    /// callers must size only object types — sema guarantees that for
+    /// every type it admits into a sized position (see
+    /// [`Type::try_size_words`]).
     pub fn size_words(&self, layouts: &StructLayouts) -> usize {
         self.try_size_words(layouts)
             .unwrap_or_else(|| panic!("{self} has no size"))
@@ -251,6 +264,21 @@ mod tests {
         );
         assert_eq!(layouts.by_name("point"), Some(id));
         assert_eq!(layouts.layout(id).field("y").unwrap().offset, 1);
+    }
+
+    #[test]
+    fn oversized_arrays_have_no_size() {
+        let layouts = StructLayouts::new();
+        let array = |elem: Type, n: usize| Type::Array(Box::new(elem), n);
+        // 2^62 rows of 4 words is 2^64 words: the product wraps to 0.
+        let wraps = array(array(Type::Int, 4), 1 << 62);
+        assert_eq!(wraps.try_size_words(&layouts), None);
+        let too_big = array(Type::Int, isize::MAX as usize);
+        assert_eq!(too_big.try_size_words(&layouts), None);
+        let largest = array(Type::Int, MAX_OBJECT_WORDS);
+        assert_eq!(largest.try_size_words(&layouts), Some(MAX_OBJECT_WORDS));
+        let over = array(array(Type::Int, 2), MAX_OBJECT_WORDS / 2 + 1);
+        assert_eq!(over.try_size_words(&layouts), None);
     }
 
     #[test]

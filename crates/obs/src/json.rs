@@ -1,14 +1,14 @@
 //! A minimal JSON value model, parser, and serializer.
 //!
 //! The observability layer needs to *emit* schema-stable metrics JSON
-//! and *read it back* (round-trip tests, the bench trajectory files,
-//! and the CI overhead gate), but the build environment has no network
-//! access for a real JSON crate — so this module vendors the small
-//! slice the workspace uses: objects, arrays, strings, finite numbers,
-//! booleans, and null. Objects preserve key order on parse and are
-//! emitted with the order the caller built (the [`crate::Metrics`]
-//! serializer always inserts keys in sorted order, which is what makes
-//! the output schema-stable and diff-friendly).
+//! and *read it back* (round-trip tests and the serve protocol), but
+//! the build environment has no network access for a real JSON crate —
+//! so this module vendors the small slice the workspace uses: objects,
+//! arrays, strings, finite numbers, booleans, and null. Objects
+//! preserve key order on parse and are emitted with the order the
+//! caller built (the [`crate::Metrics`] serializer always inserts keys
+//! in sorted order, which is what makes the output schema-stable and
+//! diff-friendly).
 
 use std::collections::BTreeMap;
 use std::fmt;

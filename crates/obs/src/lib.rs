@@ -18,7 +18,7 @@
 //!   telemetry is off, a [`span`] constructs no `Instant`, takes no
 //!   lock, and allocates nothing, so instrumented hot paths (the
 //!   profiler VM's `run`, the flow solver) stay within the <2%
-//!   overhead budget enforced by the bench crate's `obscheck` gate.
+//!   overhead budget enforced by the bench crate's `perf_floors` test.
 //!   The VM dispatch loop itself is *never* probed per instruction —
 //!   the profiler records per-run aggregates after execution.
 //! - **Spans aggregate by path.** Each thread keeps a stack of active
@@ -297,7 +297,7 @@ pub fn snapshot() -> Metrics {
 
 /// Peak resident set size of this process in bytes (`VmHWM` from
 /// `/proc/self/status`), or `None` where that interface is absent.
-/// The corpus bench reports this against its documented memory
+/// The corpus engine reports this against its documented memory
 /// budget.
 pub fn peak_rss_bytes() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;

@@ -167,82 +167,6 @@ fn run_passes(cp: &CompiledProgram, plan: &OptPlan) -> Option<(Vec<Option<ir::Fu
     Some((irs, stats))
 }
 
-/// Lowered, executable snapshots after each pipeline stage, for
-/// per-pass step attribution (the bench trajectory's `opt/v2` rows).
-///
-/// Stages are applied cumulatively — each snapshot includes every
-/// stage before it — and run stage-wise across all budgeted functions
-/// rather than function-wise; since the scalar passes never look
-/// across function boundaries (inlining has already happened), the
-/// final snapshot is identical to [`optimize`]'s output. Stages the
-/// plan's level disables are simply absent. Every snapshot is
-/// recosted, so step deltas between consecutive snapshots attribute
-/// saved VM steps to exactly one pass.
-pub fn stage_snapshots(
-    cp: &CompiledProgram,
-    plan: &OptPlan,
-) -> Vec<(&'static str, CompiledProgram)> {
-    let budgeted = |f: usize| {
-        plan.level >= 1
-            && plan.budgeted.get(f).copied().unwrap_or(false)
-            && cp.funcs[f].entry != NONE32
-            && cp.funcs[f].code.1 > cp.funcs[f].code.0
-    };
-    if plan.level == 0 || !(0..cp.funcs.len()).any(budgeted) {
-        return Vec::new();
-    }
-    let mut irs: Vec<Option<ir::FuncIr>> = (0..cp.funcs.len())
-        .map(|f| {
-            budgeted(f).then(|| {
-                let freqs = plan.block_freqs.get(f).map(Vec::as_slice).unwrap_or(&[]);
-                ir::lift(cp, f, freqs)
-            })
-        })
-        .collect();
-    let identity: Vec<usize> = (0..cp.funcs.len()).collect();
-    let snap = |irs: &[Option<ir::FuncIr>], order: &[usize]| {
-        let mut copy: Vec<Option<ir::FuncIr>> = irs.to_vec();
-        for f_ir in copy.iter_mut().flatten() {
-            passes::recost(f_ir);
-        }
-        ir::lower(cp, &copy, order)
-    };
-
-    let mut out = Vec::new();
-    if plan.level >= 3 {
-        run_inliner(cp, plan, &mut irs);
-        out.push(("inline", snap(&irs, &identity)));
-    }
-    for f_ir in irs.iter_mut().flatten() {
-        passes::fold(f_ir, cp);
-    }
-    out.push(("fold", snap(&irs, &identity)));
-    for f_ir in irs.iter_mut().flatten() {
-        passes::dce(f_ir);
-    }
-    out.push(("dce", snap(&irs, &identity)));
-    if plan.level >= 2 {
-        for f_ir in irs.iter_mut().flatten() {
-            passes::fuse(f_ir);
-        }
-        out.push(("fuse", snap(&irs, &identity)));
-        for f_ir in irs.iter_mut().flatten() {
-            passes::mine(f_ir);
-        }
-        out.push(("mine", snap(&irs, &identity)));
-        for f_ir in irs.iter_mut().flatten() {
-            passes::layout(f_ir);
-        }
-        out.push(("layout", snap(&irs, &pack_order(cp, plan))));
-    } else {
-        for f_ir in irs.iter_mut().flatten() {
-            ir::drop_redundant_jumps(f_ir);
-        }
-        out.push(("layout", snap(&irs, &identity)));
-    }
-    out
-}
-
 /// Function emission order for cross-function hot packing: bodies of
 /// hot functions cluster at the front of the flat op stream (bytecode
 /// locality; `FuncId` indexing is unaffected). Heat is the plan's

@@ -80,8 +80,10 @@ fn inter_idx(which: InterEstimator) -> usize {
 
 /// Recompute-vs-reuse accounting for one update (and, accumulated, for
 /// the database lifetime). `total_units` is the scalar the <10%
-/// incremental-work acceptance criterion is measured on: blocks
-/// lowered + blocks flow-solved + inter-procedural units.
+/// incremental-work bound is measured on (a single-function `compress`
+/// edit against a cold load of the whole suite, pinned in
+/// `tests/incremental_differential.rs`): blocks lowered + blocks
+/// flow-solved + inter-procedural units.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkCounters {
     /// Functions lowered to a fresh CFG.

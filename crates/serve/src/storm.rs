@@ -80,7 +80,7 @@ pub struct StormReport {
 }
 
 impl StormReport {
-    /// The report as a JSON value, for bench rows and the CLI.
+    /// The report as a JSON value, for the CLI.
     pub fn to_value(&self, config: &StormConfig, jobs: usize) -> Value {
         let mut pairs = vec![
             ("clients", num_u64(config.clients as u64)),
@@ -264,8 +264,8 @@ fn aggregate(
 
 /// Runs the storm in-process against `db`: one OS thread per client,
 /// all sharing the database (per-request work still fans out on the
-/// database's pool). This is the mode the determinism tests and the
-/// bench use — it can read back [`ServeDb::state_digest`].
+/// database's pool). This is the mode the determinism and soak tests
+/// use — it can read back [`ServeDb::state_digest`].
 pub fn run_in_process(config: &StormConfig, db: &Arc<ServeDb>) -> StormReport {
     let work_before = db.total_work();
     let scripts: Vec<Vec<String>> = (0..config.clients)

@@ -117,3 +117,42 @@ fn deep_nesting_is_a_diagnostic_not_an_abort() {
         }
     }
 }
+
+/// Oversized objects (array sizes that wrap or exceed what any
+/// allocation can hold, and struct, global-data and frame sums past
+/// the same limit) must fail with sema's size diagnostic, never a
+/// wrapped size, a wild address or a `capacity overflow` panic.
+#[test]
+fn oversized_objects_are_semantic_diagnostics() {
+    let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus");
+    let mut sources: Vec<String> = ["array-size-wrap", "array-size-overflow"]
+        .iter()
+        .map(|name| {
+            std::fs::read_to_string(format!("{corpus}/manual_diag_{name}.c"))
+                .expect("readable corpus file")
+        })
+        .collect();
+    let big = 300_000_000_000_000_000u64; // over half the word limit
+    sources.extend([
+        format!("struct T {{ int x[{big}]; int y[{big}]; }};\nint main(void) {{ return 0; }}"),
+        format!("int a[{big}];\nint b[{big}];\nint main(void) {{ return 0; }}"),
+        format!("int main(void) {{ int a[{big}]; int b[{big}]; return 0; }}"),
+        "struct T { int x[4]; };\nstruct T t[4611686018427387904];\nint main(void) { return 0; }"
+            .to_string(),
+    ]);
+    let config = CheckConfig::default();
+    for src in &sources {
+        let failure = check_source(src, &config).expect_err(src);
+        assert_eq!(
+            failure.kind,
+            FailureKind::Compile,
+            "{src}: {}",
+            failure.detail
+        );
+        assert!(
+            failure.detail.starts_with("semantic error") && failure.detail.contains("too large"),
+            "{src}: {}",
+            failure.detail
+        );
+    }
+}

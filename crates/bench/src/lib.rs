@@ -20,7 +20,7 @@ use estimators::ranking::Ranking;
 use flowgraph::Program;
 use minic::sema::FuncId;
 use profiler::{CompiledProgram, ExecScratch, Profile, RunConfig};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use suite::BenchProgram;
 
@@ -618,28 +618,58 @@ pub fn plan_from_ranking(
     }
 }
 
+/// Runs the measured Fig 10 experiment for one suite program at the
+/// standard budgets: 0 through 6 functions, then all of them.
+///
+/// # Panics
+///
+/// As [`fig10_measured_one`].
+pub fn fig10_measured_program(name: &'static str) -> Fig10Program {
+    let program = suite::by_name(name)
+        .expect("suite program")
+        .compile()
+        .expect("compiles");
+    let ks: Vec<usize> = (0..=6).chain([program.defined_ids().len()]).collect();
+    fig10_measure(name, program, &ks, true)
+}
+
 /// Runs the measured Fig 10 experiment for one suite program.
 ///
 /// The last standard input is held out for measurement; the rest are
 /// the training set for the "profile" ranking. Each optimized run is
-/// checked byte-identical to the unoptimized baseline.
+/// checked byte-identical to the unoptimized baseline. Each distinct
+/// optimized image runs once: a cell whose image has the same
+/// [`CompiledProgram::ir_fingerprint`] as the baseline (every k = 0
+/// cell) or as an earlier cell reuses that run's steps and wall time.
 ///
 /// # Panics
 ///
 /// Panics if the program fails to run or an optimized run diverges
 /// from the baseline output — both indicate optimizer bugs.
 pub fn fig10_measured_one(name: &'static str, ks: &[usize]) -> Fig10Program {
+    let program = suite::by_name(name)
+        .expect("suite program")
+        .compile()
+        .expect("compiles");
+    fig10_measure(name, program, ks, true)
+}
+
+/// [`fig10_measured_one`] on a compiled `program`; `reuse: false` runs
+/// every cell, even repeated images (the reference the smoke test
+/// checks reuse against).
+fn fig10_measure(name: &'static str, program: Program, ks: &[usize], reuse: bool) -> Fig10Program {
     let _sp = obs::span("bench.fig10_measured");
     let bench = suite::by_name(name).expect("suite program");
-    let program = bench.compile().expect("compiles");
     let cp = profiler::compile(&program);
 
     let mut inputs = bench.inputs();
     let holdout = inputs.pop().expect("suite programs have inputs");
     let holdout_cfg = RunConfig::with_input(holdout);
+    let t0 = std::time::Instant::now();
     let baseline = cp
         .execute(&holdout_cfg, &mut ExecScratch::default(), None)
         .expect("holdout runs");
+    let baseline_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let training: Vec<Profile> = inputs
         .into_iter()
@@ -668,6 +698,11 @@ pub fn fig10_measured_one(name: &'static str, ks: &[usize]) -> Fig10Program {
         ..holdout_cfg.clone()
     };
 
+    // (steps, wall ms) of every image run so far, by fingerprint.
+    let mut runs: HashMap<u128, (u64, f64)> = HashMap::new();
+    if reuse {
+        runs.insert(cp.ir_fingerprint(), (baseline.steps, baseline_ms));
+    }
     let curves = rankings
         .iter()
         .map(|ranking| {
@@ -676,19 +711,30 @@ pub fn fig10_measured_one(name: &'static str, ks: &[usize]) -> Fig10Program {
             for &k in ks {
                 let plan = plan_from_ranking(*ranking, &cp, 3, k);
                 let (ocp, _stats) = opt::optimize(&cp, &plan);
-                let t0 = std::time::Instant::now();
-                let out = ocp
-                    .execute(&opt_cfg, &mut ExecScratch::default(), None)
-                    .expect("optimized holdout runs");
-                wall_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-                assert_eq!(
-                    out.output,
-                    baseline.output,
-                    "{name} @ {} k={k}: optimized output diverged",
-                    ranking.name()
-                );
-                assert_eq!(out.exit_code, baseline.exit_code, "{name} k={k}: exit");
-                steps.push(out.steps);
+                let fingerprint = ocp.ir_fingerprint();
+                let (s, ms) = match runs.get(&fingerprint) {
+                    Some(&run) => run,
+                    None => {
+                        let t0 = std::time::Instant::now();
+                        let out = ocp
+                            .execute(&opt_cfg, &mut ExecScratch::default(), None)
+                            .expect("optimized holdout runs");
+                        let ms = t0.elapsed().as_secs_f64() * 1e3;
+                        assert_eq!(
+                            out.output,
+                            baseline.output,
+                            "{name} @ {} k={k}: optimized output diverged",
+                            ranking.name()
+                        );
+                        assert_eq!(out.exit_code, baseline.exit_code, "{name} k={k}: exit");
+                        if reuse {
+                            runs.insert(fingerprint, (out.steps, ms));
+                        }
+                        (out.steps, ms)
+                    }
+                };
+                steps.push(s);
+                wall_ms.push(ms);
             }
             let speedups = steps
                 .iter()
@@ -716,21 +762,12 @@ pub fn fig10_measured_one(name: &'static str, ks: &[usize]) -> Fig10Program {
     }
 }
 
-/// The full measured Fig 10: every program in [`FIG10_PROGRAMS`],
-/// budgets 0..=6 plus "everything".
+/// The full measured Fig 10: every program in [`FIG10_PROGRAMS`] at
+/// the standard budgets.
 pub fn fig10_measured() -> Fig10Measured {
     let programs = FIG10_PROGRAMS
         .iter()
-        .map(|&name| {
-            let n = suite::by_name(name)
-                .expect("suite program")
-                .compile()
-                .expect("compiles")
-                .defined_ids()
-                .len();
-            let ks: Vec<usize> = (0..=6).chain([n]).collect();
-            fig10_measured_one(name, &ks)
-        })
+        .map(|&name| fig10_measured_program(name))
         .collect();
     Fig10Measured { programs }
 }
@@ -1027,6 +1064,18 @@ mod tests {
         };
         assert_eq!(steps("static"), [615_208, 490_204]);
         assert_eq!(steps("profile"), [558_786, 508_896]);
+        // k = 0 optimizes nothing: its cells reuse the baseline run.
+        for c in &p.curves {
+            assert_eq!(c.steps[0], p.baseline_steps, "{} k=0", c.ranking);
+        }
+        // Reusing repeated images changes no result: a reference that
+        // executes every cell measures the same steps.
+        let program = suite::by_name("compress").unwrap().compile().unwrap();
+        let reference = fig10_measure("compress", program, &[0, 4, 16], false);
+        assert_eq!(reference.baseline_steps, p.baseline_steps);
+        for (r, c) in reference.curves.iter().zip(&p.curves) {
+            assert_eq!((r.ranking, &r.steps), (c.ranking, &c.steps));
+        }
     }
 
     #[test]

@@ -716,14 +716,7 @@ fn fig10_report(args: &[String]) -> ExitCode {
     }
     println!("Figure 10 (measured): speedup vs optimization budget, -O3, held-out input");
     for name in names {
-        let n = suite::by_name(name)
-            .expect("fig10 program in suite")
-            .compile()
-            .expect("suite program compiles")
-            .defined_ids()
-            .len();
-        let ks: Vec<usize> = (0..=6).chain([n]).collect();
-        let p = bench::fig10_measured_one(name, &ks);
+        let p = bench::fig10_measured_program(name);
         println!();
         println!(
             "{} (baseline {} steps on held-out input)",
@@ -766,14 +759,7 @@ fn fig10_json(names: &[&'static str]) -> ExitCode {
     let programs: Vec<Value> = names
         .iter()
         .map(|&name| {
-            let n = suite::by_name(name)
-                .expect("fig10 program in suite")
-                .compile()
-                .expect("suite program compiles")
-                .defined_ids()
-                .len();
-            let ks: Vec<usize> = (0..=6).chain([n]).collect();
-            let p = bench::fig10_measured_one(name, &ks);
+            let p = bench::fig10_measured_program(name);
             let curves: Vec<Value> = p
                 .curves
                 .iter()

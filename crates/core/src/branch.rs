@@ -217,20 +217,20 @@ pub fn predict_module_with(
         // Walk statements to find branch owners with their arms.
         body.walk(&mut |s| match &s.kind {
             StmtKind::If(cond, then_s, else_s) => {
-                if let Some(&bid) = module.side.branch_of.get(&s.id) {
+                if let Some(bid) = module.side.branch(s.id) {
                     let branch = &module.side.branches[bid.0 as usize];
                     let p = ctx.predict_if(branch, cond, Some(then_s), else_s.as_deref());
                     out.insert(bid, p);
                 }
             }
             StmtKind::While(cond, _) | StmtKind::DoWhile(_, cond) => {
-                if let Some(&bid) = module.side.branch_of.get(&s.id) {
+                if let Some(bid) = module.side.branch(s.id) {
                     let branch = &module.side.branches[bid.0 as usize];
                     out.insert(bid, ctx.predict_loop(branch, cond));
                 }
             }
             StmtKind::For(_, Some(cond), _, _) => {
-                if let Some(&bid) = module.side.branch_of.get(&s.id) {
+                if let Some(bid) = module.side.branch(s.id) {
                     let branch = &module.side.branches[bid.0 as usize];
                     out.insert(bid, ctx.predict_loop(branch, cond));
                 }
@@ -240,7 +240,7 @@ pub fn predict_module_with(
         // Ternary branches live on expressions.
         body.walk_exprs(&mut |e| {
             if let ExprKind::Cond(c, t, f) = &e.kind {
-                if let Some(&bid) = module.side.branch_of.get(&e.id) {
+                if let Some(bid) = module.side.branch(e.id) {
                     let branch = &module.side.branches[bid.0 as usize];
                     let p = ctx.predict_ternary(branch, c, t, f);
                     out.insert(bid, p);
@@ -278,7 +278,7 @@ pub fn error_functions(module: &Module) -> std::collections::HashSet<minic::sema
             let mut reaches_exit = false;
             body.walk_exprs(&mut |e| {
                 if let ExprKind::Call(_, _) = &e.kind {
-                    if let Some(site) = module.side.call_site_of.get(&e.id) {
+                    if let Some(site) = module.side.call_site(e.id) {
                         match module.side.call_sites[site.0 as usize].callee {
                             CalleeKind::Builtin(b) if b.is_noreturn() => reaches_exit = true,
                             CalleeKind::Direct(f) if error_fns.contains(&f) => reaches_exit = true,
@@ -434,8 +434,7 @@ impl<'m> FnContext<'m> {
     fn is_pointer(&self, e: &Expr) -> bool {
         self.module
             .side
-            .expr_types
-            .get(&e.id)
+            .ty(e.id)
             .map(|t| t.is_pointer_like())
             .unwrap_or(false)
     }
@@ -473,7 +472,7 @@ impl<'m> FnContext<'m> {
     }
 
     fn call_is_error(&self, e: &Expr) -> bool {
-        let Some(site) = self.module.side.call_site_of.get(&e.id) else {
+        let Some(site) = self.module.side.call_site(e.id) else {
             return false;
         };
         match self.module.side.call_sites[site.0 as usize].callee {
@@ -568,7 +567,7 @@ impl<'m> FnContext<'m> {
 
 fn root_var(module: &Module, e: &Expr) -> Option<VarKey> {
     match &e.kind {
-        ExprKind::Ident(_) => match module.side.resolutions.get(&e.id)? {
+        ExprKind::Ident(_) => match module.side.resolution(e.id)? {
             Resolution::Local(l) => Some(VarKey::Local(l.0)),
             Resolution::Global(g) => Some(VarKey::Global(g.0)),
             _ => None,

@@ -159,9 +159,9 @@ fn one_pass(program: &Program, local: &HashMap<u32, f64>, scale: &[f64]) -> Vec<
         .map(|arc| local[&arc.site.0] * scale[arc.caller.0 as usize])
         .sum();
     if total_indirect > 0.0 {
-        let total_count: u32 = module.side.address_taken.values().sum();
+        let total_count: u32 = module.side.address_taken_funcs().map(|(_, n)| n).sum();
         if total_count > 0 {
-            for (&fid, &count) in &module.side.address_taken {
+            for (fid, count) in module.side.address_taken_funcs() {
                 inv[fid.0 as usize] += total_indirect * (count as f64) / (total_count as f64);
             }
         }
@@ -249,9 +249,9 @@ fn markov_arcs(program: &Program, local: &HashMap<u32, f64>) -> (usize, Vec<(usi
             .entry((arc.caller.0 as usize, ptr_node))
             .or_insert(0.0) += local[&arc.site.0];
     }
-    let total_count: u32 = module.side.address_taken.values().sum();
+    let total_count: u32 = module.side.address_taken_funcs().map(|(_, n)| n).sum();
     if total_count > 0 {
-        for (&fid, &count) in &module.side.address_taken {
+        for (fid, count) in module.side.address_taken_funcs() {
             *merged.entry((ptr_node, fid.0 as usize)).or_insert(0.0) +=
                 count as f64 / total_count as f64;
         }

@@ -236,17 +236,16 @@ impl AstWalker<'_> {
         }
         self.module
             .side
-            .branch_of
-            .get(&owner)
-            .and_then(|b| self.predictions.get(b))
+            .branch(owner)
+            .and_then(|b| self.predictions.get(&b))
             .map(|p| p.prob_taken())
             .unwrap_or(0.5)
     }
 
     /// The (test, body) execution counts for the loop owned by `owner`.
     fn loop_counts(&self, owner: NodeId) -> (f64, f64) {
-        if let Some(bid) = self.module.side.branch_of.get(&owner) {
-            if let Some(&trip) = self.trips.get(bid) {
+        if let Some(bid) = self.module.side.branch(owner) {
+            if let Some(&trip) = self.trips.get(&bid) {
                 return (trip + 1.0, trip);
             }
         }
@@ -296,7 +295,7 @@ impl AstWalker<'_> {
             }
             StmtKind::Switch(scrut, sections) => {
                 out.insert(scrut.id, f);
-                let Some(&sw) = self.module.side.switch_of.get(&s.id) else {
+                let Some(sw) = self.module.side.switch(s.id) else {
                     return;
                 };
                 let weights = self.switch_weights(sw, sections.len());

@@ -39,7 +39,7 @@ pub fn trip_counts(module: &Module) -> HashMap<BranchId, f64> {
         let body = func.body.as_ref().expect("defined");
         body.walk(&mut |s| {
             if let StmtKind::For(init, Some(cond), Some(step), _) = &s.kind {
-                let Some(&bid) = module.side.branch_of.get(&s.id) else {
+                let Some(bid) = module.side.branch(s.id) else {
                     return;
                 };
                 if let Some(trip) = analyze_for(module, init.as_deref(), cond, step) {
@@ -54,7 +54,7 @@ pub fn trip_counts(module: &Module) -> HashMap<BranchId, f64> {
 /// The induction variable (resolved) named by an expression, if any.
 fn var_of(module: &Module, e: &Expr) -> Option<Resolution> {
     if let ExprKind::Ident(_) = e.kind {
-        module.side.resolutions.get(&e.id).copied()
+        module.side.resolution(e.id)
     } else {
         None
     }
@@ -78,11 +78,11 @@ fn init_binding(module: &Module, init: Option<&Stmt>) -> Option<(Resolution, i64
         StmtKind::Decl(decls) => {
             // `for (int i = 0; ...)`: the declared local is the var.
             let d = decls.last()?;
-            let lid = module.side.local_of_decl.get(&d.id)?;
+            let lid = module.side.local(d.id)?;
             let Some(Initializer::Expr(e)) = &d.init else {
                 return None;
             };
-            Some((Resolution::Local(*lid), const_of(e)?))
+            Some((Resolution::Local(lid), const_of(e)?))
         }
         _ => None,
     }

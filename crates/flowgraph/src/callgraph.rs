@@ -42,7 +42,7 @@ impl CallGraph {
         let mut cg = CallGraph::default();
         for cfg in program.cfgs.iter().flatten() {
             cfg.walk_exprs(&mut |block, e| {
-                let Some(&site) = module.side.call_site_of.get(&e.id) else {
+                let Some(site) = module.side.call_site(e.id) else {
                     return;
                 };
                 cg.site_block.insert(site, block);

@@ -71,7 +71,7 @@ pub fn callgraph_to_dot(module: &Module, cg: &CallGraph) -> String {
                 let _ = writeln!(out, "  f{} -> ptr [style=dashed];", arc.caller.0);
             }
         }
-        for (fid, _) in module.side.address_taken.iter() {
+        for (fid, _) in module.side.address_taken_funcs() {
             let _ = writeln!(out, "  ptr -> f{} [style=dashed];", fid.0);
         }
     }

@@ -131,7 +131,7 @@ impl Lowerer<'_> {
         then_blk: BlockId,
         else_blk: BlockId,
     ) -> Terminator {
-        let branch = self.module.side.branch_of.get(&owner).copied();
+        let branch = self.module.side.branch(owner);
         if let Some(bid) = branch {
             if let Some(v) = self.module.side.branches[bid.0 as usize].const_cond {
                 return Terminator::Goto(if v { then_blk } else { else_blk });
@@ -166,7 +166,11 @@ impl Lowerer<'_> {
                 self.anchor(self.cur, s.id);
                 for d in decls {
                     let Some(init) = &d.init else { continue };
-                    let local = self.module.side.local_of_decl[&d.id];
+                    let local = self
+                        .module
+                        .side
+                        .local(d.id)
+                        .expect("sema allocated every declared local");
                     let ty = self.func.locals[local.0 as usize].ty.clone();
                     self.flatten_local_init(local, &ty, init, 0);
                 }
@@ -279,8 +283,12 @@ impl Lowerer<'_> {
                 let exit = self.new_block();
                 let section_blocks: Vec<BlockId> =
                     sections.iter().map(|_| self.new_block()).collect();
-                let switch_id = self.module.side.switch_of[&s.id];
-                let case_values = &self.module.side.case_values[&switch_id];
+                let switch_id = self
+                    .module
+                    .side
+                    .switch(s.id)
+                    .expect("sema registered every switch");
+                let case_values = self.module.side.case_values(switch_id);
                 let mut cases = Vec::new();
                 let mut default = exit;
                 for (i, sec) in sections.iter().enumerate() {
@@ -374,7 +382,11 @@ impl Lowerer<'_> {
             (Type::Array(elem, n), Initializer::Expr(e))
                 if matches!(**elem, Type::Char) && matches!(e.kind, ExprKind::StrLit(_)) =>
             {
-                let str_idx = self.module.side.str_of[&e.id];
+                let str_idx = self
+                    .module
+                    .side
+                    .str_index(e.id)
+                    .expect("sema interned every string literal");
                 self.push(Instr::InitStr {
                     local,
                     word,

@@ -472,7 +472,7 @@ fn profile_invariants(program: &Program, profile: &Profile) -> Result<(), Failur
             }
             continue;
         }
-        if module.side.address_taken.contains_key(&func.id) {
+        if module.side.address_taken(func.id) > 0 {
             continue;
         }
         let direct: u64 = program

@@ -62,7 +62,7 @@ pub fn array_access<'a>(module: &Module, e: &'a Expr) -> Option<ArrayAccess<'a>>
     let ExprKind::Ident(_) = base.kind else {
         return None;
     };
-    let Some(Resolution::Global(gid)) = module.side.resolutions.get(&base.id) else {
+    let Some(Resolution::Global(gid)) = module.side.resolution(base.id) else {
         return None;
     };
     // Peel one array layer per index, collecting element strides.
@@ -79,7 +79,7 @@ pub fn array_access<'a>(module: &Module, e: &'a Expr) -> Option<ArrayAccess<'a>>
         return None; // aggregate-valued: not a scalar word access
     }
     Some(ArrayAccess {
-        global: *gid,
+        global: gid,
         indices,
         strides,
     })
@@ -90,11 +90,11 @@ pub fn scalar_global(module: &Module, e: &Expr) -> Option<GlobalId> {
     let ExprKind::Ident(_) = e.kind else {
         return None;
     };
-    let Some(Resolution::Global(gid)) = module.side.resolutions.get(&e.id) else {
+    let Some(Resolution::Global(gid)) = module.side.resolution(e.id) else {
         return None;
     };
     let g = &module.globals[gid.0 as usize];
-    (g.ty.size_words(&module.structs) == 1 && !matches!(g.ty, Type::Array(..))).then_some(*gid)
+    (g.ty.size_words(&module.structs) == 1 && !matches!(g.ty, Type::Array(..))).then_some(gid)
 }
 
 /// Collects every local and global variable mentioned anywhere in `e`
@@ -102,12 +102,12 @@ pub fn scalar_global(module: &Module, e: &Expr) -> Option<GlobalId> {
 /// loop?" classification.
 pub fn collect_vars(module: &Module, e: &Expr, out: &mut HashSet<VarRef>) {
     if let ExprKind::Ident(_) = e.kind {
-        match module.side.resolutions.get(&e.id) {
+        match module.side.resolution(e.id) {
             Some(Resolution::Local(lid)) => {
-                out.insert(VarRef::Local(*lid));
+                out.insert(VarRef::Local(lid));
             }
             Some(Resolution::Global(gid)) => {
-                out.insert(VarRef::Global(*gid));
+                out.insert(VarRef::Global(gid));
             }
             _ => {}
         }

@@ -30,10 +30,21 @@ impl fmt::Display for NodeId {
 /// per-function artifacts keyed by `NodeId` across edits.
 pub const DECL_ID_STRIDE: u32 = 1 << 20;
 
-/// Hands out fresh [`NodeId`]s.
+/// `id >> DECL_SHIFT` is the id namespace a node belongs to.
+pub const DECL_SHIFT: u32 = DECL_ID_STRIDE.trailing_zeros();
+
+/// `id & DECL_MASK` is a node's offset within its namespace.
+pub const DECL_MASK: u32 = DECL_ID_STRIDE - 1;
+
+/// Hands out fresh [`NodeId`]s and records how many ids each
+/// [`DECL_ID_STRIDE`] namespace used (see [`Unit::decl_spans`]).
 #[derive(Debug, Default)]
 pub struct NodeIdGen {
     next: u32,
+    /// First id of the open declaration.
+    start: u32,
+    /// Ids used per namespace by the declarations closed so far.
+    spans: Vec<u32>,
 }
 
 impl NodeIdGen {
@@ -49,28 +60,54 @@ impl NodeIdGen {
         id
     }
 
-    /// Rounds the next id up to a multiple of `stride` and returns it.
+    /// Starts a new declaration: closes the open one's span and rounds
+    /// the next id up to a multiple of [`DECL_ID_STRIDE`], returning it.
     /// Ids stay unique (never reused) even when the multiple would
     /// overflow `u32` — alignment is then skipped and allocation simply
     /// continues sequentially, trading id stability for correctness on
     /// pathological (> 4k-declaration) units.
-    pub fn align(&mut self, stride: u32) -> NodeId {
-        let stride = stride.max(1);
-        if !self.next.is_multiple_of(stride) {
-            if let Some(aligned) = self
-                .next
-                .checked_add(stride - 1)
-                .map(|n| n / stride * stride)
-            {
+    pub fn align(&mut self) -> NodeId {
+        self.close();
+        if !self.next.is_multiple_of(DECL_ID_STRIDE) {
+            if let Some(aligned) = self.next.checked_add(DECL_MASK).map(|n| n & !DECL_MASK) {
                 self.next = aligned;
             }
         }
+        self.start = self.next;
         NodeId(self.next)
+    }
+
+    /// Records the ids `start..next` in the spans of the namespaces
+    /// they fall in. Every namespace's ids form a prefix of it — a
+    /// namespace is entered only at its first id, by [`align`] or by
+    /// sequential allocation running over from the one before — so a
+    /// span is one past the largest offset used.
+    ///
+    /// [`align`]: NodeIdGen::align
+    fn close(&mut self) {
+        let (mut lo, hi) = (self.start, self.next);
+        while lo < hi {
+            let d = (lo >> DECL_SHIFT) as usize;
+            let used = (hi - 1).min(lo | DECL_MASK) - (lo & !DECL_MASK) + 1;
+            if self.spans.len() <= d {
+                self.spans.resize(d + 1, 0);
+            }
+            self.spans[d] = used;
+            lo = (lo | DECL_MASK).saturating_add(1).min(hi);
+        }
+        self.start = self.next;
     }
 
     /// Number of ids handed out so far (== one past the largest).
     pub fn count(&self) -> usize {
         self.next as usize
+    }
+
+    /// Closes the open declaration and returns the ids used per
+    /// namespace, indexed by `id >> DECL_SHIFT`.
+    pub fn into_spans(mut self) -> Vec<u32> {
+        self.close();
+        self.spans
     }
 }
 
@@ -365,8 +402,17 @@ pub enum Item {
 pub struct Unit {
     /// Top-level items in source order.
     pub items: Vec<Item>,
-    /// Total number of node ids allocated (side tables size to this).
+    /// One past the largest node id allocated. Ids are namespaced per
+    /// declaration (see [`DECL_ID_STRIDE`]), so this is the raw, sparse
+    /// id range — a 16-function unit reaches `16 << 20` — and nothing
+    /// should be sized from it; side tables size from
+    /// [`decl_spans`](Unit::decl_spans).
     pub node_count: usize,
+    /// Ids used per namespace, indexed by `id >> DECL_SHIFT`: namespace
+    /// `d` holds exactly the ids from `d << DECL_SHIFT` up to, not
+    /// including, `(d << DECL_SHIFT) + decl_spans[d]`. Side tables are
+    /// sized from these counts.
+    pub decl_spans: Vec<u32>,
 }
 
 impl Expr {
@@ -532,6 +578,47 @@ mod tests {
         assert_eq!(g.fresh(), NodeId(0));
         assert_eq!(g.fresh(), NodeId(1));
         assert_eq!(g.count(), 2);
+    }
+
+    #[test]
+    fn spans_count_each_namespaces_ids() {
+        let mut g = NodeIdGen::new();
+        assert_eq!(g.align(), NodeId(0));
+        g.fresh();
+        g.fresh();
+        g.fresh();
+        // A declaration with no nodes leaves the next one its namespace.
+        assert_eq!(g.align(), NodeId(DECL_ID_STRIDE));
+        assert_eq!(g.align(), NodeId(DECL_ID_STRIDE));
+        g.fresh();
+        assert_eq!(g.into_spans(), vec![3, 1]);
+    }
+
+    #[test]
+    fn a_declaration_larger_than_its_stride_spills_into_the_next_namespace() {
+        let mut g = NodeIdGen::new();
+        g.align();
+        for _ in 0..DECL_ID_STRIDE + 5 {
+            g.fresh();
+        }
+        assert_eq!(g.align(), NodeId(2 * DECL_ID_STRIDE));
+        g.fresh();
+        g.fresh();
+        assert_eq!(g.into_spans(), vec![DECL_ID_STRIDE, 5, 2]);
+    }
+
+    #[test]
+    fn past_the_last_namespace_ids_run_on_sequentially() {
+        let namespaces = (u32::MAX >> DECL_SHIFT) as usize + 1;
+        let mut g = NodeIdGen::new();
+        for _ in 0..namespaces + 2 {
+            g.align();
+            g.fresh();
+        }
+        let spans = g.into_spans();
+        assert_eq!(spans.len(), namespaces);
+        assert!(spans[..namespaces - 1].iter().all(|&s| s == 1));
+        assert_eq!(spans[namespaces - 1], 3);
     }
 
     #[test]

@@ -38,6 +38,7 @@ pub mod lexer;
 pub mod parser;
 pub mod pretty;
 pub mod sema;
+pub mod side;
 pub mod token;
 pub mod types;
 

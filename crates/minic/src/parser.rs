@@ -38,12 +38,13 @@ pub fn parse(src: &str) -> Result<Unit, CompileError> {
         // [`DECL_ID_STRIDE`]): an unchanged declaration at an unchanged
         // ordinal re-parses to identical node ids, which is what lets
         // the incremental database reuse its side-table-keyed artifacts.
-        p.ids.align(DECL_ID_STRIDE);
+        p.ids.align();
         items.push(p.item()?);
     }
     Ok(Unit {
         items,
         node_count: p.ids.count(),
+        decl_spans: p.ids.into_spans(),
     })
 }
 

@@ -17,6 +17,8 @@ use crate::token::Span;
 use crate::types::*;
 use std::collections::HashMap;
 
+pub use crate::side::SideTables;
+
 /// Identifies a function within a [`Module`].
 // The derived `partial_cmp` delegates to `Ord` on a `u32` — total, so
 // exempt from the workspace NaN-ordering ban (clippy.toml).
@@ -233,38 +235,6 @@ impl Function {
     }
 }
 
-/// Side tables keyed by [`NodeId`], produced by analysis.
-#[derive(Debug, Clone, Default)]
-pub struct SideTables {
-    /// The type of every expression node.
-    pub expr_types: HashMap<NodeId, Type>,
-    /// What every `Ident` node refers to.
-    pub resolutions: HashMap<NodeId, Resolution>,
-    /// Every call site, indexed by [`CallSiteId`].
-    pub call_sites: Vec<CallSite>,
-    /// Call-site id of each `Call` expression node.
-    pub call_site_of: HashMap<NodeId, CallSiteId>,
-    /// Every two-way branch, indexed by [`BranchId`].
-    pub branches: Vec<Branch>,
-    /// Branch id of each owning statement / `?:` node.
-    pub branch_of: HashMap<NodeId, BranchId>,
-    /// Every `switch`, indexed by [`SwitchId`].
-    pub switches: Vec<SwitchInfo>,
-    /// Switch id of each `switch` statement node.
-    pub switch_of: HashMap<NodeId, SwitchId>,
-    /// Folded constant values (branch conditions, case labels, sizeofs).
-    pub const_values: HashMap<NodeId, ConstValue>,
-    /// Case label values of each switch, per section.
-    pub case_values: HashMap<SwitchId, Vec<Vec<i64>>>,
-    /// String-table index of each string literal node.
-    pub str_of: HashMap<NodeId, usize>,
-    /// Static count of address-of operations per function (function
-    /// names used as values). Drives the paper's *pointer node*.
-    pub address_taken: HashMap<FuncId, u32>,
-    /// The local allocated for each declaration node ([`VarDecl::id`]).
-    pub local_of_decl: HashMap<NodeId, LocalId>,
-}
-
 /// A fully analyzed translation unit.
 #[derive(Debug, Clone, Default)]
 pub struct Module {
@@ -316,7 +286,9 @@ impl Module {
     /// Panics if the node was not typed (i.e. not an expression of this
     /// module).
     pub fn type_of(&self, id: NodeId) -> &Type {
-        &self.side.expr_types[&id]
+        self.side
+            .ty(id)
+            .unwrap_or_else(|| panic!("node {id} has no type"))
     }
 
     /// All call sites contained in the given function.
@@ -341,8 +313,14 @@ impl Module {
 /// # Errors
 ///
 /// Returns the first semantic error found.
+///
+/// # Panics
+///
+/// Panics if `unit.decl_spans` does not cover every node id of the
+/// unit; a unit from [`parser::parse`](crate::parser::parse) always
+/// does.
 pub fn analyze(unit: Unit) -> Result<Module, CompileError> {
-    let mut cx = Checker::new();
+    let mut cx = Checker::new(&unit.decl_spans);
     cx.collect_enums(&unit)?;
     cx.collect_structs(&unit)?;
     cx.collect_functions_and_globals(&unit)?;
@@ -361,12 +339,16 @@ struct Checker {
     side: SideTables,
     global_ids: HashMap<String, GlobalId>,
     func_ids: HashMap<String, FuncId>,
-    /// Functions that have a *definition* (body) in this unit; bodies
-    /// themselves are attached in a later phase, so redefinition checks
-    /// cannot rely on `Function::is_defined` during collection.
-    defined_fns: std::collections::HashSet<FuncId>,
+    /// Whether each function has a *definition* (body) in this unit;
+    /// bodies themselves are attached in a later phase, so redefinition
+    /// checks cannot rely on `Function::is_defined` during collection.
+    defined_fns: Vec<bool>,
     // Per-function state:
-    scopes: Vec<HashMap<String, LocalId>>,
+    /// Locals in scope, innermost last; a name resolves to its last
+    /// entry, so an inner declaration shadows an outer one.
+    scope: Vec<LocalId>,
+    /// `scope.len()` at each open block, innermost last.
+    scope_marks: Vec<usize>,
     cur_func: FuncId,
     cur_locals: Vec<Local>,
     cur_frame: usize,
@@ -397,7 +379,7 @@ impl FoldEnv for SizeEnv<'_> {
         t.try_size_words(&self.checker.structs).map(|n| n as i64)
     }
     fn sizeof_expr(&self, e: &Expr) -> Option<i64> {
-        let t = self.checker.side.expr_types.get(&e.id)?;
+        let t = self.checker.side.ty(e.id)?;
         t.try_size_words(&self.checker.structs).map(|n| n as i64)
     }
     fn ident_value(&self, name: &str) -> Option<ConstValue> {
@@ -409,7 +391,7 @@ impl FoldEnv for SizeEnv<'_> {
 }
 
 impl Checker {
-    fn new() -> Self {
+    fn new(decl_spans: &[u32]) -> Self {
         Checker {
             structs: StructLayouts::new(),
             enum_consts: HashMap::new(),
@@ -417,11 +399,12 @@ impl Checker {
             functions: Vec::new(),
             strings: Vec::new(),
             string_ids: HashMap::new(),
-            side: SideTables::default(),
+            side: SideTables::new(decl_spans),
             global_ids: HashMap::new(),
             func_ids: HashMap::new(),
-            defined_fns: std::collections::HashSet::new(),
-            scopes: Vec::new(),
+            defined_fns: Vec::new(),
+            scope: Vec::new(),
+            scope_marks: Vec::new(),
             cur_func: FuncId(0),
             cur_locals: Vec::new(),
             cur_frame: 0,
@@ -639,20 +622,19 @@ impl Checker {
                             ));
                         }
                         if fd.body.is_some() {
-                            if self.defined_fns.contains(&fid) {
+                            let defined = &mut self.defined_fns[fid.0 as usize];
+                            if *defined {
                                 return Err(
                                     self.err(fd.span, format!("function `{}` redefined", fd.name))
                                 );
                             }
-                            self.defined_fns.insert(fid);
+                            *defined = true;
                         }
                         continue;
                     }
                     let id = FuncId(self.functions.len() as u32);
                     self.func_ids.insert(fd.name.clone(), id);
-                    if fd.body.is_some() {
-                        self.defined_fns.insert(id);
-                    }
+                    self.defined_fns.push(fd.body.is_some());
                     self.functions.push(Function {
                         id,
                         name: fd.name.clone(),
@@ -819,19 +801,19 @@ impl Checker {
         match &e.kind {
             ExprKind::StrLit(s) => {
                 let idx = self.intern_string(s);
-                self.side.str_of.insert(e.id, idx);
+                self.side.set_str(e.id, idx);
                 return Ok(InitWord::StrPtr(idx));
             }
             ExprKind::Ident(name) => {
                 if let Some(&fid) = self.func_ids.get(name) {
-                    *self.side.address_taken.entry(fid).or_insert(0) += 1;
+                    self.side.take_address(fid, self.functions.len());
                     return Ok(InitWord::Fn(fid));
                 }
             }
             ExprKind::Unary(UnOp::Addr, inner) => {
                 if let ExprKind::Ident(name) = &inner.kind {
                     if let Some(&fid) = self.func_ids.get(name) {
-                        *self.side.address_taken.entry(fid).or_insert(0) += 1;
+                        self.side.take_address(fid, self.functions.len());
                         return Ok(InitWord::Fn(fid));
                     }
                     if let Some(&gid) = self.global_ids.get(name) {
@@ -861,7 +843,8 @@ impl Checker {
             self.cur_func = fid;
             self.cur_locals = Vec::new();
             self.cur_frame = 0;
-            self.scopes = vec![HashMap::new()];
+            self.scope.clear();
+            self.scope_marks.clear();
             self.labels.clear();
             self.gotos.clear();
             self.loop_depth = 0;
@@ -914,18 +897,18 @@ impl Checker {
             size,
         });
         self.cur_frame = frame;
-        self.scopes
-            .last_mut()
-            .expect("scope stack is never empty")
-            .insert(name.to_string(), id);
+        self.scope.push(id);
         Ok(id)
     }
 
     fn lookup(&self, name: &str) -> Option<Resolution> {
-        for scope in self.scopes.iter().rev() {
-            if let Some(&lid) = scope.get(name) {
-                return Some(Resolution::Local(lid));
-            }
+        if let Some(&lid) = self
+            .scope
+            .iter()
+            .rev()
+            .find(|l| self.cur_locals[l.0 as usize].name == name)
+        {
+            return Some(Resolution::Local(lid));
         }
         if let Some(&gid) = self.global_ids.get(name) {
             return Some(Resolution::Global(gid));
@@ -937,6 +920,15 @@ impl Checker {
             return Some(Resolution::EnumConst(v));
         }
         Builtin::from_name(name).map(Resolution::Builtin)
+    }
+
+    fn open_scope(&mut self) {
+        self.scope_marks.push(self.scope.len());
+    }
+
+    fn close_scope(&mut self) {
+        let mark = self.scope_marks.pop().expect("scopes are balanced");
+        self.scope.truncate(mark);
     }
 
     fn register_branch(&mut self, owner: NodeId, cond: &Expr, kind: BranchKind) {
@@ -951,7 +943,7 @@ impl Checker {
             kind,
             const_cond,
         });
-        self.side.branch_of.insert(owner, id);
+        self.side.set_branch(owner, id);
     }
 
     fn check_stmt(&mut self, s: &Stmt) -> Result<(), CompileError> {
@@ -972,7 +964,7 @@ impl Checker {
                         self.check_local_init(&ty, init, d.span)?;
                     }
                     let lid = self.add_local(&d.name, ty, d.span)?;
-                    self.side.local_of_decl.insert(d.id, lid);
+                    self.side.set_local(d.id, lid);
                 }
             }
             StmtKind::If(cond, then, els) => {
@@ -998,7 +990,7 @@ impl Checker {
                 self.register_branch(s.id, cond, BranchKind::DoWhile);
             }
             StmtKind::For(init, cond, step, body) => {
-                self.scopes.push(HashMap::new());
+                self.open_scope();
                 if let Some(i) = init {
                     self.check_stmt(i)?;
                 }
@@ -1012,7 +1004,7 @@ impl Checker {
                 self.loop_depth += 1;
                 self.check_stmt(body)?;
                 self.loop_depth -= 1;
-                self.scopes.pop();
+                self.close_scope();
             }
             StmtKind::Switch(scrut, sections) => {
                 let t = self.type_expr(scrut)?;
@@ -1034,7 +1026,7 @@ impl Checker {
                             return Err(self.err(l.span, format!("duplicate case label {v}")));
                         }
                         seen.push(v);
-                        self.side.const_values.insert(l.id, ConstValue::Int(v));
+                        self.side.set_const(l.id, ConstValue::Int(v));
                         vals.push(v);
                     }
                     if sec.is_default {
@@ -1054,15 +1046,14 @@ impl Checker {
                     section_labels,
                     has_default,
                 });
-                self.side.switch_of.insert(s.id, id);
-                self.side.case_values.insert(id, case_values);
+                self.side.set_switch(s.id, id, case_values);
                 self.switch_depth += 1;
                 for sec in sections {
-                    self.scopes.push(HashMap::new());
+                    self.open_scope();
                     for st in &sec.body {
                         self.check_stmt(st)?;
                     }
-                    self.scopes.pop();
+                    self.close_scope();
                 }
                 self.switch_depth -= 1;
             }
@@ -1086,11 +1077,11 @@ impl Checker {
             }
             StmtKind::Label(_, inner) => self.check_stmt(inner)?,
             StmtKind::Block(stmts) => {
-                self.scopes.push(HashMap::new());
+                self.open_scope();
                 for st in stmts {
                     self.check_stmt(st)?;
                 }
-                self.scopes.pop();
+                self.close_scope();
             }
             StmtKind::Empty => {}
         }
@@ -1157,7 +1148,7 @@ impl Checker {
     /// Types an expression, recording the result in the side table.
     fn type_expr(&mut self, e: &Expr) -> Result<Type, CompileError> {
         let t = self.type_expr_inner(e)?;
-        self.side.expr_types.insert(e.id, t.clone());
+        self.side.set_ty(e.id, t.clone());
         Ok(t)
     }
 
@@ -1167,14 +1158,14 @@ impl Checker {
             ExprKind::FloatLit(_) => Ok(Type::Float),
             ExprKind::StrLit(s) => {
                 let idx = self.intern_string(s);
-                self.side.str_of.insert(e.id, idx);
+                self.side.set_str(e.id, idx);
                 Ok(Type::Ptr(Box::new(Type::Char)))
             }
             ExprKind::Ident(name) => {
                 let res = self
                     .lookup(name)
                     .ok_or_else(|| self.err(e.span, format!("unknown name `{name}`")))?;
-                self.side.resolutions.insert(e.id, res);
+                self.side.set_resolution(e.id, res);
                 match res {
                     Resolution::Local(lid) => Ok(self.cur_locals[lid.0 as usize].ty.clone()),
                     Resolution::Global(gid) => Ok(self.globals[gid.0 as usize].ty.clone()),
@@ -1183,7 +1174,7 @@ impl Checker {
                         // static address-of (§5.2.1). Direct-call callees
                         // are exempted by `type_call`, which bypasses
                         // this path for the callee node.
-                        *self.side.address_taken.entry(fid).or_insert(0) += 1;
+                        self.side.take_address(fid, self.functions.len());
                         Ok(Type::FnPtr(Box::new(
                             self.functions[fid.0 as usize].sig.clone(),
                         )))
@@ -1194,7 +1185,7 @@ impl Checker {
                         varargs: true,
                     }))),
                     Resolution::EnumConst(v) => {
-                        self.side.const_values.insert(e.id, ConstValue::Int(v));
+                        self.side.set_const(e.id, ConstValue::Int(v));
                         Ok(Type::Int)
                     }
                 }
@@ -1278,13 +1269,13 @@ impl Checker {
             ExprKind::SizeofType(tyname) => {
                 let t = self.resolve_type(tyname, e.span)?;
                 let n = self.sizeof_value(&t, e.span)?;
-                self.side.const_values.insert(e.id, ConstValue::Int(n));
+                self.side.set_const(e.id, ConstValue::Int(n));
                 Ok(Type::Int)
             }
             ExprKind::SizeofExpr(inner) => {
                 let t = self.type_expr(inner)?;
                 let n = self.sizeof_value(&t, e.span)?;
-                self.side.const_values.insert(e.id, ConstValue::Int(n));
+                self.side.set_const(e.id, ConstValue::Int(n));
                 Ok(Type::Int)
             }
             ExprKind::Comma(a, b) => {
@@ -1411,20 +1402,14 @@ impl Checker {
         if let ExprKind::Ident(name) = &callee.kind {
             match self.lookup(name) {
                 Some(Resolution::Func(fid)) => {
-                    self.side
-                        .resolutions
-                        .insert(callee.id, Resolution::Func(fid));
+                    self.side.set_resolution(callee.id, Resolution::Func(fid));
                     let sig = self.functions[fid.0 as usize].sig.clone();
-                    self.side
-                        .expr_types
-                        .insert(callee.id, Type::FnPtr(Box::new(sig)));
+                    self.side.set_ty(callee.id, Type::FnPtr(Box::new(sig)));
                     kind = Some(CalleeKind::Direct(fid));
                 }
                 Some(Resolution::Builtin(b)) => {
-                    self.side
-                        .resolutions
-                        .insert(callee.id, Resolution::Builtin(b));
-                    self.side.expr_types.insert(
+                    self.side.set_resolution(callee.id, Resolution::Builtin(b));
+                    self.side.set_ty(
                         callee.id,
                         Type::FnPtr(Box::new(FuncSig {
                             ret: b.return_type(),
@@ -1480,7 +1465,7 @@ impl Checker {
             expr: e.id,
             span: e.span,
         });
-        self.side.call_site_of.insert(e.id, id);
+        self.side.set_call_site(e.id, id);
         Ok(ret)
     }
 
@@ -1507,7 +1492,7 @@ impl Checker {
     fn is_lvalue(&self, e: &Expr) -> bool {
         match &e.kind {
             ExprKind::Ident(_) => matches!(
-                self.side.resolutions.get(&e.id),
+                self.side.resolution(e.id),
                 Some(Resolution::Local(_)) | Some(Resolution::Global(_))
             ),
             ExprKind::Unary(UnOp::Deref, _) => true,
@@ -1626,8 +1611,8 @@ mod tests {
         let f = m.function_id("f").unwrap();
         let g = m.function_id("g").unwrap();
         // f: initializer, &f, p = f  → 3 static uses (the direct call f(1) is not one).
-        assert_eq!(m.side.address_taken.get(&f), Some(&3));
-        assert_eq!(m.side.address_taken.get(&g), Some(&1));
+        assert_eq!(m.side.address_taken(f), 3);
+        assert_eq!(m.side.address_taken(g), 1);
         // Two calls: p(0) indirect, f(1) direct.
         let indirect = m
             .side
@@ -1776,11 +1761,9 @@ mod tests {
             int f(void) { return sizeof(struct big) + sizeof(int); }
             "#,
         );
-        let vals: Vec<i64> = m
-            .side
-            .const_values
-            .values()
-            .filter_map(|v| v.as_int())
+        let ids = (0..m.side.index().namespaces()).flat_map(|d| m.side.index().ids(d));
+        let vals: Vec<i64> = ids
+            .filter_map(|id| m.side.const_value(id)?.as_int())
             .collect();
         assert!(vals.contains(&11));
         assert!(vals.contains(&1));

@@ -66,7 +66,7 @@ fn enum_constants_as_array_dims_and_case_labels() {
     .unwrap();
     assert_eq!(m.globals[0].size, 8);
     let sw = &m.side.switches[0];
-    assert_eq!(m.side.case_values[&sw.id][0], vec![8]);
+    assert_eq!(m.side.case_values(sw.id)[0], vec![8]);
 }
 
 #[test]
@@ -84,7 +84,7 @@ fn locals_shadow_enum_constants() {
     body.walk_exprs(&mut |e| {
         if let minic::ast::ExprKind::Ident(_) = e.kind {
             assert!(matches!(
-                m.side.resolutions[&e.id],
+                m.side.resolution(e.id).unwrap(),
                 minic::sema::Resolution::Local(_)
             ));
         }

@@ -124,7 +124,10 @@ fn locals_shadow_globals_and_functions() {
     body.walk_exprs(&mut |e| {
         if let minic::ast::ExprKind::Ident(name) = &e.kind {
             if name == "value" {
-                assert!(matches!(m.side.resolutions[&e.id], Resolution::Local(_)));
+                assert!(matches!(
+                    m.side.resolution(e.id).unwrap(),
+                    Resolution::Local(_)
+                ));
                 found = true;
             }
         }
@@ -179,7 +182,7 @@ fn case_labels_fold_expressions() {
     )
     .unwrap();
     let sw = &m.side.switches[0];
-    let values = &m.side.case_values[&sw.id];
+    let values = m.side.case_values(sw.id);
     assert_eq!(values, &vec![vec![11], vec![20]]);
 }
 

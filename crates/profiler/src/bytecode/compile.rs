@@ -63,7 +63,7 @@
 
 use super::place::{self, Candidate, CounterPlan};
 use super::{ArithMode, CompiledProgram, FuncMeta, Op, ParamBind, SwitchTable, NONE32};
-use crate::interp::{NodeTables, NodeTy, RuntimeError, TyClass, Value};
+use crate::interp::{member_offset, NodeTables, NodeTy, RuntimeError, TyClass, Value};
 use flowgraph::analysis::loop_depths;
 use flowgraph::{BlockId, Cfg, Instr, Program, Terminator};
 use minic::ast::{BinOp, Expr, ExprKind, UnOp};
@@ -200,7 +200,7 @@ type PendingSwitch = (u32, Vec<(i64, BlockId)>, Vec<(BlockId, u32)>, BlockId);
 
 struct Compiler<'p> {
     program: &'p Program,
-    tables: NodeTables,
+    tables: NodeTables<'p>,
     global_addr: Vec<u64>,
     str_addr: Vec<u64>,
     ops: Vec<Op>,
@@ -236,7 +236,9 @@ impl<'p> Compiler<'p> {
     }
 
     fn resolution(&self, e: &Expr) -> Resolution {
-        self.tables
+        self.program
+            .module
+            .side
             .resolution(e.id)
             .expect("sema resolved every name")
     }
@@ -1197,12 +1199,11 @@ impl<'p> Compiler<'p> {
                 self.emit_index_addr(scratch, bt.elem);
                 Place::Reg(scratch)
             }
-            ExprKind::Member(base, _, arrow) => {
-                let off = self.tables.member_off(e.id);
-                if off == NONE32 {
+            ExprKind::Member(base, field, arrow) => {
+                let Some(off) = member_offset(&self.program.module, base, field, *arrow) else {
                     self.fail(RuntimeError::Other("member on non-struct".into()));
                     return Place::Reg(scratch);
-                }
+                };
                 if *arrow {
                     self.eval(base, scratch);
                     let tick = self.take_pending();
@@ -1301,10 +1302,11 @@ impl<'p> Compiler<'p> {
                 });
             }
             ExprKind::StrLit(_) => {
-                let idx = self.tables.str_idx(e.id);
+                let idx = self.program.module.side.str_index(e.id);
+                let idx = idx.expect("sema interned every string literal");
                 self.emit(Op::Const {
                     dst,
-                    v: Value::Ptr(self.str_addr[idx as usize]),
+                    v: Value::Ptr(self.str_addr[idx]),
                 });
             }
             ExprKind::Ident(_) => match self.resolution(e) {
@@ -1392,8 +1394,8 @@ impl<'p> Compiler<'p> {
             ExprKind::Cond(c, t, f) => {
                 self.eval(c, dst);
                 let tick = self.take_pending();
-                let branch = self.tables.branch(e.id);
-                let cb = self.emit_cond_branch(dst, branch, tick);
+                let branch = self.program.module.side.branch(e.id);
+                let cb = self.emit_cond_branch(dst, branch.map_or(NONE32, |b| b.0), tick);
                 self.eval(t, dst);
                 let jt = self.take_pending();
                 let j = self.emit(Op::Jump {
@@ -1418,7 +1420,8 @@ impl<'p> Compiler<'p> {
                 }
             }
             ExprKind::SizeofType(_) | ExprKind::SizeofExpr(_) => {
-                self.emit_const_int(dst, self.tables.sizeof_val(e.id));
+                let v = self.program.module.side.const_value(e.id);
+                self.emit_const_int(dst, v.and_then(|v| v.as_int()).unwrap_or(0));
             }
             ExprKind::Comma(a, b) => {
                 self.eval(a, dst);
@@ -1470,11 +1473,11 @@ impl<'p> Compiler<'p> {
                 // `&f` yields the function pointer itself, no place walk.
                 if let ExprKind::Ident(_) = &inner.kind {
                     if let Some(Resolution::Func(fid)) =
-                        self.program.module.side.resolutions.get(&inner.id)
+                        self.program.module.side.resolution(inner.id)
                     {
                         self.emit(Op::Const {
                             dst,
-                            v: Value::Fn(*fid),
+                            v: Value::Fn(fid),
                         });
                         return;
                     }
@@ -1624,8 +1627,8 @@ impl<'p> Compiler<'p> {
     }
 
     fn eval_call(&mut self, e: &Expr, callee: &Expr, args: &[Expr], dst: u16) {
-        let site = self.tables.call_site(e.id);
-        debug_assert_ne!(site, NONE32, "sema registered every call site");
+        let site = self.program.module.side.call_site(e.id);
+        let site = site.expect("sema registered every call site").0;
         self.emit(Op::BumpSite(site));
         let cs = &self.program.module.side.call_sites[site as usize];
         let nargs = u16::try_from(args.len()).expect("argument count fits u16");

@@ -18,7 +18,8 @@ use crate::reuse::{MemTap, NoTap, ObjectMap, ReuseCollector, ReuseTrace};
 use flowgraph::{BlockId, Cfg, Instr, Program, Terminator};
 use minic::ast::{BinOp, Expr, ExprKind, UnOp};
 use minic::builtins::Builtin;
-use minic::sema::{CalleeKind, FuncId, InitWord, Resolution};
+use minic::sema::{CalleeKind, FuncId, InitWord, Module, Resolution};
+use minic::side::DeclIndex;
 use minic::types::Type;
 use std::error::Error;
 use std::fmt;
@@ -391,183 +392,50 @@ impl NodeTy {
     }
 }
 
-/// Dense per-node lookup tables.
-///
-/// `NodeId`s are namespaced per declaration in `DECL_ID_STRIDE`-sized
-/// chunks (so an unchanged decl reparses to identical ids), which
-/// makes the raw id space sparse: a 16-function program's ids reach
-/// `16 << 20`. The tables therefore index through a per-decl
-/// `base`/`span` compression — slot `base[decl] + (id & mask)` — so
-/// storage stays proportional to the number of nodes, not the id
-/// range, while lookups remain two array reads.
-pub(crate) struct NodeTables {
-    /// Per-decl base offset into the dense tables.
-    base: Vec<u32>,
-    /// Per-decl slot count (max keyed in-decl offset + 1).
-    span: Vec<u32>,
+/// Each expression's [`NodeTy`], in one column over the slots of the
+/// module's shared [`DeclIndex`]: one linear pass over sema's type
+/// column fills it, and a lookup is the same two array reads as sema's
+/// own columns. Ids without a slot or a type read as
+/// [`NodeTy::DEFAULT`].
+pub(crate) struct NodeTables<'p> {
+    index: &'p DeclIndex,
     ty: Vec<NodeTy>,
-    resolution: Vec<Option<Resolution>>,
-    call_site: Vec<u32>,
-    branch: Vec<u32>,
-    str_idx: Vec<u32>,
-    member_off: Vec<u32>,
-    sizeof_val: Vec<i64>,
 }
 
-pub(crate) const NONE32: u32 = u32::MAX;
-
-const DECL_SHIFT: u32 = minic::ast::DECL_ID_STRIDE.trailing_zeros();
-const DECL_MASK: u32 = minic::ast::DECL_ID_STRIDE - 1;
-
-impl NodeTables {
-    pub(crate) fn build(program: &Program) -> Self {
-        let side = &program.module.side;
-        let structs = &program.module.structs;
-
-        // Member offsets need the base expression's struct type; the
-        // walk is collected up front so these ids count toward spans.
-        let mut member_offs: Vec<(minic::ast::NodeId, u32)> = Vec::new();
-        for cfg in program.cfgs.iter().flatten() {
-            cfg.walk_exprs(&mut |_, e| {
-                if let ExprKind::Member(base, field, arrow) = &e.kind {
-                    let Some(bt) = side.expr_types.get(&base.id) else {
-                        return;
-                    };
-                    let sid = if *arrow {
-                        match bt.pointee() {
-                            Some(Type::Struct(s)) => *s,
-                            _ => return,
-                        }
-                    } else {
-                        match bt {
-                            Type::Struct(s) => *s,
-                            _ => return,
-                        }
-                    };
-                    if let Some(f) = structs.layout(sid).field(field) {
-                        member_offs.push((e.id, f.offset as u32));
-                    }
-                }
-            });
-        }
-
-        let mut span: Vec<u32> = Vec::new();
-        for n in side
-            .expr_types
-            .keys()
-            .chain(side.resolutions.keys())
-            .chain(side.call_site_of.keys())
-            .chain(side.branch_of.keys())
-            .chain(side.str_of.keys())
-            .chain(side.const_values.keys())
-            .chain(member_offs.iter().map(|(n, _)| n))
-        {
-            let d = (n.0 >> DECL_SHIFT) as usize;
-            if d >= span.len() {
-                span.resize(d + 1, 0);
-            }
-            span[d] = span[d].max((n.0 & DECL_MASK) + 1);
-        }
-        let mut base = Vec::with_capacity(span.len());
-        let mut total = 0u32;
-        for &s in &span {
-            base.push(total);
-            total += s;
-        }
-        let slots = total as usize;
-
-        let mut t = NodeTables {
-            base,
-            span,
-            ty: vec![NodeTy::DEFAULT; slots],
-            resolution: vec![None; slots],
-            call_site: vec![NONE32; slots],
-            branch: vec![NONE32; slots],
-            str_idx: vec![NONE32; slots],
-            member_off: vec![NONE32; slots],
-            sizeof_val: vec![0; slots],
-        };
-        for (n, ty) in &side.expr_types {
-            let i = t.slot(*n).expect("keyed id is in span");
-            t.ty[i] = NodeTy::of(ty, structs);
-        }
-        for (n, r) in &side.resolutions {
-            let i = t.slot(*n).expect("keyed id is in span");
-            t.resolution[i] = Some(*r);
-        }
-        for (n, s) in &side.call_site_of {
-            let i = t.slot(*n).expect("keyed id is in span");
-            t.call_site[i] = s.0;
-        }
-        for (n, b) in &side.branch_of {
-            let i = t.slot(*n).expect("keyed id is in span");
-            t.branch[i] = b.0;
-        }
-        for (n, s) in &side.str_of {
-            let i = t.slot(*n).expect("keyed id is in span");
-            t.str_idx[i] = *s as u32;
-        }
-        for (n, v) in &side.const_values {
-            if let Some(i64v) = v.as_int() {
-                let i = t.slot(*n).expect("keyed id is in span");
-                t.sizeof_val[i] = i64v;
-            }
-        }
-        for &(n, off) in &member_offs {
-            let i = t.slot(n).expect("keyed id is in span");
-            t.member_off[i] = off;
-        }
-        t
-    }
-
-    /// Compressed slot for `n`, or `None` for an id no table keys —
-    /// accessors then return the same sentinel a dense table would
-    /// have held.
-    #[inline]
-    fn slot(&self, n: minic::ast::NodeId) -> Option<usize> {
-        let d = (n.0 >> DECL_SHIFT) as usize;
-        let off = n.0 & DECL_MASK;
-        if off < *self.span.get(d)? {
-            Some(self.base[d] as usize + off as usize)
-        } else {
-            None
+impl<'p> NodeTables<'p> {
+    pub(crate) fn build(program: &'p Program) -> Self {
+        let module = &program.module;
+        let ty = module
+            .side
+            .types()
+            .iter()
+            .map(|t| {
+                t.as_ref()
+                    .map_or(NodeTy::DEFAULT, |t| NodeTy::of(t, &module.structs))
+            })
+            .collect();
+        NodeTables {
+            index: module.side.index(),
+            ty,
         }
     }
 
     #[inline]
     pub(crate) fn ty(&self, n: minic::ast::NodeId) -> NodeTy {
-        self.slot(n).map_or(NodeTy::DEFAULT, |i| self.ty[i])
+        self.index.slot(n).map_or(NodeTy::DEFAULT, |i| self.ty[i])
     }
+}
 
-    #[inline]
-    pub(crate) fn resolution(&self, n: minic::ast::NodeId) -> Option<Resolution> {
-        self.slot(n).and_then(|i| self.resolution[i])
-    }
-
-    #[inline]
-    pub(crate) fn call_site(&self, n: minic::ast::NodeId) -> u32 {
-        self.slot(n).map_or(NONE32, |i| self.call_site[i])
-    }
-
-    #[inline]
-    pub(crate) fn branch(&self, n: minic::ast::NodeId) -> u32 {
-        self.slot(n).map_or(NONE32, |i| self.branch[i])
-    }
-
-    #[inline]
-    pub(crate) fn str_idx(&self, n: minic::ast::NodeId) -> u32 {
-        self.slot(n).map_or(NONE32, |i| self.str_idx[i])
-    }
-
-    #[inline]
-    pub(crate) fn member_off(&self, n: minic::ast::NodeId) -> u32 {
-        self.slot(n).map_or(NONE32, |i| self.member_off[i])
-    }
-
-    #[inline]
-    pub(crate) fn sizeof_val(&self, n: minic::ast::NodeId) -> i64 {
-        self.slot(n).map_or(0, |i| self.sizeof_val[i])
-    }
+/// The word offset of member `field` of `base`'s struct (through a
+/// pointer for `->`), or `None` when `base` is no struct.
+pub(crate) fn member_offset(module: &Module, base: &Expr, field: &str, arrow: bool) -> Option<u32> {
+    let bt = module.side.ty(base.id)?;
+    let bt = if arrow { bt.pointee()? } else { bt };
+    let Type::Struct(sid) = bt else {
+        return None;
+    };
+    let f = module.structs.layout(*sid).field(field)?;
+    Some(f.offset as u32)
 }
 
 /// Non-local control flow out of `eval`.
@@ -591,7 +459,7 @@ struct Interp<'p, T: MemTap> {
     /// only, mirroring the bytecode VM's tap placement exactly.
     tap: T,
     program: &'p Program,
-    tables: NodeTables,
+    tables: NodeTables<'p>,
     data: Vec<Value>,
     stack: Vec<Value>,
     global_addr: Vec<u64>,
@@ -925,7 +793,9 @@ impl<'p, T: MemTap> Interp<'p, T> {
         match &e.kind {
             ExprKind::Ident(_) => {
                 match self
-                    .tables
+                    .program
+                    .module
+                    .side
                     .resolution(e.id)
                     .expect("sema resolved every name")
                 {
@@ -953,11 +823,10 @@ impl<'p, T: MemTap> Interp<'p, T> {
                 let i = self.eval(idx)?.to_int();
                 Ok(addr.wrapping_add_signed(i.wrapping_mul(bt.elem as i64)))
             }
-            ExprKind::Member(base, _, arrow) => {
-                let offset = self.tables.member_off(e.id);
-                if offset == NONE32 {
+            ExprKind::Member(base, field, arrow) => {
+                let Some(offset) = member_offset(&self.program.module, base, field, *arrow) else {
                     return Err(RuntimeError::Other("member on non-struct".into()).into());
-                }
+                };
                 let addr = if *arrow {
                     self.eval(base)?.to_ptr()
                 } else {
@@ -992,12 +861,16 @@ impl<'p, T: MemTap> Interp<'p, T> {
             ExprKind::IntLit(v) => Ok(Value::Int(*v)),
             ExprKind::FloatLit(v) => Ok(Value::Float(*v)),
             ExprKind::StrLit(_) => {
-                let idx = self.tables.str_idx(e.id);
-                Ok(Value::Ptr(self.str_addr[idx as usize]))
+                let idx = self.program.module.side.str_index(e.id);
+                Ok(Value::Ptr(
+                    self.str_addr[idx.expect("sema interned every string literal")],
+                ))
             }
             ExprKind::Ident(_) => {
                 match self
-                    .tables
+                    .program
+                    .module
+                    .side
                     .resolution(e.id)
                     .expect("sema resolved every name")
                 {
@@ -1067,9 +940,8 @@ impl<'p, T: MemTap> Interp<'p, T> {
             }
             ExprKind::Cond(c, t, f) => {
                 let taken = self.eval(c)?.truthy();
-                let b = self.tables.branch(e.id);
-                if b != NONE32 {
-                    let slot = &mut self.profile.branch_counts[b as usize];
+                if let Some(b) = self.program.module.side.branch(e.id) {
+                    let slot = &mut self.profile.branch_counts[b.0 as usize];
                     if taken {
                         slot.0 += 1;
                     } else {
@@ -1087,7 +959,8 @@ impl<'p, T: MemTap> Interp<'p, T> {
                 Ok(convert_for_class(self.nty(e).class, v))
             }
             ExprKind::SizeofType(_) | ExprKind::SizeofExpr(_) => {
-                Ok(Value::Int(self.tables.sizeof_val(e.id)))
+                let v = self.program.module.side.const_value(e.id);
+                Ok(Value::Int(v.and_then(|v| v.as_int()).unwrap_or(0)))
             }
             ExprKind::Comma(a, b) => {
                 self.eval(a)?;
@@ -1132,9 +1005,9 @@ impl<'p, T: MemTap> Interp<'p, T> {
                 // `&f` yields the function pointer itself.
                 if let ExprKind::Ident(_) = &inner.kind {
                     if let Some(Resolution::Func(fid)) =
-                        self.program.module.side.resolutions.get(&inner.id)
+                        self.program.module.side.resolution(inner.id)
                     {
-                        return Ok(Value::Fn(*fid));
+                        return Ok(Value::Fn(fid));
                     }
                 }
                 let addr = self.place(inner)?;
@@ -1266,7 +1139,8 @@ impl<'p, T: MemTap> Interp<'p, T> {
     }
 
     fn eval_call(&mut self, e: &Expr, callee: &Expr, args: &[Expr]) -> VResult {
-        let site = self.tables.call_site(e.id) as usize;
+        let site = self.program.module.side.call_site(e.id);
+        let site = site.expect("sema registered every call site").0 as usize;
         self.profile.call_site_counts[site] += 1;
         let cs = &self.program.module.side.call_sites[site];
         match cs.callee {

@@ -238,7 +238,7 @@ impl<'p> Scanner<'p> {
             }
             ExprKind::Ident(_) => {
                 let Some(minic::sema::Resolution::Global(gid)) =
-                    self.module.side.resolutions.get(&arg.id)
+                    self.module.side.resolution(arg.id)
                 else {
                     return;
                 };
@@ -317,7 +317,7 @@ impl<'p> Scanner<'p> {
 }
 
 fn builtin_of(module: &Module, call: &Expr) -> Option<Builtin> {
-    let site = module.side.call_site_of.get(&call.id)?;
+    let site = module.side.call_site(call.id)?;
     match module.side.call_sites[site.0 as usize].callee {
         CalleeKind::Builtin(b) => Some(b),
         _ => None,
@@ -575,12 +575,12 @@ fn dist_bin(footprint: f64) -> usize {
 fn collect_mods(module: &Module, b: &Block, out: &mut HashSet<VarRef>) {
     fn record_ident(module: &Module, e: &Expr, out: &mut HashSet<VarRef>) {
         if let ExprKind::Ident(_) = e.kind {
-            match module.side.resolutions.get(&e.id) {
+            match module.side.resolution(e.id) {
                 Some(minic::sema::Resolution::Local(l)) => {
-                    out.insert(VarRef::Local(*l));
+                    out.insert(VarRef::Local(l));
                 }
                 Some(minic::sema::Resolution::Global(g)) => {
-                    out.insert(VarRef::Global(*g));
+                    out.insert(VarRef::Global(g));
                 }
                 _ => {}
             }

@@ -22,8 +22,11 @@
 //!   [`SCHEMA`]) with `load`/`update`/`estimate`/`profile`/`score`/
 //!   `shutdown` methods, encoded with the in-tree `obs::json` codec;
 //! - [`server`]: the `sfe serve` daemon loop over stdin/stdout or a
-//!   local TCP socket, one session per connection, requests fanning
-//!   out per-function on the PR-5 work-stealing pool;
+//!   local TCP socket, one session per connection. `load` and `update`
+//!   lower and solve their functions in parallel on the database's
+//!   work-stealing pool; `estimate` reads materialized results, and
+//!   `profile` and `score` run the VM on the connection's thread —
+//!   `score` profiles its inputs one after another;
 //! - [`storm`]: the `stormgen` synthetic-client driver — N concurrent
 //!   clients replaying a seed-deterministic mixed read/update workload,
 //!   reporting sustained q/s, p50/p99 latency, and the incremental

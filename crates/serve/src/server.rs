@@ -1,10 +1,11 @@
 //! The `sfe serve` daemon loop: NDJSON over stdin/stdout, or a local
 //! TCP socket with one thread (and one [`Session`]) per connection.
 //!
-//! All sessions share one [`ServeDb`]; per-request computation fans
-//! out on the database's work-stealing pool, so concurrency comes from
-//! both axes — parallel connections and parallel per-function work
-//! inside each request.
+//! All sessions share one [`ServeDb`]. Concurrency comes from parallel
+//! connections and, inside a `load` or `update`, from the per-function
+//! lowering and flow solves the database fans out on its work-stealing
+//! pool. `profile` and `score` run the VM serially on the connection's
+//! thread.
 //!
 //! Shutdown is cooperative: any client's `shutdown` request flips a
 //! shared flag, the acceptor is unblocked with a loopback poke, every

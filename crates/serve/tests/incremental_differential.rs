@@ -206,3 +206,61 @@ fn compress_edit_redoes_under_a_tenth_of_the_suite_load() {
         "incremental update diverged from a cold load of the edited suite"
     );
 }
+
+/// Every side-table fact sema recorded for the ids of namespace `d`,
+/// one rendered row per id.
+fn side_rows(module: &minic::Module, d: usize) -> Vec<String> {
+    let side = &module.side;
+    side.index()
+        .ids(d)
+        .map(|id| {
+            format!(
+                "{:?}",
+                (
+                    side.ty(id),
+                    side.resolution(id),
+                    side.call_site(id),
+                    side.branch(id),
+                    side.switch(id),
+                    side.const_value(id),
+                    side.str_index(id),
+                    side.local(id),
+                )
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn unchanged_functions_keep_byte_identical_side_table_rows() {
+    // The property CFG reuse rests on: after a one-function edit, a
+    // function whose text and ordinal are unchanged re-parses to the
+    // same node ids, and sema gives those ids the same rows.
+    let compress = suite::by_name("compress").expect("compress in suite");
+    let edited = serve::edits::edit_function_source(compress.source, 3).expect("editable function");
+    let db = Arc::new(ServeDb::new(Some(1), None));
+    db.upsert("compress", compress.source).unwrap();
+    let before = db.entry("compress").unwrap();
+    db.upsert("compress", &edited).unwrap();
+    let after = db.entry("compress").unwrap();
+    let (old, new) = (&before.program.module, &after.program.module);
+
+    let namespaces = |m: &minic::Module| -> Vec<usize> {
+        m.defined_functions()
+            .map(|f| (f.body.as_ref().unwrap().id.0 >> minic::ast::DECL_SHIFT) as usize)
+            .collect()
+    };
+    assert_eq!(namespaces(old), namespaces(new));
+    let (mut same, mut changed) = (0, 0);
+    for (i, d) in namespaces(old).into_iter().enumerate() {
+        if i == 3 {
+            assert_ne!(side_rows(old, d), side_rows(new, d), "the edited function");
+            changed += 1;
+        } else {
+            assert_eq!(side_rows(old, d), side_rows(new, d), "function {i}");
+            same += 1;
+        }
+    }
+    assert_eq!(changed, 1);
+    assert!(same >= 10, "compress has {same} unchanged functions");
+}

@@ -227,7 +227,7 @@ mod tests {
         // reachable through pointers.
         let p = by_name("gs").unwrap().compile().unwrap();
         let total = p.defined_ids().len();
-        let indirect = p.module.side.address_taken.len();
+        let indirect = p.module.side.address_taken_funcs().count();
         assert!(
             indirect * 2 >= total - 10,
             "gs should have many address-taken functions: {indirect}/{total}"
@@ -239,9 +239,9 @@ mod tests {
     fn xlisp_builtins_are_address_taken() {
         let p = by_name("xlisp").unwrap().compile().unwrap();
         assert!(
-            p.module.side.address_taken.len() >= 40,
+            p.module.side.address_taken_funcs().count() >= 40,
             "xlisp should register 40+ builtins by pointer, got {}",
-            p.module.side.address_taken.len()
+            p.module.side.address_taken_funcs().count()
         );
     }
 

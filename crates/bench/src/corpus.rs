@@ -35,7 +35,7 @@ use cache::codec::Artifact;
 use cache::{ArtifactKey, ArtifactKind, Cache};
 use estimators::branch::predict_module;
 use estimators::eval;
-use estimators::inter::{estimate_invocations, InterEstimator};
+use estimators::inter::{estimate_invocations, InterEstimates, InterEstimator};
 use estimators::intra::{estimate_function_with, IntraEstimates, IntraEstimator, IntraOptions};
 pub use fuzzgen::corpus::parse_buckets;
 use fuzzgen::corpus::{bucket_indices, bucket_labels, Feature, StructuralFeatures};
@@ -45,7 +45,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, HashSet};
 use std::hash::Hasher;
 use std::path::PathBuf;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// The ten headline heuristic columns aggregated per bucket: the
@@ -340,11 +340,23 @@ impl CorpusReport {
     }
 }
 
-/// Computes the ten heuristic score columns for one program. The
-/// branch predictions are computed once and shared by all three
-/// intra-procedural estimators.
-fn score_columns(program: &flowgraph::Program, profiles: &[profiler::Profile]) -> [f64; 10] {
-    let predictions = predict_module(&program.module);
+/// Every estimate the corpus scores for one program: the three
+/// intra-procedural estimators (loop, smart, Markov) and the five
+/// inter-procedural ones (call-site, direct, all-rec, all-rec2,
+/// Markov), in those orders.
+pub struct Estimates {
+    /// Loop, smart and Markov block frequencies.
+    pub intra: [IntraEstimates; 3],
+    /// Call-site, direct, all-rec, all-rec2 and Markov invocations.
+    pub inter: [InterEstimates; 5],
+}
+
+/// The corpus's estimator stage for one program. The branch
+/// predictions are computed once and shared by all three
+/// intra-procedural estimators; the inter-procedural ones build on
+/// smart, as in the paper.
+pub fn estimate_all(program: &flowgraph::Program) -> Estimates {
+    let predictions = Arc::new(predict_module(&program.module));
     let intra = |which| {
         let _sp = obs::span("estimate.intra");
         let options = IntraOptions::default();
@@ -362,18 +374,25 @@ fn score_columns(program: &flowgraph::Program, profiles: &[profiler::Profile]) -
                     }
                 })
                 .collect(),
-            predictions: predictions.clone(),
+            predictions: Arc::clone(&predictions),
         }
     };
-    let ia_loop = intra(IntraEstimator::Loop);
-    let ia_smart = intra(IntraEstimator::Smart);
-    let ia_markov = intra(IntraEstimator::Markov);
-    let inter = |w| estimate_invocations(program, &ia_smart, w);
-    let ie_callsite = inter(InterEstimator::CallSite);
-    let ie_direct = inter(InterEstimator::Direct);
-    let ie_allrec = inter(InterEstimator::AllRec);
-    let ie_allrec2 = inter(InterEstimator::AllRec2);
-    let ie_markov = inter(InterEstimator::Markov);
+    let intra = [
+        intra(IntraEstimator::Loop),
+        intra(IntraEstimator::Smart),
+        intra(IntraEstimator::Markov),
+    ];
+    let inter = InterEstimator::ALL.map(|w| estimate_invocations(program, &intra[1], w));
+    Estimates { intra, inter }
+}
+
+/// Computes the ten heuristic score columns for one program from
+/// [`estimate_all`].
+fn score_columns(program: &flowgraph::Program, profiles: &[profiler::Profile]) -> [f64; 10] {
+    let Estimates {
+        intra: [ia_loop, ia_smart, ia_markov],
+        inter: [ie_callsite, ie_direct, ie_allrec, ie_allrec2, ie_markov],
+    } = estimate_all(program);
     [
         eval::intra_score(program, &ia_loop, profiles, 0.05),
         eval::intra_score(program, &ia_smart, profiles, 0.05),

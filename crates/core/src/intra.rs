@@ -16,11 +16,13 @@
 //! block's `anchor`.
 
 use crate::branch::{predict_module, predict_module_with, Prediction, PredictorConfig};
-use flowgraph::{Cfg, Program, Terminator};
+use flowgraph::{BlockId, Cfg, Program, Terminator};
 use linsolve::FlowSystem;
 use minic::ast::{NodeId, Stmt, StmtKind};
 use minic::sema::{BranchId, FuncId, SwitchId};
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The paper's loop-count assumption: every loop iterates five times,
 /// so a pre-tested loop's condition runs 5× and its body 4× per entry
@@ -44,7 +46,7 @@ pub enum IntraEstimator {
 
 /// All intra-procedural estimates for a program, plus the shared branch
 /// predictions (computed once and reused by the inter-procedural and
-/// miss-rate analyses).
+/// miss-rate analyses; the estimates of one program share one map).
 #[derive(Debug, Clone)]
 pub struct IntraEstimates {
     /// Which estimator produced this.
@@ -53,7 +55,7 @@ pub struct IntraEstimates {
     /// Indexed by `FuncId`; empty for prototypes.
     pub block_freqs: Vec<Vec<f64>>,
     /// The branch predictions used.
-    pub predictions: HashMap<BranchId, Prediction>,
+    pub predictions: Arc<HashMap<BranchId, Prediction>>,
 }
 
 impl IntraEstimates {
@@ -123,7 +125,7 @@ pub fn estimate_program_with(
     IntraEstimates {
         estimator: which,
         block_freqs,
-        predictions,
+        predictions: Arc::new(predictions),
     }
 }
 
@@ -351,6 +353,9 @@ fn ast_walk_blocks(
         .map(|b| b.anchor.and_then(|a| freqs.get(&a).copied()))
         .collect();
     out[cfg.entry.0 as usize].get_or_insert(1.0);
+    if out.iter().all(Option::is_some) {
+        return out.into_iter().flatten().collect();
+    }
     // Propagate to unanchored blocks: take the max anchored
     // predecessor estimate, iterating in reverse post-order.
     let rpo = cfg.reverse_post_order();
@@ -382,17 +387,36 @@ fn ast_walk_blocks(
 // ----- Markov estimator -----
 
 /// The arc probabilities the Markov model assigns to a block's
-/// out-edges, built from the smart predictions (§5.1).
+/// out-edges, built from the smart predictions (§5.1): the arcs of
+/// [`for_each_arc`], listed per source block.
 pub fn edge_probabilities(
     program: &Program,
     cfg: &Cfg,
     predictions: &HashMap<BranchId, Prediction>,
-) -> Vec<Vec<(flowgraph::BlockId, f64)>> {
-    let module = &program.module;
-    cfg.blocks
-        .iter()
-        .map(|b| match &b.term {
-            Terminator::Goto(t) => vec![(*t, 1.0)],
+) -> Vec<Vec<(BlockId, f64)>> {
+    let mut out = vec![Vec::new(); cfg.len()];
+    for_each_arc(program, cfg, predictions, |src, dst, p| {
+        out[src.0 as usize].push((dst, p));
+    });
+    out
+}
+
+/// Calls `arc(src, dst, probability)` for every out-edge of every
+/// block, in block order. A branch's arcs come then-first; a switch's
+/// come in target order, each weighted by the number of case labels
+/// routing to it, the default target getting the default section's
+/// share (or one share if there is no default section). The order is
+/// fixed because arc insertion order reaches the sparse solver's float
+/// accumulation.
+pub fn for_each_arc(
+    program: &Program,
+    cfg: &Cfg,
+    predictions: &HashMap<BranchId, Prediction>,
+    mut arc: impl FnMut(BlockId, BlockId, f64),
+) {
+    for b in &cfg.blocks {
+        match &b.term {
+            Terminator::Goto(t) => arc(b.id, *t, 1.0),
             Terminator::Branch {
                 branch,
                 then_blk,
@@ -404,41 +428,45 @@ pub fn edge_probabilities(
                     .map(|p| p.prob_taken())
                     .unwrap_or(0.5);
                 if then_blk == else_blk {
-                    vec![(*then_blk, 1.0)]
+                    arc(b.id, *then_blk, 1.0);
                 } else {
-                    vec![(*then_blk, p), (*else_blk, 1.0 - p)]
+                    arc(b.id, *then_blk, p);
+                    arc(b.id, *else_blk, 1.0 - p);
                 }
             }
             Terminator::Switch {
                 switch,
                 cases,
                 default,
+                targets,
                 ..
             } => {
-                let info = &module.side.switches[switch.0 as usize];
+                let info = &program.module.side.switches[switch.0 as usize];
                 let total: usize = info.section_labels.iter().sum::<usize>().max(1);
-                // Weight per target: number of labels routing to it;
-                // the default edge gets the default section's share (or
-                // one share if there is no default section).
-                let mut weight: HashMap<flowgraph::BlockId, f64> = HashMap::new();
-                for &(_, t) in cases {
-                    *weight.entry(t).or_insert(0.0) += 1.0;
+                // One share per case label; every weight is a whole
+                // number, so these sums are exact in any order.
+                let mut weight = vec![0.0; targets.len()];
+                for (_, t) in cases {
+                    let i = targets
+                        .binary_search(t)
+                        .expect("case targets are successors");
+                    weight[i] += 1.0;
                 }
-                let assigned: f64 = weight.values().sum();
+                let assigned = cases.len() as f64;
                 let rest = (total as f64 - assigned).max(if info.has_default { 1.0 } else { 0.0 });
-                *weight.entry(*default).or_insert(0.0) +=
-                    rest.max(if assigned == 0.0 { 1.0 } else { 0.0 });
-                let sum: f64 = weight.values().sum::<f64>().max(1.0);
-                // Fixed order: arc insertion order reaches the sparse
-                // solver's float accumulation, and HashMap order would
-                // make the estimates run-to-run nondeterministic.
-                let mut out: Vec<_> = weight.into_iter().map(|(t, w)| (t, w / sum)).collect();
-                out.sort_by_key(|&(t, _)| t);
-                out
+                let default_share = rest.max(if assigned == 0.0 { 1.0 } else { 0.0 });
+                let i = targets
+                    .binary_search(default)
+                    .expect("the default is a successor");
+                weight[i] += default_share;
+                let sum = (assigned + default_share).max(1.0);
+                for (&t, w) in targets.iter().zip(weight) {
+                    arc(b.id, t, w / sum);
+                }
             }
-            Terminator::Return(_) => Vec::new(),
-        })
-        .collect()
+            Terminator::Return(_) => {}
+        }
+    }
 }
 
 fn markov_blocks_with(
@@ -449,23 +477,21 @@ fn markov_blocks_with(
 ) -> Vec<f64> {
     let cfg = program.cfg(f);
     // Trip-count refinement: a loop that runs t times has back-edge
-    // probability t/(t+1).
-    let mut predictions = predictions.clone();
+    // probability t/(t+1). Without trip counts the module's map is
+    // used as it is.
+    let mut predictions = Cow::Borrowed(predictions);
     for (bid, &trip) in trips {
-        if let Some(p) = predictions.get_mut(bid) {
+        if let Some(p) = predictions.to_mut().get_mut(bid) {
             if p.taken {
                 p.prob_taken = trip / (trip + 1.0);
             }
         }
     }
-    let probs = edge_probabilities(program, cfg, &predictions);
     let mut sys = FlowSystem::new(cfg.len());
     sys.inject(cfg.entry.0 as usize, 1.0);
-    for (src, outs) in probs.iter().enumerate() {
-        for &(dst, p) in outs {
-            sys.add_arc(src, dst.0 as usize, p);
-        }
-    }
+    for_each_arc(program, cfg, &predictions, |src, dst, p| {
+        sys.add_arc(src.0 as usize, dst.0 as usize, p);
+    });
     match sys.solve() {
         Ok(x) => x.into_iter().map(|v| v.max(0.0)).collect(),
         // Malformed systems should not happen; fall back to uniform.

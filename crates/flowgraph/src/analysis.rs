@@ -6,7 +6,7 @@
 //! algorithm is the machinery behind the Markov call-graph model's
 //! recursion repair (§5.2.2 considers each SCC in isolation).
 
-use crate::cfg::{BlockId, Cfg, Terminator};
+use crate::cfg::{BlockId, BlockLists, Cfg};
 use std::collections::HashSet;
 
 /// Immediate-dominator tree of a CFG, computed by the classic iterative
@@ -19,95 +19,15 @@ pub struct Dominators {
     entry: BlockId,
 }
 
-/// Flat (CSR) adjacency lists: node `v`'s neighbours are
-/// `adj[off[v]..off[v + 1]]` — two allocations for the whole graph
-/// instead of one per block, which is most of the cost of the
-/// analyses below on the small CFGs they usually see.
-struct Csr {
-    off: Vec<u32>,
-    adj: Vec<BlockId>,
-}
-
-impl Csr {
-    /// Successor lists, in terminator order (an edge may repeat; none
-    /// of the analyses care).
-    fn successors(cfg: &Cfg) -> Csr {
-        let mut off = Vec::with_capacity(cfg.blocks.len() + 1);
-        let mut adj = Vec::with_capacity(cfg.blocks.len() * 2);
-        off.push(0);
-        for b in &cfg.blocks {
-            match &b.term {
-                Terminator::Goto(t) => adj.push(*t),
-                Terminator::Branch {
-                    then_blk, else_blk, ..
-                } => adj.extend([*then_blk, *else_blk]),
-                Terminator::Switch { cases, default, .. } => {
-                    adj.extend(cases.iter().map(|&(_, t)| t));
-                    adj.push(*default);
-                }
-                Terminator::Return(_) => {}
-            }
-            off.push(adj.len() as u32);
-        }
-        Csr { off, adj }
-    }
-
-    /// The reversed graph (predecessor lists, in block order).
-    fn reversed(&self) -> Csr {
-        let n = self.off.len() - 1;
-        let mut off = vec![0u32; n + 1];
-        for &t in &self.adj {
-            off[t.0 as usize + 1] += 1;
-        }
-        for v in 0..n {
-            off[v + 1] += off[v];
-        }
-        let mut fill = off.clone();
-        let mut adj = vec![BlockId(0); self.adj.len()];
-        for v in 0..n {
-            for &t in self.of(v) {
-                adj[fill[t.0 as usize] as usize] = BlockId(v as u32);
-                fill[t.0 as usize] += 1;
-            }
-        }
-        Csr { off, adj }
-    }
-
-    fn of(&self, v: usize) -> &[BlockId] {
-        &self.adj[self.off[v] as usize..self.off[v + 1] as usize]
-    }
-}
-
 impl Dominators {
     /// Computes dominators for `cfg`.
     pub fn compute(cfg: &Cfg) -> Self {
-        let succs = Csr::successors(cfg);
-        Self::from_csr(cfg, &succs, &succs.reversed())
+        Self::with_preds(cfg, &cfg.predecessors())
     }
 
-    fn from_csr(cfg: &Cfg, succs: &Csr, preds: &Csr) -> Self {
+    fn with_preds(cfg: &Cfg, preds: &BlockLists) -> Self {
         let n = cfg.blocks.len();
-        // Reverse post-order by iterative DFS from the entry.
-        let mut rpo = Vec::with_capacity(n);
-        let mut visited = vec![false; n];
-        let mut stack = vec![(cfg.entry, 0usize)];
-        visited[cfg.entry.0 as usize] = true;
-        while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-            match succs.of(b.0 as usize).get(*i) {
-                Some(&s) => {
-                    *i += 1;
-                    if !visited[s.0 as usize] {
-                        visited[s.0 as usize] = true;
-                        stack.push((s, 0));
-                    }
-                }
-                None => {
-                    rpo.push(b);
-                    stack.pop();
-                }
-            }
-        }
-        rpo.reverse();
+        let rpo = cfg.reverse_post_order();
         let mut order = vec![usize::MAX; n];
         for (i, &b) in rpo.iter().enumerate() {
             order[b.0 as usize] = i;
@@ -119,7 +39,7 @@ impl Dominators {
             changed = false;
             for &b in rpo.iter().skip(1) {
                 let mut new_idom: Option<BlockId> = None;
-                for &p in preds.of(b.0 as usize) {
+                for &p in preds.of(b) {
                     if idom[p.0 as usize].is_none() {
                         continue;
                     }
@@ -359,13 +279,16 @@ pub fn natural_loops(cfg: &Cfg) -> Vec<NaturalLoop> {
 /// profiler weighs its counter placement with it on every compile.
 pub fn loop_depths(cfg: &Cfg) -> Vec<usize> {
     let n = cfg.blocks.len();
-    let succs = Csr::successors(cfg);
-    if (0..n).all(|v| succs.of(v).iter().all(|t| t.0 as usize > v)) {
+    if cfg
+        .blocks
+        .iter()
+        .all(|b| cfg.successors(b.id).iter().all(|t| t.0 > b.id.0))
+    {
         // Every edge goes to a later block: no cycle, so no loop.
         return vec![0; n];
     }
-    let preds = succs.reversed();
-    let dom = Dominators::from_csr(cfg, &succs, &preds);
+    let preds = cfg.predecessors();
+    let dom = Dominators::with_preds(cfg, &preds);
     let mut depth = vec![0usize; n];
     // `seen[b] == h` once `b` is counted in header `h`'s loop.
     let mut seen = vec![usize::MAX; n];
@@ -373,7 +296,7 @@ pub fn loop_depths(cfg: &Cfg) -> Vec<usize> {
     for h in 0..n {
         let header = BlockId(h as u32);
         // Back edges `latch → header`: the header dominates the latch.
-        for &latch in preds.of(h) {
+        for &latch in &preds[h] {
             if !dom.dominates(header, latch) {
                 continue;
             }
@@ -391,7 +314,7 @@ pub fn loop_depths(cfg: &Cfg) -> Vec<usize> {
                 }
                 seen[x] = h;
                 depth[x] += 1;
-                stack.extend(preds.of(x).iter().filter(|p| seen[p.0 as usize] != h));
+                stack.extend(preds[x].iter().filter(|p| seen[p.0 as usize] != h));
             }
         }
     }

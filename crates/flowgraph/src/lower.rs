@@ -10,12 +10,16 @@
 //! Every block records an `anchor` — the AST node whose frequency the
 //! AST-based estimators assign to it (the first statement lowered into
 //! the block, or a loop condition / `for`-step expression).
+//!
+//! Lowering copies no expression: each instruction and terminator takes
+//! another reference to the AST slot's [`Arc<Expr>`].
 
 use crate::cfg::{Block, BlockId, Cfg, Instr, Terminator};
 use minic::ast::{Expr, ExprKind, Initializer, NodeId, Stmt, StmtKind};
 use minic::sema::{Function, LocalId, Module};
 use minic::types::Type;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Lowers one defined function to a (simplified) CFG.
 ///
@@ -127,7 +131,7 @@ impl Lowerer<'_> {
     fn branch_term(
         &self,
         owner: NodeId,
-        cond: &Expr,
+        cond: &Arc<Expr>,
         then_blk: BlockId,
         else_blk: BlockId,
     ) -> Terminator {
@@ -138,7 +142,7 @@ impl Lowerer<'_> {
             }
         }
         Terminator::Branch {
-            cond: cond.clone(),
+            cond: Arc::clone(cond),
             branch,
             then_blk,
             else_blk,
@@ -160,7 +164,7 @@ impl Lowerer<'_> {
             StmtKind::Empty => {}
             StmtKind::Expr(e) => {
                 self.anchor(self.cur, s.id);
-                self.push(Instr::Eval(e.clone()));
+                self.push(Instr::Eval(Arc::clone(e)));
             }
             StmtKind::Decl(decls) => {
                 self.anchor(self.cur, s.id);
@@ -273,7 +277,7 @@ impl Lowerer<'_> {
                 if let Some(step) = step {
                     self.cur = latch;
                     self.anchor(latch, step.id);
-                    self.push(Instr::Eval(step.clone()));
+                    self.push(Instr::Eval(Arc::clone(step)));
                     self.set_term(Terminator::Goto(header));
                 }
                 self.cur = exit;
@@ -299,12 +303,12 @@ impl Lowerer<'_> {
                         default = section_blocks[i];
                     }
                 }
-                self.set_term(Terminator::Switch {
-                    scrut: scrut.clone(),
-                    switch: switch_id,
+                self.set_term(Terminator::switch(
+                    Arc::clone(scrut),
+                    switch_id,
                     cases,
                     default,
-                });
+                ));
                 self.break_stack.push(exit);
                 for (i, sec) in sections.iter().enumerate() {
                     self.cur = section_blocks[i];
@@ -339,7 +343,7 @@ impl Lowerer<'_> {
             }
             StmtKind::Return(e) => {
                 self.anchor(self.cur, s.id);
-                self.set_term(Terminator::Return(e.clone()));
+                self.set_term(Terminator::Return(e.as_ref().map(Arc::clone)));
             }
             StmtKind::Goto(name) => {
                 self.anchor(self.cur, s.id);
@@ -420,7 +424,7 @@ impl Lowerer<'_> {
                     local,
                     word,
                     ty: ty.clone(),
-                    value: e.clone(),
+                    value: Arc::clone(e),
                 });
             }
             (_, Initializer::List(items)) if items.len() == 1 => {

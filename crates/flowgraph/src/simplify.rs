@@ -168,13 +168,14 @@ mod tests {
     use minic::ast::{Expr, ExprKind, NodeId};
     use minic::sema::FuncId;
     use minic::token::Span;
+    use std::sync::Arc;
 
-    fn lit(v: i64) -> Expr {
-        Expr {
+    fn lit(v: i64) -> Arc<Expr> {
+        Arc::new(Expr {
             id: NodeId(v as u32),
             span: Span::default(),
             kind: ExprKind::IntLit(v),
-        }
+        })
     }
 
     /// A block evaluating the literal `tag` (so it is never empty).
@@ -222,10 +223,10 @@ mod tests {
         b.instrs
             .iter()
             .map(|i| match i {
-                Instr::Eval(Expr {
-                    kind: ExprKind::IntLit(v),
-                    ..
-                }) => *v,
+                Instr::Eval(e) => match e.kind {
+                    ExprKind::IntLit(v) => v,
+                    _ => panic!("unexpected expression {e:?}"),
+                },
                 other => panic!("unexpected instr {other:?}"),
             })
             .collect()

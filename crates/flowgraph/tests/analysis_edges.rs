@@ -157,7 +157,7 @@ fn predecessors_are_consistent_with_successors() {
             }
         }
         let total_succ: usize = cfg.blocks.iter().map(|b| cfg.successors(b.id).len()).sum();
-        let total_pred: usize = preds.iter().map(Vec::len).sum();
+        let total_pred: usize = (0..preds.len()).map(|v| preds[v].len()).sum();
         assert_eq!(total_succ, total_pred);
     }
 }

@@ -3,10 +3,19 @@
 //! Every expression and statement carries a [`NodeId`] assigned during
 //! parsing. Semantic analysis attaches information (types, resolutions,
 //! call-site and branch ids) to nodes via side tables keyed by `NodeId`,
-//! so the tree itself stays immutable and cheap to clone into CFG blocks.
+//! so the tree itself stays immutable.
+//!
+//! Statement-level expression slots — expression statements, loop and
+//! `if` conditions, the `for` step, the `switch` scrutinee, the
+//! `return` value and initializer expressions — hold an [`Arc<Expr>`]:
+//! the CFG shares these trees with the AST instead of copying them.
+//! `Arc`'s `Debug`, `PartialEq` and `Hash` delegate to the expression,
+//! so dumps and comparisons read exactly as if the slot held the
+//! expression itself.
 
 use crate::token::Span;
 use std::fmt;
+use std::sync::Arc;
 
 /// A unique id for an AST node within one translation unit.
 // The derived `partial_cmp` delegates to `Ord` on a `u32` — total, so
@@ -266,7 +275,7 @@ pub struct VarDecl {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Initializer {
     /// `= expr`
-    Expr(Expr),
+    Expr(Arc<Expr>),
     /// `= { a, b, ... }` (possibly nested)
     List(Vec<Initializer>),
 }
@@ -299,25 +308,30 @@ pub struct Stmt {
 #[derive(Debug, Clone, PartialEq)]
 pub enum StmtKind {
     /// Expression statement.
-    Expr(Expr),
+    Expr(Arc<Expr>),
     /// Local declarations, e.g. `int x = 1, *p;`.
     Decl(Vec<VarDecl>),
     /// `if (cond) then [else els]`
-    If(Expr, Box<Stmt>, Option<Box<Stmt>>),
+    If(Arc<Expr>, Box<Stmt>, Option<Box<Stmt>>),
     /// `while (cond) body`
-    While(Expr, Box<Stmt>),
+    While(Arc<Expr>, Box<Stmt>),
     /// `do body while (cond);`
-    DoWhile(Box<Stmt>, Expr),
+    DoWhile(Box<Stmt>, Arc<Expr>),
     /// `for (init; cond; step) body` — init may be a declaration.
-    For(Option<Box<Stmt>>, Option<Expr>, Option<Expr>, Box<Stmt>),
+    For(
+        Option<Box<Stmt>>,
+        Option<Arc<Expr>>,
+        Option<Arc<Expr>>,
+        Box<Stmt>,
+    ),
     /// `switch (scrutinee) { sections }`
-    Switch(Expr, Vec<SwitchSection>),
+    Switch(Arc<Expr>, Vec<SwitchSection>),
     /// `break;`
     Break,
     /// `continue;`
     Continue,
     /// `return [expr];`
-    Return(Option<Expr>),
+    Return(Option<Arc<Expr>>),
     /// `goto label;`
     Goto(String),
     /// `label: stmt`

@@ -10,6 +10,7 @@ use crate::ast::*;
 use crate::error::{CompileError, ErrorKind};
 use crate::lexer::lex;
 use crate::token::{Keyword, Punct, Span, Token, TokenKind};
+use std::sync::Arc;
 
 /// Parses a translation unit.
 ///
@@ -660,7 +661,7 @@ impl Parser {
             self.expect_punct(Punct::RBrace)?;
             Ok(Initializer::List(items))
         } else {
-            Ok(Initializer::Expr(self.assign_expr()?))
+            Ok(Initializer::Expr(Arc::new(self.assign_expr()?)))
         }
     }
 
@@ -714,7 +715,7 @@ impl Parser {
                 let e = self.expr()?;
                 self.expect_punct(Punct::Semi)?;
                 let span = start.to(self.prev_span());
-                Ok(self.stmt_node(span, StmtKind::Expr(e)))
+                Ok(self.stmt_node(span, StmtKind::Expr(Arc::new(e))))
             }
         }
     }
@@ -738,7 +739,7 @@ impl Parser {
     fn if_stmt(&mut self, start: Span) -> Result<Stmt, CompileError> {
         self.bump();
         self.expect_punct(Punct::LParen)?;
-        let cond = self.expr()?;
+        let cond = Arc::new(self.expr()?);
         self.expect_punct(Punct::RParen)?;
         let then = Box::new(self.stmt()?);
         let els = if self.eat_kw(Keyword::Else) {
@@ -753,7 +754,7 @@ impl Parser {
     fn while_stmt(&mut self, start: Span) -> Result<Stmt, CompileError> {
         self.bump();
         self.expect_punct(Punct::LParen)?;
-        let cond = self.expr()?;
+        let cond = Arc::new(self.expr()?);
         self.expect_punct(Punct::RParen)?;
         let body = Box::new(self.stmt()?);
         let span = start.to(self.prev_span());
@@ -767,7 +768,7 @@ impl Parser {
             return Err(self.err("expected `while` after `do` body".into()));
         }
         self.expect_punct(Punct::LParen)?;
-        let cond = self.expr()?;
+        let cond = Arc::new(self.expr()?);
         self.expect_punct(Punct::RParen)?;
         self.expect_punct(Punct::Semi)?;
         let span = start.to(self.prev_span());
@@ -785,18 +786,18 @@ impl Parser {
             let e = self.expr()?;
             self.expect_punct(Punct::Semi)?;
             let span = e.span;
-            Some(Box::new(self.stmt_node(span, StmtKind::Expr(e))))
+            Some(Box::new(self.stmt_node(span, StmtKind::Expr(Arc::new(e)))))
         };
         let cond = if self.peek() == &TokenKind::Punct(Punct::Semi) {
             None
         } else {
-            Some(self.expr()?)
+            Some(Arc::new(self.expr()?))
         };
         self.expect_punct(Punct::Semi)?;
         let step = if self.peek() == &TokenKind::Punct(Punct::RParen) {
             None
         } else {
-            Some(self.expr()?)
+            Some(Arc::new(self.expr()?))
         };
         self.expect_punct(Punct::RParen)?;
         let body = Box::new(self.stmt()?);
@@ -809,7 +810,7 @@ impl Parser {
         let e = if self.peek() == &TokenKind::Punct(Punct::Semi) {
             None
         } else {
-            Some(self.expr()?)
+            Some(Arc::new(self.expr()?))
         };
         self.expect_punct(Punct::Semi)?;
         let span = start.to(self.prev_span());
@@ -819,7 +820,7 @@ impl Parser {
     fn switch_stmt(&mut self, start: Span) -> Result<Stmt, CompileError> {
         self.bump(); // switch
         self.expect_punct(Punct::LParen)?;
-        let scrut = self.expr()?;
+        let scrut = Arc::new(self.expr()?);
         self.expect_punct(Punct::RParen)?;
         self.expect_punct(Punct::LBrace)?;
         let mut sections = Vec::new();

@@ -600,6 +600,7 @@ mod tests {
     use super::*;
     use crate::parser::parse;
     use crate::token::Span;
+    use std::sync::Arc;
 
     fn round_trip(src: &str) -> (String, String) {
         let unit1 = parse(src).expect("first parse");
@@ -716,12 +717,14 @@ mod tests {
         // the then-branch is an else-less `if`: printing without
         // braces would rebind the `else` to the inner `if` on reparse.
         let mut g = NodeIdGen::new();
-        let mut e = |kind: ExprKind| Expr {
-            id: g.fresh(),
-            span: Span::default(),
-            kind,
+        let mut e = |kind: ExprKind| {
+            Arc::new(Expr {
+                id: g.fresh(),
+                span: Span::default(),
+                kind,
+            })
         };
-        let ret = |p: &mut dyn FnMut(ExprKind) -> Expr, v: i64| Stmt {
+        let ret = |p: &mut dyn FnMut(ExprKind) -> Arc<Expr>, v: i64| Stmt {
             id: NodeId(900 + v as u32),
             span: Span::default(),
             kind: StmtKind::Return(Some(p(ExprKind::IntLit(v)))),

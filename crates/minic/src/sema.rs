@@ -360,13 +360,14 @@ struct Checker {
     switch_depth: usize,
 }
 
-/// `a + b` words, or `None` past [`MAX_OBJECT_WORDS`].
-fn words_add(a: usize, b: usize) -> Option<usize> {
-    a.checked_add(b).filter(|&words| words <= MAX_OBJECT_WORDS)
+/// `a + b` words, or `None` past `limit`: [`MAX_OBJECT_WORDS`] for a
+/// type, the [`MAX_STATIC_WORDS`] budget for the data image or a frame.
+fn words_add(a: usize, b: usize, limit: usize) -> Option<usize> {
+    a.checked_add(b).filter(|&words| words <= limit)
 }
 
-fn too_large(what: &str) -> String {
-    format!("{what} is too large: more than {MAX_OBJECT_WORDS} words")
+fn too_large(what: &str, limit: usize) -> String {
+    format!("{what} is too large: more than {limit} words")
 }
 
 struct SizeEnv<'a> {
@@ -501,8 +502,9 @@ impl Checker {
                     ty,
                     offset,
                 });
-                offset = words_add(offset, size).ok_or_else(|| {
-                    self.err(sd.span, too_large(&format!("struct `{}`", sd.name)))
+                offset = words_add(offset, size, MAX_OBJECT_WORDS).ok_or_else(|| {
+                    let what = format!("struct `{}`", sd.name);
+                    self.err(sd.span, too_large(&what, MAX_OBJECT_WORDS))
                 })?;
             }
             // Replace the placeholder.
@@ -559,7 +561,7 @@ impl Checker {
                 };
                 let ty = Type::Array(Box::new(elem), n);
                 if ty.try_size_words(&self.structs).is_none() {
-                    return Err(self.err(span, too_large("array")));
+                    return Err(self.err(span, too_large("array", MAX_OBJECT_WORDS)));
                 }
                 Ok(ty)
             }
@@ -658,8 +660,10 @@ impl Checker {
                         if self.global_ids.contains_key(&d.name) {
                             return Err(self.err(d.span, format!("global `{}` redefined", d.name)));
                         }
-                        self.global_words = words_add(self.global_words, size)
-                            .ok_or_else(|| self.err(d.span, too_large("the global data")))?;
+                        self.global_words = words_add(self.global_words, size, MAX_STATIC_WORDS)
+                            .ok_or_else(|| {
+                                self.err(d.span, too_large("the global data", MAX_STATIC_WORDS))
+                            })?;
                         let id = GlobalId(self.globals.len() as u32);
                         self.global_ids.insert(d.name.clone(), id);
                         self.globals.push(Global {
@@ -684,10 +688,10 @@ impl Checker {
         let Type::Array(elem, 0) = &ty else { return ty };
         match &d.init {
             Some(Initializer::List(items)) => Type::Array(elem.clone(), items.len().max(1)),
-            Some(Initializer::Expr(Expr {
-                kind: ExprKind::StrLit(s),
-                ..
-            })) => Type::Array(elem.clone(), s.len() + 1),
+            Some(Initializer::Expr(e)) => match &e.kind {
+                ExprKind::StrLit(s) => Type::Array(elem.clone(), s.len() + 1),
+                _ => ty,
+            },
             _ => ty,
         }
     }
@@ -884,9 +888,12 @@ impl Checker {
             return Err(self.err(span, format!("variable `{name}` has type void")));
         };
         let size = size.max(1);
-        let frame = words_add(self.cur_frame, size).ok_or_else(|| {
+        let frame = words_add(self.cur_frame, size, MAX_STATIC_WORDS).ok_or_else(|| {
             let func = &self.functions[self.cur_func.0 as usize].name;
-            self.err(span, too_large(&format!("the frame of `{func}`")))
+            self.err(
+                span,
+                too_large(&format!("the frame of `{func}`"), MAX_STATIC_WORDS),
+            )
         })?;
         let id = LocalId(self.cur_locals.len() as u32);
         self.cur_locals.push(Local {

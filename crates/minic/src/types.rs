@@ -6,13 +6,20 @@
 
 use std::fmt;
 
-/// The largest object, data image or stack frame sema admits, in
-/// words: a bigger word count times the size of an
-/// [`InitWord`](crate::sema::InitWord) would exceed `isize::MAX` bytes,
-/// which no allocation can hold. Sizing past it is a diagnostic, not a
-/// wrapped count or an allocator panic.
+/// The largest type sema can size, in words: a bigger word count times
+/// the size of an [`InitWord`](crate::sema::InitWord) would exceed
+/// `isize::MAX` bytes, which no allocation can hold. Sizing past it is
+/// a diagnostic, not a wrapped count or an allocator panic.
 pub const MAX_OBJECT_WORDS: usize =
     isize::MAX as usize / std::mem::size_of::<crate::sema::InitWord>();
+
+/// The static-size budget, in words: the most that sema lets the data
+/// image (every global) or any one function's stack frame take. That is
+/// 2^24 words, 256 MiB of 16-byte VM words. The VM allocates both in
+/// full, so a program over the budget gets a diagnostic and is never
+/// run into an allocation abort. The suite and the program generators
+/// stay far below it.
+pub const MAX_STATIC_WORDS: usize = 1 << 24;
 
 /// Identifies a struct definition within a module.
 // The derived `partial_cmp` delegates to `Ord` on a `u32` — total, so

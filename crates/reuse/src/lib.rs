@@ -339,7 +339,7 @@ fn string_touch_positions(b: Builtin, nargs: usize) -> &'static [usize] {
 
 /// Top-level expressions of a block (instruction and terminator).
 fn block_exprs(b: &Block) -> Vec<&Expr> {
-    let mut out = Vec::new();
+    let mut out: Vec<&Expr> = Vec::new();
     for i in &b.instrs {
         match i {
             Instr::Eval(e) | Instr::Init { value: e, .. } => out.push(e),

@@ -423,7 +423,7 @@ impl ServeDb {
         // Phase 3 — branch predictions (cheap, module-wide) and intra
         // estimates: cached frequencies are reused per (function,
         // estimator); everything else is solved on the pool.
-        let predictions = predict_module(&program.module);
+        let predictions = Arc::new(predict_module(&program.module));
         let options = IntraOptions::default();
         let n_funcs = program.module.functions.len();
         let mut intra_slots: Vec<[Option<Vec<f64>>; 3]> =
@@ -477,7 +477,7 @@ impl ServeDb {
                 Arc::new(IntraEstimates {
                     estimator: INTRA_ALL[ei],
                     block_freqs: freqs,
-                    predictions: predictions.clone(),
+                    predictions: Arc::clone(&predictions),
                 })
             });
             [

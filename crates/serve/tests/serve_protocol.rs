@@ -79,6 +79,15 @@ fn requests() -> Vec<String> {
             "x".repeat(MAX_LINE_BYTES)
         ),
         r#"{"sfe":"serve/v1","id":39,"method":"list"}"#.into(),
+        // A program over sema's static-size budget (4e9 words of
+        // global data) is a compile error, not a daemon abort; the
+        // session keeps answering.
+        load_as(
+            40,
+            "huge",
+            "int a[4000000000]; int main(void) { return 0; }",
+        ),
+        r#"{"sfe":"serve/v1","id":41,"method":"estimate","params":{"estimator":"loop","program":"arr"}}"#.into(),
         // Shutdown last: it ends the session.
         r#"{"sfe":"serve/v1","id":32,"method":"shutdown"}"#.into(),
     ]

@@ -119,19 +119,26 @@ fn deep_nesting_is_a_diagnostic_not_an_abort() {
 }
 
 /// Oversized objects (array sizes that wrap or exceed what any
-/// allocation can hold, and struct, global-data and frame sums past
-/// the same limit) must fail with sema's size diagnostic, never a
-/// wrapped size, a wild address or a `capacity overflow` panic.
+/// allocation can hold, struct sums past the same limit, and global
+/// data or frames past the static-size budget) must fail with sema's
+/// size diagnostic, never a wrapped size, a wild address, an
+/// allocation abort or a `capacity overflow` panic.
 #[test]
 fn oversized_objects_are_semantic_diagnostics() {
     let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus");
-    let mut sources: Vec<String> = ["array-size-wrap", "array-size-overflow"]
-        .iter()
-        .map(|name| {
-            std::fs::read_to_string(format!("{corpus}/manual_diag_{name}.c"))
-                .expect("readable corpus file")
-        })
-        .collect();
+    let mut sources: Vec<String> = [
+        "array-size-wrap",
+        "array-size-overflow",
+        "global-over-budget",
+        "struct-array-over-budget",
+        "frame-over-budget",
+    ]
+    .iter()
+    .map(|name| {
+        std::fs::read_to_string(format!("{corpus}/manual_diag_{name}.c"))
+            .expect("readable corpus file")
+    })
+    .collect();
     let big = 300_000_000_000_000_000u64; // over half the word limit
     sources.extend([
         format!("struct T {{ int x[{big}]; int y[{big}]; }};\nint main(void) {{ return 0; }}"),
@@ -155,4 +162,31 @@ fn oversized_objects_are_semantic_diagnostics() {
             failure.detail
         );
     }
+}
+
+/// The static-size budget leaves every real program far below it: the
+/// suite and 1,000 generated programs use at most 1/64 of it for their
+/// data image and for any frame (the largest are xlisp's data image,
+/// 129,536 words, and an espresso frame of 4,102).
+#[test]
+fn programs_stay_far_below_the_static_size_budget() {
+    let mut modules: Vec<(String, minic::Module)> = suite::all()
+        .iter()
+        .map(|b| (b.name.to_string(), minic::compile(b.source).expect(b.name)))
+        .collect();
+    for seed in 0..1000 {
+        let src = fuzzgen::generate(seed).render();
+        let module = minic::compile(&src).expect("generated programs compile");
+        modules.push((format!("seed {seed}"), module));
+    }
+    let (mut data, mut frame) = ((0, ""), (0, ""));
+    for (name, m) in &modules {
+        let words: usize = m.globals.iter().map(|g| g.size).sum();
+        data = data.max((words, name));
+        let words = m.functions.iter().map(|f| f.frame_size).max().unwrap_or(0);
+        frame = frame.max((words, name));
+    }
+    println!("largest data image {data:?}, largest frame {frame:?}");
+    let limit = minic::types::MAX_STATIC_WORDS / 64;
+    assert!(data.0 <= limit && frame.0 <= limit, "over {limit} words");
 }

@@ -9,6 +9,7 @@
 //! fig8 fig9 fig10.
 
 use bench::{load_suite, ProgramData};
+use estimators::eval::{score_program, ProgramScores};
 use estimators::intra::IntraEstimator;
 use minic::ast::NodeId;
 
@@ -48,6 +49,11 @@ fn main() {
     } else {
         Vec::new()
     };
+    // Figures 4, 5a–c and 9 are columns of one scoring per program.
+    let scores: Vec<(&'static str, ProgramScores)> = suite_data
+        .iter()
+        .map(|d| (d.bench.name, score_program(&d.program, &d.profiles)))
+        .collect();
 
     for w in wanted {
         match w {
@@ -55,19 +61,35 @@ fn main() {
             "table2" => table2(),
             "fig2" => fig2(&suite_data),
             "fig3" => fig3(),
-            "fig4" => fig4(&suite_data),
-            "fig5a" => fig5a(&suite_data),
-            "fig5b" => fig5bc(&suite_data, 0.10, "Figure 5b"),
-            "fig5c" => fig5bc(&suite_data, 0.25, "Figure 5c"),
+            "fig4" => fig4(&rows(&scores, |s| s.intra)),
+            "fig5a" => fig5a(&rows(&scores, |s| s.invocation_simple)),
+            "fig5b" => fig5bc(
+                &rows(&scores, |s| s.invocation_markov_10),
+                0.10,
+                "Figure 5b",
+            ),
+            "fig5c" => fig5bc(
+                &rows(&scores, |s| s.invocation_markov_25),
+                0.25,
+                "Figure 5c",
+            ),
             "fig7" => fig7(),
             "fig8" => fig8(),
-            "fig9" => fig9(&suite_data),
+            "fig9" => fig9(&rows(&scores, |s| s.callsites)),
             "fig10" => fig10(),
             "ablation" => ablation(&suite_data),
             "extensions" => extensions(&suite_data),
             other => eprintln!("unknown experiment `{other}` (skipped)"),
         }
     }
+}
+
+/// One figure's table: a column group of every program's scores.
+fn rows<const N: usize>(
+    scores: &[(&'static str, ProgramScores)],
+    column: impl Fn(&ProgramScores) -> [f64; N],
+) -> Vec<(&'static str, [f64; N])> {
+    scores.iter().map(|(name, s)| (*name, column(s))).collect()
 }
 
 fn header(title: &str) {
@@ -167,14 +189,13 @@ fn fig3() {
     println!("(the while test gets 5, body statements 4, `return str;` 0.8)");
 }
 
-fn fig4(suite_data: &[ProgramData]) {
+fn fig4(rows: &[(&'static str, [f64; 4])]) {
     header("Figure 4: intra-procedural weight-matching at the 5% cutoff (%)");
     println!(
         "{:<10} {:>6} {:>6} {:>7} {:>8}",
         "program", "loop", "smart", "markov", "profile"
     );
-    let rows = bench::fig4(suite_data);
-    for (name, r) in &rows {
+    for (name, r) in rows {
         println!(
             "{:<10} {:>6} {:>6} {:>7} {:>8}",
             name,
@@ -184,7 +205,7 @@ fn fig4(suite_data: &[ProgramData]) {
             pct(r[3])
         );
     }
-    let avg = bench::averages(&rows);
+    let avg = bench::averages(rows);
     println!(
         "{:<10} {:>6} {:>6} {:>7} {:>8}",
         "average",
@@ -196,14 +217,13 @@ fn fig4(suite_data: &[ProgramData]) {
     println!("(paper: ~81% average for smart; markov no better intra-procedurally)");
 }
 
-fn fig5a(suite_data: &[ProgramData]) {
+fn fig5a(rows: &[(&'static str, [f64; 5])]) {
     header("Figure 5a: function-invocation scores at 25% (%) — simple estimators");
     println!(
         "{:<10} {:>9} {:>7} {:>8} {:>9} {:>8}",
         "program", "call-site", "direct", "all-rec", "all-rec2", "profile"
     );
-    let rows = bench::fig5a(suite_data);
-    for (name, r) in &rows {
+    for (name, r) in rows {
         println!(
             "{:<10} {:>9} {:>7} {:>8} {:>9} {:>8}",
             name,
@@ -214,7 +234,7 @@ fn fig5a(suite_data: &[ProgramData]) {
             pct(r[4])
         );
     }
-    let avg = bench::averages(&rows);
+    let avg = bench::averages(rows);
     println!(
         "{:<10} {:>9} {:>7} {:>8} {:>9} {:>8}",
         "average",
@@ -226,7 +246,7 @@ fn fig5a(suite_data: &[ProgramData]) {
     );
 }
 
-fn fig5bc(suite_data: &[ProgramData], cutoff: f64, title: &str) {
+fn fig5bc(rows: &[(&'static str, [f64; 3])], cutoff: f64, title: &str) {
     header(&format!(
         "{title}: direct vs Markov vs profiling at the {:.0}% cutoff (%)",
         cutoff * 100.0
@@ -235,8 +255,7 @@ fn fig5bc(suite_data: &[ProgramData], cutoff: f64, title: &str) {
         "{:<10} {:>7} {:>7} {:>8}",
         "program", "direct", "markov", "profile"
     );
-    let rows = bench::fig5bc(suite_data, cutoff);
-    for (name, r) in &rows {
+    for (name, r) in rows {
         println!(
             "{:<10} {:>7} {:>7} {:>8}",
             name,
@@ -245,7 +264,7 @@ fn fig5bc(suite_data: &[ProgramData], cutoff: f64, title: &str) {
             pct(r[2])
         );
     }
-    let avg = bench::averages(&rows);
+    let avg = bench::averages(rows);
     println!(
         "{:<10} {:>7} {:>7} {:>8}",
         "average",
@@ -295,14 +314,13 @@ fn fig8() {
     );
 }
 
-fn fig9(suite_data: &[ProgramData]) {
+fn fig9(rows: &[(&'static str, [f64; 3])]) {
     header("Figure 9: call-site scores at the 25% cutoff (%)");
     println!(
         "{:<10} {:>7} {:>7} {:>8}",
         "program", "direct", "markov", "profile"
     );
-    let rows = bench::fig9(suite_data);
-    for (name, r) in &rows {
+    for (name, r) in rows {
         println!(
             "{:<10} {:>7} {:>7} {:>8}",
             name,
@@ -311,7 +329,7 @@ fn fig9(suite_data: &[ProgramData]) {
             pct(r[2])
         );
     }
-    let avg = bench::averages(&rows);
+    let avg = bench::averages(rows);
     println!(
         "{:<10} {:>7} {:>7} {:>8}",
         "average",

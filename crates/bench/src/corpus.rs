@@ -33,10 +33,7 @@
 
 use cache::codec::Artifact;
 use cache::{ArtifactKey, ArtifactKind, Cache};
-use estimators::branch::predict_module;
-use estimators::eval;
-use estimators::inter::{estimate_invocations, InterEstimates, InterEstimator};
-use estimators::intra::{estimate_function_with, IntraEstimates, IntraEstimator, IntraOptions};
+use estimators::eval::{score_estimates, EstimateScores};
 pub use fuzzgen::corpus::parse_buckets;
 use fuzzgen::corpus::{bucket_indices, bucket_labels, Feature, StructuralFeatures};
 use obs::hash::Fnv128;
@@ -45,7 +42,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, HashSet};
 use std::hash::Hasher;
 use std::path::PathBuf;
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// The ten headline heuristic columns aggregated per bucket: the
@@ -211,9 +208,15 @@ impl BucketAgg {
         }
     }
 
-    fn add(&mut self, scores: &[f64; 10]) {
+    /// Folds one program's scores, in [`HEURISTICS`] column order.
+    fn add(&mut self, scores: &EstimateScores) {
         self.count += 1;
-        for (h, &s) in self.hists.iter_mut().zip(scores) {
+        let columns = scores
+            .intra
+            .iter()
+            .chain(&scores.invocation)
+            .chain(&scores.callsite);
+        for (h, &s) in self.hists.iter_mut().zip(columns) {
             h.add(s);
         }
     }
@@ -234,7 +237,7 @@ struct SeedRecord {
     seq: u64,
     fingerprint: u128,
     features: StructuralFeatures,
-    scores: [f64; 10],
+    scores: EstimateScores,
     micros: u64,
     /// The VM rejected the program (never expected from the
     /// generator; counted rather than aborting a long run).
@@ -340,73 +343,6 @@ impl CorpusReport {
     }
 }
 
-/// Every estimate the corpus scores for one program: the three
-/// intra-procedural estimators (loop, smart, Markov) and the five
-/// inter-procedural ones (call-site, direct, all-rec, all-rec2,
-/// Markov), in those orders.
-pub struct Estimates {
-    /// Loop, smart and Markov block frequencies.
-    pub intra: [IntraEstimates; 3],
-    /// Call-site, direct, all-rec, all-rec2 and Markov invocations.
-    pub inter: [InterEstimates; 5],
-}
-
-/// The corpus's estimator stage for one program. The branch
-/// predictions are computed once and shared by all three
-/// intra-procedural estimators; the inter-procedural ones build on
-/// smart, as in the paper.
-pub fn estimate_all(program: &flowgraph::Program) -> Estimates {
-    let predictions = Arc::new(predict_module(&program.module));
-    let intra = |which| {
-        let _sp = obs::span("estimate.intra");
-        let options = IntraOptions::default();
-        IntraEstimates {
-            estimator: which,
-            block_freqs: program
-                .module
-                .functions
-                .iter()
-                .map(|f| {
-                    if f.is_defined() {
-                        estimate_function_with(program, f.id, which, &predictions, &options)
-                    } else {
-                        Vec::new()
-                    }
-                })
-                .collect(),
-            predictions: Arc::clone(&predictions),
-        }
-    };
-    let intra = [
-        intra(IntraEstimator::Loop),
-        intra(IntraEstimator::Smart),
-        intra(IntraEstimator::Markov),
-    ];
-    let inter = InterEstimator::ALL.map(|w| estimate_invocations(program, &intra[1], w));
-    Estimates { intra, inter }
-}
-
-/// Computes the ten heuristic score columns for one program from
-/// [`estimate_all`].
-fn score_columns(program: &flowgraph::Program, profiles: &[profiler::Profile]) -> [f64; 10] {
-    let Estimates {
-        intra: [ia_loop, ia_smart, ia_markov],
-        inter: [ie_callsite, ie_direct, ie_allrec, ie_allrec2, ie_markov],
-    } = estimate_all(program);
-    [
-        eval::intra_score(program, &ia_loop, profiles, 0.05),
-        eval::intra_score(program, &ia_smart, profiles, 0.05),
-        eval::intra_score(program, &ia_markov, profiles, 0.05),
-        eval::invocation_score(program, &ie_callsite, profiles, 0.25),
-        eval::invocation_score(program, &ie_direct, profiles, 0.25),
-        eval::invocation_score(program, &ie_allrec, profiles, 0.25),
-        eval::invocation_score(program, &ie_allrec2, profiles, 0.25),
-        eval::invocation_score(program, &ie_markov, profiles, 0.25),
-        eval::callsite_score(program, &ia_smart, &ie_direct, profiles, 0.25),
-        eval::callsite_score(program, &ia_smart, &ie_markov, profiles, 0.25),
-    ]
-}
-
 thread_local! {
     /// One reusable VM arena per worker thread (and the producer, who
     /// helps when the gate is full).
@@ -430,13 +366,13 @@ fn eval_seed(seq: u64, seed: u64, cache: Option<&Cache>) -> SeedRecord {
             seq,
             fingerprint,
             features,
-            scores: [0.0; 10],
+            scores: EstimateScores::default(),
             micros: t0.elapsed().as_micros() as u64,
             error: true,
         };
     };
     let profiles = [out.profile];
-    let scores = score_columns(&program, &profiles);
+    let scores = score_estimates(&program, &estimators::estimate_all(&program), &profiles);
     if let Some(c) = cache {
         let key = ArtifactKey::derive(ArtifactKind::Profile, &src, &config);
         let [profile] = profiles;
@@ -588,36 +524,5 @@ mod tests {
         h.add(1.0);
         assert!((h.quantile(0.5) - 0.25).abs() < 1e-3);
         assert!((h.quantile(0.99) - 1.0).abs() < 1e-9);
-    }
-
-    /// The streaming engine scores ten columns with shared branch
-    /// predictions; they must equal the matching columns of the full
-    /// 18-score evaluation.
-    #[test]
-    fn score_columns_match_the_full_evaluation() {
-        for seed in 1..=24 {
-            let src = fuzzgen::generate(seed).render();
-            let module = minic::compile(&src).expect("generated programs always parse");
-            let program = flowgraph::build_program(module);
-            let out = profiler::run(&program, &run_config(seed)).expect("generated programs run");
-            let profiles = [out.profile];
-            let full = eval::score_program(&program, &profiles);
-            let expected = [
-                full.intra[0],
-                full.intra[1],
-                full.intra[2],
-                full.invocation_simple[0],
-                full.invocation_simple[1],
-                full.invocation_simple[2],
-                full.invocation_simple[3],
-                full.invocation_markov_25[1],
-                full.callsites[0],
-                full.callsites[1],
-            ];
-            let got = score_columns(&program, &profiles);
-            for (h, (g, e)) in HEURISTICS.iter().zip(got.iter().zip(&expected)) {
-                assert_eq!(g.to_bits(), e.to_bits(), "seed {seed} {h}: {g} vs {e}");
-            }
-        }
     }
 }

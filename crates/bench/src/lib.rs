@@ -348,102 +348,6 @@ pub fn fig2(suite_data: &[ProgramData]) -> Vec<(&'static str, MissRates, f64)> {
         .collect()
 }
 
-/// Figure 4 rows: intra-procedural weight-matching at the 5% cutoff —
-/// (loop, smart, markov, profile).
-pub fn fig4(suite_data: &[ProgramData]) -> Vec<(&'static str, [f64; 4])> {
-    suite_data
-        .iter()
-        .map(|d| {
-            let s = |which| {
-                let est = estimate_program(&d.program, which);
-                eval::intra_score(&d.program, &est, &d.profiles, 0.05)
-            };
-            let profile = eval::intra_score_profile_predictor(&d.program, &d.profiles, 0.05);
-            (
-                d.bench.name,
-                [
-                    s(IntraEstimator::Loop),
-                    s(IntraEstimator::Smart),
-                    s(IntraEstimator::Markov),
-                    profile,
-                ],
-            )
-        })
-        .collect()
-}
-
-/// Figure 5a rows at the 25% cutoff:
-/// (call-site, direct, all-rec, all-rec2, profile).
-pub fn fig5a(suite_data: &[ProgramData]) -> Vec<(&'static str, [f64; 5])> {
-    suite_data
-        .iter()
-        .map(|d| {
-            let ia = estimate_program(&d.program, IntraEstimator::Smart);
-            let s = |which| {
-                let ie = estimate_invocations(&d.program, &ia, which);
-                eval::invocation_score(&d.program, &ie, &d.profiles, 0.25)
-            };
-            let profile = eval::invocation_score_profile_predictor(&d.program, &d.profiles, 0.25);
-            (
-                d.bench.name,
-                [
-                    s(InterEstimator::CallSite),
-                    s(InterEstimator::Direct),
-                    s(InterEstimator::AllRec),
-                    s(InterEstimator::AllRec2),
-                    profile,
-                ],
-            )
-        })
-        .collect()
-}
-
-/// Figures 5b/5c rows: (direct, markov, profile) at the given cutoff.
-pub fn fig5bc(suite_data: &[ProgramData], cutoff: f64) -> Vec<(&'static str, [f64; 3])> {
-    suite_data
-        .iter()
-        .map(|d| {
-            let ia = estimate_program(&d.program, IntraEstimator::Smart);
-            let s = |which| {
-                let ie = estimate_invocations(&d.program, &ia, which);
-                eval::invocation_score(&d.program, &ie, &d.profiles, cutoff)
-            };
-            let profile = eval::invocation_score_profile_predictor(&d.program, &d.profiles, cutoff);
-            (
-                d.bench.name,
-                [
-                    s(InterEstimator::Direct),
-                    s(InterEstimator::Markov),
-                    profile,
-                ],
-            )
-        })
-        .collect()
-}
-
-/// Figure 9 rows: call-site scores at 25% — (direct, markov, profile).
-pub fn fig9(suite_data: &[ProgramData]) -> Vec<(&'static str, [f64; 3])> {
-    suite_data
-        .iter()
-        .map(|d| {
-            let ia = estimate_program(&d.program, IntraEstimator::Smart);
-            let s = |which| {
-                let ie = estimate_invocations(&d.program, &ia, which);
-                eval::callsite_score(&d.program, &ia, &ie, &d.profiles, 0.25)
-            };
-            let profile = eval::callsite_score_profile_predictor(&d.program, &d.profiles, 0.25);
-            (
-                d.bench.name,
-                [
-                    s(InterEstimator::Direct),
-                    s(InterEstimator::Markov),
-                    profile,
-                ],
-            )
-        })
-        .collect()
-}
-
 /// Figure 8 data: the pathological self-arc weight and the repaired
 /// invocation estimate for `count_nodes`.
 #[derive(Debug, Clone)]

@@ -1,7 +1,7 @@
 //! Allocation gate for the compile-time pipeline: heap allocations per
 //! generated program in each stage — lex and parse, sema,
 //! `flowgraph::build_program`, and the estimator stage as the corpus
-//! runs it (`bench::corpus::estimate_all`: branch predictions once,
+//! runs it (`estimators::estimate_all`: branch predictions once,
 //! three intra-procedural and five inter-procedural estimators).
 //! Allocation counts are deterministic, so unlike a timing floor this
 //! runs in every workspace test run, and each stage is held to its own
@@ -85,7 +85,7 @@ fn pipeline_allocations_stay_within_budget() {
         totals[1] += n;
         let (program, n) = count(|| flowgraph::build_program(module));
         totals[2] += n;
-        let (estimates, n) = count(|| bench::corpus::estimate_all(&program));
+        let (estimates, n) = count(|| estimators::estimate_all(&program));
         totals[3] += n;
         drop(estimates);
         drop(program);

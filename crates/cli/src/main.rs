@@ -454,7 +454,8 @@ fn suite_report(cache_dir: Option<&str>, no_cache: bool, opt_level: u8) -> ExitC
         "program", "funcs", "blocks", "steps", "inv@25", "cs@25"
     );
     for d in &data {
-        let scores = estimators::eval::score_program(&d.program, &d.profiles);
+        let estimates = estimators::estimate_all(&d.program);
+        let scores = estimators::eval::score_estimates(&d.program, &estimates, &d.profiles);
         let steps: u64 = d
             .profiles
             .iter()
@@ -466,8 +467,8 @@ fn suite_report(cache_dir: Option<&str>, no_cache: bool, opt_level: u8) -> ExitC
             d.program.defined_ids().len(),
             d.program.total_blocks(),
             steps,
-            scores.invocation_markov_25[1] * 100.0,
-            scores.callsites[1] * 100.0,
+            scores.invocation[inter::InterEstimator::Markov as usize] * 100.0,
+            scores.callsite[1] * 100.0,
         );
     }
     ExitCode::SUCCESS

@@ -6,9 +6,10 @@
 //! profiles.
 
 use crate::callsite::{estimate_sites, rankable_sites};
-use crate::inter::{estimate_invocations, InterEstimates, InterEstimator};
-use crate::intra::{estimate_program, IntraEstimates, IntraEstimator};
+use crate::inter::{InterEstimates, InterEstimator};
+use crate::intra::{IntraEstimates, IntraEstimator};
 use crate::metric::weight_matching;
+use crate::{estimate_all, Estimates};
 use flowgraph::Program;
 use profiler::{aggregate, Profile};
 
@@ -169,6 +170,43 @@ pub fn callsite_score_profile_predictor(
     mean(&scores)
 }
 
+/// The ten headline columns for one program: each static estimator
+/// of [`Estimates`] weight-matched at the paper's cutoff.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct EstimateScores {
+    /// Loop, smart and Markov intra scores at the 5% cutoff.
+    pub intra: [f64; 3],
+    /// The five invocation estimators at the 25% cutoff, in
+    /// [`InterEstimator::ALL`] order.
+    pub invocation: [f64; 5],
+    /// Call-site scores (direct, Markov) at the 25% cutoff.
+    pub callsite: [f64; 2],
+}
+
+/// Weight-matches every estimate in `estimates` (from
+/// [`estimate_all`]) against `profiles`. The call-site columns rank
+/// sites by smart block frequencies times direct or Markov
+/// invocations.
+pub fn score_estimates(
+    program: &Program,
+    estimates: &Estimates,
+    profiles: &[Profile],
+) -> EstimateScores {
+    let smart = estimates.intra(IntraEstimator::Smart);
+    EstimateScores {
+        intra: estimates
+            .intra
+            .each_ref()
+            .map(|ia| intra_score(program, ia, profiles, 0.05)),
+        invocation: estimates
+            .inter
+            .each_ref()
+            .map(|ie| invocation_score(program, ie, profiles, 0.25)),
+        callsite: [InterEstimator::Direct, InterEstimator::Markov]
+            .map(|w| callsite_score(program, smart, estimates.inter(w), profiles, 0.25)),
+    }
+}
+
 /// Convenience bundle: all the scores the paper reports for one
 /// program, computed in one pass.
 #[derive(Debug, Clone, Default)]
@@ -185,60 +223,37 @@ pub struct ProgramScores {
     pub callsites: [f64; 3],
 }
 
-/// Computes every headline score for one program and its profiles.
+/// Computes every headline score for one program and its profiles:
+/// the [`score_estimates`] columns plus the leave-one-out profile
+/// predictors and the 10% invocation columns of Figure 5b.
 pub fn score_program(program: &Program, profiles: &[Profile]) -> ProgramScores {
-    let ia_loop = estimate_program(program, IntraEstimator::Loop);
-    let ia_smart = estimate_program(program, IntraEstimator::Smart);
-    let ia_markov = estimate_program(program, IntraEstimator::Markov);
-
-    let intra = [
-        intra_score(program, &ia_loop, profiles, 0.05),
-        intra_score(program, &ia_smart, profiles, 0.05),
-        intra_score(program, &ia_markov, profiles, 0.05),
-        intra_score_profile_predictor(program, profiles, 0.05),
-    ];
-
-    // All inter-procedural estimators are built on smart intra
-    // estimates, as in the paper ("All estimates are built on the
-    // smart intra-procedural estimator").
-    let inter_of = |w| estimate_invocations(program, &ia_smart, w);
-    let ie_callsite = inter_of(InterEstimator::CallSite);
-    let ie_direct = inter_of(InterEstimator::Direct);
-    let ie_allrec = inter_of(InterEstimator::AllRec);
-    let ie_allrec2 = inter_of(InterEstimator::AllRec2);
-    let ie_markov = inter_of(InterEstimator::Markov);
-
-    let inv = |e: &InterEstimates, c| invocation_score(program, e, profiles, c);
-    let invocation_simple = [
-        inv(&ie_callsite, 0.25),
-        inv(&ie_direct, 0.25),
-        inv(&ie_allrec, 0.25),
-        inv(&ie_allrec2, 0.25),
-        invocation_score_profile_predictor(program, profiles, 0.25),
-    ];
-    let invocation_markov_10 = [
-        inv(&ie_direct, 0.10),
-        inv(&ie_markov, 0.10),
-        invocation_score_profile_predictor(program, profiles, 0.10),
-    ];
-    let invocation_markov_25 = [
-        inv(&ie_direct, 0.25),
-        inv(&ie_markov, 0.25),
-        invocation_score_profile_predictor(program, profiles, 0.25),
-    ];
-
-    let callsites = [
-        callsite_score(program, &ia_smart, &ie_direct, profiles, 0.25),
-        callsite_score(program, &ia_smart, &ie_markov, profiles, 0.25),
-        callsite_score_profile_predictor(program, profiles, 0.25),
-    ];
-
+    let estimates = estimate_all(program);
+    let EstimateScores {
+        intra: [loop_, smart, markov],
+        invocation: [callsite, direct, allrec, allrec2, inv_markov],
+        callsite: [cs_direct, cs_markov],
+    } = score_estimates(program, &estimates, profiles);
+    let inv_10 = |w| invocation_score(program, estimates.inter(w), profiles, 0.10);
+    let inv_profile_25 = invocation_score_profile_predictor(program, profiles, 0.25);
     ProgramScores {
-        intra,
-        invocation_simple,
-        invocation_markov_10,
-        invocation_markov_25,
-        callsites,
+        intra: [
+            loop_,
+            smart,
+            markov,
+            intra_score_profile_predictor(program, profiles, 0.05),
+        ],
+        invocation_simple: [callsite, direct, allrec, allrec2, inv_profile_25],
+        invocation_markov_10: [
+            inv_10(InterEstimator::Direct),
+            inv_10(InterEstimator::Markov),
+            invocation_score_profile_predictor(program, profiles, 0.10),
+        ],
+        invocation_markov_25: [direct, inv_markov, inv_profile_25],
+        callsites: [
+            cs_direct,
+            cs_markov,
+            callsite_score_profile_predictor(program, profiles, 0.25),
+        ],
     }
 }
 
@@ -252,6 +267,8 @@ fn mean(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inter::estimate_invocations;
+    use crate::intra::estimate_program;
     use profiler::{run, RunConfig};
 
     fn setup(src: &str, inputs: &[&str]) -> (Program, Vec<Profile>) {

@@ -60,7 +60,8 @@ pub enum InterEstimator {
 }
 
 impl InterEstimator {
-    /// All five estimators, in the paper's order.
+    /// All five estimators, in the paper's order (and declaration
+    /// order, so `which as usize` indexes this array).
     pub const ALL: [InterEstimator; 5] = [
         InterEstimator::CallSite,
         InterEstimator::Direct,

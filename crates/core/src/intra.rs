@@ -44,6 +44,25 @@ pub enum IntraEstimator {
     Markov,
 }
 
+impl IntraEstimator {
+    /// All three estimators, in the paper's order (and declaration
+    /// order, so `which as usize` indexes this array).
+    pub const ALL: [IntraEstimator; 3] = [
+        IntraEstimator::Loop,
+        IntraEstimator::Smart,
+        IntraEstimator::Markov,
+    ];
+
+    /// The paper's name for the estimator.
+    pub fn name(self) -> &'static str {
+        match self {
+            IntraEstimator::Loop => "loop",
+            IntraEstimator::Smart => "smart",
+            IntraEstimator::Markov => "markov",
+        }
+    }
+}
+
 /// All intra-procedural estimates for a program, plus the shared branch
 /// predictions (computed once and reused by the inter-procedural and
 /// miss-rate analyses; the estimates of one program share one map).

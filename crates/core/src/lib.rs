@@ -19,6 +19,12 @@
 //! and branch miss rates — [`missrate`] (Figure 2). The [`eval`]
 //! module packages the paper's exact scoring methodology.
 //!
+//! [`estimate_all`] runs every estimator the paper scores over one
+//! program, sharing one set of branch predictions, and
+//! [`eval::score_estimates`] weight-matches that bundle against
+//! profiles: the one estimate-and-score path behind the figures, the
+//! corpus engine, `sfe suite` and the serve daemon.
+//!
 //! # Example
 //!
 //! ```
@@ -67,3 +73,75 @@ pub use inter::{estimate_invocations, InterEstimates, InterEstimator};
 pub use intra::{estimate_program, IntraEstimates, IntraEstimator};
 pub use metric::weight_matching;
 pub use missrate::{miss_rates, MissRates};
+
+use intra::{estimate_function_with, IntraOptions};
+use std::sync::Arc;
+
+/// Every estimate the paper scores for one program: the three
+/// intra-procedural estimators in [`IntraEstimator::ALL`] order and
+/// the five inter-procedural ones in [`InterEstimator::ALL`] order.
+#[derive(Debug, Clone)]
+pub struct Estimates {
+    /// Loop, smart and Markov block frequencies.
+    pub intra: [IntraEstimates; 3],
+    /// Call-site, direct, all-rec, all-rec2 and Markov invocations,
+    /// all built on smart intra estimates as in the paper.
+    pub inter: [InterEstimates; 5],
+}
+
+impl Estimates {
+    /// The block frequencies of one intra-procedural estimator.
+    pub fn intra(&self, which: IntraEstimator) -> &IntraEstimates {
+        &self.intra[which as usize]
+    }
+
+    /// The invocation estimates of one inter-procedural estimator.
+    pub fn inter(&self, which: InterEstimator) -> &InterEstimates {
+        &self.inter[which as usize]
+    }
+}
+
+/// Runs every estimator over `program`. The branch predictions are
+/// computed once and shared by all three intra-procedural estimators;
+/// the inter-procedural ones build on smart, as in the paper.
+pub fn estimate_all(program: &flowgraph::Program) -> Estimates {
+    let predictions = Arc::new(predict_module(&program.module));
+    let intra = IntraEstimator::ALL.map(|which| {
+        let _sp = obs::span("estimate.intra");
+        let options = IntraOptions::default();
+        IntraEstimates {
+            estimator: which,
+            block_freqs: program
+                .module
+                .functions
+                .iter()
+                .map(|f| {
+                    if f.is_defined() {
+                        estimate_function_with(program, f.id, which, &predictions, &options)
+                    } else {
+                        Vec::new()
+                    }
+                })
+                .collect(),
+            predictions: Arc::clone(&predictions),
+        }
+    });
+    let smart = &intra[IntraEstimator::Smart as usize];
+    let inter = InterEstimator::ALL.map(|w| estimate_invocations(program, smart, w));
+    Estimates { intra, inter }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn estimator_lists_are_in_declaration_order() {
+        for (i, w) in IntraEstimator::ALL.into_iter().enumerate() {
+            assert_eq!(w as usize, i);
+        }
+        for (i, w) in InterEstimator::ALL.into_iter().enumerate() {
+            assert_eq!(w as usize, i);
+        }
+    }
+}

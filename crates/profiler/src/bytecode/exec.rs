@@ -18,7 +18,8 @@
 use super::place::{derive_branches, rebuild};
 use super::{ArithMode, CompiledProgram, Op, ParamBind, SwitchTable, NONE32};
 use crate::interp::{
-    convert_for_class, RunConfig, RunOutcome, RuntimeError, Value, CALL_COST, STACK_BASE,
+    convert_for_class, heap_alloc, heap_words, RunConfig, RunOutcome, RuntimeError, Value,
+    CALL_COST, STACK_BASE,
 };
 use crate::profile::Profile;
 use crate::reuse::MemTap;
@@ -329,12 +330,6 @@ impl<'a, T: MemTap> Vm<'a, T> {
             self.store(dst + i, v)?;
         }
         Ok(())
-    }
-
-    fn alloc_static(&mut self, words: usize) -> u64 {
-        let addr = self.data.len() as u64 + 1;
-        self.data.extend(std::iter::repeat_n(Value::Int(0), words));
-        addr
     }
 
     // ----- registers and frame slots -----
@@ -1521,14 +1516,16 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     Value::Int(-1)
                 }
             }
-            Builtin::Malloc => {
-                let n = arg(0).to_int().max(1) as usize;
-                Value::Ptr(self.alloc_static(n))
-            }
-            Builtin::Calloc => {
-                let n = (arg(0).to_int().max(0) as usize) * (arg(1).to_int().max(1) as usize);
-                Value::Ptr(self.alloc_static(n.max(1)))
-            }
+            Builtin::Malloc => Value::Ptr(heap_alloc(
+                &mut self.data,
+                self.cp.data_image.len(),
+                heap_words(arg(0).to_int(), 1),
+            )),
+            Builtin::Calloc => Value::Ptr(heap_alloc(
+                &mut self.data,
+                self.cp.data_image.len(),
+                heap_words(arg(0).to_int(), arg(1).to_int()),
+            )),
             Builtin::Free => Value::Int(0),
             Builtin::Memset => {
                 let p = arg(0).to_ptr();

@@ -20,7 +20,7 @@ use minic::ast::{BinOp, Expr, ExprKind, UnOp};
 use minic::builtins::Builtin;
 use minic::sema::{CalleeKind, FuncId, InitWord, Module, Resolution};
 use minic::side::DeclIndex;
-use minic::types::Type;
+use minic::types::{Type, MAX_STATIC_WORDS};
 use std::error::Error;
 use std::fmt;
 
@@ -29,6 +29,32 @@ pub const STACK_BASE: u64 = 1 << 40;
 
 /// Cost units charged per function call (on top of per-expression units).
 pub const CALL_COST: u64 = 4;
+
+/// Words a `malloc(count)` (`size` 1) or `calloc(count, size)` call
+/// asks for: at least one, or `None` when `count * size` overflows.
+pub(crate) fn heap_words(count: i64, size: i64) -> Option<usize> {
+    (count.max(0) as usize)
+        .checked_mul(size.max(1) as usize)
+        .map(|w| w.max(1))
+}
+
+/// Both engines' heap: appends `words` zeroed words to the data
+/// segment and returns the first one's address. The heap is the data
+/// segment past its first `heap_base` words (the static image), and a
+/// run's heap holds at most [`MAX_STATIC_WORDS`] words: a request that
+/// overflowed (`None`) or would go past that returns NULL, as C's
+/// `malloc` does when memory runs out.
+pub(crate) fn heap_alloc(data: &mut Vec<Value>, heap_base: usize, words: Option<usize>) -> u64 {
+    let used = data.len() - heap_base;
+    match words {
+        Some(n) if n <= MAX_STATIC_WORDS - used => {
+            let addr = data.len() as u64 + 1;
+            data.resize(data.len() + n, Value::Int(0));
+            addr
+        }
+        _ => 0,
+    }
+}
 
 /// A runtime value: one machine word.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -464,6 +490,8 @@ struct Interp<'p, T: MemTap> {
     stack: Vec<Value>,
     global_addr: Vec<u64>,
     str_addr: Vec<u64>,
+    /// The static image's length: `malloc` allocates past it.
+    heap_base: usize,
     profile: Profile,
     output: Vec<u8>,
     input: &'p [u8],
@@ -487,6 +515,7 @@ impl<'p, T: MemTap> Interp<'p, T> {
             stack: Vec::new(),
             global_addr: Vec::new(),
             str_addr: Vec::new(),
+            heap_base: 0,
             profile: Profile::for_program(program),
             output: Vec::new(),
             input: &config.input,
@@ -583,6 +612,7 @@ impl<'p, T: MemTap> Interp<'p, T> {
             }
             self.str_addr.push(addr);
         }
+        self.heap_base = self.data.len();
         // Resolve initializer words (done after all addresses exist).
         for g in &module.globals {
             let base = self.global_addr[g.id.0 as usize];
@@ -1285,14 +1315,16 @@ impl<'p, T: MemTap> Interp<'p, T> {
                     Value::Int(-1)
                 }
             }
-            Builtin::Malloc => {
-                let n = arg(0).to_int().max(1) as usize;
-                Value::Ptr(self.alloc_static(n))
-            }
-            Builtin::Calloc => {
-                let n = (arg(0).to_int().max(0) as usize) * (arg(1).to_int().max(1) as usize);
-                Value::Ptr(self.alloc_static(n.max(1)))
-            }
+            Builtin::Malloc => Value::Ptr(heap_alloc(
+                &mut self.data,
+                self.heap_base,
+                heap_words(arg(0).to_int(), 1),
+            )),
+            Builtin::Calloc => Value::Ptr(heap_alloc(
+                &mut self.data,
+                self.heap_base,
+                heap_words(arg(0).to_int(), arg(1).to_int()),
+            )),
             Builtin::Free => Value::Int(0),
             Builtin::Memset => {
                 let p = arg(0).to_ptr();

@@ -42,9 +42,10 @@
 use crate::fp::{self, fold_f64s};
 use cache::{ArtifactKey, ArtifactKind, Cache};
 use estimators::branch::error_functions;
-use estimators::inter::{estimate_invocations, InterEstimates, InterEstimator};
+use estimators::eval::{score_estimates, EstimateScores};
+use estimators::inter::{estimate_invocations, InterEstimator};
 use estimators::intra::{estimate_function_with, IntraEstimates, IntraEstimator, IntraOptions};
-use estimators::predict_module;
+use estimators::{predict_module, Estimates};
 use flowgraph::cfg::{Cfg, Instr, Terminator};
 use flowgraph::{CallGraph, Program};
 use minic::ast::{Item, Unit};
@@ -54,29 +55,6 @@ use obs::hash::Fnv128;
 use profiler::{CompiledProgram, ExecScratch, Profile, RunConfig};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
-
-/// The three intra estimators the database materializes, in index
-/// order (the paper's loop / smart / Markov).
-pub const INTRA_ALL: [IntraEstimator; 3] = [
-    IntraEstimator::Loop,
-    IntraEstimator::Smart,
-    IntraEstimator::Markov,
-];
-
-fn intra_idx(which: IntraEstimator) -> usize {
-    match which {
-        IntraEstimator::Loop => 0,
-        IntraEstimator::Smart => 1,
-        IntraEstimator::Markov => 2,
-    }
-}
-
-fn inter_idx(which: InterEstimator) -> usize {
-    InterEstimator::ALL
-        .iter()
-        .position(|&w| w == which)
-        .expect("estimator in ALL")
-}
 
 /// Recompute-vs-reuse accounting for one update (and, accumulated, for
 /// the database lifetime). `total_units` is the scalar the <10%
@@ -200,27 +178,17 @@ pub struct ProgramEntry {
     pub revision: u64,
     /// Work done by the update that produced this revision.
     pub last_work: WorkCounters,
+    /// Every materialized estimate: the three intra estimators and
+    /// the five inter estimators built on smart.
+    pub estimates: Estimates,
     ctx_fp: u128,
     fn_arts: HashMap<String, FnArt>,
-    intra: [Arc<IntraEstimates>; 3],
-    inter: [Arc<InterEstimates>; 5],
     inputs: Vec<Vec<u8>>,
     compiled: OnceLock<Arc<CompiledProgram>>,
     profiles: Mutex<HashMap<Vec<u8>, Arc<Profile>>>,
 }
 
 impl ProgramEntry {
-    /// The materialized intra estimates for one estimator.
-    pub fn intra(&self, which: IntraEstimator) -> &IntraEstimates {
-        &self.intra[intra_idx(which)]
-    }
-
-    /// The materialized inter estimates (built on smart intra
-    /// estimates, as in the paper) for one estimator.
-    pub fn inter(&self, which: InterEstimator) -> &InterEstimates {
-        &self.inter[inter_idx(which)]
-    }
-
     /// The inputs `score` profiles against (suite inputs for suite
     /// programs, the empty input otherwise).
     pub fn inputs(&self) -> &[Vec<u8>] {
@@ -233,12 +201,12 @@ impl ProgramEntry {
         let mut h = fp::hasher();
         h.word(self.fingerprint as u64);
         h.word((self.fingerprint >> 64) as u64);
-        for ia in &self.intra {
+        for ia in &self.estimates.intra {
             for freqs in &ia.block_freqs {
                 fold_f64s(&mut h, freqs);
             }
         }
-        for ie in &self.inter {
+        for ie in &self.estimates.inter {
             fold_f64s(&mut h, &ie.func_freqs);
         }
         h.digest()
@@ -448,7 +416,7 @@ impl ServeDb {
                             *slot = Some(estimate_function_with(
                                 program,
                                 f.id,
-                                INTRA_ALL[ei],
+                                IntraEstimator::ALL[ei],
                                 predictions,
                                 options,
                             ));
@@ -472,40 +440,21 @@ impl ServeDb {
                 block_freqs[ei].push(freqs);
             }
         }
-        let intra: [Arc<IntraEstimates>; 3] = {
-            let mut it = block_freqs.into_iter().enumerate().map(|(ei, freqs)| {
-                Arc::new(IntraEstimates {
-                    estimator: INTRA_ALL[ei],
-                    block_freqs: freqs,
-                    predictions: Arc::clone(&predictions),
-                })
-            });
-            [
-                it.next().expect("three"),
-                it.next().expect("three"),
-                it.next().expect("three"),
-            ]
-        };
+        let intra = IntraEstimator::ALL.map(|which| IntraEstimates {
+            estimator: which,
+            block_freqs: std::mem::take(&mut block_freqs[which as usize]),
+            predictions: Arc::clone(&predictions),
+        });
 
         // Phase 4 — inter-procedural estimates: always recomputed
         // (they depend on every function's intra estimates), built on
         // smart intra as in the paper.
-        let smart = &intra[intra_idx(IntraEstimator::Smart)];
+        let smart = &intra[IntraEstimator::Smart as usize];
+        let inter = InterEstimator::ALL.map(|w| estimate_invocations(&program, smart, w));
         let inter_unit =
             (program.module.functions.len() + program.module.side.call_sites.len()) as u64;
-        let inter: [Arc<InterEstimates>; 5] = {
-            let mut it = InterEstimator::ALL
-                .iter()
-                .map(|&w| Arc::new(estimate_invocations(&program, smart, w)));
-            work.inter_units = inter_unit * InterEstimator::ALL.len() as u64;
-            [
-                it.next().expect("five"),
-                it.next().expect("five"),
-                it.next().expect("five"),
-                it.next().expect("five"),
-                it.next().expect("five"),
-            ]
-        };
+        work.inter_units = inter_unit * InterEstimator::ALL.len() as u64;
+        let estimates = Estimates { intra, inter };
 
         // Phase 5 — refresh the per-function artifact layer for the
         // next update, and publish the new revision.
@@ -519,11 +468,10 @@ impl ServeDb {
                 f.name.clone(),
                 FnArt {
                     fp: fn_fps.get(&f.name).copied().unwrap_or(0),
-                    intra: [
-                        intra[0].block_freqs[fid].clone(),
-                        intra[1].block_freqs[fid].clone(),
-                        intra[2].block_freqs[fid].clone(),
-                    ],
+                    intra: estimates
+                        .intra
+                        .each_ref()
+                        .map(|ia| ia.block_freqs[fid].clone()),
                 },
             );
         }
@@ -553,10 +501,9 @@ impl ServeDb {
             fingerprint,
             revision,
             last_work: work,
+            estimates,
             ctx_fp,
             fn_arts,
-            intra,
-            inter,
             inputs,
             compiled: OnceLock::new(),
             profiles: Mutex::new(HashMap::new()),
@@ -656,7 +603,7 @@ impl ServeDb {
     /// # Errors
     ///
     /// [`DbError::UnknownProgram`] / [`DbError::Runtime`].
-    pub fn score(&self, name: &str) -> Result<Scores, DbError> {
+    pub fn score(&self, name: &str) -> Result<EstimateScores, DbError> {
         let _sp = obs::span("serve.score");
         let entry = self.entry(name)?;
         let mut profiles = Vec::new();
@@ -667,54 +614,7 @@ impl ServeDb {
         // sit in the write tier until the cache drops — which a
         // resident service never does; see `flush_cache`.
         self.flush_cache();
-        let program = &entry.program;
-        let intra = [
-            estimators::eval::intra_score(
-                program,
-                entry.intra(IntraEstimator::Loop),
-                &profiles,
-                0.05,
-            ),
-            estimators::eval::intra_score(
-                program,
-                entry.intra(IntraEstimator::Smart),
-                &profiles,
-                0.05,
-            ),
-            estimators::eval::intra_score(
-                program,
-                entry.intra(IntraEstimator::Markov),
-                &profiles,
-                0.05,
-            ),
-        ];
-        let mut invocation = [0.0; 5];
-        for (i, &w) in InterEstimator::ALL.iter().enumerate() {
-            invocation[i] =
-                estimators::eval::invocation_score(program, entry.inter(w), &profiles, 0.25);
-        }
-        let smart = entry.intra(IntraEstimator::Smart);
-        let callsite = [
-            estimators::eval::callsite_score(
-                program,
-                smart,
-                entry.inter(InterEstimator::Direct),
-                &profiles,
-                0.25,
-            ),
-            estimators::eval::callsite_score(
-                program,
-                smart,
-                entry.inter(InterEstimator::Markov),
-                &profiles,
-                0.25,
-            ),
-        ];
-        Ok(Scores {
-            intra,
-            invocation,
-            callsite,
-        })
+        Ok(score_estimates(&entry.program, &entry.estimates, &profiles))
     }
 
     /// Drains the cache's batched write tier to disk. A one-shot run
@@ -749,18 +649,6 @@ impl Drop for ServeDb {
     fn drop(&mut self) {
         self.flush_cache();
     }
-}
-
-/// The score bundle `score` responds with.
-#[derive(Debug, Clone, Copy)]
-pub struct Scores {
-    /// Loop / smart / Markov intra scores at the 5% cutoff.
-    pub intra: [f64; 3],
-    /// The five invocation estimators at the 25% cutoff, in
-    /// [`InterEstimator::ALL`] order.
-    pub invocation: [f64; 5],
-    /// Call-site scores (direct, Markov) at the 25% cutoff.
-    pub callsite: [f64; 2],
 }
 
 /// Per-declaration content fingerprints for every *defined* function:
@@ -969,6 +857,15 @@ int main(void) {
         let a = db.entry("p").unwrap();
         let b = cold.entry("p").unwrap();
         assert_eq!(a.estimates_digest(), b.estimates_digest());
+
+        // The scores after the edit are the one scorer's over a cold
+        // estimate of the edited source.
+        let program = flowgraph::build_program(minic::compile(&edited).unwrap());
+        let profile = profiler::run(&program, &RunConfig::default())
+            .unwrap()
+            .profile;
+        let want = score_estimates(&program, &estimators::estimate_all(&program), &[profile]);
+        assert_eq!(db.score("p").unwrap(), want);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! which is what makes the storm driver's cross-`--jobs` determinism
 //! check meaningful.
 
-use crate::db::{DbError, ServeDb, WorkCounters, INTRA_ALL};
+use crate::db::{DbError, ServeDb, WorkCounters};
 use crate::proto::{error_response, fp_str, num_u64, obj, ok_response, parse_request, Request};
 use estimators::inter::InterEstimator;
 use estimators::intra::IntraEstimator;
@@ -148,8 +148,8 @@ impl Session {
             ),
             None => None,
         };
-        let ia = entry.intra(intra);
-        let ie = entry.inter(inter);
+        let ia = entry.estimates.intra(intra);
+        let ie = entry.estimates.inter(inter);
         // Defined functions in name order, so the response is a
         // deterministic function of the database state alone.
         let mut funcs: Vec<&minic::sema::Function> = entry
@@ -173,7 +173,7 @@ impl Session {
             })
             .collect();
         Ok(obj(vec![
-            ("estimator", Value::Str(intra_name(intra).to_string())),
+            ("estimator", Value::Str(intra.name().to_string())),
             ("funcs", Value::Arr(funcs)),
             ("inter", Value::Str(inter.name().to_string())),
             ("program", Value::Str(program.to_string())),
@@ -250,10 +250,10 @@ impl Session {
             .param_str("program")
             .ok_or_else(|| ErrorShape::missing("program"))?;
         let scores = self.db.score(program)?;
-        let intra = obj(INTRA_ALL
+        let intra = obj(IntraEstimator::ALL
             .iter()
             .enumerate()
-            .map(|(i, &w)| (intra_name(w), Value::Num(scores.intra[i])))
+            .map(|(i, &w)| (w.name(), Value::Num(scores.intra[i])))
             .collect());
         let invocation = obj(InterEstimator::ALL
             .iter()
@@ -296,24 +296,17 @@ fn work_value(w: &WorkCounters) -> Value {
     ])
 }
 
-fn intra_name(which: IntraEstimator) -> &'static str {
-    match which {
-        IntraEstimator::Loop => "loop",
-        IntraEstimator::Smart => "smart",
-        IntraEstimator::Markov => "markov",
-    }
-}
-
 fn parse_intra(name: &str) -> Result<IntraEstimator, ErrorShape> {
-    match name {
-        "loop" => Ok(IntraEstimator::Loop),
-        "smart" => Ok(IntraEstimator::Smart),
-        "markov" => Ok(IntraEstimator::Markov),
-        other => Err(ErrorShape::new(
-            "bad-request",
-            format!("unknown estimator {other:?} (expected loop, smart, or markov)"),
-        )),
-    }
+    IntraEstimator::ALL
+        .iter()
+        .copied()
+        .find(|w| w.name() == name)
+        .ok_or_else(|| {
+            ErrorShape::new(
+                "bad-request",
+                format!("unknown estimator {name:?} (expected loop, smart, or markov)"),
+            )
+        })
 }
 
 fn parse_inter(name: &str) -> Result<InterEstimator, ErrorShape> {

@@ -88,6 +88,15 @@ fn requests() -> Vec<String> {
             "int a[4000000000]; int main(void) { return 0; }",
         ),
         r#"{"sfe":"serve/v1","id":41,"method":"estimate","params":{"estimator":"loop","program":"arr"}}"#.into(),
+        // A heap request past the run's budget returns NULL instead of
+        // aborting the daemon mid-profile; the session keeps answering.
+        load_as(
+            42,
+            "heap",
+            "int main(void) { char *p; p = malloc(4000000000); return p == 0; }",
+        ),
+        r#"{"sfe":"serve/v1","id":43,"method":"profile","params":{"program":"heap"}}"#.into(),
+        r#"{"sfe":"serve/v1","id":44,"method":"list"}"#.into(),
         // Shutdown last: it ends the session.
         r#"{"sfe":"serve/v1","id":32,"method":"shutdown"}"#.into(),
     ]

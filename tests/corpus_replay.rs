@@ -10,7 +10,9 @@
 //! *invalid* programs that once crashed the front end (process aborts
 //! instead of diagnostics). For those the contract is inverted — the
 //! whole pipeline must fail with a clean `compile` diagnostic, never a
-//! panic and never a successful compile.
+//! panic and never a successful compile. Files named `manual_rt_` are
+//! hand-written valid programs that once aborted a run; they replay
+//! like fuzzer entries, so both engines must agree on them.
 
 use fuzzgen::{check_source, CheckConfig, FailureKind};
 
@@ -189,4 +191,28 @@ fn programs_stay_far_below_the_static_size_budget() {
     println!("largest data image {data:?}, largest frame {frame:?}");
     let limit = minic::types::MAX_STATIC_WORDS / 64;
     assert!(data.0 <= limit && frame.0 <= limit, "over {limit} words");
+}
+
+/// Heap requests past the per-run budget (`malloc(4e9)`, a `calloc`
+/// past it) or whose size overflows (`calloc(2^62, 4)`) return NULL in
+/// both engines, the program goes on, and later requests that fit
+/// still succeed. They once aborted the process or wrapped to a
+/// zero-word block.
+#[test]
+fn over_budget_heap_requests_return_null() {
+    let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus");
+    for (name, stdout) in [("malloc", "1 3\n"), ("calloc", "1 1 5\n")] {
+        let path = format!("{corpus}/manual_rt_{name}-over-budget.c");
+        let src = std::fs::read_to_string(&path).expect("readable corpus file");
+        let program = flowgraph::build_program(minic::compile(&src).expect(&path));
+        let config = profiler::RunConfig::default();
+        for (engine, out) in [
+            ("vm", profiler::run(&program, &config)),
+            ("ast", profiler::run_ast(&program, &config)),
+        ] {
+            let out = out.unwrap_or_else(|e| panic!("{name} on {engine}: {e}"));
+            assert_eq!(out.exit_code, 1, "{name} on {engine}: NULL expected");
+            assert_eq!(out.stdout(), stdout, "{name} on {engine}");
+        }
+    }
 }

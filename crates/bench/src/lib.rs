@@ -181,7 +181,7 @@ pub fn load_suite() -> Vec<ProgramData> {
 /// of serializing on the thread that compiled it. Results merge into
 /// pre-sized slots indexed by (program, input) position, so the
 /// output is byte-identical in Table 1 order for any pool size and
-/// any steal schedule (asserted by `tests/determinism.rs`).
+/// any task interleaving (asserted by `tests/determinism.rs`).
 pub fn load_suite_with(
     pool: &pool::Pool,
     cache: Option<&Cache>,

@@ -1,5 +1,5 @@
 //! Scheduling- and cache-independence of the suite pipeline: the
-//! work-stealing pool merges results into slots indexed by (program,
+//! worker pool merges results into slots indexed by (program,
 //! input) position, so every pool size must produce identical output,
 //! and a warm (artifact-cached) load must reproduce a cold one
 //! exactly.

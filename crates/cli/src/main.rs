@@ -26,7 +26,7 @@
 //! ```text
 //! --addr <host:port>  serve over TCP instead of stdin/stdout
 //! --suite             preload the 14 suite programs (with their inputs)
-//! --jobs <n>          worker threads for per-function fan-out
+//! --jobs <n>          worker threads for per-function fan-out (at most 256)
 //! ```
 //!
 //! The service speaks the `serve/v1` NDJSON protocol (one request and
@@ -43,7 +43,7 @@
 //! --requests <n>       requests per client (default 100)
 //! --seed <n>           workload seed (default 1)
 //! --update-pct <n>     percentage of requests that are updates (default 20)
-//! --jobs <n>           worker threads for the in-process database
+//! --jobs <n>           worker threads for the in-process database (at most 256)
 //! --addr <host:port>   drive a live daemon instead of an in-process database
 //! --assert-qps <x>     exit nonzero if sustained q/s falls below x
 //! --assert-p99-ms <x>  exit nonzero if p99 latency exceeds x milliseconds
@@ -55,7 +55,7 @@
 //! --count <n>        programs to evaluate (default 1000)
 //! --seed <n>         first generator seed (default 1)
 //! --buckets <spec>   comma-separated strata: recursion,indirect,loopskew,switch (default all)
-//! --jobs <n>         worker threads (default: global pool / SFE_POOL_THREADS)
+//! --jobs <n>         worker threads, at most 256 (default: global pool / SFE_POOL_THREADS)
 //! --mem-budget <mb>  memory budget in MiB driving the backpressure window (default 256)
 //! ```
 //!
@@ -825,7 +825,7 @@ fn corpus_report(args: &[String], cache_dir: Option<&str>) -> ExitCode {
                 Err(c) => return c,
             },
             "--jobs" => match num("--jobs") {
-                Ok(n) => cfg.jobs = Some((n as usize).clamp(1, 256)),
+                Ok(n) => cfg.jobs = Some(n as usize),
                 Err(c) => return c,
             },
             "--mem-budget" => match num("--mem-budget") {

@@ -152,3 +152,37 @@ fn corpus_naive_flag_is_gone() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unknown corpus flag"), "{err}");
 }
+
+#[test]
+fn serve_clamps_an_absurd_worker_count() {
+    use std::io::Write;
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_sfe"))
+        .args(["serve", "--jobs", "1000000"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("sfe serve starts");
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(b"{\"sfe\":\"serve/v1\",\"id\":1,\"method\":\"shutdown\"}\n")
+        .unwrap();
+    let out = child.wait_with_output().expect("sfe serve exits");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("\"ok\":true"), "{stdout}");
+}
+
+#[test]
+fn storm_clamps_an_absurd_worker_count() {
+    let args = "storm --jobs 1000000 --clients 1 --requests 5";
+    let out = sfe(&args.split(' ').collect::<Vec<_>>());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("\"jobs\":256"), "{stdout}");
+}

@@ -1,16 +1,21 @@
-//! # pool — an in-tree work-stealing thread pool
+//! # pool — an in-tree thread pool with one shared task queue
 //!
 //! The suite pipeline used to spawn one OS thread per program and,
 //! inside each, one more per input — 14+ threads of oversubscription
 //! on a small runner, and a straggler program's inputs still ran on a
 //! single core. This crate replaces all of that with one process-wide
 //! pool of `available_parallelism` workers executing *(program,
-//! input)*-granularity tasks: per-worker LIFO Chase–Lev deques
-//! (module `deque`) with lock-free stealing, a shared overflow/injector
-//! queue, and a [`Pool::scope`] API in the style of
-//! `std::thread::scope` / rayon — tasks may borrow from the caller's
-//! stack and may themselves spawn further tasks into the same scope
-//! (compile tasks fan out profile tasks).
+//! input)*-granularity tasks, and a [`Pool::scope`] API in the style
+//! of `std::thread::scope` / rayon — tasks may borrow from the
+//! caller's stack and may themselves spawn further tasks into the same
+//! scope (compile tasks fan out profile tasks).
+//!
+//! Scheduling is one FIFO queue behind a mutex: every spawn pushes to
+//! the back, workers pop from the front, and idle workers sleep on a
+//! condition variable until a spawn or shutdown wakes them. The queue
+//! and the shutdown flag live under the same mutex, so no wakeup can
+//! be lost and an idle pool costs no CPU. Tasks are whole compile or
+//! profile jobs, so one lock per task is noise.
 //!
 //! Everything is vendored — no external dependencies, no network.
 //!
@@ -27,9 +32,8 @@
 //!
 //! The pool keeps always-on internal [`PoolStats`] (atomics) and
 //! mirrors them into `obs` counters when telemetry is enabled:
-//! `pool.tasks` (executed), `pool.steals` (successful steals),
-//! `pool.injected` (tasks routed through the shared queue), and
-//! `pool.idle_ns` (total worker park time).
+//! `pool.tasks` (executed) and `pool.idle_ns` (total worker sleep
+//! time).
 //!
 //! ```
 //! let pool = pool::Pool::new(4);
@@ -44,207 +48,115 @@
 
 #![warn(missing_docs)]
 
-mod deque;
-
-use deque::Deque;
 use std::any::Any;
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// The type-erased unit of work. Boxed twice so deque slots hold a
-/// thin pointer.
-struct Task(Box<dyn FnOnce() + Send>);
+/// Upper bound on the worker count of any pool: [`Pool::new`] clamps
+/// its argument to `1..=MAX_THREADS`, so `--jobs` and
+/// `SFE_POOL_THREADS` cannot ask for more threads than a machine can
+/// usefully run.
+pub const MAX_THREADS: usize = 256;
 
-/// A raw task pointer that may cross threads inside the injector
-/// queue. Ownership is linear: whoever dequeues it runs (and frees)
-/// it exactly once.
-struct TaskPtr(*mut Task);
-// SAFETY: the boxed closure inside is `Send`; the raw pointer is just
-// its thin address, moved — never aliased — between threads.
-unsafe impl Send for TaskPtr {}
+/// The type-erased unit of work.
+type Task = Box<dyn FnOnce() + Send>;
 
 /// Always-on pool telemetry, readable via [`Pool::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Tasks executed to completion.
     pub tasks: u64,
-    /// Successful steals from another worker's deque.
-    pub steals: u64,
-    /// Tasks that went through the shared injector queue (spawned
-    /// from outside the pool, or overflowed a full deque).
-    pub injected: u64,
-    /// Total nanoseconds workers spent parked waiting for work.
+    /// Total nanoseconds workers spent asleep waiting for work.
     pub idle_ns: u64,
 }
 
 #[derive(Default)]
 struct Stats {
     tasks: AtomicU64,
-    steals: AtomicU64,
-    injected: AtomicU64,
     idle_ns: AtomicU64,
 }
 
+/// Everything the queue mutex guards.
+#[derive(Default)]
+struct Queue {
+    tasks: VecDeque<Task>,
+    shutdown: bool,
+}
+
+#[derive(Default)]
 struct Shared {
-    deques: Vec<Deque<Task>>,
-    injector: Mutex<VecDeque<TaskPtr>>,
-    /// Approximate count of queued-but-unclaimed tasks; only gates
-    /// worker parking (a stale read costs at most one 1 ms park).
-    pending_hint: AtomicUsize,
-    sleep_lock: Mutex<()>,
-    wakeup: Condvar,
-    shutdown: AtomicBool,
+    queue: Mutex<Queue>,
+    /// Signalled once per spawn, and to everyone at shutdown.
+    ready: Condvar,
     stats: Stats,
 }
 
-thread_local! {
-    /// `(identity of the owning pool's Shared, worker index)` for pool
-    /// worker threads; `None` identity for everyone else.
-    static CURRENT_WORKER: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
-}
-
-fn shared_id(s: &Shared) -> usize {
-    std::ptr::from_ref(s) as usize
-}
-
 impl Shared {
-    /// This thread's worker index in `self`, if it is one of ours.
-    fn local_index(&self) -> Option<usize> {
-        let (id, idx) = CURRENT_WORKER.get();
-        (id == shared_id(self)).then_some(idx)
+    fn push(&self, task: Task) {
+        self.queue.lock().unwrap().tasks.push_back(task);
+        self.ready.notify_one();
     }
 
-    fn push(&self, task: Box<dyn FnOnce() + Send>) {
-        let ptr = Box::into_raw(Box::new(Task(task)));
-        self.pending_hint.fetch_add(1, Ordering::SeqCst);
-        let injected = match self.local_index() {
-            Some(idx) => match self.deques[idx].push(ptr) {
-                Ok(()) => false,
-                Err(overflow) => {
-                    self.injector.lock().unwrap().push_back(TaskPtr(overflow));
-                    true
-                }
-            },
-            None => {
-                self.injector.lock().unwrap().push_back(TaskPtr(ptr));
-                true
-            }
-        };
-        if injected {
-            self.stats.injected.fetch_add(1, Ordering::Relaxed);
-            obs::counter_add("pool.injected", 1);
-        }
-        self.wakeup.notify_one();
+    fn pop(&self) -> Option<Task> {
+        self.queue.lock().unwrap().tasks.pop_front()
     }
 
-    /// Finds one task: local deque (LIFO), then the injector (FIFO),
-    /// then stealing from the other workers round-robin. `local` is
-    /// this thread's worker index, if any; `rot` rotates the steal
-    /// starting victim so thieves spread out.
-    fn find_task(&self, local: Option<usize>, rot: &mut usize) -> Option<*mut Task> {
-        if let Some(idx) = local {
-            if let Some(ptr) = self.deques[idx].pop() {
-                self.pending_hint.fetch_sub(1, Ordering::SeqCst);
-                return Some(ptr);
-            }
-        }
-        if let Some(TaskPtr(ptr)) = self.injector.lock().unwrap().pop_front() {
-            self.pending_hint.fetch_sub(1, Ordering::SeqCst);
-            return Some(ptr);
-        }
-        let n = self.deques.len();
-        for k in 0..n {
-            let victim = (*rot + k) % n;
-            if Some(victim) == local {
-                continue;
-            }
-            if let Some(ptr) = self.deques[victim].steal() {
-                *rot = victim;
-                self.pending_hint.fetch_sub(1, Ordering::SeqCst);
-                self.stats.steals.fetch_add(1, Ordering::Relaxed);
-                obs::counter_add("pool.steals", 1);
-                return Some(ptr);
-            }
-        }
-        None
-    }
-
-    /// Runs a claimed task pointer. Panics cannot escape: every task
-    /// is a scope wrapper that catches its own unwind.
-    fn run(&self, ptr: *mut Task) {
-        // SAFETY: `ptr` came from `Box::into_raw` in `push` and was
-        // claimed exactly once by `find_task`/`drain`.
-        let task = unsafe { Box::from_raw(ptr) };
+    /// Runs a claimed task. Panics cannot escape: every task is a
+    /// scope wrapper that catches its own unwind.
+    fn run(&self, task: Task) {
         // Count before running: the task body itself signals its
         // scope's completion, so a count taken afterwards could land
         // after the scope's owner has already read the statistics.
         self.stats.tasks.fetch_add(1, Ordering::Relaxed);
         obs::counter_add("pool.tasks", 1);
-        (task.0)();
+        task();
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, index: usize) {
-    CURRENT_WORKER.set((shared_id(&shared), index));
-    let mut rot = index + 1;
+/// Runs queued tasks until shutdown, sleeping whenever the queue is
+/// empty. Tasks still queued at shutdown run before the worker exits.
+fn worker_loop(shared: &Shared) {
+    let mut queue = shared.queue.lock().unwrap();
     loop {
-        if let Some(ptr) = shared.find_task(Some(index), &mut rot) {
-            shared.run(ptr);
-            continue;
-        }
-        if shared.shutdown.load(Ordering::Acquire) {
+        if let Some(task) = queue.tasks.pop_front() {
+            drop(queue);
+            shared.run(task);
+            queue = shared.queue.lock().unwrap();
+        } else if queue.shutdown {
             return;
+        } else {
+            let slept = Instant::now();
+            queue = shared.ready.wait(queue).unwrap();
+            let ns = u64::try_from(slept.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            shared.stats.idle_ns.fetch_add(ns, Ordering::Relaxed);
+            obs::counter_add("pool.idle_ns", ns);
         }
-        // Park. The 1 ms timeout bounds the cost of any lost-wakeup
-        // race with `push`'s lock-free notify.
-        let parked = Instant::now();
-        let guard = shared.sleep_lock.lock().unwrap();
-        if shared.pending_hint.load(Ordering::SeqCst) == 0
-            && !shared.shutdown.load(Ordering::Acquire)
-        {
-            let _unused = shared
-                .wakeup
-                .wait_timeout(guard, Duration::from_millis(1))
-                .unwrap();
-        }
-        let ns = u64::try_from(parked.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        shared.stats.idle_ns.fetch_add(ns, Ordering::Relaxed);
-        obs::counter_add("pool.idle_ns", ns);
     }
 }
 
-/// A work-stealing thread pool. See the crate docs for the design;
-/// construct per-test pools with [`Pool::new`] or share the
-/// process-wide [`global`] pool.
+/// A thread pool with one shared FIFO task queue. See the crate docs
+/// for the design; construct per-test pools with [`Pool::new`] or
+/// share the process-wide [`global`] pool.
 pub struct Pool {
     shared: Arc<Shared>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Pool {
-    /// Spawns a pool with `threads` workers (clamped to at least 1).
+    /// Spawns a pool with `threads` workers, clamped to
+    /// `1..=`[`MAX_THREADS`].
     pub fn new(threads: usize) -> Pool {
-        let threads = threads.max(1);
-        let shared = Arc::new(Shared {
-            deques: (0..threads).map(|_| Deque::new()).collect(),
-            injector: Mutex::new(VecDeque::new()),
-            pending_hint: AtomicUsize::new(0),
-            sleep_lock: Mutex::new(()),
-            wakeup: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            stats: Stats::default(),
-        });
-        let workers = (0..threads)
+        let shared = Arc::new(Shared::default());
+        let workers = (0..threads.clamp(1, MAX_THREADS))
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("pool-worker-{i}"))
-                    .spawn(move || worker_loop(shared, i))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawning pool worker")
             })
             .collect();
@@ -253,7 +165,7 @@ impl Pool {
 
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
-        self.shared.deques.len()
+        self.workers.len()
     }
 
     /// A snapshot of the pool's lifetime counters.
@@ -261,29 +173,22 @@ impl Pool {
         let s = &self.shared.stats;
         PoolStats {
             tasks: s.tasks.load(Ordering::Relaxed),
-            steals: s.steals.load(Ordering::Relaxed),
-            injected: s.injected.load(Ordering::Relaxed),
             idle_ns: s.idle_ns.load(Ordering::Relaxed),
         }
     }
 
-    /// Claims and runs one queued task, if any — local deque first,
-    /// then the injector, then stealing. Returns whether a task ran.
+    /// Claims and runs the oldest queued task, if any. Returns whether
+    /// a task ran.
     ///
     /// This is the building block for *producer helping*: a thread
     /// blocked on backpressure (see [`Gate`]) executes queued work
     /// instead of sleeping, so a saturated single-worker pool can
     /// never deadlock against its own producer.
     pub fn help_one(&self) -> bool {
-        let local = self.shared.local_index();
-        let mut rot = local.unwrap_or(0) + 1;
-        match self.shared.find_task(local, &mut rot) {
-            Some(ptr) => {
-                self.shared.run(ptr);
-                true
-            }
-            None => false,
-        }
+        self.shared
+            .pop()
+            .map(|task| self.shared.run(task))
+            .is_some()
     }
 
     /// Runs `f` with a [`Scope`] on which tasks can be spawned, then
@@ -323,29 +228,10 @@ impl Pool {
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        {
-            let _guard = self.shared.sleep_lock.lock().unwrap();
-            self.shared.wakeup.notify_all();
-        }
+        self.shared.queue.lock().unwrap().shutdown = true;
+        self.shared.ready.notify_all();
         for w in self.workers.drain(..) {
             let _joined = w.join();
-        }
-        // Drop any tasks that never ran (only possible if a scope
-        // itself leaked, which the API prevents; belt and suspenders).
-        // If some Shared handle still exists, leaking the queued
-        // tasks is the safe choice.
-        if let Some(shared) = Arc::get_mut(&mut self.shared) {
-            for TaskPtr(ptr) in shared.injector.get_mut().unwrap().drain(..) {
-                // SAFETY: unclaimed `Box::into_raw` pointer, dropped once.
-                drop(unsafe { Box::from_raw(ptr) });
-            }
-            for d in &mut shared.deques {
-                for ptr in d.drain() {
-                    // SAFETY: as above.
-                    drop(unsafe { Box::from_raw(ptr) });
-                }
-            }
         }
     }
 }
@@ -380,9 +266,8 @@ pub struct Scope<'scope> {
 }
 
 impl<'scope> Scope<'scope> {
-    /// Spawns `f` onto the pool. Spawns from a worker thread go to
-    /// that worker's own deque (LIFO, stealable); spawns from any
-    /// other thread go through the shared injector queue.
+    /// Spawns `f` onto the pool: it joins the back of the shared
+    /// queue, whichever thread spawns it.
     pub fn spawn<F>(&self, f: F)
     where
         F: FnOnce(&Scope<'scope>) + Send + 'scope,
@@ -406,25 +291,17 @@ impl<'scope> Scope<'scope> {
         // return (or unwind) before `wait_done` has observed every
         // spawned task finished, so the closure — and everything it
         // borrows for `'scope` — is never used after `'scope` ends.
-        let wrapper: Box<dyn FnOnce() + Send + 'static> = unsafe {
-            std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Box<dyn FnOnce() + Send>>(
-                wrapper,
-            )
-        };
+        let wrapper: Task =
+            unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Task>(wrapper) };
         self.shared.push(wrapper);
     }
 
     /// Blocks until `pending` hits zero, executing pool tasks while
     /// waiting instead of sleeping whenever any are available.
     fn wait_done(&self) {
-        let local = self.shared.local_index();
-        let mut rot = local.unwrap_or(0) + 1;
-        loop {
-            if self.state.pending.load(Ordering::SeqCst) == 0 {
-                return;
-            }
-            if let Some(ptr) = self.shared.find_task(local, &mut rot) {
-                self.shared.run(ptr);
+        while self.state.pending.load(Ordering::SeqCst) != 0 {
+            if let Some(task) = self.shared.pop() {
+                self.shared.run(task);
                 continue;
             }
             let guard = self.state.done_lock.lock().unwrap();
@@ -518,20 +395,20 @@ impl Gate {
     }
 }
 
-/// The process-wide pool, sized to `available_parallelism` (override
-/// with the `SFE_POOL_THREADS` environment variable, clamped to
-/// 1..=256). Created on first use and never torn down.
+/// The process-wide pool of [`default_threads`] workers. Created on
+/// first use and never torn down.
 pub fn global() -> &'static Pool {
     static GLOBAL: OnceLock<Pool> = OnceLock::new();
     GLOBAL.get_or_init(|| Pool::new(default_threads()))
 }
 
 /// Worker count for the global pool: `SFE_POOL_THREADS` if set and
-/// parseable, else `available_parallelism`, else 1.
+/// parseable, else `available_parallelism`, else 1. [`Pool::new`]
+/// clamps it to `1..=`[`MAX_THREADS`].
 pub fn default_threads() -> usize {
     if let Ok(v) = std::env::var("SFE_POOL_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {
-            return n.clamp(1, 256);
+            return n;
         }
     }
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
@@ -671,11 +548,69 @@ mod tests {
             }
         });
         assert_eq!(counter.load(Ordering::Relaxed), 5_000);
-        let stats = pool.stats();
-        assert_eq!(stats.tasks, 5_000);
-        // Spawned from a non-worker thread: everything was injected
-        // or stolen; both counters are advisory but tasks is exact.
-        assert!(stats.injected > 0);
+        assert_eq!(pool.stats().tasks, 5_000);
+    }
+
+    #[test]
+    fn a_spawner_that_does_not_help_is_never_stranded() {
+        // The spawning thread blocks on the task's result instead of
+        // helping, so only a worker woken by the spawn can run it: a
+        // lost wakeup leaves the worker asleep and times out here.
+        for workers in [1, 2] {
+            let pool = Pool::new(workers);
+            for round in 0..1000u32 {
+                pool.scope(|s| {
+                    let (tx, rx) = std::sync::mpsc::channel();
+                    s.spawn(move |_| tx.send(round).unwrap());
+                    let got = rx.recv_timeout(Duration::from_secs(5));
+                    assert_eq!(got, Ok(round), "{workers} workers, round {round}");
+                });
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn idle_workers_sleep_without_polling() {
+        use std::path::{Path, PathBuf};
+        let pool = Pool::new(2);
+        // Two tasks that wait for each other must run on both workers
+        // (the scope's owner does not help until its closure returns);
+        // each records its thread's `/proc/self/task/<tid>` directory.
+        let both = std::sync::Barrier::new(2);
+        let dirs = Mutex::new(Vec::new());
+        pool.scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|_| {
+                    let tid = std::fs::read_link("/proc/thread-self").unwrap();
+                    let dir = Path::new("/proc/self/task").join(tid.file_name().unwrap());
+                    dirs.lock().unwrap().push(dir);
+                    both.wait();
+                });
+            }
+            while dirs.lock().unwrap().len() < 2 {
+                std::thread::yield_now();
+            }
+        });
+        let dirs = dirs.into_inner().unwrap();
+        let read = |dir: &PathBuf, file| std::fs::read_to_string(dir.join(file)).unwrap();
+        for dir in &dirs {
+            assert!(read(dir, "comm").starts_with("pool-worker-"), "{dir:?}");
+        }
+        // Voluntary plus involuntary context switches of both workers.
+        let switches = || -> u64 {
+            let status: String = dirs.iter().map(|dir| read(dir, "status")).collect();
+            let counts = status.lines().filter(|l| l.contains("ctxt_switches:"));
+            counts
+                .map(|l| l.split_whitespace().last().unwrap().parse::<u64>().unwrap())
+                .sum()
+        };
+        // Let the workers go back to sleep, then watch them idle.
+        std::thread::sleep(Duration::from_millis(50));
+        let before = switches();
+        std::thread::sleep(Duration::from_millis(300));
+        let woke = switches() - before;
+        assert!(woke < 10, "idle workers switched {woke} times in 300 ms");
     }
 
     #[test]

@@ -213,8 +213,8 @@ impl ProgramEntry {
     }
 }
 
-/// The resident incremental database: named programs, a work-stealing
-/// pool for per-function fan-out, an optional content-addressed cache
+/// The resident incremental database: named programs, a worker pool
+/// for per-function fan-out, an optional content-addressed cache
 /// backing the profile layer, and a scratch-buffer pool for the VM.
 pub struct ServeDb {
     pool: Arc<pool::Pool>,

@@ -24,7 +24,7 @@
 //! - [`server`]: the `sfe serve` daemon loop over stdin/stdout or a
 //!   local TCP socket, one session per connection. `load` and `update`
 //!   lower and solve their functions in parallel on the database's
-//!   work-stealing pool; `estimate` reads materialized results, and
+//!   worker pool; `estimate` reads materialized results, and
 //!   `profile` and `score` run the VM on the connection's thread —
 //!   `score` profiles its inputs one after another;
 //! - [`storm`]: the `stormgen` synthetic-client driver — N concurrent

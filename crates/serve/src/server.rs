@@ -3,7 +3,7 @@
 //!
 //! All sessions share one [`ServeDb`]. Concurrency comes from parallel
 //! connections and, inside a `load` or `update`, from the per-function
-//! lowering and flow solves the database fans out on its work-stealing
+//! lowering and flow solves the database fans out on its worker
 //! pool. `profile` and `score` run the VM serially on the connection's
 //! thread.
 //!

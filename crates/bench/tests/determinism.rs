@@ -38,16 +38,10 @@ fn render(data: &[bench::ProgramData]) -> String {
 
 #[test]
 fn pool_sizes_one_two_and_n_agree() {
-    // A 4-program subset keeps three uncached loads affordable while
-    // still exercising the compile-task → profile-task fan-out.
-    let subset = ["compress", "cc", "eqntott", "alvinn"];
+    // The whole uncached suite, as `sfe suite` loads it: one compile
+    // task per program fans out one profile task per input.
     let load = |threads: usize| -> String {
-        let pool = Pool::new(threads);
-        let data: Vec<bench::ProgramData> = subset
-            .iter()
-            .map(|n| bench::load_program_with(suite::by_name(n).unwrap(), &pool, None))
-            .collect();
-        render(&data)
+        render(&bench::load_suite_with(&Pool::new(threads), None, 0))
     };
     let one = load(1);
     let two = load(2);

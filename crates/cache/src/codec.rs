@@ -30,10 +30,12 @@
 //! function of the profile *value* — equal profiles produce
 //! byte-identical entries regardless of hash-map iteration order,
 //! which the determinism tests rely on.
-//!
-//! A `BytecodeMeta` payload is tag `2` followed by four fixed `u64`s.
+//! An `OptProfile` payload is tag `3` with the same layout. A
+//! `ReuseProfile` payload is tag `4` followed by the event count and a
+//! length-prefixed list of (name, histogram) objects. Tag `2`, a
+//! retired bytecode-summary kind, decodes as unknown.
 
-use crate::{BytecodeMeta, FORMAT_VERSION};
+use crate::FORMAT_VERSION;
 use flowgraph::BlockId;
 use minic::sema::FuncId;
 use obs::hash::fnv64;
@@ -44,7 +46,6 @@ const MAGIC: [u8; 4] = *b"SFEA";
 const HEADER_LEN: usize = 24;
 
 const TAG_PROFILE: u8 = 1;
-const TAG_BYTECODE_META: u8 = 2;
 const TAG_OPT_PROFILE: u8 = 3;
 const TAG_REUSE_PROFILE: u8 = 4;
 
@@ -53,8 +54,6 @@ const TAG_REUSE_PROFILE: u8 = 4;
 pub enum Artifact {
     /// A full execution profile.
     Profile(Profile),
-    /// Compiled-bytecode summary statistics.
-    BytecodeMeta(BytecodeMeta),
     /// A profile measured on the *optimized* program (same layout as
     /// [`Artifact::Profile`], distinct tag so the two artifact kinds
     /// can never be confused for one another).
@@ -106,13 +105,6 @@ fn encode_payload(artifact: &Artifact) -> Vec<u8> {
         Artifact::OptProfile(p) => {
             out.push(TAG_OPT_PROFILE);
             put_profile(&mut out, p);
-        }
-        Artifact::BytecodeMeta(m) => {
-            out.push(TAG_BYTECODE_META);
-            put_u64(&mut out, m.n_ops);
-            put_u64(&mut out, m.n_funcs);
-            put_u64(&mut out, m.n_blocks);
-            put_u64(&mut out, m.data_words);
         }
         Artifact::ReuseProfile(t) => {
             out.push(TAG_REUSE_PROFILE);
@@ -201,12 +193,6 @@ fn decode_payload(payload: &[u8]) -> Option<Artifact> {
     let artifact = match r.u8()? {
         TAG_PROFILE => Artifact::Profile(read_profile(&mut r)?),
         TAG_OPT_PROFILE => Artifact::OptProfile(read_profile(&mut r)?),
-        TAG_BYTECODE_META => Artifact::BytecodeMeta(BytecodeMeta {
-            n_ops: r.u64()?,
-            n_funcs: r.u64()?,
-            n_blocks: r.u64()?,
-            data_words: r.u64()?,
-        }),
         TAG_REUSE_PROFILE => {
             let events = r.u64()?;
             let n = r.len()?;
@@ -286,7 +272,7 @@ mod tests {
 
     #[test]
     fn rejects_every_header_defect() {
-        let entry = encode_entry(&Artifact::BytecodeMeta(BytecodeMeta::default()));
+        let entry = encode_entry(&Artifact::Profile(Profile::default()));
         assert!(decode_entry(&entry).is_some());
 
         assert!(decode_entry(&[]).is_none(), "empty");

@@ -17,7 +17,8 @@
 //! processes, platforms, and Rust versions, unlike `DefaultHasher`)
 //! over a length-prefixed encoding of:
 //!
-//! - the artifact kind tag (profile vs. bytecode metadata),
+//! - the artifact kind tag (profile, optimized-run profile or reuse
+//!   trace),
 //! - [`FORMAT_VERSION`] (bump it and every old entry misses),
 //! - the full program source text,
 //! - the run configuration (`max_steps`, `max_call_depth`), and
@@ -105,13 +106,11 @@ pub const WRITE_BATCH_LIMIT: usize = 64;
 pub const DEFAULT_CAPACITY: usize = 8192;
 
 /// What kind of artifact a key addresses. The tag participates in key
-/// derivation, so the two kinds can never collide.
+/// derivation, so the kinds can never collide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArtifactKind {
     /// A full execution [`Profile`] of (source, config, input).
     Profile,
-    /// [`BytecodeMeta`] for a compiled program (input-independent).
-    BytecodeMeta,
     /// A [`Profile`] from executing the *optimized* program; its key
     /// is additionally salted with the optimization level and the
     /// optimizer's pass-pipeline version (see
@@ -126,31 +125,15 @@ pub enum ArtifactKind {
 }
 
 impl ArtifactKind {
+    /// The kind's key tag. Tag 2 belonged to a retired bytecode-summary
+    /// kind and stays unassigned, so no new kind reuses its keys.
     fn tag(self) -> u8 {
         match self {
             ArtifactKind::Profile => 1,
-            ArtifactKind::BytecodeMeta => 2,
             ArtifactKind::OptProfile => 3,
             ArtifactKind::ReuseProfile => 4,
         }
     }
-}
-
-/// Summary statistics of a compiled bytecode image — the cheap,
-/// version-stable slice of `profiler::CompiledProgram` worth keeping
-/// (op and function counts for capacity planning; the bytecode itself
-/// recompiles in well under a millisecond, so caching the full image
-/// would cost determinism risk for no win).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BytecodeMeta {
-    /// Instructions in the compiled stream.
-    pub n_ops: u64,
-    /// Functions (defined + prototypes).
-    pub n_funcs: u64,
-    /// Total CFG blocks with counters.
-    pub n_blocks: u64,
-    /// Words in the static data image.
-    pub data_words: u64,
 }
 
 /// A 128-bit content fingerprint; the cache address of one artifact.
@@ -690,25 +673,20 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_profile_and_meta() {
+    fn round_trips_profile_and_opt_profile() {
         let cache = Cache::open(temp_dir("roundtrip")).unwrap();
         let cfg = RunConfig::with_input("abc");
         let kp = ArtifactKey::derive(ArtifactKind::Profile, "int main(void){}", &cfg);
-        let km = ArtifactKey::derive(ArtifactKind::BytecodeMeta, "int main(void){}", &cfg);
-        assert_ne!(kp, km, "kind participates in the key");
+        let ko = ArtifactKey::derive_opt("int main(void){}", &cfg, 3, 1);
+        assert_ne!(kp, ko, "kind participates in the key");
 
         let profile = sample_profile(42);
         cache.store(kp, &Artifact::Profile(profile.clone()));
         assert_eq!(cache.load_profile(kp).unwrap(), profile);
 
-        let meta = BytecodeMeta {
-            n_ops: 10,
-            n_funcs: 2,
-            n_blocks: 5,
-            data_words: 64,
-        };
-        cache.store(km, &Artifact::BytecodeMeta(meta));
-        assert_eq!(cache.load(km), Some(Artifact::BytecodeMeta(meta)));
+        let optimized = sample_profile(7);
+        cache.store(ko, &Artifact::OptProfile(optimized.clone()));
+        assert_eq!(cache.load(ko), Some(Artifact::OptProfile(optimized)));
         assert_eq!(cache.entry_count(), 2);
         let _cleanup = std::fs::remove_dir_all(cache.dir());
     }

@@ -4,7 +4,7 @@
 //! counter bumped), and keys change whenever any ingredient does.
 
 use cache::codec::{decode_entry, encode_entry, Artifact};
-use cache::{ArtifactKey, ArtifactKind, BytecodeMeta, Cache};
+use cache::{ArtifactKey, ArtifactKind, Cache};
 use flowgraph::BlockId;
 use minic::sema::FuncId;
 use profiler::{Profile, RunConfig};
@@ -186,17 +186,27 @@ fn version_skew_invalidates_without_error() {
 }
 
 #[test]
-fn bytecode_meta_round_trips_through_the_store() {
+fn retired_bytecode_meta_entries_read_as_a_miss() {
+    // Tag 2 once held four `u64`s of bytecode summary statistics. A
+    // well-framed entry of that shape left in an old cache directory
+    // must read as a clean miss, never a panic or a misparse.
     let _serial = cache_test_lock();
     let cache = Cache::open(temp_dir("meta")).unwrap();
-    let key = ArtifactKey::derive(ArtifactKind::BytecodeMeta, "src", &RunConfig::default());
-    let meta = BytecodeMeta {
-        n_ops: u64::MAX,
-        n_funcs: 0,
-        n_blocks: 17,
-        data_words: 1 << 40,
-    };
-    cache.store(key, &Artifact::BytecodeMeta(meta));
-    assert_eq!(cache.load(key), Some(Artifact::BytecodeMeta(meta)));
+    let key = ArtifactKey::derive(ArtifactKind::Profile, "src", &RunConfig::default());
+    cache.store(key, &Artifact::Profile(Profile::default()));
+    let path = sole_entry_file(&cache);
+
+    let mut payload = vec![2u8];
+    for word in [10u64, 2, 5, 64] {
+        payload.extend_from_slice(&word.to_le_bytes());
+    }
+    let mut entry = b"SFEA".to_vec();
+    entry.extend_from_slice(&cache::FORMAT_VERSION.to_le_bytes());
+    entry.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    entry.extend_from_slice(&obs::hash::fnv64(&payload).to_le_bytes());
+    entry.extend_from_slice(&payload);
+    assert_eq!(decode_entry(&entry), None);
+    std::fs::write(&path, &entry).unwrap();
+    assert_eq!(cache.load(key), None);
     let _cleanup = std::fs::remove_dir_all(cache.dir());
 }

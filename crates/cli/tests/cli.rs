@@ -103,6 +103,27 @@ fn run_executes_and_scores() {
 }
 
 #[test]
+fn run_refuses_frames_past_the_stack_budget() {
+    // 17 live frames of 1,000,001 words pass the 2^24-word budget: a
+    // rendered runtime error and exit 1, at -O0 and -O3, where this
+    // once aborted inside the stack allocation (exit 134).
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/corpus/manual_rt_deep-frames.c"
+    );
+    for level in ["0", "3"] {
+        let out = sfe(&["--opt-level", level, "run", path]);
+        assert_eq!(out.status.code(), Some(1), "-O{level}");
+        assert!(out.stdout.is_empty(), "-O{level}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            err, "sfe: runtime error: call would take the live stack past 16777216 words\n",
+            "-O{level}"
+        );
+    }
+}
+
+#[test]
 fn pretty_round_trips() {
     let f = demo_file();
     let out = sfe(&["pretty", f.path()]);

@@ -17,8 +17,9 @@ pub const MAX_OBJECT_WORDS: usize =
 /// image (every global) or any one function's stack frame take. That is
 /// 2^24 words, 256 MiB of 16-byte VM words. The VM allocates both in
 /// full, so a program over the budget gets a diagnostic and is never
-/// run into an allocation abort. The suite and the program generators
-/// stay far below it.
+/// run into an allocation abort. At run time both engines hold the heap,
+/// and the live stack (every active frame together), to the same
+/// budget. The suite and the program generators stay far below it.
 pub const MAX_STATIC_WORDS: usize = 1 << 24;
 
 /// Identifies a struct definition within a module.

@@ -98,7 +98,8 @@ pub struct OptStats {
 
 /// Optimizes `cp` according to `plan`, returning the rewritten
 /// program and what each pass did. The input is never mutated; at
-/// level 0 (or an empty budget) the result is a verbatim clone.
+/// level 0 (or an empty budget) the result is a verbatim clone. A
+/// rewritten image is checked with `profiler::bytecode::verify`.
 pub fn optimize(cp: &CompiledProgram, plan: &OptPlan) -> (CompiledProgram, OptStats) {
     let _sp = obs::span("opt.optimize");
     let Some((mut irs, stats)) = run_passes(cp, plan) else {
@@ -108,10 +109,8 @@ pub fn optimize(cp: &CompiledProgram, plan: &OptPlan) -> (CompiledProgram, OptSt
         passes::recost(f_ir);
     }
     let out = ir::lower(cp, &irs, &pack_order(cp, plan));
-    if cfg!(debug_assertions) {
-        if let Err(e) = profiler::bytecode::verify(&out) {
-            panic!("optimizer emitted invalid bytecode: {e}");
-        }
+    if let Err(e) = profiler::bytecode::verify(&out) {
+        panic!("optimizer emitted invalid bytecode: {e}");
     }
 
     if obs::enabled() {

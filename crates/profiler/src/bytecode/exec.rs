@@ -25,6 +25,7 @@ use crate::profile::Profile;
 use crate::reuse::MemTap;
 use minic::ast::BinOp;
 use minic::builtins::Builtin;
+use minic::types::MAX_STATIC_WORDS;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
@@ -473,6 +474,17 @@ impl<'a, T: MemTap> Vm<'a, T> {
 
     // ----- calls -----
 
+    /// Refuses a frame of `frame_size` words that would take the live
+    /// stack past [`MAX_STATIC_WORDS`], before any of it is allocated.
+    fn check_stack_budget(&self, frame_size: u32) -> Result<(), RuntimeError> {
+        if frame_size as usize > MAX_STATIC_WORDS - self.stack.len() {
+            return Err(RuntimeError::StackBudget {
+                limit: MAX_STATIC_WORDS,
+            });
+        }
+        Ok(())
+    }
+
     /// Push a frame and return `f`'s entry pc. The callee's entry pc
     /// must be valid (the compiler guarantees it for direct calls;
     /// indirect calls check before entering).
@@ -489,8 +501,9 @@ impl<'a, T: MemTap> Vm<'a, T> {
                 limit: self.max_depth,
             });
         }
-        self.depth += 1;
         let meta = &self.cp.funcs[f];
+        self.check_stack_budget(meta.frame_size)?;
+        self.depth += 1;
         self.frames.push(Frame {
             ret_pc,
             ret_dst: dst,
@@ -543,6 +556,7 @@ impl<'a, T: MemTap> Vm<'a, T> {
             }
             .into());
         }
+        self.check_stack_budget(meta.frame_size)?;
         self.depth = 1;
         self.stack
             .extend(std::iter::repeat_n(Value::Int(0), meta.frame_size as usize));

@@ -813,18 +813,6 @@ impl CompiledProgram {
         h.digest()
     }
 
-    /// Summary sizes of the compiled image: `(ops, funcs, blocks,
-    /// data words)`. Exposed so the artifact cache can persist
-    /// bytecode metadata without reaching into `pub(crate)` fields.
-    pub fn image_stats(&self) -> (u64, u64, u64, u64) {
-        (
-            self.ops.len() as u64,
-            self.funcs.len() as u64,
-            self.block_lens.iter().map(|&n| u64::from(n)).sum(),
-            self.data_image.len() as u64,
-        )
-    }
-
     /// An all-zero profile shaped like this program's.
     pub fn empty_profile(&self) -> Profile {
         Profile {
@@ -842,16 +830,15 @@ impl CompiledProgram {
     }
 }
 
-/// Compiles a program to bytecode. Compilation is a single linear
-/// pass per CFG plus one spanning-tree build; the suite compiles in
-/// well under a millisecond per program.
+/// Compiles a program to bytecode and checks the image with
+/// [`verify`] before anything can run it. Compilation is a single
+/// linear pass per CFG plus one spanning-tree build; the suite
+/// compiles in well under a millisecond per program.
 pub fn compile(program: &Program) -> CompiledProgram {
     let _sp = obs::span("profiler.compile");
     let cp = compile::compile(program);
-    if cfg!(debug_assertions) {
-        if let Err(e) = verify(&cp) {
-            panic!("compiler emitted invalid bytecode: {e}");
-        }
+    if let Err(e) = verify(&cp) {
+        panic!("compiler emitted invalid bytecode: {e}");
     }
     cp
 }

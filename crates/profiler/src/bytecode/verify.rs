@@ -6,7 +6,7 @@
 //! side tables with compiler-emitted indices. Two producers emit
 //! bytecode — the compiler and the optimizer's lowering — so
 //! [`verify`] states those invariants once and checks them after
-//! both (in debug builds) and in the differential fuzzer. A violation
+//! both (in every build) and in the differential fuzzer. A violation
 //! is a diagnostic naming the function, pc and operand, never UB.
 
 use super::{CompiledProgram, FuncMeta, Op, SwitchTable, NONE32};

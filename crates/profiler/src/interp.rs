@@ -147,6 +147,12 @@ pub enum RuntimeError {
         /// The depth limit.
         limit: usize,
     },
+    /// A call's frame would take the live stack (every active frame
+    /// together) past [`MAX_STATIC_WORDS`] words.
+    StackBudget {
+        /// The budget, in words.
+        limit: usize,
+    },
     /// An indirect call reached a value that is not a function.
     NotAFunction,
     /// A call reached a function with no body.
@@ -171,6 +177,9 @@ impl fmt::Display for RuntimeError {
             RuntimeError::StepLimit { limit } => write!(f, "exceeded step limit {limit}"),
             RuntimeError::StackOverflow { limit } => {
                 write!(f, "call depth exceeded {limit}")
+            }
+            RuntimeError::StackBudget { limit } => {
+                write!(f, "call would take the live stack past {limit} words")
             }
             RuntimeError::NotAFunction => write!(f, "indirect call through a non-function"),
             RuntimeError::Undefined { name } => {
@@ -664,6 +673,12 @@ impl<'p, T: MemTap> Interp<'p, T> {
         if self.depth >= self.max_depth {
             return Err(RuntimeError::StackOverflow {
                 limit: self.max_depth,
+            }
+            .into());
+        }
+        if func.frame_size > MAX_STATIC_WORDS - self.stack.len() {
+            return Err(RuntimeError::StackBudget {
+                limit: MAX_STATIC_WORDS,
             }
             .into());
         }

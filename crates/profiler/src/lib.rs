@@ -4,9 +4,8 @@
 //! output and running the SPEC92 suite on several inputs. This crate is
 //! that substrate: [`run`] executes a [`flowgraph::Program`] on a given
 //! input and returns a [`Profile`] with basic-block, edge, branch,
-//! call-site, and function-invocation counts, plus the abstract cost
-//! units behind the Figure 10 selective-optimization experiment
-//! ([`cost`]).
+//! call-site, and function-invocation counts, plus abstract cost
+//! units per function (`Profile::func_cost`).
 //!
 //! Profiles from several inputs are combined with
 //! [`profile::aggregate`], which normalizes each run to a common total
@@ -33,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod bytecode;
-pub mod cost;
 pub mod interp;
 pub mod profile;
 pub mod reuse;

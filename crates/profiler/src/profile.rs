@@ -24,7 +24,8 @@ pub struct Profile {
     /// CFG edge traversal counts.
     pub edge_counts: HashMap<(FuncId, BlockId, BlockId), u64>,
     /// Abstract cost units accumulated per function (see the cost
-    /// model in [`crate::interp`]); drives the Figure 10 experiment.
+    /// model in [`crate::interp`]); serve's `profile` method reports
+    /// it as `cost`.
     pub func_cost: Vec<u64>,
 }
 

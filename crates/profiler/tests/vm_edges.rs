@@ -262,6 +262,20 @@ fn zero_depth_limit_overflows_before_main() {
 }
 
 #[test]
+fn frame_past_the_stack_budget_is_refused_before_allocation() {
+    // main's 20 words plus f's frame pass the live-stack budget by 10
+    // words, so the call fails without allocating f's frame.
+    let words = minic::types::MAX_STATIC_WORDS;
+    let src = format!(
+        "int f(void) {{ int a[{}]; a[0] = 1; return a[0]; }}
+         int main(void) {{ int b[20]; b[0] = 0; return f() + b[0]; }}",
+        words - 10
+    );
+    let err = run_both(&src, &RunConfig::default()).expect_err("over the budget");
+    assert_eq!(err, RuntimeError::StackBudget { limit: words });
+}
+
+#[test]
 fn function_pointer_call_behind_short_circuit_guard() {
     // The fp(...) call sits in the right operand of &&, so the VM's
     // branchy lowering of && must still evaluate (and count) the call

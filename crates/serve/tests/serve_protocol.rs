@@ -97,6 +97,15 @@ fn requests() -> Vec<String> {
         ),
         r#"{"sfe":"serve/v1","id":43,"method":"profile","params":{"program":"heap"}}"#.into(),
         r#"{"sfe":"serve/v1","id":44,"method":"list"}"#.into(),
+        // Frames past the live-stack budget are a run error, not a
+        // daemon abort mid-profile; the session keeps answering.
+        load_as(
+            45,
+            "deep",
+            "int f(int n) { int a[1000000]; a[0] = n; if (n == 0) return 0; return f(n - 1) + a[0]; } int main(void) { return f(10000); }",
+        ),
+        r#"{"sfe":"serve/v1","id":46,"method":"profile","params":{"program":"deep"}}"#.into(),
+        r#"{"sfe":"serve/v1","id":47,"method":"list"}"#.into(),
         // Shutdown last: it ends the session.
         r#"{"sfe":"serve/v1","id":32,"method":"shutdown"}"#.into(),
     ]
@@ -192,6 +201,7 @@ fn golden_covers_every_method_and_error_code() {
         "unknown-program",
         "unknown-function",
         "compile-error",
+        "run-error",
     ] {
         assert!(
             text.contains(&format!("\"code\":\"{code}\"")),

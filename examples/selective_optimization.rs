@@ -1,14 +1,14 @@
 //! The paper's §6 experiment as a library consumer would run it:
 //! decide which functions of a program deserve optimization using only
-//! static estimates, then validate the choice on a held-out workload
-//! with the cost model.
+//! static estimates, then validate the choice on a held-out run by how
+//! much of its measured cost the static picks cover.
 //!
 //! Run with: `cargo run --release --example selective_optimization [program]`
+//!
+//! For measured speedups from the real optimizer, run `sfe fig10`.
 
 use estimators::{inter, intra};
-use minic::sema::FuncId;
 use profiler::RunConfig;
-use std::collections::HashSet;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let name = std::env::args()
@@ -42,17 +42,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?
     .profile;
 
-    println!("\nsimulated speedup as functions are optimized (cost model):");
-    let base = profiler::cost::simulated_time(&measured, &HashSet::new());
-    for k in 0..=order.len() {
-        let set: HashSet<FuncId> = order.iter().take(k).copied().collect();
-        let t = profiler::cost::simulated_time(&measured, &set);
-        let bar = "#".repeat(((base / t - 1.0) * 40.0) as usize);
-        println!("  top-{k:<2} speedup {:5.3} {bar}", base / t);
-        if k >= 8 && base / t > 0.97 * (1.0 / profiler::cost::OPT_FACTOR) {
-            println!("  (diminishing returns; stopping)");
+    // The best any ranking of k functions could cover: the k costliest
+    // functions of this very run.
+    let cost = |f: minic::sema::FuncId| measured.func_cost[f.0 as usize];
+    let total: u64 = order.iter().map(|&f| cost(f)).sum();
+    let mut best: Vec<u64> = order.iter().map(|&f| cost(f)).collect();
+    best.sort_unstable_by(|a, b| b.cmp(a));
+
+    println!("\nshare of the held-out run's cost in the top-k functions:");
+    println!("  {:>5} {:>8} {:>8}", "k", "static", "best");
+    let (mut covered, mut ideal) = (0u64, 0u64);
+    for (k, (&f, &c)) in order.iter().zip(&best).enumerate() {
+        covered += cost(f);
+        ideal += c;
+        let share = |part: u64| 100.0 * part as f64 / total.max(1) as f64;
+        let bar = "#".repeat((share(covered) / 2.5) as usize);
+        println!(
+            "  {:>5} {:>7.1}% {:>7.1}% {bar}",
+            k + 1,
+            share(covered),
+            share(ideal)
+        );
+        if covered == total {
             break;
         }
     }
+    println!("(measured optimizer speedups per budget: `sfe fig10`)");
     Ok(())
 }

@@ -12,9 +12,16 @@
 //! whole pipeline must fail with a clean `compile` diagnostic, never a
 //! panic and never a successful compile. Files named `manual_rt_` are
 //! hand-written valid programs that once aborted a run; they replay
-//! like fuzzer entries, so both engines must agree on them.
+//! like fuzzer entries, so both engines must agree on them. The one
+//! [`RUNTIME_ERROR_ENTRY`] ends in a runtime error by design: the
+//! oracles must stop at it, and its own test pins the error's rendered
+//! text in both engines.
 
 use fuzzgen::{check_source, CheckConfig, FailureKind};
+
+/// The `manual_rt_` entry whose run ends in a `StackBudget` runtime
+/// error.
+const RUNTIME_ERROR_ENTRY: &str = "manual_rt_deep-frames.c";
 
 #[test]
 fn every_corpus_counterexample_passes_all_oracles() {
@@ -29,9 +36,21 @@ fn every_corpus_counterexample_passes_all_oracles() {
     let config = CheckConfig::default();
     for path in entries {
         let src = std::fs::read_to_string(&path).expect("readable corpus file");
-        let diagnostic_entry = path
+        let name = path
             .file_name()
-            .is_some_and(|n| n.to_string_lossy().contains("_diag_"));
+            .map_or(String::new(), |n| n.to_string_lossy().into_owned());
+        let diagnostic_entry = name.contains("_diag_");
+        if name == RUNTIME_ERROR_ENTRY {
+            let failure = check_source(&src, &config).expect_err(&name);
+            assert!(
+                failure.kind == FailureKind::Runtime && failure.detail.contains("StackBudget"),
+                "{name} must fail with StackBudget, got oracle {}:\n{}",
+                failure.kind,
+                failure.detail
+            );
+            replayed += 1;
+            continue;
+        }
         // A panic anywhere in check_source fails the test for both
         // kinds of entry — that is the whole point of the diag files.
         match check_source(&src, &config) {
@@ -214,5 +233,39 @@ fn over_budget_heap_requests_return_null() {
             assert_eq!(out.exit_code, 1, "{name} on {engine}: NULL expected");
             assert_eq!(out.stdout(), stdout, "{name} on {engine}");
         }
+    }
+}
+
+/// Frames whose sum passes the live-stack budget (`f(10000)` with a
+/// 1,000,001-word frame, 10^10 words in all) are refused with the same
+/// rendered runtime error by both engines, before the frame that would
+/// cross the budget is allocated. They once aborted the process inside
+/// the stack allocation.
+#[test]
+fn frames_past_the_stack_budget_are_a_runtime_error() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/corpus/manual_rt_deep-frames.c"
+    );
+    let src = std::fs::read_to_string(path).expect("readable corpus file");
+    let program = flowgraph::build_program(minic::compile(&src).expect(path));
+    let config = profiler::RunConfig::default();
+    let expected = format!(
+        "call would take the live stack past {} words",
+        minic::types::MAX_STATIC_WORDS
+    );
+    for (engine, out) in [
+        ("vm", profiler::run(&program, &config)),
+        ("ast", profiler::run_ast(&program, &config)),
+    ] {
+        let err = out.expect_err(engine);
+        assert_eq!(
+            err,
+            profiler::RuntimeError::StackBudget {
+                limit: minic::types::MAX_STATIC_WORDS
+            },
+            "{engine}"
+        );
+        assert_eq!(err.to_string(), expected, "{engine}");
     }
 }

@@ -66,12 +66,14 @@ const PROGRAMS: u64 = 200;
 const FIRST_SEED: u64 = 1_000_001;
 
 /// Mean allocations per program in each stage, in tenths, measured
-/// when the gate was last set: lex + parse 816.9 (each statement-level
-/// expression slot is one `Arc`), sema 237.8, CFG build 108.8 (the CFG
-/// shares the AST's expressions), estimators 337.6 (no per-block
-/// adjacency lists). A change that lowers a count should lower its
+/// when the gate was last set: lex + parse 582.1 (each statement-level
+/// expression slot is one `Arc`; names are interned symbols, not one
+/// `String` each), sema 184.6 (name tables indexed by symbol), CFG
+/// build 106.6 (the CFG shares the AST's expressions), estimators
+/// 286.2 (no per-block adjacency lists, no per-node or per-component
+/// solver lists). A change that lowers a count should lower its
 /// constant with it.
-const MEASURED_TENTHS: [u64; 4] = [8169, 2378, 1088, 3376];
+const MEASURED_TENTHS: [u64; 4] = [5821, 1846, 1066, 2862];
 const STAGES: [&str; 4] = ["lex+parse", "sema", "build", "estimators"];
 
 #[test]

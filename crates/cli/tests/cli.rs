@@ -124,6 +124,33 @@ fn run_refuses_frames_past_the_stack_budget() {
 }
 
 #[test]
+fn run_refuses_register_windows_past_the_budget() {
+    // A one-word frame that also calls a 400-parameter function holds
+    // about 400 registers per activation; recursing 45,000 deep takes
+    // the VM's register window past the 2^24 budget near depth 42,000.
+    let params: Vec<String> = (0..400).map(|i| format!("int a{i}")).collect();
+    let args = vec!["n"; 400].join(", ");
+    let src = format!(
+        "int wide({}) {{ return a0; }}
+         int deep(int n) {{ if (n == 0) return 0; if (n < 0) return wide({args}); return deep(n - 1) + 1; }}
+         int main(void) {{ return deep(45000) - 45000; }}",
+        params.join(", ")
+    );
+    let mut f = tempfile::NamedFile::new("wide-regs.c");
+    f.write(src.as_bytes());
+    for level in ["0", "3"] {
+        let out = sfe(&["--opt-level", level, "run", f.path()]);
+        assert_eq!(out.status.code(), Some(1), "-O{level}");
+        assert!(out.stdout.is_empty(), "-O{level}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            err, "sfe: runtime error: call would take the live stack past 16777216 words\n",
+            "-O{level}"
+        );
+    }
+}
+
+#[test]
 fn pretty_round_trips() {
     let f = demo_file();
     let out = sfe(&["pretty", f.path()]);

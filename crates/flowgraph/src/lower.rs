@@ -17,8 +17,8 @@
 use crate::cfg::{Block, BlockId, Cfg, Instr, Terminator};
 use minic::ast::{Expr, ExprKind, Initializer, NodeId, Stmt, StmtKind};
 use minic::sema::{Function, LocalId, Module};
+use minic::symbol::Symbol;
 use minic::types::Type;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Lowers one defined function to a (simplified) CFG.
@@ -39,7 +39,7 @@ pub fn lower_function(module: &Module, func: &Function) -> Cfg {
         cur: BlockId(0),
         break_stack: Vec::new(),
         continue_stack: Vec::new(),
-        labels: HashMap::new(),
+        labels: Vec::new(),
     };
     let entry = lw.new_block();
     lw.cur = entry;
@@ -79,7 +79,8 @@ struct Lowerer<'m> {
     cur: BlockId,
     break_stack: Vec<BlockId>,
     continue_stack: Vec<BlockId>,
-    labels: HashMap<String, BlockId>,
+    /// The block of each label seen so far (functions have few).
+    labels: Vec<(Symbol, BlockId)>,
 }
 
 impl Lowerer<'_> {
@@ -149,12 +150,12 @@ impl Lowerer<'_> {
         }
     }
 
-    fn label_block(&mut self, name: &str) -> BlockId {
-        if let Some(&b) = self.labels.get(name) {
+    fn label_block(&mut self, name: Symbol) -> BlockId {
+        if let Some(&(_, b)) = self.labels.iter().find(|&&(l, _)| l == name) {
             return b;
         }
         let b = self.new_block();
-        self.labels.insert(name.to_string(), b);
+        self.labels.push((name, b));
         b
     }
 
@@ -347,11 +348,11 @@ impl Lowerer<'_> {
             }
             StmtKind::Goto(name) => {
                 self.anchor(self.cur, s.id);
-                let target = self.label_block(name);
+                let target = self.label_block(*name);
                 self.set_term(Terminator::Goto(target));
             }
             StmtKind::Label(name, inner) => {
-                let lbl = self.label_block(name);
+                let lbl = self.label_block(*name);
                 self.set_term(Terminator::Goto(lbl));
                 self.cur = lbl;
                 self.anchor(lbl, inner.id);

@@ -46,7 +46,7 @@ pub mod sparse;
 
 pub use matrix::Matrix;
 pub use solve::{solve_flow, FlowSolveError, FlowSystem, SolveError};
-pub use sparse::{solve_sparse, tarjan_scc, Csr};
+pub use sparse::{solve_sparse, tarjan_scc, Components, Csr, Successors};
 
 #[cfg(test)]
 mod tests {

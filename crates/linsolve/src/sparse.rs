@@ -5,9 +5,11 @@
 //! [`crate::Matrix::solve`] wastes nearly all of its work. This module
 //! exploits the graph structure instead:
 //!
-//! 1. the arc list is compiled into a CSR adjacency ([`Csr`]);
+//! 1. the arc list is compiled into CSR adjacencies: incoming arcs
+//!    with weights ([`Csr`]) and successors ([`Successors`]);
 //! 2. the graph is condensed into strongly connected components with
-//!    an iterative Tarjan pass ([`tarjan_scc`]);
+//!    an iterative Tarjan pass ([`tarjan_scc`]), emitted as one flat
+//!    member array ([`Components`]);
 //! 3. components are solved in topological order — a trivial SCC is a
 //!    single substitution over its incoming arcs (`O(in-degree)`),
 //!    and a nontrivial SCC becomes a *local* dense solve (or, if that
@@ -16,7 +18,9 @@
 //!
 //! Acyclic regions therefore solve in `O(V + E)` with `O(V + E)`
 //! memory, and the cubic cost is paid only per cyclic component — in
-//! practice loops and recursion cliques of a handful of nodes.
+//! practice loops and recursion cliques of a handful of nodes. The
+//! allocations of a solve do not grow with the node or component
+//! count: every per-node and per-component list lives in a flat array.
 
 use crate::solve::FlowSolveError;
 use crate::Matrix;
@@ -44,32 +48,14 @@ impl Csr {
     /// Returns [`FlowSolveError::NodeOutOfRange`] if any arc endpoint
     /// is `>= n`.
     pub fn from_arcs(n: usize, arcs: &[(usize, usize, f64)]) -> Result<Self, FlowSolveError> {
-        let mut counts = vec![0u32; n + 1];
-        for &(src, dst, _) in arcs {
-            if src >= n || dst >= n {
-                return Err(FlowSolveError::NodeOutOfRange {
-                    node: src.max(dst),
-                    len: n,
-                });
-            }
-            counts[dst + 1] += 1;
+        if let Some(&(src, dst, _)) = arcs.iter().find(|&&(src, dst, _)| src >= n || dst >= n) {
+            return Err(FlowSolveError::NodeOutOfRange {
+                node: src.max(dst),
+                len: n,
+            });
         }
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        let row = counts;
-        let mut next = row.clone();
-        let mut packed = vec![(0u32, 0.0f64); arcs.len()];
-        for &(src, dst, w) in arcs {
-            let slot = next[dst] as usize;
-            packed[slot] = (src as u32, w);
-            next[dst] += 1;
-        }
-        Ok(Csr {
-            n,
-            row,
-            arcs: packed,
-        })
+        let (row, arcs) = group(n, arcs.iter().map(|&(src, dst, w)| (dst, (src as u32, w))));
+        Ok(Csr { n, row, arcs })
     }
 
     /// Number of nodes.
@@ -88,20 +74,112 @@ impl Csr {
     }
 }
 
-/// Iterative Tarjan: partitions `0..adj.len()` into strongly connected
-/// components. Components are returned in *reverse topological* order
-/// of the condensation (every component precedes the components that
-/// point into it), which is the natural emission order of the
-/// algorithm; callers wanting sources-first order reverse the list.
-pub fn tarjan_scc(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
+/// Stable counting sort of `items` by their key `< n`: the row
+/// offsets (length `n + 1`) and the values grouped by key, each group
+/// in input order.
+fn group<T: Copy + Default>(
+    n: usize,
+    items: impl DoubleEndedIterator<Item = (usize, T)> + ExactSizeIterator + Clone,
+) -> (Vec<u32>, Vec<T>) {
+    let mut row = vec![0u32; n + 1];
+    for (key, _) in items.clone() {
+        row[key] += 1;
+    }
+    // `row[k]` becomes the end of group `k`; filling back to front
+    // walks each cursor down to its group's start.
+    for k in 1..n {
+        row[k] += row[k - 1];
+    }
+    row[n] = items.len() as u32;
+    let mut packed = vec![T::default(); items.len()];
+    for (key, value) in items.rev() {
+        row[key] -= 1;
+        packed[row[key] as usize] = value;
+    }
+    (row, packed)
+}
+
+/// Successor lists of a directed graph in CSR form: `of(v)` lists the
+/// heads of `v`'s arcs in arc-list order.
+#[derive(Debug, Clone)]
+pub struct Successors {
+    /// Row offsets into `heads`, length `n + 1`.
+    row: Vec<u32>,
+    heads: Vec<u32>,
+}
+
+impl Successors {
+    /// The successor lists of `n` nodes under the `(src, dst, _)` arcs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint is `>= n` ([`Csr::from_arcs`] checks that
+    /// first in [`solve_sparse`]).
+    pub fn from_arcs(n: usize, arcs: &[(usize, usize, f64)]) -> Self {
+        let (row, heads) = group(n, arcs.iter().map(|&(src, dst, _)| (src, dst as u32)));
+        Successors { row, heads }
+    }
+
+    /// Number of nodes.
+    pub fn len(&self) -> usize {
+        self.row.len() - 1
+    }
+
+    /// Returns `true` if the graph has no nodes.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The heads of `v`'s arcs.
+    pub fn of(&self, v: usize) -> &[u32] {
+        &self.heads[self.row[v] as usize..self.row[v + 1] as usize]
+    }
+}
+
+/// Strongly connected components as one flat member array: component
+/// `c` is `get(c)`, in the order [`tarjan_scc`] emitted it.
+#[derive(Debug, Clone, Default)]
+pub struct Components {
+    members: Vec<u32>,
+    /// `ends[c]` is one past component `c`'s last member.
+    ends: Vec<u32>,
+}
+
+impl Components {
+    /// Number of components.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Returns `true` if there are no components.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The members of component `c`.
+    pub fn get(&self, c: usize) -> &[u32] {
+        let start = if c == 0 { 0 } else { self.ends[c - 1] as usize };
+        &self.members[start..self.ends[c] as usize]
+    }
+}
+
+/// Iterative Tarjan: partitions the nodes of `succ` into strongly
+/// connected components. Components come in *reverse topological*
+/// order of the condensation (every component precedes the components
+/// that point into it), which is the natural emission order of the
+/// algorithm; callers wanting sources-first order walk them backwards.
+pub fn tarjan_scc(succ: &Successors) -> Components {
     const UNVISITED: u32 = u32::MAX;
-    let n = adj.len();
+    let n = succ.len();
     let mut index = vec![UNVISITED; n];
     let mut lowlink = vec![0u32; n];
     let mut on_stack = vec![false; n];
     let mut stack: Vec<usize> = Vec::new();
     let mut next_index = 0u32;
-    let mut sccs: Vec<Vec<usize>> = Vec::new();
+    let mut sccs = Components {
+        members: Vec::with_capacity(n),
+        ends: Vec::new(),
+    };
     // Explicit DFS frames: (node, next child position).
     let mut frames: Vec<(usize, usize)> = Vec::new();
 
@@ -117,8 +195,8 @@ pub fn tarjan_scc(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
         on_stack[root] = true;
 
         while let Some(&mut (v, ref mut child)) = frames.last_mut() {
-            if *child < adj[v].len() {
-                let w = adj[v][*child];
+            if let Some(&w) = succ.of(v).get(*child) {
+                let w = w as usize;
                 *child += 1;
                 if index[w] == UNVISITED {
                     index[w] = next_index;
@@ -136,16 +214,15 @@ pub fn tarjan_scc(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
                     lowlink[parent] = lowlink[parent].min(lowlink[v]);
                 }
                 if lowlink[v] == index[v] {
-                    let mut comp = Vec::new();
                     loop {
                         let w = stack.pop().expect("tarjan stack underflow");
                         on_stack[w] = false;
-                        comp.push(w);
+                        sccs.members.push(w as u32);
                         if w == v {
                             break;
                         }
                     }
-                    sccs.push(comp);
+                    sccs.ends.push(sccs.members.len() as u32);
                 }
             }
         }
@@ -190,21 +267,12 @@ pub fn solve_sparse(
     let mut stat_dense = 0u64;
     let mut stat_damped = 0u64;
     let incoming = Csr::from_arcs(n, arcs)?;
-
-    // Outgoing adjacency for the condensation (weights irrelevant).
-    let mut out_adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for &(src, dst, _) in arcs {
-        out_adj[src].push(dst);
-    }
-
-    // Tarjan emits components sinks-first; reverse for sources-first.
-    let mut sccs = tarjan_scc(&out_adj);
-    sccs.reverse();
+    let sccs = tarjan_scc(&Successors::from_arcs(n, arcs));
 
     let mut comp_of = vec![0u32; n];
-    for (ci, comp) in sccs.iter().enumerate() {
-        for &v in comp {
-            comp_of[v] = ci as u32;
+    for ci in 0..sccs.len() {
+        for &v in sccs.get(ci) {
+            comp_of[v as usize] = ci as u32;
         }
     }
 
@@ -212,10 +280,13 @@ pub fn solve_sparse(
     // Scratch buffers reused across nontrivial components.
     let mut local_index = vec![u32::MAX; n];
 
-    for (ci, comp) in sccs.iter().enumerate() {
+    // Tarjan emits components sinks-first; solve sources-first.
+    for ci in (0..sccs.len()).rev() {
+        let comp = sccs.get(ci);
         // External inflow: arcs from earlier components are final.
         // (Arcs from *this* component are the unknowns handled below.)
-        if let [v] = comp[..] {
+        if let [v] = *comp {
+            let v = v as usize;
             // Trivial SCC: x[v] = (b[v]) / (1 - self_weight).
             let mut b = inject[v];
             let mut self_w = 0.0;
@@ -246,13 +317,13 @@ pub fn solve_sparse(
         // Nontrivial SCC: local dense solve over the members.
         let k = comp.len();
         for (i, &v) in comp.iter().enumerate() {
-            local_index[v] = i as u32;
+            local_index[v as usize] = i as u32;
         }
         let mut m = Matrix::identity(k);
         let mut b = vec![0.0f64; k];
         for (i, &v) in comp.iter().enumerate() {
-            b[i] = inject[v];
-            for &(src, w) in incoming.incoming(v) {
+            b[i] = inject[v as usize];
+            for &(src, w) in incoming.incoming(v as usize) {
                 let src = src as usize;
                 if comp_of[src] as usize == ci {
                     m[(i, local_index[src] as usize)] -= w;
@@ -266,7 +337,7 @@ pub fn solve_sparse(
             Ok(local) => {
                 stat_dense += 1;
                 for (i, &v) in comp.iter().enumerate() {
-                    x[v] = local[i];
+                    x[v as usize] = local[i];
                 }
             }
             Err(_) => {
@@ -276,13 +347,13 @@ pub fn solve_sparse(
                 let local =
                     solve_damped_component(comp, &local_index, ci, &comp_of, &incoming, &b)?;
                 for (i, &v) in comp.iter().enumerate() {
-                    x[v] = local[i];
+                    x[v as usize] = local[i];
                 }
             }
         }
         drop(_scc);
         for &v in comp {
-            local_index[v] = u32::MAX;
+            local_index[v as usize] = u32::MAX;
         }
     }
     if obs::enabled() {
@@ -298,7 +369,7 @@ pub fn solve_sparse(
 /// `y ← b + DAMPING·W_localᵀ y` until the max-norm step drops below
 /// [`TOLERANCE`].
 fn solve_damped_component(
-    comp: &[usize],
+    comp: &[u32],
     local_index: &[u32],
     ci: usize,
     comp_of: &[u32],
@@ -312,7 +383,7 @@ fn solve_damped_component(
     for _ in 0..MAX_ITERS {
         next.copy_from_slice(b);
         for (i, &v) in comp.iter().enumerate() {
-            for &(src, w) in incoming.incoming(v) {
+            for &(src, w) in incoming.incoming(v as usize) {
                 let src = src as usize;
                 if comp_of[src] as usize == ci {
                     next[i] += DAMPING * w * y[local_index[src] as usize];
@@ -360,15 +431,28 @@ mod tests {
         ));
     }
 
+    fn successors(n: usize, arcs: &[(usize, usize)]) -> Successors {
+        let arcs: Vec<(usize, usize, f64)> = arcs.iter().map(|&(s, d)| (s, d, 1.0)).collect();
+        Successors::from_arcs(n, &arcs)
+    }
+
+    #[test]
+    fn successors_keep_arc_order() {
+        let succ = successors(3, &[(2, 0), (0, 2), (2, 1), (0, 1), (2, 2)]);
+        assert_eq!(succ.len(), 3);
+        assert_eq!(succ.of(0), &[2, 1]);
+        assert!(succ.of(1).is_empty());
+        assert_eq!(succ.of(2), &[0, 1, 2]);
+    }
+
     #[test]
     fn tarjan_finds_components_in_reverse_topo_order() {
         // 0 -> 1 <-> 2 -> 3, 3 -> 3 (self loop).
-        let adj = vec![vec![1], vec![2], vec![1, 3], vec![3]];
-        let sccs = tarjan_scc(&adj);
-        let mut sorted: Vec<Vec<usize>> = sccs
-            .iter()
+        let succ = successors(4, &[(0, 1), (1, 2), (2, 1), (2, 3), (3, 3)]);
+        let sccs = tarjan_scc(&succ);
+        let mut sorted: Vec<Vec<u32>> = (0..sccs.len())
             .map(|c| {
-                let mut c = c.clone();
+                let mut c = sccs.get(c).to_vec();
                 c.sort_unstable();
                 c
             })
@@ -381,8 +465,7 @@ mod tests {
 
     #[test]
     fn tarjan_handles_disconnected_graphs() {
-        let adj = vec![vec![], vec![], vec![]];
-        assert_eq!(tarjan_scc(&adj).len(), 3);
+        assert_eq!(tarjan_scc(&successors(3, &[])).len(), 3);
     }
 
     #[test]

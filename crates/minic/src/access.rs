@@ -258,7 +258,7 @@ mod tests {
         // A local array access never classifies (locals are untraced).
         let e = find_expr(&m, &|e| {
             if let ExprKind::Index(b, _) = &e.kind {
-                matches!(&b.kind, ExprKind::Ident(n) if n == "loc")
+                matches!(b.kind, ExprKind::Ident(n) if &m.names[n] == "loc")
             } else {
                 false
             }
@@ -272,9 +272,15 @@ mod tests {
             "int n; int a[4];\n\
              int main(void) { int i = 0; return a[i + n]; }",
         );
-        let scalar = find_expr(&m, &|e| matches!(&e.kind, ExprKind::Ident(s) if s == "n"));
+        let scalar = find_expr(
+            &m,
+            &|e| matches!(e.kind, ExprKind::Ident(s) if &m.names[s] == "n"),
+        );
         assert!(scalar_global(&m, scalar).is_some());
-        let arr = find_expr(&m, &|e| matches!(&e.kind, ExprKind::Ident(s) if s == "a"));
+        let arr = find_expr(
+            &m,
+            &|e| matches!(e.kind, ExprKind::Ident(s) if &m.names[s] == "a"),
+        );
         assert!(scalar_global(&m, arr).is_none(), "arrays are not scalars");
         let idx = find_expr(&m, &|e| matches!(e.kind, ExprKind::Index(..)));
         let mut vars = HashSet::new();

@@ -12,7 +12,12 @@
 //! `Arc`'s `Debug`, `PartialEq` and `Hash` delegate to the expression,
 //! so dumps and comparisons read exactly as if the slot held the
 //! expression itself.
+//!
+//! Every name — identifiers, string literals, fields, labels,
+//! declaration names, struct tags — is a [`Symbol`] of the unit's
+//! [`Unit::names`] interner.
 
+use crate::symbol::{Interner, Symbol};
 use crate::token::Span;
 use std::fmt;
 use std::sync::Arc;
@@ -188,7 +193,7 @@ pub enum BaseType {
     /// `float` / `double` — both map to `f64`.
     Float,
     /// `struct Name`
-    Struct(String),
+    Struct(Symbol),
 }
 
 /// A syntactic type, prior to resolution.
@@ -225,9 +230,9 @@ pub enum ExprKind {
     /// Floating literal.
     FloatLit(f64),
     /// String literal.
-    StrLit(String),
+    StrLit(Symbol),
     /// A name: variable, function, or builtin.
-    Ident(String),
+    Ident(Symbol),
     /// Unary operation.
     Unary(UnOp, Box<Expr>),
     /// Binary operation.
@@ -243,7 +248,7 @@ pub enum ExprKind {
     /// Array indexing `a[i]`.
     Index(Box<Expr>, Box<Expr>),
     /// Member access `s.f` (arrow = `false`) or `p->f` (arrow = `true`).
-    Member(Box<Expr>, String, bool),
+    Member(Box<Expr>, Symbol, bool),
     /// Conditional `c ? t : e`.
     Cond(Box<Expr>, Box<Expr>, Box<Expr>),
     /// Cast `(T)e`.
@@ -264,7 +269,7 @@ pub struct VarDecl {
     /// Source location.
     pub span: Span,
     /// Variable name.
-    pub name: String,
+    pub name: Symbol,
     /// Declared type.
     pub ty: TypeName,
     /// Optional initializer.
@@ -333,9 +338,9 @@ pub enum StmtKind {
     /// `return [expr];`
     Return(Option<Arc<Expr>>),
     /// `goto label;`
-    Goto(String),
+    Goto(Symbol),
     /// `label: stmt`
-    Label(String, Box<Stmt>),
+    Label(Symbol, Box<Stmt>),
     /// `{ stmts }`
     Block(Vec<Stmt>),
     /// `;`
@@ -347,8 +352,8 @@ pub enum StmtKind {
 pub struct Param {
     /// Node id.
     pub id: NodeId,
-    /// Parameter name (may be empty in prototypes).
-    pub name: String,
+    /// Parameter name ([`Symbol::EMPTY`] when unnamed).
+    pub name: Symbol,
     /// Declared type.
     pub ty: TypeName,
     /// Source location.
@@ -361,9 +366,9 @@ pub struct StructDecl {
     /// Node id.
     pub id: NodeId,
     /// Struct tag.
-    pub name: String,
+    pub name: Symbol,
     /// Fields in declaration order.
-    pub fields: Vec<(String, TypeName)>,
+    pub fields: Vec<(Symbol, TypeName)>,
     /// Source location.
     pub span: Span,
 }
@@ -373,10 +378,10 @@ pub struct StructDecl {
 pub struct EnumDecl {
     /// Node id.
     pub id: NodeId,
-    /// Enum tag (may be empty for anonymous enums).
-    pub name: String,
+    /// Enum tag ([`Symbol::EMPTY`] for anonymous enums).
+    pub name: Symbol,
     /// Variants in declaration order, with optional explicit values.
-    pub variants: Vec<(String, Option<Expr>)>,
+    pub variants: Vec<(Symbol, Option<Expr>)>,
     /// Source location.
     pub span: Span,
 }
@@ -387,7 +392,7 @@ pub struct FunctionDecl {
     /// Node id.
     pub id: NodeId,
     /// Function name.
-    pub name: String,
+    pub name: Symbol,
     /// Return type.
     pub ret: TypeName,
     /// Parameters.
@@ -427,6 +432,8 @@ pub struct Unit {
     /// including, `(d << DECL_SHIFT) + decl_spans[d]`. Side tables are
     /// sized from these counts.
     pub decl_spans: Vec<u32>,
+    /// The spelling of every [`Symbol`] in the unit.
+    pub names: Interner,
 }
 
 impl Expr {

@@ -9,6 +9,7 @@
 //!    artificially low (§2, citing Fisher & Freudenberger).
 
 use crate::ast::{BinOp, Expr, ExprKind, UnOp};
+use crate::symbol::Symbol;
 
 /// A folded compile-time value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,7 +55,7 @@ pub trait FoldEnv {
     /// The size in words of the given expression's type, if known.
     fn sizeof_expr(&self, e: &Expr) -> Option<i64>;
     /// A constant value for an identifier, if it has one.
-    fn ident_value(&self, name: &str) -> Option<ConstValue>;
+    fn ident_value(&self, name: Symbol) -> Option<ConstValue>;
 }
 
 /// A [`FoldEnv`] that knows nothing; folds pure literal arithmetic only.
@@ -68,7 +69,7 @@ impl FoldEnv for NoEnv {
     fn sizeof_expr(&self, _e: &Expr) -> Option<i64> {
         None
     }
-    fn ident_value(&self, _name: &str) -> Option<ConstValue> {
+    fn ident_value(&self, _name: Symbol) -> Option<ConstValue> {
         None
     }
 }
@@ -95,7 +96,7 @@ pub fn fold(e: &Expr, env: &dyn FoldEnv) -> Option<ConstValue> {
     Some(match &e.kind {
         ExprKind::IntLit(v) => Int(*v),
         ExprKind::FloatLit(v) => Float(*v),
-        ExprKind::Ident(name) => env.ident_value(name)?,
+        ExprKind::Ident(name) => env.ident_value(*name)?,
         ExprKind::SizeofType(ty) => Int(env.sizeof_typename(ty)?),
         ExprKind::SizeofExpr(inner) => Int(env.sizeof_expr(inner)?),
         ExprKind::Cast(ty, inner) => {

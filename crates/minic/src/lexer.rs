@@ -1,6 +1,8 @@
 //! The MiniC lexer, including a tiny object-macro preprocessor.
 //!
-//! The lexer turns source text into a `Vec<Token>`. Two preprocessor
+//! The lexer turns source text into a `Vec<Token>`, interning every
+//! identifier and string literal into the unit's [`Interner`] so that a
+//! token is a `Copy` value with no heap data. Two preprocessor
 //! directives are supported, enough for the benchmark suite:
 //!
 //! - `#define NAME <tokens...>` — object-like macros, substituted at the
@@ -10,10 +12,11 @@
 //! Comments (`/* */` and `//`) are skipped.
 
 use crate::error::{CompileError, ErrorKind};
+use crate::symbol::{Interner, Symbol};
 use crate::token::{Keyword, Punct, Span, Token, TokenKind};
-use std::collections::HashMap;
 
-/// Lexes `src` into tokens, applying `#define` substitution.
+/// Lexes `src` into tokens, applying `#define` substitution. Identifier
+/// and string-literal spellings are interned into `names`.
 ///
 /// The returned stream always ends with a single [`TokenKind::Eof`] token.
 ///
@@ -26,24 +29,28 @@ use std::collections::HashMap;
 ///
 /// ```
 /// use minic::lexer::lex;
+/// use minic::symbol::Interner;
 /// use minic::token::TokenKind;
 ///
-/// let toks = lex("#define N 3\nint x = N;").unwrap();
+/// let mut names = Interner::new();
+/// let toks = lex("#define N 3\nint x = N;", &mut names).unwrap();
 /// assert!(toks.iter().any(|t| t.kind == TokenKind::Int(3)));
+/// let x = names.get("x").unwrap();
+/// assert!(toks.iter().any(|t| t.kind == TokenKind::Ident(x)));
 /// ```
-pub fn lex(src: &str) -> Result<Vec<Token>, CompileError> {
-    let raw = RawLexer::new(src).run()?;
+pub fn lex(src: &str, names: &mut Interner) -> Result<Vec<Token>, CompileError> {
+    let raw = RawLexer::new(src, names).run()?;
     if raw.defines.is_empty() {
         return Ok(raw.tokens);
     }
-    expand_macros(raw)
+    expand_macros(raw, names)
 }
 
 /// `#define name body` (body = raw tokens up to end of line), placed
 /// before raw token `at`.
 struct Define {
     at: usize,
-    name: String,
+    name: Symbol,
     body: Vec<Token>,
 }
 
@@ -58,20 +65,28 @@ struct RawLexer<'a> {
     src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    names: &'a mut Interner,
+    /// Scratch for string literals with escapes.
+    text: Vec<u8>,
 }
 
 impl<'a> RawLexer<'a> {
-    fn new(src: &'a str) -> Self {
+    fn new(src: &'a str, names: &'a mut Interner) -> Self {
         RawLexer {
             src,
             bytes: src.as_bytes(),
             pos: 0,
+            names,
+            text: Vec::new(),
         }
     }
 
     fn run(mut self) -> Result<RawTokens, CompileError> {
+        // Tokens average more than two bytes of source each (under
+        // three in generated programs), so this one allocation almost
+        // always holds the whole stream.
         let mut raw = RawTokens {
-            tokens: Vec::new(),
+            tokens: Vec::with_capacity(self.bytes.len() / 2 + 1),
             defines: Vec::new(),
         };
         loop {
@@ -140,17 +155,18 @@ impl<'a> RawLexer<'a> {
     }
 
     /// Lexes a directive line; returns `#define`'s name and body.
-    fn directive(&mut self) -> Result<Option<(String, Vec<Token>)>, CompileError> {
+    fn directive(&mut self) -> Result<Option<(Symbol, Vec<Token>)>, CompileError> {
         let start = self.pos;
         self.pos += 1; // '#'
         self.skip_line_ws();
         match self.ident() {
             "define" => {
                 self.skip_line_ws();
-                let macro_name = self.ident().to_string();
+                let macro_name = self.ident();
                 if macro_name.is_empty() {
                     return Err(self.err(start, "#define requires a name"));
                 }
+                let macro_name = self.names.intern(macro_name);
                 let mut body = Vec::new();
                 loop {
                     self.skip_line_ws();
@@ -221,7 +237,7 @@ impl<'a> RawLexer<'a> {
             let s = self.ident();
             match Keyword::lookup(s) {
                 Some(kw) => TokenKind::Kw(kw),
-                None => TokenKind::Ident(s.to_string()),
+                None => TokenKind::Ident(self.names.intern(s)),
             }
         } else if b.is_ascii_digit() {
             self.number(start)?
@@ -340,7 +356,23 @@ impl<'a> RawLexer<'a> {
 
     fn string(&mut self, start: usize) -> Result<TokenKind, CompileError> {
         self.pos += 1; // opening quote
-        let mut out = Vec::new();
+        let body = self.pos;
+        // Without escapes the literal is its source text.
+        loop {
+            match self.bytes.get(self.pos) {
+                None => return Err(self.err(start, "unterminated string literal")),
+                Some(b'"') => {
+                    let sym = self.names.intern(&self.src[body..self.pos]);
+                    self.pos += 1;
+                    return Ok(TokenKind::Str(sym));
+                }
+                Some(b'\\') => break,
+                Some(_) => self.pos += 1,
+            }
+        }
+        let mut out = std::mem::take(&mut self.text);
+        out.clear();
+        out.extend_from_slice(&self.bytes[body..self.pos]);
         loop {
             if self.pos >= self.bytes.len() {
                 return Err(self.err(start, "unterminated string literal"));
@@ -357,7 +389,9 @@ impl<'a> RawLexer<'a> {
                 }
             }
         }
-        Ok(TokenKind::Str(String::from_utf8_lossy(&out).into_owned()))
+        let sym = self.names.intern(&String::from_utf8_lossy(&out));
+        self.text = out;
+        Ok(TokenKind::Str(sym))
     }
 
     fn char_const(&mut self, start: usize) -> Result<TokenKind, CompileError> {
@@ -440,31 +474,46 @@ impl<'a> RawLexer<'a> {
 
 /// Applies object-macro substitution to the raw token stream. Each
 /// `#define` takes effect from the token it precedes on.
-fn expand_macros(raw: RawTokens) -> Result<Vec<Token>, CompileError> {
+fn expand_macros(raw: RawTokens, names: &Interner) -> Result<Vec<Token>, CompileError> {
     const MAX_DEPTH: usize = 16;
-    let mut macros: HashMap<String, Vec<Token>> = HashMap::new();
+    /// The define in force for each symbol, if any.
+    struct Macros<'a> {
+        defines: &'a [Define],
+        by_symbol: Vec<Option<usize>>,
+        names: &'a Interner,
+    }
+    let mut macros = Macros {
+        defines: &raw.defines,
+        by_symbol: vec![None; names.len()],
+        names,
+    };
     let mut out = Vec::with_capacity(raw.tokens.len());
 
     fn push_expanded(
         tok: Token,
-        macros: &HashMap<String, Vec<Token>>,
+        macros: &Macros,
         out: &mut Vec<Token>,
         depth: usize,
     ) -> Result<(), CompileError> {
-        if let TokenKind::Ident(name) = &tok.kind {
-            if let Some(body) = macros.get(name) {
+        if let TokenKind::Ident(name) = tok.kind {
+            if let Some(d) = macros.by_symbol[name.index()] {
                 if depth >= MAX_DEPTH {
                     return Err(CompileError::new(
                         ErrorKind::Lex,
-                        format!("macro `{name}` expands too deeply (recursive #define?)"),
+                        format!(
+                            "macro `{}` expands too deeply (recursive #define?)",
+                            &macros.names[name]
+                        ),
                         tok.span,
                     ));
                 }
-                for t in body {
+                for &t in &macros.defines[d].body {
                     // Re-span replacement tokens at the use site so
                     // diagnostics point at the macro use.
-                    let mut t = t.clone();
-                    t.span = tok.span;
+                    let t = Token {
+                        span: tok.span,
+                        ..t
+                    };
                     push_expanded(t, macros, out, depth + 1)?;
                 }
                 return Ok(());
@@ -474,10 +523,11 @@ fn expand_macros(raw: RawTokens) -> Result<Vec<Token>, CompileError> {
         Ok(())
     }
 
-    let mut defines = raw.defines.into_iter().peekable();
-    for (i, tok) in raw.tokens.into_iter().enumerate() {
-        while let Some(d) = defines.next_if(|d| d.at == i) {
-            macros.insert(d.name, d.body);
+    let mut next = 0;
+    for (i, &tok) in raw.tokens.iter().enumerate() {
+        while let Some(d) = raw.defines.get(next).filter(|d| d.at == i) {
+            macros.by_symbol[d.name.index()] = Some(next);
+            next += 1;
         }
         push_expanded(tok, &macros, &mut out, 0)?;
     }
@@ -488,18 +538,28 @@ fn expand_macros(raw: RawTokens) -> Result<Vec<Token>, CompileError> {
 mod tests {
     use super::*;
 
+    fn lexed(src: &str) -> (Vec<TokenKind>, Interner) {
+        let mut names = Interner::new();
+        let toks = lex(src, &mut names).unwrap();
+        (toks.into_iter().map(|t| t.kind).collect(), names)
+    }
+
     fn kinds(src: &str) -> Vec<TokenKind> {
-        lex(src).unwrap().into_iter().map(|t| t.kind).collect()
+        lexed(src).0
+    }
+
+    fn lex_fresh(src: &str) -> Result<Vec<Token>, CompileError> {
+        lex(src, &mut Interner::new())
     }
 
     #[test]
     fn lexes_basic_tokens() {
-        let ks = kinds("int x = 42;");
+        let (ks, names) = lexed("int x = 42;");
         assert_eq!(
             ks,
             vec![
                 TokenKind::Kw(Keyword::Int),
-                TokenKind::Ident("x".into()),
+                TokenKind::Ident(names.get("x").unwrap()),
                 TokenKind::Punct(Punct::Assign),
                 TokenKind::Int(42),
                 TokenKind::Punct(Punct::Semi),
@@ -521,7 +581,9 @@ mod tests {
 
     #[test]
     fn lexes_strings_and_chars() {
-        assert_eq!(kinds(r#""a\nb""#)[0], TokenKind::Str("a\nb".into()));
+        let (ks, names) = lexed(r#""a\nb" "plain""#);
+        assert_eq!(ks[0], TokenKind::Str(names.get("a\nb").unwrap()));
+        assert_eq!(ks[1], TokenKind::Str(names.get("plain").unwrap()));
         assert_eq!(kinds("'a'")[0], TokenKind::Int(97));
         assert_eq!(kinds(r"'\n'")[0], TokenKind::Int(10));
         assert_eq!(kinds(r"'\0'")[0], TokenKind::Int(0));
@@ -538,15 +600,11 @@ mod tests {
 
     #[test]
     fn skips_comments() {
-        let ks = kinds("a /* b \n c */ d // e\n f");
+        let (ks, names) = lexed("a /* b \n c */ d // e\n f");
+        let ident = |s: &str| TokenKind::Ident(names.get(s).unwrap());
         assert_eq!(
             ks,
-            vec![
-                TokenKind::Ident("a".into()),
-                TokenKind::Ident("d".into()),
-                TokenKind::Ident("f".into()),
-                TokenKind::Eof,
-            ]
+            vec![ident("a"), ident("d"), ident("f"), TokenKind::Eof,]
         );
     }
 
@@ -574,24 +632,24 @@ mod tests {
 
     #[test]
     fn recursive_macro_errors() {
-        assert!(lex("#define A A\nA").is_err());
+        assert!(lex_fresh("#define A A\nA").is_err());
     }
 
     #[test]
     fn unterminated_string_errors() {
-        assert!(lex("\"abc").is_err());
-        assert!(lex("/* abc").is_err());
-        assert!(lex("'a").is_err());
+        assert!(lex_fresh("\"abc").is_err());
+        assert!(lex_fresh("/* abc").is_err());
+        assert!(lex_fresh("'a").is_err());
     }
 
     #[test]
     fn stray_char_errors() {
-        assert!(lex("@").is_err());
+        assert!(lex_fresh("@").is_err());
     }
 
     #[test]
     fn eof_is_last() {
-        let toks = lex("").unwrap();
+        let toks = lex_fresh("").unwrap();
         assert_eq!(toks.len(), 1);
         assert_eq!(toks[0].kind, TokenKind::Eof);
     }

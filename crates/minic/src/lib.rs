@@ -10,7 +10,9 @@
 //! `&&` chains, loops, `switch`, `goto`, function pointers, recursion).
 //!
 //! The pipeline is [`lexer`] → [`parser`] → [`sema`], conveniently
-//! wrapped by [`compile`]:
+//! wrapped by [`compile`]. Every name is a [`symbol::Symbol`] from the
+//! unit's interner, which the [`ast::Unit`] and then the [`Module`]
+//! carry:
 //!
 //! ```
 //! let module = minic::compile(r#"
@@ -39,6 +41,7 @@ pub mod parser;
 pub mod pretty;
 pub mod sema;
 pub mod side;
+pub mod symbol;
 pub mod token;
 pub mod types;
 

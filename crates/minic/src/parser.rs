@@ -9,7 +9,8 @@
 use crate::ast::*;
 use crate::error::{CompileError, ErrorKind};
 use crate::lexer::lex;
-use crate::token::{Keyword, Punct, Span, Token, TokenKind};
+use crate::symbol::{Interner, Symbol};
+use crate::token::{Describe, Keyword, Punct, Span, Token, TokenKind};
 use std::sync::Arc;
 
 /// Parses a translation unit.
@@ -25,9 +26,11 @@ use std::sync::Arc;
 /// assert_eq!(unit.items.len(), 1);
 /// ```
 pub fn parse(src: &str) -> Result<Unit, CompileError> {
-    let tokens = lex(src)?;
+    let mut names = Interner::new();
+    let tokens = lex(src, &mut names)?;
     let mut p = Parser {
         tokens,
+        names,
         pos: 0,
         ids: NodeIdGen::new(),
         depth: 0,
@@ -46,6 +49,7 @@ pub fn parse(src: &str) -> Result<Unit, CompileError> {
         items,
         node_count: p.ids.count(),
         decl_spans: p.ids.into_spans(),
+        names: p.names,
     })
 }
 
@@ -67,6 +71,9 @@ pub const MAX_NESTING: u32 = 128;
 
 struct Parser {
     tokens: Vec<Token>,
+    /// The unit's names; the parser interns only the text of
+    /// concatenated string literals.
+    names: Interner,
     pos: usize,
     ids: NodeIdGen,
     /// Nesting depth of the construct being parsed (see
@@ -109,22 +116,18 @@ impl Parser {
         span
     }
 
-    /// Consumes the current token if it is an identifier or a string
-    /// literal, moving its text out: the parser never backtracks, so a
-    /// consumed token's text is not read again.
-    fn take_text(&mut self) -> Option<String> {
-        let (TokenKind::Ident(s) | TokenKind::Str(s)) = &mut self.tokens[self.pos].kind else {
-            return None;
-        };
-        let s = std::mem::take(s);
-        self.bump();
-        Some(s)
+    /// The current token as diagnostics name it.
+    fn found(&self) -> Describe<'_> {
+        self.peek().describe(&self.names)
     }
 
     /// Consumes the current token if it is an identifier.
-    fn take_ident(&mut self) -> Option<String> {
-        match self.peek() {
-            TokenKind::Ident(_) => self.take_text(),
+    fn take_ident(&mut self) -> Option<Symbol> {
+        match *self.peek() {
+            TokenKind::Ident(s) => {
+                self.bump();
+                Some(s)
+            }
             _ => None,
         }
     }
@@ -151,15 +154,15 @@ impl Parser {
         if self.peek() == &TokenKind::Punct(p) {
             Ok(self.bump())
         } else {
-            Err(self.err(format!("expected `{}`, found {}", p.as_str(), self.peek())))
+            Err(self.err(format!("expected `{}`, found {}", p.as_str(), self.found())))
         }
     }
 
-    fn expect_ident(&mut self) -> Result<(String, Span), CompileError> {
+    fn expect_ident(&mut self) -> Result<(Symbol, Span), CompileError> {
         let sp = self.span();
         match self.take_ident() {
             Some(s) => Ok((s, sp)),
-            None => Err(self.err(format!("expected identifier, found {}", self.peek()))),
+            None => Err(self.err(format!("expected identifier, found {}", self.found()))),
         }
     }
 
@@ -285,7 +288,7 @@ impl Parser {
                 self.expect_ident()?;
                 BaseType::Int
             }
-            other => return Err(self.err(format!("expected a type, found {other}"))),
+            _ => return Err(self.err(format!("expected a type, found {}", self.found()))),
         };
         // `const` can trail the base type too.
         while self.eat_kw(Keyword::Const) {}
@@ -313,7 +316,7 @@ impl Parser {
         &mut self,
         base: &BaseType,
         allow_anon: bool,
-    ) -> Result<(String, TypeName, Span), CompileError> {
+    ) -> Result<(Symbol, TypeName, Span), CompileError> {
         self.nest(|p| p.declarator_inner(base, allow_anon))
     }
 
@@ -321,7 +324,7 @@ impl Parser {
         &mut self,
         base: &BaseType,
         allow_anon: bool,
-    ) -> Result<(String, TypeName, Span), CompileError> {
+    ) -> Result<(Symbol, TypeName, Span), CompileError> {
         let start = self.span();
         let (ty, _) = self.pointer_suffix(TypeName::Base(base.clone()))?;
 
@@ -357,8 +360,8 @@ impl Parser {
 
         let name = match self.take_ident() {
             Some(s) => s,
-            None if allow_anon => String::new(),
-            None => return Err(self.err(format!("expected a name, found {}", self.peek()))),
+            None if allow_anon => Symbol::EMPTY,
+            None => return Err(self.err(format!("expected a name, found {}", self.found()))),
         };
 
         // Array suffixes.
@@ -488,7 +491,7 @@ impl Parser {
     fn enum_def(&mut self) -> Result<EnumDecl, CompileError> {
         let start = self.span();
         self.bump(); // enum
-        let name = self.take_ident().unwrap_or_default();
+        let name = self.take_ident().unwrap_or(Symbol::EMPTY);
         self.expect_punct(Punct::LBrace)?;
         let mut variants = Vec::new();
         while self.peek() != &TokenKind::Punct(Punct::RBrace) {
@@ -542,7 +545,7 @@ impl Parser {
 
     fn function(
         &mut self,
-        name: String,
+        name: Symbol,
         ret: TypeName,
         start: Span,
     ) -> Result<FunctionDecl, CompileError> {
@@ -557,7 +560,10 @@ impl Parser {
                 let pstart = self.span();
                 let base = self.base_type()?;
                 let (pname, pty, _) = self.declarator(&base, true)?;
-                if pty == TypeName::Base(BaseType::Void) && params.is_empty() && pname.is_empty() {
+                if pty == TypeName::Base(BaseType::Void)
+                    && params.is_empty()
+                    && pname == Symbol::EMPTY
+                {
                     break;
                 }
                 params.push(Param {
@@ -729,7 +735,7 @@ impl Parser {
     }
 
     fn label_stmt(&mut self, start: Span) -> Result<Stmt, CompileError> {
-        let name = self.take_ident().unwrap_or_default();
+        let name = self.take_ident().unwrap_or(Symbol::EMPTY);
         self.bump(); // :
         let inner = self.stmt()?;
         let span = start.to(self.prev_span());
@@ -1127,22 +1133,31 @@ impl Parser {
                 self.bump();
                 ExprKind::FloatLit(v)
             }
-            TokenKind::Str(_) => {
-                let mut s = self.take_text().unwrap_or_default();
+            TokenKind::Str(first) => {
+                self.bump();
                 // Adjacent string literals concatenate.
-                while matches!(self.peek(), TokenKind::Str(_)) {
-                    s.push_str(&self.take_text().unwrap_or_default());
+                if let TokenKind::Str(_) = self.peek() {
+                    let mut text = self.names[first].to_string();
+                    while let TokenKind::Str(s) = *self.peek() {
+                        text.push_str(&self.names[s]);
+                        self.bump();
+                    }
+                    ExprKind::StrLit(self.names.intern(&text))
+                } else {
+                    ExprKind::StrLit(first)
                 }
-                ExprKind::StrLit(s)
             }
-            TokenKind::Ident(_) => ExprKind::Ident(self.take_text().unwrap_or_default()),
+            TokenKind::Ident(name) => {
+                self.bump();
+                ExprKind::Ident(name)
+            }
             TokenKind::Punct(Punct::LParen) => {
                 self.bump();
                 let e = self.expr()?;
                 self.expect_punct(Punct::RParen)?;
                 return Ok(e);
             }
-            _ => return Err(self.err(format!("expected an expression, found {}", self.peek()))),
+            _ => return Err(self.err(format!("expected an expression, found {}", self.found()))),
         };
         let span = start.to(self.prev_span());
         self.expr_node(span, kind, 0)
@@ -1189,7 +1204,7 @@ mod tests {
             "#,
         );
         let f = only_fn(&unit);
-        assert_eq!(f.name, "strchr");
+        assert_eq!(&unit.names[f.name], "strchr");
         assert_eq!(f.params.len(), 2);
         assert!(f.body.is_some());
     }
@@ -1326,7 +1341,7 @@ mod tests {
         let Some(Initializer::Expr(e)) = &gs[0].init else {
             panic!()
         };
-        assert_eq!(e.kind, ExprKind::StrLit("abcd".into()));
+        assert_eq!(e.kind, ExprKind::StrLit(unit.names.get("abcd").unwrap()));
     }
 
     #[test]

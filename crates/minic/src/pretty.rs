@@ -4,14 +4,16 @@
 //! they describe, and to test the parser: `print ∘ parse` is idempotent
 //! (printing a parsed program and re-parsing yields the same printed
 //! form), which the round-trip tests over the whole benchmark suite
-//! verify.
+//! verify. Names print through the interner of the unit the tree
+//! was parsed from.
 
 use crate::ast::*;
+use crate::symbol::Interner;
 use std::fmt::Write as _;
 
 /// Pretty-prints a whole translation unit.
 pub fn print_unit(unit: &Unit) -> String {
-    let mut p = Printer::new();
+    let mut p = Printer::new(&unit.names);
     for item in &unit.items {
         match item {
             Item::Struct(sd) => p.struct_decl(sd),
@@ -27,9 +29,9 @@ pub fn print_unit(unit: &Unit) -> String {
 /// declarations with this: two parses whose items print identically
 /// (at the same ordinal) are guaranteed to carry identical node ids,
 /// so the canonical text is a sound content key for per-declaration
-/// derived artifacts.
-pub fn print_item(item: &Item) -> String {
-    let mut p = Printer::new();
+/// derived artifacts. `names` is the interner of `item`'s unit.
+pub fn print_item(item: &Item, names: &Interner) -> String {
+    let mut p = Printer::new(names);
     match item {
         Item::Struct(sd) => p.struct_decl(sd),
         Item::Enum(ed) => p.enum_decl(ed),
@@ -39,29 +41,33 @@ pub fn print_item(item: &Item) -> String {
     p.out
 }
 
-/// Pretty-prints a single expression.
-pub fn print_expr(e: &Expr) -> String {
-    let mut p = Printer::new();
+/// Pretty-prints a single expression; `names` is the interner of its
+/// unit.
+pub fn print_expr(e: &Expr, names: &Interner) -> String {
+    let mut p = Printer::new(names);
     p.expr(e, 0);
     p.out
 }
 
-/// Pretty-prints a single statement at the given indent level.
-pub fn print_stmt(s: &Stmt, indent: usize) -> String {
-    let mut p = Printer::new();
+/// Pretty-prints a single statement at the given indent level; `names`
+/// is the interner of its unit.
+pub fn print_stmt(s: &Stmt, indent: usize, names: &Interner) -> String {
+    let mut p = Printer::new(names);
     p.indent = indent;
     p.stmt(s);
     p.out
 }
 
-struct Printer {
+struct Printer<'a> {
+    names: &'a Interner,
     out: String,
     indent: usize,
 }
 
-impl Printer {
-    fn new() -> Self {
+impl<'a> Printer<'a> {
+    fn new(names: &'a Interner) -> Self {
         Printer {
+            names,
             out: String::new(),
             indent: 0,
         }
@@ -82,7 +88,7 @@ impl Printer {
                     BaseType::Int => "int".to_string(),
                     BaseType::Char => "char".to_string(),
                     BaseType::Float => "float".to_string(),
-                    BaseType::Struct(s) => format!("struct {s}"),
+                    BaseType::Struct(s) => format!("struct {}", &self.names[*s]),
                 };
                 self.out.push_str(&base);
                 if !name.is_empty() {
@@ -93,7 +99,10 @@ impl Printer {
                 self.type_name(inner, &format!("*{name}"));
             }
             TypeName::Array(inner, dim) => {
-                let dim_text = dim.as_ref().map(|e| print_expr(e)).unwrap_or_default();
+                let dim_text = dim
+                    .as_ref()
+                    .map(|e| print_expr(e, self.names))
+                    .unwrap_or_default();
                 // Arrays bind tighter than pointers: parenthesize a
                 // pointer declarator.
                 let decl = if name.starts_with('*') {
@@ -109,7 +118,7 @@ impl Printer {
                     if i > 0 {
                         plist.push_str(", ");
                     }
-                    let mut sub = Printer::new();
+                    let mut sub = Printer::new(self.names);
                     sub.type_name(pt, "");
                     plist.push_str(&sub.out);
                 }
@@ -122,24 +131,25 @@ impl Printer {
     }
 
     fn struct_decl(&mut self, sd: &StructDecl) {
-        let _ = writeln!(self.out, "struct {} {{", sd.name);
-        for (fname, fty) in &sd.fields {
+        let _ = writeln!(self.out, "struct {} {{", &self.names[sd.name]);
+        for &(fname, ref fty) in &sd.fields {
             self.out.push_str("    ");
-            self.type_name(fty, fname);
+            self.type_name(fty, &self.names[fname]);
             self.out.push_str(";\n");
         }
         self.out.push_str("};\n\n");
     }
 
     fn enum_decl(&mut self, ed: &EnumDecl) {
-        if ed.name.is_empty() {
+        let tag = &self.names[ed.name];
+        if tag.is_empty() {
             self.out.push_str("enum {\n");
         } else {
-            let _ = writeln!(self.out, "enum {} {{", ed.name);
+            let _ = writeln!(self.out, "enum {tag} {{");
         }
-        for (i, (name, value)) in ed.variants.iter().enumerate() {
+        for (i, &(name, ref value)) in ed.variants.iter().enumerate() {
             self.out.push_str("    ");
-            self.out.push_str(name);
+            self.out.push_str(&self.names[name]);
             if let Some(v) = value {
                 self.out.push_str(" = ");
                 self.expr(v, 3);
@@ -170,7 +180,7 @@ impl Printer {
 
     fn globals(&mut self, decls: &[VarDecl]) {
         for d in decls {
-            self.type_name(&d.ty, &d.name);
+            self.type_name(&d.ty, &self.names[d.name]);
             if let Some(init) = &d.init {
                 self.out.push_str(" = ");
                 self.initializer(init);
@@ -185,14 +195,14 @@ impl Printer {
             if i > 0 {
                 params.push_str(", ");
             }
-            let mut sub = Printer::new();
-            sub.type_name(&p.ty, &p.name);
+            let mut sub = Printer::new(self.names);
+            sub.type_name(&p.ty, &self.names[p.name]);
             params.push_str(&sub.out);
         }
         if params.is_empty() {
             params.push_str("void");
         }
-        self.type_name(&fd.ret, &format!("{}({params})", fd.name));
+        self.type_name(&fd.ret, &format!("{}({params})", &self.names[fd.name]));
         match &fd.body {
             None => self.out.push_str(";\n\n"),
             Some(body) => {
@@ -213,7 +223,7 @@ impl Printer {
             StmtKind::Decl(decls) => {
                 for d in decls {
                     self.pad();
-                    self.type_name(&d.ty, &d.name);
+                    self.type_name(&d.ty, &self.names[d.name]);
                     if let Some(init) = &d.init {
                         self.out.push_str(" = ");
                         self.initializer(init);
@@ -276,7 +286,7 @@ impl Printer {
                                 if k > 0 {
                                     self.out.push_str(", ");
                                 }
-                                self.type_name(&d.ty, &d.name);
+                                self.type_name(&d.ty, &self.names[d.name]);
                                 if let Some(init) = &d.init {
                                     self.out.push_str(" = ");
                                     self.initializer(init);
@@ -342,10 +352,10 @@ impl Printer {
             }
             StmtKind::Goto(label) => {
                 self.pad();
-                let _ = writeln!(self.out, "goto {label};");
+                let _ = writeln!(self.out, "goto {};", &self.names[*label]);
             }
             StmtKind::Label(label, inner) => {
-                let _ = writeln!(self.out, "{label}:");
+                let _ = writeln!(self.out, "{}:", &self.names[*label]);
                 self.stmt(inner);
             }
             StmtKind::Block(stmts) => {
@@ -402,7 +412,7 @@ impl Printer {
             }
             ExprKind::StrLit(s) => {
                 self.out.push('"');
-                for c in s.chars() {
+                for c in self.names[*s].chars() {
                     match c {
                         '\n' => self.out.push_str("\\n"),
                         '\t' => self.out.push_str("\\t"),
@@ -415,7 +425,7 @@ impl Printer {
                 }
                 self.out.push('"');
             }
-            ExprKind::Ident(name) => self.out.push_str(name),
+            ExprKind::Ident(name) => self.out.push_str(&self.names[*name]),
             ExprKind::Unary(op, inner) => match op {
                 UnOp::PostInc => {
                     self.expr(inner, 15);
@@ -500,7 +510,7 @@ impl Printer {
             ExprKind::Member(base, field, arrow) => {
                 self.expr(base, 15);
                 self.out.push_str(if *arrow { "->" } else { "." });
-                self.out.push_str(field);
+                self.out.push_str(&self.names[*field]);
             }
             ExprKind::Cond(c, t, f) => {
                 self.expr(c, 4);
@@ -716,6 +726,8 @@ mod tests {
         // A constructed AST where the outer `if` owns the `else` and
         // the then-branch is an else-less `if`: printing without
         // braces would rebind the `else` to the inner `if` on reparse.
+        let mut names = Interner::new();
+        let (a, b) = (names.intern("a"), names.intern("b"));
         let mut g = NodeIdGen::new();
         let mut e = |kind: ExprKind| {
             Arc::new(Expr {
@@ -732,22 +744,18 @@ mod tests {
         let inner_if = Stmt {
             id: NodeId(800),
             span: Span::default(),
-            kind: StmtKind::If(
-                e(ExprKind::Ident("b".to_string())),
-                Box::new(ret(&mut e, 1)),
-                None,
-            ),
+            kind: StmtKind::If(e(ExprKind::Ident(b)), Box::new(ret(&mut e, 1)), None),
         };
         let outer_if = Stmt {
             id: NodeId(801),
             span: Span::default(),
             kind: StmtKind::If(
-                e(ExprKind::Ident("a".to_string())),
+                e(ExprKind::Ident(a)),
                 Box::new(inner_if),
                 Some(Box::new(ret(&mut e, 2))),
             ),
         };
-        let printed = print_stmt(&outer_if, 0);
+        let printed = print_stmt(&outer_if, 0, &names);
         // Reparse inside a function and verify the else still belongs
         // to the outer if.
         let src = format!("int f(int a, int b) {{\n{printed}return 0;\n}}");

@@ -8,14 +8,21 @@
 //! mistakes that would make the interpreter misbehave (unknown names,
 //! calling non-functions, member access on non-structs, arity mismatch
 //! on direct calls, `goto` to a missing label).
+//!
+//! Names are [`Symbol`]s, so every table here is a dense array indexed
+//! by symbol: resolving a name reads one binding record and never hashes
+//! its text. Sema resolves every name-dependent fact the later passes
+//! need — what each identifier refers to, each string literal's string
+//! table entry, each member access's field offset — into the
+//! [`SideTables`], so no pass after it reads a name out of the AST.
 
 use crate::ast::*;
 use crate::builtins::Builtin;
 use crate::error::{CompileError, ErrorKind};
 use crate::fold::{fold, ConstValue, FoldEnv};
+use crate::symbol::{Interner, Symbol};
 use crate::token::Span;
 use crate::types::*;
-use std::collections::HashMap;
 
 pub use crate::side::SideTables;
 
@@ -197,8 +204,8 @@ pub struct Global {
 pub struct Local {
     /// This local's id within its function.
     pub id: LocalId,
-    /// Variable name.
-    pub name: String,
+    /// Variable name, a symbol of [`Module::names`].
+    pub name: Symbol,
     /// Resolved type (parameters have array types decayed).
     pub ty: Type,
     /// Offset of the first word within the frame.
@@ -240,8 +247,8 @@ impl Function {
 pub struct Module {
     /// Struct layouts.
     pub structs: StructLayouts,
-    /// `enum` constants by name.
-    pub enum_consts: HashMap<String, i64>,
+    /// `enum` constants in declaration order.
+    pub enum_consts: Vec<(Symbol, i64)>,
     /// Global variables.
     pub globals: Vec<Global>,
     /// Functions (defined and prototypes), in declaration order.
@@ -250,6 +257,9 @@ pub struct Module {
     pub strings: Vec<String>,
     /// Analysis side tables.
     pub side: SideTables,
+    /// The spelling of every [`Symbol`] of the unit; only diagnostics
+    /// and dumps read it.
+    pub names: Interner,
 }
 
 impl Module {
@@ -277,6 +287,15 @@ impl Module {
     /// Panics if `id` is not from this module.
     pub fn global(&self, id: GlobalId) -> &Global {
         &self.globals[id.0 as usize]
+    }
+
+    /// The value of the `enum` constant spelled `name`.
+    pub fn enum_const(&self, name: &str) -> Option<i64> {
+        let sym = self.names.get(name)?;
+        self.enum_consts
+            .iter()
+            .find(|&&(s, _)| s == sym)
+            .map(|&(_, v)| v)
     }
 
     /// The type of an expression node.
@@ -320,33 +339,72 @@ impl Module {
 /// unit; a unit from [`parser::parse`](crate::parser::parse) always
 /// does.
 pub fn analyze(unit: Unit) -> Result<Module, CompileError> {
-    let mut cx = Checker::new(&unit.decl_spans);
-    cx.collect_enums(&unit)?;
-    cx.collect_structs(&unit)?;
-    cx.collect_functions_and_globals(&unit)?;
-    cx.check_globals(&unit)?;
-    cx.check_functions(unit)?;
+    let Unit {
+        items,
+        decl_spans,
+        names,
+        ..
+    } = unit;
+    let mut cx = Checker::new(&decl_spans, names);
+    cx.collect_enums(&items)?;
+    cx.collect_structs(&items)?;
+    cx.collect_functions_and_globals(&items)?;
+    cx.check_globals(&items)?;
+    cx.check_functions(items)?;
     Ok(cx.finish())
 }
 
+/// Marks an absent entry of a [`Binding`].
+const UNBOUND: u32 = u32::MAX;
+
+/// What one symbol names, each field an index or [`UNBOUND`]. The
+/// file-scope fields are set once; `local` is the innermost local in
+/// scope, restored from [`Checker::scope`] when its block closes.
+#[derive(Debug, Clone, Copy)]
+struct Binding {
+    local: u32,
+    global: u32,
+    func: u32,
+    /// Index into `Checker::enum_consts`.
+    enum_const: u32,
+    strukt: u32,
+    /// Index into the module string table, for a string literal.
+    string: u32,
+}
+
+impl Binding {
+    const NONE: Binding = Binding {
+        local: UNBOUND,
+        global: UNBOUND,
+        func: UNBOUND,
+        enum_const: UNBOUND,
+        strukt: UNBOUND,
+        string: UNBOUND,
+    };
+}
+
+fn bound(id: u32) -> Option<u32> {
+    (id != UNBOUND).then_some(id)
+}
+
 struct Checker {
+    names: Interner,
+    /// One entry per symbol of `names`.
+    bindings: Vec<Binding>,
     structs: StructLayouts,
-    enum_consts: HashMap<String, i64>,
+    enum_consts: Vec<(Symbol, i64)>,
     globals: Vec<Global>,
     functions: Vec<Function>,
     strings: Vec<String>,
-    string_ids: HashMap<String, usize>,
     side: SideTables,
-    global_ids: HashMap<String, GlobalId>,
-    func_ids: HashMap<String, FuncId>,
     /// Whether each function has a *definition* (body) in this unit;
     /// bodies themselves are attached in a later phase, so redefinition
     /// checks cannot rely on `Function::is_defined` during collection.
     defined_fns: Vec<bool>,
     // Per-function state:
-    /// Locals in scope, innermost last; a name resolves to its last
-    /// entry, so an inner declaration shadows an outer one.
-    scope: Vec<LocalId>,
+    /// Each local declared in the open blocks, innermost last, with
+    /// the local its name bound before (the one it shadows).
+    scope: Vec<(Symbol, u32)>,
     /// `scope.len()` at each open block, innermost last.
     scope_marks: Vec<usize>,
     cur_func: FuncId,
@@ -354,8 +412,8 @@ struct Checker {
     cur_frame: usize,
     /// Words of global data laid out so far (the VM's data image).
     global_words: usize,
-    labels: Vec<String>,
-    gotos: Vec<(String, Span)>,
+    labels: Vec<Symbol>,
+    gotos: Vec<(Symbol, Span)>,
     loop_depth: usize,
     switch_depth: usize,
 }
@@ -383,26 +441,22 @@ impl FoldEnv for SizeEnv<'_> {
         let t = self.checker.side.ty(e.id)?;
         t.try_size_words(&self.checker.structs).map(|n| n as i64)
     }
-    fn ident_value(&self, name: &str) -> Option<ConstValue> {
-        self.checker
-            .enum_consts
-            .get(name)
-            .map(|&v| ConstValue::Int(v))
+    fn ident_value(&self, name: Symbol) -> Option<ConstValue> {
+        self.checker.enum_value(name).map(ConstValue::Int)
     }
 }
 
 impl Checker {
-    fn new(decl_spans: &[u32]) -> Self {
+    fn new(decl_spans: &[u32], names: Interner) -> Self {
         Checker {
+            bindings: vec![Binding::NONE; names.len()],
+            names,
             structs: StructLayouts::new(),
-            enum_consts: HashMap::new(),
+            enum_consts: Vec::new(),
             globals: Vec::new(),
             functions: Vec::new(),
             strings: Vec::new(),
-            string_ids: HashMap::new(),
             side: SideTables::new(decl_spans),
-            global_ids: HashMap::new(),
-            func_ids: HashMap::new(),
             defined_fns: Vec::new(),
             scope: Vec::new(),
             scope_marks: Vec::new(),
@@ -425,6 +479,7 @@ impl Checker {
             functions: self.functions,
             strings: self.strings,
             side: self.side,
+            names: self.names,
         }
     }
 
@@ -432,25 +487,44 @@ impl Checker {
         CompileError::new(ErrorKind::Sema, msg.into(), span)
     }
 
-    fn intern_string(&mut self, s: &str) -> usize {
-        if let Some(&i) = self.string_ids.get(s) {
-            return i;
+    fn binding(&mut self, name: Symbol) -> &mut Binding {
+        &mut self.bindings[name.index()]
+    }
+
+    /// The string-table index of string literal `s`, adding the
+    /// string on first use.
+    fn intern_string(&mut self, s: Symbol) -> usize {
+        if let Some(i) = bound(self.bindings[s.index()].string) {
+            return i as usize;
         }
         let i = self.strings.len();
-        self.strings.push(s.to_string());
-        self.string_ids.insert(s.to_string(), i);
+        self.strings.push(self.names[s].to_string());
+        self.binding(s).string = i as u32;
         i
+    }
+
+    fn global_id(&self, name: Symbol) -> Option<GlobalId> {
+        bound(self.bindings[name.index()].global).map(GlobalId)
+    }
+
+    fn func_id(&self, name: Symbol) -> Option<FuncId> {
+        bound(self.bindings[name.index()].func).map(FuncId)
+    }
+
+    fn enum_value(&self, name: Symbol) -> Option<i64> {
+        bound(self.bindings[name.index()].enum_const).map(|i| self.enum_consts[i as usize].1)
     }
 
     // ----- phase 0: enums -----
 
-    fn collect_enums(&mut self, unit: &Unit) -> Result<(), CompileError> {
-        for item in &unit.items {
+    fn collect_enums(&mut self, items: &[Item]) -> Result<(), CompileError> {
+        for item in items {
             let Item::Enum(ed) = item else { continue };
             let mut next = 0i64;
-            for (name, value) in &ed.variants {
-                if self.enum_consts.contains_key(name) {
-                    return Err(self.err(ed.span, format!("enum constant `{name}` redefined")));
+            for &(name, ref value) in &ed.variants {
+                if self.enum_value(name).is_some() {
+                    let msg = format!("enum constant `{}` redefined", &self.names[name]);
+                    return Err(self.err(ed.span, msg));
                 }
                 if let Some(e) = value {
                     let env = SizeEnv { checker: self };
@@ -458,7 +532,8 @@ impl Checker {
                         self.err(e.span, "enum value must be an integer constant")
                     })?;
                 }
-                self.enum_consts.insert(name.clone(), next);
+                self.binding(name).enum_const = self.enum_consts.len() as u32;
+                self.enum_consts.push((name, next));
                 next += 1;
             }
         }
@@ -467,50 +542,52 @@ impl Checker {
 
     // ----- phase 1: structs -----
 
-    fn collect_structs(&mut self, unit: &Unit) -> Result<(), CompileError> {
-        for item in &unit.items {
+    fn collect_structs(&mut self, items: &[Item]) -> Result<(), CompileError> {
+        for item in items {
             let Item::Struct(sd) = item else { continue };
-            if self.structs.by_name(&sd.name).is_some() {
-                return Err(self.err(sd.span, format!("struct `{}` redefined", sd.name)));
+            let tag = &self.names[sd.name];
+            if bound(self.bindings[sd.name.index()].strukt).is_some() {
+                return Err(self.err(sd.span, format!("struct `{tag}` redefined")));
             }
             // Layout fields. Fields may reference previously defined
             // structs by value, or any struct (including this one)
             // behind a pointer. We push a placeholder first so
             // pointer-to-self resolves.
             let id = self.structs.push(StructLayout {
-                name: sd.name.clone(),
+                name: sd.name,
                 fields: Vec::new(),
                 size: 0,
             });
-            let mut fields = Vec::new();
+            self.binding(sd.name).strukt = id.0;
+            let mut fields = Vec::with_capacity(sd.fields.len());
             let mut offset = 0usize;
-            for (fname, fty) in &sd.fields {
+            for &(fname, ref fty) in &sd.fields {
                 let ty = self.resolve_type(fty, sd.span)?;
+                let tag = &self.names[sd.name];
                 if matches!(ty, Type::Void) {
-                    return Err(self.err(sd.span, format!("field `{fname}` has type void")));
+                    let msg = format!("field `{}` has type void", &self.names[fname]);
+                    return Err(self.err(sd.span, msg));
                 }
                 if let Type::Struct(sid) = ty {
                     if sid == id {
-                        return Err(
-                            self.err(sd.span, format!("struct `{}` contains itself", sd.name))
-                        );
+                        return Err(self.err(sd.span, format!("struct `{tag}` contains itself")));
                     }
                 }
                 let size = ty.size_words(&self.structs);
                 fields.push(FieldLayout {
-                    name: fname.clone(),
+                    name: fname,
                     ty,
                     offset,
                 });
                 offset = words_add(offset, size, MAX_OBJECT_WORDS).ok_or_else(|| {
-                    let what = format!("struct `{}`", sd.name);
+                    let what = format!("struct `{tag}`");
                     self.err(sd.span, too_large(&what, MAX_OBJECT_WORDS))
                 })?;
             }
             // Replace the placeholder.
             let slot = id.0 as usize;
             let layout = StructLayout {
-                name: sd.name.clone(),
+                name: sd.name,
                 fields,
                 size: offset.max(1),
             };
@@ -536,11 +613,9 @@ impl Checker {
             TypeName::Base(BaseType::Int) => Ok(Type::Int),
             TypeName::Base(BaseType::Char) => Ok(Type::Char),
             TypeName::Base(BaseType::Float) => Ok(Type::Float),
-            TypeName::Base(BaseType::Struct(name)) => self
-                .structs
-                .by_name(name)
-                .map(Type::Struct)
-                .ok_or_else(|| self.err(span, format!("unknown struct `{name}`"))),
+            TypeName::Base(BaseType::Struct(name)) => bound(self.bindings[name.index()].strukt)
+                .map(|id| Type::Struct(StructId(id)))
+                .ok_or_else(|| self.err(span, format!("unknown struct `{}`", &self.names[*name]))),
             TypeName::Ptr(inner) => Ok(Type::Ptr(Box::new(self.resolve_type(inner, span)?))),
             TypeName::Array(inner, dim) => {
                 let elem = self.resolve_type(inner, span)?;
@@ -600,8 +675,8 @@ impl Checker {
 
     // ----- phase 2: signatures and globals -----
 
-    fn collect_functions_and_globals(&mut self, unit: &Unit) -> Result<(), CompileError> {
-        for item in &unit.items {
+    fn collect_functions_and_globals(&mut self, items: &[Item]) -> Result<(), CompileError> {
+        for item in items {
             match item {
                 Item::Function(fd) => {
                     let ret = self.resolve_type(&fd.ret, fd.span)?;
@@ -615,31 +690,29 @@ impl Checker {
                         params,
                         varargs: false,
                     };
-                    if let Some(&fid) = self.func_ids.get(&fd.name) {
+                    let name = &self.names[fd.name];
+                    if let Some(fid) = self.func_id(fd.name) {
                         let existing = &self.functions[fid.0 as usize];
                         if existing.sig != sig {
-                            return Err(self.err(
-                                fd.span,
-                                format!("conflicting declarations of `{}`", fd.name),
-                            ));
+                            let msg = format!("conflicting declarations of `{name}`");
+                            return Err(self.err(fd.span, msg));
                         }
                         if fd.body.is_some() {
-                            let defined = &mut self.defined_fns[fid.0 as usize];
-                            if *defined {
-                                return Err(
-                                    self.err(fd.span, format!("function `{}` redefined", fd.name))
-                                );
+                            if self.defined_fns[fid.0 as usize] {
+                                let msg = format!("function `{name}` redefined");
+                                return Err(self.err(fd.span, msg));
                             }
-                            *defined = true;
+                            self.defined_fns[fid.0 as usize] = true;
                         }
                         continue;
                     }
                     let id = FuncId(self.functions.len() as u32);
-                    self.func_ids.insert(fd.name.clone(), id);
+                    let name = name.to_string();
+                    self.binding(fd.name).func = id.0;
                     self.defined_fns.push(fd.body.is_some());
                     self.functions.push(Function {
                         id,
-                        name: fd.name.clone(),
+                        name,
                         sig,
                         param_count: fd.params.len(),
                         locals: Vec::new(),
@@ -652,23 +725,23 @@ impl Checker {
                     for d in decls {
                         let ty = self.resolve_type(&d.ty, d.span)?;
                         let ty = self.size_from_init(ty, d);
+                        let name = &self.names[d.name];
                         let Some(size) = ty.try_size_words(&self.structs) else {
-                            return Err(
-                                self.err(d.span, format!("global `{}` has type void", d.name))
-                            );
+                            return Err(self.err(d.span, format!("global `{name}` has type void")));
                         };
-                        if self.global_ids.contains_key(&d.name) {
-                            return Err(self.err(d.span, format!("global `{}` redefined", d.name)));
+                        if self.global_id(d.name).is_some() {
+                            return Err(self.err(d.span, format!("global `{name}` redefined")));
                         }
                         self.global_words = words_add(self.global_words, size, MAX_STATIC_WORDS)
                             .ok_or_else(|| {
                                 self.err(d.span, too_large("the global data", MAX_STATIC_WORDS))
                             })?;
                         let id = GlobalId(self.globals.len() as u32);
-                        self.global_ids.insert(d.name.clone(), id);
+                        let name = name.to_string();
+                        self.binding(d.name).global = id.0;
                         self.globals.push(Global {
                             id,
-                            name: d.name.clone(),
+                            name,
                             ty,
                             size,
                             init: Vec::new(),
@@ -688,8 +761,8 @@ impl Checker {
         let Type::Array(elem, 0) = &ty else { return ty };
         match &d.init {
             Some(Initializer::List(items)) => Type::Array(elem.clone(), items.len().max(1)),
-            Some(Initializer::Expr(e)) => match &e.kind {
-                ExprKind::StrLit(s) => Type::Array(elem.clone(), s.len() + 1),
+            Some(Initializer::Expr(e)) => match e.kind {
+                ExprKind::StrLit(s) => Type::Array(elem.clone(), self.names[s].len() + 1),
                 _ => ty,
             },
             _ => ty,
@@ -698,11 +771,11 @@ impl Checker {
 
     // ----- phase 3: global initializers -----
 
-    fn check_globals(&mut self, unit: &Unit) -> Result<(), CompileError> {
-        for item in &unit.items {
+    fn check_globals(&mut self, items: &[Item]) -> Result<(), CompileError> {
+        for item in items {
             let Item::Globals(decls) = item else { continue };
             for d in decls {
-                let gid = self.global_ids[&d.name];
+                let gid = self.global_id(d.name).expect("every global was collected");
                 let ty = self.globals[gid.0 as usize].ty.clone();
                 let size = self.globals[gid.0 as usize].size;
                 let mut words = Vec::new();
@@ -714,7 +787,7 @@ impl Checker {
                         d.span,
                         format!(
                             "initializer for `{}` has {} words but the object holds {}",
-                            d.name,
+                            &self.names[d.name],
                             words.len(),
                             size
                         ),
@@ -749,7 +822,8 @@ impl Checker {
             }
             (Type::Array(elem, n), Initializer::Expr(e)) if matches!(**elem, Type::Char) => {
                 // char s[n] = "...";
-                if let ExprKind::StrLit(s) = &e.kind {
+                if let ExprKind::StrLit(s) = e.kind {
+                    let s = &self.names[s];
                     if s.len() + 1 > *n {
                         return Err(self.err(e.span, "string too long for array"));
                     }
@@ -803,24 +877,24 @@ impl Checker {
     fn const_init_word(&mut self, ty: &Type, e: &Expr) -> Result<InitWord, CompileError> {
         // Strings, function names, and &global are address constants.
         match &e.kind {
-            ExprKind::StrLit(s) => {
+            &ExprKind::StrLit(s) => {
                 let idx = self.intern_string(s);
                 self.side.set_str(e.id, idx);
                 return Ok(InitWord::StrPtr(idx));
             }
-            ExprKind::Ident(name) => {
-                if let Some(&fid) = self.func_ids.get(name) {
+            &ExprKind::Ident(name) => {
+                if let Some(fid) = self.func_id(name) {
                     self.side.take_address(fid, self.functions.len());
                     return Ok(InitWord::Fn(fid));
                 }
             }
             ExprKind::Unary(UnOp::Addr, inner) => {
-                if let ExprKind::Ident(name) = &inner.kind {
-                    if let Some(&fid) = self.func_ids.get(name) {
+                if let ExprKind::Ident(name) = inner.kind {
+                    if let Some(fid) = self.func_id(name) {
                         self.side.take_address(fid, self.functions.len());
                         return Ok(InitWord::Fn(fid));
                     }
-                    if let Some(&gid) = self.global_ids.get(name) {
+                    if let Some(gid) = self.global_id(name) {
                         return Ok(InitWord::GlobalAddr(gid));
                     }
                 }
@@ -839,15 +913,15 @@ impl Checker {
 
     // ----- phase 4: function bodies -----
 
-    fn check_functions(&mut self, unit: Unit) -> Result<(), CompileError> {
-        for item in unit.items {
+    fn check_functions(&mut self, items: Vec<Item>) -> Result<(), CompileError> {
+        for item in items {
             let Item::Function(fd) = item else { continue };
             let Some(body) = fd.body else { continue };
-            let fid = self.func_ids[&fd.name];
+            let fid = self.func_id(fd.name).expect("every function was collected");
             self.cur_func = fid;
             self.cur_locals = Vec::new();
             self.cur_frame = 0;
-            self.scope.clear();
+            self.unwind_scope(0);
             self.scope_marks.clear();
             self.labels.clear();
             self.gotos.clear();
@@ -857,21 +931,22 @@ impl Checker {
             // Parameters become the first locals; array params decay.
             for p in &fd.params {
                 let ty = self.resolve_type(&p.ty, p.span)?.decayed();
-                self.add_local(&p.name, ty, p.span)?;
+                self.add_local(p.name, ty, p.span)?;
             }
 
             // Collect labels up front so forward gotos resolve.
             body.walk(&mut |s| {
-                if let StmtKind::Label(name, _) = &s.kind {
-                    self.labels.push(name.clone());
+                if let StmtKind::Label(name, _) = s.kind {
+                    self.labels.push(name);
                 }
             });
 
             self.check_stmt(&body)?;
 
-            for (label, span) in std::mem::take(&mut self.gotos) {
+            for &(label, span) in &self.gotos {
                 if !self.labels.contains(&label) {
-                    return Err(self.err(span, format!("goto to undefined label `{label}`")));
+                    let msg = format!("goto to undefined label `{}`", &self.names[label]);
+                    return Err(self.err(span, msg));
                 }
             }
 
@@ -883,9 +958,10 @@ impl Checker {
         Ok(())
     }
 
-    fn add_local(&mut self, name: &str, ty: Type, span: Span) -> Result<LocalId, CompileError> {
+    fn add_local(&mut self, name: Symbol, ty: Type, span: Span) -> Result<LocalId, CompileError> {
         let Some(size) = ty.try_size_words(&self.structs) else {
-            return Err(self.err(span, format!("variable `{name}` has type void")));
+            let msg = format!("variable `{}` has type void", &self.names[name]);
+            return Err(self.err(span, msg));
         };
         let size = size.max(1);
         let frame = words_add(self.cur_frame, size, MAX_STATIC_WORDS).ok_or_else(|| {
@@ -898,35 +974,32 @@ impl Checker {
         let id = LocalId(self.cur_locals.len() as u32);
         self.cur_locals.push(Local {
             id,
-            name: name.to_string(),
+            name,
             ty,
             offset: self.cur_frame,
             size,
         });
         self.cur_frame = frame;
-        self.scope.push(id);
+        let shadowed = std::mem::replace(&mut self.binding(name).local, id.0);
+        self.scope.push((name, shadowed));
         Ok(id)
     }
 
-    fn lookup(&self, name: &str) -> Option<Resolution> {
-        if let Some(&lid) = self
-            .scope
-            .iter()
-            .rev()
-            .find(|l| self.cur_locals[l.0 as usize].name == name)
-        {
-            return Some(Resolution::Local(lid));
+    fn lookup(&self, name: Symbol) -> Option<Resolution> {
+        let b = self.bindings[name.index()];
+        if let Some(lid) = bound(b.local) {
+            return Some(Resolution::Local(LocalId(lid)));
         }
-        if let Some(&gid) = self.global_ids.get(name) {
-            return Some(Resolution::Global(gid));
+        if let Some(gid) = bound(b.global) {
+            return Some(Resolution::Global(GlobalId(gid)));
         }
-        if let Some(&fid) = self.func_ids.get(name) {
-            return Some(Resolution::Func(fid));
+        if let Some(fid) = bound(b.func) {
+            return Some(Resolution::Func(FuncId(fid)));
         }
-        if let Some(&v) = self.enum_consts.get(name) {
-            return Some(Resolution::EnumConst(v));
+        if let Some(i) = bound(b.enum_const) {
+            return Some(Resolution::EnumConst(self.enum_consts[i as usize].1));
         }
-        Builtin::from_name(name).map(Resolution::Builtin)
+        Builtin::from_name(&self.names[name]).map(Resolution::Builtin)
     }
 
     fn open_scope(&mut self) {
@@ -935,7 +1008,16 @@ impl Checker {
 
     fn close_scope(&mut self) {
         let mark = self.scope_marks.pop().expect("scopes are balanced");
-        self.scope.truncate(mark);
+        self.unwind_scope(mark);
+    }
+
+    /// Drops the locals declared since `scope.len()` was `mark`,
+    /// rebinding each name to the local it shadowed.
+    fn unwind_scope(&mut self, mark: usize) {
+        while self.scope.len() > mark {
+            let (name, shadowed) = self.scope.pop().expect("longer than the mark");
+            self.binding(name).local = shadowed;
+        }
     }
 
     fn register_branch(&mut self, owner: NodeId, cond: &Expr, kind: BranchKind) {
@@ -963,14 +1045,13 @@ impl Checker {
                     let ty = self.resolve_type(&d.ty, d.span)?;
                     let ty = self.size_from_init(ty, d);
                     if let Type::Array(_, 0) = ty {
-                        return Err(
-                            self.err(d.span, format!("array `{}` has unknown size", d.name))
-                        );
+                        let msg = format!("array `{}` has unknown size", &self.names[d.name]);
+                        return Err(self.err(d.span, msg));
                     }
                     if let Some(init) = &d.init {
                         self.check_local_init(&ty, init, d.span)?;
                     }
-                    let lid = self.add_local(&d.name, ty, d.span)?;
+                    let lid = self.add_local(d.name, ty, d.span)?;
                     self.side.set_local(d.id, lid);
                 }
             }
@@ -1080,7 +1161,7 @@ impl Checker {
                 }
             }
             StmtKind::Goto(label) => {
-                self.gotos.push((label.clone(), s.span));
+                self.gotos.push((*label, s.span));
             }
             StmtKind::Label(_, inner) => self.check_stmt(inner)?,
             StmtKind::Block(stmts) => {
@@ -1163,15 +1244,15 @@ impl Checker {
         match &e.kind {
             ExprKind::IntLit(_) => Ok(Type::Int),
             ExprKind::FloatLit(_) => Ok(Type::Float),
-            ExprKind::StrLit(s) => {
+            &ExprKind::StrLit(s) => {
                 let idx = self.intern_string(s);
                 self.side.set_str(e.id, idx);
                 Ok(Type::Ptr(Box::new(Type::Char)))
             }
-            ExprKind::Ident(name) => {
-                let res = self
-                    .lookup(name)
-                    .ok_or_else(|| self.err(e.span, format!("unknown name `{name}`")))?;
+            &ExprKind::Ident(name) => {
+                let res = self.lookup(name).ok_or_else(|| {
+                    self.err(e.span, format!("unknown name `{}`", &self.names[name]))
+                })?;
                 self.side.set_resolution(e.id, res);
                 match res {
                     Resolution::Local(lid) => Ok(self.cur_locals[lid.0 as usize].ty.clone()),
@@ -1238,9 +1319,9 @@ impl Checker {
                     self.err(base.span, format!("indexing into non-pointer type {tb}"))
                 })
             }
-            ExprKind::Member(base, field, arrow) => {
+            &ExprKind::Member(ref base, field, arrow) => {
                 let tb = self.type_expr(base)?;
-                let sid = if *arrow {
+                let sid = if arrow {
                     match tb.pointee() {
                         Some(Type::Struct(sid)) => *sid,
                         _ => {
@@ -1254,12 +1335,14 @@ impl Checker {
                     }
                 };
                 let layout = self.structs.layout(sid);
-                layout.field(field).map(|f| f.ty.clone()).ok_or_else(|| {
-                    self.err(
-                        e.span,
-                        format!("struct `{}` has no field `{field}`", layout.name),
-                    )
-                })
+                let Some(f) = layout.field(field) else {
+                    let (tag, field) = (&self.names[layout.name], &self.names[field]);
+                    let msg = format!("struct `{tag}` has no field `{field}`");
+                    return Err(self.err(e.span, msg));
+                };
+                let ty = f.ty.clone();
+                self.side.set_field_offset(e.id, f.offset);
+                Ok(ty)
             }
             ExprKind::Cond(c, t, f) => {
                 self.scalar_cond(c)?;
@@ -1295,7 +1378,7 @@ impl Checker {
     fn type_unary(&mut self, e: &Expr, op: UnOp, inner: &Expr) -> Result<Type, CompileError> {
         // `&f` for a function name is the function pointer itself.
         if op == UnOp::Addr {
-            if let ExprKind::Ident(name) = &inner.kind {
+            if let ExprKind::Ident(name) = inner.kind {
                 if let Some(Resolution::Func(_)) = self.lookup(name) {
                     return self.type_expr(inner); // counts the address-of
                 }
@@ -1406,7 +1489,7 @@ impl Checker {
         // Determine callee kind. A bare identifier naming a function or
         // builtin is a direct call and does NOT count as address-taken.
         let mut kind = None;
-        if let ExprKind::Ident(name) = &callee.kind {
+        if let ExprKind::Ident(name) = callee.kind {
             match self.lookup(name) {
                 Some(Resolution::Func(fid)) => {
                     self.side.set_resolution(callee.id, Resolution::Func(fid));
@@ -1667,9 +1750,10 @@ mod tests {
             int f(struct node *n) { return n->p.a; }
             "#,
         );
-        let sid = m.structs.by_name("node").unwrap();
+        let sid = m.structs.by_name(m.names.get("node").unwrap()).unwrap();
         assert_eq!(m.structs.layout(sid).size, 3);
-        assert_eq!(m.structs.layout(sid).field("next").unwrap().offset, 2);
+        let next = m.names.get("next").unwrap();
+        assert_eq!(m.structs.layout(sid).field(next).unwrap().offset, 2);
     }
 
     #[test]

@@ -110,6 +110,8 @@ pub struct SideTables {
     const_values: Vec<Option<ConstValue>>,
     /// String-table index of each string literal node.
     str_of: Vec<u32>,
+    /// Word offset of the field each `Member` node selects.
+    field_offset_of: Vec<usize>,
     /// The local allocated for each declaration node.
     local_of_decl: Vec<u32>,
     /// Case label values of each switch, per section.
@@ -135,6 +137,7 @@ impl SideTables {
             switch_of: vec![NONE; n],
             const_values: vec![None; n],
             str_of: vec![NONE; n],
+            field_offset_of: vec![usize::MAX; n],
             local_of_decl: vec![NONE; n],
             case_values: Vec::new(),
             address_taken: Vec::new(),
@@ -197,6 +200,15 @@ impl SideTables {
     #[inline]
     pub fn str_index(&self, id: NodeId) -> Option<usize> {
         some_id(*self.get(&self.str_of, id)?).map(|i| i as usize)
+    }
+
+    /// The word offset, from the start of its struct, of the field a
+    /// `Member` node selects. Sema resolves the field name here, so the
+    /// engines never search a struct layout by name.
+    #[inline]
+    pub fn field_offset(&self, id: NodeId) -> Option<usize> {
+        let off = *self.get(&self.field_offset_of, id)?;
+        (off != usize::MAX).then_some(off)
     }
 
     /// The local allocated for a declaration node ([`VarDecl::id`]).
@@ -274,6 +286,11 @@ impl SideTables {
     pub(crate) fn set_str(&mut self, id: NodeId, s: usize) {
         let i = self.at(id);
         self.str_of[i] = s as u32;
+    }
+
+    pub(crate) fn set_field_offset(&mut self, id: NodeId, offset: usize) {
+        let i = self.at(id);
+        self.field_offset_of[i] = offset;
     }
 
     pub(crate) fn set_local(&mut self, id: NodeId, l: LocalId) {

@@ -1,5 +1,6 @@
 //! Tokens and source spans for MiniC.
 
+use crate::symbol::{Interner, Symbol};
 use std::fmt;
 
 /// A half-open byte range into the source text.
@@ -136,10 +137,10 @@ impl Keyword {
 }
 
 /// The lexical categories of MiniC.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TokenKind {
     /// An identifier that is not a keyword.
-    Ident(String),
+    Ident(Symbol),
     /// A reserved word.
     Kw(Keyword),
     /// An integer literal (decimal, hex `0x`, octal `0`, or char constant).
@@ -147,7 +148,7 @@ pub enum TokenKind {
     /// A floating-point literal.
     Float(f64),
     /// A string literal with escapes already processed.
-    Str(String),
+    Str(Symbol),
     /// Punctuation or an operator, e.g. `+=`, `->`, `;`.
     Punct(Punct),
     /// End of input.
@@ -260,7 +261,7 @@ impl Punct {
 }
 
 /// A token with its source location.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Token {
     /// What kind of token this is.
     pub kind: TokenKind,
@@ -268,14 +269,28 @@ pub struct Token {
     pub span: Span,
 }
 
-impl fmt::Display for TokenKind {
+impl TokenKind {
+    /// How diagnostics name this token; identifiers and strings spell
+    /// themselves through `names`, the interner of their unit.
+    pub fn describe<'a>(&'a self, names: &'a Interner) -> Describe<'a> {
+        Describe { kind: self, names }
+    }
+}
+
+/// A token kind as diagnostics name it (see [`TokenKind::describe`]).
+pub struct Describe<'a> {
+    kind: &'a TokenKind,
+    names: &'a Interner,
+}
+
+impl fmt::Display for Describe<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TokenKind::Ident(s) => write!(f, "identifier `{s}`"),
+        match *self.kind {
+            TokenKind::Ident(s) => write!(f, "identifier `{}`", &self.names[s]),
             TokenKind::Kw(k) => write!(f, "keyword `{}`", k.as_str()),
             TokenKind::Int(v) => write!(f, "integer `{v}`"),
             TokenKind::Float(v) => write!(f, "float `{v}`"),
-            TokenKind::Str(s) => write!(f, "string {s:?}"),
+            TokenKind::Str(s) => write!(f, "string {:?}", &self.names[s]),
             TokenKind::Punct(p) => write!(f, "`{}`", p.as_str()),
             TokenKind::Eof => write!(f, "end of input"),
         }
@@ -309,7 +324,18 @@ mod tests {
 
     #[test]
     fn token_display_nonempty() {
-        assert!(!format!("{}", TokenKind::Punct(Punct::Arrow)).is_empty());
-        assert!(!format!("{}", TokenKind::Eof).is_empty());
+        let mut names = Interner::new();
+        let describe = |k: TokenKind, names: &Interner| k.describe(names).to_string();
+        assert_eq!(describe(TokenKind::Punct(Punct::Arrow), &names), "`->`");
+        assert_eq!(describe(TokenKind::Eof, &names), "end of input");
+        let x = names.intern("x");
+        assert_eq!(describe(TokenKind::Ident(x), &names), "identifier `x`");
+        let s = names.intern("a\nb");
+        assert_eq!(describe(TokenKind::Str(s), &names), r#"string "a\nb""#);
+    }
+
+    #[test]
+    fn tokens_are_small() {
+        assert_eq!(std::mem::size_of::<Token>(), 24);
     }
 }

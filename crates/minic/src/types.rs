@@ -4,6 +4,7 @@
 //! function pointer) occupies exactly one cell. This simplification (vs.
 //! byte-addressed C) does not affect frequency estimation — see DESIGN.md.
 
+use crate::symbol::Symbol;
 use std::fmt;
 
 /// The largest type sema can size, in words: a bigger word count times
@@ -158,7 +159,7 @@ impl fmt::Display for Type {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FieldLayout {
     /// Field name.
-    pub name: String,
+    pub name: Symbol,
     /// Field type.
     pub ty: Type,
     /// Offset from the start of the struct, in words.
@@ -169,7 +170,7 @@ pub struct FieldLayout {
 #[derive(Debug, Clone, PartialEq)]
 pub struct StructLayout {
     /// Struct tag.
-    pub name: String,
+    pub name: Symbol,
     /// Fields in declaration order with offsets.
     pub fields: Vec<FieldLayout>,
     /// Total size in words.
@@ -178,7 +179,7 @@ pub struct StructLayout {
 
 impl StructLayout {
     /// Finds a field by name.
-    pub fn field(&self, name: &str) -> Option<&FieldLayout> {
+    pub fn field(&self, name: Symbol) -> Option<&FieldLayout> {
         self.fields.iter().find(|f| f.name == name)
     }
 }
@@ -217,7 +218,7 @@ impl StructLayouts {
     }
 
     /// Finds a struct id by tag name.
-    pub fn by_name(&self, name: &str) -> Option<StructId> {
+    pub fn by_name(&self, name: Symbol) -> Option<StructId> {
         self.layouts
             .iter()
             .position(|l| l.name == name)
@@ -248,17 +249,19 @@ mod tests {
 
     #[test]
     fn array_and_struct_sizes() {
+        let mut names = crate::symbol::Interner::new();
+        let [point, x, y] = ["point", "x", "y"].map(|s| names.intern(s));
         let mut layouts = StructLayouts::new();
         let id = layouts.push(StructLayout {
-            name: "point".into(),
+            name: point,
             fields: vec![
                 FieldLayout {
-                    name: "x".into(),
+                    name: x,
                     ty: Type::Int,
                     offset: 0,
                 },
                 FieldLayout {
-                    name: "y".into(),
+                    name: y,
                     ty: Type::Int,
                     offset: 1,
                 },
@@ -270,8 +273,8 @@ mod tests {
             Type::Array(Box::new(Type::Struct(id)), 5).size_words(&layouts),
             10
         );
-        assert_eq!(layouts.by_name("point"), Some(id));
-        assert_eq!(layouts.layout(id).field("y").unwrap().offset, 1);
+        assert_eq!(layouts.by_name(point), Some(id));
+        assert_eq!(layouts.layout(id).field(y).unwrap().offset, 1);
     }
 
     #[test]

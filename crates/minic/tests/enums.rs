@@ -14,11 +14,11 @@ fn sequential_and_explicit_values() {
         "#,
     )
     .unwrap();
-    assert_eq!(m.enum_consts["RED"], 0);
-    assert_eq!(m.enum_consts["GREEN"], 1);
-    assert_eq!(m.enum_consts["BLUE"], 2);
-    assert_eq!(m.enum_consts["C"], 4);
-    assert_eq!(m.enum_consts["D"], 5);
+    assert_eq!(m.enum_const("RED").unwrap(), 0);
+    assert_eq!(m.enum_const("GREEN").unwrap(), 1);
+    assert_eq!(m.enum_const("BLUE").unwrap(), 2);
+    assert_eq!(m.enum_const("C").unwrap(), 4);
+    assert_eq!(m.enum_const("D").unwrap(), 5);
     assert_eq!(m.globals[0].init[0], minic::sema::InitWord::Int(2));
     assert_eq!(m.globals[1].init[0], minic::sema::InitWord::Int(5));
 }
@@ -26,14 +26,14 @@ fn sequential_and_explicit_values() {
 #[test]
 fn enum_values_reference_earlier_constants() {
     let m = compile("enum sizes { SMALL = 4, BIG = SMALL * 8, HUGE = BIG + 1 };").unwrap();
-    assert_eq!(m.enum_consts["BIG"], 32);
-    assert_eq!(m.enum_consts["HUGE"], 33);
+    assert_eq!(m.enum_const("BIG").unwrap(), 32);
+    assert_eq!(m.enum_const("HUGE").unwrap(), 33);
 }
 
 #[test]
 fn anonymous_enums_work() {
     let m = compile("enum { OK, FAIL = -1 }; int r = FAIL;").unwrap();
-    assert_eq!(m.enum_consts["FAIL"], -1);
+    assert_eq!(m.enum_const("FAIL").unwrap(), -1);
 }
 
 #[test]
@@ -127,7 +127,7 @@ fn enums_pretty_print_round_trip() {
     let unit2 = minic::parser::parse(&printed).unwrap();
     assert_eq!(printed, minic::pretty::print_unit(&unit2));
     let m = compile(&printed).unwrap();
-    assert_eq!(m.enum_consts["BLUE"], 6);
+    assert_eq!(m.enum_const("BLUE").unwrap(), 6);
 }
 
 #[test]

@@ -77,7 +77,7 @@ fn shadowing_gets_distinct_locals() {
     let f = m.function(m.function_id("f").unwrap());
     // x, outer y, inner y.
     assert_eq!(f.locals.len(), 3);
-    let names: Vec<&str> = f.locals.iter().map(|l| l.name.as_str()).collect();
+    let names: Vec<&str> = f.locals.iter().map(|l| &m.names[l.name]).collect();
     assert_eq!(names, vec!["x", "y", "y"]);
 }
 
@@ -122,8 +122,8 @@ fn locals_shadow_globals_and_functions() {
     let body = m.function(f).body.as_ref().unwrap();
     let mut found = false;
     body.walk_exprs(&mut |e| {
-        if let minic::ast::ExprKind::Ident(name) = &e.kind {
-            if name == "value" {
+        if let minic::ast::ExprKind::Ident(name) = e.kind {
+            if &m.names[name] == "value" {
                 assert!(matches!(
                     m.side.resolution(e.id).unwrap(),
                     Resolution::Local(_)

@@ -1199,8 +1199,8 @@ impl<'p> Compiler<'p> {
                 self.emit_index_addr(scratch, bt.elem);
                 Place::Reg(scratch)
             }
-            ExprKind::Member(base, field, arrow) => {
-                let Some(off) = member_offset(&self.program.module, base, field, *arrow) else {
+            ExprKind::Member(base, _, arrow) => {
+                let Some(off) = member_offset(&self.program.module, e) else {
                     self.fail(RuntimeError::Other("member on non-struct".into()));
                     return Place::Reg(scratch);
                 };

@@ -488,6 +488,13 @@ impl<'a, T: MemTap> Vm<'a, T> {
     /// Push a frame and return `f`'s entry pc. The callee's entry pc
     /// must be valid (the compiler guarantees it for direct calls;
     /// indirect calls check before entering).
+    ///
+    /// Each activation's registers sit above its caller's, so the
+    /// register window grows with call depth as the stack does, and it
+    /// is held to the same budget: a call whose window would end past
+    /// [`MAX_STATIC_WORDS`] registers is [`RuntimeError::StackBudget`],
+    /// refused before anything grows. The AST walker keeps no register
+    /// file, so this refusal is the VM's alone.
     fn enter(
         &mut self,
         f: usize,
@@ -503,6 +510,13 @@ impl<'a, T: MemTap> Vm<'a, T> {
         }
         let meta = &self.cp.funcs[f];
         self.check_stack_budget(meta.frame_size)?;
+        let new_rp = self.rp + self.cp.funcs[self.cur_fn].max_regs as usize;
+        let window = new_rp + meta.max_regs as usize;
+        if window > MAX_STATIC_WORDS {
+            return Err(RuntimeError::StackBudget {
+                limit: MAX_STATIC_WORDS,
+            });
+        }
         self.depth += 1;
         self.frames.push(Frame {
             ret_pc,
@@ -516,10 +530,8 @@ impl<'a, T: MemTap> Vm<'a, T> {
             .extend(std::iter::repeat_n(Value::Int(0), meta.frame_size as usize));
         self.func_counts[f] += 1;
         self.func_cost[f] += CALL_COST;
-        let new_rp = self.rp + self.cp.funcs[self.cur_fn].max_regs as usize;
-        if self.regs.len() < new_rp + meta.max_regs as usize {
-            self.regs
-                .resize(new_rp + meta.max_regs as usize, Value::Int(0));
+        if self.regs.len() < window {
+            self.regs.resize(window, Value::Int(0));
         }
         // Bind parameters (structs are copied by value).
         for i in 0..(nargs as usize).min(meta.params.len()) {

@@ -148,7 +148,8 @@ pub enum RuntimeError {
         limit: usize,
     },
     /// A call's frame would take the live stack (every active frame
-    /// together) past [`MAX_STATIC_WORDS`] words.
+    /// together) past [`MAX_STATIC_WORDS`] words — or, in the VM, its
+    /// register window past as many registers.
     StackBudget {
         /// The budget, in words.
         limit: usize,
@@ -461,16 +462,12 @@ impl<'p> NodeTables<'p> {
     }
 }
 
-/// The word offset of member `field` of `base`'s struct (through a
-/// pointer for `->`), or `None` when `base` is no struct.
-pub(crate) fn member_offset(module: &Module, base: &Expr, field: &str, arrow: bool) -> Option<u32> {
-    let bt = module.side.ty(base.id)?;
-    let bt = if arrow { bt.pointee()? } else { bt };
-    let Type::Struct(sid) = bt else {
-        return None;
-    };
-    let f = module.structs.layout(*sid).field(field)?;
-    Some(f.offset as u32)
+/// The word offset of the field member expression `e` selects, as
+/// sema resolved it; `None` when `e` is no member access of `module`.
+/// A reused CFG's expressions keep their node ids but not their
+/// symbols, so the engines read this column, never the field's name.
+pub(crate) fn member_offset(module: &Module, e: &Expr) -> Option<u32> {
+    module.side.field_offset(e.id).map(|off| off as u32)
 }
 
 /// Non-local control flow out of `eval`.
@@ -868,8 +865,8 @@ impl<'p, T: MemTap> Interp<'p, T> {
                 let i = self.eval(idx)?.to_int();
                 Ok(addr.wrapping_add_signed(i.wrapping_mul(bt.elem as i64)))
             }
-            ExprKind::Member(base, field, arrow) => {
-                let Some(offset) = member_offset(&self.program.module, base, field, *arrow) else {
+            ExprKind::Member(base, _, arrow) => {
+                let Some(offset) = member_offset(&self.program.module, e) else {
                     return Err(RuntimeError::Other("member on non-struct".into()).into());
                 };
                 let addr = if *arrow {

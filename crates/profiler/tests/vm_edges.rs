@@ -275,6 +275,45 @@ fn frame_past_the_stack_budget_is_refused_before_allocation() {
     assert_eq!(err, RuntimeError::StackBudget { limit: words });
 }
 
+/// `deep(depth)` recurses through a one-word frame whose body also
+/// calls a function of `width` parameters, so each activation holds
+/// about `width` registers: the register window, not the stack, is
+/// what grows.
+fn wide_call_recursion(width: usize, depth: usize) -> String {
+    let params: Vec<String> = (0..width).map(|i| format!("int a{i}")).collect();
+    let args = vec!["n"; width].join(", ");
+    format!(
+        "int wide({}) {{ return a0; }}
+         int deep(int n) {{
+             if (n == 0) return 0;
+             if (n < 0) return wide({args});
+             return deep(n - 1) + 1;
+         }}
+         int main(void) {{ return deep({depth}) - {depth}; }}",
+        params.join(", ")
+    )
+}
+
+#[test]
+fn register_window_past_the_budget_is_refused_before_allocation() {
+    // About 400 registers per activation pass the 2^24-register budget
+    // near depth 42,000, under the 50,000 call-depth limit and far
+    // below the live-stack budget. The AST walker has no register
+    // file, so it runs the same program to completion.
+    let p = program(&wide_call_recursion(400, 45_000));
+    let err = run(&p, &RunConfig::default()).expect_err("over the register budget");
+    assert_eq!(
+        err,
+        RuntimeError::StackBudget {
+            limit: minic::types::MAX_STATIC_WORDS
+        }
+    );
+    assert_eq!(run_ast(&p, &RunConfig::default()).unwrap().exit_code, 0);
+    // Shallower recursion through the same frame stays within it.
+    let out = run_ok(&wide_call_recursion(400, 30_000));
+    assert_eq!(out.exit_code, 0);
+}
+
 #[test]
 fn function_pointer_call_behind_short_circuit_guard() {
     // The fp(...) call sits in the right operand of &&, so the VM's

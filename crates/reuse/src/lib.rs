@@ -225,8 +225,11 @@ impl<'p> Scanner<'p> {
     /// buffer contributes an expected half-scan of itself.
     fn emit_string_arg(&mut self, arg: &Expr) {
         match &arg.kind {
-            ExprKind::StrLit(s) => {
-                let width = s.len() as f64 + 1.0;
+            ExprKind::StrLit(_) => {
+                let Some(s) = self.module.side.str_index(arg.id) else {
+                    return;
+                };
+                let width = self.module.strings[s].len() as f64 + 1.0;
                 self.sites.push(Site {
                     block: self.block,
                     obj: self.catch_all,

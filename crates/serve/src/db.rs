@@ -663,9 +663,9 @@ fn function_fingerprints(unit: &Unit) -> HashMap<String, u128> {
                 continue;
             }
             let mut h = fp::hasher();
-            h.field_str(&print_item(item));
+            h.field_str(&print_item(item, &unit.names));
             h.word(u64::from(fd.id.0));
-            out.insert(fd.name.clone(), h.digest());
+            out.insert(unit.names[fd.name].to_string(), h.digest());
         }
     }
     out
@@ -677,7 +677,7 @@ fn declaration_context(unit: &Unit) -> Fnv128 {
     let mut h = fp::hasher();
     for item in &unit.items {
         if !matches!(item, Item::Function(_)) {
-            h.field_str(&print_item(item));
+            h.field_str(&print_item(item, &unit.names));
         }
     }
     h

@@ -207,6 +207,90 @@ fn compress_edit_redoes_under_a_tenth_of_the_suite_load() {
     );
 }
 
+/// A program whose first function precedes the struct declarations, so
+/// a name added to it renumbers every symbol after it — the struct
+/// tags, the fields both structs share, and every name in `walk` and
+/// `main` — while their text, ordinals and the module context stay
+/// unchanged.
+const RENUMBERED: &str = r#"
+int first(int n) { return n + 1; }
+struct node { int key; struct node *next; };
+struct pair { int next; int key; };
+struct node cells[4];
+struct pair pairs[2];
+int walk(struct node *p, struct pair *q) {
+    int sum = 0;
+    while (p) {
+        sum = sum + p->key * q->key + q->next;
+        p = p->next;
+    }
+    printf("walked %d\n", sum);
+    return sum;
+}
+int main(void) {
+    int i;
+    for (i = 0; i < 4; i++) {
+        cells[i].key = first(i);
+        cells[i].next = i < 3 ? &cells[i + 1] : 0;
+    }
+    pairs[1].key = 3;
+    pairs[1].next = 5;
+    printf("%s %d\n", "done", walk(&cells[0], &pairs[1]));
+    return 0;
+}
+"#;
+
+#[test]
+fn a_new_name_before_unchanged_functions_renumbers_them_and_they_are_still_reused() {
+    // Symbols are per unit, numbered by first appearance: the new local
+    // in `first` shifts the symbol of every name first seen after it.
+    // `walk` and `main` keep their text and ordinal, so their CFGs are
+    // reused from the old revision, whose expressions carry the *old*
+    // symbols — any pass that read a name from them would now resolve
+    // the wrong spelling. Warm output must still equal cold output.
+    let edited = RENUMBERED.replacen(
+        "int first(int n) { return n + 1; }",
+        "int first(int n) { int fresh = 1; return n + fresh; }",
+        1,
+    );
+    assert_ne!(edited, RENUMBERED);
+
+    let warm_db = Arc::new(ServeDb::new(Some(2), None));
+    warm_db.upsert("renumbered", RENUMBERED).unwrap();
+    let before = warm_db.entry("renumbered").unwrap();
+    let update = warm_db.upsert("renumbered", &edited).unwrap();
+    let after = warm_db.entry("renumbered").unwrap();
+    assert_eq!(update.work.funcs_lowered, 1, "{:?}", update.work);
+    assert_eq!(update.work.funcs_reused, 2, "{:?}", update.work);
+    let (old, new) = (&before.program.module.names, &after.program.module.names);
+    for name in ["key", "next", "walk", "sum", "main"] {
+        assert_ne!(old.get(name), new.get(name), "`{name}` keeps its symbol");
+    }
+
+    let cold_db = Arc::new(ServeDb::new(Some(1), None));
+    cold_db.upsert("renumbered", &edited).unwrap();
+    assert_eq!(
+        after.estimates_digest(),
+        cold_db.entry("renumbered").unwrap().estimates_digest()
+    );
+    let warm = Session::new(Arc::clone(&warm_db));
+    let cold = Session::new(Arc::clone(&cold_db));
+    let profile =
+        r#"{"sfe":"serve/v1","id":1,"method":"profile","params":{"program":"renumbered"}}"#;
+    let mut requests = estimate_requests("renumbered");
+    requests.push(profile.to_string());
+    for req in requests {
+        let a = warm
+            .handle(&req)
+            .response
+            .replace("\"revision\":2", "\"revision\":1");
+        let b = cold.handle(&req).response;
+        assert_eq!(a, b, "wire response diverges for {req}");
+    }
+    let run = profiler::run(&after.program, &profiler::RunConfig::default()).unwrap();
+    assert_eq!(run.stdout(), "walked 50\ndone 50\n");
+}
+
 /// Every side-table fact sema recorded for the ids of namespace `d`,
 /// one rendered row per id.
 fn side_rows(module: &minic::Module, d: usize) -> Vec<String> {
@@ -225,6 +309,7 @@ fn side_rows(module: &minic::Module, d: usize) -> Vec<String> {
                     side.const_value(id),
                     side.str_index(id),
                     side.local(id),
+                    side.field_offset(id),
                 )
             )
         })

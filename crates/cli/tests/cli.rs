@@ -124,6 +124,28 @@ fn run_refuses_frames_past_the_stack_budget() {
 }
 
 #[test]
+fn run_refuses_output_past_the_budget() {
+    // A 999,999-byte string printed forever passes the 2^24-byte output
+    // budget at its 17th copy: a rendered runtime error and exit 1, at
+    // -O0 and -O3, where this once grew the output until an allocation
+    // aborted the process (exit 134).
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/corpus/manual_rt_big-output.c"
+    );
+    for level in ["0", "3"] {
+        let out = sfe(&["--no-cache", "--opt-level", level, "run", path]);
+        assert_eq!(out.status.code(), Some(1), "-O{level}");
+        assert!(out.stdout.is_empty(), "-O{level}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            err, "sfe: runtime error: program output would pass 16777216 bytes\n",
+            "-O{level}"
+        );
+    }
+}
+
+#[test]
 fn run_refuses_register_windows_past_the_budget() {
     // A one-word frame that also calls a 400-parameter function holds
     // about 400 registers per activation; recursing 45,000 deep takes

@@ -37,7 +37,7 @@
 //! ops, and the fixpoint is quadratic in that bound at worst.
 
 use profiler::bytecode::{ArithMode, Op};
-use profiler::interp::TyClass;
+use profiler::runtime::TyClass;
 use std::collections::HashSet;
 
 /// Whether any op in `ops` materializes a frame address at all. When

@@ -14,7 +14,7 @@
 use crate::ir::{drop_redundant_jumps, FuncIr};
 use crate::ops_info;
 use profiler::bytecode::{arith, cmp_vals, CompiledProgram, Op, SwitchTable, NONE32};
-use profiler::interp::convert_for_class;
+use profiler::runtime::convert_for_class;
 use profiler::Value;
 use std::collections::{HashMap, HashSet, VecDeque};
 

@@ -63,11 +63,13 @@
 
 use super::place::{self, Candidate, CounterPlan};
 use super::{ArithMode, CompiledProgram, FuncMeta, Op, ParamBind, SwitchTable, NONE32};
-use crate::interp::{member_offset, NodeTables, NodeTy, RuntimeError, TyClass, Value};
+use crate::runtime::{
+    member_offset, NodeTables, NodeTy, RuntimeError, StaticLayout, TyClass, Value,
+};
 use flowgraph::analysis::loop_depths;
 use flowgraph::{BlockId, Cfg, Instr, Program, Terminator};
 use minic::ast::{BinOp, Expr, ExprKind, UnOp};
-use minic::sema::{CalleeKind, FuncId, InitWord, Resolution};
+use minic::sema::{CalleeKind, FuncId, Resolution};
 use minic::types::Type;
 
 /// Where an lvalue lives, as far as compile time can tell.
@@ -83,36 +85,9 @@ enum Place {
 pub(super) fn compile(program: &Program) -> CompiledProgram {
     let module = &program.module;
 
-    // Lay out the static data image exactly as `Interp::load_statics`
-    // does: globals first, then string literals; addresses are
-    // observable (the heap grows past them), so the order matters.
-    let mut data_image: Vec<Value> = Vec::new();
-    let mut global_addr: Vec<u64> = Vec::new();
-    for g in &module.globals {
-        global_addr.push(data_image.len() as u64 + 1);
-        data_image.extend(std::iter::repeat_n(Value::Int(0), g.size));
-    }
-    let mut str_addr: Vec<u64> = Vec::new();
-    for s in &module.strings {
-        let addr = data_image.len() as u64 + 1;
-        data_image.extend(std::iter::repeat_n(Value::Int(0), s.len() + 1));
-        for (i, b) in s.bytes().enumerate() {
-            data_image[(addr - 1) as usize + i] = Value::Int(b as i64);
-        }
-        str_addr.push(addr);
-    }
-    for g in &module.globals {
-        let base = global_addr[g.id.0 as usize];
-        for (i, w) in g.init.iter().enumerate() {
-            data_image[(base - 1) as usize + i] = match *w {
-                InitWord::Int(x) => Value::Int(x),
-                InitWord::Float(x) => Value::Float(x),
-                InitWord::StrPtr(idx) => Value::Ptr(str_addr[idx]),
-                InitWord::Fn(fid) => Value::Fn(fid),
-                InitWord::GlobalAddr(gid) => Value::Ptr(global_addr[gid.0 as usize]),
-            };
-        }
-    }
+    // The one static layout: its addresses are baked into the code.
+    let layout = StaticLayout::of(module);
+    let data_image = layout.image(module);
 
     let block_lens = program
         .cfgs
@@ -123,8 +98,7 @@ pub(super) fn compile(program: &Program) -> CompiledProgram {
     let mut c = Compiler {
         program,
         tables: NodeTables::build(program),
-        global_addr,
-        str_addr,
+        layout,
         ops: Vec::new(),
         switch_tables: Vec::new(),
         images: Vec::new(),
@@ -201,8 +175,7 @@ type PendingSwitch = (u32, Vec<(i64, BlockId)>, Vec<(BlockId, u32)>, BlockId);
 struct Compiler<'p> {
     program: &'p Program,
     tables: NodeTables<'p>,
-    global_addr: Vec<u64>,
-    str_addr: Vec<u64>,
+    layout: StaticLayout,
     ops: Vec<Op>,
     switch_tables: Vec<SwitchTable>,
     images: Vec<Vec<Value>>,
@@ -1176,7 +1149,7 @@ impl<'p> Compiler<'p> {
                     Place::Local(func.locals[lid.0 as usize].offset as u32)
                 }
                 Resolution::Global(gid) => {
-                    Place::Data((self.global_addr[gid.0 as usize] - 1) as u32)
+                    Place::Data((self.layout.global_addr[gid.0 as usize] - 1) as u32)
                 }
                 Resolution::Func(_) | Resolution::Builtin(_) | Resolution::EnumConst(_) => {
                     self.fail(RuntimeError::Other("constant is not an lvalue".into()));
@@ -1306,7 +1279,7 @@ impl<'p> Compiler<'p> {
                 let idx = idx.expect("sema interned every string literal");
                 self.emit(Op::Const {
                     dst,
-                    v: Value::Ptr(self.str_addr[idx]),
+                    v: Value::Ptr(self.layout.str_addr[idx]),
                 });
             }
             ExprKind::Ident(_) => match self.resolution(e) {

@@ -4,42 +4,20 @@
 //! explicit frame stack — MiniC recursion no longer nests Rust stack
 //! frames, so no oversized interpreter thread is needed. Registers
 //! live in one shared vector addressed through a per-frame window
-//! base (`rp`); memory is the interpreter's exact model (word
-//! addressed, NULL = 0, static data + heap low, stack above
-//! [`STACK_BASE`]).
-//!
-//! Builtin shims reuse three persistent `String` buffers instead of
-//! allocating per call (`read_cstring`/`format` in the AST walker
-//! built fresh `String`s on every `printf`/`strcmp`). The quirky
-//! byte-to-`char` semantics of the originals (bytes ≥ 128 widen to
-//! two UTF-8 bytes in `strlen`, `%s`, `strncpy`, …) are preserved
-//! exactly — the differential oracle covers them.
+//! base (`rp`). Memory and the C library are the ones the AST walker
+//! runs too ([`crate::runtime`]): this file owns only the dispatch.
 
 use super::place::{derive_branches, rebuild};
 use super::{ArithMode, CompiledProgram, Op, ParamBind, SwitchTable, NONE32};
-use crate::interp::{
-    convert_for_class, heap_alloc, heap_words, RunConfig, RunOutcome, RuntimeError, Value,
-    CALL_COST, STACK_BASE,
-};
 use crate::profile::Profile;
 use crate::reuse::MemTap;
+use crate::runtime::{
+    convert_for_class, Abort, Libc, Memory, RunConfig, RunOutcome, RuntimeError, StrBufs, Value,
+    CALL_COST, STACK_BASE,
+};
 use minic::ast::BinOp;
-use minic::builtins::Builtin;
 use minic::types::MAX_STATIC_WORDS;
-use std::cmp::Ordering;
 use std::collections::HashMap;
-
-/// Non-local control flow out of a builtin or the dispatch loop.
-enum VmAbort {
-    Error(RuntimeError),
-    Exit(i64),
-}
-
-impl From<RuntimeError> for VmAbort {
-    fn from(e: RuntimeError) -> Self {
-        VmAbort::Error(e)
-    }
-}
 
 struct Frame {
     ret_pc: usize,
@@ -51,12 +29,11 @@ struct Frame {
 
 struct Vm<'a, T: MemTap> {
     cp: &'a CompiledProgram,
-    /// Data-segment access probe ([`NoTap`](crate::reuse::NoTap) in
-    /// normal runs — the `T::ACTIVE` checks below monomorphize away
-    /// entirely).
-    tap: &'a mut T,
-    data: Vec<Value>,
-    stack: Vec<Value>,
+    /// The address space. Its tap is the data-segment access probe
+    /// ([`NoTap`](crate::reuse::NoTap) in normal runs — the
+    /// `T::ACTIVE` checks below monomorphize away entirely).
+    mem: Memory<&'a mut T>,
+    libc: Libc<'a>,
     regs: Vec<Value>,
     frames: Vec<Frame>,
     fp: usize,
@@ -66,10 +43,6 @@ struct Vm<'a, T: MemTap> {
     max_steps: u64,
     depth: usize,
     max_depth: usize,
-    input: &'a [u8],
-    input_pos: usize,
-    output: Vec<u8>,
-    rng: u64,
     /// The pc of the op that called `exit()`, for booking departures.
     exit_pc: usize,
     // Dense profile counters (chord edges only during the run; the
@@ -79,10 +52,6 @@ struct Vm<'a, T: MemTap> {
     sites: Vec<u64>,
     func_counts: Vec<u64>,
     func_cost: Vec<u64>,
-    // Reusable builtin string buffers.
-    sbuf_a: String,
-    sbuf_b: String,
-    fmt_out: String,
 }
 
 /// Reusable per-run VM buffers: the data image copy, stack, register
@@ -100,9 +69,7 @@ pub struct ExecScratch {
     frames: Vec<Frame>,
     edges: Vec<u64>,
     excess: Vec<i64>,
-    sbuf_a: String,
-    sbuf_b: String,
-    fmt_out: String,
+    strs: StrBufs,
 }
 
 impl ExecScratch {
@@ -125,11 +92,7 @@ impl ExecScratch {
         shed(&mut self.frames, max_elems);
         shed(&mut self.edges, max_elems);
         shed(&mut self.excess, max_elems);
-        for s in [&mut self.sbuf_a, &mut self.sbuf_b, &mut self.fmt_out] {
-            if s.capacity() > max_elems {
-                *s = String::new();
-            }
-        }
+        self.strs.trim(max_elems);
     }
 
     /// The largest element capacity across the recycled buffers —
@@ -143,9 +106,7 @@ impl ExecScratch {
             .max(self.frames.capacity())
             .max(self.edges.capacity())
             .max(self.excess.capacity())
-            .max(self.sbuf_a.capacity())
-            .max(self.sbuf_b.capacity())
-            .max(self.fmt_out.capacity())
+            .max(self.strs.high_water())
     }
 }
 
@@ -167,8 +128,7 @@ pub(super) fn execute<T: MemTap>(
     let mut data = std::mem::take(&mut scratch.data);
     data.clear();
     data.extend_from_slice(&cp.data_image);
-    let mut stack = std::mem::take(&mut scratch.stack);
-    stack.clear();
+    let stack = std::mem::take(&mut scratch.stack);
     let mut regs = std::mem::take(&mut scratch.regs);
     regs.clear();
     let mut frames = std::mem::take(&mut scratch.frames);
@@ -178,9 +138,8 @@ pub(super) fn execute<T: MemTap>(
     edges.resize(cp.edge_keys.len(), 0);
     let mut vm = Vm {
         cp,
-        tap,
-        data,
-        stack,
+        mem: Memory::new(data, stack, tap),
+        libc: Libc::new(&config.input, std::mem::take(&mut scratch.strs)),
         regs,
         frames,
         fp: 0,
@@ -190,28 +149,21 @@ pub(super) fn execute<T: MemTap>(
         max_steps: config.max_steps,
         depth: 0,
         max_depth: config.max_call_depth,
-        input: &config.input,
-        input_pos: 0,
-        output: Vec::new(),
-        rng: 0x2545F4914F6CDD1D,
         exit_pc: 0,
         edges,
         branches: vec![(0, 0); cp.n_branches],
         sites: vec![0; cp.n_sites],
         func_counts: vec![0; cp.funcs.len()],
         func_cost: vec![0; cp.funcs.len()],
-        sbuf_a: std::mem::take(&mut scratch.sbuf_a),
-        sbuf_b: std::mem::take(&mut scratch.sbuf_b),
-        fmt_out: std::mem::take(&mut scratch.fmt_out),
     };
     let run_result = vm.run(main.0 as usize);
     let departures = match run_result {
-        Err(VmAbort::Exit(_)) => vm.live_blocks(),
+        Err(Abort::Exit(_)) => vm.live_blocks(),
         _ => Vec::new(),
     };
     let Vm {
-        data,
-        stack,
+        mem,
+        libc,
         regs,
         frames,
         mut edges,
@@ -219,24 +171,18 @@ pub(super) fn execute<T: MemTap>(
         sites,
         func_counts,
         func_cost,
-        sbuf_a,
-        sbuf_b,
-        fmt_out,
-        output,
         steps,
         ..
     } = vm;
-    scratch.data = data;
-    scratch.stack = stack;
+    scratch.data = mem.data;
+    scratch.stack = mem.stack;
     scratch.regs = regs;
     scratch.frames = frames;
-    scratch.sbuf_a = sbuf_a;
-    scratch.sbuf_b = sbuf_b;
-    scratch.fmt_out = fmt_out;
+    scratch.strs = libc.bufs;
 
     let exit_code = match run_result {
-        Ok(code) | Err(VmAbort::Exit(code)) => code,
-        Err(VmAbort::Error(e)) => {
+        Ok(code) | Err(Abort::Exit(code)) => code,
+        Err(Abort::Error(e)) => {
             // A failed run discards its profile: nothing to rebuild.
             scratch.edges = edges;
             return Err(e);
@@ -261,7 +207,7 @@ pub(super) fn execute<T: MemTap>(
     Ok(RunOutcome {
         exit_code,
         profile,
-        output,
+        output: libc.output,
         steps,
     })
 }
@@ -315,24 +261,6 @@ fn rebuild_counts(
 }
 
 impl<'a, T: MemTap> Vm<'a, T> {
-    // ----- memory (identical to the AST interpreter's) -----
-
-    fn load(&mut self, addr: u64) -> Result<Value, RuntimeError> {
-        load_mem(&mut *self.tap, &self.data, &self.stack, addr)
-    }
-
-    fn store(&mut self, addr: u64, v: Value) -> Result<(), RuntimeError> {
-        store_mem(&mut *self.tap, &mut self.data, &mut self.stack, addr, v)
-    }
-
-    fn copy_words(&mut self, dst: u64, src: u64, n: usize) -> Result<(), RuntimeError> {
-        for i in 0..n as u64 {
-            let v = self.load(src + i)?;
-            self.store(dst + i, v)?;
-        }
-        Ok(())
-    }
-
     // ----- registers and frame slots -----
     //
     // The hot accessors skip bounds checks: the compiler guarantees
@@ -378,54 +306,55 @@ impl<'a, T: MemTap> Vm<'a, T> {
     fn local(&self, off: u32) -> Value {
         let i = self.fp + off as usize;
         if T::ACTIVE {
-            return self.stack.get(i).copied().unwrap_or(Value::Int(0));
+            return self.mem.stack.get(i).copied().unwrap_or(Value::Int(0));
         }
-        debug_assert!(i < self.stack.len());
+        debug_assert!(i < self.mem.stack.len());
         // SAFETY: `fp + frame_size <= stack.len()` for the running
         // frame, and every compiled offset is `< frame_size`.
-        unsafe { *self.stack.get_unchecked(i) }
+        unsafe { *self.mem.stack.get_unchecked(i) }
     }
 
     #[inline(always)]
     fn set_local(&mut self, off: u32, v: Value) {
         let i = self.fp + off as usize;
         if T::ACTIVE {
-            if let Some(slot) = self.stack.get_mut(i) {
+            if let Some(slot) = self.mem.stack.get_mut(i) {
                 *slot = v;
             }
             return;
         }
-        debug_assert!(i < self.stack.len());
+        debug_assert!(i < self.mem.stack.len());
         // SAFETY: as in `local`.
-        unsafe { *self.stack.get_unchecked_mut(i) = v }
+        unsafe { *self.mem.stack.get_unchecked_mut(i) = v }
     }
 
     #[inline(always)]
     fn global(&self, idx: u32) -> Value {
         if T::ACTIVE {
             return self
+                .mem
                 .data
                 .get(idx as usize)
                 .copied()
                 .unwrap_or(Value::Int(0));
         }
-        debug_assert!((idx as usize) < self.data.len());
+        debug_assert!((idx as usize) < self.mem.data.len());
         // SAFETY: global indices address the static image laid out at
         // compile time, and `data` only ever grows (malloc appends).
-        unsafe { *self.data.get_unchecked(idx as usize) }
+        unsafe { *self.mem.data.get_unchecked(idx as usize) }
     }
 
     #[inline(always)]
     fn set_global(&mut self, idx: u32, v: Value) {
         if T::ACTIVE {
-            if let Some(slot) = self.data.get_mut(idx as usize) {
+            if let Some(slot) = self.mem.data.get_mut(idx as usize) {
                 *slot = v;
             }
             return;
         }
-        debug_assert!((idx as usize) < self.data.len());
+        debug_assert!((idx as usize) < self.mem.data.len());
         // SAFETY: as in `global`.
-        unsafe { *self.data.get_unchecked_mut(idx as usize) = v }
+        unsafe { *self.mem.data.get_unchecked_mut(idx as usize) = v }
     }
 
     /// The data-segment word address of global slot `idx` (the image
@@ -474,17 +403,6 @@ impl<'a, T: MemTap> Vm<'a, T> {
 
     // ----- calls -----
 
-    /// Refuses a frame of `frame_size` words that would take the live
-    /// stack past [`MAX_STATIC_WORDS`], before any of it is allocated.
-    fn check_stack_budget(&self, frame_size: u32) -> Result<(), RuntimeError> {
-        if frame_size as usize > MAX_STATIC_WORDS - self.stack.len() {
-            return Err(RuntimeError::StackBudget {
-                limit: MAX_STATIC_WORDS,
-            });
-        }
-        Ok(())
-    }
-
     /// Push a frame and return `f`'s entry pc. The callee's entry pc
     /// must be valid (the compiler guarantees it for direct calls;
     /// indirect calls check before entering).
@@ -509,7 +427,6 @@ impl<'a, T: MemTap> Vm<'a, T> {
             });
         }
         let meta = &self.cp.funcs[f];
-        self.check_stack_budget(meta.frame_size)?;
         let new_rp = self.rp + self.cp.funcs[self.cur_fn].max_regs as usize;
         let window = new_rp + meta.max_regs as usize;
         if window > MAX_STATIC_WORDS {
@@ -517,6 +434,7 @@ impl<'a, T: MemTap> Vm<'a, T> {
                 limit: MAX_STATIC_WORDS,
             });
         }
+        let new_fp = self.mem.push_frame(meta.frame_size as usize)?;
         self.depth += 1;
         self.frames.push(Frame {
             ret_pc,
@@ -525,9 +443,6 @@ impl<'a, T: MemTap> Vm<'a, T> {
             fp: self.fp,
             rp: self.rp,
         });
-        let new_fp = self.stack.len();
-        self.stack
-            .extend(std::iter::repeat_n(Value::Int(0), meta.frame_size as usize));
         self.func_counts[f] += 1;
         self.func_cost[f] += CALL_COST;
         if self.regs.len() < window {
@@ -538,11 +453,11 @@ impl<'a, T: MemTap> Vm<'a, T> {
             let arg = self.regs[self.rp + argbase as usize + i];
             match self.cp.funcs[f].params[i] {
                 ParamBind::Scalar { off, class } => {
-                    self.stack[new_fp + off as usize] = convert_for_class(class, arg);
+                    self.mem.stack[new_fp + off as usize] = convert_for_class(class, arg);
                 }
                 ParamBind::Agg { off, size } => {
                     let dst_addr = STACK_BASE + (new_fp + off as usize) as u64;
-                    self.copy_words(dst_addr, arg.to_ptr(), size as usize)?;
+                    self.mem.copy_words(dst_addr, arg.to_ptr(), size as usize)?;
                 }
             }
         }
@@ -554,7 +469,7 @@ impl<'a, T: MemTap> Vm<'a, T> {
 
     // ----- the dispatch loop -----
 
-    fn run(&mut self, main: usize) -> Result<i64, VmAbort> {
+    fn run(&mut self, main: usize) -> Result<i64, Abort> {
         let meta = &self.cp.funcs[main];
         if meta.entry == NONE32 {
             return Err(RuntimeError::Undefined {
@@ -568,10 +483,8 @@ impl<'a, T: MemTap> Vm<'a, T> {
             }
             .into());
         }
-        self.check_stack_budget(meta.frame_size)?;
+        self.mem.push_frame(meta.frame_size as usize)?;
         self.depth = 1;
-        self.stack
-            .extend(std::iter::repeat_n(Value::Int(0), meta.frame_size as usize));
         self.regs.resize(meta.max_regs as usize, Value::Int(0));
         self.func_counts[main] += 1;
         self.func_cost[main] += CALL_COST;
@@ -667,7 +580,7 @@ impl<'a, T: MemTap> Vm<'a, T> {
                 Op::LoadGlobal { dst, idx } => {
                     let v = self.global(idx);
                     if T::ACTIVE {
-                        self.tap.access(Self::global_addr(idx));
+                        self.mem.tap.access(Self::global_addr(idx));
                     }
                     self.set_reg(dst, v);
                 }
@@ -680,13 +593,13 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     let v = convert_for_class(class, self.reg(src));
                     self.set_global(idx, v);
                     if T::ACTIVE {
-                        self.tap.access(Self::global_addr(idx));
+                        self.mem.tap.access(Self::global_addr(idx));
                     }
                     self.set_reg(dst, v);
                 }
                 Op::Load { dst, addr, tick } => {
                     tick!(tick);
-                    let v = self.load(self.reg(addr).to_ptr())?;
+                    let v = self.mem.load(self.reg(addr).to_ptr())?;
                     self.set_reg(dst, v);
                 }
                 Op::Store {
@@ -698,7 +611,7 @@ impl<'a, T: MemTap> Vm<'a, T> {
                 } => {
                     tick!(tick);
                     let v = convert_for_class(class, self.reg(src));
-                    self.store(self.reg(addr).to_ptr(), v)?;
+                    self.mem.store(self.reg(addr).to_ptr(), v)?;
                     self.set_reg(dst, v);
                 }
                 Op::CopyWords {
@@ -711,17 +624,17 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     tick!(tick);
                     let d = self.reg(dst_addr).to_ptr();
                     let s = self.reg(src).to_ptr();
-                    self.copy_words(d, s, n as usize)?;
+                    self.mem.copy_words(d, s, n as usize)?;
                     self.set_reg(dst, Value::Ptr(d));
                 }
                 Op::InitWordsLocal { off, img } => {
                     let img = &self.cp.images[img as usize];
                     let base = self.fp + off as usize;
-                    self.stack[base..base + img.len()].copy_from_slice(img);
+                    self.mem.stack[base..base + img.len()].copy_from_slice(img);
                 }
                 Op::ZeroLocal { off, len } => {
                     let base = self.fp + off as usize;
-                    self.stack[base..base + len as usize].fill(Value::Int(0));
+                    self.mem.stack[base..base + len as usize].fill(Value::Int(0));
                 }
                 Op::ToPtr { dst, src } => {
                     let v = Value::Ptr(self.reg(src).to_ptr());
@@ -803,7 +716,9 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     tick!(tick);
                     let b = self.reg(base).to_ptr();
                     let i = self.reg(idx).to_int();
-                    let v = self.load(b.wrapping_add_signed(i.wrapping_mul(elem as i64)))?;
+                    let v = self
+                        .mem
+                        .load(b.wrapping_add_signed(i.wrapping_mul(elem as i64)))?;
                     self.set_reg(dst, v);
                 }
                 Op::LoadIdxLL {
@@ -816,7 +731,9 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     tick!(tick);
                     let b = self.local(off_a).to_ptr();
                     let i = self.local(off_b).to_int();
-                    let v = self.load(b.wrapping_add_signed(i.wrapping_mul(elem as i64)))?;
+                    let v = self
+                        .mem
+                        .load(b.wrapping_add_signed(i.wrapping_mul(elem as i64)))?;
                     self.set_reg(dst, v);
                 }
                 Op::LoadIdxPL {
@@ -828,7 +745,9 @@ impl<'a, T: MemTap> Vm<'a, T> {
                 } => {
                     tick!(tick);
                     let i = self.local(idx_off).to_int();
-                    let v = self.load(base.wrapping_add_signed(i.wrapping_mul(elem as i64)))?;
+                    let v = self
+                        .mem
+                        .load(base.wrapping_add_signed(i.wrapping_mul(elem as i64)))?;
                     self.set_reg(dst, v);
                 }
                 Op::LoadIdxLeaL {
@@ -841,7 +760,9 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     tick!(tick);
                     let b = STACK_BASE + (self.fp + lea_off as usize) as u64;
                     let i = self.local(idx_off).to_int();
-                    let v = self.load(b.wrapping_add_signed(i.wrapping_mul(elem as i64)))?;
+                    let v = self
+                        .mem
+                        .load(b.wrapping_add_signed(i.wrapping_mul(elem as i64)))?;
                     self.set_reg(dst, v);
                 }
                 Op::MemberAddr {
@@ -876,12 +797,12 @@ impl<'a, T: MemTap> Vm<'a, T> {
                 } => {
                     let old = self.global(idx);
                     if T::ACTIVE {
-                        self.tap.access(Self::global_addr(idx));
+                        self.mem.tap.access(Self::global_addr(idx));
                     }
                     let new = incdec(old, delta);
                     self.set_global(idx, new);
                     if T::ACTIVE {
-                        self.tap.access(Self::global_addr(idx));
+                        self.mem.tap.access(Self::global_addr(idx));
                     }
                     self.set_reg(dst, if post { old } else { new });
                 }
@@ -894,9 +815,9 @@ impl<'a, T: MemTap> Vm<'a, T> {
                 } => {
                     tick!(tick);
                     let a = self.reg(addr).to_ptr();
-                    let old = self.load(a)?;
+                    let old = self.mem.load(a)?;
                     let new = incdec(old, delta);
-                    self.store(a, new)?;
+                    self.mem.store(a, new)?;
                     self.set_reg(dst, if post { old } else { new });
                 }
                 Op::Arith {
@@ -1044,12 +965,12 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     tick!(tick);
                     let cur = self.global(idx);
                     if T::ACTIVE {
-                        self.tap.access(Self::global_addr(idx));
+                        self.mem.tap.access(Self::global_addr(idx));
                     }
                     let v = convert_for_class(class, arith(mode, cur, self.reg(src))?);
                     self.set_global(idx, v);
                     if T::ACTIVE {
-                        self.tap.access(Self::global_addr(idx));
+                        self.mem.tap.access(Self::global_addr(idx));
                     }
                     self.set_reg(dst, v);
                 }
@@ -1063,9 +984,9 @@ impl<'a, T: MemTap> Vm<'a, T> {
                 } => {
                     tick!(tick);
                     let a = self.reg(addr).to_ptr();
-                    let cur = self.load(a)?;
+                    let cur = self.mem.load(a)?;
                     let v = convert_for_class(class, arith(mode, cur, self.reg(src))?);
-                    self.store(a, v)?;
+                    self.mem.store(a, v)?;
                     self.set_reg(dst, v);
                 }
                 Op::Jump { target, tick } => {
@@ -1261,7 +1182,9 @@ impl<'a, T: MemTap> Vm<'a, T> {
                 } => {
                     tick!(tick);
                     self.func_cost[self.cur_fn] += CALL_COST;
-                    match self.builtin(b, argbase as usize, nargs as usize) {
+                    let args = self.rp + argbase as usize;
+                    let args = &self.regs[args..args + nargs as usize];
+                    match self.libc.call(&mut self.mem, b, args) {
                         Ok(v) => self.set_reg(dst, v),
                         Err(abort) => {
                             // `exit()` surfaces as an outcome, so the
@@ -1284,7 +1207,7 @@ impl<'a, T: MemTap> Vm<'a, T> {
                             return Ok(v.to_int());
                         }
                         Some(fr) => {
-                            self.stack.truncate(self.fp);
+                            self.mem.stack.truncate(self.fp);
                             self.depth -= 1;
                             self.fp = fr.fp;
                             self.rp = fr.rp;
@@ -1322,7 +1245,7 @@ impl<'a, T: MemTap> Vm<'a, T> {
                             return Ok(v.to_int());
                         }
                         Some(fr) => {
-                            self.stack.truncate(self.fp);
+                            self.mem.stack.truncate(self.fp);
                             self.depth -= 1;
                             self.fp = fr.fp;
                             self.rp = fr.rp;
@@ -1388,7 +1311,7 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     tick!(tick);
                     let g = self.global(idx);
                     if T::ACTIVE {
-                        self.tap.access(Self::global_addr(idx));
+                        self.mem.tap.access(Self::global_addr(idx));
                     }
                     let v = arith(mode, g, Value::Int(imm as i64))?;
                     self.set_reg(dst, v);
@@ -1435,292 +1358,13 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     tick!(tick);
                     let b = self.local(off).to_ptr();
                     let i = self.reg(idx).to_int();
-                    let v = self.load(b.wrapping_add_signed(i.wrapping_mul(elem as i64)))?;
+                    let v = self
+                        .mem
+                        .load(b.wrapping_add_signed(i.wrapping_mul(elem as i64)))?;
                     self.set_reg(dst, v);
                 }
             }
         }
-    }
-
-    // ----- builtins -----
-
-    /// Argument `i`, defaulting to `Int(0)` past the end (the AST
-    /// interpreter's `arg()` helper behaves identically).
-    fn barg(&self, argbase: usize, nargs: usize, i: usize) -> Value {
-        if i < nargs {
-            self.regs[self.rp + argbase + i]
-        } else {
-            Value::Int(0)
-        }
-    }
-
-    fn builtin(&mut self, b: Builtin, argbase: usize, nargs: usize) -> Result<Value, VmAbort> {
-        // Hoisted up front so the match arms can split-borrow the
-        // string buffers (no builtin takes more than three args).
-        let args = [
-            self.barg(argbase, nargs, 0),
-            self.barg(argbase, nargs, 1),
-            self.barg(argbase, nargs, 2),
-        ];
-        let arg = |i: usize| args[i];
-        Ok(match b {
-            Builtin::Printf => {
-                let fmt_ptr = arg(0).to_ptr();
-                read_cs(
-                    &mut *self.tap,
-                    &self.data,
-                    &self.stack,
-                    fmt_ptr,
-                    &mut self.sbuf_a,
-                )?;
-                let lo = self.rp + argbase + 1.min(nargs);
-                let hi = self.rp + argbase + nargs;
-                format_into(
-                    &mut *self.tap,
-                    &self.data,
-                    &self.stack,
-                    &self.sbuf_a,
-                    &self.regs[lo..hi],
-                    &mut self.fmt_out,
-                    &mut self.sbuf_b,
-                )?;
-                self.output.extend_from_slice(self.fmt_out.as_bytes());
-                Value::Int(self.fmt_out.len() as i64)
-            }
-            Builtin::Sprintf => {
-                let buf = arg(0).to_ptr();
-                let fmt_ptr = arg(1).to_ptr();
-                read_cs(
-                    &mut *self.tap,
-                    &self.data,
-                    &self.stack,
-                    fmt_ptr,
-                    &mut self.sbuf_a,
-                )?;
-                let lo = self.rp + argbase + 2.min(nargs);
-                let hi = self.rp + argbase + nargs;
-                format_into(
-                    &mut *self.tap,
-                    &self.data,
-                    &self.stack,
-                    &self.sbuf_a,
-                    &self.regs[lo..hi],
-                    &mut self.fmt_out,
-                    &mut self.sbuf_b,
-                )?;
-                write_cs(
-                    &mut *self.tap,
-                    &mut self.data,
-                    &mut self.stack,
-                    buf,
-                    &self.fmt_out,
-                )?;
-                Value::Int(self.fmt_out.len() as i64)
-            }
-            Builtin::Putchar => {
-                self.output.push(arg(0).to_int() as u8);
-                arg(0)
-            }
-            Builtin::Puts => {
-                read_cs(
-                    &mut *self.tap,
-                    &self.data,
-                    &self.stack,
-                    arg(0).to_ptr(),
-                    &mut self.sbuf_a,
-                )?;
-                self.output.extend_from_slice(self.sbuf_a.as_bytes());
-                self.output.push(b'\n');
-                Value::Int(0)
-            }
-            Builtin::Getchar => {
-                if self.input_pos < self.input.len() {
-                    let c = self.input[self.input_pos];
-                    self.input_pos += 1;
-                    Value::Int(c as i64)
-                } else {
-                    Value::Int(-1)
-                }
-            }
-            Builtin::Malloc => Value::Ptr(heap_alloc(
-                &mut self.data,
-                self.cp.data_image.len(),
-                heap_words(arg(0).to_int(), 1),
-            )),
-            Builtin::Calloc => Value::Ptr(heap_alloc(
-                &mut self.data,
-                self.cp.data_image.len(),
-                heap_words(arg(0).to_int(), arg(1).to_int()),
-            )),
-            Builtin::Free => Value::Int(0),
-            Builtin::Memset => {
-                let p = arg(0).to_ptr();
-                let v = arg(1).to_int();
-                let n = arg(2).to_int().max(0) as u64;
-                for i in 0..n {
-                    self.store(p + i, Value::Int(v))?;
-                }
-                Value::Ptr(p)
-            }
-            Builtin::Memcpy => {
-                let d = arg(0).to_ptr();
-                let s = arg(1).to_ptr();
-                let n = arg(2).to_int().max(0) as usize;
-                self.copy_words(d, s, n)?;
-                Value::Ptr(d)
-            }
-            Builtin::Strlen => {
-                read_cs(
-                    &mut *self.tap,
-                    &self.data,
-                    &self.stack,
-                    arg(0).to_ptr(),
-                    &mut self.sbuf_a,
-                )?;
-                Value::Int(self.sbuf_a.len() as i64)
-            }
-            Builtin::Strcpy => {
-                let d = arg(0).to_ptr();
-                read_cs(
-                    &mut *self.tap,
-                    &self.data,
-                    &self.stack,
-                    arg(1).to_ptr(),
-                    &mut self.sbuf_a,
-                )?;
-                write_cs(
-                    &mut *self.tap,
-                    &mut self.data,
-                    &mut self.stack,
-                    d,
-                    &self.sbuf_a,
-                )?;
-                Value::Ptr(d)
-            }
-            Builtin::Strncpy => {
-                let d = arg(0).to_ptr();
-                read_cs(
-                    &mut *self.tap,
-                    &self.data,
-                    &self.stack,
-                    arg(1).to_ptr(),
-                    &mut self.sbuf_a,
-                )?;
-                let n = arg(2).to_int().max(0) as usize;
-                // Byte length of the first `n` chars (chars ≥ 128 are
-                // two UTF-8 bytes — the oracle's `chars().take(n)`
-                // then byte-wise copy does exactly this).
-                let s = &self.sbuf_a;
-                let byte_end = s.char_indices().nth(n).map(|(i, _)| i).unwrap_or(s.len());
-                for i in 0..byte_end {
-                    let b2 = s.as_bytes()[i];
-                    store_mem(
-                        &mut *self.tap,
-                        &mut self.data,
-                        &mut self.stack,
-                        d + i as u64,
-                        Value::Int(b2 as i64),
-                    )?;
-                }
-                for i in byte_end..n {
-                    self.store(d + i as u64, Value::Int(0))?;
-                }
-                Value::Ptr(d)
-            }
-            Builtin::Strcmp => {
-                read_cs(
-                    &mut *self.tap,
-                    &self.data,
-                    &self.stack,
-                    arg(0).to_ptr(),
-                    &mut self.sbuf_a,
-                )?;
-                read_cs(
-                    &mut *self.tap,
-                    &self.data,
-                    &self.stack,
-                    arg(1).to_ptr(),
-                    &mut self.sbuf_b,
-                )?;
-                Value::Int(ord_to_int(self.sbuf_a.cmp(&self.sbuf_b)))
-            }
-            Builtin::Strncmp => {
-                let n = arg(2).to_int().max(0) as usize;
-                read_cs(
-                    &mut *self.tap,
-                    &self.data,
-                    &self.stack,
-                    arg(0).to_ptr(),
-                    &mut self.sbuf_a,
-                )?;
-                read_cs(
-                    &mut *self.tap,
-                    &self.data,
-                    &self.stack,
-                    arg(1).to_ptr(),
-                    &mut self.sbuf_b,
-                )?;
-                // Char-sequence order equals the order of the collected
-                // strings (UTF-8 preserves code-point order).
-                let ord = self.sbuf_a.chars().take(n).cmp(self.sbuf_b.chars().take(n));
-                Value::Int(ord_to_int(ord))
-            }
-            Builtin::Strcat => {
-                let d = arg(0).to_ptr();
-                read_cs(&mut *self.tap, &self.data, &self.stack, d, &mut self.sbuf_a)?;
-                read_cs(
-                    &mut *self.tap,
-                    &self.data,
-                    &self.stack,
-                    arg(1).to_ptr(),
-                    &mut self.sbuf_b,
-                )?;
-                let at = d + self.sbuf_a.len() as u64;
-                write_cs(
-                    &mut *self.tap,
-                    &mut self.data,
-                    &mut self.stack,
-                    at,
-                    &self.sbuf_b,
-                )?;
-                Value::Ptr(d)
-            }
-            Builtin::Atoi => {
-                read_cs(
-                    &mut *self.tap,
-                    &self.data,
-                    &self.stack,
-                    arg(0).to_ptr(),
-                    &mut self.sbuf_a,
-                )?;
-                Value::Int(self.sbuf_a.trim().parse::<i64>().unwrap_or(0))
-            }
-            Builtin::Abs => Value::Int(arg(0).to_int().wrapping_abs()),
-            Builtin::Exit => return Err(VmAbort::Exit(arg(0).to_int())),
-            Builtin::Abort => return Err(RuntimeError::Aborted.into()),
-            Builtin::Rand => {
-                // xorshift64*: deterministic across runs.
-                let mut x = self.rng;
-                x ^= x >> 12;
-                x ^= x << 25;
-                x ^= x >> 27;
-                self.rng = x;
-                Value::Int(((x.wrapping_mul(0x2545F4914F6CDD1D)) >> 33) as i64)
-            }
-            Builtin::Srand => {
-                self.rng = (arg(0).to_int() as u64) | 1;
-                Value::Int(0)
-            }
-            Builtin::Sqrt => Value::Float(arg(0).to_float().sqrt()),
-            Builtin::Fabs => Value::Float(arg(0).to_float().abs()),
-            Builtin::Sin => Value::Float(arg(0).to_float().sin()),
-            Builtin::Cos => Value::Float(arg(0).to_float().cos()),
-            Builtin::Exp => Value::Float(arg(0).to_float().exp()),
-            Builtin::Log => Value::Float(arg(0).to_float().ln()),
-            Builtin::Pow => Value::Float(arg(0).to_float().powf(arg(1).to_float())),
-            Builtin::Floor => Value::Float(arg(0).to_float().floor()),
-            Builtin::Ceil => Value::Float(arg(0).to_float().ceil()),
-        })
     }
 }
 
@@ -1729,14 +1373,6 @@ fn incdec(old: Value, delta: i64) -> Value {
         Value::Float(f) => Value::Float(f + delta as f64),
         Value::Ptr(p) => Value::Ptr(p.wrapping_add_signed(delta)),
         other => Value::Int(other.to_int().wrapping_add(delta)),
-    }
-}
-
-fn ord_to_int(o: Ordering) -> i64 {
-    match o {
-        Ordering::Less => -1,
-        Ordering::Equal => 0,
-        Ordering::Greater => 1,
     }
 }
 
@@ -1836,174 +1472,4 @@ pub fn arith(mode: ArithMode, va: Value, vb: Value) -> Result<Value, RuntimeErro
             Lt | Le | Gt | Ge | Eq | Ne => unreachable!("comparisons use Cmp mode"),
         },
     })
-}
-
-// ----- memory free functions (split borrows with the string buffers) -----
-//
-// Each takes the tap explicitly so builtins can keep split-borrowing
-// the VM's string buffers; the tap fires only on *successful*
-// data-segment accesses (`0 < addr < STACK_BASE`), mirroring the AST
-// walker's `load`/`store` exactly.
-
-fn load_mem<T: MemTap>(
-    tap: &mut T,
-    data: &[Value],
-    stack: &[Value],
-    addr: u64,
-) -> Result<Value, RuntimeError> {
-    if addr == 0 {
-        return Err(RuntimeError::NullDeref);
-    }
-    if addr >= STACK_BASE {
-        let i = (addr - STACK_BASE) as usize;
-        stack
-            .get(i)
-            .copied()
-            .ok_or(RuntimeError::OutOfBounds { addr })
-    } else {
-        let i = (addr - 1) as usize;
-        let v = data
-            .get(i)
-            .copied()
-            .ok_or(RuntimeError::OutOfBounds { addr })?;
-        if T::ACTIVE {
-            tap.access(addr);
-        }
-        Ok(v)
-    }
-}
-
-fn store_mem<T: MemTap>(
-    tap: &mut T,
-    data: &mut [Value],
-    stack: &mut [Value],
-    addr: u64,
-    v: Value,
-) -> Result<(), RuntimeError> {
-    if addr == 0 {
-        return Err(RuntimeError::NullDeref);
-    }
-    if addr >= STACK_BASE {
-        match stack.get_mut((addr - STACK_BASE) as usize) {
-            Some(s) => {
-                *s = v;
-                Ok(())
-            }
-            None => Err(RuntimeError::OutOfBounds { addr }),
-        }
-    } else {
-        match data.get_mut((addr - 1) as usize) {
-            Some(s) => {
-                *s = v;
-                if T::ACTIVE {
-                    tap.access(addr);
-                }
-                Ok(())
-            }
-            None => Err(RuntimeError::OutOfBounds { addr }),
-        }
-    }
-}
-
-/// Read a NUL-terminated string into `out` (cleared first), with the
-/// oracle's byte-as-`char` semantics and 1M-word runaway guard.
-fn read_cs<T: MemTap>(
-    tap: &mut T,
-    data: &[Value],
-    stack: &[Value],
-    mut addr: u64,
-    out: &mut String,
-) -> Result<(), RuntimeError> {
-    out.clear();
-    for _ in 0..1_000_000 {
-        let c = load_mem(tap, data, stack, addr)?.to_int();
-        if c == 0 {
-            return Ok(());
-        }
-        out.push((c as u8) as char);
-        addr += 1;
-    }
-    Err(RuntimeError::Other("unterminated string".into()))
-}
-
-fn write_cs<T: MemTap>(
-    tap: &mut T,
-    data: &mut [Value],
-    stack: &mut [Value],
-    addr: u64,
-    s: &str,
-) -> Result<(), RuntimeError> {
-    for (i, b) in s.bytes().enumerate() {
-        store_mem(tap, data, stack, addr + i as u64, Value::Int(b as i64))?;
-    }
-    store_mem(tap, data, stack, addr + s.len() as u64, Value::Int(0))
-}
-
-/// `printf`-style formatting into `out` (cleared first); `tmp` holds
-/// `%s` operands. Mirrors `Interp::format` conversion-for-conversion.
-fn format_into<T: MemTap>(
-    tap: &mut T,
-    data: &[Value],
-    stack: &[Value],
-    fmt: &str,
-    args: &[Value],
-    out: &mut String,
-    tmp: &mut String,
-) -> Result<(), RuntimeError> {
-    use std::fmt::Write as _;
-    out.clear();
-    let mut chars = fmt.chars().peekable();
-    let mut next = 0usize;
-    let take = |next: &mut usize| -> Value {
-        let v = args.get(*next).copied().unwrap_or(Value::Int(0));
-        *next += 1;
-        v
-    };
-    while let Some(c) = chars.next() {
-        if c != '%' {
-            out.push(c);
-            continue;
-        }
-        // Skip flags/width/precision; honor the conversion letter.
-        let mut conv = None;
-        while let Some(&c2) = chars.peek() {
-            if c2.is_ascii_digit() || matches!(c2, '-' | '+' | '.' | ' ' | '0' | 'l' | 'h') {
-                chars.next();
-            } else {
-                conv = chars.next();
-                break;
-            }
-        }
-        let w = match conv {
-            Some('d') | Some('i') | Some('u') => write!(out, "{}", take(&mut next).to_int()),
-            Some('x') => write!(out, "{:x}", take(&mut next).to_int()),
-            Some('o') => write!(out, "{:o}", take(&mut next).to_int()),
-            Some('c') => {
-                out.push((take(&mut next).to_int() as u8) as char);
-                Ok(())
-            }
-            Some('s') => {
-                read_cs(tap, data, stack, take(&mut next).to_ptr(), tmp)?;
-                out.push_str(tmp);
-                Ok(())
-            }
-            Some('f') => write!(out, "{:.6}", take(&mut next).to_float()),
-            Some('g') | Some('e') => write!(out, "{}", take(&mut next).to_float()),
-            Some('%') => {
-                out.push('%');
-                Ok(())
-            }
-            Some(other) => {
-                out.push('%');
-                out.push(other);
-                Ok(())
-            }
-            None => {
-                out.push('%');
-                Ok(())
-            }
-        };
-        w.expect("writing to a String cannot fail");
-    }
-    Ok(())
 }

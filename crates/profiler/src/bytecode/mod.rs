@@ -2,7 +2,7 @@
 //! into a flat register-based instruction stream, then execute it with
 //! a non-recursive dispatch loop.
 //!
-//! The AST walker in [`crate::interp`] re-resolves every name, ticks
+//! The AST walker behind [`crate::run_ast`] re-resolves every name, ticks
 //! the step counter through two memory round-trips per expression
 //! node, and nests a Rust stack frame per MiniC expression. Profiling
 //! dominates `load_suite` and the test suite, so this module performs
@@ -10,8 +10,8 @@
 //!
 //! - locals become frame-slot indices; globals and string literals
 //!   become absolute addresses baked into the code (the static data
-//!   image is laid out at compile time, byte-for-byte as
-//!   `Interp::load_statics` would);
+//!   image is laid out at compile time by the runtime's one layout,
+//!   the same the walker loads);
 //! - `switch` becomes a jump table (dense) or a sorted binary search;
 //! - `&&`/`||`/`?:` become branches over a per-frame register window;
 //! - only the chords of a per-function spanning tree carry an edge
@@ -42,9 +42,9 @@ pub use exec::{arith, cmp_vals, ExecScratch};
 pub use place::{CounterPlan, Peel};
 pub use verify::verify;
 
-use crate::interp::{RunConfig, RunOutcome, RuntimeError, TyClass, Value};
 use crate::profile::Profile;
 use crate::reuse::{NoTap, ReuseCollector};
+use crate::runtime::{RunConfig, RunOutcome, RuntimeError, TyClass, Value};
 use flowgraph::{BlockId, Program};
 use minic::ast::BinOp;
 use minic::builtins::Builtin;
@@ -58,7 +58,7 @@ pub const NONE32: u32 = u32::MAX;
 
 /// How a binary operator executes, resolved at compile time from the
 /// operands' static types (the dynamic float/int split stays in the
-/// op, exactly as in `Interp::arith`).
+/// op, exactly as in the walker's `arith`).
 #[derive(Debug, Clone, Copy, PartialEq, Hash)]
 pub enum ArithMode {
     /// A comparison (`< <= > >= == !=`).
@@ -714,8 +714,8 @@ pub struct CompiledProgram {
     pub images: Vec<Vec<Value>>,
     /// Interned runtime errors for `Op::Fail`.
     pub fails: Vec<RuntimeError>,
-    /// The static data segment (globals + string literals), laid out
-    /// exactly as the AST interpreter's `load_statics`.
+    /// The static data segment (globals + string literals), in the
+    /// runtime's one layout, which the AST walker loads too.
     pub data_image: Vec<Value>,
     /// Block count per function.
     pub block_lens: Vec<u32>,

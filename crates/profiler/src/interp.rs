@@ -1,250 +1,25 @@
-//! The instrumenting CFG interpreter.
+//! The AST walker: the bytecode VM's oracle.
 //!
-//! This is the reproduction's substitute for the paper's instrumented
-//! native binaries: it executes a [`flowgraph::Program`] directly on its
-//! CFGs, counting basic blocks, edges, branch directions, call sites,
-//! and function invocations — exactly the quantities the paper's
-//! profiling runs collected. An abstract cost model (one unit per
-//! expression node evaluated, plus block and call overheads) stands in
-//! for wall-clock time in the Figure 10 selective-optimization
-//! experiment.
-//!
-//! Memory is word-addressed: address 0 is NULL, static data and the
-//! heap live at low addresses, and the stack lives above
-//! [`STACK_BASE`]. Every scalar occupies one word.
+//! It executes a [`flowgraph::Program`] directly on its CFGs and
+//! expression trees, counting basic blocks, edges, branch directions,
+//! call sites, function invocations and abstract cost units (one per
+//! expression node evaluated, plus block and call overheads). The VM
+//! derives the same counts by compiling — op selection and fusion,
+//! register and frame layout, counter placement and rebuild, the
+//! optimizer's rewrites — and must agree with this plain reading of
+//! the tree. Memory, the static image and the C library are not
+//! compiled: both engines run the one copy in [`crate::runtime`].
 
 use crate::profile::Profile;
 use crate::reuse::{MemTap, NoTap, ObjectMap, ReuseCollector, ReuseTrace};
+use crate::runtime::{
+    convert_for_class, member_offset, Abort, Libc, Memory, NodeTables, NodeTy, RunConfig,
+    RunOutcome, RuntimeError, StaticLayout, StrBufs, TyClass, Value, CALL_COST, STACK_BASE,
+};
 use flowgraph::{BlockId, Cfg, Instr, Program, Terminator};
 use minic::ast::{BinOp, Expr, ExprKind, UnOp};
-use minic::builtins::Builtin;
-use minic::sema::{CalleeKind, FuncId, InitWord, Module, Resolution};
-use minic::side::DeclIndex;
-use minic::types::{Type, MAX_STATIC_WORDS};
-use std::error::Error;
-use std::fmt;
-
-/// First address of the stack region.
-pub const STACK_BASE: u64 = 1 << 40;
-
-/// Cost units charged per function call (on top of per-expression units).
-pub const CALL_COST: u64 = 4;
-
-/// Words a `malloc(count)` (`size` 1) or `calloc(count, size)` call
-/// asks for: at least one, or `None` when `count * size` overflows.
-pub(crate) fn heap_words(count: i64, size: i64) -> Option<usize> {
-    (count.max(0) as usize)
-        .checked_mul(size.max(1) as usize)
-        .map(|w| w.max(1))
-}
-
-/// Both engines' heap: appends `words` zeroed words to the data
-/// segment and returns the first one's address. The heap is the data
-/// segment past its first `heap_base` words (the static image), and a
-/// run's heap holds at most [`MAX_STATIC_WORDS`] words: a request that
-/// overflowed (`None`) or would go past that returns NULL, as C's
-/// `malloc` does when memory runs out.
-pub(crate) fn heap_alloc(data: &mut Vec<Value>, heap_base: usize, words: Option<usize>) -> u64 {
-    let used = data.len() - heap_base;
-    match words {
-        Some(n) if n <= MAX_STATIC_WORDS - used => {
-            let addr = data.len() as u64 + 1;
-            data.resize(data.len() + n, Value::Int(0));
-            addr
-        }
-        _ => 0,
-    }
-}
-
-/// A runtime value: one machine word.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Value {
-    /// Integer / char word.
-    Int(i64),
-    /// Floating word.
-    Float(f64),
-    /// Pointer word (0 = NULL).
-    Ptr(u64),
-    /// Function pointer.
-    Fn(FuncId),
-}
-
-/// Hashes the exact bit pattern: floats by [`f64::to_bits`], so `0.0`
-/// and `-0.0` (which behave differently under division) hash apart.
-impl std::hash::Hash for Value {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        std::mem::discriminant(self).hash(state);
-        match *self {
-            Value::Int(v) => v.hash(state),
-            Value::Float(v) => v.to_bits().hash(state),
-            Value::Ptr(p) => p.hash(state),
-            Value::Fn(f) => f.hash(state),
-        }
-    }
-}
-
-impl Value {
-    /// C truthiness.
-    pub fn truthy(self) -> bool {
-        match self {
-            Value::Int(v) => v != 0,
-            Value::Float(v) => v != 0.0,
-            Value::Ptr(p) => p != 0,
-            Value::Fn(_) => true,
-        }
-    }
-
-    /// The value as an integer word (C integer conversion).
-    pub fn to_int(self) -> i64 {
-        match self {
-            Value::Int(v) => v,
-            Value::Float(v) => v as i64,
-            Value::Ptr(p) => p as i64,
-            Value::Fn(f) => f.0 as i64,
-        }
-    }
-
-    /// The value as a float (C floating conversion).
-    pub fn to_float(self) -> f64 {
-        match self {
-            Value::Int(v) => v as f64,
-            Value::Float(v) => v,
-            Value::Ptr(p) => p as f64,
-            Value::Fn(f) => f.0 as f64,
-        }
-    }
-
-    /// The value as a pointer word (function values decay to NULL).
-    pub fn to_ptr(self) -> u64 {
-        match self {
-            Value::Ptr(p) => p,
-            Value::Int(v) => v as u64,
-            Value::Float(v) => v as u64,
-            Value::Fn(_) => 0,
-        }
-    }
-}
-
-/// Errors the interpreter can report.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RuntimeError {
-    /// Load or store through a NULL pointer.
-    NullDeref,
-    /// Address outside any allocated region.
-    OutOfBounds {
-        /// The offending address.
-        addr: u64,
-    },
-    /// Integer division or remainder by zero.
-    DivByZero,
-    /// The configured step budget was exhausted.
-    StepLimit {
-        /// The budget that was exceeded.
-        limit: u64,
-    },
-    /// Call depth exceeded the configured maximum.
-    StackOverflow {
-        /// The depth limit.
-        limit: usize,
-    },
-    /// A call's frame would take the live stack (every active frame
-    /// together) past [`MAX_STATIC_WORDS`] words — or, in the VM, its
-    /// register window past as many registers.
-    StackBudget {
-        /// The budget, in words.
-        limit: usize,
-    },
-    /// An indirect call reached a value that is not a function.
-    NotAFunction,
-    /// A call reached a function with no body.
-    Undefined {
-        /// The function's name.
-        name: String,
-    },
-    /// The program called `abort()`.
-    Aborted,
-    /// The program has no `main` function.
-    NoMain,
-    /// Anything else (bad builtin arguments, etc.).
-    Other(String),
-}
-
-impl fmt::Display for RuntimeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RuntimeError::NullDeref => write!(f, "null pointer dereference"),
-            RuntimeError::OutOfBounds { addr } => write!(f, "wild address {addr:#x}"),
-            RuntimeError::DivByZero => write!(f, "integer division by zero"),
-            RuntimeError::StepLimit { limit } => write!(f, "exceeded step limit {limit}"),
-            RuntimeError::StackOverflow { limit } => {
-                write!(f, "call depth exceeded {limit}")
-            }
-            RuntimeError::StackBudget { limit } => {
-                write!(f, "call would take the live stack past {limit} words")
-            }
-            RuntimeError::NotAFunction => write!(f, "indirect call through a non-function"),
-            RuntimeError::Undefined { name } => {
-                write!(f, "call to undefined function `{name}`")
-            }
-            RuntimeError::Aborted => write!(f, "program called abort()"),
-            RuntimeError::NoMain => write!(f, "program has no `main` function"),
-            RuntimeError::Other(msg) => f.write_str(msg),
-        }
-    }
-}
-
-impl Error for RuntimeError {}
-
-/// Run configuration.
-#[derive(Debug, Clone)]
-pub struct RunConfig {
-    /// Bytes served to `getchar()`.
-    pub input: Vec<u8>,
-    /// Abort the run after this many evaluation steps.
-    pub max_steps: u64,
-    /// Maximum MiniC call depth.
-    pub max_call_depth: usize,
-}
-
-impl Default for RunConfig {
-    fn default() -> Self {
-        RunConfig {
-            input: Vec::new(),
-            max_steps: 400_000_000,
-            max_call_depth: 50_000,
-        }
-    }
-}
-
-impl RunConfig {
-    /// A config serving the given input bytes with default limits.
-    pub fn with_input(input: impl Into<Vec<u8>>) -> Self {
-        RunConfig {
-            input: input.into(),
-            ..RunConfig::default()
-        }
-    }
-}
-
-/// The result of a successful (or `exit()`ed) run.
-#[derive(Debug, Clone)]
-pub struct RunOutcome {
-    /// `main`'s return value or the `exit()` status.
-    pub exit_code: i64,
-    /// The collected profile.
-    pub profile: Profile,
-    /// Everything the program printed.
-    pub output: Vec<u8>,
-    /// Evaluation steps consumed.
-    pub steps: u64,
-}
-
-impl RunOutcome {
-    /// The program output as UTF-8 (lossy).
-    pub fn stdout(&self) -> String {
-        String::from_utf8_lossy(&self.output).into_owned()
-    }
-}
+use minic::sema::{CalleeKind, FuncId, Resolution};
+use minic::types::Type;
 
 /// Runs `main` by walking the CFG/AST directly and collects a profile.
 ///
@@ -252,8 +27,9 @@ impl RunOutcome {
 /// differential-testing oracle for the bytecode VM behind
 /// [`crate::run`] — exactly as `linsolve`'s dense solver is the oracle
 /// for the sparse one. The two must agree on exit code, output,
-/// steps, and the full [`Profile`]; `tests/properties.rs` enforces
-/// this on random programs.
+/// steps, and the full [`Profile`]; `crates/profiler/tests/vm_oracle.rs`
+/// enforces this on random programs, and so does the fuzzer's oracle 2
+/// (`fuzzgen`).
 ///
 /// # Errors
 ///
@@ -327,10 +103,23 @@ fn run_on_this_thread<T: MemTap>(
         .module
         .function_id("main")
         .ok_or(RuntimeError::NoMain)?;
-    let mut interp = Interp::new(program, config, tap);
-    interp.load_statics();
-    let result = interp.call_function(main, Vec::new());
-    let exit_code = match result {
+    let layout = StaticLayout::of(&program.module);
+    let image = layout.image(&program.module);
+    let mut interp = Interp {
+        mem: Memory::new(image, Vec::new(), tap),
+        libc: Libc::new(&config.input, StrBufs::default()),
+        layout,
+        program,
+        tables: NodeTables::build(program),
+        profile: Profile::for_program(program),
+        steps: 0,
+        max_steps: config.max_steps,
+        depth: 0,
+        max_depth: config.max_call_depth,
+        cur_fn: FuncId(0),
+        fp: 0,
+    };
+    let exit_code = match interp.call_function(main, Vec::new()) {
         Ok(v) => v.to_int(),
         Err(Abort::Exit(code)) => code,
         Err(Abort::Error(e)) => return Err(e),
@@ -339,302 +128,34 @@ fn run_on_this_thread<T: MemTap>(
         RunOutcome {
             exit_code,
             profile: interp.profile,
-            output: interp.output,
+            output: interp.libc.output,
             steps: interp.steps,
         },
-        interp.tap,
+        interp.mem.tap,
     ))
-}
-
-/// A compact classification of an expression's type, precomputed per
-/// AST node so the hot evaluation loop never touches a `HashMap` or
-/// clones a `Type`. Shared with the bytecode compiler, which uses the
-/// same classification to pick type-specialized opcodes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct NodeTy {
-    pub(crate) class: TyClass,
-    /// Element size in words for pointer-like types (1 otherwise).
-    pub(crate) elem: u32,
-    /// Total size in words (aggregates; 1 for scalars).
-    pub(crate) size: u32,
-}
-
-/// Storage class of a slot, driving value conversion on store. Public
-/// so the optimizer crate can interpret typed bytecode operands.
-#[derive(Debug, Clone, Copy, PartialEq, Hash)]
-pub enum TyClass {
-    /// Integer / char word.
-    Int,
-    /// Floating word.
-    Float,
-    /// Data pointer word.
-    Ptr,
-    /// Function pointer word.
-    FnPtr,
-    /// Aggregate (struct / array) — handled by address, never converted.
-    Agg,
-    /// `void` and friends — never stored.
-    Other,
-}
-
-impl NodeTy {
-    pub(crate) const DEFAULT: NodeTy = NodeTy {
-        class: TyClass::Int,
-        elem: 1,
-        size: 1,
-    };
-
-    pub(crate) fn of(ty: &Type, structs: &minic::types::StructLayouts) -> NodeTy {
-        match ty {
-            Type::Int | Type::Char => NodeTy::DEFAULT,
-            Type::Float => NodeTy {
-                class: TyClass::Float,
-                elem: 1,
-                size: 1,
-            },
-            Type::Ptr(inner) => NodeTy {
-                class: TyClass::Ptr,
-                elem: match &**inner {
-                    Type::Void => 1,
-                    t => t.size_words(structs) as u32,
-                },
-                size: 1,
-            },
-            Type::FnPtr(_) => NodeTy {
-                class: TyClass::FnPtr,
-                elem: 1,
-                size: 1,
-            },
-            Type::Array(elem, n) => NodeTy {
-                class: TyClass::Agg,
-                elem: elem.size_words(structs) as u32,
-                size: (elem.size_words(structs) * n) as u32,
-            },
-            Type::Struct(id) => NodeTy {
-                class: TyClass::Agg,
-                elem: 1,
-                size: structs.layout(*id).size as u32,
-            },
-            Type::Void => NodeTy {
-                class: TyClass::Other,
-                elem: 1,
-                size: 1,
-            },
-        }
-    }
-
-    pub(crate) fn is_ptr_like(self) -> bool {
-        matches!(self.class, TyClass::Ptr | TyClass::Agg)
-    }
-}
-
-/// Each expression's [`NodeTy`], in one column over the slots of the
-/// module's shared [`DeclIndex`]: one linear pass over sema's type
-/// column fills it, and a lookup is the same two array reads as sema's
-/// own columns. Ids without a slot or a type read as
-/// [`NodeTy::DEFAULT`].
-pub(crate) struct NodeTables<'p> {
-    index: &'p DeclIndex,
-    ty: Vec<NodeTy>,
-}
-
-impl<'p> NodeTables<'p> {
-    pub(crate) fn build(program: &'p Program) -> Self {
-        let module = &program.module;
-        let ty = module
-            .side
-            .types()
-            .iter()
-            .map(|t| {
-                t.as_ref()
-                    .map_or(NodeTy::DEFAULT, |t| NodeTy::of(t, &module.structs))
-            })
-            .collect();
-        NodeTables {
-            index: module.side.index(),
-            ty,
-        }
-    }
-
-    #[inline]
-    pub(crate) fn ty(&self, n: minic::ast::NodeId) -> NodeTy {
-        self.index.slot(n).map_or(NodeTy::DEFAULT, |i| self.ty[i])
-    }
-}
-
-/// The word offset of the field member expression `e` selects, as
-/// sema resolved it; `None` when `e` is no member access of `module`.
-/// A reused CFG's expressions keep their node ids but not their
-/// symbols, so the engines read this column, never the field's name.
-pub(crate) fn member_offset(module: &Module, e: &Expr) -> Option<u32> {
-    module.side.field_offset(e.id).map(|off| off as u32)
-}
-
-/// Non-local control flow out of `eval`.
-enum Abort {
-    Exit(i64),
-    Error(RuntimeError),
-}
-
-impl From<RuntimeError> for Abort {
-    fn from(e: RuntimeError) -> Self {
-        Abort::Error(e)
-    }
 }
 
 type VResult = Result<Value, Abort>;
 
 struct Interp<'p, T: MemTap> {
-    /// Reuse-trace tap: [`NoTap`] in normal runs (every `T::ACTIVE`
-    /// check monomorphizes away), a [`ReuseCollector`] under
-    /// [`run_ast_traced`]. Fires on successful data-segment accesses
-    /// only, mirroring the bytecode VM's tap placement exactly.
-    tap: T,
+    /// The address space. Its tap is [`NoTap`] in normal runs (every
+    /// `T::ACTIVE` check monomorphizes away) and a [`ReuseCollector`]
+    /// under [`run_ast_traced`].
+    mem: Memory<T>,
+    libc: Libc<'p>,
+    layout: StaticLayout,
     program: &'p Program,
     tables: NodeTables<'p>,
-    data: Vec<Value>,
-    stack: Vec<Value>,
-    global_addr: Vec<u64>,
-    str_addr: Vec<u64>,
-    /// The static image's length: `malloc` allocates past it.
-    heap_base: usize,
     profile: Profile,
-    output: Vec<u8>,
-    input: &'p [u8],
-    input_pos: usize,
     steps: u64,
     max_steps: u64,
     depth: usize,
     max_depth: usize,
-    rng: u64,
     cur_fn: FuncId,
     fp: usize,
 }
 
 impl<'p, T: MemTap> Interp<'p, T> {
-    fn new(program: &'p Program, config: &'p RunConfig, tap: T) -> Self {
-        Interp {
-            tap,
-            program,
-            tables: NodeTables::build(program),
-            data: Vec::new(),
-            stack: Vec::new(),
-            global_addr: Vec::new(),
-            str_addr: Vec::new(),
-            heap_base: 0,
-            profile: Profile::for_program(program),
-            output: Vec::new(),
-            input: &config.input,
-            input_pos: 0,
-            steps: 0,
-            max_steps: config.max_steps,
-            depth: 0,
-            max_depth: config.max_call_depth,
-            rng: 0x2545F4914F6CDD1D,
-            cur_fn: FuncId(0),
-            fp: 0,
-        }
-    }
-
-    // ----- memory -----
-
-    fn alloc_static(&mut self, words: usize) -> u64 {
-        let addr = self.data.len() as u64 + 1;
-        self.data.extend(std::iter::repeat_n(Value::Int(0), words));
-        addr
-    }
-
-    fn load(&mut self, addr: u64) -> Result<Value, RuntimeError> {
-        if addr == 0 {
-            return Err(RuntimeError::NullDeref);
-        }
-        if addr >= STACK_BASE {
-            let i = (addr - STACK_BASE) as usize;
-            self.stack
-                .get(i)
-                .copied()
-                .ok_or(RuntimeError::OutOfBounds { addr })
-        } else {
-            let i = (addr - 1) as usize;
-            let v = self
-                .data
-                .get(i)
-                .copied()
-                .ok_or(RuntimeError::OutOfBounds { addr })?;
-            if T::ACTIVE {
-                self.tap.access(addr);
-            }
-            Ok(v)
-        }
-    }
-
-    fn store(&mut self, addr: u64, v: Value) -> Result<(), RuntimeError> {
-        if addr == 0 {
-            return Err(RuntimeError::NullDeref);
-        }
-        if addr >= STACK_BASE {
-            let i = (addr - STACK_BASE) as usize;
-            match self.stack.get_mut(i) {
-                Some(slot) => {
-                    *slot = v;
-                    Ok(())
-                }
-                None => Err(RuntimeError::OutOfBounds { addr }),
-            }
-        } else {
-            let i = (addr - 1) as usize;
-            match self.data.get_mut(i) {
-                Some(slot) => {
-                    *slot = v;
-                    if T::ACTIVE {
-                        self.tap.access(addr);
-                    }
-                    Ok(())
-                }
-                None => Err(RuntimeError::OutOfBounds { addr }),
-            }
-        }
-    }
-
-    fn copy_words(&mut self, dst: u64, src: u64, n: usize) -> Result<(), RuntimeError> {
-        for i in 0..n as u64 {
-            let v = self.load(src + i)?;
-            self.store(dst + i, v)?;
-        }
-        Ok(())
-    }
-
-    fn load_statics(&mut self) {
-        // Globals first, then string literals, then the heap grows.
-        let module = &self.program.module;
-        for g in &module.globals {
-            let addr = self.alloc_static(g.size);
-            self.global_addr.push(addr);
-        }
-        for s in &module.strings {
-            let addr = self.alloc_static(s.len() + 1);
-            for (i, b) in s.bytes().enumerate() {
-                self.data[(addr - 1) as usize + i] = Value::Int(b as i64);
-            }
-            self.str_addr.push(addr);
-        }
-        self.heap_base = self.data.len();
-        // Resolve initializer words (done after all addresses exist).
-        for g in &module.globals {
-            let base = self.global_addr[g.id.0 as usize];
-            for (i, w) in g.init.iter().enumerate() {
-                let v = match *w {
-                    InitWord::Int(x) => Value::Int(x),
-                    InitWord::Float(x) => Value::Float(x),
-                    InitWord::StrPtr(idx) => Value::Ptr(self.str_addr[idx]),
-                    InitWord::Fn(fid) => Value::Fn(fid),
-                    InitWord::GlobalAddr(gid) => Value::Ptr(self.global_addr[gid.0 as usize]),
-                };
-                self.data[(base - 1) as usize + i] = v;
-            }
-        }
-    }
-
     // ----- type helpers -----
 
     #[inline]
@@ -673,19 +194,12 @@ impl<'p, T: MemTap> Interp<'p, T> {
             }
             .into());
         }
-        if func.frame_size > MAX_STATIC_WORDS - self.stack.len() {
-            return Err(RuntimeError::StackBudget {
-                limit: MAX_STATIC_WORDS,
-            }
-            .into());
-        }
+        let fp = self.mem.push_frame(func.frame_size)?;
         self.depth += 1;
         let saved_fn = self.cur_fn;
         let saved_fp = self.fp;
         self.cur_fn = fid;
-        self.fp = self.stack.len();
-        self.stack
-            .extend(std::iter::repeat_n(Value::Int(0), func.frame_size));
+        self.fp = fp;
         self.profile.func_counts[fid.0 as usize] += 1;
         self.profile.func_cost[fid.0 as usize] += CALL_COST;
 
@@ -696,16 +210,16 @@ impl<'p, T: MemTap> Interp<'p, T> {
             if Self::is_aggregate(&local.ty) {
                 let n = local.size;
                 let src = arg.to_ptr();
-                self.copy_words(addr, src, n)?;
+                self.mem.copy_words(addr, src, n)?;
             } else {
                 let v = convert_for_store(&local.ty, arg);
-                self.store(addr, v)?;
+                self.mem.store(addr, v)?;
             }
         }
 
         let result = self.run_cfg(cfg);
 
-        self.stack.truncate(self.fp);
+        self.mem.stack.truncate(self.fp);
         self.fp = saved_fp;
         self.cur_fn = saved_fn;
         self.depth -= 1;
@@ -794,10 +308,10 @@ impl<'p, T: MemTap> Interp<'p, T> {
                 let base = STACK_BASE + (self.fp + func.locals[local.0 as usize].offset) as u64;
                 if Self::is_aggregate(ty) {
                     let n = ty.size_words(&self.program.module.structs);
-                    self.copy_words(base + *word as u64, v.to_ptr(), n)?;
+                    self.mem.copy_words(base + *word as u64, v.to_ptr(), n)?;
                 } else {
                     let v = convert_for_store(ty, v);
-                    self.store(base + *word as u64, v)?;
+                    self.mem.store(base + *word as u64, v)?;
                 }
             }
             Instr::InitStr {
@@ -811,10 +325,10 @@ impl<'p, T: MemTap> Interp<'p, T> {
                     STACK_BASE + (self.fp + func.locals[local.0 as usize].offset + word) as u64;
                 let s: &str = &self.program.module.strings[*str_idx];
                 for (i, b) in s.bytes().enumerate() {
-                    self.store(base + i as u64, Value::Int(b as i64))?;
+                    self.mem.store(base + i as u64, Value::Int(b as i64))?;
                 }
                 for i in s.len()..*pad_to {
-                    self.store(base + i as u64, Value::Int(0))?;
+                    self.mem.store(base + i as u64, Value::Int(0))?;
                 }
             }
             Instr::InitZero { local, word, len } => {
@@ -822,7 +336,7 @@ impl<'p, T: MemTap> Interp<'p, T> {
                 let base =
                     STACK_BASE + (self.fp + func.locals[local.0 as usize].offset + word) as u64;
                 for i in 0..*len as u64 {
-                    self.store(base + i, Value::Int(0))?;
+                    self.mem.store(base + i, Value::Int(0))?;
                 }
             }
         }
@@ -845,7 +359,7 @@ impl<'p, T: MemTap> Interp<'p, T> {
                         let func = self.program.module.function(self.cur_fn);
                         Ok(STACK_BASE + (self.fp + func.locals[lid.0 as usize].offset) as u64)
                     }
-                    Resolution::Global(gid) => Ok(self.global_addr[gid.0 as usize]),
+                    Resolution::Global(gid) => Ok(self.layout.global_addr[gid.0 as usize]),
                     Resolution::Func(_) | Resolution::Builtin(_) | Resolution::EnumConst(_) => {
                         Err(RuntimeError::Other("constant is not an lvalue".into()).into())
                     }
@@ -893,7 +407,7 @@ impl<'p, T: MemTap> Interp<'p, T> {
         if self.nty(e).class == TyClass::Agg {
             Ok(Value::Ptr(addr))
         } else {
-            Ok(self.load(addr)?)
+            Ok(self.mem.load(addr)?)
         }
     }
 
@@ -905,7 +419,7 @@ impl<'p, T: MemTap> Interp<'p, T> {
             ExprKind::StrLit(_) => {
                 let idx = self.program.module.side.str_index(e.id);
                 Ok(Value::Ptr(
-                    self.str_addr[idx.expect("sema interned every string literal")],
+                    self.layout.str_addr[idx.expect("sema interned every string literal")],
                 ))
             }
             ExprKind::Ident(_) => {
@@ -956,20 +470,20 @@ impl<'p, T: MemTap> Interp<'p, T> {
                 let result = match op {
                     None => {
                         if lty.class == TyClass::Agg {
-                            self.copy_words(addr, rv.to_ptr(), lty.size as usize)?;
+                            self.mem.copy_words(addr, rv.to_ptr(), lty.size as usize)?;
                             Value::Ptr(addr)
                         } else {
                             let v = convert_for_class(lty.class, rv);
-                            self.store(addr, v)?;
+                            self.mem.store(addr, v)?;
                             v
                         }
                     }
                     Some(op) => {
                         let rty = self.nty(rhs);
-                        let cur = self.load(addr)?;
+                        let cur = self.mem.load(addr)?;
                         let v = self.arith(*op, cur, rv, lty, rty)?;
                         let v = convert_for_class(lty.class, v);
-                        self.store(addr, v)?;
+                        self.mem.store(addr, v)?;
                         v
                     }
                 };
@@ -1040,7 +554,7 @@ impl<'p, T: MemTap> Interp<'p, T> {
                 } else if addr == 0 {
                     Err(RuntimeError::NullDeref.into())
                 } else {
-                    Ok(self.load(addr)?)
+                    Ok(self.mem.load(addr)?)
                 }
             }
             UnOp::Addr => {
@@ -1058,7 +572,7 @@ impl<'p, T: MemTap> Interp<'p, T> {
             UnOp::PreInc | UnOp::PreDec | UnOp::PostInc | UnOp::PostDec => {
                 let nt = self.nty(inner);
                 let addr = self.place(inner)?;
-                let old = self.load(addr)?;
+                let old = self.mem.load(addr)?;
                 let step = if nt.class == TyClass::Ptr {
                     nt.elem as i64
                 } else {
@@ -1073,7 +587,7 @@ impl<'p, T: MemTap> Interp<'p, T> {
                     Value::Ptr(p) => Value::Ptr(p.wrapping_add_signed(delta)),
                     other => Value::Int(other.to_int().wrapping_add(delta)),
                 };
-                self.store(addr, new)?;
+                self.mem.store(addr, new)?;
                 Ok(match op {
                     UnOp::PostInc | UnOp::PostDec => old,
                     _ => new,
@@ -1199,7 +713,7 @@ impl<'p, T: MemTap> Interp<'p, T> {
                     argv.push(self.eval(a)?);
                 }
                 self.profile.func_cost[self.cur_fn.0 as usize] += CALL_COST;
-                self.builtin(b, &argv)
+                self.libc.call(&mut self.mem, b, &argv)
             }
             CalleeKind::Indirect => {
                 let f = self.eval(callee)?;
@@ -1213,248 +727,6 @@ impl<'p, T: MemTap> Interp<'p, T> {
                 self.call_function(fid, argv)
             }
         }
-    }
-
-    // ----- builtins -----
-
-    fn read_cstring(&mut self, mut addr: u64) -> Result<String, RuntimeError> {
-        let mut out = String::new();
-        for _ in 0..1_000_000 {
-            let v = self.load(addr)?;
-            let c = v.to_int();
-            if c == 0 {
-                return Ok(out);
-            }
-            out.push((c as u8) as char);
-            addr += 1;
-        }
-        Err(RuntimeError::Other("unterminated string".into()))
-    }
-
-    fn write_cstring(&mut self, addr: u64, s: &str) -> Result<(), RuntimeError> {
-        for (i, b) in s.bytes().enumerate() {
-            self.store(addr + i as u64, Value::Int(b as i64))?;
-        }
-        self.store(addr + s.len() as u64, Value::Int(0))?;
-        Ok(())
-    }
-
-    fn format(&mut self, fmt: &str, args: &[Value]) -> Result<String, RuntimeError> {
-        let mut out = String::new();
-        let mut chars = fmt.chars().peekable();
-        let mut next = 0usize;
-        let take = |next: &mut usize| -> Value {
-            let v = args.get(*next).copied().unwrap_or(Value::Int(0));
-            *next += 1;
-            v
-        };
-        while let Some(c) = chars.next() {
-            if c != '%' {
-                out.push(c);
-                continue;
-            }
-            // Skip flags/width/precision; honor the conversion letter.
-            let mut conv = None;
-            let mut _width = String::new();
-            while let Some(&c2) = chars.peek() {
-                if c2.is_ascii_digit() || matches!(c2, '-' | '+' | '.' | ' ' | '0' | 'l' | 'h') {
-                    _width.push(c2);
-                    chars.next();
-                } else {
-                    conv = chars.next();
-                    break;
-                }
-            }
-            match conv {
-                Some('d') | Some('i') | Some('u') => {
-                    out.push_str(&take(&mut next).to_int().to_string())
-                }
-                Some('x') => out.push_str(&format!("{:x}", take(&mut next).to_int())),
-                Some('o') => out.push_str(&format!("{:o}", take(&mut next).to_int())),
-                Some('c') => {
-                    let v = take(&mut next).to_int();
-                    out.push((v as u8) as char);
-                }
-                Some('s') => {
-                    let p = take(&mut next).to_ptr();
-                    out.push_str(&self.read_cstring(p)?);
-                }
-                Some('f') => out.push_str(&format!("{:.6}", take(&mut next).to_float())),
-                Some('g') | Some('e') => out.push_str(&format!("{}", take(&mut next).to_float())),
-                Some('%') => out.push('%'),
-                Some(other) => {
-                    out.push('%');
-                    out.push(other);
-                }
-                None => out.push('%'),
-            }
-        }
-        Ok(out)
-    }
-
-    fn builtin(&mut self, b: Builtin, args: &[Value]) -> VResult {
-        let arg = |i: usize| args.get(i).copied().unwrap_or(Value::Int(0));
-        Ok(match b {
-            Builtin::Printf => {
-                let fmt = self.read_cstring(arg(0).to_ptr())?;
-                let s = self.format(&fmt, &args[1.min(args.len())..])?;
-                self.output.extend_from_slice(s.as_bytes());
-                Value::Int(s.len() as i64)
-            }
-            Builtin::Sprintf => {
-                let buf = arg(0).to_ptr();
-                let fmt = self.read_cstring(arg(1).to_ptr())?;
-                let s = self.format(&fmt, &args[2.min(args.len())..])?;
-                self.write_cstring(buf, &s)?;
-                Value::Int(s.len() as i64)
-            }
-            Builtin::Putchar => {
-                self.output.push(arg(0).to_int() as u8);
-                arg(0)
-            }
-            Builtin::Puts => {
-                let s = self.read_cstring(arg(0).to_ptr())?;
-                self.output.extend_from_slice(s.as_bytes());
-                self.output.push(b'\n');
-                Value::Int(0)
-            }
-            Builtin::Getchar => {
-                if self.input_pos < self.input.len() {
-                    let c = self.input[self.input_pos];
-                    self.input_pos += 1;
-                    Value::Int(c as i64)
-                } else {
-                    Value::Int(-1)
-                }
-            }
-            Builtin::Malloc => Value::Ptr(heap_alloc(
-                &mut self.data,
-                self.heap_base,
-                heap_words(arg(0).to_int(), 1),
-            )),
-            Builtin::Calloc => Value::Ptr(heap_alloc(
-                &mut self.data,
-                self.heap_base,
-                heap_words(arg(0).to_int(), arg(1).to_int()),
-            )),
-            Builtin::Free => Value::Int(0),
-            Builtin::Memset => {
-                let p = arg(0).to_ptr();
-                let v = arg(1).to_int();
-                let n = arg(2).to_int().max(0) as u64;
-                for i in 0..n {
-                    self.store(p + i, Value::Int(v))?;
-                }
-                Value::Ptr(p)
-            }
-            Builtin::Memcpy => {
-                let d = arg(0).to_ptr();
-                let s = arg(1).to_ptr();
-                let n = arg(2).to_int().max(0) as usize;
-                self.copy_words(d, s, n)?;
-                Value::Ptr(d)
-            }
-            Builtin::Strlen => {
-                let s = self.read_cstring(arg(0).to_ptr())?;
-                Value::Int(s.len() as i64)
-            }
-            Builtin::Strcpy => {
-                let d = arg(0).to_ptr();
-                let s = self.read_cstring(arg(1).to_ptr())?;
-                self.write_cstring(d, &s)?;
-                Value::Ptr(d)
-            }
-            Builtin::Strncpy => {
-                let d = arg(0).to_ptr();
-                let s = self.read_cstring(arg(1).to_ptr())?;
-                let n = arg(2).to_int().max(0) as usize;
-                let truncated: String = s.chars().take(n).collect();
-                for (i, ch) in truncated.bytes().enumerate() {
-                    self.store(d + i as u64, Value::Int(ch as i64))?;
-                }
-                for i in truncated.len()..n {
-                    self.store(d + i as u64, Value::Int(0))?;
-                }
-                Value::Ptr(d)
-            }
-            Builtin::Strcmp => {
-                let a = self.read_cstring(arg(0).to_ptr())?;
-                let b2 = self.read_cstring(arg(1).to_ptr())?;
-                Value::Int(match a.cmp(&b2) {
-                    std::cmp::Ordering::Less => -1,
-                    std::cmp::Ordering::Equal => 0,
-                    std::cmp::Ordering::Greater => 1,
-                })
-            }
-            Builtin::Strncmp => {
-                let n = arg(2).to_int().max(0) as usize;
-                let a: String = self
-                    .read_cstring(arg(0).to_ptr())?
-                    .chars()
-                    .take(n)
-                    .collect();
-                let b2: String = self
-                    .read_cstring(arg(1).to_ptr())?
-                    .chars()
-                    .take(n)
-                    .collect();
-                Value::Int(match a.cmp(&b2) {
-                    std::cmp::Ordering::Less => -1,
-                    std::cmp::Ordering::Equal => 0,
-                    std::cmp::Ordering::Greater => 1,
-                })
-            }
-            Builtin::Strcat => {
-                let d = arg(0).to_ptr();
-                let a = self.read_cstring(d)?;
-                let b2 = self.read_cstring(arg(1).to_ptr())?;
-                self.write_cstring(d + a.len() as u64, &b2)?;
-                Value::Ptr(d)
-            }
-            Builtin::Atoi => {
-                let s = self.read_cstring(arg(0).to_ptr())?;
-                Value::Int(s.trim().parse::<i64>().unwrap_or(0))
-            }
-            Builtin::Abs => Value::Int(arg(0).to_int().wrapping_abs()),
-            Builtin::Exit => return Err(Abort::Exit(arg(0).to_int())),
-            Builtin::Abort => return Err(RuntimeError::Aborted.into()),
-            Builtin::Rand => {
-                // xorshift64*: deterministic across runs.
-                let mut x = self.rng;
-                x ^= x >> 12;
-                x ^= x << 25;
-                x ^= x >> 27;
-                self.rng = x;
-                Value::Int(((x.wrapping_mul(0x2545F4914F6CDD1D)) >> 33) as i64)
-            }
-            Builtin::Srand => {
-                self.rng = (arg(0).to_int() as u64) | 1;
-                Value::Int(0)
-            }
-            Builtin::Sqrt => Value::Float(arg(0).to_float().sqrt()),
-            Builtin::Fabs => Value::Float(arg(0).to_float().abs()),
-            Builtin::Sin => Value::Float(arg(0).to_float().sin()),
-            Builtin::Cos => Value::Float(arg(0).to_float().cos()),
-            Builtin::Exp => Value::Float(arg(0).to_float().exp()),
-            Builtin::Log => Value::Float(arg(0).to_float().ln()),
-            Builtin::Pow => Value::Float(arg(0).to_float().powf(arg(1).to_float())),
-            Builtin::Floor => Value::Float(arg(0).to_float().floor()),
-            Builtin::Ceil => Value::Float(arg(0).to_float().ceil()),
-        })
-    }
-}
-
-/// Converts a value for storage into a slot of the given class.
-pub fn convert_for_class(class: TyClass, v: Value) -> Value {
-    match class {
-        TyClass::Int => Value::Int(v.to_int()),
-        TyClass::Float => Value::Float(v.to_float()),
-        TyClass::Ptr => Value::Ptr(v.to_ptr()),
-        TyClass::FnPtr => match v {
-            Value::Fn(f) => Value::Fn(f),
-            other => Value::Ptr(other.to_ptr()),
-        },
-        TyClass::Agg | TyClass::Other => v,
     }
 }
 

@@ -32,14 +32,16 @@
 #![warn(missing_docs)]
 
 pub mod bytecode;
-pub mod interp;
+mod interp;
 pub mod profile;
 pub mod reuse;
+pub mod runtime;
 
 pub use bytecode::{compile, run, CompiledProgram, ExecScratch};
-pub use interp::{run_ast, run_ast_traced, RunConfig, RunOutcome, RuntimeError, Value};
+pub use interp::{run_ast, run_ast_traced};
 pub use profile::{aggregate, AggregateProfile, Profile};
 pub use reuse::{ObjectMap, ReuseCollector, ReuseTrace};
+pub use runtime::{RunConfig, RunOutcome, RuntimeError, Value};
 
 #[cfg(test)]
 mod tests {

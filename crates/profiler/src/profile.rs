@@ -23,9 +23,10 @@ pub struct Profile {
     pub func_counts: Vec<u64>,
     /// CFG edge traversal counts.
     pub edge_counts: HashMap<(FuncId, BlockId, BlockId), u64>,
-    /// Abstract cost units accumulated per function (see the cost
-    /// model in [`crate::interp`]); serve's `profile` method reports
-    /// it as `cost`.
+    /// Abstract cost units accumulated per function: one per
+    /// expression node evaluated and per block entered, plus
+    /// [`CALL_COST`](crate::runtime::CALL_COST) per call; serve's
+    /// `profile` method reports it as `cost`.
     pub func_cost: Vec<u64>,
 }
 

@@ -21,11 +21,13 @@
 //! and the heap. Stack and register traffic is deliberately excluded:
 //! the VM keeps locals in registers while the AST walker spills them
 //! to its memory stack, so only the data segment has an identical
-//! access stream in both engines (the layout is bit-identical by
-//! construction: globals in declaration order, then strings, then
-//! `malloc` appends). The differential oracle exploits exactly this —
-//! the two engines must produce byte-identical [`ReuseTrace`]s.
+//! access stream in both engines. Its layout is the same by
+//! construction: both engines load the one static image of
+//! [`crate::runtime`] (globals in declaration order, then strings) and
+//! grow the one heap past it. The differential oracle exploits exactly
+//! this — the two engines must produce byte-identical [`ReuseTrace`]s.
 
+use crate::runtime::StaticLayout;
 use minic::sema::Module;
 use std::collections::HashMap;
 
@@ -41,6 +43,15 @@ pub trait MemTap {
     /// Called once per successful data-segment load or store, with the
     /// word address.
     fn access(&mut self, addr: u64);
+}
+
+/// A borrowed tap observes as the tap it borrows.
+impl<T: MemTap> MemTap for &mut T {
+    const ACTIVE: bool = T::ACTIVE;
+    #[inline(always)]
+    fn access(&mut self, addr: u64) {
+        (**self).access(addr);
+    }
 }
 
 /// The inactive tap: zero-sized, compiles to nothing.
@@ -82,9 +93,9 @@ pub fn bin_range(bin: usize) -> (u64, u64) {
 }
 
 /// The static data-segment layout: one object per global (in
-/// declaration order, exactly as `load_statics` and the bytecode
-/// compiler lay them out), plus one catch-all region for string
-/// literals and everything `malloc` appends after them.
+/// declaration order, at the addresses both engines load them), plus
+/// one catch-all region for string literals and everything `malloc`
+/// appends after them.
 #[derive(Debug, Clone)]
 pub struct ObjectMap {
     /// Ascending start addresses, one per object; object `i` covers
@@ -94,19 +105,13 @@ pub struct ObjectMap {
 }
 
 impl ObjectMap {
-    /// Builds the map from a module's globals. Address 1 is the first
-    /// global's first word — the same layout both engines construct.
+    /// Builds the map from a module's globals, at the addresses of the
+    /// runtime's one static layout, which both engines load.
     pub fn for_module(module: &Module) -> Self {
-        let mut starts = Vec::with_capacity(module.globals.len() + 1);
-        let mut names = Vec::with_capacity(module.globals.len() + 1);
-        let mut cur = 1u64;
-        for g in &module.globals {
-            starts.push(cur);
-            names.push(g.name.clone());
-            cur += g.size as u64;
-        }
-        // Strings + heap.
-        starts.push(cur);
+        let layout = StaticLayout::of(module);
+        let mut starts = layout.global_addr;
+        starts.push(layout.strings_at);
+        let mut names: Vec<String> = module.globals.iter().map(|g| g.name.clone()).collect();
         names.push("<str/heap>".to_string());
         ObjectMap { starts, names }
     }

@@ -291,3 +291,116 @@ fn cost_model_charges_callers_for_builtin_calls() {
     );
     assert!(out.profile.func_cost[0] > out.profile.func_cost[1]);
 }
+
+// ----- the C library, pinned by value -----
+//
+// Both engines run the one C library of `profiler::runtime`, so the
+// VM-vs-walker differential cannot catch a change to it: these tests
+// pin what it returns and prints, in both engines.
+
+/// Runs `src` on both engines, checks that they agree, and returns
+/// the VM's result.
+fn run_both(src: &str) -> Result<profiler::RunOutcome, RuntimeError> {
+    let p = program(src);
+    let vm = run(&p, &RunConfig::default());
+    let ast = profiler::run_ast(&p, &RunConfig::default());
+    match (&vm, &ast) {
+        (Ok(v), Ok(a)) => {
+            assert_eq!(
+                (v.exit_code, &v.output, v.steps),
+                (a.exit_code, &a.output, a.steps)
+            );
+        }
+        (Err(v), Err(a)) => assert_eq!(v, a),
+        _ => panic!("engines disagree: vm {vm:?}, ast {ast:?}"),
+    }
+    vm
+}
+
+#[test]
+fn bytes_past_127_widen_to_two_byte_chars() {
+    // A word's low byte becomes one `char`, so byte 200 is 'È': two
+    // UTF-8 bytes in `strlen`, in `%s` output and in what `strncpy`
+    // copies for one char, and compared as U+00C8 by `strcmp`.
+    let out = run_both(
+        r#"
+        int main(void) {
+            char s[4];
+            char t[4];
+            char d[4];
+            s[0] = 200; s[1] = 'a'; s[2] = 0;
+            t[0] = 200; t[1] = 'b'; t[2] = 0;
+            d[0] = 1; d[1] = 1; d[2] = 1; d[3] = 1;
+            strncpy(d, s, 1);
+            printf("%d %d %d %d|%s|\n", strlen(s), strcmp(s, "b"), strncmp(s, t, 1),
+                   strncmp(s, t, 2), s);
+            printf("%d %d %d %d\n", d[0], d[1], d[2], d[3]);
+            return 0;
+        }
+        "#,
+    )
+    .expect("runs");
+    assert_eq!(out.output, b"3 1 0 -1|\xc3\x88a|\n195 136 1 1\n");
+}
+
+#[test]
+fn rand_sequences_are_fixed() {
+    let out = run_both(
+        r#"
+        int main(void) {
+            int a = rand(), b = rand(), c = rand();
+            printf("%d %d %d\n", a, b, c);
+            srand(42);
+            a = rand(); b = rand(); c = rand();
+            printf("%d %d %d\n", a, b, c);
+            return 0;
+        }
+        "#,
+    )
+    .expect("runs");
+    assert_eq!(
+        out.stdout(),
+        "1454299909 1601010478 84930582\n1331268737 973654270 244831125\n"
+    );
+}
+
+#[test]
+fn printf_hex_and_float_conversions() {
+    // `%x` prints the 64-bit word; `%e` and `%g` print Rust's shortest
+    // round-trip form, `%f` six decimals.
+    let out = run_both(
+        r#"
+        int main(void) {
+            printf("%x %x\n", -1, -255);
+            printf("%f|%f|%f\n", 2.0 / 3.0, -2.5, 0.0000001);
+            printf("%e|%g|%e|%g\n", 1.5, 0.1, 1.0 / 3.0, 1000000.0 * 1000000.0);
+            return 0;
+        }
+        "#,
+    )
+    .expect("runs");
+    assert_eq!(
+        out.stdout(),
+        "ffffffffffffffff ffffffffffffff01\n\
+         0.666667|-2.500000|0.000000\n\
+         1.5|0.1|0.3333333333333333|1000000000000\n"
+    );
+}
+
+#[test]
+fn percent_s_of_an_unterminated_string_is_an_error() {
+    // A million words without a NUL end the read.
+    let e = run_both(
+        r#"
+        char big[1000000];
+        int main(void) {
+            int i;
+            for (i = 0; i < 1000000; i++) big[i] = 'A';
+            printf("%s", big);
+            return 0;
+        }
+        "#,
+    )
+    .expect_err("unterminated");
+    assert_eq!(e, RuntimeError::Other("unterminated string".into()));
+}

@@ -50,7 +50,7 @@ use flowgraph::cfg::{Cfg, Instr, Terminator};
 use flowgraph::{CallGraph, Program};
 use minic::ast::{Item, Unit};
 use minic::pretty::print_item;
-use minic::sema::{BranchId, FuncId, Module, SwitchId};
+use minic::sema::{FuncId, Module};
 use obs::hash::Fnv128;
 use profiler::{CompiledProgram, ExecScratch, Profile, RunConfig};
 use std::collections::{BTreeMap, HashMap};
@@ -790,10 +790,6 @@ fn site_map<I: Copy + Eq + std::hash::Hash>(
     }
     Some(old.into_iter().zip(new).collect())
 }
-
-// Silence unused-import warnings for id types referenced in docs only.
-#[allow(unused)]
-fn _id_types(_: BranchId, _: SwitchId) {}
 
 #[cfg(test)]
 mod tests {

@@ -12,16 +12,19 @@
 //! whole pipeline must fail with a clean `compile` diagnostic, never a
 //! panic and never a successful compile. Files named `manual_rt_` are
 //! hand-written valid programs that once aborted a run; they replay
-//! like fuzzer entries, so both engines must agree on them. The one
-//! [`RUNTIME_ERROR_ENTRY`] ends in a runtime error by design: the
-//! oracles must stop at it, and its own test pins the error's rendered
-//! text in both engines.
+//! like fuzzer entries, so both engines must agree on them. The
+//! [`RUNTIME_ERROR_ENTRIES`] end in a runtime error by design: the
+//! oracles must stop at them, and a test of its own pins each error's
+//! rendered text in both engines.
 
 use fuzzgen::{check_source, CheckConfig, FailureKind};
 
-/// The `manual_rt_` entry whose run ends in a `StackBudget` runtime
-/// error.
-const RUNTIME_ERROR_ENTRY: &str = "manual_rt_deep-frames.c";
+/// The `manual_rt_` entries whose runs end in a runtime error, with
+/// the error's variant.
+const RUNTIME_ERROR_ENTRIES: &[(&str, &str)] = &[
+    ("manual_rt_big-output.c", "OutputBudget"),
+    ("manual_rt_deep-frames.c", "StackBudget"),
+];
 
 #[test]
 fn every_corpus_counterexample_passes_all_oracles() {
@@ -40,11 +43,11 @@ fn every_corpus_counterexample_passes_all_oracles() {
             .file_name()
             .map_or(String::new(), |n| n.to_string_lossy().into_owned());
         let diagnostic_entry = name.contains("_diag_");
-        if name == RUNTIME_ERROR_ENTRY {
+        if let Some(&(_, error)) = RUNTIME_ERROR_ENTRIES.iter().find(|(n, _)| *n == name) {
             let failure = check_source(&src, &config).expect_err(&name);
             assert!(
-                failure.kind == FailureKind::Runtime && failure.detail.contains("StackBudget"),
-                "{name} must fail with StackBudget, got oracle {}:\n{}",
+                failure.kind == FailureKind::Runtime && failure.detail.contains(error),
+                "{name} must fail with {error}, got oracle {}:\n{}",
                 failure.kind,
                 failure.detail
             );
@@ -236,6 +239,26 @@ fn over_budget_heap_requests_return_null() {
     }
 }
 
+/// Runs `tests/corpus/manual_rt_{name}.c` on both engines: each must
+/// fail with `expected`, rendered as `text`.
+fn fails_alike_in_both_engines(name: &str, expected: profiler::RuntimeError, text: &str) {
+    let path = format!(
+        "{}/tests/corpus/manual_rt_{name}.c",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let src = std::fs::read_to_string(&path).expect("readable corpus file");
+    let program = flowgraph::build_program(minic::compile(&src).expect(&path));
+    let config = profiler::RunConfig::default();
+    for (engine, out) in [
+        ("vm", profiler::run(&program, &config)),
+        ("ast", profiler::run_ast(&program, &config)),
+    ] {
+        let err = out.expect_err(engine);
+        assert_eq!(err, expected, "{name} on {engine}");
+        assert_eq!(err.to_string(), text, "{name} on {engine}");
+    }
+}
+
 /// Frames whose sum passes the live-stack budget (`f(10000)` with a
 /// 1,000,001-word frame, 10^10 words in all) are refused with the same
 /// rendered runtime error by both engines, before the frame that would
@@ -243,29 +266,24 @@ fn over_budget_heap_requests_return_null() {
 /// the stack allocation.
 #[test]
 fn frames_past_the_stack_budget_are_a_runtime_error() {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/corpus/manual_rt_deep-frames.c"
+    let limit = minic::types::MAX_STATIC_WORDS;
+    fails_alike_in_both_engines(
+        "deep-frames",
+        profiler::RuntimeError::StackBudget { limit },
+        &format!("call would take the live stack past {limit} words"),
     );
-    let src = std::fs::read_to_string(path).expect("readable corpus file");
-    let program = flowgraph::build_program(minic::compile(&src).expect(path));
-    let config = profiler::RunConfig::default();
-    let expected = format!(
-        "call would take the live stack past {} words",
-        minic::types::MAX_STATIC_WORDS
+}
+
+/// Output past its budget (a 999,999-byte string printed forever) is
+/// refused at the 17th copy with the same rendered runtime error by
+/// both engines. It once grew the output buffer until an allocation
+/// aborted the process.
+#[test]
+fn output_past_the_output_budget_is_a_runtime_error() {
+    let limit = minic::types::MAX_STATIC_WORDS;
+    fails_alike_in_both_engines(
+        "big-output",
+        profiler::RuntimeError::OutputBudget { limit },
+        &format!("program output would pass {limit} bytes"),
     );
-    for (engine, out) in [
-        ("vm", profiler::run(&program, &config)),
-        ("ast", profiler::run_ast(&program, &config)),
-    ] {
-        let err = out.expect_err(engine);
-        assert_eq!(
-            err,
-            profiler::RuntimeError::StackBudget {
-                limit: minic::types::MAX_STATIC_WORDS
-            },
-            "{engine}"
-        );
-        assert_eq!(err.to_string(), expected, "{engine}");
-    }
 }

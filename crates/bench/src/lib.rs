@@ -404,26 +404,6 @@ fn fig10_measure(name: &'static str, program: Program, ks: &[usize], reuse: bool
 mod tests {
     use super::*;
 
-    /// Developer tool, not a check: dumps the frequency-weighted op
-    /// digrams the superinstruction miner ranks, for the Fig 10
-    /// programs under their static plans. Run with
-    /// `cargo test -p bench --release digram_dump -- --ignored --nocapture`.
-    #[test]
-    #[ignore = "diagnostic dump for mined-superinstruction selection"]
-    fn digram_dump() {
-        for name in FIG10_PROGRAMS {
-            let bench = suite::by_name(name).expect("suite program");
-            let program = bench.compile().expect("compiles");
-            let cp = profiler::compile(&program);
-            let st = estimators::ranking::StaticRanking::new(&program);
-            let plan = plan_from_ranking(&st, &cp, 3, cp.funcs.len());
-            println!("== {name}");
-            for (pair, w) in opt::digram_stats(&cp, &plan).into_iter().take(20) {
-                println!("  {w:>14.0}  {pair}");
-            }
-        }
-    }
-
     #[test]
     fn fig10_measured_smoke() {
         // The CI smoke: compress at three budget points. Static-ranked

@@ -146,6 +146,29 @@ fn run_refuses_output_past_the_budget() {
 }
 
 #[test]
+fn run_refuses_sprintf_past_its_destination_segment() {
+    // 1,200 copies of a 999,999-byte string into a 16-word global stop
+    // after the first copy with the error of the first store past the
+    // data segment: a rendered runtime error and exit 1, at -O0 and
+    // -O3, where formatting the whole result once aborted the process
+    // (exit 134).
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/corpus/manual_rt_big-sprintf.c"
+    );
+    for level in ["0", "3"] {
+        let out = sfe(&["--no-cache", "--opt-level", level, "run", path]);
+        assert_eq!(out.status.code(), Some(1), "-O{level}");
+        assert!(out.stdout.is_empty(), "-O{level}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            err, "sfe: runtime error: wild address 0xf4bb2\n",
+            "-O{level}"
+        );
+    }
+}
+
+#[test]
 fn run_refuses_register_windows_past_the_budget() {
     // A one-word frame that also calls a 400-parameter function holds
     // about 400 registers per activation; recursing 45,000 deep takes

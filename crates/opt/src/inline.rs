@@ -20,8 +20,7 @@
 //! change what any runtime pointer observes.
 
 use crate::ir::{instrumented_len, lift, CallSite, FuncIr};
-use crate::ops_info;
-use profiler::bytecode::{CompiledProgram, Op, Origin, ParamBind, SwitchTable, NONE32};
+use profiler::bytecode::{CompiledProgram, Field, Op, Origin, ParamBind, Table, NONE32};
 
 /// Upper bound on callee size (ops) for inlining.
 pub const MAX_INLINE_OPS: u32 = 96;
@@ -198,12 +197,20 @@ pub fn inline_site(
         let mut ops = Vec::with_capacity(chunk.ops.len() + 1);
         for op in chunk.ops {
             let mut op = op;
-            ops_info::rebase_regs(&mut op, rb);
-            ops_info::rebase_frame(&mut op, fb);
-            op.for_each_target(|t| *t += base);
-            if let Op::SwitchJump { table, .. } = &mut op {
-                *table += table_base;
-            }
+            // Registers onto the call's window, the frame after the
+            // caller's, chunks and switch tables after the caller's;
+            // counters, static data, images and fails are global.
+            op.fields(|field| match field {
+                Field::Read(r)
+                | Field::Write(r)
+                | Field::ReadWrite(r)
+                | Field::WritePair(r)
+                | Field::Args(r, _) => *r += rb,
+                Field::Frame(off) => *off += fb,
+                Field::Target(t) => *t += base,
+                Field::Index(Table::Switch, t) => *t += table_base,
+                Field::Index(_, _) | Field::Tick(_) => {}
+            });
             if let Op::Ret { src, .. } = op {
                 // `Ret` writes the call destination and resumes the
                 // caller; the frame shrink is the caller's eventual
@@ -231,9 +238,8 @@ pub fn inline_site(
             dead: false,
         });
     }
-    for table in body.tables {
-        let mut table = table;
-        retarget(&mut table, base);
+    for mut table in body.tables {
+        table.for_each_target(|t| *t += base);
         ir.tables.push(table);
     }
 
@@ -258,26 +264,5 @@ pub fn inline_site(
         post_chunk,
         growth,
         new_sites,
-    }
-}
-
-fn retarget(table: &mut SwitchTable, base: u32) {
-    match table {
-        SwitchTable::Dense {
-            targets, default, ..
-        } => {
-            for t in targets.iter_mut().filter(|t| **t != NONE32) {
-                *t += base;
-            }
-            *default += base;
-        }
-        SwitchTable::Sorted {
-            targets, default, ..
-        } => {
-            for t in targets.iter_mut() {
-                *t += base;
-            }
-            *default += base;
-        }
     }
 }

@@ -22,7 +22,6 @@
 //! their jump targets shifted by the relocation delta, so an optimized
 //! program always contains every function.
 
-use crate::ops_info;
 use profiler::bytecode::{CompiledProgram, FuncMeta, Op, Origin, SwitchTable, NONE32};
 
 /// One straight-line run of ops, relocatable as a unit.
@@ -155,14 +154,15 @@ fn expand(cp: &CompiledProgram, meta: &FuncMeta) -> Body {
             .find(|&b| b > at as u32)
             .unwrap_or(ops.len() as u32);
         let mut t = cp.switch_tables[table as usize].clone();
-        retarget_table(&mut t, |pc| {
-            if !is_block(pc) {
-                return to_local(pc);
-            }
-            let blk = to_local(pc);
-            (at as u32 + 1..stubs_end)
-                .find(|&p| matches!(ops[p as usize], Op::EdgeJump { target, .. } if target == blk))
-                .expect("a stub for every switch successor")
+        t.for_each_target(|pc| {
+            let blk = to_local(*pc);
+            *pc = if !is_block(*pc) {
+                blk
+            } else {
+                (at as u32 + 1..stubs_end)
+                    .find(|&p| matches!(ops[p as usize], Op::EdgeJump { target, .. } if target == blk))
+                    .expect("a stub for every switch successor")
+            };
         });
         if let Op::SwitchJump { table, .. } = &mut ops[at] {
             *table = tables.len() as u32;
@@ -183,7 +183,7 @@ fn expand(cp: &CompiledProgram, meta: &FuncMeta) -> Body {
 pub fn lift(cp: &CompiledProgram, fid: usize, block_freqs: &[f64]) -> FuncIr {
     let meta = &cp.funcs[fid];
     debug_assert_ne!(meta.entry, NONE32, "lifting a bodiless prototype");
-    let body = expand(cp, meta);
+    let mut body = expand(cp, meta);
     let code = &body.ops;
     let end = code.len() as u32;
 
@@ -191,10 +191,11 @@ pub fn lift(cp: &CompiledProgram, fid: usize, block_freqs: &[f64]) -> FuncIr {
     // and the op after every unconditional transfer.
     let mut leaders = vec![0, body.entry];
     leaders.extend_from_slice(&body.block_start);
-    for (pc, op) in code.iter().enumerate() {
-        leaders.extend(ops_info::targets(op));
+    for (pc, &op) in code.iter().enumerate() {
+        let mut targets = op;
+        targets.for_each_target(|t| leaders.push(*t));
         if let Op::SwitchJump { table, .. } = op {
-            push_table_targets(&body.tables[*table as usize], &mut leaders);
+            body.tables[table as usize].for_each_target(|t| leaders.push(*t));
         }
         if op.is_terminator() && pc as u32 + 1 < end {
             leaders.push(pc as u32 + 1);
@@ -236,7 +237,7 @@ pub fn lift(cp: &CompiledProgram, fid: usize, block_freqs: &[f64]) -> FuncIr {
             op.for_each_target(|t| *t = chunk_of(*t));
             if let Op::SwitchJump { table, .. } = &mut op {
                 let mut t = body.tables[*table as usize].clone();
-                retarget_table(&mut t, &chunk_of);
+                t.for_each_target(|t| *t = chunk_of(*t));
                 *table = tables.len() as u32;
                 tables.push(t);
             }
@@ -298,46 +299,6 @@ pub fn block_of_pc(block_pc: &[u32], pc: u32) -> Option<usize> {
     i.checked_sub(1)
 }
 
-fn push_table_targets(table: &SwitchTable, out: &mut Vec<u32>) {
-    match table {
-        SwitchTable::Dense {
-            targets, default, ..
-        } => {
-            out.extend(targets.iter().copied().filter(|&t| t != NONE32));
-            out.push(*default);
-        }
-        SwitchTable::Sorted {
-            targets, default, ..
-        } => {
-            out.extend(targets.iter().copied());
-            out.push(*default);
-        }
-    }
-}
-
-/// Rewrites every jump target of a switch table (the Dense `NONE32`
-/// hole meaning "default" is preserved).
-fn retarget_table(table: &mut SwitchTable, mut f: impl FnMut(u32) -> u32) {
-    match table {
-        SwitchTable::Dense {
-            targets, default, ..
-        } => {
-            for t in targets.iter_mut().filter(|t| **t != NONE32) {
-                *t = f(*t);
-            }
-            *default = f(*default);
-        }
-        SwitchTable::Sorted {
-            targets, default, ..
-        } => {
-            for t in targets.iter_mut() {
-                *t = f(*t);
-            }
-            *default = f(*default);
-        }
-    }
-}
-
 /// Drops a trailing `Jump` whose target is the next chunk in emission
 /// order (the jump becomes an implicit fallthrough). Ticks carried by
 /// dropped jumps are re-derived by recosting, which always follows.
@@ -378,7 +339,7 @@ pub fn lower(cp: &CompiledProgram, irs: &[Option<FuncIr>], order: &[usize]) -> C
                     op.for_each_target(|t| *t = t.wrapping_add(delta));
                     if let Op::SwitchJump { table, .. } = &mut op {
                         let mut t = cp.switch_tables[*table as usize].clone();
-                        retarget_table(&mut t, |pc| pc.wrapping_add(delta));
+                        t.for_each_target(|pc| *pc = pc.wrapping_add(delta));
                         *table = switch_tables.len() as u32;
                         switch_tables.push(t);
                     }
@@ -416,7 +377,7 @@ pub fn lower(cp: &CompiledProgram, irs: &[Option<FuncIr>], order: &[usize]) -> C
                         });
                         if let Op::SwitchJump { table, .. } = &mut op {
                             let mut t = ir.tables[*table as usize].clone();
-                            retarget_table(&mut t, |c| chunk_pc[c as usize]);
+                            t.for_each_target(|c| *c = chunk_pc[*c as usize]);
                             *table = switch_tables.len() as u32;
                             switch_tables.push(t);
                         }

@@ -26,7 +26,6 @@
 pub mod alias;
 pub mod inline;
 pub mod ir;
-pub mod ops_info;
 pub mod passes;
 
 use profiler::bytecode::{CompiledProgram, NONE32};
@@ -184,39 +183,6 @@ fn pack_order(cp: &CompiledProgram, plan: &OptPlan) -> Vec<usize> {
     };
     order.sort_by(|&a, &b| heat(b).total_cmp(&heat(a)).then(a.cmp(&b)));
     order
-}
-
-/// Frequency-weighted adjacent-op digram statistics over the
-/// post-pass IR (pre-recost), aggregated across budgeted functions —
-/// the data the superinstruction miner ranks, exposed for reports.
-/// Keys are `"A+B"` variant-name pairs, hottest first.
-pub fn digram_stats(cp: &CompiledProgram, plan: &OptPlan) -> Vec<(String, f64)> {
-    use std::collections::HashMap;
-    let Some((irs, _)) = run_passes(cp, plan) else {
-        return Vec::new();
-    };
-    let mut acc: HashMap<String, f64> = HashMap::new();
-    for f_ir in irs.iter().flatten() {
-        for chunk in f_ir.chunks.iter().filter(|c| !c.dead) {
-            for w in chunk.ops.windows(2) {
-                if ops_info::is_zero_cost(&w[0]) || ops_info::is_zero_cost(&w[1]) {
-                    continue;
-                }
-                let name = |op: &profiler::bytecode::Op| {
-                    let full = format!("{op:?}");
-                    full.split([' ', '{', '('])
-                        .next()
-                        .unwrap_or_default()
-                        .to_string()
-                };
-                *acc.entry(format!("{}+{}", name(&w[0]), name(&w[1])))
-                    .or_default() += chunk.freq;
-            }
-        }
-    }
-    let mut out: Vec<(String, f64)> = acc.into_iter().collect();
-    out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    out
 }
 
 /// Lift + lower with no passes: the optimizer's machinery shakedown.

@@ -12,8 +12,7 @@
 //! change, which is the optimization being measured.
 
 use crate::ir::{drop_redundant_jumps, FuncIr};
-use crate::ops_info;
-use profiler::bytecode::{arith, cmp_vals, CompiledProgram, Op, SwitchTable, NONE32};
+use profiler::bytecode::{arith, cmp_vals, CompiledProgram, Field, Op, NONE32};
 use profiler::runtime::convert_for_class;
 use profiler::Value;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -482,7 +481,7 @@ pub fn fold(ir: &mut FuncIr, cp: &CompiledProgram) -> u64 {
                 }
                 Op::SwitchJump { src, table, tick } => match regs.get(&src) {
                     Some(v) => {
-                        let target = lookup_switch(&ir.tables[table as usize], v.to_int());
+                        let target = ir.tables[table as usize].lookup(v.to_int());
                         folded += 1;
                         out.push(Op::Jump { target, tick });
                         break 'ops;
@@ -491,13 +490,12 @@ pub fn fold(ir: &mut FuncIr, cp: &CompiledProgram) -> u64 {
                 },
                 // Everything else: generic invalidation.
                 _ => {
-                    if ops_info::clobbers_frame(&op) {
+                    if clobbers_frame(&op) {
                         slots.clear();
                     }
-                    let uses = ops_info::reg_uses(&op);
-                    for w in uses.writes {
+                    writes(op, |w| {
                         regs.remove(&w);
-                    }
+                    });
                     out.push(op);
                 }
             }
@@ -573,36 +571,78 @@ fn fold_result(
     }
 }
 
-/// Replays the VM's switch lookup on a known scrutinee (chunk-id
-/// domain).
-fn lookup_switch(table: &SwitchTable, v: i64) -> u32 {
-    match table {
-        SwitchTable::Dense {
-            min,
-            targets,
-            default,
-        } => {
-            let off = v as i128 - *min as i128;
-            if off >= 0 && (off as usize) < targets.len() {
-                let t = targets[off as usize];
-                if t == NONE32 {
-                    *default
-                } else {
-                    t
-                }
-            } else {
-                *default
-            }
+/// Calls `f` on every register `op` writes.
+fn writes(mut op: Op, mut f: impl FnMut(u16)) {
+    op.fields(|field| match field {
+        Field::Write(&mut r) | Field::ReadWrite(&mut r) => f(r),
+        Field::WritePair(&mut r) => {
+            f(r);
+            f(r + 1);
         }
-        SwitchTable::Sorted {
-            keys,
-            targets,
-            default,
-        } => match keys.binary_search(&v) {
-            Ok(i) => targets[i],
-            Err(_) => *default,
-        },
-    }
+        _ => {}
+    });
+}
+
+/// Calls `f` on every register `op` reads.
+fn reads(mut op: Op, mut f: impl FnMut(u16)) {
+    op.fields(|field| match field {
+        Field::Read(&mut r) | Field::ReadWrite(&mut r) => f(r),
+        Field::Args(&mut base, n) => (base..base + n).for_each(&mut f),
+        _ => {}
+    });
+}
+
+/// No effect beyond its register writes, and infallible: the op can
+/// be deleted when every register it writes is overwritten before any
+/// read.
+fn pure(op: &Op) -> bool {
+    matches!(
+        op,
+        Op::Mov { .. }
+            | Op::Const { .. }
+            | Op::LeaLocal { .. }
+            | Op::LoadLocal { .. }
+            | Op::LoadLocal2 { .. }
+            | Op::LoadLocalImm { .. }
+            | Op::LoadGlobal { .. }
+            | Op::ToPtr { .. }
+            | Op::Bool { .. }
+            | Op::LogicNot { .. }
+            | Op::Neg { .. }
+            | Op::BitNot { .. }
+            | Op::Conv { .. }
+            | Op::IndexAddr { .. }
+            | Op::IndexAddrLL { .. }
+            | Op::IndexAddrPL { .. }
+            | Op::IndexAddrLeaL { .. }
+    ) || matches!(
+        op,
+        Op::Arith { mode, .. }
+            | Op::ArithLL { mode, .. }
+            | Op::ArithLI { mode, .. }
+            | Op::ArithRL { mode, .. }
+            | Op::ArithRI { mode, .. }
+            if !mode.fallible()
+    )
+}
+
+/// Whether `op` can write memory through a pointer or run arbitrary
+/// code — anything after which no frame-slot value can be assumed
+/// (frame addresses escape via `LeaLocal`, so stores through pointers
+/// and calls may alias any slot).
+fn clobbers_frame(op: &Op) -> bool {
+    matches!(
+        op,
+        Op::Store { .. }
+            | Op::CopyWords { .. }
+            | Op::IncDec { .. }
+            | Op::Rmw { .. }
+            | Op::CallDirect { .. }
+            | Op::CallIndirect { .. }
+            | Op::CallBuiltin { .. }
+            | Op::StoreLEdge { .. }
+            | Op::IncDecLEdge { .. }
+    )
 }
 
 /// Dead-code elimination: drops unreachable chunks, then deletes pure
@@ -618,29 +658,16 @@ pub fn dce(ir: &mut FuncIr) -> (u64, u64) {
     let mut seen = HashSet::from([ir.entry]);
     let mut work = VecDeque::from([ir.entry]);
     while let Some(c) = work.pop_front() {
-        let mut succs = Vec::new();
-        for op in &ir.chunks[c as usize].ops {
-            succs.extend(ops_info::targets(op));
-            if let Op::SwitchJump { table, .. } = op {
-                match &ir.tables[*table as usize] {
-                    SwitchTable::Dense {
-                        targets, default, ..
-                    } => {
-                        succs.extend(targets.iter().copied().filter(|&t| t != NONE32));
-                        succs.push(*default);
-                    }
-                    SwitchTable::Sorted {
-                        targets, default, ..
-                    } => {
-                        succs.extend(targets.iter().copied());
-                        succs.push(*default);
-                    }
-                }
+        let mut reach = |t: &mut u32| {
+            if seen.insert(*t) {
+                work.push_back(*t);
             }
-        }
-        for s in succs {
-            if seen.insert(s) {
-                work.push_back(s);
+        };
+        for &op in &ir.chunks[c as usize].ops {
+            let mut targets = op;
+            targets.for_each_target(&mut reach);
+            if let Op::SwitchJump { table, .. } = op {
+                ir.tables[table as usize].for_each_target(&mut reach);
             }
         }
     }
@@ -659,25 +686,23 @@ pub fn dce(ir: &mut FuncIr) -> (u64, u64) {
     for chunk in ir.chunks.iter_mut().filter(|c| !c.dead) {
         let mut dead: HashSet<u16> = HashSet::new();
         let mut keep = vec![true; chunk.ops.len()];
-        for (i, op) in chunk.ops.iter().enumerate().rev() {
-            let uses = ops_info::reg_uses(op);
-            if uses.pure && !uses.writes.is_empty() && uses.writes.iter().all(|w| dead.contains(w))
-            {
+        for (i, &op) in chunk.ops.iter().enumerate().rev() {
+            let (mut written, mut all_dead) = (false, true);
+            writes(op, |w| {
+                written = true;
+                all_dead &= dead.contains(&w);
+            });
+            if pure(&op) && written && all_dead {
                 keep[i] = false;
                 deleted += 1;
                 continue;
             }
-            for &w in &uses.writes {
+            writes(op, |w| {
                 dead.insert(w);
-            }
-            for &r in &uses.reads {
+            });
+            reads(op, |r| {
                 dead.remove(&r);
-            }
-            if let Some((base, len)) = uses.read_range {
-                for r in base..base + len {
-                    dead.remove(&r);
-                }
-            }
+            });
         }
         if deleted > 0 {
             let mut it = keep.iter();
@@ -757,10 +782,11 @@ pub fn mine(ir: &mut FuncIr) -> u64 {
     mined
 }
 
-/// The mined fusion patterns — digrams measured hottest over the
-/// post-pipeline IR of the benchmark suite, weighted by estimator
-/// block frequencies (`opt::digram_stats`). Same safety argument as
-/// [`fuse_pair`]: the fused op writes exactly what the pair wrote.
+/// The mined fusion patterns — the digrams that ranked hottest over
+/// the post-pipeline IR of the benchmark suite, weighted by estimator
+/// block frequencies. The ranking ran once, when these ops were added;
+/// nothing re-ranks the table. Same safety argument as [`fuse_pair`]:
+/// the fused op writes exactly what the pair wrote.
 fn mined_pair(a: Op, b: Op) -> Option<Op> {
     match (a, b) {
         // Address ops always produce `Value::Ptr`, on which `to_ptr`
@@ -1146,8 +1172,9 @@ pub fn layout(ir: &mut FuncIr) {
         order.push(c);
         // Hottest unplaced successor continues the trace.
         let mut succs = Vec::new();
-        for op in &ir.chunks[c as usize].ops {
-            succs.extend(ops_info::targets(op));
+        for &op in &ir.chunks[c as usize].ops {
+            let mut targets = op;
+            targets.for_each_target(|t| succs.push(*t));
         }
         cur = succs
             .into_iter()
@@ -1184,15 +1211,17 @@ pub fn recost(ir: &mut FuncIr) {
                     }
                     out.push(op);
                 }
-                _ if ops_info::is_zero_cost(&op) => out.push(op),
+                // Counter bumps are free under the dispatch-cost model.
+                Op::BumpSite(_) | Op::BumpFunc(_) | Op::BumpBranch { .. } => out.push(op),
                 _ => {
-                    match ops_info::tick_mut(&mut op) {
-                        Some(t) => {
+                    let mut ticked = false;
+                    op.fields(|field| {
+                        if let Field::Tick(t) = field {
                             *t = pending + 1;
-                            pending = 0;
+                            ticked = true;
                         }
-                        None => pending += 1,
-                    }
+                    });
+                    pending = if ticked { 0 } else { pending + 1 };
                     out.push(op);
                 }
             }

@@ -8,7 +8,7 @@
 //! runs too ([`crate::runtime`]): this file owns only the dispatch.
 
 use super::place::{derive_branches, rebuild};
-use super::{ArithMode, CompiledProgram, Op, ParamBind, SwitchTable, NONE32};
+use super::{ArithMode, CompiledProgram, Op, ParamBind, NONE32};
 use crate::profile::Profile;
 use crate::reuse::MemTap;
 use crate::runtime::{
@@ -1105,33 +1105,7 @@ impl<'a, T: MemTap> Vm<'a, T> {
                 Op::SwitchJump { src, table, tick } => {
                     tick!(tick);
                     let v = self.reg(src).to_int();
-                    pc = match &cp.switch_tables[table as usize] {
-                        SwitchTable::Dense {
-                            min,
-                            targets,
-                            default,
-                        } => {
-                            let off = v as i128 - *min as i128;
-                            if off >= 0 && (off as usize) < targets.len() {
-                                let t = targets[off as usize];
-                                if t == NONE32 {
-                                    *default as usize
-                                } else {
-                                    t as usize
-                                }
-                            } else {
-                                *default as usize
-                            }
-                        }
-                        SwitchTable::Sorted {
-                            keys,
-                            targets,
-                            default,
-                        } => match keys.binary_search(&v) {
-                            Ok(i) => targets[i] as usize,
-                            Err(_) => *default as usize,
-                        },
-                    };
+                    pc = cp.switch_tables[table as usize].lookup(v) as usize;
                 }
                 Op::CheckFn { src, tick } => {
                     tick!(tick);

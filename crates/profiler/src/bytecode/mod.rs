@@ -556,29 +556,249 @@ pub enum Op {
     },
 }
 
+/// One classified field of an [`Op`], as [`Op::fields`] hands it out.
+///
+/// Registers are `u16` indices into the frame's register window,
+/// frame offsets `u32` word offsets into the frame. Fields that look
+/// like offsets but are not frame-relative — [`Op::MemberAddr`]'s
+/// struct-member offset, the absolute data addresses of
+/// [`Op::IndexAddrPL`]/[`Op::LoadIdxPL`] — and immediates, modes,
+/// element sizes and lengths are not fields in this sense and are
+/// never handed out.
+#[derive(Debug)]
+pub enum Field<'a> {
+    /// A register the op reads.
+    Read(&'a mut u16),
+    /// A register the op writes (always, when it succeeds).
+    Write(&'a mut u16),
+    /// A register the op reads, then overwrites.
+    ReadWrite(&'a mut u16),
+    /// The first of two consecutive registers the op writes.
+    WritePair(&'a mut u16),
+    /// The argument registers `base .. base + n`, all read.
+    Args(&'a mut u16, u16),
+    /// A frame-slot offset.
+    Frame(&'a mut u32),
+    /// A jump target: a pc, or a chunk id inside the optimizer.
+    /// `SwitchJump`'s targets live in its [`SwitchTable`].
+    Target(&'a mut u32),
+    /// A batched step-counter payload.
+    Tick(&'a mut u32),
+    /// An index into one of the program's side tables.
+    Index(Table, &'a mut u32),
+}
+
+/// The side table an [`Field::Index`] points into.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Table {
+    /// A call-site counter.
+    Site,
+    /// A function counter.
+    Func,
+    /// The function a direct call enters; it must have a body.
+    Callee,
+    /// A branch counter, or [`NONE32`] for none.
+    Branch,
+    /// An edge counter, or [`NONE32`] for none.
+    Edge,
+    /// A word of the static data image.
+    Data,
+    /// A local initializer image.
+    Image,
+    /// An interned runtime error.
+    Fail,
+    /// A switch table.
+    Switch,
+}
+
 impl Op {
-    /// Applies `f` to every jump-target field of the op. `SwitchJump`
-    /// targets live in its side table.
-    pub fn for_each_target(&mut self, mut f: impl FnMut(&mut u32)) {
-        match self {
-            Op::Jump { target, .. }
-            | Op::JumpIfFalse { target, .. }
-            | Op::JumpIfTrue { target, .. }
-            | Op::EdgeJump { target, .. }
-            | Op::ConstJump { target, .. }
-            | Op::StoreLEdge { target, .. }
-            | Op::IncDecLEdge { target, .. }
-            | Op::ArithRLJumpF { target, .. } => f(target),
-            Op::CondBranch { else_target, .. }
-            | Op::CmpBranchLL { else_target, .. }
-            | Op::CmpBranchLI { else_target, .. }
-            | Op::CmpBranchRR { else_target, .. }
-            | Op::CmpBranchRL { else_target, .. }
-            | Op::CmpBranchRI { else_target, .. }
-            | Op::LoadLBranch { else_target, .. }
-            | Op::CmpBranchRCI { else_target, .. } => f(else_target),
-            _ => {}
+    /// Hands every register, frame-offset, jump-target, tick and
+    /// side-table field of the op to `f`, classified. This is the one
+    /// description of the op's fields: the verifier checks them, the
+    /// optimizer rebases them when it inlines, and its folding and
+    /// dead-code passes read their register effects from it. The
+    /// match is exhaustive with no wildcard arm (clippy denies one) and
+    /// every pattern names every field, the unclassified ones as `_`,
+    /// so neither a new op nor a new field can be skipped unseen.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
+    #[rustfmt::skip] // one row per op
+    pub fn fields(&mut self, mut f: impl FnMut(Field<'_>)) {
+        use Field::*;
+        use Table::*;
+        macro_rules! row {
+            ($($field:expr),*) => {{ $(f($field);)* }};
         }
+        match self {
+            Op::Tick(n) => row!(Tick(n)),
+            Op::BumpSite(i) => row!(Index(Site, i)),
+            Op::BumpFunc(i) => row!(Index(Func, i)),
+            Op::BumpBranch { branch, taken: _ } => row!(Index(Branch, branch)),
+            Op::Mov { dst, src } => row!(Read(src), Write(dst)),
+            Op::Const { dst, v: _ } => row!(Write(dst)),
+            Op::LeaLocal { dst, off } => row!(Write(dst), Frame(off)),
+            Op::LoadLocal { dst, off } => row!(Write(dst), Frame(off)),
+            Op::LoadLocal2 { dst, off_a, off_b } => {
+                row!(WritePair(dst), Frame(off_a), Frame(off_b))
+            }
+            Op::LoadLocalImm { dst, off, imm: _ } => row!(WritePair(dst), Frame(off)),
+            Op::StoreLocal { off, src, class: _, dst } => row!(Frame(off), Read(src), Write(dst)),
+            Op::LoadGlobal { dst, idx } => row!(Write(dst), Index(Data, idx)),
+            Op::StoreGlobal { idx, src, class: _, dst } => {
+                row!(Index(Data, idx), Read(src), Write(dst))
+            }
+            Op::Load { dst, addr, tick } => row!(Read(addr), Write(dst), Tick(tick)),
+            Op::Store { addr, src, class: _, dst, tick } => {
+                row!(Read(addr), Read(src), Write(dst), Tick(tick))
+            }
+            Op::CopyWords { dst_addr, src, n: _, dst, tick } => {
+                row!(Read(dst_addr), Read(src), Write(dst), Tick(tick))
+            }
+            Op::InitWordsLocal { off, img } => row!(Frame(off), Index(Image, img)),
+            Op::ZeroLocal { off, len: _ } => row!(Frame(off)),
+            Op::ToPtr { dst, src } => row!(Read(src), Write(dst)),
+            Op::Bool { dst, src } => row!(Read(src), Write(dst)),
+            Op::LogicNot { dst, src } => row!(Read(src), Write(dst)),
+            Op::Neg { dst, src } => row!(Read(src), Write(dst)),
+            Op::BitNot { dst, src } => row!(Read(src), Write(dst)),
+            Op::Conv { dst, src, class: _ } => row!(Read(src), Write(dst)),
+            Op::IndexAddr { dst, base, idx, elem: _ } => row!(Read(base), Read(idx), Write(dst)),
+            Op::IndexAddrLL { dst, off_a, off_b, elem: _ } => {
+                row!(Write(dst), Frame(off_a), Frame(off_b))
+            }
+            Op::IndexAddrPL { dst, base: _, idx_off, elem: _ } => row!(Write(dst), Frame(idx_off)),
+            Op::IndexAddrLeaL { dst, lea_off, idx_off, elem: _ } => {
+                row!(Write(dst), Frame(lea_off), Frame(idx_off))
+            }
+            Op::LoadIdx { dst, base, idx, elem: _, tick } => {
+                row!(Read(base), Read(idx), Write(dst), Tick(tick))
+            }
+            Op::LoadIdxLL { dst, off_a, off_b, elem: _, tick } => {
+                row!(Write(dst), Frame(off_a), Frame(off_b), Tick(tick))
+            }
+            Op::LoadIdxPL { dst, base: _, idx_off, elem: _, tick } => {
+                row!(Write(dst), Frame(idx_off), Tick(tick))
+            }
+            Op::LoadIdxLeaL { dst, lea_off, idx_off, elem: _, tick } => {
+                row!(Write(dst), Frame(lea_off), Frame(idx_off), Tick(tick))
+            }
+            Op::MemberAddr { dst, src, off: _, tick } => row!(Read(src), Write(dst), Tick(tick)),
+            Op::IncDecLocal { dst, off, delta: _, post: _ } => row!(Write(dst), Frame(off)),
+            Op::IncDecGlobal { dst, idx, delta: _, post: _ } => row!(Write(dst), Index(Data, idx)),
+            Op::IncDec { dst, addr, delta: _, post: _, tick } => {
+                row!(Read(addr), Write(dst), Tick(tick))
+            }
+            Op::Arith { dst, a, b, mode: _, tick } => {
+                row!(Read(a), Read(b), Write(dst), Tick(tick))
+            }
+            Op::ArithLL { dst, off_a, off_b, mode: _, tick } => {
+                row!(Write(dst), Frame(off_a), Frame(off_b), Tick(tick))
+            }
+            Op::ArithLI { dst, off, imm: _, mode: _, tick } => {
+                row!(Write(dst), Frame(off), Tick(tick))
+            }
+            Op::ArithRL { dst, off, mode: _, tick } => row!(ReadWrite(dst), Frame(off), Tick(tick)),
+            Op::ArithRI { dst, imm: _, mode: _, tick } => row!(ReadWrite(dst), Tick(tick)),
+            Op::StoreRR { off, a, b, mode: _, class: _, dst } => {
+                row!(Frame(off), Read(a), Read(b), Write(dst))
+            }
+            Op::StoreLL { off, off_a, off_b, mode: _, class: _, dst } => {
+                row!(Frame(off), Frame(off_a), Frame(off_b), Write(dst))
+            }
+            Op::StoreLI { off, off_a, imm: _, mode: _, class: _, dst } => {
+                row!(Frame(off), Frame(off_a), Write(dst))
+            }
+            Op::StoreRL { off, off_b, mode: _, class: _, dst } => {
+                row!(Frame(off), Frame(off_b), ReadWrite(dst))
+            }
+            Op::StoreRI { off, imm: _, mode: _, class: _, dst } => row!(Frame(off), ReadWrite(dst)),
+            Op::RmwLocal { off, src, mode: _, class: _, dst, tick } => {
+                row!(Frame(off), Read(src), Write(dst), Tick(tick))
+            }
+            Op::RmwGlobal { idx, src, mode: _, class: _, dst, tick } => {
+                row!(Index(Data, idx), Read(src), Write(dst), Tick(tick))
+            }
+            Op::Rmw { addr, src, mode: _, class: _, dst, tick } => {
+                row!(Read(addr), Read(src), Write(dst), Tick(tick))
+            }
+            Op::Jump { target, tick } => row!(Target(target), Tick(tick)),
+            Op::JumpIfFalse { src, target, tick } => row!(Read(src), Target(target), Tick(tick)),
+            Op::JumpIfTrue { src, target, tick } => row!(Read(src), Target(target), Tick(tick)),
+            Op::CondBranch { src, branch, else_target, tick } => {
+                row!(Read(src), Index(Branch, branch), Target(else_target), Tick(tick))
+            }
+            Op::CmpBranchLL { off_a, off_b, op: _, branch, else_target, tick } => {
+                let branch = Index(Branch, branch);
+                row!(Frame(off_a), Frame(off_b), branch, Target(else_target), Tick(tick))
+            }
+            Op::CmpBranchLI { off, imm: _, op: _, branch, else_target, tick } => {
+                row!(Frame(off), Index(Branch, branch), Target(else_target), Tick(tick))
+            }
+            Op::CmpBranchRR { a, b, op: _, branch, else_target, tick } => {
+                row!(Read(a), Read(b), Index(Branch, branch), Target(else_target), Tick(tick))
+            }
+            Op::CmpBranchRL { a, off, op: _, branch, else_target, tick } => {
+                row!(Read(a), Frame(off), Index(Branch, branch), Target(else_target), Tick(tick))
+            }
+            Op::CmpBranchRI { a, imm: _, op: _, branch, else_target, tick } => {
+                row!(Read(a), Index(Branch, branch), Target(else_target), Tick(tick))
+            }
+            Op::SwitchJump { src, table, tick } => {
+                row!(Read(src), Index(Switch, table), Tick(tick))
+            }
+            Op::EdgeJump { edge, target, tick } => {
+                row!(Index(Edge, edge), Target(target), Tick(tick))
+            }
+            Op::CheckFn { src, tick } => row!(Read(src), Tick(tick)),
+            Op::CallDirect { func, argbase, nargs, dst, tick } => {
+                row!(Index(Callee, func), Args(argbase, *nargs), Write(dst), Tick(tick))
+            }
+            Op::CallIndirect { callee, argbase, nargs, dst, tick } => {
+                row!(Read(callee), Args(argbase, *nargs), Write(dst), Tick(tick))
+            }
+            Op::CallBuiltin { b: _, argbase, nargs, dst, tick } => {
+                row!(Args(argbase, *nargs), Write(dst), Tick(tick))
+            }
+            Op::Ret { src, tick } => row!(Read(src), Tick(tick)),
+            Op::Fail(i) => row!(Index(Fail, i)),
+            Op::ConstJump { dst, imm: _, target, tick } => {
+                row!(Write(dst), Target(target), Tick(tick))
+            }
+            Op::ConstRet { imm: _, tick } => row!(Tick(tick)),
+            Op::StoreLEdge { off, src, class: _, edge, target, tick } => {
+                row!(Frame(off), ReadWrite(src), Index(Edge, edge), Target(target), Tick(tick))
+            }
+            Op::IncDecLEdge { off, dst, delta: _, edge, target, tick } => {
+                row!(Frame(off), Write(dst), Index(Edge, edge), Target(target), Tick(tick))
+            }
+            Op::LoadLBranch { off, dst, branch, else_target, tick } => {
+                row!(Frame(off), Write(dst), Index(Branch, branch), Target(else_target), Tick(tick))
+            }
+            Op::ArithGI { dst, idx, imm: _, mode: _, tick } => {
+                row!(Write(dst), Index(Data, idx), Tick(tick))
+            }
+            Op::CmpBranchRCI { a, dst, imm: _, op: _, branch, else_target, tick } => {
+                row!(Read(a), Write(dst), Index(Branch, branch), Target(else_target), Tick(tick))
+            }
+            Op::ArithRLJumpF { dst, off, mode: _, target, tick } => {
+                row!(ReadWrite(dst), Frame(off), Target(target), Tick(tick))
+            }
+            Op::LoadIdxLR { dst, off, idx, elem: _, tick } => {
+                row!(Write(dst), Frame(off), Read(idx), Tick(tick))
+            }
+        }
+    }
+
+    /// Applies `f` to every jump-target field of the op (see
+    /// [`Op::fields`]). `SwitchJump` targets live in its side table.
+    pub fn for_each_target(&mut self, mut f: impl FnMut(&mut u32)) {
+        self.fields(|field| {
+            if let Field::Target(t) = field {
+                f(t)
+            }
+        });
     }
 
     /// Whether the op unconditionally transfers control: execution
@@ -617,6 +837,53 @@ pub enum SwitchTable {
         targets: Vec<u32>,
         default: u32,
     },
+}
+
+impl SwitchTable {
+    /// The target the switch takes on scrutinee `v`: what the VM's
+    /// `SwitchJump` executes and what constant folding resolves.
+    #[inline(always)]
+    pub fn lookup(&self, v: i64) -> u32 {
+        match self {
+            SwitchTable::Dense {
+                min,
+                targets,
+                default,
+            } => {
+                let off = v as i128 - *min as i128;
+                match usize::try_from(off).ok().and_then(|i| targets.get(i)) {
+                    Some(&t) if t != NONE32 => t,
+                    _ => *default,
+                }
+            }
+            SwitchTable::Sorted {
+                keys,
+                targets,
+                default,
+            } => match keys.binary_search(&v) {
+                Ok(i) => targets[i],
+                Err(_) => *default,
+            },
+        }
+    }
+
+    /// Applies `f` to every target the switch can take: the cases in
+    /// table order (not a dense table's [`NONE32`] holes, which mean
+    /// "default"), then the default.
+    pub fn for_each_target(&mut self, mut f: impl FnMut(&mut u32)) {
+        let (targets, default, holes) = match self {
+            SwitchTable::Dense {
+                targets, default, ..
+            } => (targets, default, true),
+            SwitchTable::Sorted {
+                targets, default, ..
+            } => (targets, default, false),
+        };
+        for t in targets.iter_mut().filter(|t| !(holes && **t == NONE32)) {
+            f(t);
+        }
+        f(default);
+    }
 }
 
 /// How one parameter is bound on function entry.
@@ -882,6 +1149,52 @@ mod tests {
     fn compiled_program_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<CompiledProgram>();
+    }
+
+    #[test]
+    fn switch_lookup_covers_both_encodings() {
+        let dense = SwitchTable::Dense {
+            min: 10,
+            targets: vec![1, NONE32, 3],
+            default: 9,
+        };
+        assert_eq!(dense.lookup(10), 1);
+        assert_eq!(dense.lookup(11), 9, "a hole falls to the default");
+        assert_eq!(dense.lookup(12), 3);
+        assert_eq!(dense.lookup(9), 9, "below the range");
+        assert_eq!(dense.lookup(13), 9, "above the range");
+        // A `min` near either extreme: `v - min` must not wrap.
+        let low = SwitchTable::Dense {
+            min: i64::MIN + 1,
+            targets: vec![4, 5],
+            default: 9,
+        };
+        assert_eq!(low.lookup(i64::MIN), 9);
+        assert_eq!(low.lookup(i64::MIN + 2), 5);
+        assert_eq!(low.lookup(i64::MAX), 9);
+        let high = SwitchTable::Dense {
+            min: i64::MAX - 1,
+            targets: vec![6, 7],
+            default: 9,
+        };
+        assert_eq!(high.lookup(i64::MAX), 7);
+        assert_eq!(high.lookup(i64::MIN), 9);
+        assert_eq!(high.lookup(i64::MAX - 2), 9);
+        let sorted = SwitchTable::Sorted {
+            keys: vec![-5, 100, 7000],
+            targets: vec![1, 2, 3],
+            default: 9,
+        };
+        assert_eq!(sorted.lookup(100), 2);
+        assert_eq!(sorted.lookup(101), 9);
+        assert_eq!(sorted.lookup(i64::MIN), 9);
+
+        let mut seen = Vec::new();
+        dense.clone().for_each_target(|t| seen.push(*t));
+        assert_eq!(seen, [1, 3, 9], "holes are not targets");
+        seen.clear();
+        sorted.clone().for_each_target(|t| seen.push(*t));
+        assert_eq!(seen, [1, 2, 3, 9]);
     }
 
     #[test]

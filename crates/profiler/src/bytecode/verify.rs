@@ -6,10 +6,13 @@
 //! side tables with compiler-emitted indices. Two producers emit
 //! bytecode — the compiler and the optimizer's lowering — so
 //! [`verify`] states those invariants once and checks them after
-//! both (in every build) and in the differential fuzzer. A violation
-//! is a diagnostic naming the function, pc and operand, never UB.
+//! both (in every build) and in the differential fuzzer. Which field
+//! of an op is a register, a frame offset, a jump target or a table
+//! index comes from [`Op::fields`], the same description the optimizer
+//! rewrites by. A violation is a diagnostic naming the function, pc
+//! and operand, never UB.
 
-use super::{CompiledProgram, FuncMeta, Op, SwitchTable, NONE32};
+use super::{CompiledProgram, Field, FuncMeta, Op, SwitchTable, Table, NONE32};
 
 /// Checks every invariant the VM relies on:
 ///
@@ -39,8 +42,6 @@ pub fn verify(cp: &CompiledProgram) -> Result<(), String> {
     if cp.block_lens.len() != cp.funcs.len() || cp.counters.len() != cp.funcs.len() {
         return Err("per-function tables disagree in length".into());
     }
-    let mut regs = Vec::new();
-    let mut offs = Vec::new();
     for (f, meta) in cp.funcs.iter().enumerate() {
         if meta.entry == NONE32 {
             continue;
@@ -61,34 +62,17 @@ pub fn verify(cp: &CompiledProgram) -> Result<(), String> {
         }
         for pc in start..end {
             let op = cp.ops[pc as usize];
-            regs.clear();
-            offs.clear();
-            operands(&op, &mut regs, &mut offs);
-            if let Some(r) = regs.iter().find(|&&r| r as u32 >= meta.max_regs) {
-                return fail(
-                    pc,
-                    format!("register {r} outside a window of {}", meta.max_regs),
-                );
-            }
-            if let Some(o) = offs.iter().find(|&&o| o >= meta.frame_size) {
-                return fail(
-                    pc,
-                    format!("frame offset {o} outside a frame of {}", meta.frame_size),
-                );
-            }
-            if let Err(msg) = check_indices(cp, meta, &op) {
-                return fail(pc, msg);
-            }
-            let mut bad_target = None;
-            let mut targets = op;
-            targets.for_each_target(|t| {
-                if !(start..end).contains(t) {
-                    bad_target = Some(*t);
+            let mut bad = None;
+            let mut fields = op;
+            fields.fields(|field| {
+                if let Err(b) = check_field(cp, meta, field) {
+                    bad = bad.or(Some(b));
                 }
             });
-            if let Some(t) = bad_target {
-                return fail(pc, format!("jump target {t} outside the code range"));
+            if let Some(b) = bad {
+                return fail(pc, b.message(cp, meta));
             }
+            check_span(cp, meta, op).or_else(|msg| fail(pc, msg))?;
         }
         check_blocks(meta, &cp.ops).or_else(|(pc, msg)| fail(pc, msg))?;
         check_plan(cp, f).or_else(|msg| fail(start, msg))?;
@@ -96,79 +80,107 @@ pub fn verify(cp: &CompiledProgram) -> Result<(), String> {
     Ok(())
 }
 
-/// Index checks that need the program's tables.
-fn check_indices(cp: &CompiledProgram, meta: &FuncMeta, op: &Op) -> Result<(), String> {
-    let within = |what: &str, i: u32, n: usize, none_ok: bool| {
-        if (none_ok && i == NONE32) || (i as usize) < n {
+/// An operand the dispatch loop could not trust, rendered only when
+/// verification fails.
+#[derive(Clone, Copy)]
+enum Bad {
+    Register(u32),
+    Frame(u32),
+    Target(u32),
+    Index(Table, u32),
+    Bodiless(u32),
+    Switch(u32),
+}
+
+impl Bad {
+    fn message(self, cp: &CompiledProgram, meta: &FuncMeta) -> String {
+        match self {
+            Bad::Register(r) => format!("register {r} outside a window of {}", meta.max_regs),
+            Bad::Frame(o) => format!("frame offset {o} outside a frame of {}", meta.frame_size),
+            Bad::Target(t) => format!("jump target {t} outside the code range"),
+            Bad::Index(table, i) => {
+                let (what, n, _) = table_len(cp, table);
+                format!("{what} index {i} outside 0..{n}")
+            }
+            Bad::Bodiless(f) => format!("direct call of bodiless function {f}"),
+            Bad::Switch(t) => format!("switch table {t} jumps outside the code range"),
+        }
+    }
+}
+
+/// Checks one field of an op against its function's window, frame
+/// and code range and the program's tables. Inlined into each arm of
+/// `Op::fields`, a passing field costs a compare or two.
+#[inline(always)]
+fn check_field(cp: &CompiledProgram, meta: &FuncMeta, field: Field<'_>) -> Result<(), Bad> {
+    let reg = |r: u32| {
+        if r < meta.max_regs {
             Ok(())
         } else {
-            Err(format!("{what} index {i} outside 0..{n}"))
+            Err(Bad::Register(r))
         }
     };
-    match *op {
-        Op::BumpSite(i) => within("call-site counter", i, cp.n_sites, false),
-        Op::BumpFunc(f) => within("function counter", f, cp.funcs.len(), false),
-        Op::BumpBranch { branch, .. }
-        | Op::CondBranch { branch, .. }
-        | Op::CmpBranchLL { branch, .. }
-        | Op::CmpBranchLI { branch, .. }
-        | Op::CmpBranchRR { branch, .. }
-        | Op::CmpBranchRL { branch, .. }
-        | Op::CmpBranchRI { branch, .. }
-        | Op::LoadLBranch { branch, .. }
-        | Op::CmpBranchRCI { branch, .. } => within("branch counter", branch, cp.n_branches, true),
-        Op::EdgeJump { edge, .. } | Op::StoreLEdge { edge, .. } | Op::IncDecLEdge { edge, .. } => {
-            within("edge counter", edge, cp.edge_keys.len(), true)
-        }
-        Op::LoadGlobal { idx, .. }
-        | Op::StoreGlobal { idx, .. }
-        | Op::IncDecGlobal { idx, .. }
-        | Op::RmwGlobal { idx, .. }
-        | Op::ArithGI { idx, .. } => within("static-data", idx, cp.data_image.len(), false),
-        Op::InitWordsLocal { off, img } => {
-            within("image", img, cp.images.len(), false)?;
-            let n = cp.images[img as usize].len() as u64;
-            if u64::from(off) + n > u64::from(meta.frame_size) {
-                return Err(format!("image {img} overruns the frame at offset {off}"));
-            }
-            Ok(())
-        }
-        Op::ZeroLocal { off, len } => {
-            if u64::from(off) + u64::from(len) > u64::from(meta.frame_size) {
-                return Err(format!("zeroing {len} words at {off} overruns the frame"));
-            }
-            Ok(())
-        }
-        Op::Fail(i) => within("fail", i, cp.fails.len(), false),
-        Op::CallDirect { func, .. } => {
-            within("callee", func, cp.funcs.len(), false)?;
-            if cp.funcs[func as usize].entry == NONE32 {
-                return Err(format!("direct call of bodiless function {func}"));
-            }
-            Ok(())
-        }
-        Op::SwitchJump { table, .. } => {
-            within("switch table", table, cp.switch_tables.len(), false)?;
-            let (start, end) = meta.code;
-            let ok = |t: u32| (start..end).contains(&t);
-            let fine = match &cp.switch_tables[table as usize] {
-                SwitchTable::Dense {
-                    targets, default, ..
-                } => ok(*default) && targets.iter().all(|&t| t == NONE32 || ok(t)),
-                SwitchTable::Sorted {
-                    keys,
-                    targets,
-                    default,
-                } => keys.len() == targets.len() && ok(*default) && targets.iter().all(|&t| ok(t)),
-            };
-            if fine {
-                Ok(())
+    match field {
+        Field::Read(r) | Field::Write(r) | Field::ReadWrite(r) => reg(u32::from(*r)),
+        Field::WritePair(r) => reg(u32::from(*r) + 1),
+        Field::Args(_, 0) | Field::Tick(_) => Ok(()),
+        Field::Args(base, n) => reg(u32::from(*base) + u32::from(n) - 1),
+        Field::Frame(&mut o) if o >= meta.frame_size => Err(Bad::Frame(o)),
+        Field::Target(&mut t) if !(meta.code.0..meta.code.1).contains(&t) => Err(Bad::Target(t)),
+        Field::Frame(_) | Field::Target(_) => Ok(()),
+        Field::Index(table, &mut i) => {
+            let (_, n, none_ok) = table_len(cp, table);
+            if !((none_ok && i == NONE32) || (i as usize) < n) {
+                Err(Bad::Index(table, i))
+            } else if table == Table::Callee && cp.funcs[i as usize].entry == NONE32 {
+                Err(Bad::Bodiless(i))
+            } else if table == Table::Switch && !switch_fine(cp, meta, i) {
+                Err(Bad::Switch(i))
             } else {
-                Err(format!("switch table {table} jumps outside the code range"))
+                Ok(())
             }
         }
-        _ => Ok(()),
     }
+}
+
+/// A side table's name and length, and whether [`NONE32`] ("not
+/// counted") is a valid index into it.
+#[inline(always)]
+fn table_len(cp: &CompiledProgram, table: Table) -> (&'static str, usize, bool) {
+    match table {
+        Table::Site => ("call-site counter", cp.n_sites, false),
+        Table::Func => ("function counter", cp.funcs.len(), false),
+        Table::Callee => ("callee", cp.funcs.len(), false),
+        Table::Branch => ("branch counter", cp.n_branches, true),
+        Table::Edge => ("edge counter", cp.edge_keys.len(), true),
+        Table::Data => ("static-data", cp.data_image.len(), false),
+        Table::Image => ("image", cp.images.len(), false),
+        Table::Fail => ("fail", cp.fails.len(), false),
+        Table::Switch => ("switch table", cp.switch_tables.len(), false),
+    }
+}
+
+/// Whether switch table `i` only jumps inside the function.
+fn switch_fine(cp: &CompiledProgram, meta: &FuncMeta, i: u32) -> bool {
+    let mut sw = cp.switch_tables[i as usize].clone();
+    let mut fine =
+        !matches!(&sw, SwitchTable::Sorted { keys, targets, .. } if keys.len() != targets.len());
+    sw.for_each_target(|t| fine &= (meta.code.0..meta.code.1).contains(t));
+    fine
+}
+
+/// The two ops that write a run of frame words must stay inside the
+/// frame (their first word is a [`Field::Frame`] too).
+fn check_span(cp: &CompiledProgram, meta: &FuncMeta, op: Op) -> Result<(), String> {
+    let (off, len) = match op {
+        Op::InitWordsLocal { off, img } => (off, cp.images[img as usize].len() as u64),
+        Op::ZeroLocal { off, len } => (off, u64::from(len)),
+        _ => return Ok(()),
+    };
+    if u64::from(off) + len > u64::from(meta.frame_size) {
+        return Err(format!("{len} words at offset {off} overrun the frame"));
+    }
+    Ok(())
 }
 
 /// Every block of compiled (not optimized) code ends in a control
@@ -236,186 +248,6 @@ fn check_plan(cp: &CompiledProgram, f: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// Collects the op's register operands into `regs` and its frame
-/// offsets into `offs` (`MemberAddr`'s struct offset and the static
-/// addresses of the `*PL` forms are not frame offsets).
-fn operands(op: &Op, regs: &mut Vec<u16>, offs: &mut Vec<u32>) {
-    let range = |regs: &mut Vec<u16>, base: u16, n: u16| {
-        if n > 0 {
-            regs.push(base);
-            regs.push(base.saturating_add(n - 1));
-        }
-    };
-    match *op {
-        Op::Tick(_)
-        | Op::BumpSite(_)
-        | Op::BumpFunc(_)
-        | Op::BumpBranch { .. }
-        | Op::Jump { .. }
-        | Op::EdgeJump { .. }
-        | Op::Fail(_)
-        | Op::ConstRet { .. } => {}
-        Op::Mov { dst, src }
-        | Op::ToPtr { dst, src }
-        | Op::Bool { dst, src }
-        | Op::LogicNot { dst, src }
-        | Op::Neg { dst, src }
-        | Op::BitNot { dst, src }
-        | Op::Conv { dst, src, .. }
-        | Op::MemberAddr { dst, src, .. } => regs.extend([dst, src]),
-        Op::Const { dst, .. }
-        | Op::LoadGlobal { dst, .. }
-        | Op::IncDecGlobal { dst, .. }
-        | Op::ArithGI { dst, .. }
-        | Op::ConstJump { dst, .. }
-        | Op::ArithRI { dst, .. } => regs.push(dst),
-        Op::LeaLocal { dst, off }
-        | Op::LoadLocal { dst, off }
-        | Op::IncDecLocal { dst, off, .. }
-        | Op::ArithLI { dst, off, .. }
-        | Op::ArithRL { dst, off, .. }
-        | Op::IncDecLEdge { dst, off, .. }
-        | Op::LoadLBranch { dst, off, .. }
-        | Op::ArithRLJumpF { dst, off, .. }
-        | Op::StoreRI { dst, off, .. } => {
-            regs.push(dst);
-            offs.push(off);
-        }
-        Op::LoadLocal2 { dst, off_a, off_b } => {
-            regs.extend([dst, dst.saturating_add(1)]);
-            offs.extend([off_a, off_b]);
-        }
-        Op::LoadLocalImm { dst, off, .. } => {
-            regs.extend([dst, dst.saturating_add(1)]);
-            offs.push(off);
-        }
-        Op::StoreLocal { off, src, dst, .. } | Op::RmwLocal { off, src, dst, .. } => {
-            regs.extend([src, dst]);
-            offs.push(off);
-        }
-        Op::StoreGlobal { src, dst, .. } | Op::RmwGlobal { src, dst, .. } => {
-            regs.extend([src, dst])
-        }
-        Op::Load { dst, addr, .. } | Op::IncDec { dst, addr, .. } => regs.extend([dst, addr]),
-        Op::Store { addr, src, dst, .. } | Op::Rmw { addr, src, dst, .. } => {
-            regs.extend([addr, src, dst])
-        }
-        Op::CopyWords {
-            dst_addr, src, dst, ..
-        } => regs.extend([dst_addr, src, dst]),
-        Op::InitWordsLocal { off, .. } | Op::ZeroLocal { off, .. } => offs.push(off),
-        Op::IndexAddr { dst, base, idx, .. } | Op::LoadIdx { dst, base, idx, .. } => {
-            regs.extend([dst, base, idx])
-        }
-        Op::IndexAddrLL {
-            dst, off_a, off_b, ..
-        }
-        | Op::LoadIdxLL {
-            dst, off_a, off_b, ..
-        }
-        | Op::ArithLL {
-            dst, off_a, off_b, ..
-        } => {
-            regs.push(dst);
-            offs.extend([off_a, off_b]);
-        }
-        Op::IndexAddrPL { dst, idx_off, .. } | Op::LoadIdxPL { dst, idx_off, .. } => {
-            regs.push(dst);
-            offs.push(idx_off);
-        }
-        Op::IndexAddrLeaL {
-            dst,
-            lea_off,
-            idx_off,
-            ..
-        }
-        | Op::LoadIdxLeaL {
-            dst,
-            lea_off,
-            idx_off,
-            ..
-        } => {
-            regs.push(dst);
-            offs.extend([lea_off, idx_off]);
-        }
-        Op::Arith { dst, a, b, .. } => regs.extend([dst, a, b]),
-        Op::StoreRR { off, a, b, dst, .. } => {
-            regs.extend([a, b, dst]);
-            offs.push(off);
-        }
-        Op::StoreLL {
-            off,
-            off_a,
-            off_b,
-            dst,
-            ..
-        } => {
-            regs.push(dst);
-            offs.extend([off, off_a, off_b]);
-        }
-        Op::StoreLI {
-            off, off_a, dst, ..
-        } => {
-            regs.push(dst);
-            offs.extend([off, off_a]);
-        }
-        Op::StoreRL {
-            off, off_b, dst, ..
-        } => {
-            regs.push(dst);
-            offs.extend([off, off_b]);
-        }
-        Op::JumpIfFalse { src, .. }
-        | Op::JumpIfTrue { src, .. }
-        | Op::CondBranch { src, .. }
-        | Op::SwitchJump { src, .. }
-        | Op::CheckFn { src, .. }
-        | Op::Ret { src, .. } => regs.push(src),
-        Op::CmpBranchLL { off_a, off_b, .. } => offs.extend([off_a, off_b]),
-        Op::CmpBranchLI { off, .. } => offs.push(off),
-        Op::CmpBranchRR { a, b, .. } => regs.extend([a, b]),
-        Op::CmpBranchRL { a, off, .. } => {
-            regs.push(a);
-            offs.push(off);
-        }
-        Op::CmpBranchRI { a, .. } => regs.push(a),
-        Op::CmpBranchRCI { a, dst, .. } => regs.extend([a, dst]),
-        Op::CallDirect {
-            argbase,
-            nargs,
-            dst,
-            ..
-        }
-        | Op::CallBuiltin {
-            argbase,
-            nargs,
-            dst,
-            ..
-        } => {
-            regs.push(dst);
-            range(regs, argbase, nargs);
-        }
-        Op::CallIndirect {
-            callee,
-            argbase,
-            nargs,
-            dst,
-            ..
-        } => {
-            regs.extend([callee, dst]);
-            range(regs, argbase, nargs);
-        }
-        Op::StoreLEdge { off, src, .. } => {
-            regs.push(src);
-            offs.push(off);
-        }
-        Op::LoadIdxLR { dst, off, idx, .. } => {
-            regs.extend([dst, idx]);
-            offs.push(off);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -474,5 +306,54 @@ mod tests {
         let mut cp = good.clone();
         cp.ops[end as usize - 1] = Op::Tick(1);
         assert!(verify(&cp).unwrap_err().contains("run off"));
+    }
+
+    #[test]
+    fn pair_writes_and_argument_ranges_are_checked_to_their_last_register() {
+        let mut good = compiled(LOOP);
+        let f = good.main.unwrap().0 as usize;
+        let n = 8;
+        good.funcs[f].max_regs = u32::from(n);
+        let start = good.funcs[f].code.0 as usize;
+        assert!(!good.ops[start].is_terminator());
+        let with = |op: Op| {
+            let mut cp = good.clone();
+            cp.ops[start] = op;
+            verify(&cp)
+        };
+        let outside = format!("register {n} outside a window of {n}");
+        for dst in [n - 2, n - 1] {
+            let pair = Op::LoadLocal2 {
+                dst,
+                off_a: 0,
+                off_b: 0,
+            };
+            let imm = Op::LoadLocalImm {
+                dst,
+                off: 0,
+                imm: 7,
+            };
+            for op in [pair, imm] {
+                if dst == n - 2 {
+                    assert_eq!(with(op), Ok(()), "{op:?}");
+                } else {
+                    assert!(with(op).unwrap_err().contains(&outside), "{op:?}");
+                }
+            }
+        }
+        for argbase in [n - 3, n - 2] {
+            let call = Op::CallBuiltin {
+                b: minic::builtins::Builtin::Abs,
+                argbase,
+                nargs: 3,
+                dst: 0,
+                tick: 1,
+            };
+            if argbase == n - 3 {
+                assert_eq!(with(call), Ok(()));
+            } else {
+                assert!(with(call).unwrap_err().contains(&outside));
+            }
+        }
     }
 }

@@ -559,6 +559,24 @@ impl<T: MemTap> Memory<T> {
         Err(RuntimeError::Other("unterminated string".into()))
     }
 
+    /// How many words from `addr` on can be stored before the end of
+    /// its segment (data or stack), and the error a store just past
+    /// them raises.
+    fn room(&self, addr: u64) -> (usize, RuntimeError) {
+        let (index, len) = if addr >= STACK_BASE {
+            (addr - STACK_BASE, self.stack.len())
+        } else {
+            (addr.wrapping_sub(1), self.data.len())
+        };
+        let room = (len as u64).saturating_sub(index);
+        let past = if addr == 0 {
+            RuntimeError::NullDeref
+        } else {
+            RuntimeError::OutOfBounds { addr: addr + room }
+        };
+        (room as usize, past)
+    }
+
     /// Stores the bytes of `s`, then a NUL, from `addr` on.
     fn write_cstring(&mut self, addr: u64, s: &str) -> Result<(), RuntimeError> {
         for (i, b) in s.bytes().enumerate() {
@@ -636,14 +654,23 @@ impl<'a> Libc<'a> {
             Builtin::Printf => {
                 mem.read_cstring(arg(0).to_ptr(), a)?;
                 let room = MAX_STATIC_WORDS - self.output.len();
-                format(mem, a, rest(1), out, b2, room)?;
+                let past = RuntimeError::OutputBudget {
+                    limit: MAX_STATIC_WORDS,
+                };
+                format(mem, a, rest(1), out, b2, room, past)?;
                 emit(&mut self.output, out.as_bytes())?;
                 Value::Int(out.len() as i64)
             }
             Builtin::Sprintf => {
+                let dst = arg(0).to_ptr();
                 mem.read_cstring(arg(1).to_ptr(), a)?;
-                format(mem, a, rest(2), out, b2, usize::MAX)?;
-                mem.write_cstring(arg(0).to_ptr(), out)?;
+                // The result and its NUL must fit before the end of the
+                // destination's segment: formatting stops with the error
+                // the first store past it would raise, so the result
+                // cannot grow beyond what memory could ever hold.
+                let (words, past) = mem.room(dst);
+                format(mem, a, rest(2), out, b2, words.saturating_sub(1), past)?;
+                mem.write_cstring(dst, out)?;
                 Value::Int(out.len() as i64)
             }
             Builtin::Putchar => {
@@ -768,8 +795,8 @@ fn emit(output: &mut Vec<u8>, bytes: &[u8]) -> Result<(), RuntimeError> {
 /// `printf`-style formatting of `fmt` into `out` (cleared first);
 /// `tmp` holds `%s` operands. Flags, width and precision are skipped
 /// and a missing argument reads as `Int(0)`. A result longer than
-/// `room` bytes is [`RuntimeError::OutputBudget`], found after the
-/// conversion that passes it.
+/// `room` bytes is the error `past`, found after the conversion that
+/// passes it.
 fn format<T: MemTap>(
     mem: &mut Memory<T>,
     fmt: &str,
@@ -777,6 +804,7 @@ fn format<T: MemTap>(
     out: &mut String,
     tmp: &mut String,
     room: usize,
+    past: RuntimeError,
 ) -> Result<(), RuntimeError> {
     use std::fmt::Write as _;
     out.clear();
@@ -812,9 +840,7 @@ fn format<T: MemTap>(
         };
         w.expect("writing to a String cannot fail");
         if out.len() > room {
-            return Err(RuntimeError::OutputBudget {
-                limit: MAX_STATIC_WORDS,
-            });
+            return Err(past);
         }
     }
     Ok(())

@@ -301,9 +301,18 @@ fn cost_model_charges_callers_for_builtin_calls() {
 /// Runs `src` on both engines, checks that they agree, and returns
 /// the VM's result.
 fn run_both(src: &str) -> Result<profiler::RunOutcome, RuntimeError> {
+    run_both_on(src, b"")
+}
+
+/// [`run_both`] with `input` served to `getchar()`.
+fn run_both_on(src: &str, input: &[u8]) -> Result<profiler::RunOutcome, RuntimeError> {
     let p = program(src);
-    let vm = run(&p, &RunConfig::default());
-    let ast = profiler::run_ast(&p, &RunConfig::default());
+    let config = RunConfig {
+        input: input.to_vec(),
+        ..RunConfig::default()
+    };
+    let vm = run(&p, &config);
+    let ast = profiler::run_ast(&p, &config);
     match (&vm, &ast) {
         (Ok(v), Ok(a)) => {
             assert_eq!(
@@ -403,4 +412,50 @@ fn percent_s_of_an_unterminated_string_is_an_error() {
     )
     .expect_err("unterminated");
     assert_eq!(e, RuntimeError::Other("unterminated string".into()));
+}
+
+#[test]
+fn sprintf_stops_at_the_end_of_its_destination_segment() {
+    // Three copies of a 999-byte string cannot fit between `g` (data)
+    // or `l` (stack) and the end of its segment. `sprintf` fails with
+    // the error `strcpy` of one copy raises at the first store past the
+    // segment, before it reaches the wild `%s` after the copies: the
+    // destination error wins over a later faulting operand.
+    let src = r#"
+        char big[1000];
+        char g[4];
+        int main(void) {
+            char l[4];
+            int i, c = getchar();
+            for (i = 0; i < 999; i++) big[i] = 'A';
+            if (c == 'g') sprintf(g, "%s%s%s%s", big, big, big, (char *) 99999999);
+            if (c == 'G') strcpy(g, big);
+            if (c == 'l') sprintf(l, "%s%s%s%s", big, big, big, (char *) 99999999);
+            if (c == 'L') strcpy(l, big);
+            return 0;
+        }
+    "#;
+    let err = |input: &[u8]| run_both_on(src, input).expect_err("overflows");
+    let (data, stack) = (err(b"g"), err(b"l"));
+    assert_eq!(data, err(b"G"));
+    assert_eq!(stack, err(b"L"));
+    for e in [data, stack] {
+        let RuntimeError::OutOfBounds { addr } = e else {
+            panic!("{e:?}");
+        };
+        assert_ne!(addr, 99999999, "the wild operand is never read");
+    }
+    // A result that fits is stored whole.
+    let out = run_both(
+        r#"
+        char d[8];
+        int main(void) {
+            int n = sprintf(d, "%d-%s", 42, "ab");
+            printf("%d %s\n", n, d);
+            return 0;
+        }
+        "#,
+    )
+    .expect("runs");
+    assert_eq!(out.stdout(), "5 42-ab\n");
 }

@@ -23,6 +23,7 @@ use fuzzgen::{check_source, CheckConfig, FailureKind};
 /// the error's variant.
 const RUNTIME_ERROR_ENTRIES: &[(&str, &str)] = &[
     ("manual_rt_big-output.c", "OutputBudget"),
+    ("manual_rt_big-sprintf.c", "OutOfBounds"),
     ("manual_rt_deep-frames.c", "StackBudget"),
 ];
 
@@ -285,5 +286,20 @@ fn output_past_the_output_budget_is_a_runtime_error() {
         "big-output",
         profiler::RuntimeError::OutputBudget { limit },
         &format!("program output would pass {limit} bytes"),
+    );
+}
+
+/// A `sprintf` whose result cannot fit before the end of its
+/// destination's segment (1,200 copies of a 999,999-byte string into a
+/// 16-word global) stops after the first copy with the error of the
+/// first store past the data segment, the same in both engines. It
+/// once formatted the whole ~1.2 GB result first, until an allocation
+/// aborted the process.
+#[test]
+fn sprintf_past_its_destination_segment_is_a_runtime_error() {
+    fails_alike_in_both_engines(
+        "big-sprintf",
+        profiler::RuntimeError::OutOfBounds { addr: 0xf4bb2 },
+        "wild address 0xf4bb2",
     );
 }

@@ -127,7 +127,7 @@ pub fn fig8() -> Fig8 {
         .direct
         .iter()
         .filter(|a| a.caller == cn && a.callee == Some(cn))
-        .map(|a| local[&a.site.0])
+        .map(|a| local[a.site.0 as usize])
         .sum();
     let ie = estimate_invocations(&program, &ia, InterEstimator::Markov);
     Fig8 {

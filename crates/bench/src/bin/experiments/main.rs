@@ -13,7 +13,6 @@ mod figures;
 use bench::{load_suite, ProgramData, FIG10_PROGRAMS};
 use estimators::eval::{score_program, ProgramScores};
 use estimators::intra::IntraEstimator;
-use minic::ast::NodeId;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -182,10 +181,8 @@ fn fig3() {
     let f = program.function_id("strchr").unwrap();
     let preds = estimators::predict_module(&program.module);
     let freqs = estimators::intra::ast_frequencies(&program, f, &preds, true);
-    let mut entries: Vec<(NodeId, f64)> = freqs.into_iter().collect();
-    entries.sort_by_key(|e| e.0);
     println!("node   est.count");
-    for (id, v) in entries {
+    for (id, v) in freqs.iter() {
         println!("{id:>5}  {v:.2}");
     }
     println!("(the while test gets 5, body statements 4, `return str;` 0.8)");

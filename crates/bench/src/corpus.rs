@@ -352,11 +352,16 @@ thread_local! {
 /// The per-seed task: whole pipeline, small record out.
 fn eval_seed(seq: u64, seed: u64, cache: Option<&Cache>) -> SeedRecord {
     let t0 = Instant::now();
-    let prog = fuzzgen::generate(seed);
-    let features = StructuralFeatures::of(&prog);
-    let src = prog.render();
+    let (features, src) = {
+        let _sp = obs::span("corpus.generate");
+        let prog = fuzzgen::generate(seed);
+        (StructuralFeatures::of(&prog), prog.render())
+    };
     let module = minic::compile(&src).expect("generated programs always parse");
     let program = flowgraph::build_program(module);
+    // Estimate while the freshly built AST and CFGs are still in cache;
+    // the estimates do not depend on the run.
+    let estimates = estimators::estimate_all(&program);
     let cp = profiler::compile(&program);
     let fingerprint = cp.ir_fingerprint();
     let config = run_config(seed);
@@ -372,7 +377,7 @@ fn eval_seed(seq: u64, seed: u64, cache: Option<&Cache>) -> SeedRecord {
         };
     };
     let profiles = [out.profile];
-    let scores = score_estimates(&program, &estimators::estimate_all(&program), &profiles);
+    let scores = score_estimates(&program, &estimates, &profiles);
     if let Some(c) = cache {
         let key = ArtifactKey::derive(ArtifactKind::Profile, &src, &config);
         let [profile] = profiles;

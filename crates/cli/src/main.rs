@@ -294,7 +294,7 @@ fn branches(program: &Program, src: &str) -> ExitCode {
         "line", "context", "dir", "p", "heuristic"
     );
     for b in &program.module.side.branches {
-        let pred = preds[&b.id];
+        let pred = preds[b.id];
         let func = &program.module.function(b.func).name;
         let context = format!("{:?}", b.kind).to_lowercase();
         let heuristic = format!("{:?}", pred.heuristic);

@@ -238,6 +238,48 @@ fn corpus_rejects_a_seed_range_that_overflows() {
     assert!(err.contains("seed"), "{err}");
 }
 
+/// The summed `count` of every span whose leaf name is `leaf` in an
+/// obs-metrics/v1 document.
+fn span_count(metrics: &str, leaf: &str) -> u64 {
+    let key = format!("{leaf}\":{{\"count\":");
+    metrics
+        .match_indices(&key)
+        .filter(|&(at, _)| matches!(metrics[..at].chars().last(), Some('"' | '/')))
+        .map(|(at, _)| {
+            let rest = &metrics[at + key.len()..];
+            let digits = rest
+                .find(|c: char| !c.is_ascii_digit())
+                .unwrap_or(rest.len());
+            rest[..digits].parse::<u64>().expect("span count")
+        })
+        .sum()
+}
+
+#[test]
+fn traced_corpus_reports_program_generation() {
+    // Generating, featurizing and rendering each program is its own
+    // span, so a traced corpus run leaves no per-program time outside
+    // the span tree's layers.
+    let metrics = tempfile::NamedFile::new("corpus-metrics.json");
+    let out = sfe(&[
+        "--metrics-out",
+        metrics.path(),
+        "corpus",
+        "--count",
+        "12",
+        "--jobs",
+        "1",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let doc = std::fs::read_to_string(metrics.path()).expect("metrics written");
+    assert_eq!(span_count(&doc, "corpus.generate"), 12, "{doc}");
+    assert_eq!(span_count(&doc, "estimate.branch"), 12, "{doc}");
+}
+
 #[test]
 fn corpus_naive_flag_is_gone() {
     let out = sfe(&["corpus", "--count", "1", "--naive"]);

@@ -22,10 +22,9 @@
 //! 8. **Default** — an unpredicted `if` falls through (condition
 //!    false); this carries no 0.8 confidence in the frequency models.
 
-use minic::ast::{BinOp, Expr, ExprKind, Stmt, StmtKind, UnOp};
+use minic::ast::{BinOp, Expr, ExprKind, Initializer, Stmt, StmtKind, UnOp};
 use minic::builtins::Builtin;
-use minic::sema::{Branch, BranchId, CalleeKind, Module, Resolution};
-use std::collections::{HashMap, HashSet};
+use minic::sema::{Branch, BranchId, CalleeKind, FuncId, Module, Resolution};
 
 /// Which heuristic produced a prediction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -185,6 +184,70 @@ impl PredictorConfig {
     }
 }
 
+/// Every branch prediction of one module, indexed by [`BranchId`],
+/// together with the module's error functions (see
+/// [`Predictions::error_functions`]) that the error-call heuristic
+/// consulted.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Predictions {
+    /// One slot per registered branch; `None` for a branch outside
+    /// every function body, which nothing predicts.
+    by_branch: Vec<Option<Prediction>>,
+    /// Error function flags, indexed by `FuncId`.
+    error_fns: Vec<bool>,
+}
+
+impl Predictions {
+    /// The prediction of branch `b`, if it has one.
+    pub fn get(&self, b: BranchId) -> Option<&Prediction> {
+        self.by_branch.get(b.0 as usize)?.as_ref()
+    }
+
+    /// The probability of `b`'s true edge; 0.5 for a branch without a
+    /// prediction.
+    pub fn prob_taken(&self, b: BranchId) -> f64 {
+        self.get(b).map_or(0.5, |p| p.prob_taken)
+    }
+
+    /// Every prediction, in [`BranchId`] order.
+    pub fn iter(&self) -> impl Iterator<Item = (BranchId, &Prediction)> {
+        self.by_branch
+            .iter()
+            .enumerate()
+            .filter_map(|(i, p)| Some((BranchId(i as u32), p.as_ref()?)))
+    }
+
+    /// The number of predicted branches.
+    pub fn len(&self) -> usize {
+        self.by_branch.iter().flatten().count()
+    }
+
+    /// Whether no branch is predicted.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The error function flags, indexed by `FuncId`. Error functions
+    /// never return normally: their bodies contain no `return`
+    /// statement and reach `abort`/`exit` (directly or through another
+    /// error function). Real C code wraps `exit` in `fatal()`-style
+    /// helpers; the paper's error heuristic keys on the *intent*.
+    pub fn error_functions(&self) -> &[bool] {
+        &self.error_fns
+    }
+}
+
+impl std::ops::Index<BranchId> for Predictions {
+    type Output = Prediction;
+
+    /// # Panics
+    ///
+    /// Panics if `b` has no prediction.
+    fn index(&self, b: BranchId) -> &Prediction {
+        self.get(b).expect("branch has a prediction")
+    }
+}
+
 /// Predicts every registered branch in the module.
 ///
 /// # Examples
@@ -195,225 +258,501 @@ impl PredictorConfig {
 /// "#).unwrap();
 /// let preds = estimators::branch::predict_module(&module);
 /// let b = &module.side.branches[0];
-/// let pred = preds[&b.id];
+/// let pred = preds[b.id];
 /// assert!(!pred.taken, "p == 0 is predicted false");
 /// ```
-pub fn predict_module(module: &Module) -> HashMap<BranchId, Prediction> {
+pub fn predict_module(module: &Module) -> Predictions {
     predict_module_with(module, &PredictorConfig::default())
 }
 
 /// [`predict_module`] with an explicit [`PredictorConfig`] — the entry
 /// point for ablation studies and the calibrated-probability variant.
-pub fn predict_module_with(
-    module: &Module,
-    config: &PredictorConfig,
-) -> HashMap<BranchId, Prediction> {
+pub fn predict_module_with(module: &Module, config: &PredictorConfig) -> Predictions {
     let _sp = obs::span("estimate.branch");
-    let mut out = HashMap::new();
-    let error_fns = error_functions(module);
-    for func in module.defined_functions() {
-        let body = func.body.as_ref().expect("defined");
-        let ctx = FnContext::new(module, body, &error_fns, config);
-        // Walk statements to find branch owners with their arms.
-        body.walk(&mut |s| match &s.kind {
-            StmtKind::If(cond, then_s, else_s) => {
-                if let Some(bid) = module.side.branch(s.id) {
-                    let branch = &module.side.branches[bid.0 as usize];
-                    let p = ctx.predict_if(branch, cond, Some(then_s), else_s.as_deref());
-                    out.insert(bid, p);
-                }
-            }
-            StmtKind::While(cond, _) | StmtKind::DoWhile(_, cond) => {
-                if let Some(bid) = module.side.branch(s.id) {
-                    let branch = &module.side.branches[bid.0 as usize];
-                    out.insert(bid, ctx.predict_loop(branch, cond));
-                }
-            }
-            StmtKind::For(_, Some(cond), _, _) => {
-                if let Some(bid) = module.side.branch(s.id) {
-                    let branch = &module.side.branches[bid.0 as usize];
-                    out.insert(bid, ctx.predict_loop(branch, cond));
-                }
-            }
-            _ => {}
-        });
-        // Ternary branches live on expressions.
-        body.walk_exprs(&mut |e| {
-            if let ExprKind::Cond(c, t, f) = &e.kind {
-                if let Some(bid) = module.side.branch(e.id) {
-                    let branch = &module.side.branches[bid.0 as usize];
-                    let p = ctx.predict_ternary(branch, c, t, f);
-                    out.insert(bid, p);
-                }
-            }
-        });
+    let facts = Facts::of(module);
+    let error_fns = facts.error_functions(module);
+    let ctx = Predictor {
+        module,
+        facts: &facts,
+        error_fns: &error_fns,
+        config,
+    };
+    let mut by_branch = vec![None; module.side.branches.len()];
+    let mut reads = ReadCounts::new(facts.globals + facts.max_locals);
+    for f in &facts.fns {
+        let body = facts.slice(f.events);
+        for site in &facts.sites[f.sites.clone()] {
+            let branch = &module.side.branches[site.branch.0 as usize];
+            by_branch[site.branch.0 as usize] = Some(ctx.predict(branch, site, body, &mut reads));
+        }
+        reads.forget(body);
     }
-    out
+    Predictions {
+        by_branch,
+        error_fns,
+    }
 }
 
-/// Functions that never return normally: their bodies contain no
-/// `return` statement and reach `abort`/`exit` (directly or through
-/// another error function). Real C code wraps `exit` in `fatal()`-style
-/// helpers; the paper's error heuristic keys on the *intent*.
-pub fn error_functions(module: &Module) -> std::collections::HashSet<minic::sema::FuncId> {
-    use minic::sema::FuncId;
-    let mut error_fns: std::collections::HashSet<FuncId> = std::collections::HashSet::new();
-    // Fixpoint: a call to an already-known error function counts.
-    loop {
-        let mut changed = false;
+/// One entry of a function's event column: what one expression node
+/// contributes to the heuristics' questions about an arm.
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    /// A read of a variable (dense index, see [`Walker::var`]).
+    Read(u32),
+    /// A store whose target is rooted at a variable.
+    Write(u32),
+    /// A direct call to a user function.
+    Call(FuncId),
+    /// A call to a noreturn builtin (`abort`, `exit`).
+    Exit,
+}
+
+/// A `[start, end)` range of the event column.
+#[derive(Debug, Clone, Copy)]
+struct Arm {
+    start: u32,
+    end: u32,
+}
+
+/// What a branch site needs from the walk beyond its condition.
+#[derive(Debug, Clone, Copy)]
+enum SiteKind {
+    /// A loop condition.
+    Loop,
+    /// An `if` and the event ranges of its arms.
+    If { then: Arm, els: Option<Arm> },
+    /// A `?:` and the event ranges of its arms.
+    Ternary { then: Arm, els: Arm },
+}
+
+/// One predicted branch, as the walk found it.
+#[derive(Debug, Clone, Copy)]
+struct Site<'m> {
+    branch: BranchId,
+    cond: &'m Expr,
+    kind: SiteKind,
+}
+
+/// One defined function's share of the columns.
+#[derive(Debug, Clone)]
+struct FnFacts {
+    func: FuncId,
+    events: Arm,
+    sites: std::ops::Range<usize>,
+    has_return: bool,
+}
+
+/// The walk-once record of a module: per defined function, in one
+/// pre-order pass, every read, store and call that can matter as a flat
+/// event column, and every branch site with the column ranges of its
+/// arms. A statement's or expression's events are contiguous, so every
+/// question the heuristics ask about an arm is a scan of one slice.
+struct Facts<'m> {
+    events: Vec<Event>,
+    sites: Vec<Site<'m>>,
+    fns: Vec<FnFacts>,
+    /// Variables are numbered globals first, then the current
+    /// function's locals.
+    globals: usize,
+    max_locals: usize,
+}
+
+impl<'m> Facts<'m> {
+    fn of(module: &'m Module) -> Self {
+        let mut w = Walker {
+            module,
+            globals: module.globals.len() as u32,
+            // Each event comes from a distinct node, so the node count
+            // bounds the column.
+            events: Vec::with_capacity(module.side.index().len()),
+            sites: Vec::with_capacity(module.side.branches.len()),
+            has_return: false,
+        };
+        let mut fns = Vec::new();
+        let mut max_locals = 0;
         for func in module.defined_functions() {
-            if error_fns.contains(&func.id) {
-                continue;
-            }
-            let body = func.body.as_ref().expect("defined");
-            let mut has_return = false;
-            body.walk(&mut |s| {
-                if matches!(s.kind, StmtKind::Return(_)) {
-                    has_return = true;
-                }
+            let (events, sites) = (w.mark(), w.sites.len());
+            w.has_return = false;
+            w.stmt(func.body.as_ref().expect("defined"));
+            fns.push(FnFacts {
+                func: func.id,
+                events: Arm {
+                    start: events,
+                    end: w.mark(),
+                },
+                sites: sites..w.sites.len(),
+                has_return: w.has_return,
             });
-            if has_return {
-                continue;
-            }
-            let mut reaches_exit = false;
-            body.walk_exprs(&mut |e| {
-                if let ExprKind::Call(_, _) = &e.kind {
-                    if let Some(site) = module.side.call_site(e.id) {
-                        match module.side.call_sites[site.0 as usize].callee {
-                            CalleeKind::Builtin(b) if b.is_noreturn() => reaches_exit = true,
-                            CalleeKind::Direct(f) if error_fns.contains(&f) => reaches_exit = true,
-                            _ => {}
-                        }
-                    }
-                }
-            });
-            if reaches_exit {
-                error_fns.insert(func.id);
-                changed = true;
-            }
+            max_locals = max_locals.max(func.locals.len());
         }
-        if !changed {
+        Facts {
+            events: w.events,
+            sites: w.sites,
+            fns,
+            globals: module.globals.len(),
+            max_locals,
+        }
+    }
+
+    fn slice(&self, arm: Arm) -> &[Event] {
+        &self.events[arm.start as usize..arm.end as usize]
+    }
+
+    /// The error functions in one worklist pass: seed with the
+    /// return-less functions that call a noreturn builtin, then mark
+    /// every return-less direct caller of a marked function.
+    fn error_functions(&self, module: &Module) -> Vec<bool> {
+        let mut error_fns = vec![false; module.functions.len()];
+        let candidates = || self.fns.iter().filter(|f| !f.has_return);
+        let mut work: Vec<FuncId> = candidates()
+            .filter(|f| {
+                self.slice(f.events)
+                    .iter()
+                    .any(|e| matches!(e, Event::Exit))
+            })
+            .map(|f| f.func)
+            .collect();
+        if work.is_empty() {
             return error_fns;
         }
+        for &f in &work {
+            error_fns[f.0 as usize] = true;
+        }
+        // (callee, caller) for every direct call of a candidate, sorted
+        // so a callee's callers are one run.
+        let mut calls: Vec<(FuncId, FuncId)> = candidates()
+            .flat_map(|f| {
+                self.slice(f.events).iter().filter_map(move |e| match e {
+                    Event::Call(g) => Some((*g, f.func)),
+                    _ => None,
+                })
+            })
+            .collect();
+        calls.sort_unstable();
+        while let Some(g) = work.pop() {
+            let from = calls.partition_point(|&(callee, _)| callee < g);
+            for &(callee, caller) in &calls[from..] {
+                if callee != g {
+                    break;
+                }
+                if !error_fns[caller.0 as usize] {
+                    error_fns[caller.0 as usize] = true;
+                    work.push(caller);
+                }
+            }
+        }
+        error_fns
     }
 }
 
-/// Per-function analysis context: read counts per variable and the
-/// module reference.
-struct FnContext<'m> {
+/// The pre-order walk behind [`Facts`]. It visits exactly the
+/// expressions `Stmt::walk_exprs` visits.
+struct Walker<'m> {
     module: &'m Module,
-    /// Total reads of each variable in the whole function.
-    reads: HashMap<VarKey, i64>,
-    /// Module-wide noreturn wrappers (see [`error_functions`]).
-    error_fns: &'m std::collections::HashSet<minic::sema::FuncId>,
+    globals: u32,
+    events: Vec<Event>,
+    sites: Vec<Site<'m>>,
+    has_return: bool,
+}
+
+impl<'m> Walker<'m> {
+    /// The variable a store through `e` lands in, or that an `Ident`
+    /// reads: globals are numbered first, then the function's locals.
+    /// Stores through pointers (`*p`, `p->f`) have unknown targets.
+    fn var(&self, e: &Expr) -> Option<u32> {
+        match &e.kind {
+            ExprKind::Ident(_) => match self.module.side.resolution(e.id)? {
+                Resolution::Local(l) => Some(self.globals + l.0),
+                Resolution::Global(g) => Some(g.0),
+                _ => None,
+            },
+            ExprKind::Index(b, _) | ExprKind::Member(b, _, false) => self.var(b),
+            ExprKind::Cast(_, inner) => self.var(inner),
+            _ => None,
+        }
+    }
+
+    fn site(&mut self, owner: minic::ast::NodeId, cond: &'m Expr, kind: SiteKind) {
+        if let Some(branch) = self.module.side.branch(owner) {
+            self.sites.push(Site { branch, cond, kind });
+        }
+    }
+
+    fn mark(&self) -> u32 {
+        self.events.len() as u32
+    }
+
+    fn stmt_arm(&mut self, s: &'m Stmt) -> Arm {
+        let start = self.mark();
+        self.stmt(s);
+        Arm {
+            start,
+            end: self.mark(),
+        }
+    }
+
+    fn expr_arm(&mut self, e: &'m Expr) -> Arm {
+        let start = self.mark();
+        self.expr(e);
+        Arm {
+            start,
+            end: self.mark(),
+        }
+    }
+
+    fn stmt(&mut self, s: &'m Stmt) {
+        match &s.kind {
+            StmtKind::Expr(e) => self.expr(e),
+            StmtKind::Decl(ds) => {
+                for d in ds {
+                    if let Some(init) = &d.init {
+                        self.init(init);
+                    }
+                }
+            }
+            StmtKind::If(cond, then_s, else_s) => {
+                self.expr(cond);
+                let then = self.stmt_arm(then_s);
+                let els = else_s.as_deref().map(|e| self.stmt_arm(e));
+                self.site(s.id, cond, SiteKind::If { then, els });
+            }
+            StmtKind::While(cond, body) | StmtKind::DoWhile(body, cond) => {
+                self.expr(cond);
+                self.stmt(body);
+                self.site(s.id, cond, SiteKind::Loop);
+            }
+            StmtKind::For(init, cond, step, body) => {
+                if let Some(i) = init {
+                    self.stmt(i);
+                }
+                if let Some(c) = cond {
+                    self.expr(c);
+                }
+                if let Some(st) = step {
+                    self.expr(st);
+                }
+                self.stmt(body);
+                if let Some(c) = cond {
+                    self.site(s.id, c, SiteKind::Loop);
+                }
+            }
+            StmtKind::Switch(scrut, sections) => {
+                self.expr(scrut);
+                for sec in sections {
+                    for l in &sec.labels {
+                        self.expr(l);
+                    }
+                    for st in &sec.body {
+                        self.stmt(st);
+                    }
+                }
+            }
+            StmtKind::Return(e) => {
+                self.has_return = true;
+                if let Some(e) = e {
+                    self.expr(e);
+                }
+            }
+            StmtKind::Label(_, inner) => self.stmt(inner),
+            StmtKind::Block(stmts) => {
+                for st in stmts {
+                    self.stmt(st);
+                }
+            }
+            StmtKind::Break | StmtKind::Continue | StmtKind::Goto(_) | StmtKind::Empty => {}
+        }
+    }
+
+    fn init(&mut self, init: &'m Initializer) {
+        match init {
+            Initializer::Expr(e) => self.expr(e),
+            Initializer::List(items) => {
+                for i in items {
+                    self.init(i);
+                }
+            }
+        }
+    }
+
+    fn expr(&mut self, e: &'m Expr) {
+        match &e.kind {
+            ExprKind::IntLit(_)
+            | ExprKind::FloatLit(_)
+            | ExprKind::StrLit(_)
+            | ExprKind::SizeofType(_) => {}
+            ExprKind::Ident(_) => {
+                if let Some(v) = self.var(e) {
+                    self.events.push(Event::Read(v));
+                }
+            }
+            ExprKind::Assign(op, lhs, rhs) => {
+                if let Some(v) = self.var(lhs) {
+                    self.events.push(Event::Write(v));
+                }
+                // Every `Ident` reads, except the direct target of a
+                // plain assignment. (Compound assignments read their
+                // target.)
+                if op.is_some() || !matches!(lhs.kind, ExprKind::Ident(_)) {
+                    self.expr(lhs);
+                }
+                self.expr(rhs);
+            }
+            ExprKind::Unary(op, inner) => {
+                if matches!(
+                    op,
+                    UnOp::PreInc | UnOp::PreDec | UnOp::PostInc | UnOp::PostDec
+                ) {
+                    if let Some(v) = self.var(inner) {
+                        self.events.push(Event::Write(v));
+                    }
+                }
+                self.expr(inner);
+            }
+            ExprKind::Cast(_, inner)
+            | ExprKind::SizeofExpr(inner)
+            | ExprKind::Member(inner, _, _) => self.expr(inner),
+            ExprKind::Binary(_, a, b)
+            | ExprKind::LogAnd(a, b)
+            | ExprKind::LogOr(a, b)
+            | ExprKind::Index(a, b)
+            | ExprKind::Comma(a, b) => {
+                self.expr(a);
+                self.expr(b);
+            }
+            ExprKind::Call(callee, args) => {
+                if let Some(site) = self.module.side.call_site(e.id) {
+                    match self.module.side.call_sites[site.0 as usize].callee {
+                        CalleeKind::Builtin(b) if b.is_noreturn() => self.events.push(Event::Exit),
+                        CalleeKind::Direct(f) => self.events.push(Event::Call(f)),
+                        _ => {}
+                    }
+                }
+                self.expr(callee);
+                for a in args {
+                    self.expr(a);
+                }
+            }
+            ExprKind::Cond(c, t, f) => {
+                self.expr(c);
+                let then = self.expr_arm(t);
+                let els = self.expr_arm(f);
+                self.site(e.id, c, SiteKind::Ternary { then, els });
+            }
+        }
+    }
+}
+
+/// Per-variable read counts for the store-use heuristic, dense over the
+/// [`Walker::var`] numbering.
+struct ReadCounts {
+    /// Reads in the whole current function, once `filled`.
+    totals: Vec<i64>,
+    filled: bool,
+    /// Reads in the arm being asked about; zero between questions.
+    inside: Vec<i64>,
+}
+
+impl ReadCounts {
+    fn new(vars: usize) -> Self {
+        ReadCounts {
+            totals: vec![0; vars],
+            filled: false,
+            inside: vec![0; vars],
+        }
+    }
+
+    /// Whether `arm` writes a variable that is read more often in the
+    /// whole function `body` than inside the arm itself ("read
+    /// elsewhere"). The function's totals are counted on its first
+    /// question.
+    fn stores_used_vars(&mut self, body: &[Event], arm: &[Event]) -> bool {
+        if !arm.iter().any(|e| matches!(e, Event::Write(_))) {
+            return false;
+        }
+        if !self.filled {
+            add_reads(&mut self.totals, body, 1);
+            self.filled = true;
+        }
+        add_reads(&mut self.inside, arm, 1);
+        let hit = arm.iter().any(|e| match *e {
+            Event::Write(v) => self.totals[v as usize] > self.inside[v as usize],
+            _ => false,
+        });
+        add_reads(&mut self.inside, arm, -1);
+        hit
+    }
+
+    /// Clears the totals of the function whose events are `body`.
+    fn forget(&mut self, body: &[Event]) {
+        if self.filled {
+            add_reads(&mut self.totals, body, -1);
+            self.filled = false;
+        }
+    }
+}
+
+/// Adds `delta` to `counts[v]` for every read of `v` in `events`.
+fn add_reads(counts: &mut [i64], events: &[Event], delta: i64) {
+    for &e in events {
+        if let Event::Read(v) = e {
+            counts[v as usize] += delta;
+        }
+    }
+}
+
+/// Predicts the sites of a module from its [`Facts`].
+struct Predictor<'a, 'm> {
+    module: &'m Module,
+    facts: &'a Facts<'m>,
+    /// Module-wide noreturn wrappers (see
+    /// [`Predictions::error_functions`]).
+    error_fns: &'a [bool],
     /// Active heuristics and probabilities.
-    config: &'m PredictorConfig,
+    config: &'a PredictorConfig,
 }
 
-/// A variable identity for the store-use heuristic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum VarKey {
-    Local(u32),
-    Global(u32),
-}
-
-impl<'m> FnContext<'m> {
-    fn new(
-        module: &'m Module,
-        body: &Stmt,
-        error_fns: &'m std::collections::HashSet<minic::sema::FuncId>,
-        config: &'m PredictorConfig,
-    ) -> Self {
-        let mut reads = HashMap::new();
-        body.walk_exprs(&mut |e| collect_reads(module, e, &mut reads));
-        FnContext {
-            module,
-            reads,
-            error_fns,
-            config,
-        }
-    }
-
-    fn constant(&self, branch: &Branch) -> Option<Prediction> {
-        branch
-            .const_cond
-            .map(|v| self.config.prediction(v, Heuristic::Constant))
-    }
-
-    fn predict_loop(&self, branch: &Branch, _cond: &Expr) -> Prediction {
-        if let Some(p) = self.constant(branch) {
-            return p;
-        }
-        debug_assert!(branch.kind.is_loop());
-        self.config.prediction(true, Heuristic::Loop)
-    }
-
-    fn predict_if(
+impl Predictor<'_, '_> {
+    fn predict(
         &self,
         branch: &Branch,
-        cond: &Expr,
-        then_s: Option<&Stmt>,
-        else_s: Option<&Stmt>,
+        site: &Site,
+        body: &[Event],
+        reads: &mut ReadCounts,
     ) -> Prediction {
-        if let Some(p) = self.constant(branch) {
-            return p;
+        if let Some(v) = branch.const_cond {
+            return self.config.prediction(v, Heuristic::Constant);
         }
+        let (then, els) = match site.kind {
+            SiteKind::Loop => {
+                debug_assert!(branch.kind.is_loop());
+                return self.config.prediction(true, Heuristic::Loop);
+            }
+            SiteKind::If { then, els } => (then, els),
+            SiteKind::Ternary { then, els } => (then, Some(els)),
+        };
+        let cond = site.cond;
         if self.config.pointer {
             if let Some(p) = self.pointer_heuristic(cond) {
                 return p;
             }
         }
         if self.config.error_call {
-            let then_err = then_s.is_some_and(|s| self.stmt_has_error_call(s));
-            let else_err = else_s.is_some_and(|s| self.stmt_has_error_call(s));
+            let then_err = self.has_error_call(then);
+            let else_err = els.is_some_and(|a| self.has_error_call(a));
             if then_err != else_err {
                 return self.config.prediction(else_err, Heuristic::ErrorCall);
             }
         }
-        // Store-use compares the two arms of the conditional, so it
-        // only applies when there *are* two arms; firing it on every
-        // else-less `if` that assigns something mispredicts wildly
-        // (confirmed by the ablation experiment: +9 points miss rate).
-        if self.config.store_use && else_s.is_some() {
-            let then_stores = then_s.is_some_and(|s| self.stmt_stores_used_vars(s));
-            let else_stores = else_s.is_some_and(|s| self.stmt_stores_used_vars(s));
+        // Store-use compares the two arms of an `if`, so it only applies
+        // when there *are* two arms; firing it on every else-less `if`
+        // that assigns something mispredicts wildly (confirmed by the
+        // ablation experiment: +9 points miss rate). `?:` arms are
+        // expressions and do not take part.
+        if let (true, SiteKind::If { els: Some(els), .. }) = (self.config.store_use, site.kind) {
+            let then_stores = reads.stores_used_vars(body, self.facts.slice(then));
+            let else_stores = reads.stores_used_vars(body, self.facts.slice(els));
             if then_stores != else_stores {
                 return self.config.prediction(then_stores, Heuristic::StoreUse);
-            }
-        }
-        if self.config.and_chain {
-            if let Some(p) = self.and_chain(cond) {
-                return p;
-            }
-        }
-        if self.config.opcode {
-            if let Some(p) = self.opcode_heuristic(cond) {
-                return p;
-            }
-        }
-        self.config.prediction(false, Heuristic::Default)
-    }
-
-    fn predict_ternary(
-        &self,
-        branch: &Branch,
-        cond: &Expr,
-        then_e: &Expr,
-        else_e: &Expr,
-    ) -> Prediction {
-        if let Some(p) = self.constant(branch) {
-            return p;
-        }
-        if self.config.pointer {
-            if let Some(p) = self.pointer_heuristic(cond) {
-                return p;
-            }
-        }
-        if self.config.error_call {
-            let then_err = self.expr_has_error_call(then_e);
-            let else_err = self.expr_has_error_call(else_e);
-            if then_err != else_err {
-                return self.config.prediction(else_err, Heuristic::ErrorCall);
             }
         }
         if self.config.and_chain {
@@ -471,55 +810,12 @@ impl<'m> FnContext<'m> {
         }
     }
 
-    fn call_is_error(&self, e: &Expr) -> bool {
-        let Some(site) = self.module.side.call_site(e.id) else {
-            return false;
-        };
-        match self.module.side.call_sites[site.0 as usize].callee {
-            CalleeKind::Builtin(b) => b.is_noreturn(),
-            CalleeKind::Direct(f) => self.error_fns.contains(&f),
-            CalleeKind::Indirect => false,
-        }
-    }
-
-    fn expr_has_error_call(&self, e: &Expr) -> bool {
-        let mut found = false;
-        e.walk(&mut |x| {
-            if let ExprKind::Call(_, _) = &x.kind {
-                if self.call_is_error(x) {
-                    found = true;
-                }
-            }
-        });
-        found
-    }
-
-    fn stmt_has_error_call(&self, s: &Stmt) -> bool {
-        let mut found = false;
-        s.walk_exprs(&mut |e| {
-            if let ExprKind::Call(_, _) = &e.kind {
-                if self.call_is_error(e) {
-                    found = true;
-                }
-            }
-        });
-        found
-    }
-
-    /// Whether the arm writes a variable that is read more often in the
-    /// whole function than inside the arm itself ("read elsewhere").
-    fn stmt_stores_used_vars(&self, s: &Stmt) -> bool {
-        let mut writes: HashSet<VarKey> = HashSet::new();
-        s.walk_exprs(&mut |e| collect_writes(self.module, e, &mut writes));
-        if writes.is_empty() {
-            return false;
-        }
-        let mut arm_reads: HashMap<VarKey, i64> = HashMap::new();
-        s.walk_exprs(&mut |e| collect_reads(self.module, e, &mut arm_reads));
-        writes.iter().any(|v| {
-            let total = self.reads.get(v).copied().unwrap_or(0);
-            let inside = arm_reads.get(v).copied().unwrap_or(0);
-            total > inside
+    /// Whether the arm calls `abort`/`exit` or an error function.
+    fn has_error_call(&self, arm: Arm) -> bool {
+        self.facts.slice(arm).iter().any(|e| match *e {
+            Event::Exit => true,
+            Event::Call(f) => self.error_fns[f.0 as usize],
+            Event::Read(_) | Event::Write(_) => false,
         })
     }
 
@@ -545,16 +841,11 @@ impl<'m> FnContext<'m> {
         match &cond.kind {
             ExprKind::Binary(BinOp::Eq, _, _) => p(false),
             ExprKind::Binary(BinOp::Ne, _, _) => p(true),
-            ExprKind::Binary(op @ (BinOp::Lt | BinOp::Le), _, rhs) => {
-                match rhs.kind {
-                    // x < 0 / x <= 0: negative values are unlikely.
-                    ExprKind::IntLit(v) if v <= 0 => p(false),
-                    _ => {
-                        let _ = op;
-                        None
-                    }
-                }
-            }
+            ExprKind::Binary(BinOp::Lt | BinOp::Le, _, rhs) => match rhs.kind {
+                // x < 0 / x <= 0: negative values are unlikely.
+                ExprKind::IntLit(v) if v <= 0 => p(false),
+                _ => None,
+            },
             ExprKind::Binary(BinOp::Gt | BinOp::Ge, _, rhs) => match rhs.kind {
                 // x > 0 / x >= 0: non-negative values are likely.
                 ExprKind::IntLit(v) if v <= 0 => p(true),
@@ -562,61 +853,6 @@ impl<'m> FnContext<'m> {
             },
             _ => None,
         }
-    }
-}
-
-fn root_var(module: &Module, e: &Expr) -> Option<VarKey> {
-    match &e.kind {
-        ExprKind::Ident(_) => match module.side.resolution(e.id)? {
-            Resolution::Local(l) => Some(VarKey::Local(l.0)),
-            Resolution::Global(g) => Some(VarKey::Global(g.0)),
-            _ => None,
-        },
-        ExprKind::Index(b, _) | ExprKind::Member(b, _, false) => root_var(module, b),
-        ExprKind::Cast(_, inner) => root_var(module, inner),
-        // Writes through pointers (`*p`, `p->f`) have unknown targets.
-        _ => None,
-    }
-}
-
-fn collect_writes(module: &Module, e: &Expr, out: &mut HashSet<VarKey>) {
-    match &e.kind {
-        ExprKind::Assign(_, lhs, _) => {
-            if let Some(v) = root_var(module, lhs) {
-                out.insert(v);
-            }
-        }
-        ExprKind::Unary(UnOp::PreInc | UnOp::PreDec | UnOp::PostInc | UnOp::PostDec, inner) => {
-            if let Some(v) = root_var(module, inner) {
-                out.insert(v);
-            }
-        }
-        _ => {}
-    }
-}
-
-fn collect_reads(module: &Module, e: &Expr, out: &mut HashMap<VarKey, i64>) {
-    // Every Ident occurrence counts as a read except the direct target
-    // of a plain assignment. (Compound assignments and inc/dec read
-    // too, but `walk_exprs` visits the lhs Ident node itself, so the
-    // adjustment happens at the Assign node.)
-    match &e.kind {
-        ExprKind::Ident(_) => {
-            if let Some(v) = root_var(module, e) {
-                *out.entry(v).or_insert(0) += 1;
-            }
-        }
-        ExprKind::Assign(None, lhs, _) => {
-            // Cancel the read that the lhs root Ident will register.
-            if let ExprKind::Ident(_) = lhs.kind {
-                if let Some(v) = root_var(module, lhs) {
-                    // Walk order is pre-order: parent first. Record a
-                    // deficit; the child Ident's increment restores 0.
-                    *out.entry(v).or_insert(0) -= 1;
-                }
-            }
-        }
-        _ => {}
     }
 }
 
@@ -631,7 +867,7 @@ mod tests {
     use super::*;
     use minic::sema::BranchKind;
 
-    fn predictions(src: &str) -> (Module, HashMap<BranchId, Prediction>) {
+    fn predictions(src: &str) -> (Module, Predictions) {
         let module = minic::compile(src).expect("valid MiniC");
         let preds = predict_module(&module);
         (module, preds)
@@ -645,7 +881,7 @@ mod tests {
             .iter()
             .find(|b| b.kind == BranchKind::If)
             .expect("an if branch");
-        preds[&branch.id]
+        preds[branch.id]
     }
 
     #[test]
@@ -653,7 +889,7 @@ mod tests {
         let (module, preds) = predictions("int f(int n) { while (n > 0) n--; return n; }");
         let b = &module.side.branches[0];
         assert_eq!(
-            preds[&b.id],
+            preds[b.id],
             Prediction {
                 taken: true,
                 heuristic: Heuristic::Loop,
@@ -758,9 +994,9 @@ mod tests {
     fn constant_condition_predicts_itself() {
         let (module, preds) = predictions("int f(void) { if (1) return 1; return 0; }");
         let b = &module.side.branches[0];
-        assert_eq!(preds[&b.id].heuristic, Heuristic::Constant);
-        assert!(preds[&b.id].taken);
-        assert_eq!(preds[&b.id].prob_taken(), 1.0);
+        assert_eq!(preds[b.id].heuristic, Heuristic::Constant);
+        assert!(preds[b.id].taken);
+        assert_eq!(preds[b.id].prob_taken(), 1.0);
     }
 
     #[test]
@@ -772,8 +1008,8 @@ mod tests {
             .iter()
             .find(|b| b.kind == BranchKind::Ternary)
             .unwrap();
-        assert_eq!(preds[&b.id].heuristic, Heuristic::Pointer);
-        assert!(preds[&b.id].taken);
+        assert_eq!(preds[b.id].heuristic, Heuristic::Pointer);
+        assert!(preds[b.id].taken);
     }
 
     #[test]
@@ -789,13 +1025,13 @@ mod tests {
         let full = predict_module_with(&module, &PredictorConfig::default());
         let ablated = predict_module_with(&module, &PredictorConfig::without(Heuristic::Pointer));
         let b = module.side.branches[0].id;
-        assert_eq!(full[&b].heuristic, Heuristic::Pointer);
+        assert_eq!(full[b].heuristic, Heuristic::Pointer);
         // Without the pointer heuristic, `p == 0` falls to the opcode
         // heuristic (equality unlikely) — same direction, new source.
-        assert_eq!(ablated[&b].heuristic, Heuristic::Opcode);
+        assert_eq!(ablated[b].heuristic, Heuristic::Opcode);
         let bare = predict_module_with(&module, &PredictorConfig::bare());
-        assert_eq!(bare[&b].heuristic, Heuristic::Default);
-        assert_eq!(bare[&b].prob_taken, 0.5);
+        assert_eq!(bare[b].heuristic, Heuristic::Default);
+        assert_eq!(bare[b].prob_taken, 0.5);
     }
 
     #[test]
@@ -815,7 +1051,7 @@ mod tests {
             ..PredictorConfig::default()
         };
         let preds = predict_module_with(&module, &config);
-        let mut probs: Vec<f64> = preds.values().map(|p| p.prob_taken).collect();
+        let mut probs: Vec<f64> = preds.iter().map(|(_, p)| p.prob_taken).collect();
         probs.sort_by(|a, b| a.total_cmp(b));
         probs.dedup();
         assert!(
@@ -832,7 +1068,7 @@ mod tests {
             ..PredictorConfig::default()
         };
         let preds = predict_module_with(&module, &config);
-        assert_eq!(preds[&module.side.branches[0].id].prob_taken, 0.9);
+        assert_eq!(preds[module.side.branches[0].id].prob_taken, 0.9);
     }
 
     #[test]
@@ -846,17 +1082,17 @@ mod tests {
             "#,
         )
         .unwrap();
-        let errs = error_functions(&module);
-        assert_eq!(errs.len(), 2);
         let preds = predict_module(&module);
+        let errs = preds.error_functions();
+        assert_eq!(errs.iter().filter(|&&e| e).count(), 2);
         let b = module
             .side
             .branches
             .iter()
             .find(|b| b.kind == BranchKind::If)
             .unwrap();
-        assert_eq!(preds[&b.id].heuristic, Heuristic::ErrorCall);
-        assert!(!preds[&b.id].taken);
+        assert_eq!(preds[b.id].heuristic, Heuristic::ErrorCall);
+        assert!(!preds[b.id].taken);
     }
 
     #[test]

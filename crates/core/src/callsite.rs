@@ -63,17 +63,24 @@ pub fn estimate_sites(
     intra: &IntraEstimates,
     inter: &InterEstimates,
 ) -> Vec<SiteFreq> {
-    let local = local_site_freqs(program, intra);
-    rankable_sites(program)
-        .into_iter()
-        .map(|site| {
-            let caller = program.module.side.call_sites[site.0 as usize].caller;
-            let inv = inter.of(caller);
-            let loc = local.get(&site.0).copied().unwrap_or(0.0);
-            SiteFreq {
-                site,
-                freq: inv * loc,
-            }
+    sites_from_local(program, &local_site_freqs(program, intra), inter)
+}
+
+/// [`estimate_sites`] over precomputed [`local_site_freqs`].
+pub(crate) fn sites_from_local(
+    program: &Program,
+    local: &[f64],
+    inter: &InterEstimates,
+) -> Vec<SiteFreq> {
+    program
+        .module
+        .side
+        .call_sites
+        .iter()
+        .filter(|c| matches!(c.callee, CalleeKind::Direct(_)))
+        .map(|c| SiteFreq {
+            site: c.id,
+            freq: inter.of(c.caller) * local[c.id.0 as usize],
         })
         .collect()
 }

@@ -5,9 +5,9 @@
 //! predictor computed leave-one-out from the aggregate of the *other*
 //! profiles.
 
-use crate::callsite::{estimate_sites, rankable_sites};
+use crate::callsite::{estimate_sites, rankable_sites, sites_from_local, SiteFreq};
 use crate::inter::{InterEstimates, InterEstimator};
-use crate::intra::{IntraEstimates, IntraEstimator};
+use crate::intra::IntraEstimates;
 use crate::metric::weight_matching;
 use crate::{estimate_all, Estimates};
 use flowgraph::Program;
@@ -140,7 +140,10 @@ pub fn callsite_score(
     profiles: &[Profile],
     cutoff: f64,
 ) -> f64 {
-    let sites = estimate_sites(program, intra, inter);
+    sites_score(&estimate_sites(program, intra, inter), profiles, cutoff)
+}
+
+fn sites_score(sites: &[SiteFreq], profiles: &[Profile], cutoff: f64) -> f64 {
     let est: Vec<f64> = sites.iter().map(|s| s.freq).collect();
     let mut scores = Vec::new();
     for p in profiles {
@@ -192,7 +195,6 @@ pub fn score_estimates(
     estimates: &Estimates,
     profiles: &[Profile],
 ) -> EstimateScores {
-    let smart = estimates.intra(IntraEstimator::Smart);
     EstimateScores {
         intra: estimates
             .intra
@@ -202,8 +204,10 @@ pub fn score_estimates(
             .inter
             .each_ref()
             .map(|ie| invocation_score(program, ie, profiles, 0.25)),
-        callsite: [InterEstimator::Direct, InterEstimator::Markov]
-            .map(|w| callsite_score(program, smart, estimates.inter(w), profiles, 0.25)),
+        callsite: [InterEstimator::Direct, InterEstimator::Markov].map(|w| {
+            let sites = sites_from_local(program, &estimates.site_freqs, estimates.inter(w));
+            sites_score(&sites, profiles, 0.25)
+        }),
     }
 }
 
@@ -268,7 +272,7 @@ fn mean(xs: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use crate::inter::estimate_invocations;
-    use crate::intra::estimate_program;
+    use crate::intra::{estimate_program, IntraEstimator};
     use profiler::{run, RunConfig};
 
     fn setup(src: &str, inputs: &[&str]) -> (Program, Vec<Profile>) {

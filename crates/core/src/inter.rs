@@ -28,11 +28,9 @@
 //!   arc weights scaled down until the sub-solution is valid (§5.2.2).
 
 use crate::intra::IntraEstimates;
-use flowgraph::analysis::tarjan_scc;
 use flowgraph::Program;
-use linsolve::FlowSystem;
+use linsolve::{solve_sparse, tarjan_scc, Successors};
 use minic::sema::FuncId;
-use std::collections::HashMap;
 
 /// The recursion multiplier shared by the simple models (the loop
 /// iteration guess applied to recursion).
@@ -99,17 +97,18 @@ impl InterEstimates {
 }
 
 /// The local (within-caller, per-invocation) frequency of every call
-/// site, derived from intra-procedural block estimates.
-pub fn local_site_freqs(program: &Program, intra: &IntraEstimates) -> HashMap<u32, f64> {
-    let mut out = HashMap::new();
+/// site, derived from intra-procedural block estimates: indexed by
+/// `CallSiteId`, 0 for a site the call graph places in no block.
+pub fn local_site_freqs(program: &Program, intra: &IntraEstimates) -> Vec<f64> {
+    let sites = &program.module.side.call_sites;
+    let mut out = vec![0.0; sites.len()];
     for (site, &block) in &program.callgraph.site_block {
-        let caller = program.module.side.call_sites[site.0 as usize].caller;
-        let freq = intra
+        let caller = sites[site.0 as usize].caller;
+        out[site.0 as usize] = intra
             .blocks_of(caller)
             .get(block.0 as usize)
             .copied()
             .unwrap_or(0.0);
-        out.insert(site.0, freq);
     }
     out
 }
@@ -121,12 +120,15 @@ pub fn estimate_invocations(
     which: InterEstimator,
 ) -> InterEstimates {
     let _sp = obs::span("estimate.inter");
+    let local = local_site_freqs(program, intra);
+    let main = program.function_id("main");
     let func_freqs = match which {
-        InterEstimator::CallSite => simple(program, intra, Recursion::None, false),
-        InterEstimator::Direct => simple(program, intra, Recursion::DirectOnly, false),
-        InterEstimator::AllRec => simple(program, intra, Recursion::All, false),
-        InterEstimator::AllRec2 => simple(program, intra, Recursion::All, true),
-        InterEstimator::Markov => markov(program, intra),
+        InterEstimator::Markov => markov(program, &local, main),
+        // The four simple models in `ALL` order.
+        simple => simple_models(program, &local, main)
+            .into_iter()
+            .nth(simple as usize)
+            .expect("one estimate per simple model"),
     };
     InterEstimates {
         estimator: which,
@@ -134,22 +136,103 @@ pub fn estimate_invocations(
     }
 }
 
-enum Recursion {
-    None,
-    DirectOnly,
-    All,
+/// All five inter-procedural estimators, in [`InterEstimator::ALL`]
+/// order, over precomputed [`local_site_freqs`]; `main` is the
+/// program's entry function.
+pub(crate) fn all_invocations(
+    program: &Program,
+    local: &[f64],
+    main: Option<FuncId>,
+) -> [InterEstimates; 5] {
+    let _sp = obs::span("estimate.inter");
+    let [call_site, direct, all_rec, all_rec2] = simple_models(program, local, main);
+    let mut freqs = [
+        call_site,
+        direct,
+        all_rec,
+        all_rec2,
+        markov(program, local, main),
+    ]
+    .into_iter();
+    InterEstimator::ALL.map(|estimator| InterEstimates {
+        estimator,
+        func_freqs: freqs.next().expect("one per estimator"),
+    })
+}
+
+/// Call-site, direct, all-rec and all-rec2: one unscaled pass times
+/// each model's recursion multipliers, and all-rec2's second pass.
+/// Call-site is the unscaled pass itself (its multipliers are all 1,
+/// and `x * 1.0` is `x`).
+fn simple_models(program: &Program, local: &[f64], main: Option<FuncId>) -> [Vec<f64>; 4] {
+    let (direct_mult, all_mult) = recursion_multipliers(program);
+    let times =
+        |v: &[f64], mult: &[f64]| -> Vec<f64> { v.iter().zip(mult).map(|(v, m)| v * m).collect() };
+    let base = one_pass(program, local, None, main);
+    let direct = times(&base, &direct_mult);
+    let all_rec = times(&base, &all_mult);
+    // all-rec2: use the first-round function counts to scale each
+    // caller's block counts, then recompute (§4.3).
+    let scale: Vec<f64> = all_rec.iter().map(|&v| v.max(1.0)).collect();
+    let all_rec2 = times(&one_pass(program, local, Some(&scale), main), &all_mult);
+    [base, direct, all_rec, all_rec2]
+}
+
+/// The recursion multipliers of *direct* (functions that call
+/// themselves) and *all-rec* (every function in a call-graph cycle).
+fn recursion_multipliers(program: &Program) -> (Vec<f64>, Vec<f64>) {
+    let n = program.module.functions.len();
+    let calls: Vec<(usize, usize, f64)> = program
+        .callgraph
+        .direct
+        .iter()
+        .map(|a| {
+            (
+                a.caller.0 as usize,
+                a.callee.expect("direct arc").0 as usize,
+                1.0,
+            )
+        })
+        .collect();
+    let mut direct = vec![1.0; n];
+    for &(caller, callee, _) in &calls {
+        if caller == callee {
+            direct[caller] = RECURSION_FACTOR;
+        }
+    }
+    // A self-recursive function is a cycle of its own; the others are
+    // the members of nontrivial components.
+    let mut all = direct.clone();
+    let sccs = tarjan_scc(&Successors::from_arcs(n, &calls));
+    for c in 0..sccs.len() {
+        let members = sccs.get(c);
+        if members.len() > 1 {
+            for &v in members {
+                all[v as usize] = RECURSION_FACTOR;
+            }
+        }
+    }
+    (direct, all)
 }
 
 /// Shared machinery of the simple models: invocation(f) = Σ local site
-/// frequencies (scaled by `scale[caller]`), with indirect call weight
-/// split across address-taken functions by static `&f` counts.
-fn one_pass(program: &Program, local: &HashMap<u32, f64>, scale: &[f64]) -> Vec<f64> {
+/// frequencies (scaled by `scale[caller]`, when given), with indirect
+/// call weight split across address-taken functions by static `&f`
+/// counts. Sums run in call-graph arc order.
+fn one_pass(
+    program: &Program,
+    local: &[f64],
+    scale: Option<&[f64]>,
+    main: Option<FuncId>,
+) -> Vec<f64> {
     let module = &program.module;
     let n = module.functions.len();
+    // Unscaled is scaled by 1: `x * 1.0` is `x`, bit for bit.
+    let scale = |f: FuncId| scale.map_or(1.0, |s| s[f.0 as usize]);
     let mut inv = vec![0.0; n];
     for arc in &program.callgraph.direct {
         let callee = arc.callee.expect("direct arc");
-        inv[callee.0 as usize] += local[&arc.site.0] * scale[arc.caller.0 as usize];
+        inv[callee.0 as usize] += local[arc.site.0 as usize] * scale(arc.caller);
     }
     // Indirect sites: sum their weight, divide among address-taken
     // functions in proportion to static address-of counts (§4.3).
@@ -157,7 +240,7 @@ fn one_pass(program: &Program, local: &HashMap<u32, f64>, scale: &[f64]) -> Vec<
         .callgraph
         .indirect
         .iter()
-        .map(|arc| local[&arc.site.0] * scale[arc.caller.0 as usize])
+        .map(|arc| local[arc.site.0 as usize] * scale(arc.caller))
         .sum();
     if total_indirect > 0.0 {
         let total_count: u32 = module.side.address_taken_funcs().map(|(_, n)| n).sum();
@@ -168,64 +251,9 @@ fn one_pass(program: &Program, local: &HashMap<u32, f64>, scale: &[f64]) -> Vec<
         }
     }
     // `main` runs at least once.
-    if let Some(m) = module.function_id("main") {
+    if let Some(m) = main {
         let slot = &mut inv[m.0 as usize];
         *slot = slot.max(1.0);
-    }
-    inv
-}
-
-fn recursion_multipliers(program: &Program, which: &Recursion) -> Vec<f64> {
-    let n = program.module.functions.len();
-    let mut mult = vec![1.0; n];
-    let adj = program.callgraph.adjacency(n);
-    match which {
-        Recursion::None => {}
-        Recursion::DirectOnly => {
-            for (i, m) in mult.iter_mut().enumerate() {
-                if adj[i].contains(&i) {
-                    *m = RECURSION_FACTOR;
-                }
-            }
-        }
-        Recursion::All => {
-            let sccs = tarjan_scc(&adj);
-            for scc in &sccs {
-                let recursive = scc.len() > 1 || adj[scc[0]].contains(&scc[0]);
-                if recursive {
-                    for &v in scc {
-                        mult[v] = RECURSION_FACTOR;
-                    }
-                }
-            }
-        }
-    }
-    mult
-}
-
-fn simple(
-    program: &Program,
-    intra: &IntraEstimates,
-    recursion: Recursion,
-    second_pass: bool,
-) -> Vec<f64> {
-    let local = local_site_freqs(program, intra);
-    let ones = vec![1.0; program.module.functions.len()];
-    let mult = recursion_multipliers(program, &recursion);
-    let mut inv: Vec<f64> = one_pass(program, &local, &ones)
-        .iter()
-        .zip(&mult)
-        .map(|(v, m)| v * m)
-        .collect();
-    if second_pass {
-        // all-rec2: use the first-round function counts to scale each
-        // caller's block counts, then recompute (§4.3).
-        let scale: Vec<f64> = inv.iter().map(|&v| v.max(1.0)).collect();
-        inv = one_pass(program, &local, &scale)
-            .iter()
-            .zip(&mult)
-            .map(|(v, m)| v * m)
-            .collect();
     }
     inv
 }
@@ -233,35 +261,49 @@ fn simple(
 // ----- the Markov call-graph model -----
 
 /// The merged, weighted call-graph arcs (including the pointer node,
-/// which gets index `n`): `(src, dst, weight)`.
-fn markov_arcs(program: &Program, local: &HashMap<u32, f64>) -> (usize, Vec<(usize, usize, f64)>) {
+/// which gets index `n`): `(src, dst, weight)`, sorted by `(src, dst)`.
+/// Arcs between the same pair are summed in call-graph order (direct
+/// arcs, then indirect ones, then the pointer node's fan-out): the
+/// stable sort keeps that order within a pair, and the sparse solve
+/// accumulates floats in the sorted arc order.
+fn markov_arcs(program: &Program, local: &[f64]) -> (usize, Vec<(usize, usize, f64)>) {
     let module = &program.module;
     let n = module.functions.len();
     let ptr_node = n;
-    let mut merged: HashMap<(usize, usize), f64> = HashMap::new();
-    for arc in &program.callgraph.direct {
+    let cg = &program.callgraph;
+    let mut arcs: Vec<(usize, usize, f64)> =
+        Vec::with_capacity(cg.direct.len() + cg.indirect.len());
+    for arc in &cg.direct {
         let callee = arc.callee.expect("direct arc");
-        *merged
-            .entry((arc.caller.0 as usize, callee.0 as usize))
-            .or_insert(0.0) += local[&arc.site.0];
+        arcs.push((
+            arc.caller.0 as usize,
+            callee.0 as usize,
+            local[arc.site.0 as usize],
+        ));
     }
-    for arc in &program.callgraph.indirect {
-        *merged
-            .entry((arc.caller.0 as usize, ptr_node))
-            .or_insert(0.0) += local[&arc.site.0];
+    for arc in &cg.indirect {
+        arcs.push((arc.caller.0 as usize, ptr_node, local[arc.site.0 as usize]));
     }
     let total_count: u32 = module.side.address_taken_funcs().map(|(_, n)| n).sum();
     if total_count > 0 {
         for (fid, count) in module.side.address_taken_funcs() {
-            *merged.entry((ptr_node, fid.0 as usize)).or_insert(0.0) +=
-                count as f64 / total_count as f64;
+            arcs.push((ptr_node, fid.0 as usize, count as f64 / total_count as f64));
         }
     }
-    // Sort so the solver sees arcs in a fixed order: the sparse solve
-    // accumulates floats in arc order, and HashMap iteration order
-    // would otherwise leak last-ulp differences into the estimates.
-    let mut arcs: Vec<_> = merged.into_iter().map(|((s, d), w)| (s, d, w)).collect();
     arcs.sort_by_key(|&(s, d, _)| (s, d));
+    // Merge each run of equal `(src, dst)` into its first slot.
+    let mut merged = 0;
+    for i in 0..arcs.len() {
+        let (s, d, w) = arcs[i];
+        if merged > 0 && (arcs[merged - 1].0, arcs[merged - 1].1) == (s, d) {
+            arcs[merged - 1].2 += w;
+        } else {
+            // `0.0 + w`, as a zero-initialised accumulator adds it.
+            arcs[merged] = (s, d, 0.0 + w);
+            merged += 1;
+        }
+    }
+    arcs.truncate(merged);
     (n + 1, arcs)
 }
 
@@ -270,24 +312,17 @@ fn solve_arcs(
     arcs: &[(usize, usize, f64)],
     inject: &[(usize, f64)],
 ) -> Option<Vec<f64>> {
-    let mut sys = FlowSystem::new(size);
-    for &(s, d, w) in arcs {
-        sys.add_arc(s, d, w);
-    }
+    let mut b = vec![0.0; size];
     for &(node, amount) in inject {
-        sys.inject(node, amount);
+        *b.get_mut(node)? += amount;
     }
-    sys.solve().ok()
+    solve_sparse(size, arcs, &b).ok()
 }
 
-fn markov(program: &Program, intra: &IntraEstimates) -> Vec<f64> {
+fn markov(program: &Program, local: &[f64], main: Option<FuncId>) -> Vec<f64> {
     let module = &program.module;
-    let local = local_site_freqs(program, intra);
-    let (size, mut arcs) = markov_arcs(program, &local);
-    let main = module
-        .function_id("main")
-        .map(|f| f.0 as usize)
-        .unwrap_or(0);
+    let (size, mut arcs) = markov_arcs(program, local);
+    let main = main.map_or(0, |f| f.0 as usize);
 
     // Repair 1 (§5.2.2): a self arc with weight > 1 means "calls itself
     // more than once per invocation" — reset to the standard 0.8.
@@ -311,7 +346,7 @@ fn markov(program: &Program, intra: &IntraEstimates) -> Vec<f64> {
             adj[s].push(d);
         }
     }
-    let sccs = tarjan_scc(&adj);
+    let sccs = flowgraph::analysis::tarjan_scc(&adj);
     for scc in &sccs {
         let nontrivial = scc.len() > 1 || arcs.iter().any(|&(s, d, _)| s == scc[0] && d == scc[0]);
         if !nontrivial {
@@ -348,8 +383,13 @@ fn markov(program: &Program, intra: &IntraEstimates) -> Vec<f64> {
 /// the SCC. If the sub-solution is negative or exceeds the ceiling,
 /// every internal arc is scaled down and the solve retried; the scaled
 /// weights are written back into `arcs`.
-fn repair_scc(arcs: &mut [(usize, usize, f64)], scc: &[usize], _size: usize) {
-    let in_scc = |v: usize| scc.contains(&v);
+fn repair_scc(arcs: &mut [(usize, usize, f64)], scc: &[usize], size: usize) {
+    // Index members densely: member i of the sub-system.
+    let mut index = vec![usize::MAX; size];
+    for (i, &v) in scc.iter().enumerate() {
+        index[v] = i;
+    }
+    let in_scc = |v: usize| index[v] != usize::MAX;
     // External inflow per member. BTreeMap so the `total` float sum
     // below accumulates in a fixed order.
     let mut inflow: std::collections::BTreeMap<usize, f64> = std::collections::BTreeMap::new();
@@ -359,8 +399,6 @@ fn repair_scc(arcs: &mut [(usize, usize, f64)], scc: &[usize], _size: usize) {
         }
     }
     let total: f64 = inflow.values().sum();
-    // Index members densely: member i of the sub-system.
-    let index: HashMap<usize, usize> = scc.iter().enumerate().map(|(i, &v)| (v, i)).collect();
     let sub_n = scc.len() + 1; // + artificial main at the end
     let art = scc.len();
 
@@ -376,7 +414,7 @@ fn repair_scc(arcs: &mut [(usize, usize, f64)], scc: &[usize], _size: usize) {
         let mut sub_arcs: Vec<(usize, usize, f64)> = Vec::new();
         for &i in &internal {
             let (s, d, w) = arcs[i];
-            sub_arcs.push((index[&s], index[&d], w * scale));
+            sub_arcs.push((index[s], index[d], w * scale));
         }
         for &v in scc {
             let m = inflow.get(&v).copied().unwrap_or(0.0);
@@ -385,7 +423,7 @@ fn repair_scc(arcs: &mut [(usize, usize, f64)], scc: &[usize], _size: usize) {
             } else {
                 1.0 / scc.len() as f64
             };
-            sub_arcs.push((art, index[&v], share));
+            sub_arcs.push((art, index[v], share));
         }
         if let Some(sol) = solve_arcs(sub_n, &sub_arcs, &[(art, 1.0)]) {
             let valid = sol[..scc.len()]
@@ -551,7 +589,7 @@ mod tests {
                 a.caller == p.function_id("count_nodes").unwrap()
                     && a.callee == p.function_id("count_nodes")
             })
-            .map(|a| local[&a.site.0])
+            .map(|a| local[a.site.0 as usize])
             .sum();
         assert!((self_weight - 1.6).abs() < 1e-9, "got {self_weight}");
 

@@ -12,16 +12,17 @@
 //!   `break`/`continue`/`goto`/`return`.
 //!
 //! The AST-based walks assign frequencies to statement nodes (and loop
-//! conditions / `for` steps); those map onto CFG blocks through each
-//! block's `anchor`.
+//! conditions / `for` steps) in one dense column per function (see
+//! [`AstFrequencies`]); those map onto CFG blocks through each block's
+//! `anchor`.
 
-use crate::branch::{predict_module, predict_module_with, Prediction, PredictorConfig};
+use crate::branch::{predict_module, predict_module_with, Predictions, PredictorConfig};
+use crate::tripcount::TripCounts;
+use flowgraph::cfg::BlockLists;
 use flowgraph::{BlockId, Cfg, Program, Terminator};
-use linsolve::FlowSystem;
+use linsolve::solve_sparse;
 use minic::ast::{NodeId, Stmt, StmtKind};
-use minic::sema::{BranchId, FuncId, SwitchId};
-use std::borrow::Cow;
-use std::collections::HashMap;
+use minic::sema::{BranchId, FuncId};
 use std::sync::Arc;
 
 /// The paper's loop-count assumption: every loop iterates five times,
@@ -65,7 +66,7 @@ impl IntraEstimator {
 
 /// All intra-procedural estimates for a program, plus the shared branch
 /// predictions (computed once and reused by the inter-procedural and
-/// miss-rate analyses; the estimates of one program share one map).
+/// miss-rate analyses; the estimates of one program share one table).
 #[derive(Debug, Clone)]
 pub struct IntraEstimates {
     /// Which estimator produced this.
@@ -74,7 +75,7 @@ pub struct IntraEstimates {
     /// Indexed by `FuncId`; empty for prototypes.
     pub block_freqs: Vec<Vec<f64>>,
     /// The branch predictions used.
-    pub predictions: Arc<HashMap<BranchId, Prediction>>,
+    pub predictions: Arc<Predictions>,
 }
 
 impl IntraEstimates {
@@ -127,15 +128,17 @@ pub fn estimate_program_with(
     let trips = if options.trip_counts {
         crate::tripcount::trip_counts(&program.module)
     } else {
-        HashMap::new()
+        TripCounts::default()
     };
+    let mut scratch = Scratch::default();
     let block_freqs = program
         .module
         .functions
         .iter()
         .map(|f| {
             if f.is_defined() {
-                estimate_with_trips(program, f.id, which, &predictions, options, &trips)
+                let fe = FnEstimator::new(program, f.id, &predictions, options, &trips);
+                fe.estimate(which, &mut scratch)
             } else {
                 Vec::new()
             }
@@ -148,20 +151,49 @@ pub fn estimate_program_with(
     }
 }
 
+/// All three estimators over every defined function with the default
+/// options and caller-supplied predictions: the intra half of
+/// [`crate::estimate_all`]. Function by function, so loop and smart
+/// share the walk's scratch column and the CFG order work.
+pub(crate) fn estimate_all_three(
+    program: &Program,
+    predictions: &Arc<Predictions>,
+) -> [IntraEstimates; 3] {
+    let _sp = obs::span("estimate.intra");
+    let options = IntraOptions::default();
+    let trips = TripCounts::default();
+    let n = program.module.functions.len();
+    let mut block_freqs: [Vec<Vec<f64>>; 3] = std::array::from_fn(|_| Vec::with_capacity(n));
+    let mut scratch = Scratch::default();
+    for f in &program.module.functions {
+        if !f.is_defined() {
+            for freqs in &mut block_freqs {
+                freqs.push(Vec::new());
+            }
+            continue;
+        }
+        let fe = FnEstimator::new(program, f.id, predictions, &options, &trips);
+        for (which, freqs) in IntraEstimator::ALL.into_iter().zip(&mut block_freqs) {
+            freqs.push(fe.estimate(which, &mut scratch));
+        }
+    }
+    let [l, s, m] = block_freqs;
+    [
+        (IntraEstimator::Loop, l),
+        (IntraEstimator::Smart, s),
+        (IntraEstimator::Markov, m),
+    ]
+    .map(|(estimator, block_freqs)| IntraEstimates {
+        estimator,
+        block_freqs,
+        predictions: Arc::clone(predictions),
+    })
+}
+
 /// Estimates block frequencies for one function (entry normalized to 1).
 pub fn estimate_function(program: &Program, f: FuncId, which: IntraEstimator) -> Vec<f64> {
     let predictions = predict_module(&program.module);
-    estimate_with(program, f, which, &predictions, &IntraOptions::default())
-}
-
-fn estimate_with(
-    program: &Program,
-    f: FuncId,
-    which: IntraEstimator,
-    predictions: &HashMap<BranchId, Prediction>,
-    options: &IntraOptions,
-) -> Vec<f64> {
-    estimate_with_trips(program, f, which, predictions, options, &HashMap::new())
+    estimate_function_with(program, f, which, &predictions, &IntraOptions::default())
 }
 
 /// Estimates one function's block frequencies against caller-supplied
@@ -172,36 +204,202 @@ pub fn estimate_function_with(
     program: &Program,
     f: FuncId,
     which: IntraEstimator,
-    predictions: &HashMap<BranchId, Prediction>,
+    predictions: &Predictions,
     options: &IntraOptions,
 ) -> Vec<f64> {
-    estimate_with(program, f, which, predictions, options)
+    let trips = TripCounts::default();
+    FnEstimator::new(program, f, predictions, options, &trips)
+        .estimate(which, &mut Scratch::default())
 }
 
-fn estimate_with_trips(
-    program: &Program,
+/// Buffers and CFG order work one function's estimators share, kept
+/// from one function to the next.
+#[derive(Default)]
+struct Scratch {
+    /// The AST walk's frequency column (see [`AstFrequencies`]).
+    column: Vec<Option<f64>>,
+    /// A function's reverse post-order and predecessor lists, once an
+    /// AST walk over it has needed them.
+    order: Option<(FuncId, Vec<BlockId>, BlockLists)>,
+    /// The Markov system's arcs and injection.
+    arcs: Vec<(usize, usize, f64)>,
+    inject: Vec<f64>,
+}
+
+/// One defined function and everything its estimators read.
+struct FnEstimator<'a> {
+    program: &'a Program,
     f: FuncId,
-    which: IntraEstimator,
-    predictions: &HashMap<BranchId, Prediction>,
-    options: &IntraOptions,
-    trips: &HashMap<BranchId, f64>,
-) -> Vec<f64> {
-    match which {
-        IntraEstimator::Loop => ast_walk_blocks(program, f, predictions, false, options, trips),
-        IntraEstimator::Smart => ast_walk_blocks(program, f, predictions, true, options, trips),
-        IntraEstimator::Markov => markov_blocks_with(program, f, predictions, trips),
+    predictions: &'a Predictions,
+    options: &'a IntraOptions,
+    trips: &'a TripCounts,
+}
+
+impl<'a> FnEstimator<'a> {
+    fn new(
+        program: &'a Program,
+        f: FuncId,
+        predictions: &'a Predictions,
+        options: &'a IntraOptions,
+        trips: &'a TripCounts,
+    ) -> Self {
+        FnEstimator {
+            program,
+            f,
+            predictions,
+            options,
+            trips,
+        }
+    }
+
+    fn estimate(&self, which: IntraEstimator, scratch: &mut Scratch) -> Vec<f64> {
+        match which {
+            IntraEstimator::Loop => self.ast_walk_blocks(false, scratch),
+            IntraEstimator::Smart => self.ast_walk_blocks(true, scratch),
+            IntraEstimator::Markov => self.markov_blocks(scratch),
+        }
+    }
+
+    /// Runs the AST walk of Figure 3 into `column`.
+    fn walk(&self, smart: bool, column: &mut Vec<Option<f64>>) -> NodeId {
+        let body = self
+            .program
+            .module
+            .function(self.f)
+            .body
+            .as_ref()
+            .expect("defined function");
+        column.clear();
+        let walker = AstWalker {
+            module: &self.program.module,
+            predictions: self.predictions,
+            smart,
+            test_count: self.options.loop_count,
+            body_count: (self.options.loop_count - 1.0).max(0.0),
+            trips: self.trips,
+            body: body.id,
+        };
+        walker.walk(body, 1.0, column);
+        body.id
+    }
+
+    /// Maps AST-walk frequencies onto CFG blocks via block anchors,
+    /// filling unanchored synthetic blocks from their predecessors.
+    fn ast_walk_blocks(&self, smart: bool, scratch: &mut Scratch) -> Vec<f64> {
+        let body = self.walk(smart, &mut scratch.column);
+        let column = &scratch.column;
+        let cfg = self.program.cfg(self.f);
+        let anchored =
+            |b: &flowgraph::Block| match b.anchor.and_then(|a| column_get(body, column, a)) {
+                None if b.id == cfg.entry => Some(1.0),
+                v => v,
+            };
+        if cfg.blocks.iter().all(|b| anchored(b).is_some()) {
+            return cfg.blocks.iter().filter_map(anchored).collect();
+        }
+        let mut out: Vec<Option<f64>> = cfg.blocks.iter().map(anchored).collect();
+        // Propagate to unanchored blocks: take the max anchored
+        // predecessor estimate, iterating in reverse post-order.
+        if !matches!(scratch.order, Some((f, ..)) if f == self.f) {
+            scratch.order = Some((self.f, cfg.reverse_post_order(), cfg.predecessors()));
+        }
+        let (_, rpo, preds) = scratch.order.as_ref().expect("just filled");
+        for _ in 0..cfg.len() {
+            let mut changed = false;
+            for &b in rpo.iter() {
+                if out[b.0 as usize].is_some() {
+                    continue;
+                }
+                let best = preds[b.0 as usize]
+                    .iter()
+                    .filter_map(|p| out[p.0 as usize])
+                    .fold(None, |acc: Option<f64>, v| {
+                        Some(acc.map_or(v, |a| a.max(v)))
+                    });
+                if let Some(v) = best {
+                    out[b.0 as usize] = Some(v);
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        out.into_iter().map(|v| v.unwrap_or(1.0)).collect()
+    }
+
+    fn markov_blocks(&self, scratch: &mut Scratch) -> Vec<f64> {
+        let cfg = self.program.cfg(self.f);
+        let n = cfg.len();
+        // The system `FlowSystem` would build, in buffers kept from one
+        // function to the next: one unit injected at the entry, the
+        // arcs in `for_each_arc` order.
+        let (arcs, inject) = (&mut scratch.arcs, &mut scratch.inject);
+        arcs.clear();
+        inject.clear();
+        inject.resize(n, 0.0);
+        inject[cfg.entry.0 as usize] = 1.0;
+        // Trip-count refinement: a loop predicted to iterate that runs
+        // t times has back-edge probability t/(t+1).
+        let prob = |b: BranchId| match (self.predictions.get(b), self.trips.get(b)) {
+            (Some(p), Some(trip)) if p.taken => trip / (trip + 1.0),
+            _ => self.predictions.prob_taken(b),
+        };
+        arcs_with(self.program, cfg, prob, |src, dst, p| {
+            arcs.push((src.0 as usize, dst.0 as usize, p));
+        });
+        match solve_sparse(n, arcs, inject) {
+            Ok(x) => x.into_iter().map(|v| v.max(0.0)).collect(),
+            // Malformed systems should not happen; fall back to uniform.
+            Err(_) => vec![1.0; n],
+        }
     }
 }
 
 // ----- AST-based estimators -----
 
+/// Per-node frequencies from the top-down AST walk of Figure 3, for
+/// one function: a dense column over the function body's node ids.
+/// The parser numbers nodes post-order, so a body's nodes are exactly
+/// the ids just below the body's own; entry `i` of the column is node
+/// `body - i`, whatever id namespaces the body spans.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AstFrequencies {
+    body: NodeId,
+    column: Vec<Option<f64>>,
+}
+
+impl AstFrequencies {
+    /// The frequency of one statement or condition node, if the walk
+    /// assigned one.
+    pub fn get(&self, id: NodeId) -> Option<f64> {
+        column_get(self.body, &self.column, id)
+    }
+
+    /// Every assigned frequency, in node-id order.
+    pub fn iter(&self) -> impl Iterator<Item = (NodeId, f64)> + '_ {
+        let body = self.body.0;
+        self.column
+            .iter()
+            .enumerate()
+            .rev()
+            .filter_map(move |(i, v)| Some((NodeId(body - i as u32), (*v)?)))
+    }
+}
+
+/// Node `id`'s entry in the frequency column of the body `body`.
+fn column_get(body: NodeId, column: &[Option<f64>], id: NodeId) -> Option<f64> {
+    let i = body.0.checked_sub(id.0)?;
+    *column.get(i as usize)?
+}
+
 /// Per-node frequencies from the top-down AST walk of Figure 3.
 pub fn ast_frequencies(
     program: &Program,
     f: FuncId,
-    predictions: &HashMap<BranchId, Prediction>,
+    predictions: &Predictions,
     smart: bool,
-) -> HashMap<NodeId, f64> {
+) -> AstFrequencies {
     ast_frequencies_with(program, f, predictions, smart, &IntraOptions::default())
 }
 
@@ -209,44 +407,25 @@ pub fn ast_frequencies(
 pub fn ast_frequencies_with(
     program: &Program,
     f: FuncId,
-    predictions: &HashMap<BranchId, Prediction>,
+    predictions: &Predictions,
     smart: bool,
     options: &IntraOptions,
-) -> HashMap<NodeId, f64> {
-    ast_frequencies_trips(program, f, predictions, smart, options, &HashMap::new())
-}
-
-fn ast_frequencies_trips(
-    program: &Program,
-    f: FuncId,
-    predictions: &HashMap<BranchId, Prediction>,
-    smart: bool,
-    options: &IntraOptions,
-    trips: &HashMap<BranchId, f64>,
-) -> HashMap<NodeId, f64> {
-    let module = &program.module;
-    let func = module.function(f);
-    let body = func.body.as_ref().expect("defined function");
-    let mut freqs = HashMap::new();
-    let walker = AstWalker {
-        module,
-        predictions,
-        smart,
-        test_count: options.loop_count,
-        body_count: (options.loop_count - 1.0).max(0.0),
-        trips,
-    };
-    walker.walk(body, 1.0, &mut freqs);
-    freqs
+) -> AstFrequencies {
+    let trips = TripCounts::default();
+    let mut column = Vec::new();
+    let body = FnEstimator::new(program, f, predictions, options, &trips).walk(smart, &mut column);
+    AstFrequencies { body, column }
 }
 
 struct AstWalker<'m> {
     module: &'m minic::Module,
-    predictions: &'m HashMap<BranchId, Prediction>,
+    predictions: &'m Predictions,
     smart: bool,
     test_count: f64,
     body_count: f64,
-    trips: &'m HashMap<BranchId, f64>,
+    trips: &'m TripCounts,
+    /// The function body's id: the column's entry 0.
+    body: NodeId,
 }
 
 impl AstWalker<'_> {
@@ -258,23 +437,32 @@ impl AstWalker<'_> {
         self.module
             .side
             .branch(owner)
-            .and_then(|b| self.predictions.get(&b))
-            .map(|p| p.prob_taken())
-            .unwrap_or(0.5)
+            .map_or(0.5, |b| self.predictions.prob_taken(b))
     }
 
     /// The (test, body) execution counts for the loop owned by `owner`.
     fn loop_counts(&self, owner: NodeId) -> (f64, f64) {
-        if let Some(bid) = self.module.side.branch(owner) {
-            if let Some(&trip) = self.trips.get(&bid) {
-                return (trip + 1.0, trip);
-            }
+        if let Some(trip) = self
+            .module
+            .side
+            .branch(owner)
+            .and_then(|b| self.trips.get(b))
+        {
+            return (trip + 1.0, trip);
         }
         (self.test_count, self.body_count)
     }
 
-    fn walk(&self, s: &Stmt, f: f64, out: &mut HashMap<NodeId, f64>) {
-        out.insert(s.id, f);
+    fn record(&self, id: NodeId, f: f64, out: &mut Vec<Option<f64>>) {
+        let i = (self.body.0 - id.0) as usize;
+        if i >= out.len() {
+            out.resize(i + 1, None);
+        }
+        out[i] = Some(f);
+    }
+
+    fn walk(&self, s: &Stmt, f: f64, out: &mut Vec<Option<f64>>) {
+        self.record(s.id, f, out);
         match &s.kind {
             StmtKind::Block(stmts) => {
                 // The AST model ignores early exits: every statement in
@@ -284,7 +472,7 @@ impl AstWalker<'_> {
                 }
             }
             StmtKind::If(cond, then_s, else_s) => {
-                out.insert(cond.id, f);
+                self.record(cond.id, f, out);
                 let p = self.prob(s.id);
                 self.walk(then_s, f * p, out);
                 if let Some(e) = else_s {
@@ -293,13 +481,13 @@ impl AstWalker<'_> {
             }
             StmtKind::While(cond, body) => {
                 let (test, bodyc) = self.loop_counts(s.id);
-                out.insert(cond.id, f * test);
+                self.record(cond.id, f * test, out);
                 self.walk(body, f * bodyc, out);
             }
             StmtKind::DoWhile(body, cond) => {
                 let (test, _) = self.loop_counts(s.id);
                 self.walk(body, f * test, out);
-                out.insert(cond.id, f * test);
+                self.record(cond.id, f * test, out);
             }
             StmtKind::For(init, cond, step, body) => {
                 let (test, bodyc) = self.loop_counts(s.id);
@@ -307,20 +495,30 @@ impl AstWalker<'_> {
                     self.walk(i, f, out);
                 }
                 if let Some(c) = cond {
-                    out.insert(c.id, f * test);
+                    self.record(c.id, f * test, out);
                 }
                 if let Some(st) = step {
-                    out.insert(st.id, f * bodyc);
+                    self.record(st.id, f * bodyc, out);
                 }
                 self.walk(body, f * bodyc, out);
             }
             StmtKind::Switch(scrut, sections) => {
-                out.insert(scrut.id, f);
+                self.record(scrut.id, f, out);
                 let Some(sw) = self.module.side.switch(s.id) else {
                     return;
                 };
-                let weights = self.switch_weights(sw, sections.len());
-                for (sec, w) in sections.iter().zip(weights) {
+                // *Smart* weights arms by the number of case labels on
+                // them (the variant the paper found slightly better);
+                // *loop* guesses each arm equally likely.
+                let labels = &self.module.side.switches[sw.0 as usize].section_labels;
+                let total = labels.iter().sum::<usize>().max(1) as f64;
+                for (i, sec) in sections.iter().enumerate() {
+                    let w = if self.smart {
+                        let Some(&c) = labels.get(i) else { break };
+                        c as f64 / total
+                    } else {
+                        1.0 / sections.len() as f64
+                    };
                     for st in &sec.body {
                         self.walk(st, f * w, out);
                     }
@@ -336,71 +534,6 @@ impl AstWalker<'_> {
             | StmtKind::Empty => {}
         }
     }
-
-    /// Per-section probabilities for a `switch`. *Smart* weights arms
-    /// by the number of case labels on them (the variant the paper
-    /// found slightly better); *loop* guesses each arm equally likely.
-    fn switch_weights(&self, sw: SwitchId, n_sections: usize) -> Vec<f64> {
-        let info = &self.module.side.switches[sw.0 as usize];
-        if !self.smart {
-            return vec![1.0 / n_sections.max(1) as f64; n_sections];
-        }
-        let total: usize = info.section_labels.iter().sum();
-        let total = total.max(1) as f64;
-        info.section_labels
-            .iter()
-            .map(|&c| c as f64 / total)
-            .collect()
-    }
-}
-
-/// Maps AST-walk frequencies onto CFG blocks via block anchors, filling
-/// unanchored synthetic blocks from their predecessors.
-fn ast_walk_blocks(
-    program: &Program,
-    f: FuncId,
-    predictions: &HashMap<BranchId, Prediction>,
-    smart: bool,
-    options: &IntraOptions,
-    trips: &HashMap<BranchId, f64>,
-) -> Vec<f64> {
-    let freqs = ast_frequencies_trips(program, f, predictions, smart, options, trips);
-    let cfg = program.cfg(f);
-    let mut out: Vec<Option<f64>> = cfg
-        .blocks
-        .iter()
-        .map(|b| b.anchor.and_then(|a| freqs.get(&a).copied()))
-        .collect();
-    out[cfg.entry.0 as usize].get_or_insert(1.0);
-    if out.iter().all(Option::is_some) {
-        return out.into_iter().flatten().collect();
-    }
-    // Propagate to unanchored blocks: take the max anchored
-    // predecessor estimate, iterating in reverse post-order.
-    let rpo = cfg.reverse_post_order();
-    let preds = cfg.predecessors();
-    for _ in 0..cfg.len() {
-        let mut changed = false;
-        for &b in &rpo {
-            if out[b.0 as usize].is_some() {
-                continue;
-            }
-            let best = preds[b.0 as usize]
-                .iter()
-                .filter_map(|p| out[p.0 as usize])
-                .fold(None, |acc: Option<f64>, v| {
-                    Some(acc.map_or(v, |a| a.max(v)))
-                });
-            if let Some(v) = best {
-                out[b.0 as usize] = Some(v);
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    out.into_iter().map(|v| v.unwrap_or(1.0)).collect()
 }
 
 // ----- Markov estimator -----
@@ -411,7 +544,7 @@ fn ast_walk_blocks(
 pub fn edge_probabilities(
     program: &Program,
     cfg: &Cfg,
-    predictions: &HashMap<BranchId, Prediction>,
+    predictions: &Predictions,
 ) -> Vec<Vec<(BlockId, f64)>> {
     let mut out = vec![Vec::new(); cfg.len()];
     for_each_arc(program, cfg, predictions, |src, dst, p| {
@@ -430,7 +563,18 @@ pub fn edge_probabilities(
 pub fn for_each_arc(
     program: &Program,
     cfg: &Cfg,
-    predictions: &HashMap<BranchId, Prediction>,
+    predictions: &Predictions,
+    arc: impl FnMut(BlockId, BlockId, f64),
+) {
+    arcs_with(program, cfg, |b| predictions.prob_taken(b), arc);
+}
+
+/// [`for_each_arc`] with the probability of each branch's true edge
+/// given by `prob`.
+fn arcs_with(
+    program: &Program,
+    cfg: &Cfg,
+    prob: impl Fn(BranchId) -> f64,
     mut arc: impl FnMut(BlockId, BlockId, f64),
 ) {
     for b in &cfg.blocks {
@@ -442,10 +586,7 @@ pub fn for_each_arc(
                 else_blk,
                 ..
             } => {
-                let p = branch
-                    .and_then(|id| predictions.get(&id))
-                    .map(|p| p.prob_taken())
-                    .unwrap_or(0.5);
+                let p = branch.map_or(0.5, &prob);
                 if then_blk == else_blk {
                     arc(b.id, *then_blk, 1.0);
                 } else {
@@ -485,36 +626,6 @@ pub fn for_each_arc(
             }
             Terminator::Return(_) => {}
         }
-    }
-}
-
-fn markov_blocks_with(
-    program: &Program,
-    f: FuncId,
-    predictions: &HashMap<BranchId, Prediction>,
-    trips: &HashMap<BranchId, f64>,
-) -> Vec<f64> {
-    let cfg = program.cfg(f);
-    // Trip-count refinement: a loop that runs t times has back-edge
-    // probability t/(t+1). Without trip counts the module's map is
-    // used as it is.
-    let mut predictions = Cow::Borrowed(predictions);
-    for (bid, &trip) in trips {
-        if let Some(p) = predictions.to_mut().get_mut(bid) {
-            if p.taken {
-                p.prob_taken = trip / (trip + 1.0);
-            }
-        }
-    }
-    let mut sys = FlowSystem::new(cfg.len());
-    sys.inject(cfg.entry.0 as usize, 1.0);
-    for_each_arc(program, cfg, &predictions, |src, dst, p| {
-        sys.add_arc(src.0 as usize, dst.0 as usize, p);
-    });
-    match sys.solve() {
-        Ok(x) => x.into_iter().map(|v| v.max(0.0)).collect(),
-        // Malformed systems should not happen; fall back to uniform.
-        Err(_) => vec![1.0; cfg.len()],
     }
 }
 

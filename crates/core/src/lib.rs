@@ -68,13 +68,12 @@ pub mod missrate;
 pub mod ranking;
 pub mod tripcount;
 
-pub use branch::{predict_module, Heuristic, Prediction};
+pub use branch::{predict_module, Heuristic, Prediction, Predictions};
 pub use inter::{estimate_invocations, InterEstimates, InterEstimator};
 pub use intra::{estimate_program, IntraEstimates, IntraEstimator};
 pub use metric::weight_matching;
 pub use missrate::{miss_rates, MissRates};
 
-use intra::{estimate_function_with, IntraOptions};
 use std::sync::Arc;
 
 /// Every estimate the paper scores for one program: the three
@@ -87,9 +86,28 @@ pub struct Estimates {
     /// Call-site, direct, all-rec, all-rec2 and Markov invocations,
     /// all built on smart intra estimates as in the paper.
     pub inter: [InterEstimates; 5],
+    /// The smart local frequency of every call site
+    /// ([`inter::local_site_freqs`]), indexed by `CallSiteId`: what the
+    /// inter estimators and the call-site ranking read.
+    pub site_freqs: Vec<f64>,
 }
 
 impl Estimates {
+    /// Completes three intra-procedural estimates (in
+    /// [`IntraEstimator::ALL`] order) with the five inter-procedural
+    /// ones, built on smart. The call sites' local frequencies are
+    /// computed once and shared by all five.
+    pub fn from_intra(program: &flowgraph::Program, intra: [IntraEstimates; 3]) -> Estimates {
+        let site_freqs = inter::local_site_freqs(program, &intra[IntraEstimator::Smart as usize]);
+        let main = program.function_id("main");
+        let inter = inter::all_invocations(program, &site_freqs, main);
+        Estimates {
+            intra,
+            inter,
+            site_freqs,
+        }
+    }
+
     /// The block frequencies of one intra-procedural estimator.
     pub fn intra(&self, which: IntraEstimator) -> &IntraEstimates {
         &self.intra[which as usize]
@@ -106,29 +124,7 @@ impl Estimates {
 /// the inter-procedural ones build on smart, as in the paper.
 pub fn estimate_all(program: &flowgraph::Program) -> Estimates {
     let predictions = Arc::new(predict_module(&program.module));
-    let intra = IntraEstimator::ALL.map(|which| {
-        let _sp = obs::span("estimate.intra");
-        let options = IntraOptions::default();
-        IntraEstimates {
-            estimator: which,
-            block_freqs: program
-                .module
-                .functions
-                .iter()
-                .map(|f| {
-                    if f.is_defined() {
-                        estimate_function_with(program, f.id, which, &predictions, &options)
-                    } else {
-                        Vec::new()
-                    }
-                })
-                .collect(),
-            predictions: Arc::clone(&predictions),
-        }
-    });
-    let smart = &intra[IntraEstimator::Smart as usize];
-    let inter = InterEstimator::ALL.map(|w| estimate_invocations(program, smart, w));
-    Estimates { intra, inter }
+    Estimates::from_intra(program, intra::estimate_all_three(program, &predictions))
 }
 
 #[cfg(test)]

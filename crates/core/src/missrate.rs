@@ -13,10 +13,9 @@
 //! counted* (§2), and `switch` statements are excluded (they are not
 //! two-way branches).
 
-use crate::branch::Prediction;
-use minic::sema::{BranchId, Module};
+use crate::branch::Predictions;
+use minic::sema::Module;
 use profiler::Profile;
-use std::collections::HashMap;
 
 /// Miss rates (fractions in `[0, 1]`) for the three predictors of
 /// Figure 2, averaged over profiles.
@@ -42,11 +41,7 @@ pub struct MissRates {
 /// # Panics
 ///
 /// Panics if `profiles` is empty.
-pub fn miss_rates(
-    module: &Module,
-    predictions: &HashMap<BranchId, Prediction>,
-    profiles: &[Profile],
-) -> MissRates {
+pub fn miss_rates(module: &Module, predictions: &Predictions, profiles: &[Profile]) -> MissRates {
     assert!(!profiles.is_empty(), "miss_rates requires profiles");
     let scored: Vec<&minic::sema::Branch> = module
         .side
@@ -85,7 +80,7 @@ pub fn miss_rates(
             }
             total += dynamic;
             // Static.
-            let taken = predictions.get(&b.id).map(|pr| pr.taken).unwrap_or(true);
+            let taken = predictions.get(b.id).map(|pr| pr.taken).unwrap_or(true);
             static_miss += if taken { n } else { t };
             // Profile (leave-one-out majority, ties predict taken).
             let prof_taken = match &agg {

@@ -12,16 +12,48 @@
 use minic::ast::{BinOp, Expr, ExprKind, Initializer, Stmt, StmtKind, UnOp};
 use minic::fold::{fold, ConstValue, NoEnv};
 use minic::sema::{BranchId, Module, Resolution};
-use std::collections::HashMap;
 
 /// Upper clamp: a statically-huge loop is still "hot", but letting a
 /// million-iteration bound dominate every ranking would just re-derive
 /// the profile; the paper's spirit is *relative* frequency.
 pub const MAX_TRIP: f64 = 1024.0;
 
+/// Trip counts per loop branch, indexed by [`BranchId`]: the number
+/// of body executions per loop entry of every `for` loop of the
+/// recognized shape. The default table knows no loop.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct TripCounts {
+    by_branch: Vec<Option<f64>>,
+}
+
+impl TripCounts {
+    /// The trip count of the loop whose branch is `b`, if recognized.
+    pub fn get(&self, b: BranchId) -> Option<f64> {
+        *self.by_branch.get(b.0 as usize)?
+    }
+
+    /// Every recognized loop's branch and trip count, in
+    /// [`BranchId`] order.
+    pub fn iter(&self) -> impl Iterator<Item = (BranchId, f64)> + '_ {
+        self.by_branch
+            .iter()
+            .enumerate()
+            .filter_map(|(i, t)| Some((BranchId(i as u32), (*t)?)))
+    }
+
+    /// The number of recognized loops.
+    pub fn len(&self) -> usize {
+        self.by_branch.iter().flatten().count()
+    }
+
+    /// Whether no loop was recognized.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
 /// Computes trip counts for every `for` loop of the recognized shape.
-/// The returned value is the number of body executions per loop entry
-/// (the test runs one more time).
+/// The test runs one more time than the body.
 ///
 /// # Examples
 ///
@@ -31,10 +63,10 @@ pub const MAX_TRIP: f64 = 1024.0;
 /// ).unwrap();
 /// let trips = estimators::tripcount::trip_counts(&module);
 /// assert_eq!(trips.len(), 1);
-/// assert_eq!(trips.values().next(), Some(&100.0));
+/// assert_eq!(trips.iter().next().map(|(_, t)| t), Some(100.0));
 /// ```
-pub fn trip_counts(module: &Module) -> HashMap<BranchId, f64> {
-    let mut out = HashMap::new();
+pub fn trip_counts(module: &Module) -> TripCounts {
+    let mut by_branch = vec![None; module.side.branches.len()];
     for func in module.defined_functions() {
         let body = func.body.as_ref().expect("defined");
         body.walk(&mut |s| {
@@ -43,12 +75,12 @@ pub fn trip_counts(module: &Module) -> HashMap<BranchId, f64> {
                     return;
                 };
                 if let Some(trip) = analyze_for(module, init.as_deref(), cond, step) {
-                    out.insert(bid, trip.clamp(1.0, MAX_TRIP));
+                    by_branch[bid.0 as usize] = Some(trip.clamp(1.0, MAX_TRIP));
                 }
             }
         });
     }
-    out
+    TripCounts { by_branch }
 }
 
 /// The induction variable (resolved) named by an expression, if any.
@@ -171,7 +203,7 @@ mod tests {
 
     fn trips(src: &str) -> Vec<f64> {
         let module = minic::compile(src).expect("compiles");
-        let mut v: Vec<f64> = trip_counts(&module).values().copied().collect();
+        let mut v: Vec<f64> = trip_counts(&module).iter().map(|(_, t)| t).collect();
         v.sort_by(|a, b| a.total_cmp(b));
         v
     }
@@ -265,7 +297,7 @@ mod tests {
         let module = minic::compile(src).unwrap();
         let program = flowgraph::build_program(module);
         let out = profiler::run(&program, &profiler::RunConfig::default()).unwrap();
-        let trip = *trip_counts(&program.module).values().next().unwrap();
+        let (_, trip) = trip_counts(&program.module).iter().next().unwrap();
         assert_eq!(out.exit_code, trip as i64);
     }
 }

@@ -922,22 +922,6 @@ fn mined_pair(a: Op, b: Op) -> Option<Op> {
             target,
             tick,
         }),
-        (
-            Op::LoadLocal { dst, off },
-            Op::LoadIdx {
-                dst: d2,
-                base,
-                idx,
-                elem,
-                tick,
-            },
-        ) if base == dst && d2 == dst && idx != dst => Some(Op::LoadIdxLR {
-            dst,
-            off,
-            idx,
-            elem,
-            tick,
-        }),
         _ => None,
     }
 }

@@ -1322,21 +1322,6 @@ impl<'a, T: MemTap> Vm<'a, T> {
                         pc = target as usize;
                     }
                 }
-                Op::LoadIdxLR {
-                    dst,
-                    off,
-                    idx,
-                    elem,
-                    tick,
-                } => {
-                    tick!(tick);
-                    let b = self.local(off).to_ptr();
-                    let i = self.reg(idx).to_int();
-                    let v = self
-                        .mem
-                        .load(b.wrapping_add_signed(i.wrapping_mul(elem as i64)))?;
-                    self.set_reg(dst, v);
-                }
             }
         }
     }

@@ -545,15 +545,6 @@ pub enum Op {
         target: u32,
         tick: u32,
     },
-    /// `LoadLocal{dst, off}` then `LoadIdx{dst, base: dst, idx, elem}`
-    /// with `idx != dst` — an array load through a local pointer.
-    LoadIdxLR {
-        dst: u16,
-        off: u32,
-        idx: u16,
-        elem: u32,
-        tick: u32,
-    },
 }
 
 /// One classified field of an [`Op`], as [`Op::fields`] hands it out.
@@ -784,9 +775,6 @@ impl Op {
             }
             Op::ArithRLJumpF { dst, off, mode: _, target, tick } => {
                 row!(ReadWrite(dst), Frame(off), Target(target), Tick(tick))
-            }
-            Op::LoadIdxLR { dst, off, idx, elem: _, tick } => {
-                row!(Write(dst), Frame(off), Read(idx), Tick(tick))
             }
         }
     }

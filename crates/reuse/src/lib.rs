@@ -380,7 +380,7 @@ impl<'p> FuncModel<'p> {
         program: &'p Program,
         f: FuncId,
         freqs: &'p [f64],
-        predictions: &HashMap<minic::sema::BranchId, estimators::Prediction>,
+        predictions: &estimators::Predictions,
         map: &'p ObjectMap,
     ) -> Self {
         let module = &program.module;

@@ -41,9 +41,8 @@
 
 use crate::fp::{self, fold_f64s};
 use cache::{ArtifactKey, ArtifactKind, Cache};
-use estimators::branch::error_functions;
 use estimators::eval::{score_estimates, EstimateScores};
-use estimators::inter::{estimate_invocations, InterEstimator};
+use estimators::inter::InterEstimator;
 use estimators::intra::{estimate_function_with, IntraEstimates, IntraEstimator, IntraOptions};
 use estimators::{predict_module, Estimates};
 use flowgraph::cfg::{Cfg, Instr, Terminator};
@@ -306,7 +305,10 @@ impl ServeDb {
         let fn_fps = function_fingerprints(&unit);
         let decls = declaration_context(&unit);
         let module = minic::sema::analyze(unit).map_err(|e| DbError::Compile(e.render(source)))?;
-        let ctx_fp = context_fingerprint(decls, &module);
+        // Branch predictions (cheap, module-wide) come first: their
+        // error-function set is an input of the context fingerprint.
+        let predictions = Arc::new(predict_module(&module));
+        let ctx_fp = context_fingerprint(decls, &module, predictions.error_functions());
         let old = self.lock_programs().get(name).cloned();
 
         let mut work = WorkCounters::default();
@@ -388,10 +390,8 @@ impl ServeDb {
         program.callgraph = CallGraph::build(&program);
         let program = Arc::new(program);
 
-        // Phase 3 — branch predictions (cheap, module-wide) and intra
-        // estimates: cached frequencies are reused per (function,
-        // estimator); everything else is solved on the pool.
-        let predictions = Arc::new(predict_module(&program.module));
+        // Phase 3 — intra estimates: cached frequencies are reused per
+        // (function, estimator); everything else is solved on the pool.
         let options = IntraOptions::default();
         let n_funcs = program.module.functions.len();
         let mut intra_slots: Vec<[Option<Vec<f64>>; 3]> =
@@ -449,12 +449,10 @@ impl ServeDb {
         // Phase 4 — inter-procedural estimates: always recomputed
         // (they depend on every function's intra estimates), built on
         // smart intra as in the paper.
-        let smart = &intra[IntraEstimator::Smart as usize];
-        let inter = InterEstimator::ALL.map(|w| estimate_invocations(&program, smart, w));
+        let estimates = Estimates::from_intra(&program, intra);
         let inter_unit =
             (program.module.functions.len() + program.module.side.call_sites.len()) as u64;
         work.inter_units = inter_unit * InterEstimator::ALL.len() as u64;
-        let estimates = Estimates { intra, inter };
 
         // Phase 5 — refresh the per-function artifact layer for the
         // next update, and publish the new revision.
@@ -690,19 +688,20 @@ fn declaration_context(unit: &Unit) -> Fnv128 {
 /// whole-module input of the branch heuristics (`ErrorCall` fires on
 /// calls to functions that always reach `exit`). Any change here
 /// conservatively invalidates every cached function. `decls` is
-/// [`declaration_context`] of the unit `module` was analyzed from.
-fn context_fingerprint(decls: Fnv128, module: &Module) -> u128 {
+/// [`declaration_context`] of the unit `module` was analyzed from;
+/// `errs` flags `module`'s error functions
+/// ([`estimators::Predictions::error_functions`]).
+fn context_fingerprint(decls: Fnv128, module: &Module, errs: &[bool]) -> u128 {
     let mut h = decls;
     for f in &module.functions {
         h.field_str(&f.name);
         h.field_str(&format!("{:?}", f.sig));
         h.word(u64::from(f.is_defined()));
     }
-    let errs = error_functions(module);
     let mut err_names: Vec<&str> = module
         .functions
         .iter()
-        .filter(|f| errs.contains(&f.id))
+        .filter(|f| errs[f.id.0 as usize])
         .map(|f| f.name.as_str())
         .collect();
     err_names.sort_unstable();

@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if branch.const_cond.is_some() {
             continue; // predicted but not scored (§2)
         }
-        let pred = predictions[&branch.id];
+        let pred = predictions[branch.id];
         let (mut taken, mut not) = (0, 0);
         for p in &profiles {
             let (t, n) = p.branch(branch.id);

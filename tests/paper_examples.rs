@@ -87,7 +87,7 @@ fn figure8_recursion_repair() {
         .direct
         .iter()
         .filter(|a| a.caller == cn && a.callee == Some(cn))
-        .map(|a| local[&a.site.0])
+        .map(|a| local[a.site.0 as usize])
         .sum();
     assert!((w - 1.6).abs() < 1e-9);
 

@@ -101,16 +101,20 @@ impl InterEstimates {
 /// `CallSiteId`, 0 for a site the call graph places in no block.
 pub fn local_site_freqs(program: &Program, intra: &IntraEstimates) -> Vec<f64> {
     let sites = &program.module.side.call_sites;
-    let mut out = vec![0.0; sites.len()];
-    for (site, &block) in &program.callgraph.site_block {
-        let caller = sites[site.0 as usize].caller;
-        out[site.0 as usize] = intra
-            .blocks_of(caller)
-            .get(block.0 as usize)
-            .copied()
-            .unwrap_or(0.0);
-    }
-    out
+    let blocks = &program.callgraph.site_block;
+    sites
+        .iter()
+        .zip(blocks)
+        .map(|(site, block)| {
+            block.map_or(0.0, |b| {
+                intra
+                    .blocks_of(site.caller)
+                    .get(b.0 as usize)
+                    .copied()
+                    .unwrap_or(0.0)
+            })
+        })
+        .collect()
 }
 
 /// Runs one inter-procedural estimator.

@@ -9,7 +9,6 @@
 use crate::cfg::BlockId;
 use crate::Program;
 use minic::sema::{CallSiteId, CalleeKind, FuncId};
-use std::collections::HashMap;
 
 /// One call-graph arc: a single call site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,21 +30,25 @@ pub struct CallGraph {
     pub direct: Vec<CallArc>,
     /// All indirect arcs (calls through pointers).
     pub indirect: Vec<CallArc>,
-    /// Block of every call site (builtin calls included).
-    pub site_block: HashMap<CallSiteId, BlockId>,
+    /// Block of every call site (builtin calls included), indexed by
+    /// [`CallSiteId`]; `None` for a site in no CFG.
+    pub site_block: Vec<Option<BlockId>>,
 }
 
 impl CallGraph {
     /// Builds the call graph by scanning every CFG for call expressions.
     pub fn build(program: &Program) -> Self {
         let module = &program.module;
-        let mut cg = CallGraph::default();
+        let mut cg = CallGraph {
+            site_block: vec![None; module.side.call_sites.len()],
+            ..CallGraph::default()
+        };
         for cfg in program.cfgs.iter().flatten() {
             cfg.walk_exprs(&mut |block, e| {
                 let Some(site) = module.side.call_site(e.id) else {
                     return;
                 };
-                cg.site_block.insert(site, block);
+                cg.site_block[site.0 as usize] = Some(block);
                 let cs = &module.side.call_sites[site.0 as usize];
                 match cs.callee {
                     CalleeKind::Direct(callee) => cg.direct.push(CallArc {

@@ -16,7 +16,8 @@
 //! `func_cost` — the quantities being optimized — change. The fuzzer's
 //! differential oracle holds every optimized program to that contract.
 //!
-//! Pass order: inline → fold → dce → fuse → layout → recost → lower.
+//! Pass order: inline → fold → dce → fuse (the compiler's shared pair
+//! rules, then the mined ones) → layout → recost → lower.
 //! Inlining first exposes the callee body to the caller's folding;
 //! layout runs before recost so dropped fallthrough jumps are never
 //! charged; recost runs last over the final op sequence.
@@ -155,8 +156,8 @@ fn run_passes(cp: &CompiledProgram, plan: &OptPlan) -> Option<(Vec<Option<ir::Fu
         stats.dce_blocks += blocks;
         stats.dce_ops += ops;
         if plan.level >= 2 {
-            stats.fused += passes::fuse(f_ir);
-            stats.mined += passes::mine(f_ir);
+            stats.fused += passes::fuse(f_ir, profiler::bytecode::fuse_pair);
+            stats.mined += passes::fuse(f_ir, passes::mined_pair);
             passes::layout(f_ir);
         } else {
             ir::drop_redundant_jumps(f_ir);

@@ -12,7 +12,7 @@
 //! change, which is the optimization being measured.
 
 use crate::ir::{drop_redundant_jumps, FuncIr};
-use profiler::bytecode::{arith, cmp_vals, CompiledProgram, Field, Op, NONE32};
+use profiler::bytecode::{arith, cmp_vals, CompiledProgram, Field, Op, Table, NONE32};
 use profiler::runtime::convert_for_class;
 use profiler::Value;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -40,6 +40,47 @@ pub fn fold(ir: &mut FuncIr, cp: &CompiledProgram) -> u64 {
         // after it are unreachable, and since resolution is
         // input-independent they never execute unoptimized either.
         'ops: for &op in &chunk.ops {
+            // A counted conditional: each kind only says whether its
+            // operands decide it; one rewrite serves them all.
+            let reg = |r: u16| regs.get(&r).copied();
+            let slot = |off: u32| slots.get(&off).copied();
+            let decided = match op {
+                Op::CondBranch { src, .. } => reg(src).map(|v| v.truthy()),
+                Op::CmpBranchLL {
+                    off_a,
+                    off_b,
+                    op: cmp,
+                    ..
+                } => binop(slot(off_a), slot(off_b), |x, y| Some(cmp_vals(cmp, x, y))),
+                Op::CmpBranchLI {
+                    off, imm, op: cmp, ..
+                } => slot(off).map(|x| cmp_vals(cmp, x, Value::Int(imm as i64))),
+                Op::CmpBranchRR { a, b, op: cmp, .. } => {
+                    binop(reg(a), reg(b), |x, y| Some(cmp_vals(cmp, x, y)))
+                }
+                Op::CmpBranchRL {
+                    a, off, op: cmp, ..
+                } => binop(reg(a), slot(off), |x, y| Some(cmp_vals(cmp, x, y))),
+                Op::CmpBranchRI {
+                    a, imm, op: cmp, ..
+                } => reg(a).map(|x| cmp_vals(cmp, x, Value::Int(imm as i64))),
+                _ => None,
+            };
+            if let Some(taken) = decided {
+                let (branch, else_target, tick) = cond_parts(op);
+                folded += 1;
+                if branch != NONE32 {
+                    out.push(Op::BumpBranch { branch, taken });
+                }
+                if !taken {
+                    out.push(Op::Jump {
+                        target: else_target,
+                        tick,
+                    });
+                    break 'ops;
+                }
+                continue;
+            }
             match op {
                 Op::Const { dst, v } => {
                     regs.insert(dst, v);
@@ -318,167 +359,6 @@ pub fn fold(ir: &mut FuncIr, cp: &CompiledProgram) -> u64 {
                     }
                     None => out.push(op),
                 },
-                Op::CondBranch {
-                    src,
-                    branch,
-                    else_target,
-                    tick,
-                } => match regs.get(&src) {
-                    Some(v) => {
-                        let taken = v.truthy();
-                        folded += 1;
-                        if branch != NONE32 {
-                            out.push(Op::BumpBranch { branch, taken });
-                        }
-                        if !taken {
-                            out.push(Op::Jump {
-                                target: else_target,
-                                tick,
-                            });
-                            break 'ops;
-                        }
-                    }
-                    None => out.push(op),
-                },
-                Op::CmpBranchLL {
-                    off_a,
-                    off_b,
-                    op: cmp,
-                    branch,
-                    else_target,
-                    tick,
-                } => {
-                    match binop(
-                        slots.get(&off_a).copied(),
-                        slots.get(&off_b).copied(),
-                        |x, y| Some(cmp_vals(cmp, x, y)),
-                    ) {
-                        Some(taken) => {
-                            folded += 1;
-                            if branch != NONE32 {
-                                out.push(Op::BumpBranch { branch, taken });
-                            }
-                            if !taken {
-                                out.push(Op::Jump {
-                                    target: else_target,
-                                    tick,
-                                });
-                                break 'ops;
-                            }
-                        }
-                        None => out.push(op),
-                    }
-                }
-                Op::CmpBranchLI {
-                    off,
-                    imm,
-                    op: cmp,
-                    branch,
-                    else_target,
-                    tick,
-                } => {
-                    match slots
-                        .get(&off)
-                        .map(|&x| cmp_vals(cmp, x, Value::Int(imm as i64)))
-                    {
-                        Some(taken) => {
-                            folded += 1;
-                            if branch != NONE32 {
-                                out.push(Op::BumpBranch { branch, taken });
-                            }
-                            if !taken {
-                                out.push(Op::Jump {
-                                    target: else_target,
-                                    tick,
-                                });
-                                break 'ops;
-                            }
-                        }
-                        None => out.push(op),
-                    }
-                }
-                Op::CmpBranchRR {
-                    a,
-                    b,
-                    op: cmp,
-                    branch,
-                    else_target,
-                    tick,
-                } => {
-                    match binop(regs.get(&a).copied(), regs.get(&b).copied(), |x, y| {
-                        Some(cmp_vals(cmp, x, y))
-                    }) {
-                        Some(taken) => {
-                            folded += 1;
-                            if branch != NONE32 {
-                                out.push(Op::BumpBranch { branch, taken });
-                            }
-                            if !taken {
-                                out.push(Op::Jump {
-                                    target: else_target,
-                                    tick,
-                                });
-                                break 'ops;
-                            }
-                        }
-                        None => out.push(op),
-                    }
-                }
-                Op::CmpBranchRL {
-                    a,
-                    off,
-                    op: cmp,
-                    branch,
-                    else_target,
-                    tick,
-                } => {
-                    match binop(regs.get(&a).copied(), slots.get(&off).copied(), |x, y| {
-                        Some(cmp_vals(cmp, x, y))
-                    }) {
-                        Some(taken) => {
-                            folded += 1;
-                            if branch != NONE32 {
-                                out.push(Op::BumpBranch { branch, taken });
-                            }
-                            if !taken {
-                                out.push(Op::Jump {
-                                    target: else_target,
-                                    tick,
-                                });
-                                break 'ops;
-                            }
-                        }
-                        None => out.push(op),
-                    }
-                }
-                Op::CmpBranchRI {
-                    a,
-                    imm,
-                    op: cmp,
-                    branch,
-                    else_target,
-                    tick,
-                } => {
-                    match regs
-                        .get(&a)
-                        .map(|&x| cmp_vals(cmp, x, Value::Int(imm as i64)))
-                    {
-                        Some(taken) => {
-                            folded += 1;
-                            if branch != NONE32 {
-                                out.push(Op::BumpBranch { branch, taken });
-                            }
-                            if !taken {
-                                out.push(Op::Jump {
-                                    target: else_target,
-                                    tick,
-                                });
-                                break 'ops;
-                            }
-                        }
-                        None => out.push(op),
-                    }
-                }
                 Op::SwitchJump { src, table, tick } => match regs.get(&src) {
                     Some(v) => {
                         let target = ir.tables[table as usize].lookup(v.to_int());
@@ -503,6 +383,19 @@ pub fn fold(ir: &mut FuncIr, cp: &CompiledProgram) -> u64 {
         chunk.ops = out;
     }
     folded
+}
+
+/// A conditional branch's counter, else target and tick, read from
+/// the operand table.
+fn cond_parts(mut op: Op) -> (u32, u32, u32) {
+    let (mut branch, mut else_target, mut tick) = (NONE32, 0, 0);
+    op.fields(|field| match field {
+        Field::Index(Table::Branch, &mut b) => branch = b,
+        Field::Target(&mut t) => else_target = t,
+        Field::Tick(&mut t) => tick = t,
+        _ => {}
+    });
+    (branch, else_target, tick)
 }
 
 fn upsert<K: std::hash::Hash + Eq>(map: &mut HashMap<K, Value>, k: K, v: Option<Value>) {
@@ -712,12 +605,14 @@ pub fn dce(ir: &mut FuncIr) -> (u64, u64) {
     (dropped, deleted)
 }
 
-/// Superinstruction selection on hot chunks: re-runs the compiler's
-/// provably safe fusion patterns on code shapes exposed by inlining
-/// and folding. A chunk is hot when its frequency is at least the
-/// mean over the function's live chunks. Returns the number of fused
+/// Superinstruction selection on hot chunks: fuses every adjacent
+/// pair that `rule` matches — the compiler's shared pair rules
+/// ([`profiler::bytecode::fuse_pair`]) on code shapes exposed by
+/// inlining and folding, or the crate's mined digrams. A chunk is hot
+/// when its frequency is at least the mean over the function's live
+/// chunks, so cold code keeps its shape. Returns the number of fused
 /// pairs.
-pub fn fuse(ir: &mut FuncIr) -> u64 {
+pub fn fuse(ir: &mut FuncIr, rule: fn(Op, Op) -> Option<Op>) -> u64 {
     let live: Vec<_> = ir.chunks.iter().filter(|c| !c.dead).collect();
     if live.is_empty() {
         return 0;
@@ -733,8 +628,7 @@ pub fn fuse(ir: &mut FuncIr) -> u64 {
         let ops = &mut chunk.ops;
         let mut i = 0;
         while i + 1 < ops.len() {
-            let pair = fuse_pair(ops[i], ops[i + 1]);
-            if let Some(op) = pair {
+            if let Some(op) = rule(ops[i], ops[i + 1]) {
                 ops[i] = op;
                 ops.remove(i + 1);
                 fused += 1;
@@ -749,45 +643,13 @@ pub fn fuse(ir: &mut FuncIr) -> u64 {
     fused
 }
 
-/// Mined-superinstruction selection: fuses the digram patterns
-/// harvested from estimator frequencies across the benchmark corpus
-/// (see `mined_pair`), as opposed to [`fuse`]'s emitter pairs. Runs
-/// on the same hot-chunk threshold so cold code keeps its shape.
-pub fn mine(ir: &mut FuncIr) -> u64 {
-    let live: Vec<_> = ir.chunks.iter().filter(|c| !c.dead).collect();
-    if live.is_empty() {
-        return 0;
-    }
-    let threshold = live.iter().map(|c| c.freq).sum::<f64>() / live.len() as f64;
-    drop(live);
-    let mut mined = 0;
-    for chunk in ir
-        .chunks
-        .iter_mut()
-        .filter(|c| !c.dead && c.freq >= threshold)
-    {
-        let ops = &mut chunk.ops;
-        let mut i = 0;
-        while i + 1 < ops.len() {
-            if let Some(op) = mined_pair(ops[i], ops[i + 1]) {
-                ops[i] = op;
-                ops.remove(i + 1);
-                mined += 1;
-                i = i.saturating_sub(1);
-            } else {
-                i += 1;
-            }
-        }
-    }
-    mined
-}
-
 /// The mined fusion patterns — the digrams that ranked hottest over
 /// the post-pipeline IR of the benchmark suite, weighted by estimator
 /// block frequencies. The ranking ran once, when these ops were added;
-/// nothing re-ranks the table. Same safety argument as [`fuse_pair`]:
-/// the fused op writes exactly what the pair wrote.
-fn mined_pair(a: Op, b: Op) -> Option<Op> {
+/// nothing re-ranks the table. Same contract as
+/// [`profiler::bytecode::fuse_pair`]: the fused op writes exactly what
+/// the pair wrote.
+pub(crate) fn mined_pair(a: Op, b: Op) -> Option<Op> {
     match (a, b) {
         // Address ops always produce `Value::Ptr`, on which `to_ptr`
         // is the identity — a following same-register `ToPtr` is a
@@ -921,206 +783,6 @@ fn mined_pair(a: Op, b: Op) -> Option<Op> {
             mode,
             target,
             tick,
-        }),
-        _ => None,
-    }
-}
-
-/// The fusion patterns. Each is safe unconditionally: every register
-/// the pair wrote is written identically by the fused op, and the
-/// intermediate register was immediately overwritten.
-fn fuse_pair(a: Op, b: Op) -> Option<Op> {
-    match (a, b) {
-        (
-            Op::LoadLocal { dst, off },
-            Op::LoadLocal {
-                dst: d2,
-                off: off_b,
-            },
-        ) if d2 == dst + 1 => Some(Op::LoadLocal2 {
-            dst,
-            off_a: off,
-            off_b,
-        }),
-        (
-            Op::LoadLocal { dst, off },
-            Op::Const {
-                dst: d2,
-                v: Value::Int(imm),
-            },
-        ) if d2 == dst + 1 => Some(Op::LoadLocalImm { dst, off, imm }),
-        (
-            Op::IndexAddr {
-                dst,
-                base,
-                idx,
-                elem,
-            },
-            Op::Load {
-                dst: d2,
-                addr,
-                tick,
-            },
-        ) if addr == dst && d2 == dst => Some(Op::LoadIdx {
-            dst,
-            base,
-            idx,
-            elem,
-            tick,
-        }),
-        (
-            Op::IndexAddrLL {
-                dst,
-                off_a,
-                off_b,
-                elem,
-            },
-            Op::Load {
-                dst: d2,
-                addr,
-                tick,
-            },
-        ) if addr == dst && d2 == dst => Some(Op::LoadIdxLL {
-            dst,
-            off_a,
-            off_b,
-            elem,
-            tick,
-        }),
-        (
-            Op::IndexAddrPL {
-                dst,
-                base,
-                idx_off,
-                elem,
-            },
-            Op::Load {
-                dst: d2,
-                addr,
-                tick,
-            },
-        ) if addr == dst && d2 == dst => Some(Op::LoadIdxPL {
-            dst,
-            base,
-            idx_off,
-            elem,
-            tick,
-        }),
-        (
-            Op::IndexAddrLeaL {
-                dst,
-                lea_off,
-                idx_off,
-                elem,
-            },
-            Op::Load {
-                dst: d2,
-                addr,
-                tick,
-            },
-        ) if addr == dst && d2 == dst => Some(Op::LoadIdxLeaL {
-            dst,
-            lea_off,
-            idx_off,
-            elem,
-            tick,
-        }),
-        (
-            Op::Arith {
-                dst, a, b, mode, ..
-            },
-            Op::StoreLocal {
-                off,
-                src,
-                class,
-                dst: d2,
-            },
-        ) if src == dst && d2 == dst => Some(Op::StoreRR {
-            off,
-            a,
-            b,
-            mode,
-            class,
-            dst,
-        }),
-        (
-            Op::ArithLL {
-                dst,
-                off_a,
-                off_b,
-                mode,
-                ..
-            },
-            Op::StoreLocal {
-                off,
-                src,
-                class,
-                dst: d2,
-            },
-        ) if src == dst && d2 == dst => Some(Op::StoreLL {
-            off,
-            off_a,
-            off_b,
-            mode,
-            class,
-            dst,
-        }),
-        (
-            Op::ArithLI {
-                dst,
-                off: off_a,
-                imm,
-                mode,
-                ..
-            },
-            Op::StoreLocal {
-                off,
-                src,
-                class,
-                dst: d2,
-            },
-        ) if src == dst && d2 == dst => Some(Op::StoreLI {
-            off,
-            off_a,
-            imm,
-            mode,
-            class,
-            dst,
-        }),
-        (
-            Op::ArithRL {
-                dst,
-                off: off_b,
-                mode,
-                ..
-            },
-            Op::StoreLocal {
-                off,
-                src,
-                class,
-                dst: d2,
-            },
-        ) if src == dst && d2 == dst => Some(Op::StoreRL {
-            off,
-            off_b,
-            mode,
-            class,
-            dst,
-        }),
-        (
-            Op::ArithRI { dst, imm, mode, .. },
-            Op::StoreLocal {
-                off,
-                src,
-                class,
-                dst: d2,
-            },
-        ) if src == dst && d2 == dst => Some(Op::StoreRI {
-            off,
-            imm,
-            mode,
-            class,
-            dst,
         }),
         _ => None,
     }

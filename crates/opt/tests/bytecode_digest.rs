@@ -1,0 +1,209 @@
+//! The emitted bytecode, bit for bit, and which ops it uses.
+//!
+//! The 14 suite programs and the generated programs from seeds
+//! 1,000,001–1,000,200 are compiled at -O0 and optimized under
+//! `OptPlan::full` at -O1, -O2 and -O3; every
+//! `CompiledProgram::ir_fingerprint` folds into one pinned digest. A
+//! refactor of the compiler or the optimizer must leave it alone; the
+//! constant moves only with a change that sets out to change emitted
+//! code.
+//!
+//! The same pass is an emission census: every `Op` variant must be
+//! emitted somewhere, or it is dead weight in the VM's dispatch and in
+//! every table over the op set. The three variants no such program
+//! emits are each pinned by a hand-built program below.
+
+use opt::{optimize, OptPlan};
+use profiler::bytecode::{compile, CompiledProgram, Op};
+use std::collections::BTreeMap;
+
+/// The pinned digest: per program, the fingerprints at -O0, -O1, -O2
+/// and -O3 as two words each; suite programs first, then the seeds in
+/// order.
+const BYTECODE_DIGEST: u128 = 0x7ee574a97f327cda15cff0b8e076c6b7;
+
+/// The generated programs after the suite.
+const SEEDS: std::ops::RangeInclusive<u64> = 1_000_001..=1_000_200;
+
+/// Variants no suite or generated program emits, each with the test
+/// that builds one:
+/// - `Fail`: [`a_call_to_an_undefined_function_compiles_to_fail`];
+/// - `InitWordsLocal`: [`a_local_string_initializer_compiles_to_init_words`];
+/// - `Mov`: [`inlining_a_return_from_another_register_emits_mov`].
+const HAND_BUILT: [&str; 3] = ["Fail", "InitWordsLocal", "Mov"];
+
+/// Every `Op` variant by name, through an exhaustive match: a new
+/// variant does not compile here until it is listed.
+macro_rules! op_names {
+    ($($v:ident),* $(,)?) => {
+        const OP_NAMES: &[&str] = &[$(stringify!($v)),*];
+        fn op_name(op: &Op) -> &'static str {
+            match op {
+                $(Op::$v { .. } => stringify!($v),)*
+            }
+        }
+    };
+}
+
+op_names!(
+    Tick,
+    BumpSite,
+    BumpFunc,
+    BumpBranch,
+    Mov,
+    Const,
+    LeaLocal,
+    LoadLocal,
+    LoadLocal2,
+    LoadLocalImm,
+    StoreLocal,
+    LoadGlobal,
+    StoreGlobal,
+    Load,
+    Store,
+    CopyWords,
+    InitWordsLocal,
+    ZeroLocal,
+    ToPtr,
+    Bool,
+    LogicNot,
+    Neg,
+    BitNot,
+    Conv,
+    IndexAddr,
+    IndexAddrLL,
+    IndexAddrPL,
+    IndexAddrLeaL,
+    LoadIdx,
+    LoadIdxLL,
+    LoadIdxPL,
+    LoadIdxLeaL,
+    MemberAddr,
+    IncDecLocal,
+    IncDecGlobal,
+    IncDec,
+    Arith,
+    ArithLL,
+    ArithLI,
+    ArithRL,
+    ArithRI,
+    StoreRR,
+    StoreLL,
+    StoreLI,
+    StoreRL,
+    StoreRI,
+    RmwLocal,
+    RmwGlobal,
+    Rmw,
+    Jump,
+    JumpIfFalse,
+    JumpIfTrue,
+    CondBranch,
+    CmpBranchLL,
+    CmpBranchLI,
+    CmpBranchRR,
+    CmpBranchRL,
+    CmpBranchRI,
+    SwitchJump,
+    EdgeJump,
+    CheckFn,
+    CallDirect,
+    CallIndirect,
+    CallBuiltin,
+    Ret,
+    Fail,
+    ConstJump,
+    ConstRet,
+    StoreLEdge,
+    IncDecLEdge,
+    LoadLBranch,
+    ArithGI,
+    CmpBranchRCI,
+    ArithRLJumpF,
+);
+
+fn program(src: &str) -> flowgraph::Program {
+    flowgraph::build_program(minic::compile(src).expect("valid MiniC"))
+}
+
+fn emits(cp: &CompiledProgram, name: &str) -> bool {
+    cp.ops.iter().any(|op| op_name(op) == name)
+}
+
+#[test]
+fn bytecode_matches_the_pinned_digest_and_every_op_is_emitted() {
+    let suite = suite::all().into_iter().map(|p| p.compile().unwrap());
+    let generated = SEEDS.map(|seed| program(&fuzzgen::generate(seed).render()));
+    let mut h = obs::hash::Fnv128::with_basis(0);
+    let mut census: BTreeMap<&str, [u64; 4]> = OP_NAMES.iter().map(|&n| (n, [0; 4])).collect();
+    for p in suite.chain(generated) {
+        let cp = compile(&p);
+        for level in 0..=3u8 {
+            // Level 0 is the compiled program itself.
+            let code = optimize(&cp, &OptPlan::full(&cp, level)).0;
+            let fp = code.ir_fingerprint();
+            h.word(fp as u64);
+            h.word((fp >> 64) as u64);
+            for op in &code.ops {
+                census.get_mut(op_name(op)).unwrap()[level as usize] += 1;
+            }
+        }
+    }
+    for (name, counts) in &census {
+        println!("{name:<16} {counts:?}");
+    }
+    let never: Vec<&str> = census
+        .iter()
+        .filter(|(_, c)| c.iter().all(|&n| n == 0))
+        .map(|(&n, _)| n)
+        .collect();
+    assert_eq!(never, HAND_BUILT, "variants never emitted");
+    assert_eq!(h.digest(), BYTECODE_DIGEST, "{:032x}", h.digest());
+}
+
+#[test]
+fn a_call_to_an_undefined_function_compiles_to_fail() {
+    let cp = compile(&program(
+        "int helper(int x); int main(void) { return helper(1); }",
+    ));
+    assert!(emits(&cp, "Fail"));
+}
+
+#[test]
+fn a_local_string_initializer_compiles_to_init_words() {
+    let cp = compile(&program(
+        r#"int main(void) { char s[] = "hi"; return s[0]; }"#,
+    ));
+    assert!(emits(&cp, "InitWordsLocal"));
+}
+
+/// The compiler returns every value from register 0, so the
+/// inliner's `Ret` rewrite needs no move there; a callee that returns
+/// from register 1 (its two ops retargeted by hand) needs one.
+#[test]
+fn inlining_a_return_from_another_register_emits_mov() {
+    let mut cp = compile(&program(
+        "int id(int x) { return x; } int main(void) { return id(5); }",
+    ));
+    let (start, end) = cp.funcs[0].code;
+    for op in &mut cp.ops[start as usize..end as usize] {
+        match op {
+            Op::LoadLocal { dst, .. } => *dst = 1,
+            Op::Ret { src, .. } => *src = 1,
+            other => panic!("unexpected op in `id`: {other:?}"),
+        }
+    }
+    cp.funcs[0].max_regs = 2;
+    let plan = OptPlan {
+        inline_budget: 100,
+        ..OptPlan::full(&cp, 3)
+    };
+    let (ocp, stats) = optimize(&cp, &plan);
+    assert_eq!(stats.inlined_calls, 1);
+    assert!(emits(&ocp, "Mov"));
+    let config = profiler::RunConfig::default();
+    for code in [&cp, &ocp] {
+        let out = code.execute(&config, &mut profiler::ExecScratch::default(), None);
+        assert_eq!(out.unwrap().exit_code, 5);
+    }
+}

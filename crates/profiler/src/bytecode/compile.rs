@@ -45,10 +45,18 @@
 //! ## Superinstructions
 //!
 //! Emission peepholes fuse the dominant op sequences into single
-//! dispatches: paired local loads (`LoadLocal2`/`LoadLocalImm`),
-//! operand loads folded into `Arith*`, comparisons folded into their
-//! branch (`CmpBranch*` — a loop header like `i < n` becomes one op),
-//! and array reads folded through `IndexAddr*` into `LoadIdx*`.
+//! dispatches. Two kinds of rule apply:
+//!
+//! - **Shared pair rules** (`LoadLocal2`/`LoadLocalImm`, `LoadIdx*`,
+//!   `Store{RR,LL,LI,RL,RI}`) live once, in [`super::fuse_pair`]; the
+//!   optimizer's fusion pass runs the same table. Each fused op writes
+//!   everything its pair wrote.
+//! - **Emitter-only operand rules** fold operand loads into `Arith*`
+//!   and `IndexAddr*`, and comparisons into their branch (`CmpBranch*`
+//!   — a loop header like `i < n` becomes one op). They drop the write
+//!   of a consumed operand register, so they are safe only under the
+//!   register discipline below, which optimized code need not keep.
+//!
 //! Two invariants make this safe:
 //!
 //! - **No fusion across a label.** `label_here` records every jump
@@ -61,6 +69,7 @@
 //!   immediate, skipping the architectural register write is
 //!   unobservable.
 
+use super::fuse::{fuse_pair, ticks};
 use super::place::{self, Candidate, CounterPlan};
 use super::{ArithMode, CompiledProgram, FuncMeta, Op, ParamBind, SwitchTable, NONE32};
 use crate::runtime::{
@@ -253,45 +262,30 @@ impl<'p> Compiler<'p> {
         (self.ops.len() >= self.barrier + 2).then(|| self.ops.len() - 2)
     }
 
-    fn emit_load_local(&mut self, dst: u16, off: u32) {
+    /// Emits `op`, fused into the op before it (past the last label)
+    /// when a shared pair rule of [`fuse_pair`] applies. The fused op
+    /// must carry the pair's whole step charge: at -O0 the stream
+    /// mirrors the walker tick for tick, so a fusion must never lose an
+    /// AST tick (the `Arith → StoreLocal` rules drop the arithmetic's).
+    fn emit_fused(&mut self, op: Op) {
         if let Some(i) = self.fuse1() {
-            if let Op::LoadLocal { dst: d, off: off_a } = self.ops[i] {
-                if d.checked_add(1) == Some(dst) {
-                    self.ops[i] = Op::LoadLocal2 {
-                        dst: d,
-                        off_a,
-                        off_b: off,
-                    };
+            let prev = self.ops[i];
+            if let Some(fused) = fuse_pair(prev, op) {
+                if ticks(fused) == ticks(prev) + ticks(op) {
+                    self.ops[i] = fused;
                     return;
                 }
             }
         }
-        self.emit(Op::LoadLocal { dst, off });
-    }
-
-    fn emit_const_int(&mut self, dst: u16, v: i64) {
-        if let Some(i) = self.fuse1() {
-            if let Op::LoadLocal { dst: d, off } = self.ops[i] {
-                if d.checked_add(1) == Some(dst) {
-                    self.ops[i] = Op::LoadLocalImm {
-                        dst: d,
-                        off,
-                        imm: v,
-                    };
-                    return;
-                }
-            }
-        }
-        self.emit(Op::Const {
-            dst,
-            v: Value::Int(v),
-        });
+        self.emit(op);
     }
 
     /// Emit the binary-operator arith (`a = dst`, `b = dst + 1`),
     /// folding operand loads emitted immediately before it. Fused
     /// forms skip the dead write of the consumed operand register
-    /// (see the module docs for why that is unobservable).
+    /// (see the module docs for why that is unobservable). Not a
+    /// [`fuse_pair`] rule: that write is dead only under the emitter's
+    /// register discipline, which the optimizer cannot assume.
     fn emit_arith(&mut self, dst: u16, mode: ArithMode, tick: u32) {
         if let Some(i) = self.fuse1() {
             match self.ops[i] {
@@ -357,7 +351,8 @@ impl<'p> Compiler<'p> {
     }
 
     /// Emit the `IndexAddr` for `base[idx]` (`base = dst`,
-    /// `idx = dst + 1`), folding the base/index loads before it.
+    /// `idx = dst + 1`), folding the base/index loads before it
+    /// (emitter-only, like [`Self::emit_arith`]'s rules).
     fn emit_index_addr(&mut self, dst: u16, elem: u32) {
         if let Some(i) = self.fuse1() {
             match self.ops[i] {
@@ -423,182 +418,10 @@ impl<'p> Compiler<'p> {
         });
     }
 
-    /// Emit the store half of `local = <expr>`, folding an arithmetic
-    /// op emitted immediately before it (its raw result register is
-    /// transient: the store rewrites `dst` with the converted value).
-    /// Fusion requires `tick == 0` so no step charge is reordered
-    /// against the store.
-    fn emit_store_local(&mut self, off: u32, class: TyClass, dst: u16) {
-        if let Some(i) = self.fuse1() {
-            match self.ops[i] {
-                Op::Arith {
-                    dst: d,
-                    a,
-                    b,
-                    mode,
-                    tick: 0,
-                } if d == dst => {
-                    self.ops[i] = Op::StoreRR {
-                        off,
-                        a,
-                        b,
-                        mode,
-                        class,
-                        dst,
-                    };
-                    return;
-                }
-                Op::ArithLL {
-                    dst: d,
-                    off_a,
-                    off_b,
-                    mode,
-                    tick: 0,
-                } if d == dst => {
-                    self.ops[i] = Op::StoreLL {
-                        off,
-                        off_a,
-                        off_b,
-                        mode,
-                        class,
-                        dst,
-                    };
-                    return;
-                }
-                Op::ArithLI {
-                    dst: d,
-                    off: off_a,
-                    imm,
-                    mode,
-                    tick: 0,
-                } if d == dst => {
-                    self.ops[i] = Op::StoreLI {
-                        off,
-                        off_a,
-                        imm,
-                        mode,
-                        class,
-                        dst,
-                    };
-                    return;
-                }
-                Op::ArithRL {
-                    dst: d,
-                    off: off_b,
-                    mode,
-                    tick: 0,
-                } if d == dst => {
-                    self.ops[i] = Op::StoreRL {
-                        off,
-                        off_b,
-                        mode,
-                        class,
-                        dst,
-                    };
-                    return;
-                }
-                Op::ArithRI {
-                    dst: d,
-                    imm,
-                    mode,
-                    tick: 0,
-                } if d == dst => {
-                    self.ops[i] = Op::StoreRI {
-                        off,
-                        imm,
-                        mode,
-                        class,
-                        dst,
-                    };
-                    return;
-                }
-                _ => {}
-            }
-        }
-        self.emit(Op::StoreLocal {
-            off,
-            src: dst,
-            class,
-            dst,
-        });
-    }
-
-    /// Emit a fallible pointer load, folding an address computation
-    /// emitted immediately before it into a single array-read op.
-    fn emit_load(&mut self, dst: u16, addr: u16, tick: u32) {
-        if addr == dst {
-            if let Some(i) = self.fuse1() {
-                match self.ops[i] {
-                    Op::IndexAddr {
-                        dst: d,
-                        base,
-                        idx,
-                        elem,
-                    } if d == dst => {
-                        self.ops[i] = Op::LoadIdx {
-                            dst,
-                            base,
-                            idx,
-                            elem,
-                            tick,
-                        };
-                        return;
-                    }
-                    Op::IndexAddrLL {
-                        dst: d,
-                        off_a,
-                        off_b,
-                        elem,
-                    } if d == dst => {
-                        self.ops[i] = Op::LoadIdxLL {
-                            dst,
-                            off_a,
-                            off_b,
-                            elem,
-                            tick,
-                        };
-                        return;
-                    }
-                    Op::IndexAddrPL {
-                        dst: d,
-                        base,
-                        idx_off,
-                        elem,
-                    } if d == dst => {
-                        self.ops[i] = Op::LoadIdxPL {
-                            dst,
-                            base,
-                            idx_off,
-                            elem,
-                            tick,
-                        };
-                        return;
-                    }
-                    Op::IndexAddrLeaL {
-                        dst: d,
-                        lea_off,
-                        idx_off,
-                        elem,
-                    } if d == dst => {
-                        self.ops[i] = Op::LoadIdxLeaL {
-                            dst,
-                            lea_off,
-                            idx_off,
-                            elem,
-                            tick,
-                        };
-                        return;
-                    }
-                    _ => {}
-                }
-            }
-        }
-        self.emit(Op::Load { dst, addr, tick });
-    }
-
     /// Emit a conditional branch on `src`, folding an immediately
-    /// preceding comparison (whose result register is dead). Returns
-    /// the op index for [`Self::set_else_target`].
+    /// preceding comparison (whose result register is dead only under
+    /// the emitter's discipline, so the rule stays here). Returns the
+    /// op index for [`Self::set_else_target`].
     fn emit_cond_branch(&mut self, src: u16, branch: u32, tick: u32) -> usize {
         if let Some(i) = self.fuse1() {
             match self.ops[i] {
@@ -958,7 +781,12 @@ impl<'p> Compiler<'p> {
                     });
                 } else {
                     let class = NodeTy::of(ty, &self.program.module.structs).class;
-                    self.emit_store_local(off, class, 0);
+                    self.emit_fused(Op::StoreLocal {
+                        off,
+                        src: 0,
+                        class,
+                        dst: 0,
+                    });
                 }
             }
             Instr::InitStr {
@@ -1245,14 +1073,14 @@ impl<'p> Compiler<'p> {
         }
         match p {
             Place::Local(off) => {
-                self.emit_load_local(dst, off);
+                self.emit_fused(Op::LoadLocal { dst, off });
             }
             Place::Data(idx) => {
                 self.emit(Op::LoadGlobal { dst, idx });
             }
             Place::Reg(r) => {
                 let tick = self.take_pending();
-                self.emit_load(dst, r, tick);
+                self.emit_fused(Op::Load { dst, addr: r, tick });
             }
         }
     }
@@ -1266,7 +1094,10 @@ impl<'p> Compiler<'p> {
         self.touch(dst);
         match &e.kind {
             ExprKind::IntLit(v) => {
-                self.emit_const_int(dst, *v);
+                self.emit_fused(Op::Const {
+                    dst,
+                    v: Value::Int(*v),
+                });
             }
             ExprKind::FloatLit(v) => {
                 self.emit(Op::Const {
@@ -1290,7 +1121,10 @@ impl<'p> Compiler<'p> {
                     });
                 }
                 Resolution::EnumConst(v) => {
-                    self.emit_const_int(dst, v);
+                    self.emit_fused(Op::Const {
+                        dst,
+                        v: Value::Int(v),
+                    });
                 }
                 Resolution::Builtin(_) => {
                     self.fail(RuntimeError::Other("builtin used as a value".into()));
@@ -1394,7 +1228,11 @@ impl<'p> Compiler<'p> {
             }
             ExprKind::SizeofType(_) | ExprKind::SizeofExpr(_) => {
                 let v = self.program.module.side.const_value(e.id);
-                self.emit_const_int(dst, v.and_then(|v| v.as_int()).unwrap_or(0));
+                let v = v.and_then(|v| v.as_int()).unwrap_or(0);
+                self.emit_fused(Op::Const {
+                    dst,
+                    v: Value::Int(v),
+                });
             }
             ExprKind::Comma(a, b) => {
                 self.eval(a, dst);
@@ -1439,7 +1277,11 @@ impl<'p> Compiler<'p> {
                     self.emit(Op::ToPtr { dst, src: dst });
                 } else {
                     let tick = self.take_pending();
-                    self.emit_load(dst, dst, tick);
+                    self.emit_fused(Op::Load {
+                        dst,
+                        addr: dst,
+                        tick,
+                    });
                 }
             }
             UnOp::Addr => {
@@ -1522,7 +1364,12 @@ impl<'p> Compiler<'p> {
                     match self.place(lhs, dst) {
                         Place::Local(off) => {
                             self.eval(rhs, dst);
-                            self.emit_store_local(off, lty.class, dst);
+                            self.emit_fused(Op::StoreLocal {
+                                off,
+                                src: dst,
+                                class: lty.class,
+                                dst,
+                            });
                         }
                         Place::Data(idx) => {
                             self.eval(rhs, dst);

@@ -35,10 +35,12 @@
 
 mod compile;
 mod exec;
+mod fuse;
 mod place;
 mod verify;
 
 pub use exec::{arith, cmp_vals, ExecScratch};
+pub use fuse::fuse_pair;
 pub use place::{CounterPlan, Peel};
 pub use verify::verify;
 

@@ -25,14 +25,12 @@
 //!
 //! Nothing per-program outlives its task except the fold record:
 //! scores land in fixed 2048-bin histograms (exact to 1/2048, which
-//! is far below the scores' own noise), profiles stream into the
-//! artifact cache's batched write tier, and VM buffers live in one
-//! thread-local [`profiler::ExecScratch`] per worker. Peak RSS is
+//! is far below the scores' own noise), a profile is dropped as soon
+//! as it is scored, and VM buffers live in one thread-local
+//! [`profiler::ExecScratch`] per worker. Peak RSS is
 //! therefore `O(window)`, not `O(count)` — `tests/perf_floors.rs`
 //! asserts this against the configured budget.
 
-use cache::codec::Artifact;
-use cache::{ArtifactKey, ArtifactKind, Cache};
 use estimators::eval::{score_estimates, EstimateScores};
 pub use fuzzgen::corpus::parse_buckets;
 use fuzzgen::corpus::{bucket_indices, bucket_labels, Feature, StructuralFeatures};
@@ -41,7 +39,6 @@ use profiler::{ExecScratch, RunConfig};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashSet};
 use std::hash::Hasher;
-use std::path::PathBuf;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -127,9 +124,6 @@ pub struct CorpusConfig {
     pub jobs: Option<usize>,
     /// Memory budget driving the backpressure window.
     pub mem_budget_bytes: u64,
-    /// Artifact-cache directory for profile write-through (`None`
-    /// disables caching).
-    pub cache_dir: Option<PathBuf>,
 }
 
 impl Default for CorpusConfig {
@@ -140,7 +134,6 @@ impl Default for CorpusConfig {
             features: Feature::ALL.to_vec(),
             jobs: None,
             mem_budget_bytes: 256 * 1024 * 1024,
-            cache_dir: None,
         }
     }
 }
@@ -350,7 +343,7 @@ thread_local! {
 }
 
 /// The per-seed task: whole pipeline, small record out.
-fn eval_seed(seq: u64, seed: u64, cache: Option<&Cache>) -> SeedRecord {
+fn eval_seed(seq: u64, seed: u64) -> SeedRecord {
     let t0 = Instant::now();
     let (features, src) = {
         let _sp = obs::span("corpus.generate");
@@ -376,13 +369,7 @@ fn eval_seed(seq: u64, seed: u64, cache: Option<&Cache>) -> SeedRecord {
             error: true,
         };
     };
-    let profiles = [out.profile];
-    let scores = score_estimates(&program, &estimates, &profiles);
-    if let Some(c) = cache {
-        let key = ArtifactKey::derive(ArtifactKind::Profile, &src, &config);
-        let [profile] = profiles;
-        c.store_batched(key, &Artifact::Profile(profile));
-    }
+    let scores = score_estimates(&program, &estimates, &[out.profile]);
     SeedRecord {
         seq,
         fingerprint,
@@ -394,23 +381,12 @@ fn eval_seed(seq: u64, seed: u64, cache: Option<&Cache>) -> SeedRecord {
 }
 
 /// Runs the corpus.
-///
-/// # Panics
-///
-/// Panics if the cache directory cannot be opened.
 pub fn run_corpus(cfg: &CorpusConfig) -> CorpusReport {
     let owned_pool = cfg.jobs.map(pool::Pool::new);
     let pool = owned_pool.as_ref().unwrap_or_else(|| pool::global());
-    let cache = cfg
-        .cache_dir
-        .as_ref()
-        .map(|d| Cache::open(d).expect("corpus cache dir"));
 
     let started = Instant::now();
-    let (agg, window) = run_streaming(cfg, pool, cache.as_ref());
-    if let Some(c) = &cache {
-        c.flush();
-    }
+    let (agg, window) = run_streaming(cfg, pool);
     let elapsed_s = started.elapsed().as_secs_f64();
 
     let mut lat = agg.latencies_us.clone();
@@ -450,11 +426,7 @@ fn window_for(cfg: &CorpusConfig, workers: usize) -> usize {
     budget_slots.max(workers).min(4096)
 }
 
-fn run_streaming(
-    cfg: &CorpusConfig,
-    pool: &pool::Pool,
-    cache: Option<&Cache>,
-) -> (Aggregator, usize) {
+fn run_streaming(cfg: &CorpusConfig, pool: &pool::Pool) -> (Aggregator, usize) {
     let window = window_for(cfg, pool.workers());
     // Completed records waiting behind a straggler are cheap but not
     // free; past this, stop submitting and help the pool instead.
@@ -495,7 +467,7 @@ fn run_streaming(
             let seed = cfg.first_seed + seq;
             let tx = tx.clone();
             s.spawn(move |_| {
-                let record = eval_seed(seq, seed, cache);
+                let record = eval_seed(seq, seed);
                 // The producer owns the receiver for the whole scope.
                 let _ = tx.send(record);
                 gate.release();

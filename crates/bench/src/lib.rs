@@ -13,8 +13,7 @@
 
 pub mod corpus;
 
-use cache::codec::Artifact;
-use cache::{ArtifactKey, ArtifactKind, Cache};
+use cache::{ArtifactKind, Cache};
 use estimators::ranking::Ranking;
 use flowgraph::Program;
 use profiler::{CompiledProgram, ExecScratch, Profile, RunConfig};
@@ -46,38 +45,20 @@ fn profile_one(
     cache: Option<&Cache>,
 ) -> Profile {
     let config = RunConfig::with_input(input);
-    let key = cache.map(|_| {
-        if opt_level == 0 {
-            ArtifactKey::derive(ArtifactKind::Profile, bench.source, &config)
-        } else {
-            ArtifactKey::derive_opt(bench.source, &config, opt_level, opt::PASS_PIPELINE_VERSION)
+    let kind = if opt_level == 0 {
+        ArtifactKind::Profile
+    } else {
+        ArtifactKind::OptProfile {
+            opt_level,
+            pipeline_version: opt::PASS_PIPELINE_VERSION,
         }
-    });
-    if let (Some(c), Some(k)) = (cache, key) {
-        let hit = if opt_level == 0 {
-            c.load_profile(k)
-        } else {
-            c.load_opt_profile(k)
-        };
-        if let Some(profile) = hit {
-            return profile;
-        }
-    }
-    let out = compiled
-        .execute(&config, &mut ExecScratch::default(), None)
-        .unwrap_or_else(|e| panic!("{}: runtime error at -O{opt_level}: {e}", bench.name));
-    if let (Some(c), Some(k)) = (cache, key) {
-        let profile = out.profile.clone();
-        c.store(
-            k,
-            &if opt_level == 0 {
-                Artifact::Profile(profile)
-            } else {
-                Artifact::OptProfile(profile)
-            },
-        );
-    }
-    out.profile
+    };
+    cache::get_or_run(cache, kind, bench.source, &config, || {
+        compiled
+            .execute(&config, &mut ExecScratch::default(), None)
+            .map(|out| out.profile)
+    })
+    .unwrap_or_else(|e| panic!("{}: runtime error at -O{opt_level}: {e}", bench.name))
 }
 
 /// Compiles and profiles one suite program with no artifact cache:

@@ -1,27 +1,17 @@
 //! Quick-mode corpus smoke: a few hundred programs through the
 //! streaming engine must populate every stratum, reproduce the pinned
-//! aggregate digest, be invariant under `--jobs`, and write their
-//! profiles through the artifact cache. CI runs this as the corpus
-//! gate; the release-only RSS and throughput floors over 1000 programs
+//! aggregate digest and be invariant under `--jobs`. CI runs this as
+//! the corpus gate; the release-only RSS and throughput floors over 1000 programs
 //! live in `perf_floors.rs`.
 
 use bench::corpus::{run_corpus, CorpusConfig};
 use fuzzgen::corpus::Feature;
-use std::path::PathBuf;
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sfe-corpus-smoke-{}-{tag}", std::process::id()));
-    let _fresh = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 #[test]
-fn two_hundred_programs_fill_every_bucket_and_reach_the_cache() {
-    let cache_dir = temp_dir("main");
+fn two_hundred_programs_fill_every_bucket() {
     let base = CorpusConfig {
         count: 200,
         jobs: Some(1),
-        cache_dir: Some(cache_dir.clone()),
         ..CorpusConfig::default()
     };
     let r = run_corpus(&base);
@@ -52,22 +42,10 @@ fn two_hundred_programs_fill_every_bucket_and_reach_the_cache() {
     let per_feature: u64 = r.buckets.iter().map(|b| b.count).sum();
     assert_eq!(per_feature, r.evaluated * Feature::ALL.len() as u64);
 
-    // Profiles streamed through the batched write tier and were
-    // flushed by the end of the run.
-    let cache = cache::Cache::open(&cache_dir).expect("reopen corpus cache");
-    assert!(
-        cache.entry_count() as u64 >= r.evaluated,
-        "cache holds {} entries for {} programs",
-        cache.entry_count(),
-        r.evaluated
-    );
-    let _cleanup = std::fs::remove_dir_all(&cache_dir);
-
     // Aggregates are byte-identical at any worker count.
     for jobs in [2, 4] {
         let rj = run_corpus(&CorpusConfig {
             jobs: Some(jobs),
-            cache_dir: None,
             ..base.clone()
         });
         assert_eq!(

@@ -10,6 +10,10 @@
 //! could change the result, kept in a directory of small checksummed
 //! files, consulted before executing, and written through after.
 //!
+//! Callers go through [`get_or_run`]: one call derives the key, serves
+//! a valid entry, or runs the computation and writes its result
+//! through before returning it.
+//!
 //! ## Key derivation
 //!
 //! An [`ArtifactKey`] is a 128-bit FNV-1a fingerprint (two 64-bit
@@ -21,8 +25,11 @@
 //!   trace),
 //! - [`FORMAT_VERSION`] (bump it and every old entry misses),
 //! - the full program source text,
-//! - the run configuration (`max_steps`, `max_call_depth`), and
-//! - the input bytes served to `getchar()`.
+//! - the run configuration (`max_steps`, `max_call_depth`),
+//! - the input bytes served to `getchar()`, and
+//! - the kind's own salt: the optimization level and pass-pipeline
+//!   version of an optimized run, the trace-mode byte of a reuse
+//!   trace (see [`ArtifactKind`]).
 //!
 //! Any change to any ingredient changes the key, so invalidation is
 //! automatic — there is no staleness protocol to get wrong.
@@ -35,7 +42,9 @@
 //! [`codec`]). Writes go to a `.tmp-<pid>-<n>` sibling and are
 //! `rename`d into place, so concurrent writers race benignly — both
 //! write identical bytes for identical keys — and readers never see a
-//! torn file.
+//! torn file. Every write is synchronous: once [`Cache::store`]
+//! returns, the entry is on disk for every other process, so a
+//! resident service needs no flush protocol.
 //!
 //! ## Failure policy
 //!
@@ -59,36 +68,23 @@
 //! one racer, so each eviction is counted once, and the temp+rename
 //! write protocol means a scan can never observe (or remove) a
 //! half-written entry.
-//!
-//! ## Batched writes
-//!
-//! [`Cache::store_batched`] parks encoded entries in a bounded
-//! in-memory tier instead of hitting the filesystem per call; the
-//! tier drains to disk (same temp+rename protocol) when it reaches
-//! [`WRITE_BATCH_LIMIT`] entries, on [`Cache::flush`], and on drop.
-//! [`Cache::load`] consults the tier first, so a reader always sees
-//! its own unflushed writes. This is what lets a corpus run push
-//! 10,000 small artifacts through the store without serializing on
-//! 10,000 interleaved `create_dir_all`/create/rename round-trips.
 
 #![warn(missing_docs)]
 
 pub mod codec;
 
+use codec::Artifact;
 use obs::hash::Fnv128;
-use profiler::{Profile, RunConfig};
-use std::collections::HashMap;
+use profiler::{Profile, ReuseTrace, RunConfig};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Bump when the codec layout or key derivation changes; every entry
 /// written under another version silently misses. v2 added the
 /// optimized-run profile kind ([`ArtifactKind::OptProfile`]); v3
 /// added reuse-distance traces ([`ArtifactKind::ReuseProfile`]) and
-/// folded the trace-mode flag into key derivation
-/// ([`ArtifactKey::derive_reuse`]).
+/// folded the trace-mode byte into their keys.
 pub const FORMAT_VERSION: u32 = 3;
 
 /// File extension for cache entries.
@@ -97,30 +93,31 @@ const ENTRY_EXT: &str = "sfea";
 /// How many writes between opportunistic eviction scans.
 pub const EVICT_SCAN_INTERVAL: u64 = 256;
 
-/// How many entries the in-memory write tier holds before
-/// [`Cache::store_batched`] drains it to disk.
-pub const WRITE_BATCH_LIMIT: usize = 64;
-
 /// Default [`Cache::capacity`]: far above one suite's needs (14
 /// programs × a handful of inputs), far below anything that hurts.
 pub const DEFAULT_CAPACITY: usize = 8192;
 
-/// What kind of artifact a key addresses. The tag participates in key
-/// derivation, so the kinds can never collide.
+/// What kind of artifact a key addresses, with the salt its key
+/// carries. The tag and the salt participate in key derivation, so
+/// the kinds can never collide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArtifactKind {
     /// A full execution [`Profile`] of (source, config, input).
     Profile,
     /// A [`Profile`] from executing the *optimized* program; its key
-    /// is additionally salted with the optimization level and the
-    /// optimizer's pass-pipeline version (see
-    /// [`ArtifactKey::derive_opt`]), so a different level — or a
-    /// pipeline change — always misses.
-    OptProfile,
+    /// is salted with the optimization level and the optimizer's
+    /// pass-pipeline version, so a different level — or a pipeline
+    /// change — always misses.
+    OptProfile {
+        /// The optimization level the program ran at.
+        opt_level: u8,
+        /// The optimizer's pass-pipeline version.
+        pipeline_version: u32,
+    },
     /// An exact reuse-distance trace of (source, config, input) from
-    /// the profiler's tracing mode; its key is additionally salted
-    /// with the trace-mode flag (see [`ArtifactKey::derive_reuse`]),
-    /// so a trace can never be served from a plain-profile entry.
+    /// the profiler's tracing mode; its key is salted with the
+    /// trace-mode byte, so a trace can never be served from a
+    /// plain-profile entry.
     ReuseProfile,
 }
 
@@ -130,8 +127,68 @@ impl ArtifactKind {
     fn tag(self) -> u8 {
         match self {
             ArtifactKind::Profile => 1,
-            ArtifactKind::OptProfile => 3,
+            ArtifactKind::OptProfile { .. } => 3,
             ArtifactKind::ReuseProfile => 4,
+        }
+    }
+
+    /// Hashes the kind's salt, the last ingredient of its keys.
+    fn salt(self, h: &mut Fnv128) {
+        match self {
+            ArtifactKind::Profile => {}
+            ArtifactKind::OptProfile {
+                opt_level,
+                pipeline_version,
+            } => {
+                h.update(&[opt_level]);
+                h.update(&pipeline_version.to_le_bytes());
+            }
+            // The tag already separates the artifact spaces; the
+            // trace-mode byte (1: traced) makes the execution-mode
+            // dependency part of the key contract itself, so a future
+            // non-traced reuse summary (0) can coexist without a
+            // format bump.
+            ArtifactKind::ReuseProfile => h.update(&[1]),
+        }
+    }
+}
+
+/// A value the store holds: how it becomes the [`Artifact`] of a kind
+/// and how it is read back out of one.
+pub trait Cached: Clone {
+    /// `self` as the artifact `kind` stores.
+    fn into_artifact(self, kind: ArtifactKind) -> Artifact;
+    /// The value in `artifact` if it is an artifact of `kind`; `None`
+    /// for any other kind, so one kind is never served as another.
+    fn from_artifact(artifact: Artifact, kind: ArtifactKind) -> Option<Self>;
+}
+
+impl Cached for Profile {
+    fn into_artifact(self, kind: ArtifactKind) -> Artifact {
+        match kind {
+            ArtifactKind::OptProfile { .. } => Artifact::OptProfile(self),
+            ArtifactKind::Profile | ArtifactKind::ReuseProfile => Artifact::Profile(self),
+        }
+    }
+
+    fn from_artifact(artifact: Artifact, kind: ArtifactKind) -> Option<Profile> {
+        match (artifact, kind) {
+            (Artifact::Profile(p), ArtifactKind::Profile)
+            | (Artifact::OptProfile(p), ArtifactKind::OptProfile { .. }) => Some(p),
+            _ => None,
+        }
+    }
+}
+
+impl Cached for ReuseTrace {
+    fn into_artifact(self, _kind: ArtifactKind) -> Artifact {
+        Artifact::ReuseProfile(self)
+    }
+
+    fn from_artifact(artifact: Artifact, kind: ArtifactKind) -> Option<ReuseTrace> {
+        match (artifact, kind) {
+            (Artifact::ReuseProfile(t), ArtifactKind::ReuseProfile) => Some(t),
+            _ => None,
         }
     }
 }
@@ -152,7 +209,8 @@ fn key_hasher() -> Fnv128 {
 
 impl ArtifactKey {
     /// The key of `kind` for running `source` under `config` — the
-    /// input bytes are part of `config`.
+    /// input bytes are part of `config`, the kind's salt part of
+    /// `kind`.
     pub fn derive(kind: ArtifactKind, source: &str, config: &RunConfig) -> ArtifactKey {
         let mut h = key_hasher();
         h.update(&[kind.tag()]);
@@ -161,46 +219,7 @@ impl ArtifactKey {
         h.update(&config.max_steps.to_le_bytes());
         h.update(&(config.max_call_depth as u64).to_le_bytes());
         h.field(&config.input);
-        ArtifactKey(h.digest())
-    }
-
-    /// The key of an [`ArtifactKind::OptProfile`]: [`ArtifactKey::derive`]
-    /// additionally salted with the optimization level and the
-    /// optimizer's pass-pipeline version, so changing either recomputes.
-    pub fn derive_opt(
-        source: &str,
-        config: &RunConfig,
-        opt_level: u8,
-        pipeline_version: u32,
-    ) -> ArtifactKey {
-        let mut h = key_hasher();
-        h.update(&[ArtifactKind::OptProfile.tag()]);
-        h.update(&FORMAT_VERSION.to_le_bytes());
-        h.field(source.as_bytes());
-        h.update(&config.max_steps.to_le_bytes());
-        h.update(&(config.max_call_depth as u64).to_le_bytes());
-        h.field(&config.input);
-        h.update(&[opt_level]);
-        h.update(&pipeline_version.to_le_bytes());
-        ArtifactKey(h.digest())
-    }
-
-    /// The key of an [`ArtifactKind::ReuseProfile`]:
-    /// [`ArtifactKey::derive`] additionally salted with an explicit
-    /// trace-mode byte. The kind tag already separates the artifact
-    /// spaces; the extra byte makes the execution-mode dependency part
-    /// of the key contract itself, so a future non-traced reuse
-    /// summary (flag 0) can coexist without a format bump.
-    pub fn derive_reuse(source: &str, config: &RunConfig) -> ArtifactKey {
-        const TRACE_MODE: u8 = 1;
-        let mut h = key_hasher();
-        h.update(&[ArtifactKind::ReuseProfile.tag()]);
-        h.update(&FORMAT_VERSION.to_le_bytes());
-        h.field(source.as_bytes());
-        h.update(&config.max_steps.to_le_bytes());
-        h.update(&(config.max_call_depth as u64).to_le_bytes());
-        h.field(&config.input);
-        h.update(&[TRACE_MODE]);
+        kind.salt(&mut h);
         ArtifactKey(h.digest())
     }
 
@@ -208,6 +227,33 @@ impl ArtifactKey {
     fn hex(self) -> String {
         format!("{:032x}", self.0)
     }
+}
+
+/// The artifact of `kind` for running `source` under `config`: the
+/// entry `cache` holds when it is valid, else what `run` computes,
+/// written through before it is returned. Without a cache this is
+/// `run()`; a failed run stores nothing.
+///
+/// # Errors
+///
+/// Whatever `run` returns.
+pub fn get_or_run<T: Cached, E>(
+    cache: Option<&Cache>,
+    kind: ArtifactKind,
+    source: &str,
+    config: &RunConfig,
+    run: impl FnOnce() -> Result<T, E>,
+) -> Result<T, E> {
+    let Some(cache) = cache else {
+        return run();
+    };
+    let key = ArtifactKey::derive(kind, source, config);
+    if let Some(hit) = cache.load(kind, key) {
+        return Ok(hit);
+    }
+    let value = run()?;
+    cache.store(key, &value.clone().into_artifact(kind));
+    Ok(value)
 }
 
 /// A handle on one cache directory. Cheap to clone conceptually but
@@ -219,11 +265,9 @@ pub struct Cache {
     capacity: usize,
     writes: AtomicU64,
     tmp_counter: AtomicU64,
-    /// Encoded-but-unflushed entries from [`Cache::store_batched`].
-    pending: Mutex<HashMap<ArtifactKey, Vec<u8>>>,
     /// One flag per 2-hex-digit shard directory already created, so
-    /// the drain path skips the `create_dir_all` syscall after the
-    /// first write into a shard.
+    /// a write skips the `create_dir_all` syscall after the first
+    /// write into a shard.
     shard_created: [AtomicBool; 256],
 }
 
@@ -253,7 +297,6 @@ impl Cache {
             capacity: capacity.max(1),
             writes: AtomicU64::new(0),
             tmp_counter: AtomicU64::new(0),
-            pending: Mutex::new(HashMap::new()),
             shard_created: [const { AtomicBool::new(false) }; 256],
         };
         cache.evict_to_capacity();
@@ -277,172 +320,69 @@ impl Cache {
             .join(format!("{}.{ENTRY_EXT}", &hex[2..]))
     }
 
-    /// Loads and decodes the artifact at `key`, or `None` on miss or
-    /// on any validation failure (bumping `cache.corrupt` for bytes
-    /// that exist but fail validation — the caller recomputes).
-    pub fn load(&self, key: ArtifactKey) -> Option<codec::Artifact> {
-        // The in-memory write tier first: a batched writer must see
-        // its own stores before they reach disk.
-        if let Some(bytes) = self.lock_pending().get(&key).cloned() {
-            return match codec::decode_entry(&bytes) {
-                Some(artifact) => {
-                    obs::counter_add("cache.hits", 1);
-                    Some(artifact)
-                }
-                None => {
-                    obs::counter_add("cache.misses", 1);
-                    obs::counter_add("cache.corrupt", 1);
-                    self.lock_pending().remove(&key);
-                    None
-                }
-            };
-        }
+    /// Loads the artifact of `kind` at `key`, or `None` on a miss, on
+    /// any validation failure, or when the entry holds another kind.
+    /// Bytes that exist but fail validation bump `cache.corrupt` and
+    /// are removed — the caller recomputes and writes through.
+    pub fn load<T: Cached>(&self, kind: ArtifactKind, key: ArtifactKey) -> Option<T> {
         let path = self.entry_path(key);
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(_) => {
-                obs::counter_add("cache.misses", 1);
-                return None;
-            }
+        let Ok(bytes) = std::fs::read(&path) else {
+            obs::counter_add("cache.misses", 1);
+            return None;
         };
-        match codec::decode_entry(&bytes) {
-            Some(artifact) => {
-                obs::counter_add("cache.hits", 1);
-                Some(artifact)
-            }
-            None => {
-                obs::counter_add("cache.misses", 1);
-                obs::counter_add("cache.corrupt", 1);
-                // Drop the poisoned entry so the write-through after
-                // recomputation heals the store.
-                let _best_effort = std::fs::remove_file(&path);
-                None
-            }
-        }
+        let Some(artifact) = codec::decode_entry(&bytes) else {
+            obs::counter_add("cache.misses", 1);
+            obs::counter_add("cache.corrupt", 1);
+            // Drop the poisoned entry so the write-through after
+            // recomputation heals the store.
+            let _best_effort = std::fs::remove_file(&path);
+            return None;
+        };
+        let value = T::from_artifact(artifact, kind);
+        let outcome = if value.is_some() {
+            "cache.hits"
+        } else {
+            "cache.misses"
+        };
+        obs::counter_add(outcome, 1);
+        value
     }
 
-    /// Convenience: [`Cache::load`] narrowed to profiles.
-    pub fn load_profile(&self, key: ArtifactKey) -> Option<Profile> {
-        match self.load(key)? {
-            codec::Artifact::Profile(p) => Some(p),
-            _ => None,
-        }
-    }
-
-    /// Convenience: [`Cache::load`] narrowed to optimized-run profiles.
-    pub fn load_opt_profile(&self, key: ArtifactKey) -> Option<Profile> {
-        match self.load(key)? {
-            codec::Artifact::OptProfile(p) => Some(p),
-            _ => None,
-        }
-    }
-
-    /// Convenience: [`Cache::load`] narrowed to reuse-distance traces.
-    /// Any other artifact kind at the key — including a plain profile
-    /// — is *not* served.
-    pub fn load_reuse_profile(&self, key: ArtifactKey) -> Option<profiler::ReuseTrace> {
-        match self.load(key)? {
-            codec::Artifact::ReuseProfile(t) => Some(t),
-            _ => None,
-        }
-    }
-
-    fn lock_pending(&self) -> std::sync::MutexGuard<'_, HashMap<ArtifactKey, Vec<u8>>> {
-        match self.pending.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Temp+rename write of pre-encoded bytes; returns whether the
-    /// entry landed. Shard directory creation is memoized per cache
-    /// handle.
-    fn write_entry(&self, key: ArtifactKey, entry: &[u8]) -> bool {
+    /// Encodes and writes `artifact` at `key` (write-through after a
+    /// miss): a temp file renamed into place, on disk when this
+    /// returns. Every [`EVICT_SCAN_INTERVAL`]th write runs an
+    /// eviction scan. All I/O errors degrade to "not cached": the
+    /// temp file is cleaned up and the store stays consistent.
+    pub fn store(&self, key: ArtifactKey, artifact: &Artifact) {
         let path = self.entry_path(key);
         let Some(parent) = path.parent() else {
-            return false;
+            return;
         };
-        let shard = (key.0 >> 120) as u8;
-        if !self.shard_created[shard as usize].load(Ordering::Relaxed) {
+        let shard = (key.0 >> 120) as usize;
+        if !self.shard_created[shard].load(Ordering::Relaxed) {
             if std::fs::create_dir_all(parent).is_err() {
-                return false;
+                return;
             }
-            self.shard_created[shard as usize].store(true, Ordering::Relaxed);
+            self.shard_created[shard].store(true, Ordering::Relaxed);
         }
         let tmp = parent.join(format!(
             ".tmp-{}-{}",
             std::process::id(),
             self.tmp_counter.fetch_add(1, Ordering::Relaxed)
         ));
+        let entry = codec::encode_entry(artifact);
         let written = std::fs::File::create(&tmp)
-            .and_then(|mut f| f.write_all(entry))
+            .and_then(|mut f| f.write_all(&entry))
             .and_then(|()| std::fs::rename(&tmp, &path));
-        match written {
-            Ok(()) => {
-                obs::counter_add("cache.writes", 1);
-                true
-            }
-            Err(_) => {
-                let _best_effort = std::fs::remove_file(&tmp);
-                false
-            }
-        }
-    }
-
-    /// Bumps the write counter and runs the periodic eviction scan.
-    fn account_writes(&self, n: u64) {
-        if n == 0 {
+        if written.is_err() {
+            let _best_effort = std::fs::remove_file(&tmp);
             return;
         }
-        let before = self.writes.fetch_add(n, Ordering::Relaxed);
-        if before / EVICT_SCAN_INTERVAL != (before + n) / EVICT_SCAN_INTERVAL {
+        obs::counter_add("cache.writes", 1);
+        let writes = self.writes.fetch_add(1, Ordering::Relaxed) + 1;
+        if writes.is_multiple_of(EVICT_SCAN_INTERVAL) {
             self.evict_to_capacity();
         }
-    }
-
-    /// Encodes and writes `artifact` at `key` (write-through after a
-    /// miss). All I/O errors degrade to "not cached": the tempfile is
-    /// cleaned up and the store stays consistent.
-    pub fn store(&self, key: ArtifactKey, artifact: &codec::Artifact) {
-        let entry = codec::encode_entry(artifact);
-        if self.write_entry(key, &entry) {
-            self.account_writes(1);
-        }
-    }
-
-    /// Like [`Cache::store`], but parks the encoded entry in the
-    /// in-memory write tier instead of writing through; the tier
-    /// drains when it reaches [`WRITE_BATCH_LIMIT`] entries, on
-    /// [`Cache::flush`], and when the cache is dropped. Readers see
-    /// the entry immediately via [`Cache::load`]'s tier check.
-    pub fn store_batched(&self, key: ArtifactKey, artifact: &codec::Artifact) {
-        let entry = codec::encode_entry(artifact);
-        let drain: Vec<(ArtifactKey, Vec<u8>)> = {
-            let mut pending = self.lock_pending();
-            pending.insert(key, entry);
-            if pending.len() < WRITE_BATCH_LIMIT {
-                return;
-            }
-            pending.drain().collect()
-        };
-        self.drain_entries(drain);
-    }
-
-    /// Writes every entry parked by [`Cache::store_batched`] to disk.
-    /// Idempotent; called automatically on drop.
-    pub fn flush(&self) {
-        let drain: Vec<(ArtifactKey, Vec<u8>)> = self.lock_pending().drain().collect();
-        self.drain_entries(drain);
-    }
-
-    fn drain_entries(&self, entries: Vec<(ArtifactKey, Vec<u8>)>) {
-        let mut written = 0u64;
-        for (key, entry) in entries {
-            if self.write_entry(key, &entry) {
-                written += 1;
-            }
-        }
-        self.account_writes(written);
     }
 
     /// Removes oldest-modified entries until at most `capacity`
@@ -509,12 +449,6 @@ impl Cache {
     }
 }
 
-impl Drop for Cache {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -547,6 +481,13 @@ mod tests {
         p
     }
 
+    fn opt(opt_level: u8, pipeline_version: u32) -> ArtifactKind {
+        ArtifactKind::OptProfile {
+            opt_level,
+            pipeline_version,
+        }
+    }
+
     #[test]
     fn key_values_are_pinned() {
         // Entries already on disk are addressed by these exact values.
@@ -558,11 +499,11 @@ mod tests {
             "b8408110251c7e8dec198e412502558d"
         );
         assert_eq!(
-            hex(ArtifactKey::derive_opt(src, &cfg, 3, 2)),
+            hex(ArtifactKey::derive(opt(3, 2), src, &cfg)),
             "4548ee40e17352221c1bca115b5b7722"
         );
         assert_eq!(
-            hex(ArtifactKey::derive_reuse(src, &cfg)),
+            hex(ArtifactKey::derive(ArtifactKind::ReuseProfile, src, &cfg)),
             "2313bf1cd73db68f22bc295faaca0b8f"
         );
     }
@@ -573,27 +514,34 @@ mod tests {
         let cfg = RunConfig::with_input("abc");
         let src = "int main(void){}";
 
-        let k3 = ArtifactKey::derive_opt(src, &cfg, 3, 1);
+        let k3 = ArtifactKey::derive(opt(3, 1), src, &cfg);
         let profile = sample_profile(7);
         cache.store(k3, &Artifact::OptProfile(profile.clone()));
-        assert_eq!(cache.load_opt_profile(k3).unwrap(), profile);
+        assert_eq!(cache.load::<Profile>(opt(3, 1), k3).unwrap(), profile);
 
         // A different opt level misses.
-        let k2 = ArtifactKey::derive_opt(src, &cfg, 2, 1);
+        let k2 = ArtifactKey::derive(opt(2, 1), src, &cfg);
         assert_ne!(k2, k3, "opt level participates in the key");
-        assert_eq!(cache.load_opt_profile(k2), None);
+        assert_eq!(cache.load::<Profile>(opt(2, 1), k2), None);
 
         // A pass-pipeline version bump misses.
-        let k3v2 = ArtifactKey::derive_opt(src, &cfg, 3, 2);
+        let k3v2 = ArtifactKey::derive(opt(3, 2), src, &cfg);
         assert_ne!(k3v2, k3, "pipeline version participates in the key");
-        assert_eq!(cache.load_opt_profile(k3v2), None);
+        assert_eq!(cache.load::<Profile>(opt(3, 2), k3v2), None);
 
         // The unoptimized profile kind never aliases the optimized one.
         let kp = ArtifactKey::derive(ArtifactKind::Profile, src, &cfg);
         assert_ne!(kp, k3);
         cache.store(kp, &Artifact::Profile(sample_profile(1)));
-        assert_eq!(cache.load_opt_profile(kp), None, "kinds are disjoint");
-        assert!(cache.load_profile(k3).is_none(), "kinds are disjoint");
+        assert_eq!(
+            cache.load::<Profile>(opt(3, 1), kp),
+            None,
+            "kinds are disjoint"
+        );
+        assert!(
+            cache.load::<Profile>(ArtifactKind::Profile, k3).is_none(),
+            "kinds are disjoint"
+        );
     }
 
     fn sample_trace(seed: u64) -> profiler::ReuseTrace {
@@ -623,16 +571,17 @@ mod tests {
         let cfg = RunConfig::with_input("abc");
         let src = "int main(void){}";
 
-        let kr = ArtifactKey::derive_reuse(src, &cfg);
+        let reuse = ArtifactKind::ReuseProfile;
+        let kr = ArtifactKey::derive(reuse, src, &cfg);
         let trace = sample_trace(11);
         cache.store(kr, &Artifact::ReuseProfile(trace.clone()));
-        assert_eq!(cache.load_reuse_profile(kr).unwrap(), trace);
+        assert_eq!(cache.load::<ReuseTrace>(reuse, kr).unwrap(), trace);
 
         // Source and input both participate in the key.
-        assert_ne!(kr, ArtifactKey::derive_reuse("int x;", &cfg));
+        assert_ne!(kr, ArtifactKey::derive(reuse, "int x;", &cfg));
         assert_ne!(
             kr,
-            ArtifactKey::derive_reuse(src, &RunConfig::with_input("xyz"))
+            ArtifactKey::derive(reuse, src, &RunConfig::with_input("xyz"))
         );
 
         // A trace is never served where a plain profile was asked for,
@@ -641,15 +590,22 @@ mod tests {
         let kp = ArtifactKey::derive(ArtifactKind::Profile, src, &cfg);
         assert_ne!(kp, kr, "trace flag + kind tag separate the key spaces");
         cache.store(kp, &Artifact::Profile(sample_profile(4)));
-        assert_eq!(cache.load_reuse_profile(kp), None, "kinds are disjoint");
-        assert!(cache.load_profile(kr).is_none(), "kinds are disjoint");
+        assert_eq!(
+            cache.load::<ReuseTrace>(reuse, kp),
+            None,
+            "kinds are disjoint"
+        );
+        assert!(
+            cache.load::<Profile>(ArtifactKind::Profile, kr).is_none(),
+            "kinds are disjoint"
+        );
 
         // The explicit same-key cross-kind check: a plain profile
         // stored *at the trace's own key* still refuses to decode as
         // a trace.
         cache.store(kr, &Artifact::Profile(sample_profile(9)));
         assert_eq!(
-            cache.load_reuse_profile(kr),
+            cache.load::<ReuseTrace>(reuse, kr),
             None,
             "trace output never served from a plain-profile entry"
         );
@@ -660,7 +616,7 @@ mod tests {
     fn round_trips_reuse_trace() {
         let dir = temp_dir("reusetrip");
         let cfg = RunConfig::default();
-        let kr = ArtifactKey::derive_reuse("int a[4];", &cfg);
+        let kr = ArtifactKey::derive(ArtifactKind::ReuseProfile, "int a[4];", &cfg);
         let trace = sample_trace(99);
         {
             let cache = Cache::open(&dir).unwrap();
@@ -668,7 +624,10 @@ mod tests {
         }
         // A fresh handle reads it back from disk byte-identically.
         let cache = Cache::open(&dir).unwrap();
-        assert_eq!(cache.load_reuse_profile(kr), Some(trace));
+        assert_eq!(
+            cache.load::<ReuseTrace>(ArtifactKind::ReuseProfile, kr),
+            Some(trace)
+        );
         let _cleanup = std::fs::remove_dir_all(cache.dir());
     }
 
@@ -677,16 +636,19 @@ mod tests {
         let cache = Cache::open(temp_dir("roundtrip")).unwrap();
         let cfg = RunConfig::with_input("abc");
         let kp = ArtifactKey::derive(ArtifactKind::Profile, "int main(void){}", &cfg);
-        let ko = ArtifactKey::derive_opt("int main(void){}", &cfg, 3, 1);
+        let ko = ArtifactKey::derive(opt(3, 1), "int main(void){}", &cfg);
         assert_ne!(kp, ko, "kind participates in the key");
 
         let profile = sample_profile(42);
         cache.store(kp, &Artifact::Profile(profile.clone()));
-        assert_eq!(cache.load_profile(kp).unwrap(), profile);
+        assert_eq!(
+            cache.load::<Profile>(ArtifactKind::Profile, kp).unwrap(),
+            profile
+        );
 
         let optimized = sample_profile(7);
         cache.store(ko, &Artifact::OptProfile(optimized.clone()));
-        assert_eq!(cache.load(ko), Some(Artifact::OptProfile(optimized)));
+        assert_eq!(cache.load::<Profile>(opt(3, 1), ko), Some(optimized));
         assert_eq!(cache.entry_count(), 2);
         let _cleanup = std::fs::remove_dir_all(cache.dir());
     }
@@ -731,7 +693,7 @@ mod tests {
     fn missing_entry_is_a_miss() {
         let cache = Cache::open(temp_dir("miss")).unwrap();
         let key = ArtifactKey::derive(ArtifactKind::Profile, "nothing here", &RunConfig::default());
-        assert!(cache.load(key).is_none());
+        assert!(cache.load::<Profile>(ArtifactKind::Profile, key).is_none());
         let _cleanup = std::fs::remove_dir_all(cache.dir());
     }
 
@@ -765,14 +727,17 @@ mod tests {
                 s.spawn(|| {
                     for _ in 0..20 {
                         cache.store(key, &Artifact::Profile(profile.clone()));
-                        if let Some(p) = cache.load_profile(key) {
+                        if let Some(p) = cache.load::<Profile>(ArtifactKind::Profile, key) {
                             assert_eq!(p, profile);
                         }
                     }
                 });
             }
         });
-        assert_eq!(cache.load_profile(key).unwrap(), profile);
+        assert_eq!(
+            cache.load::<Profile>(ArtifactKind::Profile, key).unwrap(),
+            profile
+        );
         let _cleanup = std::fs::remove_dir_all(cache.dir());
     }
 }

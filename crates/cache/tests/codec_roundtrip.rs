@@ -148,16 +148,27 @@ fn corrupt_entry_on_disk_recovers_by_recompute_path() {
     let last = bytes.len() - 1;
     bytes[last] ^= 0x01;
     std::fs::write(&path, &bytes).unwrap();
-    assert_eq!(cache.load_profile(key), None, "corrupt entry must miss");
+    assert_eq!(
+        cache.load::<Profile>(ArtifactKind::Profile, key),
+        None,
+        "corrupt entry must miss"
+    );
     assert!(!path.exists(), "poisoned entry should be dropped");
 
     // The recompute path: store again, and the hit comes back.
     cache.store(key, &Artifact::Profile(profile.clone()));
-    assert_eq!(cache.load_profile(key), Some(profile.clone()));
+    assert_eq!(
+        cache.load::<Profile>(ArtifactKind::Profile, key),
+        Some(profile.clone())
+    );
 
     // Truncation is just another corruption.
     std::fs::write(&path, &std::fs::read(&path).unwrap()[..10]).unwrap();
-    assert_eq!(cache.load_profile(key), None, "truncated entry must miss");
+    assert_eq!(
+        cache.load::<Profile>(ArtifactKind::Profile, key),
+        None,
+        "truncated entry must miss"
+    );
 
     obs::set_enabled(false);
     let m = obs::snapshot();
@@ -181,7 +192,7 @@ fn version_skew_invalidates_without_error() {
     let mut bytes = std::fs::read(&path).unwrap();
     bytes[4..8].copy_from_slice(&(cache::FORMAT_VERSION + 1).to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
-    assert_eq!(cache.load_profile(key), None);
+    assert_eq!(cache.load::<Profile>(ArtifactKind::Profile, key), None);
     let _cleanup = std::fs::remove_dir_all(cache.dir());
 }
 
@@ -207,6 +218,6 @@ fn retired_bytecode_meta_entries_read_as_a_miss() {
     entry.extend_from_slice(&payload);
     assert_eq!(decode_entry(&entry), None);
     std::fs::write(&path, &entry).unwrap();
-    assert_eq!(cache.load(key), None);
+    assert_eq!(cache.load::<Profile>(ArtifactKind::Profile, key), None);
     let _cleanup = std::fs::remove_dir_all(cache.dir());
 }

@@ -79,7 +79,7 @@ fn mtime_ties_evict_in_key_order() {
         keys.iter().map(|&k| (format!("{:032x}", k.0), k)).collect();
     by_hex.sort();
     for (rank, (hex, key)) in by_hex.iter().enumerate() {
-        let survived = cache.load_profile(*key).is_some();
+        let survived = cache.load::<Profile>(ArtifactKind::Profile, *key).is_some();
         assert_eq!(
             survived,
             rank >= 4,
@@ -146,7 +146,7 @@ fn concurrent_writers_racing_eviction_stay_consistent() {
     // cleanly (a torn entry would count as corrupt).
     let mut survivors = 0;
     for i in 0..total {
-        if let Some(p) = cache.load_profile(key_for(i)) {
+        if let Some(p) = cache.load::<Profile>(ArtifactKind::Profile, key_for(i)) {
             assert_eq!(p, profile);
             survivors += 1;
         }
@@ -158,46 +158,5 @@ fn concurrent_writers_racing_eviction_stay_consistent() {
         0,
         "an entry was observed mid-write"
     );
-    let _cleanup = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn batched_stores_are_readable_before_and_after_flush() {
-    let _guard = serial();
-    let dir = temp_dir("batch");
-    let profile = sample_profile(11);
-    let cache = Cache::open(&dir).unwrap();
-
-    // Under the batch limit: nothing on disk, reads served from the
-    // in-memory tier.
-    for i in 0..10 {
-        cache.store_batched(key_for(i), &Artifact::Profile(profile.clone()));
-    }
-    assert_eq!(cache.entry_count(), 0, "writes are parked in memory");
-    for i in 0..10 {
-        assert_eq!(cache.load_profile(key_for(i)), Some(profile.clone()));
-    }
-
-    cache.flush();
-    assert_eq!(cache.entry_count(), 10, "flush writes the tier through");
-    for i in 0..10 {
-        assert_eq!(cache.load_profile(key_for(i)), Some(profile.clone()));
-    }
-
-    // Past the batch limit the tier self-drains.
-    for i in 10..(10 + cache::WRITE_BATCH_LIMIT as u64) {
-        cache.store_batched(key_for(i), &Artifact::Profile(profile.clone()));
-    }
-    assert!(
-        cache.entry_count() > 10,
-        "reaching WRITE_BATCH_LIMIT drains without an explicit flush"
-    );
-
-    // Dropping flushes the remainder; a fresh handle sees everything.
-    drop(cache);
-    let reopened = Cache::open(&dir).unwrap();
-    for i in 0..(10 + cache::WRITE_BATCH_LIMIT as u64) {
-        assert_eq!(reopened.load_profile(key_for(i)), Some(profile.clone()));
-    }
     let _cleanup = std::fs::remove_dir_all(&dir);
 }

@@ -64,7 +64,7 @@
 //! ```text
 //! --trace               print the aggregated span tree + counters to stderr
 //! --metrics-out <path>  write schema-stable metrics JSON (obs-metrics/v1)
-//! --cache-dir <path>    artifact cache directory (default: ./cache for `suite`)
+//! --cache-dir <path>    artifact cache directory (`suite`, default ./cache; `reuse`, `serve`)
 //! --no-cache            disable the artifact cache entirely
 //! --opt-level <0..3>    run optimized bytecode (`run`, `suite`); default 0
 //! ```
@@ -157,7 +157,7 @@ fn dispatch(args: &[String], cache_dir: Option<&str>, no_cache: bool, opt_level:
         return fig10_report(&args[1..]);
     }
     if args.first().map(String::as_str) == Some("corpus") {
-        return corpus_report(&args[1..], cache_dir);
+        return corpus_report(&args[1..]);
     }
     if args.first().map(String::as_str) == Some("serve") {
         return serve_cmd(&args[1..], cache_dir, no_cache);
@@ -427,27 +427,28 @@ fn run(program: &Program, input_path: Option<&str>, opt_level: u8) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The artifact cache a command runs with: none under `--no-cache`
+/// or without a directory, else the store at `dir`. A directory that
+/// cannot be opened is a warning, and the command runs uncached.
+fn open_cache(dir: Option<&str>, no_cache: bool) -> Option<cache::Cache> {
+    let dir = dir.filter(|_| !no_cache)?;
+    match cache::Cache::open(dir) {
+        Ok(c) => Some(c),
+        Err(e) => {
+            eprintln!("sfe: cannot open cache dir {dir}: {e}; running uncached");
+            None
+        }
+    }
+}
+
 /// Runs the entire pipeline over the 14-program suite: compile, lower,
 /// profile every standard input, estimate, and weight-match — the
 /// full-system traced run `--trace`/`--metrics-out` are built for.
 ///
 /// Profiles come from the artifact cache when warm (default dir
-/// `./cache`, override with `--cache-dir`, disable with `--no-cache`);
-/// an unopenable cache degrades to uncached execution with a warning,
-/// never a failure.
+/// `./cache`, override with `--cache-dir`, disable with `--no-cache`).
 fn suite_report(cache_dir: Option<&str>, no_cache: bool, opt_level: u8) -> ExitCode {
-    let cache = if no_cache {
-        None
-    } else {
-        let dir = cache_dir.unwrap_or("cache");
-        match cache::Cache::open(dir) {
-            Ok(c) => Some(c),
-            Err(e) => {
-                eprintln!("sfe: cannot open cache dir {dir}: {e}; running uncached");
-                None
-            }
-        }
-    };
+    let cache = open_cache(Some(cache_dir.unwrap_or("cache")), no_cache);
     let data = bench::load_suite_with(pool::global(), cache.as_ref(), opt_level);
     println!(
         "{:<12} {:>8} {:>8} {:>12}  {:>6} {:>6}",
@@ -486,23 +487,10 @@ fn suite_report(cache_dir: Option<&str>, no_cache: bool, opt_level: u8) -> ExitC
 /// merged histogram is a plain per-bin sum, so it is byte-identical
 /// for any pool size.
 fn reuse_cmd(which: Option<&str>, cache_dir: Option<&str>, no_cache: bool) -> ExitCode {
-    let cache = if no_cache {
-        None
-    } else {
-        // Opt-in by default only when a dir was given: the reuse table
-        // is fast enough warm-or-cold that surprise `./cache` writes
-        // aren't worth it outside `sfe suite`.
-        match cache_dir {
-            None => None,
-            Some(dir) => match cache::Cache::open(dir) {
-                Ok(c) => Some(c),
-                Err(e) => {
-                    eprintln!("sfe: cannot open cache dir {dir}: {e}; running uncached");
-                    None
-                }
-            },
-        }
-    };
+    // Only with `--cache-dir`: the reuse table is fast enough
+    // warm-or-cold that surprise `./cache` writes aren't worth it
+    // outside `sfe suite`.
+    let cache = open_cache(cache_dir, no_cache);
 
     // A `.c` path gets a one-off detailed report on empty input.
     if let Some(arg) = which {
@@ -537,9 +525,6 @@ fn reuse_cmd(which: Option<&str>, cache_dir: Option<&str>, no_cache: bool) -> Ex
             let mut ok = true;
             for p in suite::all() {
                 ok &= reuse_eval(p.name, p.source, p.inputs(), cache.as_ref(), false).is_some();
-            }
-            if let Some(c) = &cache {
-                c.flush();
             }
             if ok {
                 ExitCode::SUCCESS
@@ -589,25 +574,16 @@ fn reuse_eval(
             let objects = &objects;
             s.spawn(move |_| {
                 let config = profiler::RunConfig::with_input(input.clone());
-                let key = cache::ArtifactKey::derive_reuse(source, &config);
-                if let Some(c) = cache {
-                    if let Some(t) = c.load_reuse_profile(key) {
-                        *slot = Some(Ok(t));
-                        return;
-                    }
-                }
-                let mut tap = profiler::ReuseCollector::new(objects.clone());
-                let out = compiled.execute(
-                    &config,
-                    &mut profiler::ExecScratch::default(),
-                    Some(&mut tap),
-                );
-                *slot = Some(out.map(|_| {
-                    let t = tap.finish();
-                    if let Some(c) = cache {
-                        c.store_batched(key, &cache::codec::Artifact::ReuseProfile(t.clone()));
-                    }
-                    t
+                let kind = cache::ArtifactKind::ReuseProfile;
+                *slot = Some(cache::get_or_run(cache, kind, source, &config, || {
+                    let mut tap = profiler::ReuseCollector::new(objects.clone());
+                    compiled
+                        .execute(
+                            &config,
+                            &mut profiler::ExecScratch::default(),
+                            Some(&mut tap),
+                        )
+                        .map(|_| tap.finish())
                 }));
             });
         }
@@ -800,13 +776,10 @@ fn fig10_json(names: &[&'static str]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn corpus_report(args: &[String], cache_dir: Option<&str>) -> ExitCode {
+fn corpus_report(args: &[String]) -> ExitCode {
     use bench::corpus::{run_corpus, CorpusConfig, HEURISTICS};
 
-    let mut cfg = CorpusConfig {
-        cache_dir: cache_dir.map(std::path::PathBuf::from),
-        ..CorpusConfig::default()
-    };
+    let mut cfg = CorpusConfig::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut num = |what: &str| -> Result<u64, ExitCode> {
@@ -944,17 +917,7 @@ fn serve_cmd(args: &[String], cache_dir: Option<&str>, no_cache: bool) -> ExitCo
         }
     }
 
-    let cache = match (no_cache, cache_dir) {
-        (true, _) | (false, None) => None,
-        (false, Some(dir)) => match cache::Cache::open(dir) {
-            Ok(c) => Some(c),
-            Err(e) => {
-                eprintln!("sfe: cannot open cache {dir}: {e} (serving uncached)");
-                None
-            }
-        },
-    };
-    let db = std::sync::Arc::new(ServeDb::new(jobs, cache));
+    let db = std::sync::Arc::new(ServeDb::new(jobs, open_cache(cache_dir, no_cache)));
     if preload_suite {
         for p in suite::all() {
             if let Err(e) = db.upsert_with_inputs(p.name, p.source, Some(p.inputs())) {
@@ -971,7 +934,6 @@ fn serve_cmd(args: &[String], cache_dir: Option<&str>, no_cache: bool) -> ExitCo
     match addr {
         None => match serve::server::serve_stdio(&db) {
             Ok(n) => {
-                db.flush_cache();
                 eprintln!("sfe serve: handled {n} requests");
                 ExitCode::SUCCESS
             }

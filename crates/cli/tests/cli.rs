@@ -321,3 +321,83 @@ fn storm_clamps_an_absurd_worker_count() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("\"jobs\":256"), "{stdout}");
 }
+
+/// The value of `counter` in an obs-metrics/v1 document (0 when the
+/// run never bumped it).
+fn counter(metrics: &str, counter: &str) -> u64 {
+    let key = format!("\"{counter}\":");
+    metrics.find(&key).map_or(0, |at| {
+        let rest = &metrics[at + key.len()..];
+        let digits = rest
+            .find(|c: char| !c.is_ascii_digit())
+            .unwrap_or(rest.len());
+        rest[..digits].parse().expect("counter value")
+    })
+}
+
+#[test]
+fn an_unopenable_cache_dir_runs_uncached() {
+    // A directory cannot be made under a regular file: every command
+    // that takes a cache warns the same way and runs without one, and
+    // the corpus, which takes none, ignores it.
+    let mut file = tempfile::NamedFile::new("not-a-dir");
+    file.write(b"");
+    let dir = format!("{}/cache", file.path());
+    let mut warnings = Vec::new();
+    for args in [
+        &["suite"][..],
+        &["reuse", "compress"],
+        &["corpus", "--count", "5"],
+    ] {
+        let out = sfe(&[&["--cache-dir", &dir][..], args].concat());
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
+        warnings.push(err);
+    }
+    assert!(warnings[0].contains("running uncached"), "{}", warnings[0]);
+    assert_eq!(warnings[0], warnings[1]);
+    assert!(!warnings[2].contains("cache"), "{}", warnings[2]);
+}
+
+#[test]
+fn reuse_traces_replay_from_the_cache() {
+    let mut dir = std::env::temp_dir();
+    dir.push(format!("sfe-test-{}-reuse-cache", std::process::id()));
+    let _fresh = std::fs::remove_dir_all(&dir);
+    let dir = dir.to_str().expect("utf8 path").to_string();
+    let run = |metrics: &tempfile::NamedFile| {
+        let out = sfe(&[
+            "--cache-dir",
+            &dir,
+            "--metrics-out",
+            metrics.path(),
+            "reuse",
+            "compress",
+        ]);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let doc = std::fs::read_to_string(metrics.path()).expect("metrics written");
+        (out.stdout, doc)
+    };
+    let (cold_metrics, warm_metrics) = (
+        tempfile::NamedFile::new("reuse-cold.json"),
+        tempfile::NamedFile::new("reuse-warm.json"),
+    );
+    let (cold, cold_doc) = run(&cold_metrics);
+    let (warm, warm_doc) = run(&warm_metrics);
+    let _cleanup = std::fs::remove_dir_all(&dir);
+    let inputs = suite::by_name("compress")
+        .expect("suite program")
+        .inputs()
+        .len() as u64;
+    assert_eq!(counter(&cold_doc, "cache.writes"), inputs, "{cold_doc}");
+    assert_eq!(counter(&warm_doc, "cache.hits"), inputs, "{warm_doc}");
+    assert_eq!(counter(&warm_doc, "cache.writes"), 0, "{warm_doc}");
+    assert_eq!(
+        String::from_utf8_lossy(&cold),
+        String::from_utf8_lossy(&warm)
+    );
+}

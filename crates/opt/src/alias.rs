@@ -118,7 +118,7 @@ fn propagate(ops: &[Op]) -> Taint {
                     let _ = idx_off;
                     t.taint_reg(dst, true)
                 }
-                Op::Mov { dst, src } | Op::ToPtr { dst, src } => t.taint_reg(dst, t.r(src)),
+                Op::ToPtr { dst, src } => t.taint_reg(dst, t.r(src)),
                 Op::Conv { dst, src, .. } => t.taint_reg(dst, t.r(src)),
                 Op::LoadLocal { dst, off } => t.taint_reg(dst, t.s(off)),
                 Op::LoadLocal2 { dst, off_a, off_b } => {
@@ -407,7 +407,7 @@ mod tests {
     fn tainted_vs_tainted_compare_is_contained() {
         let ops = [
             lea(0),
-            Op::Mov { dst: 1, src: 0 },
+            Op::ToPtr { dst: 1, src: 0 },
             Op::Arith {
                 dst: 2,
                 a: 0,

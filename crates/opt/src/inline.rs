@@ -5,8 +5,8 @@
 //! single frame allocation covers it), its registers are rebased onto
 //! the call's destination window (compiler invariant: `argbase == dst`
 //! and every register at or above `dst` is dead after the call), and
-//! its original chunks are spliced in with `Ret` rewritten to a move
-//! plus a jump to the split-off continuation. A zero-cost
+//! its original chunks are spliced in with `Ret` rewritten to a jump
+//! to the split-off continuation. A zero-cost
 //! [`Op::BumpFunc`] replicates the function-entry counter bump (the
 //! entry block's count is rebuilt from it) and a
 //! `ZeroLocal` replicates the per-call frame zero-fill, so every
@@ -42,11 +42,21 @@ fn reject(cp: &CompiledProgram, caller: usize, site: &CallSite) -> bool {
     {
         return true;
     }
+    let ops = &cp.ops[start as usize..end as usize];
+    // The splice turns `Ret` into a plain jump, so the value must
+    // already sit in the call's destination: the callee's register 0,
+    // which the compiler returns every value from.
+    if ops
+        .iter()
+        .any(|op| matches!(op, Op::Ret { src, .. } if *src != 0))
+    {
+        return true;
+    }
     // Address-taken locals are fine as long as the alias analysis
     // proves every materialized frame address stays contained in the
     // activation: the splice relocates the frame, so an escaping or
     // numerically-observed address could diverge.
-    !crate::alias::frame_contained(&cp.ops[start as usize..end as usize])
+    !crate::alias::frame_contained(ops)
 }
 
 /// The result of one successful splice, for call-site fixups.
@@ -211,13 +221,10 @@ pub fn inline_site(
                 Field::Index(Table::Switch, t) => *t += table_base,
                 Field::Index(_, _) | Field::Tick(_) => {}
             });
-            if let Op::Ret { src, .. } = op {
-                // `Ret` writes the call destination and resumes the
-                // caller; the frame shrink is the caller's eventual
-                // `Ret`'s job now.
-                if src != rb {
-                    ops.push(Op::Mov { dst: rb, src });
-                }
+            if let Op::Ret { .. } = op {
+                // `Ret` read the call destination (`reject` refuses any
+                // other register) and resumed the caller; the frame
+                // shrink is the caller's eventual `Ret`'s job now.
                 ops.push(Op::Jump {
                     target: post_chunk,
                     tick: 0,

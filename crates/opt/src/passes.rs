@@ -86,17 +86,6 @@ pub fn fold(ir: &mut FuncIr, cp: &CompiledProgram) -> u64 {
                     regs.insert(dst, v);
                     out.push(op);
                 }
-                Op::Mov { dst, src } => match regs.get(&src).copied() {
-                    Some(v) => {
-                        regs.insert(dst, v);
-                        out.push(Op::Const { dst, v });
-                        folded += 1;
-                    }
-                    None => {
-                        regs.remove(&dst);
-                        out.push(op);
-                    }
-                },
                 Op::LoadLocal { dst, off } => match slots.get(&off).copied() {
                     Some(v) => {
                         regs.insert(dst, v);
@@ -491,8 +480,7 @@ fn reads(mut op: Op, mut f: impl FnMut(u16)) {
 fn pure(op: &Op) -> bool {
     matches!(
         op,
-        Op::Mov { .. }
-            | Op::Const { .. }
+        Op::Const { .. }
             | Op::LeaLocal { .. }
             | Op::LoadLocal { .. }
             | Op::LoadLocal2 { .. }

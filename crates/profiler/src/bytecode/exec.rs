@@ -543,10 +543,6 @@ impl<'a, T: MemTap> Vm<'a, T> {
                 Op::BumpSite(i) => self.sites[i as usize] += 1,
                 Op::BumpFunc(f) => self.func_counts[f as usize] += 1,
                 Op::BumpBranch { branch, taken } => self.bump_branch(branch, taken),
-                Op::Mov { dst, src } => {
-                    let v = self.reg(src);
-                    self.set_reg(dst, v);
-                }
                 Op::Const { dst, v } => self.set_reg(dst, v),
                 Op::LeaLocal { dst, off } => {
                     let addr = STACK_BASE + (self.fp + off as usize) as u64;

@@ -113,9 +113,6 @@ pub enum Op {
     /// Bump branch counter `branch` by `taken` — stands in for a
     /// branch the optimizer resolved at compile time (zero cost).
     BumpBranch { branch: u32, taken: bool },
-    /// `dst = src` (register move; emitted only by the optimizer for
-    /// inlined return values).
-    Mov { dst: u16, src: u16 },
     /// `dst = v`.
     Const { dst: u16, v: Value },
     /// `dst = Ptr(address of frame slot off)`.
@@ -629,7 +626,6 @@ impl Op {
             Op::BumpSite(i) => row!(Index(Site, i)),
             Op::BumpFunc(i) => row!(Index(Func, i)),
             Op::BumpBranch { branch, taken: _ } => row!(Index(Branch, branch)),
-            Op::Mov { dst, src } => row!(Read(src), Write(dst)),
             Op::Const { dst, v: _ } => row!(Write(dst)),
             Op::LeaLocal { dst, off } => row!(Write(dst), Frame(off)),
             Op::LoadLocal { dst, off } => row!(Write(dst), Frame(off)),

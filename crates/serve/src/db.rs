@@ -40,7 +40,7 @@
 //! which is what the differential suite asserts end to end.
 
 use crate::fp::{self, fold_f64s};
-use cache::{ArtifactKey, ArtifactKind, Cache};
+use cache::{ArtifactKind, Cache};
 use estimators::eval::{score_estimates, EstimateScores};
 use estimators::inter::InterEstimator;
 use estimators::intra::{estimate_function_with, IntraEstimates, IntraEstimator, IntraOptions};
@@ -548,43 +548,34 @@ impl ServeDb {
             return Ok(Arc::clone(p));
         }
         let config = RunConfig::with_input(input.to_vec());
-        let key = self
-            .cache
-            .as_ref()
-            .map(|_| ArtifactKey::derive(ArtifactKind::Profile, &entry.source, &config));
-        if let (Some(c), Some(k)) = (self.cache.as_ref(), key) {
-            if let Some(profile) = c.load_profile(k) {
-                let profile = Arc::new(profile);
-                entry
-                    .profiles
+        let profile = cache::get_or_run(
+            self.cache.as_ref(),
+            ArtifactKind::Profile,
+            &entry.source,
+            &config,
+            || {
+                let compiled = entry
+                    .compiled
+                    .get_or_init(|| Arc::new(profiler::compile(&entry.program)));
+                let mut scratch = self
+                    .scratches
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
-                    .insert(input.to_vec(), Arc::clone(&profile));
-                return Ok(profile);
-            }
-        }
-        let compiled = entry
-            .compiled
-            .get_or_init(|| Arc::new(profiler::compile(&entry.program)));
-        let mut scratch = self
-            .scratches
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop()
-            .unwrap_or_default();
-        let out = compiled.execute(&config, &mut scratch, None);
-        // Return the scratch before error handling so a failing run
-        // doesn't leak it; shed outlier capacity either way.
-        scratch.trim(SCRATCH_TRIM_ELEMS);
-        self.scratches
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(scratch);
-        let out = out.map_err(|e| DbError::Runtime(e.to_string()))?;
-        let profile = Arc::new(out.profile);
-        if let (Some(c), Some(k)) = (self.cache.as_ref(), key) {
-            c.store_batched(k, &cache::codec::Artifact::Profile((*profile).clone()));
-        }
+                    .pop()
+                    .unwrap_or_default();
+                let out = compiled.execute(&config, &mut scratch, None);
+                // Return the scratch before error handling so a failing
+                // run doesn't leak it; shed outlier capacity either way.
+                scratch.trim(SCRATCH_TRIM_ELEMS);
+                self.scratches
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .push(scratch);
+                out.map(|out| out.profile)
+                    .map_err(|e| DbError::Runtime(e.to_string()))
+            },
+        )?;
+        let profile = Arc::new(profile);
         entry
             .profiles
             .lock()
@@ -608,22 +599,7 @@ impl ServeDb {
         for input in entry.inputs() {
             profiles.push((*self.profile(name, input)?).clone());
         }
-        // Batched profile writes from the loop above would otherwise
-        // sit in the write tier until the cache drops — which a
-        // resident service never does; see `flush_cache`.
-        self.flush_cache();
         Ok(score_estimates(&entry.program, &entry.estimates, &profiles))
-    }
-
-    /// Drains the cache's batched write tier to disk. A one-shot run
-    /// gets this for free from `Drop`; a resident service must flush
-    /// at request boundaries or the entries exist only in memory for
-    /// the daemon's lifetime (invisible to other processes, lost on a
-    /// crash).
-    pub fn flush_cache(&self) {
-        if let Some(c) = &self.cache {
-            c.flush();
-        }
     }
 
     /// Bit-exact digest of the whole database state — program sources,
@@ -640,12 +616,6 @@ impl ServeDb {
             h.word((d >> 64) as u64);
         }
         h.digest()
-    }
-}
-
-impl Drop for ServeDb {
-    fn drop(&mut self) {
-        self.flush_cache();
     }
 }
 

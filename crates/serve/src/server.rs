@@ -222,10 +222,6 @@ fn accept_loop(
     for h in handlers {
         let _ = h.join();
     }
-    // The database outlives this accept loop (callers may hold other
-    // references); make sure batched cache writes are on disk before
-    // the daemon reports a clean exit.
-    db.flush_cache();
     Ok(())
 }
 

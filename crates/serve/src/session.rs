@@ -187,9 +187,6 @@ impl Session {
             .ok_or_else(|| ErrorShape::missing("program"))?;
         let input = req.param_str("input").unwrap_or("");
         let profile = self.db.profile(program, input.as_bytes())?;
-        // A one-shot pipeline run flushes the cache's batched writes on
-        // drop; a resident service must do it at request boundaries.
-        self.db.flush_cache();
         let entry = self.db.entry(program)?;
         let mut funcs: Vec<&minic::sema::Function> = entry
             .program

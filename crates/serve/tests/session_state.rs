@@ -3,10 +3,10 @@
 //! The batch pipeline's lifetimes hid two classes of bug that a
 //! resident service exposes:
 //!
-//! - the cache's batched writer only drains on `Drop` or when a batch
-//!   fills — a daemon that never drops its `Cache` would keep every
-//!   profile write invisible to other processes (and lose them on a
-//!   crash). The service must flush at request boundaries.
+//! - a daemon never drops its `Cache`, so any write the cache held
+//!   back until drop would stay invisible to other processes (and be
+//!   lost on a crash). Every profile the service computes must be on
+//!   disk by the time its response goes out.
 //! - the VM's `ExecScratch` retains its high-water capacity forever —
 //!   fine for a one-shot run, unbounded for a daemon that profiles one
 //!   pathological program among thousands of small ones. The service's

@@ -1,4 +1,4 @@
-//! # Corpus-scale streaming evaluation
+//! # Corpus-scale evaluation
 //!
 //! Evaluates the paper's weight-matching heuristics over thousands of
 //! generated programs instead of the 14-program suite, stratified by
@@ -8,28 +8,30 @@
 //!
 //! ## Engine shape
 //!
-//! One producer thread walks the seed range under a [`pool::Gate`]
-//! sized from the memory budget, so generation can never outrun
-//! execution by more than the window. Each seed becomes one pool task
-//! that runs the whole per-program pipeline — generate → render →
-//! parse → CFG → bytecode → profile → estimate → score — and sends a
-//! small (~200 byte) result record back over a channel. The producer
-//! folds records **in sequence order** through a reorder buffer, so
-//! duplicate detection and aggregation see one canonical order and
-//! the aggregate distributions are byte-identical at any `--jobs`.
-//! The reorder buffer is explicitly bounded (a straggler seed can
-//! otherwise let completed records pile up behind it); when it fills,
-//! the producer stops submitting and helps the pool drain.
+//! The seed range runs in fixed chunks of 1,024 seeds, one
+//! [`pool::Pool::scope`] per chunk. Each seed is one pool task that runs
+//! the whole per-program pipeline — generate → render → parse → CFG →
+//! bytecode → profile → estimate → score — and writes a small (~150
+//! byte) record into its own pre-sized slot; the calling thread helps
+//! run tasks while the scope waits. Once a chunk's scope closes, its
+//! records fold **in slot order**, so duplicate detection and
+//! aggregation see one canonical order and the aggregate distributions
+//! are byte-identical at any `--jobs` (the pool's determinism
+//! contract).
 //!
-//! ## Bounded memory
+//! ## Memory
 //!
-//! Nothing per-program outlives its task except the fold record:
-//! scores land in fixed 2048-bin histograms (exact to 1/2048, which
-//! is far below the scores' own noise), a profile is dropped as soon
-//! as it is scored, and VM buffers live in one thread-local
-//! [`profiler::ExecScratch`] per worker. Peak RSS is
-//! therefore `O(window)`, not `O(count)` — `tests/perf_floors.rs`
-//! asserts this against the configured budget.
+//! At most one program per running thread (the pool's workers and the
+//! caller) is in flight, and each task keeps only its fold record:
+//! scores land in fixed 2048-bin histograms (exact to 1/2048, which is
+//! far below the scores' own noise), a profile is dropped as soon as it
+//! is scored, and VM buffers live in one thread-local
+//! [`profiler::ExecScratch`] per thread. What grows with the program
+//! count is the fold itself: the dedup set of 128-bit fingerprints and
+//! the per-program latency list, about 60 bytes per program (peak RSS
+//! of `sfe corpus --seed 7000000` on a 2-core x86-64 VM: 7.7 MiB at
+//! 1,000 programs, 8.8 MiB at 20,000).
+//! `tests/perf_floors.rs` bounds peak RSS over 1,000 programs.
 
 use estimators::eval::{score_estimates, EstimateScores};
 pub use fuzzgen::corpus::parse_buckets;
@@ -37,10 +39,9 @@ use fuzzgen::corpus::{bucket_indices, bucket_labels, Feature, StructuralFeatures
 use obs::hash::Fnv128;
 use profiler::{ExecScratch, RunConfig};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::hash::Hasher;
-use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The ten headline heuristic columns aggregated per bucket: the
 /// three intra-procedural estimators at the paper's 5% cutoff, the
@@ -64,10 +65,10 @@ pub const HEURISTICS: [&str; 10] = [
 /// `[0, 1]`; quantiles are exact to `1 / BINS`).
 pub const BINS: usize = 2048;
 
-/// Estimated transient footprint of one in-flight program (source
-/// text, AST, CFGs, bytecode image, profile), with slack. The
-/// backpressure window is `mem_budget / SLOT_BYTES`.
-pub const SLOT_BYTES: u64 = 4 * 1024 * 1024;
+/// Seeds per pool scope. A chunk's records wait in their slots until
+/// the whole chunk has run, so this bounds the records held at once;
+/// the aggregate does not depend on it.
+const CHUNK: usize = 1024;
 
 /// The run configuration for one corpus seed: generous step budget
 /// (generated loops are fuel-bounded), deep call budget (recursion is
@@ -122,8 +123,6 @@ pub struct CorpusConfig {
     /// Worker threads: `Some(n)` builds a private pool, `None` uses
     /// the global pool (honouring `SFE_POOL_THREADS`).
     pub jobs: Option<usize>,
-    /// Memory budget driving the backpressure window.
-    pub mem_budget_bytes: u64,
 }
 
 impl Default for CorpusConfig {
@@ -133,7 +132,6 @@ impl Default for CorpusConfig {
             first_seed: 1,
             features: Feature::ALL.to_vec(),
             jobs: None,
-            mem_budget_bytes: 256 * 1024 * 1024,
         }
     }
 }
@@ -227,7 +225,6 @@ impl BucketAgg {
 /// (source, AST, CFGs, bytecode, profile) has already been dropped or
 /// streamed to the cache by the time this record exists.
 struct SeedRecord {
-    seq: u64,
     fingerprint: u128,
     features: StructuralFeatures,
     scores: EstimateScores,
@@ -237,7 +234,7 @@ struct SeedRecord {
     error: bool,
 }
 
-/// Sequence-ordered aggregation state.
+/// Seed-ordered aggregation state.
 struct Aggregator {
     features: Vec<Feature>,
     seen: HashSet<u128>,
@@ -302,8 +299,6 @@ pub struct CorpusReport {
     pub p99_ms: f64,
     /// Peak RSS over the run, where `/proc` reports it.
     pub peak_rss_bytes: Option<u64>,
-    /// Backpressure window the engine ran with.
-    pub window: usize,
     /// Worker threads the run actually used.
     pub jobs: usize,
     /// `SFE_POOL_THREADS` as seen at run time, if set.
@@ -337,13 +332,13 @@ impl CorpusReport {
 }
 
 thread_local! {
-    /// One reusable VM arena per worker thread (and the producer, who
-    /// helps when the gate is full).
+    /// One reusable VM arena per pool worker (and per calling thread,
+    /// which runs tasks while its scope waits).
     static SCRATCH: RefCell<ExecScratch> = RefCell::new(ExecScratch::default());
 }
 
 /// The per-seed task: whole pipeline, small record out.
-fn eval_seed(seq: u64, seed: u64) -> SeedRecord {
+fn eval_seed(seed: u64) -> SeedRecord {
     let t0 = Instant::now();
     let (features, src) = {
         let _sp = obs::span("corpus.generate");
@@ -361,7 +356,6 @@ fn eval_seed(seq: u64, seed: u64) -> SeedRecord {
     let out = SCRATCH.with(|s| cp.execute(&config, &mut s.borrow_mut(), None));
     let Ok(out) = out else {
         return SeedRecord {
-            seq,
             fingerprint,
             features,
             scores: EstimateScores::default(),
@@ -371,7 +365,6 @@ fn eval_seed(seq: u64, seed: u64) -> SeedRecord {
     };
     let scores = score_estimates(&program, &estimates, &[out.profile]);
     SeedRecord {
-        seq,
         fingerprint,
         features,
         scores,
@@ -386,11 +379,11 @@ pub fn run_corpus(cfg: &CorpusConfig) -> CorpusReport {
     let pool = owned_pool.as_ref().unwrap_or_else(|| pool::global());
 
     let started = Instant::now();
-    let (agg, window) = run_streaming(cfg, pool);
+    let mut agg = run_chunked(cfg, pool, CHUNK);
     let elapsed_s = started.elapsed().as_secs_f64();
 
-    let mut lat = agg.latencies_us.clone();
-    lat.sort_unstable();
+    agg.latencies_us.sort_unstable();
+    let lat = &agg.latencies_us;
     let pct = |q: f64| {
         if lat.is_empty() {
             0.0
@@ -411,7 +404,6 @@ pub fn run_corpus(cfg: &CorpusConfig) -> CorpusReport {
         p50_ms: pct(0.50),
         p99_ms: pct(0.99),
         peak_rss_bytes: obs::peak_rss_bytes(),
-        window,
         jobs: pool.workers(),
         pool_threads_env: std::env::var("SFE_POOL_THREADS").ok(),
         buckets: agg.buckets,
@@ -419,73 +411,25 @@ pub fn run_corpus(cfg: &CorpusConfig) -> CorpusReport {
     }
 }
 
-/// Backpressure window for a memory budget: enough slots to keep
-/// every worker busy, never more than the budget allows for.
-fn window_for(cfg: &CorpusConfig, workers: usize) -> usize {
-    let budget_slots = (cfg.mem_budget_bytes / SLOT_BYTES).max(1) as usize;
-    budget_slots.max(workers).min(4096)
-}
-
-fn run_streaming(cfg: &CorpusConfig, pool: &pool::Pool) -> (Aggregator, usize) {
-    let window = window_for(cfg, pool.workers());
-    // Completed records waiting behind a straggler are cheap but not
-    // free; past this, stop submitting and help the pool instead.
-    let reorder_cap = window * 2;
-    let gate = pool::Gate::new(window);
+/// Evaluates the seeds `chunk` at a time: one pool scope per chunk,
+/// each task writing its record into its own slot, then folds the
+/// chunk's records in seed order.
+fn run_chunked(cfg: &CorpusConfig, pool: &pool::Pool, chunk: usize) -> Aggregator {
     let mut agg = Aggregator::new(&cfg.features);
-    let (tx, rx) = mpsc::channel::<SeedRecord>();
-    let mut reorder: BTreeMap<u64, SeedRecord> = BTreeMap::new();
-    let mut next_seq = 0u64;
-
-    let fold_ready =
-        |reorder: &mut BTreeMap<u64, SeedRecord>, next_seq: &mut u64, agg: &mut Aggregator| {
-            while let Some(r) = reorder.remove(next_seq) {
-                agg.fold(&r);
-                *next_seq += 1;
+    let mut slots: Vec<Option<SeedRecord>> = Vec::new();
+    for start in (0..cfg.count).step_by(chunk) {
+        let len = (cfg.count - start).min(chunk as u64) as usize;
+        slots.resize_with(len, || None);
+        pool.scope(|s| {
+            for (seed, slot) in (cfg.first_seed + start..).zip(slots.iter_mut()) {
+                s.spawn(move |_| *slot = Some(eval_seed(seed)));
             }
-        };
-
-    pool.scope(|s| {
-        let gate = &gate;
-        for seq in 0..cfg.count {
-            for r in rx.try_iter() {
-                reorder.insert(r.seq, r);
-            }
-            fold_ready(&mut reorder, &mut next_seq, &mut agg);
-            while reorder.len() >= reorder_cap {
-                match rx.recv_timeout(Duration::from_micros(200)) {
-                    Ok(r) => {
-                        reorder.insert(r.seq, r);
-                        fold_ready(&mut reorder, &mut next_seq, &mut agg);
-                    }
-                    Err(_) => {
-                        let _helped = pool.help_one();
-                    }
-                }
-            }
-            gate.acquire(pool);
-            let seed = cfg.first_seed + seq;
-            let tx = tx.clone();
-            s.spawn(move |_| {
-                let record = eval_seed(seq, seed);
-                // The producer owns the receiver for the whole scope.
-                let _ = tx.send(record);
-                gate.release();
-            });
+        });
+        for r in slots.drain(..) {
+            agg.fold(&r.expect("pool task filled its slot"));
         }
-        while next_seq < cfg.count {
-            match rx.recv_timeout(Duration::from_micros(200)) {
-                Ok(r) => {
-                    reorder.insert(r.seq, r);
-                    fold_ready(&mut reorder, &mut next_seq, &mut agg);
-                }
-                Err(_) => {
-                    let _helped = pool.help_one();
-                }
-            }
-        }
-    });
-    (agg, window)
+    }
+    agg
 }
 
 #[cfg(test)]
@@ -501,5 +445,32 @@ mod tests {
         h.add(1.0);
         assert!((h.quantile(0.5) - 0.25).abs() < 1e-3);
         assert!((h.quantile(0.99) - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn chunk_boundaries_do_not_change_the_aggregate() {
+        let cfg = CorpusConfig {
+            count: 40,
+            ..CorpusConfig::default()
+        };
+        let pool = pool::Pool::new(2);
+        let chunked = run_chunked(&cfg, &pool, 7);
+        let whole = run_chunked(&cfg, &pool, 40);
+        let bins = |agg: &Aggregator| -> Vec<(u64, Vec<Vec<u64>>)> {
+            let buckets = agg.buckets.iter().chain(std::iter::once(&agg.total));
+            buckets
+                .map(|b| (b.count, b.hists.iter().map(|h| h.counts.clone()).collect()))
+                .collect()
+        };
+        assert_eq!(bins(&chunked), bins(&whole));
+        assert_eq!(
+            chunked.total.count + chunked.duplicates + chunked.errors,
+            40
+        );
+        assert_eq!(
+            (chunked.duplicates, chunked.errors),
+            (whole.duplicates, whole.errors)
+        );
+        assert_eq!(chunked.latencies_us.len(), 40);
     }
 }

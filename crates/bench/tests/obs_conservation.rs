@@ -125,6 +125,11 @@ fn traced_pipeline_is_conservation_consistent() {
     assert_eq!(leaf_count("minic.compile"), suite_data.len() as u64);
     assert_eq!(leaf_count("profiler.compile"), suite_data.len() as u64);
     assert_eq!(leaf_count("profiler.execute"), total_profiles);
+    // The pool counts every task it runs, exactly once.
+    assert_eq!(
+        m.counters["pool.tasks"],
+        suite_data.len() as u64 + total_profiles
+    );
 
     obs::reset();
 }

@@ -15,7 +15,7 @@
 //! sfe suite                       # full pipeline over the 14-program suite
 //! sfe reuse    [program|file.c]   # predicted vs traced reuse-distance histograms
 //! sfe fig10    [program]          # measured speedup-vs-budget curves (Fig 10)
-//! sfe corpus   [flags]            # streaming evaluation over generated corpus
+//! sfe corpus   [flags]            # weight matching over a generated corpus
 //! sfe pretty    prog.c            # parse + pretty-print
 //! sfe serve    [flags]            # resident estimator service (JSON-RPC)
 //! sfe storm    [flags]            # synthetic-client load driver for the service
@@ -56,7 +56,6 @@
 //! --seed <n>         first generator seed (default 1)
 //! --buckets <spec>   comma-separated strata: recursion,indirect,loopskew,switch (default all)
 //! --jobs <n>         worker threads, at most 256 (default: global pool / SFE_POOL_THREADS)
-//! --mem-budget <mb>  memory budget in MiB driving the backpressure window (default 256)
 //! ```
 //!
 //! Global flags (any command):
@@ -80,12 +79,40 @@
 //! byte-identical scores. The cache is content-addressed, so edited
 //! sources or inputs re-profile automatically; corrupt entries are
 //! recomputed, never trusted.
+//!
+//! Output that stdout cannot take ends the run: a reader that closed
+//! the pipe (`sfe suite | head -1`) exits 0 quietly; any other write
+//! error is one `sfe:` line on stderr and exit 1.
 
 #![warn(missing_docs)]
 
 use estimators::{callsite, inter, intra, predict_module, weight_matching};
 use flowgraph::Program;
 use std::process::ExitCode;
+
+/// The command's output: `write!(Out, ..)` and `writeln!(Out, ..)`
+/// print to stdout. A write that fails ends the process in
+/// [`stdout_failed`].
+struct Out;
+
+impl Out {
+    fn write_fmt(&mut self, args: std::fmt::Arguments) {
+        use std::io::Write;
+        if let Err(e) = std::io::stdout().write_fmt(args) {
+            stdout_failed(&e);
+        }
+    }
+}
+
+/// A closed reader is a normal end (exit 0, nothing on stderr); any
+/// other stdout error is reported and exits 1.
+fn stdout_failed(e: &std::io::Error) -> ! {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        std::process::exit(0);
+    }
+    eprintln!("sfe: cannot write to stdout: {e}");
+    std::process::exit(1);
+}
 
 fn main() -> ExitCode {
     // Pull the global telemetry flags out first; everything left is
@@ -129,6 +156,13 @@ fn main() -> ExitCode {
         obs::set_enabled(true);
     }
     let code = dispatch(&args, cache_dir.as_deref(), no_cache, opt_level);
+    // A last line without a newline is still buffered. A command that
+    // already failed keeps its own exit code.
+    if let Err(e) = std::io::Write::flush(&mut std::io::stdout()) {
+        if code == ExitCode::SUCCESS {
+            stdout_failed(&e);
+        }
+    }
     // Spans all closed by now (dispatch returned); flush telemetry.
     if trace || metrics_out.is_some() {
         obs::set_enabled(false);
@@ -214,7 +248,7 @@ fn dispatch(args: &[String], cache_dir: Option<&str>, no_cache: bool, opt_level:
 fn pretty(src: &str) -> ExitCode {
     match minic::parser::parse(src) {
         Ok(unit) => {
-            print!("{}", minic::pretty::print_unit(&unit));
+            write!(Out, "{}", minic::pretty::print_unit(&unit));
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -228,14 +262,18 @@ fn report(program: &Program) -> ExitCode {
     let ia = intra::estimate_program(program, intra::IntraEstimator::Smart);
     let ie = inter::estimate_invocations(program, &ia, inter::InterEstimator::Markov);
 
-    println!("== estimated function invocation counts (Markov call-graph model) ==");
+    writeln!(
+        Out,
+        "== estimated function invocation counts (Markov call-graph model) =="
+    );
     let mut funcs = program.defined_ids();
     // total_cmp: a NaN estimate (damped fallback on a singular call
     // graph) must rank deterministically, not abort the report.
     funcs.sort_by(|&a, &b| ie.of(b).total_cmp(&ie.of(a)));
     for f in &funcs {
         let func = program.module.function(*f);
-        println!(
+        writeln!(
+            Out,
             "{:>12.2}  {} ({} blocks)",
             ie.of(*f),
             func.name,
@@ -243,7 +281,10 @@ fn report(program: &Program) -> ExitCode {
         );
     }
 
-    println!("\n== hottest call sites (invocation × local frequency) ==");
+    writeln!(
+        Out,
+        "\n== hottest call sites (invocation × local frequency) =="
+    );
     let mut sites = callsite::estimate_sites(program, &ia, &ie);
     sites.sort_by(|a, b| b.freq.total_cmp(&a.freq));
     for s in sites.iter().take(10) {
@@ -253,7 +294,7 @@ fn report(program: &Program) -> ExitCode {
             minic::sema::CalleeKind::Direct(f) => program.module.function(f).name.clone(),
             _ => "<indirect>".into(),
         };
-        println!("{:>12.2}  {caller} -> {callee}", s.freq);
+        writeln!(Out, "{:>12.2}  {caller} -> {callee}", s.freq);
     }
     ExitCode::SUCCESS
 }
@@ -269,13 +310,15 @@ fn blocks(program: &Program, func: Option<&str>) -> ExitCode {
                 continue;
             }
         }
-        println!("== {name} ==");
-        println!(
+        writeln!(Out, "== {name} ==");
+        writeln!(
+            Out,
             "{:>6} {:>10} {:>10} {:>10}",
             "block", "loop", "smart", "markov"
         );
         for b in 0..program.cfg(f).len() {
-            println!(
+            writeln!(
+                Out,
                 "{:>6} {:>10.3} {:>10.3} {:>10.3}",
                 format!("B{b}"),
                 loop_est.blocks_of(f)[b],
@@ -289,7 +332,8 @@ fn blocks(program: &Program, func: Option<&str>) -> ExitCode {
 
 fn branches(program: &Program, src: &str) -> ExitCode {
     let preds = predict_module(&program.module);
-    println!(
+    writeln!(
+        Out,
         "{:>6} {:<10} {:>6} {:>6} {:<10}",
         "line", "context", "dir", "p", "heuristic"
     );
@@ -298,7 +342,8 @@ fn branches(program: &Program, src: &str) -> ExitCode {
         let func = &program.module.function(b.func).name;
         let context = format!("{:?}", b.kind).to_lowercase();
         let heuristic = format!("{:?}", pred.heuristic);
-        println!(
+        writeln!(
+            Out,
             "{:>6} {context:<10} {:>6} {:>6.2} {heuristic:<10}  ({func})",
             span_line(program, b, src),
             if pred.taken { "T" } else { "F" },
@@ -327,7 +372,7 @@ fn callsites(program: &Program, src: &str) -> ExitCode {
     let ie = inter::estimate_invocations(program, &ia, inter::InterEstimator::Markov);
     let mut sites = callsite::estimate_sites(program, &ia, &ie);
     sites.sort_by(|a, b| b.freq.total_cmp(&a.freq));
-    println!("{:>12} {:>6}  call", "est.freq", "line");
+    writeln!(Out, "{:>12} {:>6}  call", "est.freq", "line");
     for s in &sites {
         let cs = &program.module.side.call_sites[s.site.0 as usize];
         let caller = &program.module.function(cs.caller).name;
@@ -335,7 +380,8 @@ fn callsites(program: &Program, src: &str) -> ExitCode {
             minic::sema::CalleeKind::Direct(f) => program.module.function(f).name.clone(),
             _ => continue,
         };
-        println!(
+        writeln!(
+            Out,
             "{:>12.2} {:>6}  {caller} -> {callee}",
             s.freq,
             cs.span.line(src)
@@ -352,12 +398,14 @@ fn dot(program: &Program, func: Option<&str>) -> ExitCode {
                 return ExitCode::FAILURE;
             };
             let est = intra::estimate_function(program, f, intra::IntraEstimator::Markov);
-            print!(
+            write!(
+                Out,
                 "{}",
                 flowgraph::dot::cfg_to_dot(&program.module, program.cfg(f), Some(&est))
             );
         }
-        None => print!(
+        None => write!(
+            Out,
             "{}",
             flowgraph::dot::callgraph_to_dot(&program.module, &program.callgraph)
         ),
@@ -393,7 +441,7 @@ fn run(program: &Program, input_path: Option<&str>, opt_level: u8) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    print!("{}", out.stdout());
+    write!(Out, "{}", out.stdout());
     eprintln!("[exit {} after {} steps]", out.exit_code, out.steps);
     if let Some(stats) = stats {
         eprintln!(
@@ -450,7 +498,8 @@ fn open_cache(dir: Option<&str>, no_cache: bool) -> Option<cache::Cache> {
 fn suite_report(cache_dir: Option<&str>, no_cache: bool, opt_level: u8) -> ExitCode {
     let cache = open_cache(Some(cache_dir.unwrap_or("cache")), no_cache);
     let data = bench::load_suite_with(pool::global(), cache.as_ref(), opt_level);
-    println!(
+    writeln!(
+        Out,
         "{:<12} {:>8} {:>8} {:>12}  {:>6} {:>6}",
         "program", "funcs", "blocks", "steps", "inv@25", "cs@25"
     );
@@ -462,7 +511,8 @@ fn suite_report(cache_dir: Option<&str>, no_cache: bool, opt_level: u8) -> ExitC
             .iter()
             .map(|p| p.func_cost.iter().sum::<u64>())
             .sum();
-        println!(
+        writeln!(
+            Out,
             "{:<12} {:>8} {:>8} {:>12}  {:>5.0}% {:>5.0}%",
             d.bench.name,
             d.program.defined_ids().len(),
@@ -518,7 +568,8 @@ fn reuse_cmd(which: Option<&str>, cache_dir: Option<&str>, no_cache: bool) -> Ex
             }
         }
         None => {
-            println!(
+            writeln!(
+                Out,
                 "{:<12} {:>8} {:>6} {:>12} {:>12}  {:>8}",
                 "program", "objects", "sites", "traced", "predicted", "match@25"
             );
@@ -605,8 +656,9 @@ fn reuse_eval(
     let score = reuse::score(&est, &trace);
 
     if detail {
-        println!("{name}: predicted vs traced reuse distances");
-        println!(
+        writeln!(Out, "{name}: predicted vs traced reuse distances");
+        writeln!(
+            Out,
             "{:<16} {:>12} {:>12} {:>10} {:>10}",
             "object", "predicted", "traced", "est.bin", "got.bin"
         );
@@ -627,7 +679,8 @@ fn reuse_eval(
                 .enumerate()
                 .max_by_key(|&(_, &c)| c)
                 .map_or(0, |(b, _)| b);
-            println!(
+            writeln!(
+                Out,
                 "{:<16} {:>12.0} {:>12} {:>10} {:>10}",
                 obj.name,
                 predicted_total,
@@ -636,13 +689,15 @@ fn reuse_eval(
                 bin_label(got_bin)
             );
         }
-        println!(
+        writeln!(
+            Out,
             "[reuse weight-matching vs exact trace @25%: {:.0}%  ({} traced accesses)]",
             score * 100.0,
             trace.events
         );
     } else {
-        println!(
+        writeln!(
+            Out,
             "{:<12} {:>8} {:>6} {:>12} {:>12}  {:>7.0}%",
             name,
             trace.objects.len(),
@@ -691,33 +746,38 @@ fn fig10_report(args: &[String]) -> ExitCode {
     if json {
         return fig10_json(&names);
     }
-    println!("Figure 10 (measured): speedup vs optimization budget, -O3, held-out input");
+    writeln!(
+        Out,
+        "Figure 10 (measured): speedup vs optimization budget, -O3, held-out input"
+    );
     for name in names {
         let p = bench::fig10_measured_program(name);
-        println!();
-        println!(
+        writeln!(Out);
+        writeln!(
+            Out,
             "{} (baseline {} steps on held-out input)",
             p.name, p.baseline_steps
         );
-        print!("  {:<10}", "k");
+        write!(Out, "  {:<10}", "k");
         for k in &p.ks {
-            print!(" {k:>7}");
+            write!(Out, " {k:>7}");
         }
-        println!();
+        writeln!(Out);
         for c in &p.curves {
-            print!("  {:<10}", c.ranking);
+            write!(Out, "  {:<10}", c.ranking);
             for v in &c.speedups {
-                print!(" {v:>7.3}");
+                write!(Out, " {v:>7.3}");
             }
-            println!();
+            writeln!(Out);
         }
-        print!("  {:<10}", "wall ms");
+        write!(Out, "  {:<10}", "wall ms");
         let static_curve = &p.curves[0];
         for w in &static_curve.wall_ms {
-            print!(" {w:>7.2}");
+            write!(Out, " {w:>7.2}");
         }
-        println!("  (static-ranked runs)");
-        println!(
+        writeln!(Out, "  (static-ranked runs)");
+        writeln!(
+            Out,
             "  static rank order: {}",
             p.static_order[..p.static_order.len().min(6)].join(", ")
         );
@@ -772,7 +832,7 @@ fn fig10_json(names: &[&'static str]) -> ExitCode {
         ("programs", Value::Arr(programs)),
         ("schema", Value::Str("fig10/v1".to_string())),
     ]);
-    println!("{doc}");
+    writeln!(Out, "{doc}");
     ExitCode::SUCCESS
 }
 
@@ -801,16 +861,6 @@ fn corpus_report(args: &[String]) -> ExitCode {
                 Ok(n) => cfg.jobs = Some(n as usize),
                 Err(c) => return c,
             },
-            "--mem-budget" => match num("--mem-budget") {
-                Ok(mb) => match mb.max(1).checked_mul(1024 * 1024) {
-                    Some(bytes) => cfg.mem_budget_bytes = bytes,
-                    None => {
-                        eprintln!("sfe: corpus --mem-budget {mb} MiB overflows a byte count");
-                        return ExitCode::from(2);
-                    }
-                },
-                Err(c) => return c,
-            },
             "--buckets" => match it.next().map(|s| bench::corpus::parse_buckets(s)) {
                 Some(Ok(features)) => cfg.features = features,
                 Some(Err(e)) => {
@@ -824,8 +874,7 @@ fn corpus_report(args: &[String]) -> ExitCode {
             },
             other => {
                 eprintln!(
-                    "sfe: unknown corpus flag `{other}` (see --count, --seed, --buckets, \
-                     --jobs, --mem-budget)"
+                    "sfe: unknown corpus flag `{other}` (see --count, --seed, --buckets, --jobs)"
                 );
                 return ExitCode::from(2);
             }
@@ -840,46 +889,49 @@ fn corpus_report(args: &[String]) -> ExitCode {
     };
 
     let r = run_corpus(&cfg);
-    println!(
+    writeln!(
+        Out,
         "corpus: {} programs (seeds {}..{end_seed})",
         r.requested, cfg.first_seed
     );
-    println!(
+    writeln!(
+        Out,
         "  evaluated {} | duplicates {} | vm errors {}",
         r.evaluated, r.duplicates, r.errors
     );
-    println!(
+    writeln!(
+        Out,
         "  {:.1} programs/sec over {:.2} s | latency p50 {:.2} ms p99 {:.2} ms",
         r.programs_per_sec, r.elapsed_s, r.p50_ms, r.p99_ms
     );
     let rss = r.peak_rss_bytes.map_or("n/a".to_string(), |b| {
         format!("{:.1} MiB", b as f64 / (1024.0 * 1024.0))
     });
-    println!(
-        "  jobs {} (SFE_POOL_THREADS {}) | window {} | peak rss {}",
+    writeln!(
+        Out,
+        "  jobs {} (SFE_POOL_THREADS {}) | peak rss {}",
         r.jobs,
         r.pool_threads_env.as_deref().unwrap_or("unset"),
-        r.window,
         rss
     );
-    println!("  aggregate digest {:016x}", r.aggregate_digest());
-    println!();
-    print!("  {:<14} {:>6}", "bucket", "n");
+    writeln!(Out, "  aggregate digest {:016x}", r.aggregate_digest());
+    writeln!(Out);
+    write!(Out, "  {:<14} {:>6}", "bucket", "n");
     for h in HEURISTICS {
-        print!(" {h:>12}");
+        write!(Out, " {h:>12}");
     }
-    println!("   (median weight-matching score)");
+    writeln!(Out, "   (median weight-matching score)");
     for b in r.buckets.iter().chain(std::iter::once(&r.total)) {
-        print!("  {:<14} {:>6}", b.label, b.count);
+        write!(Out, "  {:<14} {:>6}", b.label, b.count);
         for q in b.quantiles() {
-            print!(" {:>12.3}", q[1]);
+            write!(Out, " {:>12.3}", q[1]);
         }
-        println!();
+        writeln!(Out);
     }
-    println!();
-    println!("  quartiles over all programs (p25 / p50 / p75):");
+    writeln!(Out);
+    writeln!(Out, "  quartiles over all programs (p25 / p50 / p75):");
     for (h, q) in HEURISTICS.iter().zip(r.total.quantiles()) {
-        println!("    {h:<12} {:.3} / {:.3} / {:.3}", q[0], q[1], q[2]);
+        writeln!(Out, "    {h:<12} {:.3} / {:.3} / {:.3}", q[0], q[1], q[2]);
     }
     ExitCode::SUCCESS
 }
@@ -946,7 +998,7 @@ fn serve_cmd(args: &[String], cache_dir: Option<&str>, no_cache: bool) -> ExitCo
             Ok(server) => {
                 // Parsed by scripts (the CI smoke step) to discover the
                 // bound port when `:0` was requested.
-                println!("sfe serve: listening on {}", server.addr());
+                writeln!(Out, "sfe serve: listening on {}", server.addr());
                 match server.join() {
                     Ok(()) => ExitCode::SUCCESS,
                     Err(e) => {
@@ -1052,7 +1104,7 @@ fn storm_cmd(args: &[String]) -> ExitCode {
         }
     };
 
-    println!("{}", report.to_value(&config, jobs_used));
+    writeln!(Out, "{}", report.to_value(&config, jobs_used));
 
     let mut ok = true;
     if report.errors > 0 {

@@ -222,15 +222,6 @@ fn usage_on_missing_args() {
 }
 
 #[test]
-fn corpus_rejects_a_memory_budget_that_overflows() {
-    // 2^44 MiB is 2^64 bytes.
-    let out = sfe(&["corpus", "--count", "1", "--mem-budget", "17592186044416"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--mem-budget"), "{err}");
-}
-
-#[test]
 fn corpus_rejects_a_seed_range_that_overflows() {
     let out = sfe(&["corpus", "--seed", "18446744073709551615", "--count", "2"]);
     assert_eq!(out.status.code(), Some(2));
@@ -281,11 +272,30 @@ fn traced_corpus_reports_program_generation() {
 }
 
 #[test]
-fn corpus_naive_flag_is_gone() {
-    let out = sfe(&["corpus", "--count", "1", "--naive"]);
-    assert_eq!(out.status.code(), Some(2));
+fn removed_corpus_flags_are_unknown() {
+    for flag in [&["--naive"][..], &["--mem-budget", "64"]] {
+        let out = sfe(&[&["corpus", "--count", "1"], flag].concat());
+        assert_eq!(out.status.code(), Some(2), "{flag:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown corpus flag"), "{flag:?}: {err}");
+    }
+}
+
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_sfe"))
+        .args(["corpus", "--count", "3"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn sfe");
+    // Close the read end before sfe has written its report.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("sfe exits");
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown corpus flag"), "{err}");
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
 }
 
 #[test]

@@ -26,14 +26,15 @@
 //! (`results[i]`) owned by the spawning stack frame, so merged output
 //! is slot-indexed, never completion-ordered. `bench::load_suite`
 //! produces byte-identical results for pool sizes 1, 2, and N this
-//! way (asserted by `crates/bench/tests/determinism.rs`).
+//! way (asserted by `crates/bench/tests/determinism.rs`), and so do
+//! `sfe reuse`, the serve database and `bench::corpus`, which runs its
+//! seeds as fixed chunks of slot-writing tasks, one scope per chunk.
 //!
 //! ## Observability
 //!
-//! The pool keeps always-on internal [`PoolStats`] (atomics) and
-//! mirrors them into `obs` counters when telemetry is enabled:
-//! `pool.tasks` (executed) and `pool.idle_ns` (total worker sleep
-//! time).
+//! When telemetry is enabled the pool counts into two `obs` counters:
+//! `pool.tasks` (tasks executed) and `pool.idle_ns` (total worker
+//! sleep time).
 //!
 //! ```
 //! let pool = pool::Pool::new(4);
@@ -52,7 +53,7 @@ use std::any::Any;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -64,21 +65,6 @@ pub const MAX_THREADS: usize = 256;
 
 /// The type-erased unit of work.
 type Task = Box<dyn FnOnce() + Send>;
-
-/// Always-on pool telemetry, readable via [`Pool::stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Tasks executed to completion.
-    pub tasks: u64,
-    /// Total nanoseconds workers spent asleep waiting for work.
-    pub idle_ns: u64,
-}
-
-#[derive(Default)]
-struct Stats {
-    tasks: AtomicU64,
-    idle_ns: AtomicU64,
-}
 
 /// Everything the queue mutex guards.
 #[derive(Default)]
@@ -92,7 +78,6 @@ struct Shared {
     queue: Mutex<Queue>,
     /// Signalled once per spawn, and to everyone at shutdown.
     ready: Condvar,
-    stats: Stats,
 }
 
 impl Shared {
@@ -110,8 +95,7 @@ impl Shared {
     fn run(&self, task: Task) {
         // Count before running: the task body itself signals its
         // scope's completion, so a count taken afterwards could land
-        // after the scope's owner has already read the statistics.
-        self.stats.tasks.fetch_add(1, Ordering::Relaxed);
+        // after the scope's owner has already read the counters.
         obs::counter_add("pool.tasks", 1);
         task();
     }
@@ -132,7 +116,6 @@ fn worker_loop(shared: &Shared) {
             let slept = Instant::now();
             queue = shared.ready.wait(queue).unwrap();
             let ns = u64::try_from(slept.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            shared.stats.idle_ns.fetch_add(ns, Ordering::Relaxed);
             obs::counter_add("pool.idle_ns", ns);
         }
     }
@@ -166,29 +149,6 @@ impl Pool {
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
         self.workers.len()
-    }
-
-    /// A snapshot of the pool's lifetime counters.
-    pub fn stats(&self) -> PoolStats {
-        let s = &self.shared.stats;
-        PoolStats {
-            tasks: s.tasks.load(Ordering::Relaxed),
-            idle_ns: s.idle_ns.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Claims and runs the oldest queued task, if any. Returns whether
-    /// a task ran.
-    ///
-    /// This is the building block for *producer helping*: a thread
-    /// blocked on backpressure (see [`Gate`]) executes queued work
-    /// instead of sleeping, so a saturated single-worker pool can
-    /// never deadlock against its own producer.
-    pub fn help_one(&self) -> bool {
-        self.shared
-            .pop()
-            .map(|task| self.shared.run(task))
-            .is_some()
     }
 
     /// Runs `f` with a [`Scope`] on which tasks can be spawned, then
@@ -319,82 +279,6 @@ impl<'scope> Scope<'scope> {
     }
 }
 
-/// A counting backpressure gate: at most `limit` permits outstanding.
-///
-/// The corpus engine acquires a permit per generated program and
-/// releases it when the program's results are drained, so generation
-/// can never outrun execution by more than the window. While the gate
-/// is full, [`Gate::acquire`] *helps* the pool (executes queued
-/// tasks) rather than sleeping — on a one-worker pool the producer
-/// thread becomes the consumer, and throughput degrades gracefully
-/// instead of deadlocking.
-pub struct Gate {
-    limit: usize,
-    held: Mutex<usize>,
-    freed: Condvar,
-}
-
-impl Gate {
-    /// A gate admitting at most `limit` outstanding permits (clamped
-    /// to at least 1).
-    pub fn new(limit: usize) -> Gate {
-        Gate {
-            limit: limit.max(1),
-            held: Mutex::new(0),
-            freed: Condvar::new(),
-        }
-    }
-
-    /// Maximum outstanding permits.
-    pub fn limit(&self) -> usize {
-        self.limit
-    }
-
-    /// Permits currently held.
-    pub fn in_flight(&self) -> usize {
-        *self.held.lock().unwrap()
-    }
-
-    /// Blocks until a permit is free, executing tasks from `pool`
-    /// while waiting.
-    pub fn acquire(&self, pool: &Pool) {
-        loop {
-            {
-                let mut held = self.held.lock().unwrap();
-                if *held < self.limit {
-                    *held += 1;
-                    return;
-                }
-            }
-            if !pool.help_one() {
-                // Nothing runnable: the permits we are waiting on are
-                // executing on workers. Park briefly; `release`
-                // notifies.
-                let held = self.held.lock().unwrap();
-                if *held >= self.limit {
-                    let _unused = self
-                        .freed
-                        .wait_timeout(held, Duration::from_micros(200))
-                        .unwrap();
-                }
-            }
-        }
-    }
-
-    /// Returns one permit.
-    ///
-    /// # Panics
-    ///
-    /// If called without a matching [`Gate::acquire`].
-    pub fn release(&self) {
-        let mut held = self.held.lock().unwrap();
-        assert!(*held > 0, "Gate::release without a held permit");
-        *held -= 1;
-        drop(held);
-        self.freed.notify_one();
-    }
-}
-
 /// The process-wide pool of [`default_threads`] workers. Created on
 /// first use and never torn down.
 pub fn global() -> &'static Pool {
@@ -417,6 +301,7 @@ pub fn default_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn scope_runs_every_task_and_borrows_slots() {
@@ -428,7 +313,6 @@ mod tests {
             }
         });
         assert_eq!(out.iter().sum::<u64>(), 5050);
-        assert_eq!(pool.stats().tasks, 100);
     }
 
     #[test]
@@ -548,7 +432,6 @@ mod tests {
             }
         });
         assert_eq!(counter.load(Ordering::Relaxed), 5_000);
-        assert_eq!(pool.stats().tasks, 5_000);
     }
 
     #[test]
@@ -611,53 +494,6 @@ mod tests {
         std::thread::sleep(Duration::from_millis(300));
         let woke = switches() - before;
         assert!(woke < 10, "idle workers switched {woke} times in 300 ms");
-    }
-
-    #[test]
-    fn gate_bounds_in_flight_and_never_deadlocks() {
-        // One worker + a producer acquiring before each spawn: the
-        // producer must help-execute once the window fills.
-        for workers in [1, 3] {
-            let pool = Pool::new(workers);
-            let gate = Gate::new(3);
-            let current = AtomicU64::new(0);
-            let peak = AtomicU64::new(0);
-            let ran = AtomicU64::new(0);
-            pool.scope(|s| {
-                for _ in 0..100 {
-                    gate.acquire(&pool);
-                    let (current, peak, ran, gate) = (&current, &peak, &ran, &gate);
-                    s.spawn(move |_| {
-                        let c = current.fetch_add(1, Ordering::SeqCst) + 1;
-                        peak.fetch_max(c, Ordering::SeqCst);
-                        ran.fetch_add(1, Ordering::SeqCst);
-                        current.fetch_sub(1, Ordering::SeqCst);
-                        gate.release();
-                    });
-                }
-            });
-            assert_eq!(ran.load(Ordering::SeqCst), 100);
-            assert!(peak.load(Ordering::SeqCst) <= 3, "window exceeded");
-            assert_eq!(gate.in_flight(), 0, "all permits returned");
-        }
-    }
-
-    #[test]
-    fn help_one_executes_queued_work_from_the_caller() {
-        let pool = Pool::new(1);
-        let ran = AtomicU64::new(0);
-        pool.scope(|s| {
-            for _ in 0..8 {
-                let ran = &ran;
-                s.spawn(move |_| {
-                    ran.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-            // Help until the queue is visibly drained from here; the
-            // worker may race us for tasks, which is the point.
-            while pool.help_one() {}
-        });
-        assert_eq!(ran.load(Ordering::SeqCst), 8);
     }
 
     #[test]

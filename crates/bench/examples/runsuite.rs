@@ -1,28 +1,18 @@
-//! Dev utility: run the whole suite, reporting steps and exit codes.
+//! Dev utility: profile the whole suite, reporting each program's
+//! executed blocks and cost units over its standard inputs.
 fn main() {
     for bp in suite::all() {
-        let program = match bp.compile() {
-            Ok(p) => p,
-            Err(e) => {
-                println!("{:10} COMPILE ERROR: {}", bp.name, e.render(bp.source));
-                continue;
-            }
-        };
         let t0 = std::time::Instant::now();
-        match bp.run_all(&program) {
-            Ok(outs) => {
-                let steps: u64 = outs.iter().map(|o| o.steps).sum();
-                let codes: Vec<i64> = outs.iter().map(|o| o.exit_code).collect();
-                println!(
-                    "{:10} ok  inputs={} steps={:>10} exits={:?} time={:?}",
-                    bp.name,
-                    outs.len(),
-                    steps,
-                    codes,
-                    t0.elapsed()
-                );
-            }
-            Err(e) => println!("{:10} RUNTIME ERROR: {e}", bp.name),
-        }
+        let data = bench::load_program(bp);
+        let blocks: u64 = data.profiles.iter().map(|p| p.total_block_count()).sum();
+        let cost: u64 = data.profiles.iter().flat_map(|p| &p.func_cost).sum();
+        println!(
+            "{:10} inputs={} blocks={:>10} cost={:>10} time={:?}",
+            bp.name,
+            data.profiles.len(),
+            blocks,
+            cost,
+            t0.elapsed()
+        );
     }
 }

@@ -190,9 +190,9 @@ pub struct Fig10 {
 /// Runs the modeled Figure 10 experiment: optimize the top-k functions
 /// of compress under three orderings, measure on a held-out input.
 pub fn fig10() -> Fig10 {
-    let bench = suite::by_name("compress").expect("compress in suite");
-    let program = bench.compile().expect("compiles");
-    let profiles = bench.profiles(&program).expect("runs");
+    let ProgramData {
+        program, profiles, ..
+    } = bench::load_program(suite::by_name("compress").expect("compress in suite"));
 
     // The held-out measurement input (not among the standard four).
     let holdout: Vec<u8> = {

@@ -9,15 +9,14 @@
 //! ## Engine shape
 //!
 //! The seed range runs in fixed chunks of 1,024 seeds, one
-//! [`pool::Pool::scope`] per chunk. Each seed is one pool task that runs
+//! [`pool::Pool::map`] per chunk. Each seed is one pool task that runs
 //! the whole per-program pipeline — generate → render → parse → CFG →
-//! bytecode → profile → estimate → score — and writes a small (~150
-//! byte) record into its own pre-sized slot; the calling thread helps
-//! run tasks while the scope waits. Once a chunk's scope closes, its
-//! records fold **in slot order**, so duplicate detection and
-//! aggregation see one canonical order and the aggregate distributions
-//! are byte-identical at any `--jobs` (the pool's determinism
-//! contract).
+//! bytecode → profile → estimate → score — and returns a small (~150
+//! byte) record; the calling thread helps run tasks while the map
+//! waits. A chunk's records come back and fold **in seed order**, so
+//! duplicate detection and aggregation see one canonical order and the
+//! aggregate distributions are byte-identical at any `--jobs` (the
+//! pool's determinism contract).
 //!
 //! ## Memory
 //!
@@ -25,20 +24,18 @@
 //! caller) is in flight, and each task keeps only its fold record:
 //! scores land in fixed 2048-bin histograms (exact to 1/2048, which is
 //! far below the scores' own noise), a profile is dropped as soon as it
-//! is scored, and VM buffers live in one thread-local
-//! [`profiler::ExecScratch`] per thread. What grows with the program
-//! count is the fold itself: the dedup set of 128-bit fingerprints and
-//! the per-program latency list, about 60 bytes per program (peak RSS
-//! of `sfe corpus --seed 7000000` on a 2-core x86-64 VM: 7.7 MiB at
-//! 1,000 programs, 8.8 MiB at 20,000).
+//! is scored, and the profiler recycles its VM buffers per thread.
+//! What grows with the program count is the fold itself: the dedup set
+//! of 128-bit fingerprints and the per-program latency list, about 60
+//! bytes per program (peak RSS of `sfe corpus --seed 7000000` on a
+//! 2-core x86-64 VM: 7.7 MiB at 1,000 programs, 8.8 MiB at 20,000).
 //! `tests/perf_floors.rs` bounds peak RSS over 1,000 programs.
 
 use estimators::eval::{score_estimates, EstimateScores};
 pub use fuzzgen::corpus::parse_buckets;
 use fuzzgen::corpus::{bucket_indices, bucket_labels, Feature, StructuralFeatures};
 use obs::hash::Fnv128;
-use profiler::{ExecScratch, RunConfig};
-use std::cell::RefCell;
+use profiler::RunConfig;
 use std::collections::HashSet;
 use std::hash::Hasher;
 use std::time::Instant;
@@ -331,12 +328,6 @@ impl CorpusReport {
     }
 }
 
-thread_local! {
-    /// One reusable VM arena per pool worker (and per calling thread,
-    /// which runs tasks while its scope waits).
-    static SCRATCH: RefCell<ExecScratch> = RefCell::new(ExecScratch::default());
-}
-
 /// The per-seed task: whole pipeline, small record out.
 fn eval_seed(seed: u64) -> SeedRecord {
     let t0 = Instant::now();
@@ -353,7 +344,7 @@ fn eval_seed(seed: u64) -> SeedRecord {
     let cp = profiler::compile(&program);
     let fingerprint = cp.ir_fingerprint();
     let config = run_config(seed);
-    let out = SCRATCH.with(|s| cp.execute(&config, &mut s.borrow_mut(), None));
+    let out = cp.execute(&config, None);
     let Ok(out) = out else {
         return SeedRecord {
             fingerprint,
@@ -411,22 +402,14 @@ pub fn run_corpus(cfg: &CorpusConfig) -> CorpusReport {
     }
 }
 
-/// Evaluates the seeds `chunk` at a time: one pool scope per chunk,
-/// each task writing its record into its own slot, then folds the
-/// chunk's records in seed order.
+/// Evaluates the seeds `chunk` at a time, one pool map per chunk,
+/// folding each chunk's records in seed order.
 fn run_chunked(cfg: &CorpusConfig, pool: &pool::Pool, chunk: usize) -> Aggregator {
     let mut agg = Aggregator::new(&cfg.features);
-    let mut slots: Vec<Option<SeedRecord>> = Vec::new();
     for start in (0..cfg.count).step_by(chunk) {
-        let len = (cfg.count - start).min(chunk as u64) as usize;
-        slots.resize_with(len, || None);
-        pool.scope(|s| {
-            for (seed, slot) in (cfg.first_seed + start..).zip(slots.iter_mut()) {
-                s.spawn(move |_| *slot = Some(eval_seed(seed)));
-            }
-        });
-        for r in slots.drain(..) {
-            agg.fold(&r.expect("pool task filled its slot"));
+        let end = cfg.count.min(start + chunk as u64);
+        for r in pool.map(cfg.first_seed + start..cfg.first_seed + end, eval_seed) {
+            agg.fold(&r);
         }
     }
     agg

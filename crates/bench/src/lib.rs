@@ -16,9 +16,8 @@ pub mod corpus;
 use cache::{ArtifactKind, Cache};
 use estimators::ranking::Ranking;
 use flowgraph::Program;
-use profiler::{CompiledProgram, ExecScratch, Profile, RunConfig};
+use profiler::{CompiledProgram, Profile, RunConfig};
 use std::collections::HashMap;
-use std::sync::Arc;
 use suite::BenchProgram;
 
 /// A compiled-and-profiled suite program.
@@ -54,9 +53,7 @@ fn profile_one(
         }
     };
     cache::get_or_run(cache, kind, bench.source, &config, || {
-        compiled
-            .execute(&config, &mut ExecScratch::default(), None)
-            .map(|out| out.profile)
+        compiled.execute(&config, None).map(|out| out.profile)
     })
     .unwrap_or_else(|e| panic!("{}: runtime error at -O{opt_level}: {e}", bench.name))
 }
@@ -71,23 +68,11 @@ fn profile_one(
 /// expected to be well-formed.
 pub fn load_program(bench: BenchProgram) -> ProgramData {
     let _sp = obs::span("bench.load_program");
-    let program = bench
-        .compile()
-        .unwrap_or_else(|e| panic!("{}: {}", bench.name, e.render(bench.source)));
+    let program = compile_bench(bench);
     let compiled = profiler::compile(&program);
-    let inputs = bench.inputs();
-    let mut profiles: Vec<Option<Profile>> = Vec::new();
-    profiles.resize_with(inputs.len(), || None);
-    pool::global().scope(|s| {
-        for (slot, input) in profiles.iter_mut().zip(inputs) {
-            let compiled = &compiled;
-            s.spawn(move |_| *slot = Some(profile_one(bench, compiled, 0, input, None)));
-        }
+    let profiles = pool::global().map(bench.inputs(), |input| {
+        profile_one(bench, &compiled, 0, input, None)
     });
-    let profiles: Vec<Profile> = profiles
-        .into_iter()
-        .map(|p| p.expect("pool task filled its profile slot"))
-        .collect();
     obs::counter_add("bench.programs", 1);
     obs::counter_add("bench.profiles", profiles.len() as u64);
     ProgramData {
@@ -95,6 +80,17 @@ pub fn load_program(bench: BenchProgram) -> ProgramData {
         program,
         profiles,
     }
+}
+
+/// Compiles and lowers a suite program.
+///
+/// # Panics
+///
+/// Panics with the rendered diagnostic if it does not compile.
+fn compile_bench(bench: BenchProgram) -> Program {
+    bench
+        .compile()
+        .unwrap_or_else(|e| panic!("{}: {}", bench.name, e.render(bench.source)))
 }
 
 /// Compiles and profiles the whole suite on the global pool with no
@@ -113,13 +109,12 @@ pub fn load_suite() -> Vec<ProgramData> {
 /// optimized `func_cost`; all count counters are identical to
 /// unoptimized runs by the optimizer's contract.
 ///
-/// One compile task per program fans out one profile task per input
-/// into the same scope, so workers drain a single global task supply:
-/// a straggler program's inputs spread across every idle core instead
-/// of serializing on the thread that compiled it. Results merge into
-/// pre-sized slots indexed by (program, input) position, so the
-/// output is byte-identical in Table 1 order for any pool size and
-/// any task interleaving (asserted by `tests/determinism.rs`).
+/// Two flat maps: one task per program compiles (and optimizes), then
+/// one task per *(program, input)* pair profiles, so workers drain a
+/// single task supply and a straggler program's inputs spread across
+/// every idle core. Both maps return in input order, so the output is
+/// byte-identical in Table 1 order for any pool size and any task
+/// interleaving (asserted by `tests/determinism.rs`).
 pub fn load_suite_with(
     pool: &pool::Pool,
     cache: Option<&Cache>,
@@ -130,63 +125,40 @@ pub fn load_suite_with(
     // envelope of the whole fan-out.
     let _sp = obs::span("bench.load_suite");
     let benches = suite::all();
-    struct Slot {
-        program: Option<Program>,
-        profiles: Vec<Option<Profile>>,
-    }
-    let mut slots: Vec<Slot> = benches
-        .iter()
-        .map(|b| {
-            let mut profiles = Vec::new();
-            profiles.resize_with(b.inputs().len(), || None);
-            Slot {
-                program: None,
-                profiles,
-            }
-        })
-        .collect();
-    pool.scope(|s| {
-        for (&bench, slot) in benches.iter().zip(slots.iter_mut()) {
-            s.spawn(move |s| {
-                // Split the slot borrow so the program half stays here
-                // while each profile half moves into an input task.
-                let Slot { program, profiles } = slot;
-                let compiled_program = bench
-                    .compile()
-                    .unwrap_or_else(|e| panic!("{}: {}", bench.name, e.render(bench.source)));
-                let cp = profiler::compile(&compiled_program);
-                let compiled = if opt_level == 0 {
-                    cp
-                } else {
-                    let ranking = estimators::ranking::StaticRanking::new(&compiled_program);
-                    let plan = plan_from_ranking(&ranking, &cp, opt_level, cp.funcs.len());
-                    opt::optimize(&cp, &plan).0
-                };
-                let compiled = Arc::new(compiled);
-                *program = Some(compiled_program);
-                for (prof_slot, input) in profiles.iter_mut().zip(bench.inputs()) {
-                    let compiled = Arc::clone(&compiled);
-                    s.spawn(move |_| {
-                        *prof_slot = Some(profile_one(bench, &compiled, opt_level, input, cache));
-                    });
-                }
-                obs::counter_add("bench.programs", 1);
-            });
-        }
+    let mut compiled = pool.map(&benches, |&bench| {
+        let program = compile_bench(bench);
+        let cp = profiler::compile(&program);
+        let cp = if opt_level == 0 {
+            cp
+        } else {
+            let ranking = estimators::ranking::StaticRanking::new(&program);
+            let plan = plan_from_ranking(&ranking, &cp, opt_level, cp.funcs.len());
+            opt::optimize(&cp, &plan).0
+        };
+        obs::counter_add("bench.programs", 1);
+        (program, cp, bench.inputs())
     });
+    let counts: Vec<usize> = compiled.iter().map(|(_, _, inputs)| inputs.len()).collect();
+    let runs: Vec<(usize, Vec<u8>)> = compiled
+        .iter_mut()
+        .enumerate()
+        .flat_map(|(i, (_, _, inputs))| std::mem::take(inputs).into_iter().map(move |x| (i, x)))
+        .collect();
+    let mut profiles = pool
+        .map(runs, |(i, input)| {
+            profile_one(benches[i], &compiled[i].1, opt_level, input, cache)
+        })
+        .into_iter();
     benches
         .into_iter()
-        .zip(slots)
-        .map(|(bench, slot)| {
-            let profiles: Vec<Profile> = slot
-                .profiles
-                .into_iter()
-                .map(|p| p.expect("pool task filled its profile slot"))
-                .collect();
-            obs::counter_add("bench.profiles", profiles.len() as u64);
+        .zip(compiled)
+        .zip(counts)
+        .map(|((bench, (program, _, _)), n)| {
+            let profiles: Vec<Profile> = profiles.by_ref().take(n).collect();
+            obs::counter_add("bench.profiles", n as u64);
             ProgramData {
                 bench,
-                program: slot.program.expect("compile task filled its slot"),
+                program,
                 profiles,
             }
         })
@@ -285,21 +257,15 @@ fn fig10_measure(name: &'static str, program: Program, ks: &[usize], reuse: bool
     let holdout = inputs.pop().expect("suite programs have inputs");
     let holdout_cfg = RunConfig::with_input(holdout);
     let t0 = std::time::Instant::now();
-    let baseline = cp
-        .execute(&holdout_cfg, &mut ExecScratch::default(), None)
-        .expect("holdout runs");
+    let baseline = cp.execute(&holdout_cfg, None).expect("holdout runs");
     let baseline_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let training: Vec<Profile> = inputs
         .into_iter()
         .map(|input| {
-            cp.execute(
-                &RunConfig::with_input(input),
-                &mut ExecScratch::default(),
-                None,
-            )
-            .expect("training input runs")
-            .profile
+            cp.execute(&RunConfig::with_input(input), None)
+                .expect("training input runs")
+                .profile
         })
         .collect();
     let training_refs: Vec<&Profile> = training.iter().collect();
@@ -335,9 +301,7 @@ fn fig10_measure(name: &'static str, program: Program, ks: &[usize], reuse: bool
                     Some(&run) => run,
                     None => {
                         let t0 = std::time::Instant::now();
-                        let out = ocp
-                            .execute(&opt_cfg, &mut ExecScratch::default(), None)
-                            .expect("optimized holdout runs");
+                        let out = ocp.execute(&opt_cfg, None).expect("optimized holdout runs");
                         let ms = t0.elapsed().as_secs_f64() * 1e3;
                         assert_eq!(
                             out.output,

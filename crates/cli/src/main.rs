@@ -434,7 +434,7 @@ fn run(program: &Program, input_path: Option<&str>, opt_level: u8) -> ExitCode {
     } else {
         (compiled, None)
     };
-    let out = match compiled.execute(&config, &mut profiler::ExecScratch::default(), None) {
+    let out = match compiled.execute(&config, None) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("sfe: runtime error: {e}");
@@ -617,31 +617,19 @@ fn reuse_eval(
 
     let compiled = profiler::compile(&program);
     let objects = profiler::ObjectMap::for_module(&program.module);
-    let mut slots: Vec<Option<Result<profiler::ReuseTrace, profiler::RuntimeError>>> = Vec::new();
-    slots.resize_with(inputs.len(), || None);
-    pool::global().scope(|s| {
-        for (slot, input) in slots.iter_mut().zip(&inputs) {
-            let compiled = &compiled;
-            let objects = &objects;
-            s.spawn(move |_| {
-                let config = profiler::RunConfig::with_input(input.clone());
-                let kind = cache::ArtifactKind::ReuseProfile;
-                *slot = Some(cache::get_or_run(cache, kind, source, &config, || {
-                    let mut tap = profiler::ReuseCollector::new(objects.clone());
-                    compiled
-                        .execute(
-                            &config,
-                            &mut profiler::ExecScratch::default(),
-                            Some(&mut tap),
-                        )
-                        .map(|_| tap.finish())
-                }));
-            });
-        }
+    let traces = pool::global().map(inputs, |input| {
+        let config = profiler::RunConfig::with_input(input);
+        let kind = cache::ArtifactKind::ReuseProfile;
+        cache::get_or_run(cache, kind, source, &config, || {
+            let mut tap = profiler::ReuseCollector::new(objects.clone());
+            compiled
+                .execute(&config, Some(&mut tap))
+                .map(|_| tap.finish())
+        })
     });
     let mut merged: Option<profiler::ReuseTrace> = None;
-    for slot in slots {
-        match slot.expect("pool task filled its slot") {
+    for trace in traces {
+        match trace {
             Ok(t) => match &mut merged {
                 None => merged = Some(t),
                 Some(m) => m.merge(&t),

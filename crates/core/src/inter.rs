@@ -343,20 +343,19 @@ fn markov(program: &Program, local: &[f64], main: Option<FuncId>) -> Vec<f64> {
         }
     }
 
-    // Repair 2: per-SCC damping with an artificial main.
-    let mut adj = vec![Vec::new(); size];
-    for &(s, d, _) in &arcs {
-        if !adj[s].contains(&d) {
-            adj[s].push(d);
-        }
-    }
-    let sccs = flowgraph::analysis::tarjan_scc(&adj);
-    for scc in &sccs {
+    // Repair 2: per-SCC damping with an artificial main. Each repair
+    // rescales only its own component's internal arcs, so the order
+    // components come in does not matter; members are sorted, which
+    // fixes the sub-system's row order.
+    let sccs = tarjan_scc(&Successors::from_arcs(size, &arcs));
+    for c in 0..sccs.len() {
+        let mut scc: Vec<usize> = sccs.get(c).iter().map(|&v| v as usize).collect();
+        scc.sort_unstable();
         let nontrivial = scc.len() > 1 || arcs.iter().any(|&(s, d, _)| s == scc[0] && d == scc[0]);
         if !nontrivial {
             continue;
         }
-        repair_scc(&mut arcs, scc, size);
+        repair_scc(&mut arcs, &scc, size);
     }
 
     match solve_arcs(size, &arcs, &inject) {

@@ -70,34 +70,8 @@ impl CallGraph {
         cg
     }
 
-    /// Adjacency list over function indices (direct arcs only),
-    /// suitable for [`crate::analysis::tarjan_scc`]. The list has one
-    /// entry per function in the module (defined or not).
-    pub fn adjacency(&self, num_functions: usize) -> Vec<Vec<usize>> {
-        let mut adj = vec![Vec::new(); num_functions];
-        for arc in &self.direct {
-            let callee = arc.callee.expect("direct arcs have callees");
-            let from = arc.caller.0 as usize;
-            let to = callee.0 as usize;
-            if !adj[from].contains(&to) {
-                adj[from].push(to);
-            }
-        }
-        adj
-    }
-
-    /// All direct arcs out of `f`.
-    pub fn calls_from(&self, f: FuncId) -> impl Iterator<Item = &CallArc> {
-        self.direct.iter().filter(move |a| a.caller == f)
-    }
-
     /// All direct arcs into `f`.
     pub fn calls_to(&self, f: FuncId) -> impl Iterator<Item = &CallArc> {
         self.direct.iter().filter(move |a| a.callee == Some(f))
-    }
-
-    /// Indirect arcs out of `f`.
-    pub fn indirect_from(&self, f: FuncId) -> impl Iterator<Item = &CallArc> {
-        self.indirect.iter().filter(move |a| a.caller == f)
     }
 }

@@ -188,88 +188,6 @@ fn suite_cfgs_satisfy_invariants() {
 }
 
 #[test]
-fn postdominators_in_a_diamond() {
-    use flowgraph::analysis::PostDominators;
-    let p = program("int f(int a) { int r; if (a) { r = 1; } else { r = 2; } return r; }");
-    let cfg = p.cfg(p.function_id("f").unwrap());
-    let pdom = PostDominators::compute(cfg);
-    // The join (return) block post-dominates everything.
-    let join = cfg
-        .blocks
-        .iter()
-        .find(|b| matches!(b.term, Terminator::Return(Some(_))))
-        .unwrap()
-        .id;
-    for b in &cfg.blocks {
-        assert!(
-            pdom.post_dominates(join, b.id),
-            "join must post-dominate B{}",
-            b.id.0
-        );
-    }
-    // Neither arm post-dominates the entry.
-    for arm in cfg
-        .blocks
-        .iter()
-        .filter(|b| b.id != cfg.entry && b.id != join)
-    {
-        assert!(!pdom.post_dominates(arm.id, cfg.entry));
-    }
-}
-
-#[test]
-fn postdominators_handle_early_returns() {
-    use flowgraph::analysis::PostDominators;
-    let p = program(
-        r#"
-        int f(int a) {
-            if (a < 0) return -1;
-            a *= 2;
-            return a;
-        }
-        "#,
-    );
-    let cfg = p.cfg(p.function_id("f").unwrap());
-    let pdom = PostDominators::compute(cfg);
-    // With two returns, no single block post-dominates the entry
-    // except the entry itself.
-    for b in &cfg.blocks {
-        if b.id != cfg.entry {
-            assert!(
-                !pdom.post_dominates(b.id, cfg.entry),
-                "B{} should not post-dominate the entry",
-                b.id.0
-            );
-        }
-    }
-}
-
-#[test]
-fn postdominators_tolerate_infinite_loops() {
-    use flowgraph::analysis::PostDominators;
-    let p = program("int f(void) { while (1) { } return 0; }");
-    let cfg = p.cfg(p.function_id("f").unwrap());
-    let pdom = PostDominators::compute(cfg);
-    // Nothing in an endless loop reaches the exit; the analysis
-    // reports None rather than looping or panicking.
-    for b in &cfg.blocks {
-        assert!(pdom.ipdom(b.id).is_none(), "B{}", b.id.0);
-    }
-}
-
-#[test]
-fn loop_body_postdominated_by_header_in_simple_loop() {
-    use flowgraph::analysis::PostDominators;
-    let p = program("int f(int n) { int i, s = 0; for (i = 0; i < n; i++) s += i; return s; }");
-    let cfg = p.cfg(p.function_id("f").unwrap());
-    let pdom = PostDominators::compute(cfg);
-    let loops = natural_loops(cfg);
-    let l = &loops[0];
-    // Every path from the body back to exit goes through the header.
-    assert!(pdom.post_dominates(l.header, l.latch));
-}
-
-#[test]
 fn loop_depths_count_the_merged_natural_loops_of_each_header() {
     // Reference: one level per distinct header whose natural loops
     // (merged) contain the block — checked on every suite function,

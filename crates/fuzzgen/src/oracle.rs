@@ -43,7 +43,7 @@
 use flowgraph::{Program, Terminator};
 use linsolve::FlowSystem;
 use minic::sema::CalleeKind;
-use profiler::{ExecScratch, Profile, RunConfig, RunOutcome};
+use profiler::{Profile, RunConfig, RunOutcome};
 
 /// Limits for one differential check.
 #[derive(Debug, Clone)]
@@ -663,14 +663,12 @@ fn plan_equivalence(
         max_steps: run_config.max_steps.saturating_mul(4),
         ..run_config.clone()
     };
-    let out = ocp
-        .execute(&opt_config, &mut ExecScratch::default(), None)
-        .map_err(|e| {
-            Failure::new(
-                FailureKind::OptMismatch,
-                format!("optimized program faults: {e:?}"),
-            )
-        })?;
+    let out = ocp.execute(&opt_config, None).map_err(|e| {
+        Failure::new(
+            FailureKind::OptMismatch,
+            format!("optimized program faults: {e:?}"),
+        )
+    })?;
     if out.exit_code != vm.exit_code {
         return Err(Failure::new(
             FailureKind::OptMismatch,
@@ -840,7 +838,7 @@ fn reuse_agreement(
     let objects = profiler::ObjectMap::for_module(&program.module);
     let mut tap = profiler::ReuseCollector::new(objects.clone());
     let vm_out = profiler::compile(program)
-        .execute(run_config, &mut ExecScratch::default(), Some(&mut tap))
+        .execute(run_config, Some(&mut tap))
         .map_err(|e| {
             Failure::new(
                 FailureKind::ReuseMismatch,

@@ -112,40 +112,7 @@ pub fn collect_vars(module: &Module, e: &Expr, out: &mut HashSet<VarRef>) {
             _ => {}
         }
     }
-    for_each_child(e, &mut |c| collect_vars(module, c, out));
-}
-
-/// Calls `f` on each direct subexpression of `e`.
-pub fn for_each_child<'a>(e: &'a Expr, f: &mut dyn FnMut(&'a Expr)) {
-    match &e.kind {
-        ExprKind::IntLit(_)
-        | ExprKind::FloatLit(_)
-        | ExprKind::StrLit(_)
-        | ExprKind::Ident(_)
-        | ExprKind::SizeofType(_) => {}
-        ExprKind::Unary(_, a) | ExprKind::Cast(_, a) | ExprKind::SizeofExpr(a) => f(a),
-        ExprKind::Binary(_, a, b)
-        | ExprKind::LogAnd(a, b)
-        | ExprKind::LogOr(a, b)
-        | ExprKind::Assign(_, a, b)
-        | ExprKind::Index(a, b)
-        | ExprKind::Comma(a, b) => {
-            f(a);
-            f(b);
-        }
-        ExprKind::Member(a, _, _) => f(a),
-        ExprKind::Cond(c, t, e2) => {
-            f(c);
-            f(t);
-            f(e2);
-        }
-        ExprKind::Call(callee, args) => {
-            f(callee);
-            for a in args {
-                f(a);
-            }
-        }
-    }
+    e.for_each_child(&mut |c| collect_vars(module, c, out));
 }
 
 #[cfg(test)]
@@ -168,7 +135,7 @@ mod tests {
                 *hit = Some(e);
                 return;
             }
-            for_each_child(e, &mut |c| walk(c, pred, hit));
+            e.for_each_child(&mut |c| walk(c, pred, hit));
         }
         fn walk_stmt<'a>(
             s: &'a crate::ast::Stmt,

@@ -440,40 +440,45 @@ impl Expr {
     /// Visits this expression and all sub-expressions, pre-order.
     pub fn walk<'a>(&'a self, f: &mut dyn FnMut(&'a Expr)) {
         f(self);
+        self.for_each_child(&mut |c| c.walk(f));
+    }
+
+    /// Calls `f` on each direct sub-expression, left to right. This is
+    /// the one place that knows which [`ExprKind`] variants have
+    /// children.
+    pub fn for_each_child<'a>(&'a self, f: &mut dyn FnMut(&'a Expr)) {
         match &self.kind {
             ExprKind::IntLit(_)
             | ExprKind::FloatLit(_)
             | ExprKind::StrLit(_)
             | ExprKind::Ident(_)
             | ExprKind::SizeofType(_) => {}
-            ExprKind::Unary(_, e) | ExprKind::Cast(_, e) | ExprKind::SizeofExpr(e) => f2(e, f),
+            ExprKind::Unary(_, a)
+            | ExprKind::Cast(_, a)
+            | ExprKind::SizeofExpr(a)
+            | ExprKind::Member(a, _, _) => f(a),
             ExprKind::Binary(_, a, b)
             | ExprKind::LogAnd(a, b)
             | ExprKind::LogOr(a, b)
             | ExprKind::Assign(_, a, b)
             | ExprKind::Index(a, b)
             | ExprKind::Comma(a, b) => {
-                f2(a, f);
-                f2(b, f);
+                f(a);
+                f(b);
             }
             ExprKind::Call(callee, args) => {
-                f2(callee, f);
+                f(callee);
                 for a in args {
-                    f2(a, f);
+                    f(a);
                 }
             }
-            ExprKind::Member(e, _, _) => f2(e, f),
             ExprKind::Cond(c, t, e) => {
-                f2(c, f);
-                f2(t, f);
-                f2(e, f);
+                f(c);
+                f(t);
+                f(e);
             }
         }
     }
-}
-
-fn f2<'a>(e: &'a Expr, f: &mut dyn FnMut(&'a Expr)) {
-    e.walk(f)
 }
 
 impl Stmt {

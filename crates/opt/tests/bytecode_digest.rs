@@ -204,7 +204,7 @@ fn a_return_from_another_register_is_not_inlined() {
         let (ocp, stats) = optimize(code, &plan);
         assert_eq!(stats.inlined_calls, inlined);
         for code in [code, &ocp] {
-            let out = code.execute(&config, &mut profiler::ExecScratch::default(), None);
+            let out = code.execute(&config, None);
             assert_eq!(out.unwrap().exit_code, 5);
         }
     }

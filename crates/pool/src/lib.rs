@@ -4,54 +4,47 @@
 //! inside each, one more per input — 14+ threads of oversubscription
 //! on a small runner, and a straggler program's inputs still ran on a
 //! single core. This crate replaces all of that with one process-wide
-//! pool of `available_parallelism` workers executing *(program,
-//! input)*-granularity tasks, and a [`Pool::scope`] API in the style
-//! of `std::thread::scope` / rayon — tasks may borrow from the
-//! caller's stack and may themselves spawn further tasks into the same
-//! scope (compile tasks fan out profile tasks).
+//! pool of `available_parallelism` workers and one operation,
+//! [`Pool::map`]: run a function over a list of items as pool tasks
+//! and get the results back in input order. The function and the
+//! items may borrow from the caller's stack.
 //!
-//! Scheduling is one FIFO queue behind a mutex: every spawn pushes to
-//! the back, workers pop from the front, and idle workers sleep on a
-//! condition variable until a spawn or shutdown wakes them. The queue
-//! and the shutdown flag live under the same mutex, so no wakeup can
-//! be lost and an idle pool costs no CPU. Tasks are whole compile or
-//! profile jobs, so one lock per task is noise.
+//! Scheduling is one FIFO queue behind a mutex: every task joins the
+//! back, workers pop from the front, and idle workers sleep on a
+//! condition variable until a new task or shutdown wakes them. The
+//! queue and the shutdown flag live under the same mutex, so no wakeup
+//! can be lost and an idle pool costs no CPU. Tasks are whole compile
+//! or profile jobs, so one lock per task is noise.
 //!
 //! Everything is vendored — no external dependencies, no network.
 //!
 //! ## Determinism contract
 //!
-//! The pool schedules nondeterministically; callers that need
-//! deterministic output write results into pre-sized slots
-//! (`results[i]`) owned by the spawning stack frame, so merged output
-//! is slot-indexed, never completion-ordered. `bench::load_suite`
-//! produces byte-identical results for pool sizes 1, 2, and N this
-//! way (asserted by `crates/bench/tests/determinism.rs`), and so do
-//! `sfe reuse`, the serve database and `bench::corpus`, which runs its
-//! seeds as fixed chunks of slot-writing tasks, one scope per chunk.
+//! The pool schedules nondeterministically, but [`Pool::map`] returns
+//! its results in input order, never in completion order, so any
+//! caller that folds them in that order is deterministic by
+//! construction. `bench::load_suite` produces byte-identical results
+//! for pool sizes 1, 2, and N (asserted by
+//! `crates/bench/tests/determinism.rs`), and so do `sfe reuse`, the
+//! serve database and `bench::corpus`, which maps its seeds in fixed
+//! chunks.
 //!
 //! ## Observability
 //!
 //! When telemetry is enabled the pool counts into two `obs` counters:
-//! `pool.tasks` (tasks executed) and `pool.idle_ns` (total worker
-//! sleep time).
+//! `pool.tasks` (tasks executed, one per item) and `pool.idle_ns`
+//! (total worker sleep time).
 //!
 //! ```
 //! let pool = pool::Pool::new(4);
-//! let mut squares = vec![0u64; 8];
-//! pool.scope(|s| {
-//!     for (i, slot) in squares.iter_mut().enumerate() {
-//!         s.spawn(move |_| *slot = (i as u64) * (i as u64));
-//!     }
-//! });
-//! assert_eq!(squares[7], 49);
+//! let squares = pool.map(0..8u64, |i| i * i);
+//! assert_eq!(squares, [0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
 
 #![warn(missing_docs)]
 
 use std::any::Any;
 use std::collections::VecDeque;
-use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -76,7 +69,7 @@ struct Queue {
 #[derive(Default)]
 struct Shared {
     queue: Mutex<Queue>,
-    /// Signalled once per spawn, and to everyone at shutdown.
+    /// Signalled once per queued task, and to everyone at shutdown.
     ready: Condvar,
 }
 
@@ -91,11 +84,11 @@ impl Shared {
     }
 
     /// Runs a claimed task. Panics cannot escape: every task is a
-    /// scope wrapper that catches its own unwind.
+    /// [`Pool::map`] wrapper that catches its own unwind.
     fn run(&self, task: Task) {
         // Count before running: the task body itself signals its
-        // scope's completion, so a count taken afterwards could land
-        // after the scope's owner has already read the counters.
+        // batch's completion, so a count taken afterwards could land
+        // after the map's caller has already read the counters.
         obs::counter_add("pool.tasks", 1);
         task();
     }
@@ -117,6 +110,25 @@ fn worker_loop(shared: &Shared) {
             queue = shared.ready.wait(queue).unwrap();
             let ns = u64::try_from(slept.elapsed().as_nanos()).unwrap_or(u64::MAX);
             obs::counter_add("pool.idle_ns", ns);
+        }
+    }
+}
+
+/// The completion state of one [`Pool::map`] call.
+struct Batch {
+    /// Tasks queued and not yet finished.
+    pending: AtomicUsize,
+    done_lock: Mutex<()>,
+    done: Condvar,
+    /// First task panic, resumed once every task has finished.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+impl Batch {
+    fn finish_one(&self) {
+        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            let _guard = self.done_lock.lock().unwrap();
+            self.done.notify_all();
         }
     }
 }
@@ -151,37 +163,85 @@ impl Pool {
         self.workers.len()
     }
 
-    /// Runs `f` with a [`Scope`] on which tasks can be spawned, then
-    /// blocks until every task spawned into the scope (transitively —
-    /// tasks may spawn more tasks) has finished. Tasks may borrow
-    /// anything that outlives the `scope` call, exactly as with
-    /// `std::thread::scope`.
+    /// Runs `f` on every item as one pool task per item and returns
+    /// the results in input order, whatever order the tasks finished
+    /// in. `f` and the items may borrow anything that outlives the
+    /// call, as with `std::thread::scope`.
     ///
-    /// While waiting, the calling thread *helps*: it executes pool
-    /// tasks instead of blocking, so a nested `scope` on a worker
-    /// thread cannot deadlock the pool.
+    /// While waiting, the calling thread *helps*: it executes queued
+    /// pool tasks instead of blocking, so a `map` inside a task (on a
+    /// worker thread) cannot deadlock the pool.
     ///
     /// # Panics
     ///
-    /// If `f` or any task panics, the panic is resumed here — after
-    /// all tasks in the scope have completed (they may borrow the
+    /// If `f` panics on any item, the first panic is resumed here —
+    /// after every task of the call has finished (they borrow the
     /// caller's frame, so unwinding early would be unsound).
-    pub fn scope<'scope, R>(&self, f: impl FnOnce(&Scope<'scope>) -> R) -> R {
-        let scope = Scope {
-            shared: Arc::clone(&self.shared),
-            state: Arc::new(ScopeState::default()),
-            _marker: PhantomData,
-        };
-        let result = catch_unwind(AssertUnwindSafe(|| f(&scope)));
-        scope.wait_done();
-        match result {
-            Ok(r) => {
-                if let Some(payload) = scope.state.panic.lock().unwrap().take() {
-                    resume_unwind(payload);
+    pub fn map<T, R, F>(&self, items: impl IntoIterator<Item = T>, f: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(T) -> R + Sync,
+    {
+        // Collect first: no caller code may run (and panic) between
+        // queueing a task and waiting for it.
+        let items: Vec<T> = items.into_iter().collect();
+        let mut slots: Vec<Option<R>> = Vec::new();
+        slots.resize_with(items.len(), || None);
+        let batch = Arc::new(Batch {
+            pending: AtomicUsize::new(items.len()),
+            done_lock: Mutex::new(()),
+            done: Condvar::new(),
+            panic: Mutex::new(None),
+        });
+        let f = &f;
+        for (item, slot) in items.into_iter().zip(slots.iter_mut()) {
+            let batch = Arc::clone(&batch);
+            let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                match catch_unwind(AssertUnwindSafe(|| f(item))) {
+                    Ok(r) => *slot = Some(r),
+                    Err(payload) => {
+                        batch.panic.lock().unwrap().get_or_insert(payload);
+                    }
                 }
-                r
+                batch.finish_one();
+            });
+            // SAFETY: only the lifetime is erased. `map` neither
+            // returns nor unwinds before `wait` has seen every task of
+            // the batch finish, so the task — and everything it
+            // borrows — is never used after the borrows end.
+            let task: Task =
+                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Task>(task) };
+            self.shared.push(task);
+        }
+        self.wait(&batch);
+        if let Some(payload) = batch.panic.lock().unwrap().take() {
+            resume_unwind(payload);
+        }
+        slots
+            .into_iter()
+            .map(|r| r.expect("every task of the batch filled its slot"))
+            .collect()
+    }
+
+    /// Blocks until every task of `batch` has finished, executing pool
+    /// tasks while waiting instead of sleeping whenever any are queued.
+    fn wait(&self, batch: &Batch) {
+        while batch.pending.load(Ordering::SeqCst) != 0 {
+            if let Some(task) = self.shared.pop() {
+                self.shared.run(task);
+                continue;
             }
-            Err(payload) => resume_unwind(payload),
+            let guard = batch.done_lock.lock().unwrap();
+            if batch.pending.load(Ordering::SeqCst) != 0 {
+                // Short timeout: the tasks we are waiting on may be
+                // running on workers whose own nested maps queue work
+                // we could help with.
+                let _unused = batch
+                    .done
+                    .wait_timeout(guard, Duration::from_micros(200))
+                    .unwrap();
+            }
         }
     }
 }
@@ -192,89 +252,6 @@ impl Drop for Pool {
         self.shared.ready.notify_all();
         for w in self.workers.drain(..) {
             let _joined = w.join();
-        }
-    }
-}
-
-#[derive(Default)]
-struct ScopeState {
-    /// Tasks spawned into the scope and not yet finished.
-    pending: AtomicUsize,
-    done_lock: Mutex<()>,
-    done: Condvar,
-    /// First task panic, resumed when the scope closes.
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
-}
-
-impl ScopeState {
-    fn finish_one(&self) {
-        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _guard = self.done_lock.lock().unwrap();
-            self.done.notify_all();
-        }
-    }
-}
-
-/// Handle for spawning tasks into a [`Pool::scope`] region. Spawned
-/// closures receive `&Scope` back, so a task can fan out further
-/// tasks into the same scope.
-pub struct Scope<'scope> {
-    shared: Arc<Shared>,
-    state: Arc<ScopeState>,
-    /// Invariant in `'scope`, as in `std::thread::scope`.
-    _marker: PhantomData<&'scope mut &'scope ()>,
-}
-
-impl<'scope> Scope<'scope> {
-    /// Spawns `f` onto the pool: it joins the back of the shared
-    /// queue, whichever thread spawns it.
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce(&Scope<'scope>) + Send + 'scope,
-    {
-        self.state.pending.fetch_add(1, Ordering::SeqCst);
-        let shared = Arc::clone(&self.shared);
-        let state = Arc::clone(&self.state);
-        let wrapper: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
-            let scope: Scope<'scope> = Scope {
-                shared,
-                state: Arc::clone(&state),
-                _marker: PhantomData,
-            };
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(&scope))) {
-                let mut slot = state.panic.lock().unwrap();
-                slot.get_or_insert(payload);
-            }
-            state.finish_one();
-        });
-        // SAFETY: only the lifetime is erased. `Pool::scope` does not
-        // return (or unwind) before `wait_done` has observed every
-        // spawned task finished, so the closure — and everything it
-        // borrows for `'scope` — is never used after `'scope` ends.
-        let wrapper: Task =
-            unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Task>(wrapper) };
-        self.shared.push(wrapper);
-    }
-
-    /// Blocks until `pending` hits zero, executing pool tasks while
-    /// waiting instead of sleeping whenever any are available.
-    fn wait_done(&self) {
-        while self.state.pending.load(Ordering::SeqCst) != 0 {
-            if let Some(task) = self.shared.pop() {
-                self.shared.run(task);
-                continue;
-            }
-            let guard = self.state.done_lock.lock().unwrap();
-            if self.state.pending.load(Ordering::SeqCst) != 0 {
-                // Short timeout: the tasks we are waiting on may be
-                // running on workers that will spawn more work we
-                // could help with.
-                let _unused = self
-                    .state
-                    .done
-                    .wait_timeout(guard, Duration::from_micros(200))
-                    .unwrap();
-            }
         }
     }
 }
@@ -303,92 +280,85 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
-    #[test]
-    fn scope_runs_every_task_and_borrows_slots() {
-        let pool = Pool::new(4);
-        let mut out = vec![0u64; 100];
-        pool.scope(|s| {
-            for (i, slot) in out.iter_mut().enumerate() {
-                s.spawn(move |_| *slot = i as u64 + 1);
-            }
-        });
-        assert_eq!(out.iter().sum::<u64>(), 5050);
+    /// A barrier over `n` threads that gives up after `timeout`:
+    /// `wait` returns whether all `n` arrived in time, so a test
+    /// that needs every worker busy at once fails instead of hanging.
+    struct TimedBarrier {
+        arrived: Mutex<usize>,
+        all: Condvar,
+        n: usize,
     }
 
-    #[test]
-    fn tasks_fan_out_nested_tasks() {
-        // The load_suite shape: 8 "compile" tasks each spawn 8
-        // "profile" tasks into the same scope.
-        let pool = Pool::new(3);
-        let counter = AtomicU64::new(0);
-        pool.scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|s| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                    for _ in 0..8 {
-                        s.spawn(|_| {
-                            counter.fetch_add(1, Ordering::Relaxed);
-                        });
-                    }
-                });
+    impl TimedBarrier {
+        fn new(n: usize) -> Self {
+            TimedBarrier {
+                arrived: Mutex::new(0),
+                all: Condvar::new(),
+                n,
             }
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 8 + 64);
-    }
-
-    #[test]
-    fn pool_size_one_completes_fanout() {
-        let pool = Pool::new(1);
-        let counter = AtomicU64::new(0);
-        pool.scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|s| {
-                    for _ in 0..4 {
-                        s.spawn(|_| {
-                            counter.fetch_add(1, Ordering::Relaxed);
-                        });
-                    }
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 16);
-    }
-
-    #[test]
-    fn scope_returns_value_and_sequences_scopes() {
-        // Consecutive scopes on one pool see each other's effects:
-        // every scope's tasks complete before the call returns.
-        let pool = Pool::new(2);
-        let mut acc = 0u64;
-        for round in 1..=10u64 {
-            let before = acc;
-            let mut slot = 0u64;
-            let ret = pool.scope(|s| {
-                s.spawn(|_| slot = round);
-                "done"
-            });
-            assert_eq!(ret, "done");
-            acc = before + slot;
         }
-        assert_eq!(acc, 55);
+
+        fn wait(&self, timeout: Duration) -> bool {
+            let mut arrived = self.arrived.lock().unwrap();
+            *arrived += 1;
+            self.all.notify_all();
+            let (arrived, _) = self
+                .all
+                .wait_timeout_while(arrived, timeout, |a| *a < self.n)
+                .unwrap();
+            *arrived >= self.n
+        }
+    }
+
+    #[test]
+    fn map_borrows_from_the_caller() {
+        let pool = Pool::new(4);
+        let words: Vec<String> = (0..100).map(|i| format!("w{i}")).collect();
+        let offset = 1u64;
+        let out = pool.map(&words, |w| w[1..].parse::<u64>().unwrap() + offset);
+        assert_eq!(out.iter().sum::<u64>(), 5050);
+        assert!(pool.map(Vec::<u64>::new(), |x| x).is_empty());
+    }
+
+    #[test]
+    fn map_returns_results_in_input_order() {
+        for workers in [1, 2, 4] {
+            let pool = Pool::new(workers);
+            // Early items take longest, so completion order runs
+            // roughly backwards.
+            let out = pool.map(0..24u64, |i| {
+                std::thread::sleep(Duration::from_micros((24 - i) % 5 * 300));
+                i * 10
+            });
+            let want: Vec<u64> = (0..24).map(|i| i * 10).collect();
+            assert_eq!(out, want, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn consecutive_maps_see_each_others_effects() {
+        // Every task of a map completes before the call returns.
+        let pool = Pool::new(2);
+        let acc = AtomicU64::new(0);
+        for round in 1..=10u64 {
+            let before = acc.load(Ordering::Relaxed);
+            pool.map([round], |r| acc.fetch_add(r, Ordering::Relaxed));
+            assert_eq!(acc.load(Ordering::Relaxed), before + round);
+        }
+        assert_eq!(acc.load(Ordering::Relaxed), 55);
     }
 
     #[test]
     fn task_panic_propagates_after_all_tasks_finish() {
         let pool = Pool::new(2);
-        let finished = Arc::new(AtomicU64::new(0));
+        let finished = AtomicU64::new(0);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                for i in 0..16 {
-                    let finished = Arc::clone(&finished);
-                    s.spawn(move |_| {
-                        if i == 5 {
-                            panic!("boom");
-                        }
-                        std::thread::sleep(Duration::from_millis(1));
-                        finished.fetch_add(1, Ordering::Relaxed);
-                    });
+            pool.map(0..16, |i| {
+                if i == 5 {
+                    panic!("boom");
                 }
+                std::thread::sleep(Duration::from_millis(1));
+                finished.fetch_add(1, Ordering::Relaxed);
             });
         }));
         assert!(result.is_err(), "panic must surface");
@@ -400,54 +370,36 @@ mod tests {
     }
 
     #[test]
-    fn nested_pool_scope_on_worker_thread_does_not_deadlock() {
-        // A task opening a whole new Pool::scope on the (only) worker
-        // thread: wait_done must help-execute instead of blocking.
+    fn nested_map_on_a_one_worker_pool_does_not_deadlock() {
+        // A task running a whole new map on the (only) worker thread:
+        // the inner wait must help-execute instead of blocking.
         let pool = Pool::new(1);
-        let done = AtomicU64::new(0);
-        let pool_ref = &pool;
-        let done_ref = &done;
-        pool.scope(|s| {
-            s.spawn(move |_| {
-                pool_ref.scope(|inner| {
-                    inner.spawn(move |_| {
-                        done_ref.fetch_add(1, Ordering::Relaxed);
-                    });
-                });
-                done_ref.fetch_add(10, Ordering::Relaxed);
-            });
+        let out = pool.map(0..4u64, |i| {
+            pool.map(0..4u64, |j| i * 4 + j).iter().sum::<u64>()
         });
-        assert_eq!(done.load(Ordering::Relaxed), 11);
+        assert_eq!(out, [6, 22, 38, 54]);
     }
 
     #[test]
     fn stress_many_small_tasks() {
         let pool = Pool::new(4);
         let counter = AtomicU64::new(0);
-        pool.scope(|s| {
-            for _ in 0..5_000 {
-                s.spawn(|_| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
+        pool.map(0..5_000, |_| counter.fetch_add(1, Ordering::Relaxed));
         assert_eq!(counter.load(Ordering::Relaxed), 5_000);
     }
 
     #[test]
-    fn a_spawner_that_does_not_help_is_never_stranded() {
-        // The spawning thread blocks on the task's result instead of
-        // helping, so only a worker woken by the spawn can run it: a
-        // lost wakeup leaves the worker asleep and times out here.
+    fn every_worker_wakes_for_a_queued_task() {
+        // One task per worker plus one for the helping caller, all held
+        // at one barrier: each thread can run only one of them, so the
+        // barrier opens only if every worker was woken by its task. A
+        // lost wakeup leaves a worker asleep and times out here.
         for workers in [1, 2] {
             let pool = Pool::new(workers);
             for round in 0..1000u32 {
-                pool.scope(|s| {
-                    let (tx, rx) = std::sync::mpsc::channel();
-                    s.spawn(move |_| tx.send(round).unwrap());
-                    let got = rx.recv_timeout(Duration::from_secs(5));
-                    assert_eq!(got, Ok(round), "{workers} workers, round {round}");
-                });
+                let barrier = TimedBarrier::new(workers + 1);
+                let met = pool.map(0..=workers, |_| barrier.wait(Duration::from_secs(5)));
+                assert!(met.iter().all(|&m| m), "{workers} workers, round {round}");
             }
         }
     }
@@ -457,29 +409,24 @@ mod tests {
     fn idle_workers_sleep_without_polling() {
         use std::path::{Path, PathBuf};
         let pool = Pool::new(2);
-        // Two tasks that wait for each other must run on both workers
-        // (the scope's owner does not help until its closure returns);
-        // each records its thread's `/proc/self/task/<tid>` directory.
-        let both = std::sync::Barrier::new(2);
-        let dirs = Mutex::new(Vec::new());
-        pool.scope(|s| {
-            for _ in 0..2 {
-                s.spawn(|_| {
-                    let tid = std::fs::read_link("/proc/thread-self").unwrap();
-                    let dir = Path::new("/proc/self/task").join(tid.file_name().unwrap());
-                    dirs.lock().unwrap().push(dir);
-                    both.wait();
-                });
-            }
-            while dirs.lock().unwrap().len() < 2 {
-                std::thread::yield_now();
-            }
+        // Three tasks held at one barrier run on both workers and the
+        // helping caller; each records its thread's
+        // `/proc/self/task/<tid>` directory and name.
+        let barrier = TimedBarrier::new(3);
+        let threads = pool.map(0..3, |_| {
+            let tid = std::fs::read_link("/proc/thread-self").unwrap();
+            let dir = Path::new("/proc/self/task").join(tid.file_name().unwrap());
+            let comm = std::fs::read_to_string(dir.join("comm")).unwrap();
+            assert!(barrier.wait(Duration::from_secs(5)), "barrier timed out");
+            (dir, comm)
         });
-        let dirs = dirs.into_inner().unwrap();
+        let dirs: Vec<PathBuf> = threads
+            .into_iter()
+            .filter(|(_, comm)| comm.starts_with("pool-worker-"))
+            .map(|(dir, _)| dir)
+            .collect();
+        assert_eq!(dirs.len(), 2, "both workers ran a task");
         let read = |dir: &PathBuf, file| std::fs::read_to_string(dir.join(file)).unwrap();
-        for dir in &dirs {
-            assert!(read(dir, "comm").starts_with("pool-worker-"), "{dir:?}");
-        }
         // Voluntary plus involuntary context switches of both workers.
         let switches = || -> u64 {
             let status: String = dirs.iter().map(|dir| read(dir, "status")).collect();
@@ -507,9 +454,7 @@ mod tests {
     #[test]
     fn dropping_an_idle_pool_joins_cleanly() {
         let pool = Pool::new(3);
-        pool.scope(|s| {
-            s.spawn(|_| {});
-        });
+        pool.map([()], |()| {});
         drop(pool);
     }
 }

@@ -17,6 +17,7 @@ use crate::runtime::{
 };
 use minic::ast::BinOp;
 use minic::types::MAX_STATIC_WORDS;
+use std::cell::Cell;
 use std::collections::HashMap;
 
 struct Frame {
@@ -54,15 +55,16 @@ struct Vm<'a, T: MemTap> {
     func_cost: Vec<u64>,
 }
 
-/// Reusable per-run VM buffers: the data image copy, stack, register
+/// Recycled per-run VM buffers: the data image copy, stack, register
 /// file, frame stack, dense edge counters, the count-rebuild balance
 /// array, and builtin string buffers. One run of a ~12k-step
-/// generated program otherwise pays ten-plus allocations; a corpus
-/// run re-executing thousands of programs on one scratch pays them
-/// once and then only grows to the high-water mark. Buffers that escape into the [`RunOutcome`]
+/// generated program otherwise pays ten-plus allocations; each thread
+/// keeps one set ([`SCRATCH`]), so a corpus worker re-executing
+/// thousands of programs pays them once and then only grows to its
+/// high-water mark. Buffers that escape into the [`RunOutcome`]
 /// (profile vectors, output) still allocate per run.
 #[derive(Default)]
-pub struct ExecScratch {
+struct ExecScratch {
     data: Vec<Value>,
     stack: Vec<Value>,
     regs: Vec<Value>,
@@ -74,13 +76,9 @@ pub struct ExecScratch {
 
 impl ExecScratch {
     /// Releases any buffer whose capacity grew past `max_elems`
-    /// elements. Scratches were built for one-shot corpus runs, where
-    /// growing to the corpus high-water mark is the whole point; a
-    /// resident service that keeps scratches for its process lifetime
-    /// must instead shed the occasional deep-recursion or huge-program
-    /// outlier, or every worker permanently retains the worst case it
-    /// ever executed.
-    pub fn trim(&mut self, max_elems: usize) {
+    /// elements, so a thread that once ran a deep-recursion or
+    /// huge-program outlier does not keep its worst case for life.
+    fn trim(&mut self, max_elems: usize) {
         fn shed<T>(v: &mut Vec<T>, cap: usize) {
             if v.capacity() > cap {
                 *v = Vec::new();
@@ -96,9 +94,9 @@ impl ExecScratch {
     }
 
     /// The largest element capacity across the recycled buffers —
-    /// what [`ExecScratch::trim`] bounds; exposed so lifetime tests
-    /// can assert the bound without reaching into the fields.
-    pub fn high_water(&self) -> usize {
+    /// what [`ExecScratch::trim`] bounds.
+    #[cfg(test)]
+    fn high_water(&self) -> usize {
         self.data
             .capacity()
             .max(self.stack.capacity())
@@ -110,12 +108,37 @@ impl ExecScratch {
     }
 }
 
+/// Cap on recycled buffer capacity (elements): a buffer that grew
+/// past it in one run is dropped instead of kept for the thread's
+/// lifetime.
+const SCRATCH_TRIM_ELEMS: usize = 1 << 20;
+
+thread_local! {
+    /// This thread's recycled VM buffers. A run takes them out and
+    /// puts them back, trimmed, whether it succeeds or fails.
+    static SCRATCH: Cell<ExecScratch> = Cell::new(ExecScratch::default());
+}
+
 /// The generic engine: runs `cp` with `tap` observing every
-/// data-segment access. With [`NoTap`](crate::reuse::NoTap) this
-/// monomorphizes to the probe-free fast path; with an active tap every
-/// register/frame/data accessor additionally switches to checked
-/// indexing (see the accessor comments below).
+/// data-segment access, on this thread's recycled buffers. With
+/// [`NoTap`](crate::reuse::NoTap) this monomorphizes to the probe-free
+/// fast path; with an active tap every register/frame/data accessor
+/// additionally switches to checked indexing (see the accessor
+/// comments below).
 pub(super) fn execute<T: MemTap>(
+    cp: &CompiledProgram,
+    config: &RunConfig,
+    tap: &mut T,
+) -> Result<RunOutcome, RuntimeError> {
+    let mut scratch = SCRATCH.take();
+    let out = execute_on(cp, config, &mut scratch, tap);
+    scratch.trim(SCRATCH_TRIM_ELEMS);
+    SCRATCH.set(scratch);
+    out
+}
+
+/// [`execute`] on the buffers in `scratch`.
+fn execute_on<T: MemTap>(
     cp: &CompiledProgram,
     config: &RunConfig,
     scratch: &mut ExecScratch,
@@ -1427,4 +1450,75 @@ pub fn arith(mode: ArithMode, va: Value, vb: Value) -> Result<Value, RuntimeErro
             Lt | Le | Gt | Ge | Eq | Ne => unreachable!("comparisons use Cmp mode"),
         },
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn compiled(src: &str) -> CompiledProgram {
+        let module = minic::compile(src).expect("valid MiniC");
+        super::super::compile(&flowgraph::build_program(module))
+    }
+
+    #[test]
+    fn trim_sheds_outlier_capacity_and_keeps_the_rest() {
+        // Deep recursion grows the frame and data stacks; trim must
+        // bring oversized buffers back down while leaving modest ones be.
+        let deep = compiled(
+            "int f(int n) { if (n <= 0) return 0; return f(n - 1) + 1; }
+             int main(void) { return f(5000) & 255; }",
+        );
+        let cfg = RunConfig::default();
+        let mut scratch = ExecScratch::default();
+        execute_on(&deep, &cfg, &mut scratch, &mut crate::reuse::NoTap).unwrap();
+        let grown = scratch.high_water();
+        assert!(
+            grown > 1024,
+            "expected the run to grow the buffers, got {grown}"
+        );
+        scratch.trim(usize::MAX);
+        assert_eq!(
+            scratch.high_water(),
+            grown,
+            "trim under the bound is a no-op"
+        );
+        scratch.trim(1024);
+        assert!(
+            scratch.high_water() <= 1024,
+            "trim left {}",
+            scratch.high_water()
+        );
+        // Trimmed buffers still run correctly.
+        let out = execute_on(&deep, &cfg, &mut scratch, &mut crate::reuse::NoTap).unwrap();
+        assert_eq!(out.exit_code, 5000 & 255);
+    }
+
+    #[test]
+    fn a_thread_keeps_its_buffers_within_the_trim_bound() {
+        // A local array past the bound grows the stack past it; the
+        // run's buffers go back trimmed, and a small run after it
+        // reuses what is left.
+        let big = compiled("int main(void) { int a[1100000]; a[1099999] = 7; return a[1099999]; }");
+        let small =
+            compiled("int main(void) { int i, s = 0; for (i = 0; i < 9; i++) s += i; return s; }");
+        std::thread::spawn(move || {
+            let cfg = RunConfig::default();
+            assert_eq!(big.execute(&cfg, None).unwrap().exit_code, 7);
+            let kept = SCRATCH.take();
+            assert!(
+                kept.high_water() <= SCRATCH_TRIM_ELEMS,
+                "{}",
+                kept.high_water()
+            );
+            SCRATCH.set(kept);
+            assert_eq!(small.execute(&cfg, None).unwrap().exit_code, 36);
+            assert!(
+                SCRATCH.take().high_water() > 0,
+                "the small run's buffers were kept"
+            );
+        })
+        .join()
+        .unwrap();
+    }
 }

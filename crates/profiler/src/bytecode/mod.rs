@@ -39,7 +39,7 @@ mod fuse;
 mod place;
 mod verify;
 
-pub use exec::{arith, cmp_vals, ExecScratch};
+pub use exec::{arith, cmp_vals};
 pub use fuse::fuse_pair;
 pub use place::{CounterPlan, Peel};
 pub use verify::verify;
@@ -992,10 +992,9 @@ impl CompiledProgram {
     /// error — the proptest oracle in `tests/vm_oracle.rs` checks
     /// profile-for-profile equality on random programs.
     ///
-    /// `scratch` holds the VM's reusable buffers: drivers that execute
-    /// many programs or inputs back-to-back keep one [`ExecScratch`]
-    /// per worker and skip the per-run stack / register / counter
-    /// allocations; one-shot callers pass `&mut ExecScratch::default()`.
+    /// The VM's stack, register, counter and string buffers are
+    /// recycled per thread: back-to-back runs on one thread (a pool
+    /// worker profiling input after input) allocate them once.
     ///
     /// With `trace`, every *data-segment* access (globals, string
     /// literals, `malloc` storage — never VM stack traffic) also feeds
@@ -1016,7 +1015,6 @@ impl CompiledProgram {
     pub fn execute(
         &self,
         config: &RunConfig,
-        scratch: &mut ExecScratch,
         trace: Option<&mut ReuseCollector>,
     ) -> Result<RunOutcome, RuntimeError> {
         // One span per run; the dispatch loop itself is never probed —
@@ -1024,10 +1022,10 @@ impl CompiledProgram {
         // after the fact.
         let _sp = obs::span("profiler.execute");
         let (out, traced) = match trace {
-            None => (exec::execute(self, config, scratch, &mut NoTap), None),
+            None => (exec::execute(self, config, &mut NoTap), None),
             Some(tap) => {
                 let before = tap.events;
-                let out = exec::execute(self, config, scratch, &mut *tap);
+                let out = exec::execute(self, config, &mut *tap);
                 (out, Some(tap.events - before))
             }
         };
@@ -1124,7 +1122,7 @@ pub fn compile(program: &Program) -> CompiledProgram {
 /// assert_eq!(out.exit_code, 0);
 /// ```
 pub fn run(program: &Program, config: &RunConfig) -> Result<RunOutcome, RuntimeError> {
-    compile(program).execute(config, &mut ExecScratch::default(), None)
+    compile(program).execute(config, None)
 }
 
 #[cfg(test)]

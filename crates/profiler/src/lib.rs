@@ -37,7 +37,7 @@ pub mod profile;
 pub mod reuse;
 pub mod runtime;
 
-pub use bytecode::{compile, run, CompiledProgram, ExecScratch};
+pub use bytecode::{compile, run, CompiledProgram};
 pub use interp::{run_ast, run_ast_traced};
 pub use profile::{aggregate, AggregateProfile, Profile};
 pub use reuse::{ObjectMap, ReuseCollector, ReuseTrace};

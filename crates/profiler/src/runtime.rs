@@ -587,9 +587,9 @@ impl<T: MemTap> Memory<T> {
 }
 
 /// The C library's three reusable string buffers: two operands and
-/// one formatted result. The VM keeps them across runs in its
-/// `ExecScratch`, so a `printf` or `strcmp` allocates nothing once
-/// they have grown.
+/// one formatted result. The VM keeps them across runs with its other
+/// per-thread recycled buffers, so a `printf` or `strcmp` allocates
+/// nothing once they have grown.
 #[derive(Default)]
 pub(crate) struct StrBufs {
     a: String,
@@ -608,6 +608,7 @@ impl StrBufs {
     }
 
     /// The largest buffer capacity.
+    #[cfg(test)]
     pub(crate) fn high_water(&self) -> usize {
         self.a
             .capacity()

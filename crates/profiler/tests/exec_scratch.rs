@@ -1,13 +1,13 @@
-//! `ExecScratch` reuse and the post-fold IR fingerprint: a shared
-//! scratch across dissimilar programs, traced or not, must be
-//! invisible in every observable output and every reuse trace (the
-//! corpus engine reuses one scratch per worker across thousands of
-//! programs), and the fingerprint must separate observationally
-//! different programs while collapsing identical IR.
+//! Recycled VM buffers and the post-fold IR fingerprint: the buffers
+//! a thread keeps across runs of dissimilar programs, traced or not,
+//! must be invisible in every observable output and every reuse trace
+//! (a corpus worker reuses them across thousands of programs), and the
+//! fingerprint must separate observationally different programs while
+//! collapsing identical IR.
 
 use profiler::{
-    compile, CompiledProgram, ExecScratch, ObjectMap, ReuseCollector, ReuseTrace, RunConfig,
-    RunOutcome, RuntimeError,
+    compile, CompiledProgram, ObjectMap, ReuseCollector, ReuseTrace, RunConfig, RunOutcome,
+    RuntimeError,
 };
 
 fn compiled(src: &str) -> CompiledProgram {
@@ -19,20 +19,24 @@ fn objects(src: &str) -> ObjectMap {
     ObjectMap::for_module(&minic::compile(src).expect("valid MiniC"))
 }
 
-/// An untraced run on a fresh scratch: the reference outcome.
-fn fresh(cp: &CompiledProgram, cfg: &RunConfig) -> Result<RunOutcome, RuntimeError> {
-    cp.execute(cfg, &mut ExecScratch::default(), None)
+/// Runs `f` on a new thread, which starts with no recycled buffers.
+fn on_new_thread<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+    std::thread::scope(|s| s.spawn(f).join().unwrap())
 }
 
-/// A traced run on `scratch` with a fresh collector.
+/// An untraced run on fresh buffers: the reference outcome.
+fn fresh(cp: &CompiledProgram, cfg: &RunConfig) -> Result<RunOutcome, RuntimeError> {
+    on_new_thread(|| cp.execute(cfg, None))
+}
+
+/// A traced run on this thread's buffers with a fresh collector.
 fn traced(
     cp: &CompiledProgram,
     objects: &ObjectMap,
     cfg: &RunConfig,
-    scratch: &mut ExecScratch,
 ) -> (Result<RunOutcome, RuntimeError>, ReuseTrace) {
     let mut tap = ReuseCollector::new(objects.clone());
-    let out = cp.execute(cfg, scratch, Some(&mut tap));
+    let out = cp.execute(cfg, Some(&mut tap));
     (out, tap.finish())
 }
 
@@ -74,7 +78,7 @@ fn assert_same(a: &Result<RunOutcome, RuntimeError>, b: &Result<RunOutcome, Runt
             assert_eq!(x.profile, y.profile);
         }
         (Err(x), Err(y)) => assert_eq!(x, y),
-        _ => panic!("fresh vs reused scratch diverged: {a:?} vs {b:?}"),
+        _ => panic!("fresh vs recycled buffers diverged: {a:?} vs {b:?}"),
     }
 }
 
@@ -83,26 +87,22 @@ fn reused_scratch_is_observationally_invisible() {
     let big = compiled(BUSY);
     let small = compiled(SMALL);
     let cfg = RunConfig::default();
-    // One shared scratch ping-ponged between programs of different
+    // This thread's buffers ping-ponged between programs of different
     // shapes (so every buffer shrinks and regrows), checked against a
-    // fresh execute each time.
-    let mut scratch = ExecScratch::default();
+    // run on a new thread each time.
     for _ in 0..3 {
-        assert_same(&fresh(&big, &cfg), &big.execute(&cfg, &mut scratch, None));
-        assert_same(
-            &fresh(&small, &cfg),
-            &small.execute(&cfg, &mut scratch, None),
-        );
+        assert_same(&fresh(&big, &cfg), &big.execute(&cfg, None));
+        assert_same(&fresh(&small, &cfg), &small.execute(&cfg, None));
     }
 
     // Traced runs (checked indexing, a live tap) alternate with
-    // untraced ones on the same scratch: every outcome matches a fresh
+    // untraced ones on the same buffers: every outcome matches a fresh
     // untraced run and every trace a fresh traced run.
     let programs = [(&big, objects(BUSY)), (&small, objects(SMALL))];
     let refs: Vec<_> = programs
         .iter()
         .map(|(cp, objs)| {
-            let (out, trace) = traced(cp, objs, &cfg, &mut ExecScratch::default());
+            let (out, trace) = on_new_thread(|| traced(cp, objs, &cfg));
             assert_same(&fresh(cp, &cfg), &out);
             assert!(trace.events > 0, "the program touches its data segment");
             trace
@@ -112,11 +112,11 @@ fn reused_scratch_is_observationally_invisible() {
         for (i, ((cp, objs), want_trace)) in programs.iter().zip(&refs).enumerate() {
             let want = fresh(cp, &cfg);
             if (round + i) % 2 == 0 {
-                let (out, trace) = traced(cp, objs, &cfg, &mut scratch);
+                let (out, trace) = traced(cp, objs, &cfg);
                 assert_same(&want, &out);
-                assert_eq!(&trace, want_trace, "shared scratch perturbed the trace");
+                assert_eq!(&trace, want_trace, "recycled buffers perturbed the trace");
             } else {
-                assert_same(&want, &cp.execute(&cfg, &mut scratch, None));
+                assert_same(&want, &cp.execute(&cfg, None));
             }
         }
     }
@@ -127,11 +127,10 @@ fn reused_scratch_survives_a_runtime_error() {
     let trap = compiled("int main(void) { int z = 0; return 1 / z; }");
     let ok = compiled(SMALL);
     let cfg = RunConfig::default();
-    let mut scratch = ExecScratch::default();
-    assert!(trap.execute(&cfg, &mut scratch, None).is_err());
-    // The error path must still recycle the buffers and leave the
-    // scratch usable.
-    assert_same(&fresh(&ok, &cfg), &ok.execute(&cfg, &mut scratch, None));
+    assert!(trap.execute(&cfg, None).is_err());
+    // The error path must still recycle the buffers and leave them
+    // usable.
+    assert_same(&fresh(&ok, &cfg), &ok.execute(&cfg, None));
 }
 
 #[test]

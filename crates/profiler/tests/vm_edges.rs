@@ -6,7 +6,7 @@
 //! also cross-checks the AST walker so the two engines can't drift
 //! apart on these paths.
 
-use profiler::{run, run_ast, ExecScratch, RunConfig, RunOutcome, RuntimeError};
+use profiler::{run, run_ast, RunConfig, RunOutcome, RuntimeError};
 
 fn program(src: &str) -> flowgraph::Program {
     let module = minic::compile(src).expect("valid MiniC");
@@ -424,11 +424,7 @@ fn compile_once_execute_many_inputs() {
     let compiled = profiler::compile(&p);
     for (input, want) in [("7", 7), ("19", 19), ("305", 305)] {
         let out = compiled
-            .execute(
-                &RunConfig::with_input(input),
-                &mut ExecScratch::default(),
-                None,
-            )
+            .execute(&RunConfig::with_input(input), None)
             .expect("runs clean");
         assert_eq!(out.exit_code, want);
     }

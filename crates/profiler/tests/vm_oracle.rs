@@ -12,7 +12,7 @@
 //! function pointers, global array traffic, `getchar` consuming a
 //! random input, and string builtins.
 
-use profiler::{run, run_ast, run_ast_traced, ExecScratch, ObjectMap, ReuseCollector, RunConfig};
+use profiler::{run, run_ast, run_ast_traced, ObjectMap, ReuseCollector, RunConfig};
 use proptest::test_runner::ProptestConfig;
 use proptest::{proptest, Strategy, TestRng};
 
@@ -217,7 +217,7 @@ proptest! {
         let plain = run(&program, &config);
         let mut tap = ReuseCollector::new(ObjectMap::for_module(&program.module));
         let vm = profiler::compile(&program)
-            .execute(&config, &mut ExecScratch::default(), Some(&mut tap))
+            .execute(&config, Some(&mut tap))
             .map(|out| (out, tap.finish()));
         let ast = run_ast_traced(&program, &config);
         match (vm, ast) {

@@ -274,7 +274,7 @@ impl<'p> Scanner<'p> {
         } else if let Some(gid) = access::scalar_global(self.module, lhs) {
             self.emit_scalar(gid, mult);
         } else {
-            access::for_each_child(lhs, &mut |c| self.scan(c));
+            lhs.for_each_child(&mut |c| self.scan(c));
         }
     }
 
@@ -294,7 +294,7 @@ impl<'p> Scanner<'p> {
                     }
                     self.emit_array(&acc, 1.0);
                 } else {
-                    access::for_each_child(e, &mut |c| self.scan(c));
+                    e.for_each_child(&mut |c| self.scan(c));
                 }
             }
             ExprKind::Ident(_) => {
@@ -314,7 +314,7 @@ impl<'p> Scanner<'p> {
                     self.scan(a);
                 }
             }
-            _ => access::for_each_child(e, &mut |c| self.scan(c)),
+            _ => e.for_each_child(&mut |c| self.scan(c)),
         }
     }
 }
@@ -621,7 +621,7 @@ fn collect_mods(module: &Module, b: &Block, out: &mut HashSet<VarRef>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use profiler::{ExecScratch, ReuseCollector, RunConfig};
+    use profiler::{ReuseCollector, RunConfig};
 
     fn program(src: &str) -> Program {
         let module = minic::compile(src).expect("valid MiniC");
@@ -701,11 +701,7 @@ mod tests {
         let est = estimate(&p);
         let mut tap = ReuseCollector::new(ObjectMap::for_module(&p.module));
         profiler::compile(&p)
-            .execute(
-                &RunConfig::default(),
-                &mut ExecScratch::default(),
-                Some(&mut tap),
-            )
+            .execute(&RunConfig::default(), Some(&mut tap))
             .expect("runs");
         let trace = tap.finish();
         let s = score(&est, &trace);

@@ -6,7 +6,7 @@
 //! deliberately conservative — the point is to catch regressions in
 //! the model, not to freeze today's exact scores.
 
-use profiler::{ExecScratch, ReuseCollector, RunConfig};
+use profiler::{ReuseCollector, RunConfig};
 use reuse::{estimate, score};
 
 fn traced_score(name: &str) -> f64 {
@@ -24,7 +24,7 @@ fn traced_score(name: &str) -> f64 {
         };
         let mut tap = ReuseCollector::new(objects.clone());
         compiled
-            .execute(&config, &mut ExecScratch::default(), Some(&mut tap))
+            .execute(&config, Some(&mut tap))
             .expect("suite program runs");
         let trace = tap.finish();
         match &mut merged {
@@ -63,25 +63,15 @@ fn merged_trace_is_identical_at_any_pool_size() {
 
     let merged_with = |threads: usize| {
         let pool = pool::Pool::new(threads);
-        let mut slots: Vec<Option<profiler::ReuseTrace>> = Vec::new();
-        slots.resize_with(inputs.len(), || None);
-        pool.scope(|s| {
-            for (slot, input) in slots.iter_mut().zip(&inputs) {
-                let compiled = &compiled;
-                let objects = &objects;
-                s.spawn(move |_| {
-                    let config = RunConfig::with_input(input.clone());
-                    let mut tap = ReuseCollector::new(objects.clone());
-                    compiled
-                        .execute(&config, &mut ExecScratch::default(), Some(&mut tap))
-                        .expect("runs");
-                    *slot = Some(tap.finish());
-                });
-            }
+        let traces = pool.map(&inputs, |input| {
+            let config = RunConfig::with_input(input.clone());
+            let mut tap = ReuseCollector::new(objects.clone());
+            compiled.execute(&config, Some(&mut tap)).expect("runs");
+            tap.finish()
         });
         let mut merged = profiler::ReuseTrace::empty(&objects);
-        for t in slots.into_iter().flatten() {
-            merged.merge(&t);
+        for t in &traces {
+            merged.merge(t);
         }
         merged
     };

@@ -51,7 +51,7 @@ use minic::ast::{Item, Unit};
 use minic::pretty::print_item;
 use minic::sema::{FuncId, Module};
 use obs::hash::Fnv128;
-use profiler::{CompiledProgram, ExecScratch, Profile, RunConfig};
+use profiler::{CompiledProgram, Profile, RunConfig};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
@@ -153,17 +153,9 @@ impl DbError {
     }
 }
 
-/// Cached per-function derived artifacts (block frequencies per intra
-/// estimator). The CFG itself lives in the entry's assembled
-/// [`Program`]; reuse lifts it from there.
-struct FnArt {
-    fp: u128,
-    intra: [Vec<f64>; 3],
-}
-
 /// One resident program: the assembled pipeline state at its current
-/// revision, plus the per-function artifact layer the next update
-/// draws from.
+/// revision, plus the per-function fingerprints that tell the next
+/// update which of its CFGs and intra estimates it can reuse.
 pub struct ProgramEntry {
     /// The program's name in the database.
     pub name: String,
@@ -181,7 +173,8 @@ pub struct ProgramEntry {
     /// the five inter estimators built on smart.
     pub estimates: Estimates,
     ctx_fp: u128,
-    fn_arts: HashMap<String, FnArt>,
+    /// Content fingerprint of every defined function, by name.
+    fn_fps: HashMap<String, u128>,
     inputs: Vec<Vec<u8>>,
     compiled: OnceLock<Arc<CompiledProgram>>,
     profiles: Mutex<HashMap<Vec<u8>, Arc<Profile>>>,
@@ -213,20 +206,14 @@ impl ProgramEntry {
 }
 
 /// The resident incremental database: named programs, a worker pool
-/// for per-function fan-out, an optional content-addressed cache
-/// backing the profile layer, and a scratch-buffer pool for the VM.
+/// for per-function fan-out, and an optional content-addressed cache
+/// backing the profile layer.
 pub struct ServeDb {
     pool: Arc<pool::Pool>,
     cache: Option<Cache>,
     programs: RwLock<BTreeMap<String, Arc<ProgramEntry>>>,
-    scratches: Mutex<Vec<ExecScratch>>,
     totals: Mutex<WorkCounters>,
 }
-
-/// Cap on recycled VM scratch-buffer capacity (elements): buffers that
-/// grew past this in one outlier run are shed when returned to the
-/// pool rather than retained for the process lifetime.
-const SCRATCH_TRIM_ELEMS: usize = 1 << 20;
 
 impl ServeDb {
     /// A database computing on `jobs` pool workers (`None`: one per
@@ -239,7 +226,6 @@ impl ServeDb {
             pool: Arc::new(pool::Pool::new(threads)),
             cache,
             programs: RwLock::new(BTreeMap::new()),
-            scratches: Mutex::new(Vec::new()),
             totals: Mutex::new(WorkCounters::default()),
         }
     }
@@ -313,71 +299,57 @@ impl ServeDb {
 
         let mut work = WorkCounters::default();
 
-        // Which functions can reuse the previous revision's artifacts.
-        let reusable: Vec<bool> = module
+        // Which functions can reuse the previous revision's artifacts:
+        // the old revision's id of each, by name.
+        let reuse_from: Vec<Option<FuncId>> = module
             .functions
             .iter()
             .map(|f| {
-                f.is_defined()
-                    && old.as_ref().is_some_and(|o| {
-                        o.ctx_fp == ctx_fp
-                            && o.fn_arts.get(&f.name).map(|a| a.fp) == fn_fps.get(&f.name).copied()
-                            && o.program
-                                .module
-                                .function_id(&f.name)
-                                .and_then(|of| o.program.cfg_opt(of))
-                                .is_some()
-                    })
+                let o = old.as_ref()?;
+                let same = f.is_defined()
+                    && o.ctx_fp == ctx_fp
+                    && o.fn_fps.get(&f.name) == fn_fps.get(&f.name);
+                let of = o.program.module.function_id(&f.name)?;
+                (same && o.program.cfg_opt(of).is_some()).then_some(of)
             })
             .collect();
 
         // Phase 1 — CFGs: reuse + remap where fingerprints allow,
-        // lower fresh otherwise, fanning out on the pool. Slots are
-        // merged in function order, so counters and results are
+        // lower fresh otherwise, fanning out on the pool. Results come
+        // back in function order, so counters and results are
         // deterministic for any worker count.
-        let mut cfg_slots: Vec<Option<(Cfg, bool)>> =
-            (0..module.functions.len()).map(|_| None).collect();
-        self.pool.scope(|s| {
-            for (f, slot) in module.functions.iter().zip(cfg_slots.iter_mut()) {
-                if f.body.is_none() {
-                    continue;
-                }
-                let reuse = reusable[f.id.0 as usize];
-                let module = &module;
-                let old = &old;
-                s.spawn(move |_| {
-                    let reused = reuse.then(|| {
-                        let o = old.as_ref().expect("reusable implies old entry");
-                        let of = o
-                            .program
-                            .module
-                            .function_id(&f.name)
-                            .expect("reusable implies old function");
-                        remap_cfg(&o.program, of, module, f.id)
-                    });
-                    *slot = Some(match reused.flatten() {
-                        Some(cfg) => (cfg, true),
-                        None => (flowgraph::lower::lower_function(module, f), false),
-                    });
-                });
+        let defined: Vec<&minic::sema::Function> = module
+            .functions
+            .iter()
+            .filter(|f| f.body.is_some())
+            .collect();
+        let lowered = self.pool.map(&defined, |f| {
+            let reused = reuse_from[f.id.0 as usize].and_then(|of| {
+                let o = old.as_ref().expect("reusable implies old entry");
+                remap_cfg(&o.program, of, &module, f.id)
+            });
+            match reused {
+                Some(cfg) => (cfg, true),
+                None => (flowgraph::lower::lower_function(&module, f), false),
             }
         });
-        let mut cfgs: Vec<Option<Cfg>> = Vec::with_capacity(cfg_slots.len());
-        for slot in cfg_slots {
-            match slot {
-                Some((cfg, reused)) => {
-                    let blocks = cfg.blocks.len() as u64;
-                    if reused {
-                        work.funcs_reused += 1;
-                        work.blocks_reused += blocks;
-                    } else {
-                        work.funcs_lowered += 1;
-                        work.blocks_lowered += blocks;
-                    }
-                    cfgs.push(Some(cfg));
-                }
-                None => cfgs.push(None),
+        let mut lowered = lowered.into_iter();
+        let mut cfgs: Vec<Option<Cfg>> = Vec::with_capacity(module.functions.len());
+        for f in &module.functions {
+            if f.body.is_none() {
+                cfgs.push(None);
+                continue;
             }
+            let (cfg, reused) = lowered.next().expect("one CFG per defined function");
+            let blocks = cfg.blocks.len() as u64;
+            if reused {
+                work.funcs_reused += 1;
+                work.blocks_reused += blocks;
+            } else {
+                work.funcs_lowered += 1;
+                work.blocks_lowered += blocks;
+            }
+            cfgs.push(Some(cfg));
         }
 
         // Phase 2 — assemble the program and rebuild the call graph
@@ -393,51 +365,47 @@ impl ServeDb {
         // Phase 3 — intra estimates: cached frequencies are reused per
         // (function, estimator); everything else is solved on the pool.
         let options = IntraOptions::default();
-        let n_funcs = program.module.functions.len();
-        let mut intra_slots: Vec<[Option<Vec<f64>>; 3]> =
-            (0..n_funcs).map(|_| [None, None, None]).collect();
-        self.pool.scope(|s| {
-            for (fi, slots) in intra_slots.iter_mut().enumerate() {
-                let f = &program.module.functions[fi];
-                if f.body.is_none() {
-                    continue;
+        let solves: Vec<(&minic::sema::Function, usize)> = program
+            .module
+            .functions
+            .iter()
+            .filter(|f| f.body.is_some())
+            .flat_map(|f| (0..IntraEstimator::ALL.len()).map(move |ei| (f, ei)))
+            .collect();
+        let solved = self
+            .pool
+            .map(solves, |(f, ei)| match reuse_from[f.id.0 as usize] {
+                Some(of) => {
+                    let o = old.as_ref().expect("reusable implies old entry");
+                    o.estimates.intra[ei].block_freqs[of.0 as usize].clone()
                 }
-                let reuse = reusable[fi];
-                let program = &program;
-                let predictions = &predictions;
-                let options = &options;
-                let old = &old;
-                for (ei, slot) in slots.iter_mut().enumerate() {
-                    s.spawn(move |_| {
-                        if reuse {
-                            let o = old.as_ref().expect("reusable implies old entry");
-                            *slot = Some(o.fn_arts[&f.name].intra[ei].clone());
-                        } else {
-                            *slot = Some(estimate_function_with(
-                                program,
-                                f.id,
-                                IntraEstimator::ALL[ei],
-                                predictions,
-                                options,
-                            ));
-                        }
-                    });
-                }
-            }
-        });
+                None => estimate_function_with(
+                    &program,
+                    f.id,
+                    IntraEstimator::ALL[ei],
+                    &predictions,
+                    &options,
+                ),
+            });
+        let mut solved = solved.into_iter();
         let mut block_freqs: [Vec<Vec<f64>>; 3] = Default::default();
-        for (fi, slots) in intra_slots.into_iter().enumerate() {
-            let defined = program.module.functions[fi].is_defined();
-            for (ei, slot) in slots.into_iter().enumerate() {
-                let freqs = slot.unwrap_or_default();
-                if defined {
-                    if reusable[fi] {
+        for f in &program.module.functions {
+            for column in &mut block_freqs {
+                let freqs = if f.body.is_some() {
+                    solved
+                        .next()
+                        .expect("one solve per defined function and estimator")
+                } else {
+                    Vec::new()
+                };
+                if f.is_defined() {
+                    if reuse_from[f.id.0 as usize].is_some() {
                         work.solves_reused += freqs.len() as u64;
                     } else {
                         work.blocks_solved += freqs.len() as u64;
                     }
                 }
-                block_freqs[ei].push(freqs);
+                column.push(freqs);
             }
         }
         let intra = IntraEstimator::ALL.map(|which| IntraEstimates {
@@ -454,25 +422,7 @@ impl ServeDb {
             (program.module.functions.len() + program.module.side.call_sites.len()) as u64;
         work.inter_units = inter_unit * InterEstimator::ALL.len() as u64;
 
-        // Phase 5 — refresh the per-function artifact layer for the
-        // next update, and publish the new revision.
-        let mut fn_arts = HashMap::new();
-        for f in &program.module.functions {
-            if !f.is_defined() {
-                continue;
-            }
-            let fid = f.id.0 as usize;
-            fn_arts.insert(
-                f.name.clone(),
-                FnArt {
-                    fp: fn_fps.get(&f.name).copied().unwrap_or(0),
-                    intra: estimates
-                        .intra
-                        .each_ref()
-                        .map(|ia| ia.block_freqs[fid].clone()),
-                },
-            );
-        }
+        // Phase 5 — publish the new revision.
         let fingerprint = {
             let mut h = fp::hasher();
             h.word(ctx_fp as u64);
@@ -501,7 +451,7 @@ impl ServeDb {
             last_work: work,
             estimates,
             ctx_fp,
-            fn_arts,
+            fn_fps,
             inputs,
             compiled: OnceLock::new(),
             profiles: Mutex::new(HashMap::new()),
@@ -557,21 +507,9 @@ impl ServeDb {
                 let compiled = entry
                     .compiled
                     .get_or_init(|| Arc::new(profiler::compile(&entry.program)));
-                let mut scratch = self
-                    .scratches
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .pop()
-                    .unwrap_or_default();
-                let out = compiled.execute(&config, &mut scratch, None);
-                // Return the scratch before error handling so a failing
-                // run doesn't leak it; shed outlier capacity either way.
-                scratch.trim(SCRATCH_TRIM_ELEMS);
-                self.scratches
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push(scratch);
-                out.map(|out| out.profile)
+                compiled
+                    .execute(&config, None)
+                    .map(|out| out.profile)
                     .map_err(|e| DbError::Runtime(e.to_string()))
             },
         )?;

@@ -7,16 +7,15 @@
 //!   back until drop would stay invisible to other processes (and be
 //!   lost on a crash). Every profile the service computes must be on
 //!   disk by the time its response goes out.
-//! - the VM's `ExecScratch` retains its high-water capacity forever —
-//!   fine for a one-shot run, unbounded for a daemon that profiles one
-//!   pathological program among thousands of small ones. The service's
-//!   scratch pool must shed outlier capacity.
+//! - the VM's recycled buffers would keep their high-water capacity
+//!   forever — fine for a one-shot run, unbounded for a daemon that
+//!   profiles one pathological program among thousands of small ones.
+//!   The profiler trims them after every run; its unit tests pin that.
 //!
 //! Plus the basic residency property: concurrent profile requests
 //! against a shared database produce the same bytes as serial ones.
 
 use cache::Cache;
-use profiler::{ExecScratch, RunConfig};
 use serve::db::ServeDb;
 use serve::session::Session;
 use std::path::PathBuf;
@@ -63,56 +62,6 @@ fn profile_requests_flush_cache_to_disk() {
         session2.handle(r#"{"sfe":"serve/v1","id":2,"method":"profile","params":{"program":"p"}}"#);
     assert_eq!(out.response, out2.response);
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn scratch_trim_sheds_outlier_capacity() {
-    // Deep recursion grows the frame and data stacks; trim must bring
-    // oversized buffers back down while leaving modest ones be.
-    let src = r#"
-int f(int n) {
-    if (n <= 0) return 0;
-    return f(n - 1) + 1;
-}
-int main(void) {
-    return f(5000) & 255;
-}
-"#;
-    let unit = minic::parser::parse(src).unwrap();
-    let module = minic::sema::analyze(unit).unwrap();
-    let program = flowgraph::build_program(module);
-    let compiled = profiler::compile(&program);
-    let mut scratch = ExecScratch::default();
-    compiled
-        .execute(&RunConfig::default(), &mut scratch, None)
-        .unwrap();
-    let grown = scratch.high_water();
-    assert!(
-        grown > 1024,
-        "expected the run to grow the scratch, got {grown}"
-    );
-
-    scratch.trim(1024);
-    assert!(
-        scratch.high_water() <= 1024,
-        "trim left capacity {} above the bound",
-        scratch.high_water()
-    );
-
-    // Trimmed scratch still executes correctly.
-    let out = compiled
-        .execute(&RunConfig::default(), &mut scratch, None)
-        .unwrap();
-    assert_eq!(out.exit_code, 5000 & 255);
-
-    // Trim is a no-op for buffers under the bound.
-    let mut small = ExecScratch::default();
-    compiled
-        .execute(&RunConfig::default(), &mut small, None)
-        .unwrap();
-    let before = small.high_water();
-    small.trim(usize::MAX);
-    assert_eq!(small.high_water(), before);
 }
 
 #[test]

@@ -17,7 +17,9 @@
 //! | `cholesky`, `mpeg`, `water`, `alvinn`, `ear` | numeric codes with simple control flow |
 //!
 //! Every program has at least four deterministic inputs (§3 evaluated
-//! "four or more" inputs per program).
+//! "four or more" inputs per program). The crate is data only: sources,
+//! inputs and the compile step; `bench::load_program` profiles a
+//! program on its inputs.
 //!
 //! ```
 //! let p = suite::by_name("compress").unwrap();
@@ -31,7 +33,6 @@ pub mod inputs;
 
 use flowgraph::Program;
 use minic::CompileError;
-use profiler::{ExecScratch, Profile, RunConfig, RunOutcome, RuntimeError};
 
 /// One benchmark program: source, metadata, and inputs.
 #[derive(Debug, Clone, Copy)]
@@ -64,71 +65,6 @@ impl BenchProgram {
     /// The standard (deterministic) input set, four or more inputs.
     pub fn inputs(&self) -> Vec<Vec<u8>> {
         inputs::inputs_for(self.name)
-    }
-
-    /// Runs the program on every standard input, returning the
-    /// outcomes (profile + output) in input order.
-    ///
-    /// Equivalent to [`BenchProgram::run_all_on`] with the global
-    /// pool; see there for the execution model.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`RuntimeError`] — suite programs are expected
-    /// to run cleanly on their standard inputs.
-    pub fn run_all(&self, program: &Program) -> Result<Vec<RunOutcome>, RuntimeError> {
-        self.run_all_on(pool::global(), program)
-    }
-
-    /// Runs the program on every standard input as tasks on `pool`.
-    ///
-    /// The program is compiled to bytecode once; the inputs then
-    /// execute as pool tasks against the shared
-    /// [`profiler::CompiledProgram`] (it is immutable — all run state
-    /// lives in the VM). Results come back in input order regardless
-    /// of completion order, and on error the first failing input (in
-    /// input order) wins, so the observable behavior matches a
-    /// sequential loop for any pool size.
-    ///
-    /// # Errors
-    ///
-    /// See [`BenchProgram::run_all`].
-    pub fn run_all_on(
-        &self,
-        pool: &pool::Pool,
-        program: &Program,
-    ) -> Result<Vec<RunOutcome>, RuntimeError> {
-        let _sp = obs::span("suite.run_all");
-        let compiled = profiler::compile(program);
-        let inputs = self.inputs();
-        let mut results: Vec<Option<Result<RunOutcome, RuntimeError>>> = Vec::new();
-        results.resize_with(inputs.len(), || None);
-        pool.scope(|s| {
-            for (slot, input) in results.iter_mut().zip(inputs) {
-                let compiled = &compiled;
-                s.spawn(move |_| {
-                    let config = RunConfig::with_input(input);
-                    *slot = Some(compiled.execute(&config, &mut ExecScratch::default(), None));
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|r| r.expect("pool task filled its slot"))
-            .collect()
-    }
-
-    /// Convenience: profiles only.
-    ///
-    /// # Errors
-    ///
-    /// See [`BenchProgram::run_all`].
-    pub fn profiles(&self, program: &Program) -> Result<Vec<Profile>, RuntimeError> {
-        Ok(self
-            .run_all(program)?
-            .into_iter()
-            .map(|o| o.profile)
-            .collect())
     }
 }
 
@@ -249,17 +185,6 @@ mod tests {
     fn inputs_are_deterministic() {
         for p in all() {
             assert_eq!(p.inputs(), p.inputs(), "{} inputs vary", p.name);
-        }
-    }
-
-    #[test]
-    fn deterministic_profiles() {
-        let bp = by_name("cc").unwrap();
-        let program = bp.compile().unwrap();
-        let a = bp.profiles(&program).unwrap();
-        let b = bp.profiles(&program).unwrap();
-        for (pa, pb) in a.iter().zip(&b) {
-            assert_eq!(pa.total_block_count(), pb.total_block_count());
         }
     }
 }

@@ -11,9 +11,10 @@ use std::collections::HashMap;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "awk".to_string());
     let bench = suite::by_name(&name).ok_or_else(|| format!("unknown suite program `{name}`"))?;
-    let program = bench.compile().map_err(|e| e.render(bench.source))?;
+    let bench::ProgramData {
+        program, profiles, ..
+    } = bench::load_program(bench);
     let predictions = predict_module(&program.module);
-    let profiles = bench.profiles(&program)?;
 
     // Aggregate dynamic outcomes per heuristic.
     let mut stats: HashMap<Heuristic, (u64, u64)> = HashMap::new(); // (hits, total)

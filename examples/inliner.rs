@@ -15,7 +15,9 @@ use estimators::{callsite, inter, intra};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "cc".to_string());
     let bench = suite::by_name(&name).ok_or_else(|| format!("unknown suite program `{name}`"))?;
-    let program = bench.compile().map_err(|e| e.render(bench.source))?;
+    let bench::ProgramData {
+        program, profiles, ..
+    } = bench::load_program(bench);
 
     // Static analysis only: intra smart + inter Markov.
     let ia = intra::estimate_program(&program, intra::IntraEstimator::Smart);
@@ -43,7 +45,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // How much actual call traffic do the candidates capture?
-    let profiles = bench.profiles(&program)?;
     for (i, p) in profiles.iter().enumerate() {
         let covered: u64 = sites.iter().take(candidates).map(|s| p.site(s.site)).sum();
         let total: u64 = sites.iter().map(|s| p.site(s.site)).sum();

@@ -1,7 +1,7 @@
 //! Replays every checked-in fuzzer counterexample.
 //!
 //! Each file in `tests/corpus/` is a minimized program that once made
-//! one of the six differential oracles fire (its header comment names
+//! one of the differential oracles fire (its header comment names
 //! the seed and the oracle). The bugs are fixed, so every file must now
 //! pass `check_source` cleanly — a regression here means one of the
 //! fixed bugs is back.
@@ -12,10 +12,13 @@
 //! whole pipeline must fail with a clean `compile` diagnostic, never a
 //! panic and never a successful compile. Files named `manual_rt_` are
 //! hand-written valid programs that once aborted a run; they replay
-//! like fuzzer entries, so both engines must agree on them. The
-//! [`RUNTIME_ERROR_ENTRIES`] end in a runtime error by design: the
-//! oracles must stop at them, and a test of its own pins each error's
-//! rendered text in both engines.
+//! like fuzzer entries, so both engines must agree on them. Files
+//! named `manual_cov_` are hand-written valid programs that reach code
+//! the generator never emits (a local `char s[] = "…"` initializer's
+//! `InitWordsLocal` op); they too replay like fuzzer entries, so every
+//! oracle runs on that code. The [`RUNTIME_ERROR_ENTRIES`] end in a
+//! runtime error by design: the oracles must stop at them, and a test
+//! of its own pins each error's rendered text in both engines.
 
 use fuzzgen::{check_source, CheckConfig, FailureKind};
 
@@ -83,6 +86,25 @@ fn every_corpus_counterexample_passes_all_oracles() {
     // Guard against the directory silently going missing or empty: the
     // corpus must cover at least the three original bug classes.
     assert!(replayed >= 3, "only {replayed} corpus files replayed");
+}
+
+/// The `manual_cov_` local-string entry reaches the op it exists for:
+/// its bytecode initializes local char arrays with `InitWordsLocal`.
+#[test]
+fn the_local_string_entry_emits_init_words_local() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/corpus/manual_cov_local-strings.c"
+    );
+    let src = std::fs::read_to_string(path).expect("readable corpus file");
+    let module = minic::compile(&src).expect("valid MiniC");
+    let cp = profiler::compile(&flowgraph::build_program(module));
+    let inits = cp
+        .ops
+        .iter()
+        .filter(|op| matches!(op, profiler::bytecode::Op::InitWordsLocal { .. }))
+        .count();
+    assert_eq!(inits, 4, "one per local char array initializer");
 }
 
 /// Generated `_diag_` cases: pathologically deep programs (10k nested

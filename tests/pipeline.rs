@@ -8,10 +8,8 @@ use estimators::intra::{estimate_program, IntraEstimator};
 use estimators::missrate::miss_rates;
 
 fn data(name: &str) -> (flowgraph::Program, Vec<profiler::Profile>) {
-    let bench = suite::by_name(name).expect("suite program");
-    let program = bench.compile().expect("compiles");
-    let profiles = bench.profiles(&program).expect("runs");
-    (program, profiles)
+    let data = bench::load_program(suite::by_name(name).expect("suite program"));
+    (data.program, data.profiles)
 }
 
 #[test]

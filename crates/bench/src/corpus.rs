@@ -62,9 +62,10 @@ pub const HEURISTICS: [&str; 10] = [
 /// `[0, 1]`; quantiles are exact to `1 / BINS`).
 pub const BINS: usize = 2048;
 
-/// Seeds per pool scope. A chunk's records wait in their slots until
-/// the whole chunk has run, so this bounds the records held at once;
-/// the aggregate does not depend on it.
+/// Seeds per [`pool::Pool::map`] call. A chunk's records are held
+/// until the whole chunk has run and its map returns them, so this
+/// bounds the records held at once; the aggregate does not depend on
+/// it.
 const CHUNK: usize = 1024;
 
 /// The run configuration for one corpus seed: generous step budget
@@ -219,8 +220,8 @@ impl BucketAgg {
 }
 
 /// One evaluated seed, as folded by the aggregator. Everything heavy
-/// (source, AST, CFGs, bytecode, profile) has already been dropped or
-/// streamed to the cache by the time this record exists.
+/// (source, AST, CFGs, bytecode, profile) has already been dropped by
+/// the time this record exists; the corpus writes no cache.
 struct SeedRecord {
     fingerprint: u128,
     features: StructuralFeatures,

@@ -44,13 +44,18 @@ pub use gen::{generate, generate_with, GenConfig, Prog};
 pub use minimize::minimize;
 pub use oracle::{check_source, CheckConfig, CheckStats, Failure, FailureKind};
 
-/// Generates the program for `seed` and runs all seven oracles on it.
+/// Generates the program for `seed` and runs all seven oracles on it,
+/// with `seed` as oracle 6's plan seed.
 ///
 /// # Errors
 ///
 /// Returns the first oracle disagreement.
 pub fn check_seed(seed: u64, config: &CheckConfig) -> Result<CheckStats, Failure> {
-    check_source(&generate(seed).render(), config)
+    let config = CheckConfig {
+        plan_seed: seed,
+        ..config.clone()
+    };
+    check_source(&generate(seed).render(), &config)
 }
 
 #[cfg(test)]

@@ -76,11 +76,14 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let config = CheckConfig::default();
     let mut failures = 0u64;
     let mut total_steps = 0u64;
     let mut total_blocks = 0usize;
     for seed in opts.seed..opts.seed + opts.count {
+        let config = CheckConfig {
+            plan_seed: seed,
+            ..CheckConfig::default()
+        };
         match check_source(&generate(seed).render(), &config) {
             Ok(stats) => {
                 total_steps += stats.steps;

@@ -53,6 +53,11 @@ pub struct CheckConfig {
     pub max_steps: u64,
     /// Call-depth budget.
     pub max_call_depth: usize,
+    /// Seeds oracle 6's randomized optimization plan. The fuzzgen binary
+    /// passes each program's generator seed, so the plan a seed draws
+    /// depends on nothing but the seed and the program; a check with
+    /// no generator seed (a corpus file) uses the default, 0.
+    pub plan_seed: u64,
 }
 
 impl Default for CheckConfig {
@@ -60,6 +65,7 @@ impl Default for CheckConfig {
         CheckConfig {
             max_steps: 30_000_000,
             max_call_depth: 10_000,
+            plan_seed: 0,
         }
     }
 }
@@ -176,7 +182,7 @@ pub fn check_source(src: &str, config: &CheckConfig) -> Result<CheckStats, Failu
     estimator_sanity(&program)?;
 
     // Oracle 6: the optimizing backend against the unoptimized run.
-    optimizer_equivalence(&program, &vm, &run_config)?;
+    optimizer_equivalence(&program, &vm, &run_config, config.plan_seed)?;
 
     // Oracle 7: the reuse estimator and the exact tracing mode.
     reuse_agreement(&program, &vm, &run_config)?;
@@ -592,7 +598,7 @@ fn solver_agreement(program: &Program) -> Result<(), Failure> {
 /// each: the full `-O3` everything-budgeted configuration (the most
 /// aggressive the pipeline supports), and a randomized plan — level,
 /// per-function budget membership, inline budget, and block/site heat
-/// all drawn from an RNG seeded by the program's IR fingerprint — so
+/// all drawn from an RNG seeded by `plan_seed` — so
 /// partial-budget and skewed-heat decision paths are differentially
 /// tested too. Count counters are compared individually; `steps` and
 /// `func_cost` are the optimizer's outputs and are intentionally
@@ -601,11 +607,12 @@ fn optimizer_equivalence(
     program: &Program,
     vm: &RunOutcome,
     run_config: &RunConfig,
+    plan_seed: u64,
 ) -> Result<(), Failure> {
     let cp = profiler::compile(program);
     verified(&cp, "compiled")?;
     let full = opt::OptPlan::full(&cp, 3);
-    let randomized = random_plan(&cp);
+    let randomized = random_plan(&cp, plan_seed);
     for (label, plan) in [("full -O3", &full), ("randomized", &randomized)] {
         plan_equivalence(&cp, plan, vm, run_config)
             .map_err(|f| Failure::new(f.kind, format!("{label} plan: {}", f.detail)))?;
@@ -618,10 +625,10 @@ fn optimizer_equivalence(
 /// the default inline budget, and random (even nonsensical: wrong
 /// lengths, zero, skewed) heat vectors. Heat and budgets only steer
 /// *which* transforms run — any draw must preserve behavior.
-fn random_plan(cp: &profiler::bytecode::CompiledProgram) -> opt::OptPlan {
+fn random_plan(cp: &profiler::bytecode::CompiledProgram, seed: u64) -> opt::OptPlan {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(cp.ir_fingerprint() as u64);
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut plan = opt::OptPlan::full(cp, rng.gen_range(1..=3u8));
     for b in plan.budgeted.iter_mut() {
         *b = *b && rng.gen_bool(0.7);

@@ -9,7 +9,8 @@
 //! across the parallel `load_suite` threads. Everything is vendored —
 //! no network, no external dependencies. The artifact cache, the
 //! service and the profiler all depend on it, so it also holds the
-//! workspace's one content hash, [`hash::Fnv128`].
+//! workspace's content hash, [`hash::Fnv128`], and the word-at-a-time
+//! [`hash::WordHash`] behind the VM's in-process IR fingerprint.
 //!
 //! ## Design
 //!

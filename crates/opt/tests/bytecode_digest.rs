@@ -8,21 +8,23 @@
 //! constant moves only with a change that sets out to change emitted
 //! code.
 //!
-//! The same pass is an emission census: every `Op` variant must be
-//! emitted somewhere, or it is dead weight in the VM's dispatch and in
-//! every table over the op set. The two variants no such program
+//! The same pass is an emission census: every `Op` variant (every row
+//! of `profiler::bytecode::OP_CODES`) must be emitted somewhere, or it
+//! is dead weight in the VM's dispatch and in every table over the op
+//! set. The two variants no such program
 //! emits are each pinned by a hand-built program below.
 
 use opt::{optimize, OptPlan};
-use profiler::bytecode::{compile, CompiledProgram, Op};
+use profiler::bytecode::{compile, CompiledProgram, Op, OP_CODES};
 use std::collections::BTreeMap;
 
 /// The pinned digest: per program, the fingerprints at -O0, -O1, -O2
 /// and -O3 as two words each; suite programs first, then the seeds in
-/// order. A fingerprint hashes each op's variant index, so deleting
-/// or reordering a variant moves the digest without changing any
-/// emitted code.
-const BYTECODE_DIGEST: u128 = 0x6e3b0838e42bca5874c403806850e739;
+/// order. A fingerprint hashes each op's stable code from
+/// `profiler::bytecode::OP_CODES`, not its place in the enum, so
+/// adding, deleting or reordering a variant leaves the digest alone
+/// unless emitted code changes.
+const BYTECODE_DIGEST: u128 = 0xd72707a7c0a0d7878a46c1b48cdc0fae;
 
 /// The generated programs after the suite.
 const SEEDS: std::ops::RangeInclusive<u64> = 1_000_001..=1_000_200;
@@ -33,101 +35,12 @@ const SEEDS: std::ops::RangeInclusive<u64> = 1_000_001..=1_000_200;
 /// - `InitWordsLocal`: [`a_local_string_initializer_compiles_to_init_words`].
 const HAND_BUILT: [&str; 2] = ["Fail", "InitWordsLocal"];
 
-/// Every `Op` variant by name, through an exhaustive match: a new
-/// variant does not compile here until it is listed.
-macro_rules! op_names {
-    ($($v:ident),* $(,)?) => {
-        const OP_NAMES: &[&str] = &[$(stringify!($v)),*];
-        fn op_name(op: &Op) -> &'static str {
-            match op {
-                $(Op::$v { .. } => stringify!($v),)*
-            }
-        }
-    };
-}
-
-op_names!(
-    Tick,
-    BumpSite,
-    BumpFunc,
-    BumpBranch,
-    Const,
-    LeaLocal,
-    LoadLocal,
-    LoadLocal2,
-    LoadLocalImm,
-    StoreLocal,
-    LoadGlobal,
-    StoreGlobal,
-    Load,
-    Store,
-    CopyWords,
-    InitWordsLocal,
-    ZeroLocal,
-    ToPtr,
-    Bool,
-    LogicNot,
-    Neg,
-    BitNot,
-    Conv,
-    IndexAddr,
-    IndexAddrLL,
-    IndexAddrPL,
-    IndexAddrLeaL,
-    LoadIdx,
-    LoadIdxLL,
-    LoadIdxPL,
-    LoadIdxLeaL,
-    MemberAddr,
-    IncDecLocal,
-    IncDecGlobal,
-    IncDec,
-    Arith,
-    ArithLL,
-    ArithLI,
-    ArithRL,
-    ArithRI,
-    StoreRR,
-    StoreLL,
-    StoreLI,
-    StoreRL,
-    StoreRI,
-    RmwLocal,
-    RmwGlobal,
-    Rmw,
-    Jump,
-    JumpIfFalse,
-    JumpIfTrue,
-    CondBranch,
-    CmpBranchLL,
-    CmpBranchLI,
-    CmpBranchRR,
-    CmpBranchRL,
-    CmpBranchRI,
-    SwitchJump,
-    EdgeJump,
-    CheckFn,
-    CallDirect,
-    CallIndirect,
-    CallBuiltin,
-    Ret,
-    Fail,
-    ConstJump,
-    ConstRet,
-    StoreLEdge,
-    IncDecLEdge,
-    LoadLBranch,
-    ArithGI,
-    CmpBranchRCI,
-    ArithRLJumpF,
-);
-
 fn program(src: &str) -> flowgraph::Program {
     flowgraph::build_program(minic::compile(src).expect("valid MiniC"))
 }
 
 fn emits(cp: &CompiledProgram, name: &str) -> bool {
-    cp.ops.iter().any(|op| op_name(op) == name)
+    cp.ops.iter().any(|op| op.name() == name)
 }
 
 #[test]
@@ -135,7 +48,7 @@ fn bytecode_matches_the_pinned_digest_and_every_op_is_emitted() {
     let suite = suite::all().into_iter().map(|p| p.compile().unwrap());
     let generated = SEEDS.map(|seed| program(&fuzzgen::generate(seed).render()));
     let mut h = obs::hash::Fnv128::with_basis(0);
-    let mut census: BTreeMap<&str, [u64; 4]> = OP_NAMES.iter().map(|&n| (n, [0; 4])).collect();
+    let mut census: BTreeMap<&str, [u64; 4]> = OP_CODES.iter().map(|&(_, n)| (n, [0; 4])).collect();
     for p in suite.chain(generated) {
         let cp = compile(&p);
         for level in 0..=3u8 {
@@ -145,7 +58,7 @@ fn bytecode_matches_the_pinned_digest_and_every_op_is_emitted() {
             h.word(fp as u64);
             h.word((fp >> 64) as u64);
             for op in &code.ops {
-                census.get_mut(op_name(op)).unwrap()[level as usize] += 1;
+                census.get_mut(op.name()).unwrap()[level as usize] += 1;
             }
         }
     }

@@ -11,10 +11,14 @@
 //!
 //! Scheduling is one FIFO queue behind a mutex: every task joins the
 //! back, workers pop from the front, and idle workers sleep on a
-//! condition variable until a new task or shutdown wakes them. The
-//! queue and the shutdown flag live under the same mutex, so no wakeup
-//! can be lost and an idle pool costs no CPU. Tasks are whole compile
-//! or profile jobs, so one lock per task is noise.
+//! condition variable until a new task or shutdown wakes them. A `map`
+//! caller runs queued tasks while its own are unfinished and otherwise
+//! sleeps on a second condition variable, which a queued task or a
+//! finished batch signals. The queue, the shutdown flag and the count
+//! of sleeping callers live under the same mutex, so no wakeup can be
+//! lost, and neither an idle pool nor a waiting caller costs CPU.
+//! Tasks are whole compile or profile jobs, so one lock per task is
+//! noise.
 //!
 //! Everything is vendored — no external dependencies, no network.
 //!
@@ -48,7 +52,7 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Upper bound on the worker count of any pool: [`Pool::new`] clamps
 /// its argument to `1..=MAX_THREADS`, so `--jobs` and
@@ -64,6 +68,8 @@ type Task = Box<dyn FnOnce() + Send>;
 struct Queue {
     tasks: VecDeque<Task>,
     shutdown: bool,
+    /// [`Pool::map`] callers asleep on [`Shared::progress`].
+    waiters: usize,
 }
 
 #[derive(Default)]
@@ -71,16 +77,31 @@ struct Shared {
     queue: Mutex<Queue>,
     /// Signalled once per queued task, and to everyone at shutdown.
     ready: Condvar,
+    /// Wakes every sleeping `map` caller when a task is queued (it may
+    /// help run it) or a batch finishes (it may be theirs).
+    progress: Condvar,
 }
 
 impl Shared {
     fn push(&self, task: Task) {
-        self.queue.lock().unwrap().tasks.push_back(task);
+        let waiters = {
+            let mut queue = self.queue.lock().unwrap();
+            queue.tasks.push_back(task);
+            queue.waiters
+        };
         self.ready.notify_one();
+        if waiters > 0 {
+            self.progress.notify_all();
+        }
     }
 
-    fn pop(&self) -> Option<Task> {
-        self.queue.lock().unwrap().tasks.pop_front()
+    /// Wakes the sleeping `map` callers. Taking the queue lock orders
+    /// this after any caller that saw its batch unfinished has gone to
+    /// sleep, so none misses the news.
+    fn wake_waiters(&self) {
+        if self.queue.lock().unwrap().waiters > 0 {
+            self.progress.notify_all();
+        }
     }
 
     /// Runs a claimed task. Panics cannot escape: every task is a
@@ -118,17 +139,16 @@ fn worker_loop(shared: &Shared) {
 struct Batch {
     /// Tasks queued and not yet finished.
     pending: AtomicUsize,
-    done_lock: Mutex<()>,
-    done: Condvar,
     /// First task panic, resumed once every task has finished.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
+    /// The pool's queue, whose waiters the last task wakes.
+    shared: Arc<Shared>,
 }
 
 impl Batch {
     fn finish_one(&self) {
         if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _guard = self.done_lock.lock().unwrap();
-            self.done.notify_all();
+            self.shared.wake_waiters();
         }
     }
 }
@@ -190,9 +210,8 @@ impl Pool {
         slots.resize_with(items.len(), || None);
         let batch = Arc::new(Batch {
             pending: AtomicUsize::new(items.len()),
-            done_lock: Mutex::new(()),
-            done: Condvar::new(),
             panic: Mutex::new(None),
+            shared: Arc::clone(&self.shared),
         });
         let f = &f;
         for (item, slot) in items.into_iter().zip(slots.iter_mut()) {
@@ -225,22 +244,22 @@ impl Pool {
     }
 
     /// Blocks until every task of `batch` has finished, executing pool
-    /// tasks while waiting instead of sleeping whenever any are queued.
+    /// tasks while waiting whenever any are queued. With none queued it
+    /// sleeps until a task is queued (the batch's tasks may be running
+    /// on workers whose nested maps queue work it can help with) or a
+    /// batch finishes.
     fn wait(&self, batch: &Batch) {
-        while batch.pending.load(Ordering::SeqCst) != 0 {
-            if let Some(task) = self.shared.pop() {
-                self.shared.run(task);
-                continue;
-            }
-            let guard = batch.done_lock.lock().unwrap();
-            if batch.pending.load(Ordering::SeqCst) != 0 {
-                // Short timeout: the tasks we are waiting on may be
-                // running on workers whose own nested maps queue work
-                // we could help with.
-                let _unused = batch
-                    .done
-                    .wait_timeout(guard, Duration::from_micros(200))
-                    .unwrap();
+        let shared = &*self.shared;
+        let mut queue = shared.queue.lock().unwrap();
+        while batch.pending.load(Ordering::Acquire) != 0 {
+            if let Some(task) = queue.tasks.pop_front() {
+                drop(queue);
+                shared.run(task);
+                queue = shared.queue.lock().unwrap();
+            } else {
+                queue.waiters += 1;
+                queue = shared.progress.wait(queue).unwrap();
+                queue.waiters -= 1;
             }
         }
     }
@@ -279,6 +298,7 @@ pub fn default_threads() -> usize {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::time::Duration;
 
     /// A barrier over `n` threads that gives up after `timeout`:
     /// `wait` returns whether all `n` arrived in time, so a test
@@ -441,6 +461,69 @@ mod tests {
         std::thread::sleep(Duration::from_millis(300));
         let woke = switches() - before;
         assert!(woke < 10, "idle workers switched {woke} times in 300 ms");
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn a_waiting_caller_sleeps_until_its_tasks_finish() {
+        let voluntary_switches = || -> u64 {
+            let status = std::fs::read_to_string("/proc/thread-self/status").unwrap();
+            let line = status
+                .lines()
+                .find(|l| l.starts_with("voluntary_ctxt_switches:"));
+            line.unwrap()
+                .split_whitespace()
+                .last()
+                .unwrap()
+                .parse()
+                .unwrap()
+        };
+        // The two tasks meet at a barrier, so the worker runs one and
+        // the caller the other; then the worker's sleeps for 300 ms
+        // while the caller, its own task done, waits for it.
+        let pool = Pool::new(1);
+        let barrier = TimedBarrier::new(2);
+        let caller = std::thread::current().id();
+        let before = voluntary_switches();
+        pool.map(0..2, |_| {
+            assert!(barrier.wait(Duration::from_secs(5)), "barrier timed out");
+            if std::thread::current().id() != caller {
+                std::thread::sleep(Duration::from_millis(300));
+            }
+        });
+        let switched = voluntary_switches() - before;
+        assert!(
+            switched < 20,
+            "the waiting caller switched {switched} times in 300 ms"
+        );
+    }
+
+    #[test]
+    fn a_waiting_caller_helps_with_work_a_nested_map_queues() {
+        // As above, the worker runs one outer task while the caller,
+        // its own done, waits; once the caller is asleep, the worker's
+        // task queues four slow tasks, and the queueing must wake the
+        // caller to help.
+        let pool = Pool::new(1);
+        let barrier = TimedBarrier::new(2);
+        let caller = std::thread::current().id();
+        let helped = AtomicU64::new(0);
+        pool.map(0..2, |_| {
+            assert!(barrier.wait(Duration::from_secs(5)), "barrier timed out");
+            if std::thread::current().id() != caller {
+                std::thread::sleep(Duration::from_millis(50));
+                pool.map(0..4, |_| {
+                    if std::thread::current().id() == caller {
+                        helped.fetch_add(1, Ordering::Relaxed);
+                    }
+                    std::thread::sleep(Duration::from_millis(50));
+                });
+            }
+        });
+        assert!(
+            helped.load(Ordering::Relaxed) > 0,
+            "the caller ran no nested task"
+        );
     }
 
     #[test]

@@ -51,9 +51,9 @@ use flowgraph::{BlockId, Program};
 use minic::ast::BinOp;
 use minic::builtins::Builtin;
 use minic::sema::FuncId;
-use obs::hash::{Fnv128, FNV64_OFFSET};
+use obs::hash::WordHash;
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{Hash, Hasher};
 
 /// Sentinel for "no index" in `u32` fields (branch ids, entry points).
 pub const NONE32: u32 = u32::MAX;
@@ -97,7 +97,7 @@ impl ArithMode {
 /// payload (executed before the op's work), so the hot path pays no
 /// separate `Tick` dispatch: a loop iteration is just its eval ops
 /// plus one branching op and one [`Op::EdgeJump`].
-#[derive(Debug, Clone, Copy, Hash)]
+#[derive(Debug, Clone, Copy)]
 #[allow(missing_docs)] // field names are self-describing; semantics live on the variants
 pub enum Op {
     /// `steps += n`, `func_cost[cur] += n`, abort past the limit
@@ -805,6 +805,140 @@ impl Op {
     }
 }
 
+/// Declares [`OP_CODES`], [`Op::code`], [`Op::name`] and `Op`'s
+/// [`Hash`] from one table that lists, per variant, its stable code,
+/// its name and every one of its fields in hashing order. The matches
+/// it expands to have no wildcard arm and their patterns name every
+/// field, so a new variant does not compile until it has a row and a
+/// new field does not compile until its row hashes it.
+macro_rules! op_codes {
+    ($($code:literal => $name:ident $(( $($t:ident),* ))? $({ $($f:ident),* })?,)*) => {
+        /// Every [`Op`] variant's stable code and name, one row each.
+        ///
+        /// The code, not the variant's place in the enum, is what
+        /// [`CompiledProgram::ir_fingerprint`] hashes, so adding,
+        /// deleting or reordering a variant moves no other op's
+        /// fingerprint. A code is never reused: a deleted variant's
+        /// row moves to [`RETIRED_OP_CODES`], and a new variant takes
+        /// a code above every code in both lists.
+        pub const OP_CODES: &[(u16, &str)] = &[$(($code, stringify!($name))),*];
+
+        impl Op {
+            /// The variant's stable code in [`OP_CODES`].
+            pub fn code(&self) -> u16 {
+                match self {
+                    $(Op::$name { .. } => $code,)*
+                }
+            }
+
+            /// The variant's name in [`OP_CODES`].
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(Op::$name { .. } => stringify!($name),)*
+                }
+            }
+        }
+
+        /// The op's stable code, then every field in table order: the
+        /// register, frame, target, tick and index fields
+        /// [`Op::fields`] hands out, and also the immediates, values
+        /// (by bit pattern), modes, operators, classes and builtins it
+        /// does not.
+        impl Hash for Op {
+            #[inline(always)]
+            fn hash<H: Hasher>(&self, state: &mut H) {
+                match self {
+                    $(Op::$name $(( $($t),* ))? $({ $($f),* })? => {
+                        state.write_u16($code);
+                        $($($t.hash(state);)*)?
+                        $($($f.hash(state);)*)?
+                    })*
+                }
+            }
+        }
+    };
+}
+
+op_codes! {
+    0 => Tick(n),
+    1 => BumpSite(i),
+    2 => BumpFunc(i),
+    3 => BumpBranch { branch, taken },
+    4 => Const { dst, v },
+    5 => LeaLocal { dst, off },
+    6 => LoadLocal { dst, off },
+    7 => LoadLocal2 { dst, off_a, off_b },
+    8 => LoadLocalImm { dst, off, imm },
+    9 => StoreLocal { off, src, class, dst },
+    10 => LoadGlobal { dst, idx },
+    11 => StoreGlobal { idx, src, class, dst },
+    12 => Load { dst, addr, tick },
+    13 => Store { addr, src, class, dst, tick },
+    14 => CopyWords { dst_addr, src, n, dst, tick },
+    15 => InitWordsLocal { off, img },
+    16 => ZeroLocal { off, len },
+    17 => ToPtr { dst, src },
+    18 => Bool { dst, src },
+    19 => LogicNot { dst, src },
+    20 => Neg { dst, src },
+    21 => BitNot { dst, src },
+    22 => Conv { dst, src, class },
+    23 => IndexAddr { dst, base, idx, elem },
+    24 => IndexAddrLL { dst, off_a, off_b, elem },
+    25 => IndexAddrPL { dst, base, idx_off, elem },
+    26 => IndexAddrLeaL { dst, lea_off, idx_off, elem },
+    27 => LoadIdx { dst, base, idx, elem, tick },
+    28 => LoadIdxLL { dst, off_a, off_b, elem, tick },
+    29 => LoadIdxPL { dst, base, idx_off, elem, tick },
+    30 => LoadIdxLeaL { dst, lea_off, idx_off, elem, tick },
+    31 => MemberAddr { dst, src, off, tick },
+    32 => IncDecLocal { dst, off, delta, post },
+    33 => IncDecGlobal { dst, idx, delta, post },
+    34 => IncDec { dst, addr, delta, post, tick },
+    35 => Arith { dst, a, b, mode, tick },
+    36 => ArithLL { dst, off_a, off_b, mode, tick },
+    37 => ArithLI { dst, off, imm, mode, tick },
+    38 => ArithRL { dst, off, mode, tick },
+    39 => ArithRI { dst, imm, mode, tick },
+    40 => StoreRR { off, a, b, mode, class, dst },
+    41 => StoreLL { off, off_a, off_b, mode, class, dst },
+    42 => StoreLI { off, off_a, imm, mode, class, dst },
+    43 => StoreRL { off, off_b, mode, class, dst },
+    44 => StoreRI { off, imm, mode, class, dst },
+    45 => RmwLocal { off, src, mode, class, dst, tick },
+    46 => RmwGlobal { idx, src, mode, class, dst, tick },
+    47 => Rmw { addr, src, mode, class, dst, tick },
+    48 => Jump { target, tick },
+    49 => JumpIfFalse { src, target, tick },
+    50 => JumpIfTrue { src, target, tick },
+    51 => CondBranch { src, branch, else_target, tick },
+    52 => CmpBranchLL { off_a, off_b, op, branch, else_target, tick },
+    53 => CmpBranchLI { off, imm, op, branch, else_target, tick },
+    54 => CmpBranchRR { a, b, op, branch, else_target, tick },
+    55 => CmpBranchRL { a, off, op, branch, else_target, tick },
+    56 => CmpBranchRI { a, imm, op, branch, else_target, tick },
+    57 => SwitchJump { src, table, tick },
+    58 => EdgeJump { edge, target, tick },
+    59 => CheckFn { src, tick },
+    60 => CallDirect { func, argbase, nargs, dst, tick },
+    61 => CallIndirect { callee, argbase, nargs, dst, tick },
+    62 => CallBuiltin { b, argbase, nargs, dst, tick },
+    63 => Ret { src, tick },
+    64 => Fail(i),
+    65 => ConstJump { dst, imm, target, tick },
+    66 => ConstRet { imm, tick },
+    67 => StoreLEdge { off, src, class, edge, target, tick },
+    68 => IncDecLEdge { off, dst, delta, edge, target, tick },
+    69 => LoadLBranch { off, dst, branch, else_target, tick },
+    70 => ArithGI { dst, idx, imm, mode, tick },
+    71 => CmpBranchRCI { a, dst, imm, op, branch, else_target, tick },
+    72 => ArithRLJumpF { dst, off, mode, target, tick },
+}
+
+/// The codes of deleted [`Op`] variants, with their names: no new
+/// variant may take one (`exec_scratch.rs` checks it).
+pub const RETIRED_OP_CODES: &[(u16, &str)] = &[];
+
 /// A `switch` lowered at compile time. Case values are deduplicated
 /// keeping the first occurrence, so both lookup shapes agree with the
 /// interpreter's linear first-match scan.
@@ -1043,17 +1177,19 @@ impl CompiledProgram {
     }
 
     /// 128-bit fingerprint of the post-fold IR: everything execution
-    /// reads (ops, function metadata, switch tables, data image,
-    /// initializer images). Two programs with the same fingerprint
-    /// are observationally identical on every input, so corpus
-    /// deduplication counts them once.
+    /// reads (ops, function metadata, `main`, switch tables,
+    /// initializer images, the data image and the counter plans). Two
+    /// programs with the same fingerprint are observationally
+    /// identical on every input, so corpus deduplication counts them
+    /// once, and Fig 10 reuses one measured run per distinct image.
     ///
-    /// Unlike the process-local compile-cache fingerprint, this one
-    /// hashes the IR structurally with the workspace's fixed
-    /// [`obs::hash::Fnv128`] (floats by their bit patterns), so it is
-    /// stable across processes and runs.
+    /// Each op hashes as its stable code in [`OP_CODES`] followed by
+    /// every one of its fields, values by bit pattern; the rest hashes
+    /// through `#[derive(Hash)]`. The hasher is the word-at-a-time
+    /// [`obs::hash::WordHash`]: the fingerprint is an in-process
+    /// equality key, deterministic within a build, and never persisted.
     pub fn ir_fingerprint(&self) -> u128 {
-        let mut h = Fnv128::with_basis(FNV64_OFFSET ^ 0x9E37_79B9_7F4A_7C15);
+        let mut h = WordHash::new();
         self.ops.hash(&mut h);
         self.funcs.hash(&mut h);
         self.main.hash(&mut h);

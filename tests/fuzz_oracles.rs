@@ -16,7 +16,7 @@ proptest! {
 
     #[test]
     fn generated_programs_pass_all_oracles(seed in 0u64..1_000_000) {
-        let config = CheckConfig::default();
+        let config = CheckConfig { plan_seed: seed, ..CheckConfig::default() };
         if let Err(failure) = check_source(&generate(seed).render(), &config) {
             let kind = failure.kind;
             let min = minimize(generate(seed), |p| {

@@ -23,7 +23,6 @@
 //!    false); this carries no 0.8 confidence in the frequency models.
 
 use minic::ast::{BinOp, Expr, ExprKind, Initializer, Stmt, StmtKind, UnOp};
-use minic::builtins::Builtin;
 use minic::sema::{Branch, BranchId, CalleeKind, FuncId, Module, Resolution};
 
 /// Which heuristic produced a prediction.
@@ -854,12 +853,6 @@ impl Predictor<'_, '_> {
             _ => None,
         }
     }
-}
-
-/// A builtin exists purely so the doc-comment can reference the set of
-/// error builtins without importing them at call sites.
-pub fn is_error_builtin(b: Builtin) -> bool {
-    b.is_noreturn()
 }
 
 #[cfg(test)]

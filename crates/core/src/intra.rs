@@ -29,10 +29,6 @@ use std::sync::Arc;
 /// so a pre-tested loop's condition runs 5× and its body 4× per entry
 /// (Figure 3).
 pub const LOOP_TEST_COUNT: f64 = 5.0;
-/// Body multiplier for pre-tested loops (`while`, `for`).
-pub const LOOP_BODY_COUNT: f64 = 4.0;
-/// Body/test multiplier for post-tested loops (`do … while`).
-pub const DO_WHILE_COUNT: f64 = 5.0;
 
 /// Which intra-procedural estimator to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

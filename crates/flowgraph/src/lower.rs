@@ -435,12 +435,3 @@ impl Lowerer<'_> {
         }
     }
 }
-
-/// Helper re-exported for tests and the interpreter: the expression of
-/// an instruction, if it has one.
-pub fn instr_expr(i: &Instr) -> Option<&Expr> {
-    match i {
-        Instr::Eval(e) | Instr::Init { value: e, .. } => Some(e),
-        _ => None,
-    }
-}

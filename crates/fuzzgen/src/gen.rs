@@ -331,34 +331,15 @@ fn call(name: &str, args: &[CExpr]) -> CExpr {
 // Generation
 // ---------------------------------------------------------------------
 
-/// Tunables for one generation run.
-#[derive(Debug, Clone)]
-pub struct GenConfig {
-    /// Maximum statement-nesting depth.
-    pub max_depth: u32,
-    /// Maximum expression-nesting depth.
-    pub max_expr_depth: u32,
-    /// Statement budget per function body.
-    pub max_stmts: u32,
-}
-
-impl Default for GenConfig {
-    fn default() -> Self {
-        GenConfig {
-            max_depth: 3,
-            max_expr_depth: 4,
-            max_stmts: 14,
-        }
-    }
-}
-
-/// Generates the program for `seed` with default tunables.
-pub fn generate(seed: u64) -> Prog {
-    generate_with(seed, &GenConfig::default())
-}
+/// Maximum statement-nesting depth.
+const MAX_DEPTH: u32 = 3;
+/// Maximum expression-nesting depth.
+const MAX_EXPR_DEPTH: u32 = 4;
+/// Statement budget per function body.
+const MAX_STMTS: u32 = 14;
 
 /// Generates the program for `seed`.
-pub fn generate_with(seed: u64, config: &GenConfig) -> Prog {
+pub fn generate(seed: u64) -> Prog {
     let mut rng = StdRng::seed_from_u64(seed);
     let n_funcs = rng.gen_range(1..=4usize);
     let use_struct = rng.gen_bool(0.6);
@@ -385,7 +366,6 @@ pub fn generate_with(seed: u64, config: &GenConfig) -> Prog {
         let is_main = idx == n_funcs;
         let mut g = FuncGen {
             rng: &mut rng,
-            config,
             n_funcs,
             use_fnptr,
             is_main,
@@ -404,7 +384,7 @@ pub fn generate_with(seed: u64, config: &GenConfig) -> Prog {
         g.has_char = g.rng.gen_bool(0.35);
         g.has_struct = use_struct && g.rng.gen_bool(0.6);
         g.has_ptr = use_ptrs && g.rng.gen_bool(0.6);
-        let budget = g.rng.gen_range(5..=config.max_stmts);
+        let budget = g.rng.gen_range(5..=MAX_STMTS);
         let body = g.stmts(budget, 0, false, false);
         let (n_vars, n_guards, n_labels) = (g.n_vars, g.n_guards, g.n_labels);
         let (has_local_array, has_float, has_char, has_struct, has_ptr) = (
@@ -436,7 +416,6 @@ pub fn generate_with(seed: u64, config: &GenConfig) -> Prog {
 /// Per-function generation state.
 struct FuncGen<'a> {
     rng: &'a mut StdRng,
-    config: &'a GenConfig,
     n_funcs: usize,
     use_fnptr: bool,
     is_main: bool,
@@ -550,7 +529,7 @@ impl FuncGen<'_> {
     /// An int-valued expression of bounded depth. All division,
     /// remainder, shift, and indexing forms are safe by construction.
     fn int_expr(&mut self, depth: u32) -> CExpr {
-        if depth >= self.config.max_expr_depth || self.rng.gen_bool(0.3) {
+        if depth >= MAX_EXPR_DEPTH || self.rng.gen_bool(0.3) {
             return self.int_atom();
         }
         let a = self.int_expr(depth + 1);
@@ -659,7 +638,7 @@ impl FuncGen<'_> {
 
     /// A float-valued expression (only called when `has_float`).
     fn float_expr(&mut self, depth: u32) -> CExpr {
-        if depth >= self.config.max_expr_depth || self.rng.gen_bool(0.4) {
+        if depth >= MAX_EXPR_DEPTH || self.rng.gen_bool(0.4) {
             return match self.rng.gen_range(0..3u32) {
                 0 => atom("w0"),
                 1 => {
@@ -700,7 +679,7 @@ impl FuncGen<'_> {
 
     fn stmt(&mut self, left: &mut u32, depth: u32, in_loop: bool, in_switch: bool) -> Stmt {
         *left = left.saturating_sub(1);
-        let structural_ok = depth < self.config.max_depth && *left >= 2;
+        let structural_ok = depth < MAX_DEPTH && *left >= 2;
         let roll = self.rng.gen_range(0..100u32);
         match roll {
             // Simple statements: the bulk.

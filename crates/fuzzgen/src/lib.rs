@@ -40,7 +40,7 @@ pub mod minimize;
 pub mod oracle;
 
 pub use corpus::{Feature, StructuralFeatures};
-pub use gen::{generate, generate_with, GenConfig, Prog};
+pub use gen::{generate, Prog};
 pub use minimize::minimize;
 pub use oracle::{check_source, CheckConfig, CheckStats, Failure, FailureKind};
 

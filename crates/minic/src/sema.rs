@@ -315,11 +315,6 @@ impl Module {
         self.side.call_sites.iter().filter(move |c| c.caller == f)
     }
 
-    /// All branch sites contained in the given function.
-    pub fn branches_in(&self, f: FuncId) -> impl Iterator<Item = &Branch> {
-        self.side.branches.iter().filter(move |b| b.func == f)
-    }
-
     /// Functions with bodies, in declaration order.
     pub fn defined_functions(&self) -> impl Iterator<Item = &Function> {
         self.functions.iter().filter(|f| f.is_defined())

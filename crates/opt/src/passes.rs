@@ -522,7 +522,6 @@ fn clobbers_frame(op: &Op) -> bool {
             | Op::CallIndirect { .. }
             | Op::CallBuiltin { .. }
             | Op::StoreLEdge { .. }
-            | Op::IncDecLEdge { .. }
     )
 }
 
@@ -685,22 +684,6 @@ pub(crate) fn mined_pair(a: Op, b: Op) -> Option<Op> {
             off,
             src,
             class,
-            edge,
-            target,
-            tick,
-        }),
-        (
-            Op::IncDecLocal {
-                dst,
-                off,
-                delta,
-                post: false,
-            },
-            Op::EdgeJump { edge, target, tick },
-        ) if i8::try_from(delta).is_ok() => Some(Op::IncDecLEdge {
-            off,
-            dst,
-            delta: delta as i8,
             edge,
             target,
             tick,

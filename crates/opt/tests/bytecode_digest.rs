@@ -11,8 +11,10 @@
 //! The same pass is an emission census: every `Op` variant (every row
 //! of `profiler::bytecode::OP_CODES`) must be emitted somewhere, or it
 //! is dead weight in the VM's dispatch and in every table over the op
-//! set. The two variants no such program
-//! emits are each pinned by a hand-built program below.
+//! set. The two variants no such program emits are each pinned by a
+//! hand-built program below. `-- --nocapture` prints the census with
+//! the suite's and the generated programs' counts side by side, then
+//! the variants only one of them emits.
 
 use opt::{optimize, OptPlan};
 use profiler::bytecode::{compile, CompiledProgram, Op, OP_CODES};
@@ -24,7 +26,7 @@ use std::collections::BTreeMap;
 /// `profiler::bytecode::OP_CODES`, not its place in the enum, so
 /// adding, deleting or reordering a variant leaves the digest alone
 /// unless emitted code changes.
-const BYTECODE_DIGEST: u128 = 0xd72707a7c0a0d7878a46c1b48cdc0fae;
+const BYTECODE_DIGEST: u128 = 0x17dc56436bc3cc2e51d0380b7b5bbc17;
 
 /// The generated programs after the suite.
 const SEEDS: std::ops::RangeInclusive<u64> = 1_000_001..=1_000_200;
@@ -45,11 +47,14 @@ fn emits(cp: &CompiledProgram, name: &str) -> bool {
 
 #[test]
 fn bytecode_matches_the_pinned_digest_and_every_op_is_emitted() {
-    let suite = suite::all().into_iter().map(|p| p.compile().unwrap());
-    let generated = SEEDS.map(|seed| program(&fuzzgen::generate(seed).render()));
+    let suite = suite::all().into_iter().map(|p| (0, p.compile().unwrap()));
+    let generated = SEEDS.map(|seed| (1, program(&fuzzgen::generate(seed).render())));
     let mut h = obs::hash::Fnv128::with_basis(0);
-    let mut census: BTreeMap<&str, [u64; 4]> = OP_CODES.iter().map(|&(_, n)| (n, [0; 4])).collect();
-    for p in suite.chain(generated) {
+    // Per variant, the count at -O0..-O3 in the suite, then in the
+    // generated programs.
+    let mut census: BTreeMap<&str, [[u64; 4]; 2]> =
+        OP_CODES.iter().map(|&(_, n)| (n, [[0; 4]; 2])).collect();
+    for (source, p) in suite.chain(generated) {
         let cp = compile(&p);
         for level in 0..=3u8 {
             // Level 0 is the compiled program itself.
@@ -58,16 +63,31 @@ fn bytecode_matches_the_pinned_digest_and_every_op_is_emitted() {
             h.word(fp as u64);
             h.word((fp >> 64) as u64);
             for op in &code.ops {
-                census.get_mut(op.name()).unwrap()[level as usize] += 1;
+                census.get_mut(op.name()).unwrap()[source][level as usize] += 1;
             }
         }
     }
-    for (name, counts) in &census {
-        println!("{name:<16} {counts:?}");
+    println!("{:<16} {:>28}   {:>28}", "-O0..-O3", "suite", "generated");
+    for (name, [suite, generated]) in &census {
+        println!(
+            "{name:<16} {:>28}   {:>28}",
+            format!("{suite:?}"),
+            format!("{generated:?}")
+        );
     }
+    let only = |i: usize| -> Vec<&str> {
+        let counts = |c: &[u64; 4]| c.iter().sum::<u64>();
+        census
+            .iter()
+            .filter(|(_, c)| counts(&c[i]) > 0 && counts(&c[1 - i]) == 0)
+            .map(|(&n, _)| n)
+            .collect()
+    };
+    println!("suite-only:     {:?}", only(0));
+    println!("generated-only: {:?}", only(1));
     let never: Vec<&str> = census
         .iter()
-        .filter(|(_, c)| c.iter().all(|&n| n == 0))
+        .filter(|(_, c)| c.iter().flatten().all(|&n| n == 0))
         .map(|(&n, _)| n)
         .collect();
     assert_eq!(never, HAND_BUILT, "variants never emitted");

@@ -1263,21 +1263,6 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     self.bump_edge(edge);
                     pc = target as usize;
                 }
-                Op::IncDecLEdge {
-                    off,
-                    dst,
-                    delta,
-                    edge,
-                    target,
-                    tick,
-                } => {
-                    tick!(tick);
-                    let new = incdec(self.local(off), delta as i64);
-                    self.set_local(off, new);
-                    self.set_reg(dst, new);
-                    self.bump_edge(edge);
-                    pc = target as usize;
-                }
                 Op::LoadLBranch {
                     off,
                     dst,

@@ -44,7 +44,6 @@ pub use fuse::fuse_pair;
 pub use place::{CounterPlan, Peel};
 pub use verify::verify;
 
-use crate::profile::Profile;
 use crate::reuse::{NoTap, ReuseCollector};
 use crate::runtime::{RunConfig, RunOutcome, RuntimeError, TyClass, Value};
 use flowgraph::{BlockId, Program};
@@ -52,7 +51,6 @@ use minic::ast::BinOp;
 use minic::builtins::Builtin;
 use minic::sema::FuncId;
 use obs::hash::WordHash;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 /// Sentinel for "no index" in `u32` fields (branch ids, entry points).
@@ -499,16 +497,6 @@ pub enum Op {
         target: u32,
         tick: u32,
     },
-    /// Pre-increment `IncDecLocal{dst, off, delta, post: false}` then
-    /// `EdgeJump` (the classic loop latch).
-    IncDecLEdge {
-        off: u32,
-        dst: u16,
-        delta: i8,
-        edge: u32,
-        target: u32,
-        tick: u32,
-    },
     /// `LoadLocal{dst, off}` then `CondBranch{src: dst, ..}`.
     LoadLBranch {
         off: u32,
@@ -759,9 +747,6 @@ impl Op {
             Op::StoreLEdge { off, src, class: _, edge, target, tick } => {
                 row!(Frame(off), ReadWrite(src), Index(Edge, edge), Target(target), Tick(tick))
             }
-            Op::IncDecLEdge { off, dst, delta: _, edge, target, tick } => {
-                row!(Frame(off), Write(dst), Index(Edge, edge), Target(target), Tick(tick))
-            }
             Op::LoadLBranch { off, dst, branch, else_target, tick } => {
                 row!(Frame(off), Write(dst), Index(Branch, branch), Target(else_target), Tick(tick))
             }
@@ -800,7 +785,6 @@ impl Op {
                 | Op::ConstJump { .. }
                 | Op::ConstRet { .. }
                 | Op::StoreLEdge { .. }
-                | Op::IncDecLEdge { .. }
         )
     }
 }
@@ -928,7 +912,6 @@ op_codes! {
     65 => ConstJump { dst, imm, target, tick },
     66 => ConstRet { imm, tick },
     67 => StoreLEdge { off, src, class, edge, target, tick },
-    68 => IncDecLEdge { off, dst, delta, edge, target, tick },
     69 => LoadLBranch { off, dst, branch, else_target, tick },
     70 => ArithGI { dst, idx, imm, mode, tick },
     71 => CmpBranchRCI { a, dst, imm, op, branch, else_target, tick },
@@ -937,7 +920,7 @@ op_codes! {
 
 /// The codes of deleted [`Op`] variants, with their names: no new
 /// variant may take one (`exec_scratch.rs` checks it).
-pub const RETIRED_OP_CODES: &[(u16, &str)] = &[];
+pub const RETIRED_OP_CODES: &[(u16, &str)] = &[(68, "IncDecLEdge")];
 
 /// A `switch` lowered at compile time. Case values are deduplicated
 /// keeping the first occurrence, so both lookup shapes agree with the
@@ -1198,22 +1181,6 @@ impl CompiledProgram {
         self.data_image.hash(&mut h);
         self.counters.hash(&mut h);
         h.digest()
-    }
-
-    /// An all-zero profile shaped like this program's.
-    pub fn empty_profile(&self) -> Profile {
-        Profile {
-            block_counts: self
-                .block_lens
-                .iter()
-                .map(|&n| vec![0; n as usize])
-                .collect(),
-            branch_counts: vec![(0, 0); self.n_branches],
-            call_site_counts: vec![0; self.n_sites],
-            func_counts: vec![0; self.funcs.len()],
-            edge_counts: HashMap::new(),
-            func_cost: vec![0; self.funcs.len()],
-        }
     }
 }
 

@@ -98,6 +98,19 @@ impl WorkCounters {
         self.solves_reused += other.solves_reused;
         self.inter_units += other.inter_units;
     }
+
+    /// The work done since `before`, a snapshot of this accumulator.
+    pub fn since(&self, before: &WorkCounters) -> WorkCounters {
+        WorkCounters {
+            funcs_lowered: self.funcs_lowered - before.funcs_lowered,
+            funcs_reused: self.funcs_reused - before.funcs_reused,
+            blocks_lowered: self.blocks_lowered - before.blocks_lowered,
+            blocks_reused: self.blocks_reused - before.blocks_reused,
+            blocks_solved: self.blocks_solved - before.blocks_solved,
+            solves_reused: self.solves_reused - before.solves_reused,
+            inter_units: self.inter_units - before.inter_units,
+        }
+    }
 }
 
 /// What the database reports back from one `load`/`update`.

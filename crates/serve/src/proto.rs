@@ -48,15 +48,6 @@ impl Request {
     pub fn param_str(&self, key: &str) -> Option<&str> {
         self.params.get(key).and_then(Value::as_str)
     }
-
-    /// A non-negative integer parameter.
-    pub fn param_u64(&self, key: &str) -> Option<u64> {
-        self.params
-            .get(key)
-            .and_then(Value::as_f64)
-            .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-            .map(|n| n as u64)
-    }
 }
 
 /// Parses and validates one request line. On failure returns the

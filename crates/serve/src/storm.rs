@@ -125,16 +125,13 @@ pub fn client_script(config: &StormConfig, i: usize) -> Vec<String> {
                 // request count stays exact.
                 out.push(estimate_request(&mut id, &name, step));
             }
-        } else if roll < config.update_pct + 15 {
-            id += 1;
-            out.push(format!(
-                r#"{{"sfe":"serve/v1","id":{id},"method":"profile","params":{{"program":"{name}"}}}}"#
-            ));
         } else if roll < config.update_pct + 20 {
-            id += 1;
-            out.push(format!(
-                r#"{{"sfe":"serve/v1","id":{id},"method":"score","params":{{"program":"{name}"}}}}"#
-            ));
+            let method = if roll < config.update_pct + 15 {
+                "profile"
+            } else {
+                "score"
+            };
+            out.push(request(&mut id, method, vec![("program", str_val(&name))]));
         } else {
             out.push(estimate_request(&mut id, &name, step));
         }
@@ -142,37 +139,36 @@ pub fn client_script(config: &StormConfig, i: usize) -> Vec<String> {
     out
 }
 
-fn load_request(id: &mut u64, method: &str, name: &str, source: &str) -> String {
+/// One request line with the next id.
+fn request(id: &mut u64, method: &str, params: Vec<(&str, Value)>) -> String {
     *id += 1;
-    let src = json_escape(source);
-    format!(
-        r#"{{"sfe":"serve/v1","id":{id},"method":"{method}","params":{{"program":"{name}","source":"{src}"}}}}"#
-    )
+    obj(vec![
+        ("sfe", str_val("serve/v1")),
+        ("id", num_u64(*id)),
+        ("method", str_val(method)),
+        ("params", obj(params)),
+    ])
+    .to_string()
+}
+
+fn str_val(s: &str) -> Value {
+    Value::Str(s.to_string())
+}
+
+fn load_request(id: &mut u64, method: &str, name: &str, source: &str) -> String {
+    let params = vec![("program", str_val(name)), ("source", str_val(source))];
+    request(id, method, params)
 }
 
 fn estimate_request(id: &mut u64, name: &str, step: usize) -> String {
-    *id += 1;
     let estimator = ["smart", "loop", "markov"][step % 3];
     let inter = ["markov", "call-site", "direct", "all-rec", "all-rec2"][step % 5];
-    format!(
-        r#"{{"sfe":"serve/v1","id":{id},"method":"estimate","params":{{"estimator":"{estimator}","inter":"{inter}","program":"{name}"}}}}"#
-    )
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+    let params = vec![
+        ("estimator", str_val(estimator)),
+        ("inter", str_val(inter)),
+        ("program", str_val(name)),
+    ];
+    request(id, "estimate", params)
 }
 
 /// FNV-1a/64 over one client's concatenated response lines.
@@ -231,18 +227,7 @@ fn aggregate(
     };
     let total_requests = latencies.len() as u64;
     let work = match (db, work_before) {
-        (Some(db), Some(before)) => {
-            let after = db.total_work();
-            let mut delta = after;
-            delta.funcs_lowered -= before.funcs_lowered;
-            delta.funcs_reused -= before.funcs_reused;
-            delta.blocks_lowered -= before.blocks_lowered;
-            delta.blocks_reused -= before.blocks_reused;
-            delta.blocks_solved -= before.blocks_solved;
-            delta.solves_reused -= before.solves_reused;
-            delta.inter_units -= before.inter_units;
-            Some(delta)
-        }
+        (Some(db), Some(before)) => Some(db.total_work().since(&before)),
         _ => None,
     };
     StormReport {

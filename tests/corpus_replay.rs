@@ -15,10 +15,12 @@
 //! like fuzzer entries, so both engines must agree on them. Files
 //! named `manual_cov_` are hand-written valid programs that reach code
 //! the generator never emits (a local `char s[] = "…"` initializer's
-//! `InitWordsLocal` op); they too replay like fuzzer entries, so every
-//! oracle runs on that code. The [`RUNTIME_ERROR_ENTRIES`] end in a
-//! runtime error by design: the oracles must stop at them, and a test
-//! of its own pins each error's rendered text in both engines.
+//! `InitWordsLocal` op; elements indexed by a plain local, the
+//! `IndexAddr`/`LoadIdx` `LL`, `PL` and `LeaL` forms); they too replay
+//! like fuzzer entries, so every oracle runs on that code. The
+//! [`RUNTIME_ERROR_ENTRIES`] end in a runtime error by design: the
+//! oracles must stop at them, and a test of its own pins each error's
+//! rendered text in both engines.
 
 use fuzzgen::{check_source, CheckConfig, FailureKind};
 
@@ -88,23 +90,40 @@ fn every_corpus_counterexample_passes_all_oracles() {
     assert!(replayed >= 3, "only {replayed} corpus files replayed");
 }
 
+/// The -O0 op names of the `tests/corpus/` entry `name`.
+fn op_names(name: &str) -> Vec<&'static str> {
+    let path = format!("{}/tests/corpus/{name}", env!("CARGO_MANIFEST_DIR"));
+    let src = std::fs::read_to_string(path).expect("readable corpus file");
+    let module = minic::compile(&src).expect("valid MiniC");
+    let cp = profiler::compile(&flowgraph::build_program(module));
+    cp.ops.iter().map(profiler::bytecode::Op::name).collect()
+}
+
 /// The `manual_cov_` local-string entry reaches the op it exists for:
 /// its bytecode initializes local char arrays with `InitWordsLocal`.
 #[test]
 fn the_local_string_entry_emits_init_words_local() {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/corpus/manual_cov_local-strings.c"
-    );
-    let src = std::fs::read_to_string(path).expect("readable corpus file");
-    let module = minic::compile(&src).expect("valid MiniC");
-    let cp = profiler::compile(&flowgraph::build_program(module));
-    let inits = cp
-        .ops
-        .iter()
-        .filter(|op| matches!(op, profiler::bytecode::Op::InitWordsLocal { .. }))
-        .count();
+    let ops = op_names("manual_cov_local-strings.c");
+    let inits = ops.iter().filter(|&&n| n == "InitWordsLocal").count();
     assert_eq!(inits, 4, "one per local char array initializer");
+}
+
+/// The `manual_cov_` local-index entry reaches the six ops it exists
+/// for: element addresses and loads indexed by a local, off a local
+/// pointer, a global array and a local array.
+#[test]
+fn the_local_index_entry_emits_every_local_index_op() {
+    let ops = op_names("manual_cov_pointer-local-index.c");
+    for op in [
+        "IndexAddrLL",
+        "IndexAddrPL",
+        "IndexAddrLeaL",
+        "LoadIdxLL",
+        "LoadIdxPL",
+        "LoadIdxLeaL",
+    ] {
+        assert!(ops.contains(&op), "no {op} at -O0");
+    }
 }
 
 /// Generated `_diag_` cases: pathologically deep programs (10k nested

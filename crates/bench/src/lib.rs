@@ -229,8 +229,9 @@ pub fn plan_from_ranking(
 /// the training set for the "profile" ranking. Each optimized run is
 /// checked byte-identical to the unoptimized baseline. Each distinct
 /// optimized image runs once: a cell whose image has the same
-/// [`CompiledProgram::ir_fingerprint`] as the baseline (every k = 0
-/// cell) or as an earlier cell reuses that run's steps and wall time.
+/// [`ir_fingerprint`](profiler::bytecode::Parts::ir_fingerprint) as
+/// the baseline (every k = 0 cell) or as an earlier cell reuses that
+/// run's steps and wall time.
 ///
 /// # Panics
 ///

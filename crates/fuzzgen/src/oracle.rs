@@ -31,7 +31,9 @@
 //!    call sites, function entries) as the unoptimized VM. Only
 //!    `steps` and `func_cost` — the quantities the optimizer exists to
 //!    change — are excluded. Both the compiled and the optimized
-//!    bytecode must also pass `profiler::bytecode::verify`.
+//!    bytecode pass `profiler::bytecode::verify`: every image is built
+//!    through `CompiledProgram::new`, and a producer that emits an
+//!    image that fails it panics.
 //! 7. **Reuse agreement** — the static reuse estimate must be finite,
 //!    non-negative, and normalized (mass sums to 1, or is all-zero
 //!    when the program touches no traced memory); the exact reuse
@@ -610,7 +612,6 @@ fn optimizer_equivalence(
     plan_seed: u64,
 ) -> Result<(), Failure> {
     let cp = profiler::compile(program);
-    verified(&cp, "compiled")?;
     let full = opt::OptPlan::full(&cp, 3);
     let randomized = random_plan(&cp, plan_seed);
     for (label, plan) in [("full -O3", &full), ("randomized", &randomized)] {
@@ -644,16 +645,6 @@ fn random_plan(cp: &profiler::bytecode::CompiledProgram, seed: u64) -> opt::OptP
     plan
 }
 
-/// The bytecode invariants the VM's unchecked fast path relies on.
-fn verified(cp: &profiler::bytecode::CompiledProgram, what: &str) -> Result<(), Failure> {
-    profiler::bytecode::verify(cp).map_err(|e| {
-        Failure::new(
-            FailureKind::OptMismatch,
-            format!("{what} bytecode fails verification: {e}"),
-        )
-    })
-}
-
 /// One plan's half of oracle 6.
 fn plan_equivalence(
     cp: &profiler::bytecode::CompiledProgram,
@@ -662,7 +653,6 @@ fn plan_equivalence(
     run_config: &RunConfig,
 ) -> Result<(), Failure> {
     let (ocp, _stats) = opt::optimize(cp, plan);
-    verified(&ocp, "optimized")?;
     // Recosting changes the step count, so a run near the limit could
     // cross it in either direction; 4x headroom keeps the oracle about
     // semantics (the unoptimized run completed well under the limit).

@@ -22,7 +22,7 @@
 //! their jump targets shifted by the relocation delta, so an optimized
 //! program always contains every function.
 
-use profiler::bytecode::{CompiledProgram, FuncMeta, Op, Origin, SwitchTable, NONE32};
+use profiler::bytecode::{CompiledProgram, FuncMeta, Op, Origin, Parts, SwitchTable, NONE32};
 
 /// One straight-line run of ops, relocatable as a unit.
 #[derive(Debug, Clone)]
@@ -320,6 +320,9 @@ pub fn drop_redundant_jumps(ir: &mut FuncIr) {
 /// bodies in the flat stream — cross-function hot packing clusters
 /// hot bodies together; the `funcs` table stays `FuncId`-indexed and
 /// every body stays contiguous, so jump closure is preserved.
+///
+/// The image is built through `CompiledProgram::new`, which verifies
+/// it; an image that fails is an optimizer bug and panics.
 pub fn lower(cp: &CompiledProgram, irs: &[Option<FuncIr>], order: &[usize]) -> CompiledProgram {
     debug_assert_eq!(order.len(), cp.funcs.len());
     let mut ops = Vec::with_capacity(cp.ops.len());
@@ -405,7 +408,7 @@ pub fn lower(cp: &CompiledProgram, irs: &[Option<FuncIr>], order: &[usize]) -> C
         }
     }
 
-    CompiledProgram {
+    let parts = Parts {
         ops,
         funcs: funcs
             .into_iter()
@@ -421,5 +424,7 @@ pub fn lower(cp: &CompiledProgram, irs: &[Option<FuncIr>], order: &[usize]) -> C
         counters: cp.counters.clone(),
         n_branches: cp.n_branches,
         n_sites: cp.n_sites,
-    }
+    };
+    CompiledProgram::new(parts)
+        .unwrap_or_else(|e| panic!("optimizer emitted invalid bytecode: {e}"))
 }

@@ -118,16 +118,17 @@ fn a_return_from_another_register_is_not_inlined() {
     let cp = compile(&program(
         "int id(int x) { return x; } int main(void) { return id(5); }",
     ));
-    let mut retargeted = cp.clone();
-    let (start, end) = retargeted.funcs[0].code;
-    for op in &mut retargeted.ops[start as usize..end as usize] {
+    let mut parts = cp.clone().into_parts();
+    let (start, end) = parts.funcs[0].code;
+    for op in &mut parts.ops[start as usize..end as usize] {
         match op {
             Op::LoadLocal { dst, .. } => *dst = 1,
             Op::Ret { src, .. } => *src = 1,
             other => panic!("unexpected op in `id`: {other:?}"),
         }
     }
-    retargeted.funcs[0].max_regs = 2;
+    parts.funcs[0].max_regs = 2;
+    let retargeted = CompiledProgram::new(parts).expect("the retargeted image verifies");
     let config = profiler::RunConfig::default();
     for (code, inlined) in [(&cp, 1), (&retargeted, 0)] {
         let plan = OptPlan {

@@ -71,7 +71,7 @@
 
 use super::fuse::{fuse_pair, ticks};
 use super::place::{self, Candidate, CounterPlan};
-use super::{ArithMode, CompiledProgram, FuncMeta, Op, ParamBind, SwitchTable, NONE32};
+use super::{ArithMode, FuncMeta, Op, ParamBind, Parts, SwitchTable, NONE32};
 use crate::runtime::{
     member_offset, NodeTables, NodeTy, RuntimeError, StaticLayout, TyClass, Value,
 };
@@ -91,7 +91,7 @@ enum Place {
     Reg(u16),
 }
 
-pub(super) fn compile(program: &Program) -> CompiledProgram {
+pub(super) fn compile(program: &Program) -> Parts {
     let module = &program.module;
 
     // The one static layout: its addresses are baked into the code.
@@ -151,7 +151,7 @@ pub(super) fn compile(program: &Program) -> CompiledProgram {
         }
     }
 
-    CompiledProgram {
+    Parts {
         ops: c.ops,
         funcs,
         main: module.function_id("main"),

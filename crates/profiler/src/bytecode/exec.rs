@@ -122,9 +122,8 @@ thread_local! {
 /// The generic engine: runs `cp` with `tap` observing every
 /// data-segment access, on this thread's recycled buffers. With
 /// [`NoTap`](crate::reuse::NoTap) this monomorphizes to the probe-free
-/// fast path; with an active tap every register/frame/data accessor
-/// additionally switches to checked indexing (see the accessor
-/// comments below).
+/// fast path; either way it runs the same unchecked accessors (see
+/// the accessor comments below).
 pub(super) fn execute<T: MemTap>(
     cp: &CompiledProgram,
     config: &RunConfig,
@@ -284,27 +283,19 @@ fn rebuild_counts(
 }
 
 impl<'a, T: MemTap> Vm<'a, T> {
-    // ----- registers and frame slots -----
+    // ----- registers, frame slots and globals -----
     //
-    // The hot accessors skip bounds checks: the compiler guarantees
-    // every register operand is `< max_regs` (the `touch` watermark)
-    // and every frame offset is `< frame_size` (sema's layout), and
-    // `enter`/`run` size the register window and frame before any op
-    // of the function executes. Debug builds keep the assertions.
-    //
-    // Trace mode (`T::ACTIVE`) switches every one of them to checked
-    // indexing with a deterministic fallback (reads yield `Int(0)`,
-    // writes become no-ops): a reuse trace of a program that trips a
-    // compiler-invariant bug must read garbage *deterministically*,
-    // never exercise UB. The branch is compile-time, so the normal
-    // dispatch loop keeps the unchecked fast path.
+    // The hot accessors skip bounds checks, traced or not. They rest
+    // on `CompiledProgram::new`, the image's only constructor, which
+    // runs `verify`: every register operand is `< max_regs`, every
+    // frame offset is `< frame_size` and every global index lies in
+    // the data image. `enter`/`run` size the register window and frame
+    // before any op of the function executes. Debug builds keep the
+    // assertions.
 
     #[inline(always)]
     fn reg(&self, r: u16) -> Value {
         let i = self.rp + r as usize;
-        if T::ACTIVE {
-            return self.regs.get(i).copied().unwrap_or(Value::Int(0));
-        }
         debug_assert!(i < self.regs.len());
         // SAFETY: see above — `rp + max_regs <= regs.len()` holds
         // between `enter`/`Ret` transitions, and `r < max_regs`.
@@ -314,12 +305,6 @@ impl<'a, T: MemTap> Vm<'a, T> {
     #[inline(always)]
     fn set_reg(&mut self, r: u16, v: Value) {
         let i = self.rp + r as usize;
-        if T::ACTIVE {
-            if let Some(slot) = self.regs.get_mut(i) {
-                *slot = v;
-            }
-            return;
-        }
         debug_assert!(i < self.regs.len());
         // SAFETY: as in `reg`.
         unsafe { *self.regs.get_unchecked_mut(i) = v }
@@ -328,52 +313,38 @@ impl<'a, T: MemTap> Vm<'a, T> {
     #[inline(always)]
     fn local(&self, off: u32) -> Value {
         let i = self.fp + off as usize;
-        if T::ACTIVE {
-            return self.mem.stack.get(i).copied().unwrap_or(Value::Int(0));
-        }
         debug_assert!(i < self.mem.stack.len());
         // SAFETY: `fp + frame_size <= stack.len()` for the running
-        // frame, and every compiled offset is `< frame_size`.
+        // frame, and every verified offset is `< frame_size`.
         unsafe { *self.mem.stack.get_unchecked(i) }
     }
 
     #[inline(always)]
     fn set_local(&mut self, off: u32, v: Value) {
         let i = self.fp + off as usize;
-        if T::ACTIVE {
-            if let Some(slot) = self.mem.stack.get_mut(i) {
-                *slot = v;
-            }
-            return;
-        }
         debug_assert!(i < self.mem.stack.len());
         // SAFETY: as in `local`.
         unsafe { *self.mem.stack.get_unchecked_mut(i) = v }
     }
 
+    /// Reads global slot `idx`, one data-segment access for the tap.
     #[inline(always)]
-    fn global(&self, idx: u32) -> Value {
+    fn global(&mut self, idx: u32) -> Value {
         if T::ACTIVE {
-            return self
-                .mem
-                .data
-                .get(idx as usize)
-                .copied()
-                .unwrap_or(Value::Int(0));
+            self.mem.tap.access(Self::global_addr(idx));
         }
         debug_assert!((idx as usize) < self.mem.data.len());
-        // SAFETY: global indices address the static image laid out at
-        // compile time, and `data` only ever grows (malloc appends).
+        // SAFETY: verified global indices address the static image
+        // laid out at compile time, and `data` only ever grows (malloc
+        // appends).
         unsafe { *self.mem.data.get_unchecked(idx as usize) }
     }
 
+    /// Writes global slot `idx`, one data-segment access for the tap.
     #[inline(always)]
     fn set_global(&mut self, idx: u32, v: Value) {
         if T::ACTIVE {
-            if let Some(slot) = self.mem.data.get_mut(idx as usize) {
-                *slot = v;
-            }
-            return;
+            self.mem.tap.access(Self::global_addr(idx));
         }
         debug_assert!((idx as usize) < self.mem.data.len());
         // SAFETY: as in `global`.
@@ -541,25 +512,13 @@ impl<'a, T: MemTap> Vm<'a, T> {
         }
 
         loop {
-            let op = if T::ACTIVE {
-                // Trace mode: a wild pc (a compiler bug) must fail
-                // deterministically, not read past the op stream.
-                match cp.ops.get(pc) {
-                    Some(&op) => op,
-                    None => {
-                        return Err(
-                            RuntimeError::Other(format!("pc {pc} outside the op stream")).into(),
-                        )
-                    }
-                }
-            } else {
-                debug_assert!(pc < cp.ops.len());
-                // SAFETY: `pc` is either a compiler-emitted jump target
-                // or the successor of a non-terminating op; every block
-                // ends in a control transfer, so execution cannot run
-                // off the end of the stream.
-                unsafe { *cp.ops.get_unchecked(pc) }
-            };
+            debug_assert!(pc < cp.ops.len());
+            // SAFETY: `pc` is a function's entry, a jump target or the
+            // successor of a non-terminating op, and
+            // `CompiledProgram::new` verified that every entry and
+            // target lies in its function's code and that no function
+            // can run off the end of its code.
+            let op = unsafe { *cp.ops.get_unchecked(pc) };
             pc += 1;
             match op {
                 Op::Tick(n) => tick!(n),
@@ -598,9 +557,6 @@ impl<'a, T: MemTap> Vm<'a, T> {
                 }
                 Op::LoadGlobal { dst, idx } => {
                     let v = self.global(idx);
-                    if T::ACTIVE {
-                        self.mem.tap.access(Self::global_addr(idx));
-                    }
                     self.set_reg(dst, v);
                 }
                 Op::StoreGlobal {
@@ -611,9 +567,6 @@ impl<'a, T: MemTap> Vm<'a, T> {
                 } => {
                     let v = convert_for_class(class, self.reg(src));
                     self.set_global(idx, v);
-                    if T::ACTIVE {
-                        self.mem.tap.access(Self::global_addr(idx));
-                    }
                     self.set_reg(dst, v);
                 }
                 Op::Load { dst, addr, tick } => {
@@ -815,14 +768,8 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     post,
                 } => {
                     let old = self.global(idx);
-                    if T::ACTIVE {
-                        self.mem.tap.access(Self::global_addr(idx));
-                    }
                     let new = incdec(old, delta);
                     self.set_global(idx, new);
-                    if T::ACTIVE {
-                        self.mem.tap.access(Self::global_addr(idx));
-                    }
                     self.set_reg(dst, if post { old } else { new });
                 }
                 Op::IncDec {
@@ -983,14 +930,8 @@ impl<'a, T: MemTap> Vm<'a, T> {
                 } => {
                     tick!(tick);
                     let cur = self.global(idx);
-                    if T::ACTIVE {
-                        self.mem.tap.access(Self::global_addr(idx));
-                    }
                     let v = convert_for_class(class, arith(mode, cur, self.reg(src))?);
                     self.set_global(idx, v);
-                    if T::ACTIVE {
-                        self.mem.tap.access(Self::global_addr(idx));
-                    }
                     self.set_reg(dst, v);
                 }
                 Op::Rmw {
@@ -1288,9 +1229,6 @@ impl<'a, T: MemTap> Vm<'a, T> {
                 } => {
                     tick!(tick);
                     let g = self.global(idx);
-                    if T::ACTIVE {
-                        self.mem.tap.access(Self::global_addr(idx));
-                    }
                     let v = arith(mode, g, Value::Int(imm as i64))?;
                     self.set_reg(dst, v);
                 }

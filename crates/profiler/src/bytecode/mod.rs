@@ -30,8 +30,10 @@
 //! compiled image profiles all of a suite program's inputs in
 //! parallel. [`run`] keeps the old `profiler::run` signature (compile,
 //! then execute); the AST walker survives as [`crate::run_ast`], the
-//! differential-testing oracle, and [`verify`] checks the invariants
-//! the dispatch loop's unchecked accesses rest on.
+//! differential-testing oracle. [`verify`] checks the invariants the
+//! dispatch loop's unchecked accesses rest on, and
+//! [`CompiledProgram::new`], the one way to build an image the VM
+//! runs, runs it on the plain [`Parts`] that both producers emit.
 
 mod compile;
 mod exec;
@@ -800,11 +802,11 @@ macro_rules! op_codes {
         /// Every [`Op`] variant's stable code and name, one row each.
         ///
         /// The code, not the variant's place in the enum, is what
-        /// [`CompiledProgram::ir_fingerprint`] hashes, so adding,
-        /// deleting or reordering a variant moves no other op's
-        /// fingerprint. A code is never reused: a deleted variant's
-        /// row moves to [`RETIRED_OP_CODES`], and a new variant takes
-        /// a code above every code in both lists.
+        /// [`Parts::ir_fingerprint`] hashes, so adding, deleting or
+        /// reordering a variant moves no other op's fingerprint. A code
+        /// is never reused: a deleted variant's row moves to
+        /// [`RETIRED_OP_CODES`], and a new variant takes a code above
+        /// every code in both lists.
         pub const OP_CODES: &[(u16, &str)] = &[$(($code, stringify!($name))),*];
 
         impl Op {
@@ -1013,7 +1015,7 @@ pub struct FuncMeta {
     /// Function name (for `Undefined` errors).
     pub name: String,
     /// The function's contiguous op range `[start, end)` in
-    /// [`CompiledProgram::ops`] (`(0, 0)` for bodiless prototypes).
+    /// [`Parts::ops`] (`(0, 0)` for bodiless prototypes).
     /// All control flow is intra-function, so this range is closed
     /// under jumps — the optimizer lifts and relocates it wholesale.
     pub code: (u32, u32),
@@ -1068,10 +1070,12 @@ impl FuncMeta {
     }
 }
 
-/// A program lowered to bytecode: fully owned and `Send + Sync`, so
-/// one compiled image can profile many inputs on concurrent threads.
+/// The parts of a program lowered to bytecode, as plain data: what
+/// the compiler and the optimizer's lowering emit, and what [`verify`]
+/// checks. Nothing runs a `Parts`; [`CompiledProgram::new`] verifies
+/// one into an executable image.
 #[derive(Debug, Clone)]
-pub struct CompiledProgram {
+pub struct Parts {
     /// The flat instruction stream, all functions concatenated.
     pub ops: Vec<Op>,
     /// Per-function metadata, indexed by `FuncId`.
@@ -1101,7 +1105,66 @@ pub struct CompiledProgram {
     pub n_sites: usize,
 }
 
+impl Parts {
+    /// 128-bit fingerprint of the post-fold IR: everything execution
+    /// reads (ops, function metadata, `main`, switch tables,
+    /// initializer images, the data image and the counter plans). Two
+    /// programs with the same fingerprint are observationally
+    /// identical on every input, so corpus deduplication counts them
+    /// once, and Fig 10 reuses one measured run per distinct image.
+    ///
+    /// Each op hashes as its stable code in [`OP_CODES`] followed by
+    /// every one of its fields, values by bit pattern; the rest hashes
+    /// through `#[derive(Hash)]`. The hasher is the word-at-a-time
+    /// [`obs::hash::WordHash`]: the fingerprint is an in-process
+    /// equality key, deterministic within a build, and never persisted.
+    pub fn ir_fingerprint(&self) -> u128 {
+        let mut h = WordHash::new();
+        self.ops.hash(&mut h);
+        self.funcs.hash(&mut h);
+        self.main.hash(&mut h);
+        self.switch_tables.hash(&mut h);
+        self.images.hash(&mut h);
+        self.data_image.hash(&mut h);
+        self.counters.hash(&mut h);
+        h.digest()
+    }
+}
+
+/// A verified program image: fully owned and `Send + Sync`, so one
+/// compiled image can profile many inputs on concurrent threads.
+///
+/// [`CompiledProgram::new`] is its only constructor and runs
+/// [`verify`], and the image is read-only behind it (`Deref` to
+/// [`Parts`]), so every invariant the dispatch loop's unchecked
+/// indexing rests on holds for every `CompiledProgram` there is.
+#[derive(Debug, Clone)]
+pub struct CompiledProgram(Parts);
+
+impl std::ops::Deref for CompiledProgram {
+    type Target = Parts;
+
+    fn deref(&self) -> &Parts {
+        &self.0
+    }
+}
+
 impl CompiledProgram {
+    /// Verifies `parts` into an executable image.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`verify`]'s diagnostic for the first violation found.
+    pub fn new(parts: Parts) -> Result<Self, String> {
+        verify(&parts)?;
+        Ok(CompiledProgram(parts))
+    }
+
+    /// Gives the image back as plain, writable parts.
+    pub fn into_parts(self) -> Parts {
+        self.0
+    }
+
     /// Executes the compiled program on one input.
     ///
     /// Observably identical to [`crate::run_ast`] on the same
@@ -1118,17 +1181,13 @@ impl CompiledProgram {
     /// the exact reuse-distance collector; [`ReuseCollector::finish`]
     /// yields the trace. The tap is a monomorphized generic and both
     /// instantiations are compiled here, so the untraced dispatch loop
-    /// stays probe-free; the traced one additionally uses *checked*
-    /// register/frame/data indexing, so a trace of a buggy program
-    /// fails deterministically instead of reading garbage. Tracing
-    /// observes memory traffic and changes no frequency counter: the
-    /// outcome is identical either way.
+    /// stays probe-free; both run the same accessors otherwise.
+    /// Tracing observes memory traffic and changes no frequency
+    /// counter: the outcome is identical either way.
     ///
     /// # Errors
     ///
-    /// Returns the same [`RuntimeError`]s the AST interpreter would;
-    /// a traced run can also report out-of-stream program-counter
-    /// errors that the unchecked build would turn into UB.
+    /// Returns the same [`RuntimeError`]s the AST interpreter would.
     pub fn execute(
         &self,
         config: &RunConfig,
@@ -1158,43 +1217,16 @@ impl CompiledProgram {
         }
         out
     }
-
-    /// 128-bit fingerprint of the post-fold IR: everything execution
-    /// reads (ops, function metadata, `main`, switch tables,
-    /// initializer images, the data image and the counter plans). Two
-    /// programs with the same fingerprint are observationally
-    /// identical on every input, so corpus deduplication counts them
-    /// once, and Fig 10 reuses one measured run per distinct image.
-    ///
-    /// Each op hashes as its stable code in [`OP_CODES`] followed by
-    /// every one of its fields, values by bit pattern; the rest hashes
-    /// through `#[derive(Hash)]`. The hasher is the word-at-a-time
-    /// [`obs::hash::WordHash`]: the fingerprint is an in-process
-    /// equality key, deterministic within a build, and never persisted.
-    pub fn ir_fingerprint(&self) -> u128 {
-        let mut h = WordHash::new();
-        self.ops.hash(&mut h);
-        self.funcs.hash(&mut h);
-        self.main.hash(&mut h);
-        self.switch_tables.hash(&mut h);
-        self.images.hash(&mut h);
-        self.data_image.hash(&mut h);
-        self.counters.hash(&mut h);
-        h.digest()
-    }
 }
 
-/// Compiles a program to bytecode and checks the image with
-/// [`verify`] before anything can run it. Compilation is a single
-/// linear pass per CFG plus one spanning-tree build; the suite
-/// compiles in well under a millisecond per program.
+/// Compiles a program to bytecode and verifies the image
+/// ([`CompiledProgram::new`]) before anything can run it. Compilation
+/// is a single linear pass per CFG plus one spanning-tree build; the
+/// suite compiles in well under a millisecond per program.
 pub fn compile(program: &Program) -> CompiledProgram {
     let _sp = obs::span("profiler.compile");
-    let cp = compile::compile(program);
-    if let Err(e) = verify(&cp) {
-        panic!("compiler emitted invalid bytecode: {e}");
-    }
-    cp
+    CompiledProgram::new(compile::compile(program))
+        .unwrap_or_else(|e| panic!("compiler emitted invalid bytecode: {e}"))
 }
 
 /// Compiles `program`, then runs `main` on the bytecode VM and

@@ -5,14 +5,15 @@
 //! stream without bounds checks, and indexes the counter arrays and
 //! side tables with compiler-emitted indices. Two producers emit
 //! bytecode — the compiler and the optimizer's lowering — so
-//! [`verify`] states those invariants once and checks them after
-//! both (in every build) and in the differential fuzzer. Which field
-//! of an op is a register, a frame offset, a jump target or a table
-//! index comes from [`Op::fields`], the same description the optimizer
-//! rewrites by. A violation is a diagnostic naming the function, pc
-//! and operand, never UB.
+//! [`verify`] states those invariants once. It runs in one place,
+//! [`CompiledProgram::new`](super::CompiledProgram::new), the only
+//! constructor of an image the VM runs, which both producers build
+//! through in every build. Which field of an op is a register, a frame
+//! offset, a jump target or a table index comes from [`Op::fields`],
+//! the same description the optimizer rewrites by. A violation is a
+//! diagnostic naming the function, pc and operand, never UB.
 
-use super::{CompiledProgram, Field, FuncMeta, Op, SwitchTable, Table, NONE32};
+use super::{Field, FuncMeta, Op, Parts, SwitchTable, Table, NONE32};
 
 /// Checks every invariant the VM relies on:
 ///
@@ -33,7 +34,7 @@ use super::{CompiledProgram, Field, FuncMeta, Op, SwitchTable, Table, NONE32};
 /// # Errors
 ///
 /// Returns a diagnostic for the first violation found.
-pub fn verify(cp: &CompiledProgram) -> Result<(), String> {
+pub fn verify(cp: &Parts) -> Result<(), String> {
     if let Some(main) = cp.main {
         if main.0 as usize >= cp.funcs.len() {
             return Err(format!("main id {} outside the function table", main.0));
@@ -93,7 +94,7 @@ enum Bad {
 }
 
 impl Bad {
-    fn message(self, cp: &CompiledProgram, meta: &FuncMeta) -> String {
+    fn message(self, cp: &Parts, meta: &FuncMeta) -> String {
         match self {
             Bad::Register(r) => format!("register {r} outside a window of {}", meta.max_regs),
             Bad::Frame(o) => format!("frame offset {o} outside a frame of {}", meta.frame_size),
@@ -112,7 +113,7 @@ impl Bad {
 /// and code range and the program's tables. Inlined into each arm of
 /// `Op::fields`, a passing field costs a compare or two.
 #[inline(always)]
-fn check_field(cp: &CompiledProgram, meta: &FuncMeta, field: Field<'_>) -> Result<(), Bad> {
+fn check_field(cp: &Parts, meta: &FuncMeta, field: Field<'_>) -> Result<(), Bad> {
     let reg = |r: u32| {
         if r < meta.max_regs {
             Ok(())
@@ -146,7 +147,7 @@ fn check_field(cp: &CompiledProgram, meta: &FuncMeta, field: Field<'_>) -> Resul
 /// A side table's name and length, and whether [`NONE32`] ("not
 /// counted") is a valid index into it.
 #[inline(always)]
-fn table_len(cp: &CompiledProgram, table: Table) -> (&'static str, usize, bool) {
+fn table_len(cp: &Parts, table: Table) -> (&'static str, usize, bool) {
     match table {
         Table::Site => ("call-site counter", cp.n_sites, false),
         Table::Func => ("function counter", cp.funcs.len(), false),
@@ -161,7 +162,7 @@ fn table_len(cp: &CompiledProgram, table: Table) -> (&'static str, usize, bool) 
 }
 
 /// Whether switch table `i` only jumps inside the function.
-fn switch_fine(cp: &CompiledProgram, meta: &FuncMeta, i: u32) -> bool {
+fn switch_fine(cp: &Parts, meta: &FuncMeta, i: u32) -> bool {
     let mut sw = cp.switch_tables[i as usize].clone();
     let mut fine =
         !matches!(&sw, SwitchTable::Sorted { keys, targets, .. } if keys.len() != targets.len());
@@ -171,7 +172,7 @@ fn switch_fine(cp: &CompiledProgram, meta: &FuncMeta, i: u32) -> bool {
 
 /// The two ops that write a run of frame words must stay inside the
 /// frame (their first word is a [`Field::Frame`] too).
-fn check_span(cp: &CompiledProgram, meta: &FuncMeta, op: Op) -> Result<(), String> {
+fn check_span(cp: &Parts, meta: &FuncMeta, op: Op) -> Result<(), String> {
     let (off, len) = match op {
         Op::InitWordsLocal { off, img } => (off, cp.images[img as usize].len() as u64),
         Op::ZeroLocal { off, len } => (off, u64::from(len)),
@@ -211,7 +212,7 @@ fn check_blocks(meta: &FuncMeta, ops: &[Op]) -> Result<(), (u32, String)> {
 
 /// The rebuild only touches the function's own edges, blocks and
 /// branches.
-fn check_plan(cp: &CompiledProgram, f: usize) -> Result<(), String> {
+fn check_plan(cp: &Parts, f: usize) -> Result<(), String> {
     let plan = &cp.counters[f];
     let (lo, hi) = plan.edges;
     let n_blocks = cp.block_lens[f];
@@ -250,6 +251,7 @@ fn check_plan(cp: &CompiledProgram, f: usize) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::CompiledProgram;
     use super::*;
 
     fn compiled(src: &str) -> CompiledProgram {
@@ -275,42 +277,57 @@ mod tests {
     }
 
     #[test]
+    fn the_constructor_accepts_the_compilers_parts_after_a_round_trip() {
+        let cp = compiled(LOOP);
+        let fingerprint = cp.ir_fingerprint();
+        let again = CompiledProgram::new(cp.into_parts()).expect("compiled parts verify");
+        assert_eq!(again.ir_fingerprint(), fingerprint);
+    }
+
+    #[test]
     fn corrupted_code_is_a_diagnostic() {
         let good = compiled(LOOP);
         let f = good.main.unwrap().0 as usize;
         let (start, end) = good.funcs[f].code;
+        // Each corrupted image is refused by `verify` and, with the
+        // same message, by the one constructor of a runnable image.
+        let refused = |cp: Parts| {
+            let msg = verify(&cp).unwrap_err();
+            assert_eq!(CompiledProgram::new(cp).unwrap_err(), msg);
+            msg
+        };
 
-        let mut cp = good.clone();
+        let mut cp = good.clone().into_parts();
         cp.funcs[f].max_regs = 0;
-        assert!(verify(&cp).unwrap_err().contains("register"));
+        assert!(refused(cp).contains("register"));
 
-        let mut cp = good.clone();
+        let mut cp = good.clone().into_parts();
         cp.funcs[f].frame_size = 0;
-        assert!(verify(&cp).unwrap_err().contains("frame"));
+        assert!(refused(cp).contains("frame"));
 
-        let mut cp = good.clone();
+        let mut cp = good.clone().into_parts();
         cp.data_image.clear();
-        assert!(verify(&cp).unwrap_err().contains("static-data"));
+        assert!(refused(cp).contains("static-data"));
 
-        let mut cp = good.clone();
+        let mut cp = good.clone().into_parts();
         cp.edge_keys.clear();
-        assert!(verify(&cp).is_err());
+        refused(cp);
 
-        let mut cp = good.clone();
+        let mut cp = good.clone().into_parts();
         let jump = (start..end)
             .find(|&pc| matches!(cp.ops[pc as usize], Op::EdgeJump { .. }))
             .expect("a loop has an edge stub");
         cp.ops[jump as usize].for_each_target(|t| *t = end + 7);
-        assert!(verify(&cp).unwrap_err().contains("jump target"));
+        assert!(refused(cp).contains("jump target"));
 
-        let mut cp = good.clone();
+        let mut cp = good.clone().into_parts();
         cp.ops[end as usize - 1] = Op::Tick(1);
-        assert!(verify(&cp).unwrap_err().contains("run off"));
+        assert!(refused(cp).contains("run off"));
     }
 
     #[test]
     fn pair_writes_and_argument_ranges_are_checked_to_their_last_register() {
-        let mut good = compiled(LOOP);
+        let mut good = compiled(LOOP).into_parts();
         let f = good.main.unwrap().0 as usize;
         let n = 8;
         good.funcs[f].max_regs = u32::from(n);

@@ -34,8 +34,8 @@ use std::collections::HashMap;
 /// A probe observing every data-segment memory access.
 ///
 /// The VM and AST walker are generic over this trait; `ACTIVE` lets
-/// the dispatch loops compile the probe (and the trace-mode checked
-/// accessors) out entirely when tracing is off.
+/// the dispatch loops compile the probe out entirely when tracing is
+/// off.
 pub trait MemTap {
     /// Whether this tap observes accesses (false compiles the probe
     /// away).

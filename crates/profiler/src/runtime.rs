@@ -794,10 +794,17 @@ fn emit(output: &mut Vec<u8>, bytes: &[u8]) -> Result<(), RuntimeError> {
 }
 
 /// `printf`-style formatting of `fmt` into `out` (cleared first);
-/// `tmp` holds `%s` operands. Flags, width and precision are skipped
-/// and a missing argument reads as `Int(0)`. A result longer than
-/// `room` bytes is the error `past`, found after the conversion that
-/// passes it.
+/// `tmp` holds each conversion's text before it is padded. A
+/// conversion takes C's flags `-`, `0`, `+` and space, a decimal
+/// width, a `.precision` (digits for `%f`, most characters for `%s`,
+/// fewest digits for `%d`/`%i`/`%u`/`%x`/`%o`) and the length letters
+/// `l` and `h`, which change nothing. `%u` prints as `%d`, and `%e`
+/// and `%g` print Rust's shortest round-trip form (padded, but with no
+/// precision); a `*` width and C's spelling of `%e`/`%g` are not
+/// supported. A missing argument reads as `Int(0)`. A result longer
+/// than `room` bytes is the error `past`, found at the conversion that
+/// passes it and before its padding or digits are written, so a huge
+/// width or precision allocates nothing.
 fn format<T: MemTap>(
     mem: &mut Memory<T>,
     fmt: &str,
@@ -816,33 +823,121 @@ fn format<T: MemTap>(
             out.push(c);
             continue;
         }
-        let mut conv = None;
-        while let Some(&c2) = chars.peek() {
-            chars.next();
-            if !(c2.is_ascii_digit() || matches!(c2, '-' | '+' | '.' | ' ' | 'l' | 'h')) {
-                conv = Some(c2);
-                break;
+        let (mut left, mut zero, mut plus, mut space) = (false, false, false, false);
+        while let Some(flag) = chars.next_if(|c| matches!(c, '-' | '0' | '+' | ' ')) {
+            match flag {
+                '-' => left = true,
+                '0' => zero = true,
+                '+' => plus = true,
+                _ => space = true,
             }
         }
+        let width = number(&mut chars);
+        let prec = chars.next_if_eq(&'.').map(|_| number(&mut chars));
+        while chars.next_if(|c| matches!(c, 'l' | 'h')).is_some() {}
         let mut take = || args.next().unwrap_or(Value::Int(0));
-        let w = match conv {
-            Some('d' | 'i' | 'u') => write!(out, "{}", take().to_int()),
-            Some('x') => write!(out, "{:x}", take().to_int()),
-            Some('o') => write!(out, "{:o}", take().to_int()),
-            Some('c') => write!(out, "{}", (take().to_int() as u8) as char),
+        let sign_of = |negative: bool| {
+            if negative {
+                "-"
+            } else if plus {
+                "+"
+            } else if space {
+                " "
+            } else {
+                ""
+            }
+        };
+        tmp.clear();
+        // The conversion's sign, and whether it is numeric (so a
+        // `0` flag pads it with zeros) and an integer (so a precision
+        // is its fewest digits).
+        let (sign, numeric, integer) = match chars.next() {
+            Some(conv @ ('d' | 'i' | 'u' | 'x' | 'o')) => {
+                let v = take().to_int();
+                let w = match conv {
+                    'x' => write!(tmp, "{v:x}"),
+                    'o' => write!(tmp, "{v:o}"),
+                    _ => write!(tmp, "{}", v.unsigned_abs()),
+                };
+                w.expect("writing to a String cannot fail");
+                if prec == Some(0) && v == 0 {
+                    tmp.clear(); // C prints no digits for a zero
+                }
+                let signed = !matches!(conv, 'x' | 'o');
+                (if signed { sign_of(v < 0) } else { "" }, true, true)
+            }
+            Some(conv @ ('f' | 'e' | 'g')) => {
+                let x = take().to_float();
+                let w = if conv == 'f' {
+                    let digits = prec.unwrap_or(6);
+                    if digits > room.saturating_sub(out.len()) {
+                        return Err(past);
+                    }
+                    write!(tmp, "{:.*}", digits, x.abs())
+                } else {
+                    write!(tmp, "{}", x.abs())
+                };
+                w.expect("writing to a String cannot fail");
+                (
+                    sign_of(x.is_sign_negative() && !x.is_nan()),
+                    x.is_finite(),
+                    false,
+                )
+            }
+            Some('c') => {
+                tmp.push((take().to_int() as u8) as char);
+                ("", false, false)
+            }
             Some('s') => {
                 mem.read_cstring(take().to_ptr(), tmp)?;
-                write!(out, "{tmp}")
+                if let Some((cut, _)) = prec.and_then(|p| tmp.char_indices().nth(p)) {
+                    tmp.truncate(cut);
+                }
+                ("", false, false)
             }
-            Some('f') => write!(out, "{:.6}", take().to_float()),
-            Some('g' | 'e') => write!(out, "{}", take().to_float()),
-            Some('%') | None => write!(out, "%"),
-            Some(other) => write!(out, "%{other}"),
+            // `%%`, a lone `%` and an unknown conversion print as
+            // they are, unpadded.
+            literal => {
+                out.push('%');
+                out.extend(literal.filter(|&c| c != '%'));
+                if out.len() > room {
+                    return Err(past);
+                }
+                continue;
+            }
         };
-        w.expect("writing to a String cannot fail");
-        if out.len() > room {
+        let len = tmp.chars().count();
+        let zeros = match prec {
+            Some(p) if integer => p.saturating_sub(len),
+            _ if zero && numeric && !left => width.saturating_sub(sign.len() + len),
+            _ => 0,
+        };
+        let spaces = width.saturating_sub(zeros.saturating_add(sign.len() + len));
+        let pads = zeros.saturating_add(spaces);
+        if pads.saturating_add(sign.len() + tmp.len()) > room.saturating_sub(out.len()) {
             return Err(past);
+        }
+        let pad = |out: &mut String, c: char, n: usize| out.extend(std::iter::repeat_n(c, n));
+        if !left {
+            pad(out, ' ', spaces);
+        }
+        out.push_str(sign);
+        pad(out, '0', zeros);
+        out.push_str(tmp);
+        if left {
+            pad(out, ' ', spaces);
         }
     }
     Ok(())
+}
+
+/// A decimal width or precision; one too large for `usize` saturates.
+fn number(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> usize {
+    let mut n = 0usize;
+    while let Some(d) = chars.next_if(char::is_ascii_digit) {
+        n = n
+            .saturating_mul(10)
+            .saturating_add(d as usize - '0' as usize);
+    }
+    n
 }

@@ -8,7 +8,7 @@
 
 use minic::ast::BinOp;
 use minic::builtins::Builtin;
-use profiler::bytecode::{Op, SwitchTable, OP_CODES, RETIRED_OP_CODES};
+use profiler::bytecode::{Op, Parts, SwitchTable, OP_CODES, RETIRED_OP_CODES};
 use profiler::runtime::TyClass;
 use profiler::{
     compile, CompiledProgram, ObjectMap, ReuseCollector, ReuseTrace, RunConfig, RunOutcome,
@@ -153,13 +153,9 @@ fn ir_fingerprint_separates_programs_and_is_deterministic() {
 /// Compiles `src`, changes one field of a copy with `mutate` (which
 /// reports whether it found the field), and demands the copy's
 /// fingerprint differ.
-fn one_field_moves_the_fingerprint(
-    what: &str,
-    src: &str,
-    mutate: impl Fn(&mut CompiledProgram) -> bool,
-) {
+fn one_field_moves_the_fingerprint(what: &str, src: &str, mutate: impl Fn(&mut Parts) -> bool) {
     let cp = compiled(src);
-    let mut changed = cp.clone();
+    let mut changed = cp.clone().into_parts();
     assert!(
         mutate(&mut changed),
         "{what}: no such field in the compiled code"
@@ -168,7 +164,7 @@ fn one_field_moves_the_fingerprint(
 }
 
 /// Applies `f` to ops in order until it reports a change.
-fn first_op(cp: &mut CompiledProgram, f: impl FnMut(&mut Op) -> bool) -> bool {
+fn first_op(cp: &mut Parts, f: impl FnMut(&mut Op) -> bool) -> bool {
     cp.ops.iter_mut().any(f)
 }
 

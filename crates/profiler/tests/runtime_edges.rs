@@ -86,21 +86,6 @@ fn shift_semantics() {
 }
 
 #[test]
-fn printf_octal_and_width_flags_are_tolerated() {
-    let out = run_ok(
-        r#"
-        int main(void) {
-            printf("%o|%5d|%-3d|%02x|%q\n", 8, 42, 7, 255, 0);
-            return 0;
-        }
-        "#,
-    );
-    // Width/precision are skipped (not implemented), conversions work,
-    // unknown conversions print literally.
-    assert_eq!(out.stdout(), "10|42|7|ff|%q\n");
-}
-
-#[test]
 fn strncpy_pads_and_strncmp_limits() {
     let out = run_ok(
         r#"
@@ -394,6 +379,96 @@ fn printf_hex_and_float_conversions() {
          0.666667|-2.500000|0.000000\n\
          1.5|0.1|0.3333333333333333|1000000000000\n"
     );
+}
+
+#[test]
+fn printf_octal_widths_and_flags_print_as_in_c() {
+    let out = run_both(
+        r#"
+        int main(void) {
+            printf("%o|%5d|%-3d|%02x|%q\n", 8, 42, 7, 255, 0);
+            return 0;
+        }
+        "#,
+    )
+    .expect("runs");
+    // Widths pad, `-` pads on the right, a width the value already
+    // fills adds nothing, and an unknown conversion prints literally.
+    assert_eq!(out.stdout(), "10|   42|7  |ff|%q\n");
+}
+
+/// Every expected line is what the C library prints for the same
+/// call (`%5%` included, which C leaves undefined).
+#[test]
+fn printf_flags_widths_and_precisions() {
+    let out = run_both(
+        r#"
+        int main(void) {
+            printf("%.3f|%5d|%-4s|%05d|%+d|%.2s\n", 15.625, 7, "ab", 42, 3, "xyz");
+            printf("%08.3f|%-+6d|% d|%.4d|%6.3d|%-6.2f|%3c|%.0d|%x\n",
+                   -2.5, 9, 5, -17, 8, 1.0 / 3.0, 'z', 0, 255);
+            printf("%ld|%5.1s|%+.1f|%05s|%%|%5%|\n", 12, "hello", -0.04, "ab");
+            printf("%08.3f|%08f|%-08d|%+05d|% 05d|%+x|%.3x|%08.3d\n",
+                   2.5, -1.0 / 0.0, 3, 4, 5, 255, 10, 7);
+            return 0;
+        }
+        "#,
+    )
+    .expect("runs");
+    assert_eq!(
+        out.stdout(),
+        "15.625|    7|ab  |00042|+3|xy\n\
+         -002.500|+9    | 5|-0017|   008|0.33  |  z||ff\n\
+         12|    h|-0.0|   ab|%|%|\n\
+         0002.500|    -inf|3       |+0004| 0005|ff|00a|     007\n"
+    );
+}
+
+#[test]
+fn a_huge_width_or_precision_is_the_output_budget() {
+    // Each would print at least a trillion characters; the padding is
+    // refused before anything is written or allocated. A width or
+    // precision past `usize` saturates.
+    for spec in [
+        "%999999999999d",
+        "%.999999999999d",
+        "%.999999999999f",
+        "%-99999999999999999999999s",
+        "%99999999999999999999999.99999999999999999999999d",
+        "%+.99999999999999999999999d",
+        "%.99999999999999999999999f",
+    ] {
+        let src = format!("int main(void) {{ printf(\"{spec}\", 1); return 0; }}");
+        let e = run_both(&src).expect_err("over budget");
+        assert!(
+            matches!(e, RuntimeError::OutputBudget { .. }),
+            "{spec}: {e:?}"
+        );
+    }
+}
+
+#[test]
+fn an_over_wide_sprintf_stops_at_the_end_of_its_destination() {
+    // The padded result cannot fit between `g` (data) or `l` (stack)
+    // and the end of its segment: the error is the one `strcpy` of a
+    // too-long string raises at the first store past the segment.
+    let src = r#"
+        char big[1000];
+        char g[4];
+        int main(void) {
+            char l[4];
+            int i, c = getchar();
+            for (i = 0; i < 999; i++) big[i] = 'A';
+            if (c == 'g') sprintf(g, "%999999999999d", 1);
+            if (c == 'G') strcpy(g, big);
+            if (c == 'l') sprintf(l, "%.999999999999f", 1.0);
+            if (c == 'L') strcpy(l, big);
+            return 0;
+        }
+    "#;
+    let err = |input: &[u8]| run_both_on(src, input).expect_err("overflows");
+    assert_eq!(err(b"g"), err(b"G"));
+    assert_eq!(err(b"l"), err(b"L"));
 }
 
 #[test]

@@ -2,14 +2,23 @@
 //!
 //! Mirrors the frequency estimators' validation loop: run each suite
 //! program under the exact reuse tracer, predict the histogram
-//! statically, and weight-match the two distributions. The floors are
-//! deliberately conservative — the point is to catch regressions in
-//! the model, not to freeze today's exact scores.
+//! statically, and weight-match the two distributions. The score
+//! floors are deliberately conservative — the point is to catch
+//! regressions in the model, not to freeze today's exact scores. The
+//! traces themselves are the VM's ground truth and are pinned exactly
+//! ([`TRACE_DIGEST`]).
 
-use profiler::{ReuseCollector, RunConfig};
+use obs::hash::Fnv128;
+use profiler::{ReuseCollector, ReuseTrace, RunConfig};
 use reuse::{estimate, score};
 
-fn traced_score(name: &str) -> f64 {
+/// Every suite program's merged exact trace, folded in suite order:
+/// the program's name, then each object's name and bins, then the
+/// event count. It pins what the VM's reuse tap reports, which the
+/// loose score floors below do not.
+const TRACE_DIGEST: u128 = 0x3cce_7a6b_562f_9b1d_5862_cf24_9caf_ae46;
+
+fn traced_score(name: &str) -> (f64, ReuseTrace) {
     let prog = suite::by_name(name).expect("known program");
     let program = prog.compile().expect("suite program compiles");
     let est = estimate(&program);
@@ -32,15 +41,25 @@ fn traced_score(name: &str) -> f64 {
             Some(m) => m.merge(&trace),
         }
     }
-    score(&est, &merged.expect("at least one input"))
+    let merged = merged.expect("at least one input");
+    (score(&est, &merged), merged)
 }
 
 #[test]
 fn all_programs_score_above_noise() {
     let mut rows = Vec::new();
+    let mut digest = Fnv128::with_basis(0);
     for prog in suite::all() {
-        let s = traced_score(prog.name);
+        let (s, trace) = traced_score(prog.name);
         rows.push((prog.name, s));
+        digest.field_str(prog.name);
+        for object in &trace.objects {
+            digest.field_str(&object.name);
+            for &bin in &object.hist {
+                digest.word(bin);
+            }
+        }
+        digest.word(trace.events);
     }
     for (name, s) in &rows {
         println!("{name:<12} {s:.3}");
@@ -49,6 +68,12 @@ fn all_programs_score_above_noise() {
     let mean = rows.iter().map(|(_, s)| s).sum::<f64>() / rows.len() as f64;
     println!("mean         {mean:.3}");
     assert!(mean > 0.45, "suite mean weight-matching too low: {mean:.3}");
+    assert_eq!(rows.len(), 14, "the suite has 14 programs");
+    let digest = digest.digest();
+    assert_eq!(
+        digest, TRACE_DIGEST,
+        "suite reuse traces moved: {digest:#034x}"
+    );
 }
 
 /// The merged trace is a plain per-bin sum, so fanning the inputs out
@@ -85,12 +110,12 @@ fn merged_trace_is_identical_at_any_pool_size() {
 
 #[test]
 fn compress_scores_against_exact_trace() {
-    let s = traced_score("compress");
+    let (s, _) = traced_score("compress");
     assert!(s > 0.55, "compress predicted-vs-traced score: {s:.3}");
 }
 
 #[test]
 fn cholesky_scores_against_exact_trace() {
-    let s = traced_score("cholesky");
+    let (s, _) = traced_score("cholesky");
     assert!(s > 0.55, "cholesky predicted-vs-traced score: {s:.3}");
 }

@@ -283,10 +283,8 @@ fn fig7() {
     let preds = estimators::predict_module(&program.module);
     let probs = estimators::intra::edge_probabilities(&program, cfg, &preds);
     println!("arcs (block -> block : probability):");
-    for (src, outs) in probs.iter().enumerate() {
-        for (dst, p) in outs {
-            println!("  B{src} -> B{} : {p:.2}", dst.0);
-        }
+    for ((src, dst), p) in cfg.edges().zip(probs) {
+        println!("  B{} -> B{} : {p:.2}", src.0, dst.0);
     }
     let sol = estimators::intra::estimate_function(&program, f, IntraEstimator::Markov);
     println!("solution (block frequencies, entry = 1):");

@@ -131,7 +131,7 @@ pub fn load_suite_with(
         let cp = if opt_level == 0 {
             cp
         } else {
-            let ranking = estimators::ranking::StaticRanking::new(&program);
+            let ranking = Ranking::static_estimate(&program);
             let plan = plan_from_ranking(&ranking, &cp, opt_level, cp.funcs.len());
             opt::optimize(&cp, &plan).0
         };
@@ -204,20 +204,20 @@ pub struct Fig10Program {
 /// of `ranking` and steers every frequency-guided pass with the
 /// ranking's block and call-site frequencies.
 pub fn plan_from_ranking(
-    ranking: &dyn estimators::ranking::Ranking,
+    ranking: &Ranking,
     cp: &CompiledProgram,
     level: u8,
     k: usize,
 ) -> opt::OptPlan {
     let mut budgeted = vec![false; cp.funcs.len()];
-    for f in ranking.func_order().into_iter().take(k) {
+    for f in ranking.order.iter().take(k) {
         budgeted[f.0 as usize] = true;
     }
     opt::OptPlan {
         level,
         budgeted,
-        block_freqs: ranking.block_freqs(),
-        site_freqs: ranking.site_freqs(),
+        block_freqs: ranking.block_freqs.clone(),
+        site_freqs: ranking.site_freqs.clone(),
         inline_budget: opt::default_inline_budget(cp),
     }
 }
@@ -271,10 +271,11 @@ fn fig10_measure(name: &'static str, program: Program, ks: &[usize], reuse: bool
         .collect();
     let training_refs: Vec<&Profile> = training.iter().collect();
 
-    let st = estimators::ranking::StaticRanking::new(&program);
-    let pr = estimators::ranking::ProfileRanking::measured(&program, &training_refs);
-    let or = estimators::ranking::ProfileRanking::oracle(&program, &baseline.profile);
-    let rankings: [&dyn estimators::ranking::Ranking; 3] = [&st, &pr, &or];
+    let rankings = [
+        Ranking::static_estimate(&program),
+        Ranking::measured(&program, &training_refs),
+        Ranking::oracle(&program, &baseline.profile),
+    ];
 
     // Recosting can move a run across the step limit in either
     // direction near the boundary; 4x headroom keeps the measurement
@@ -295,7 +296,7 @@ fn fig10_measure(name: &'static str, program: Program, ks: &[usize], reuse: bool
             let mut steps = Vec::with_capacity(ks.len());
             let mut wall_ms = Vec::with_capacity(ks.len());
             for &k in ks {
-                let plan = plan_from_ranking(*ranking, &cp, 3, k);
+                let plan = plan_from_ranking(ranking, &cp, 3, k);
                 let (ocp, _stats) = opt::optimize(&cp, &plan);
                 let fingerprint = ocp.ir_fingerprint();
                 let (s, ms) = match runs.get(&fingerprint) {
@@ -305,10 +306,9 @@ fn fig10_measure(name: &'static str, program: Program, ks: &[usize], reuse: bool
                         let out = ocp.execute(&opt_cfg, None).expect("optimized holdout runs");
                         let ms = t0.elapsed().as_secs_f64() * 1e3;
                         assert_eq!(
-                            out.output,
-                            baseline.output,
+                            out.output, baseline.output,
                             "{name} @ {} k={k}: optimized output diverged",
-                            ranking.name()
+                            ranking.name
                         );
                         assert_eq!(out.exit_code, baseline.exit_code, "{name} k={k}: exit");
                         if reuse {
@@ -325,7 +325,7 @@ fn fig10_measure(name: &'static str, program: Program, ks: &[usize], reuse: bool
                 .map(|&s| baseline.steps as f64 / s as f64)
                 .collect();
             Fig10Curve {
-                ranking: ranking.name(),
+                ranking: ranking.name,
                 steps,
                 speedups,
                 wall_ms,
@@ -337,8 +337,8 @@ fn fig10_measure(name: &'static str, program: Program, ks: &[usize], reuse: bool
         name,
         ks: ks.to_vec(),
         baseline_steps: baseline.steps,
-        static_order: st
-            .func_order()
+        static_order: rankings[0]
+            .order
             .iter()
             .map(|&f| program.module.function(f).name.clone())
             .collect(),

@@ -8,9 +8,8 @@ use cache::Cache;
 use pool::Pool;
 
 /// Deterministic rendering of everything `load_*` produces that
-/// downstream experiments consume. `Profile` is integer counts plus a
-/// sorted-on-render edge map, so equality here is byte-equality of
-/// the whole result.
+/// downstream experiments consume. `Profile` is dense integer counts,
+/// so equality here is byte-equality of the whole result.
 fn render(data: &[bench::ProgramData]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -23,12 +22,15 @@ fn render(data: &[bench::ProgramData]) -> String {
         )
         .unwrap();
         for p in &d.profiles {
-            let mut edges: Vec<_> = p.edge_counts.iter().collect();
-            edges.sort();
             writeln!(
                 out,
-                "{:?} {:?} {:?} {:?} {:?} {edges:?}",
-                p.block_counts, p.branch_counts, p.call_site_counts, p.func_counts, p.func_cost
+                "{:?} {:?} {:?} {:?} {:?} {:?}",
+                p.block_counts,
+                p.branch_counts,
+                p.call_site_counts,
+                p.func_counts,
+                p.func_cost,
+                p.edge_counts
             )
             .unwrap();
         }

@@ -25,10 +25,20 @@
 //! ## Payload encodings
 //!
 //! A `Profile` payload is tag `1` followed by the six count tables,
-//! each length-prefixed. The `edge_counts` hash map is serialized as
-//! a `(func, from, to)`-sorted vector so that encoding is a pure
-//! function of the profile *value* — equal profiles produce
-//! byte-identical entries regardless of hash-map iteration order,
+//! each length-prefixed, in field order:
+//!
+//! ```text
+//! table             encoding
+//! block_counts      rows: n, then per function a length and n u64
+//! branch_counts     n, then n (taken u64, not-taken u64) pairs
+//! call_site_counts  n, then n u64
+//! func_counts       n, then n u64
+//! edge_counts       rows, as block_counts (per function, by edge id)
+//! func_cost         n, then n u64
+//! ```
+//!
+//! Every table is dense, so encoding is a pure function of the
+//! profile *value*: equal profiles produce byte-identical entries,
 //! which the determinism tests rely on.
 //! An `OptProfile` payload is tag `3` with the same layout. A
 //! `ReuseProfile` payload is tag `4` followed by the event count and a
@@ -36,8 +46,6 @@
 //! retired bytecode-summary kind, decodes as unknown.
 
 use crate::FORMAT_VERSION;
-use flowgraph::BlockId;
-use minic::sema::FuncId;
 use obs::hash::fnv64;
 use profiler::reuse::BINS;
 use profiler::{Profile, ReuseTrace};
@@ -123,13 +131,7 @@ fn encode_payload(artifact: &Artifact) -> Vec<u8> {
 }
 
 fn put_profile(out: &mut Vec<u8>, p: &Profile) {
-    put_len(out, p.block_counts.len());
-    for row in &p.block_counts {
-        put_len(out, row.len());
-        for &c in row {
-            put_u64(out, c);
-        }
-    }
+    put_rows(out, &p.block_counts);
     put_len(out, p.branch_counts.len());
     for &(taken, not_taken) in &p.branch_counts {
         put_u64(out, taken);
@@ -143,32 +145,36 @@ fn put_profile(out: &mut Vec<u8>, p: &Profile) {
     for &c in &p.func_counts {
         put_u64(out, c);
     }
-    // Canonical order: equal maps must encode identically.
-    let mut edges: Vec<(u32, u32, u32, u64)> = p
-        .edge_counts
-        .iter()
-        .map(|(&(f, from, to), &n)| (f.0, from.0, to.0, n))
-        .collect();
-    edges.sort_unstable();
-    put_len(out, edges.len());
-    for (f, from, to, n) in edges {
-        put_u32(out, f);
-        put_u32(out, from);
-        put_u32(out, to);
-        put_u64(out, n);
-    }
+    put_rows(out, &p.edge_counts);
     put_len(out, p.func_cost.len());
     for &c in &p.func_cost {
         put_u64(out, c);
     }
 }
 
-fn read_profile(r: &mut Reader) -> Option<Profile> {
-    let mut p = Profile::default();
-    for _ in 0..r.len()? {
-        let row = (0..r.len()?).map(|_| r.u64()).collect::<Option<_>>()?;
-        p.block_counts.push(row);
+/// A per-function table: the row count, then each row's length and
+/// counts.
+fn put_rows(out: &mut Vec<u8>, rows: &[Vec<u64>]) {
+    put_len(out, rows.len());
+    for row in rows {
+        put_len(out, row.len());
+        for &c in row {
+            put_u64(out, c);
+        }
     }
+}
+
+fn read_rows(r: &mut Reader) -> Option<Vec<Vec<u64>>> {
+    (0..r.len()?)
+        .map(|_| (0..r.len()?).map(|_| r.u64()).collect())
+        .collect()
+}
+
+fn read_profile(r: &mut Reader) -> Option<Profile> {
+    let mut p = Profile {
+        block_counts: read_rows(r)?,
+        ..Profile::default()
+    };
     for _ in 0..r.len()? {
         p.branch_counts.push((r.u64()?, r.u64()?));
     }
@@ -178,10 +184,7 @@ fn read_profile(r: &mut Reader) -> Option<Profile> {
     for _ in 0..r.len()? {
         p.func_counts.push(r.u64()?);
     }
-    for _ in 0..r.len()? {
-        let key = (FuncId(r.u32()?), BlockId(r.u32()?), BlockId(r.u32()?));
-        p.edge_counts.insert(key, r.u64()?);
-    }
+    p.edge_counts = read_rows(r)?;
     for _ in 0..r.len()? {
         p.func_cost.push(r.u64()?);
     }
@@ -215,10 +218,6 @@ fn decode_payload(payload: &[u8]) -> Option<Artifact> {
     r.0.is_empty().then_some(artifact)
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
@@ -243,10 +242,6 @@ impl Reader<'_> {
 
     fn u8(&mut self) -> Option<u8> {
         Some(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
     }
 
     fn u64(&mut self) -> Option<u64> {

@@ -84,8 +84,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 /// written under another version silently misses. v2 added the
 /// optimized-run profile kind ([`ArtifactKind::OptProfile`]); v3
 /// added reuse-distance traces ([`ArtifactKind::ReuseProfile`]) and
-/// folded the trace-mode byte into their keys.
-pub const FORMAT_VERSION: u32 = 3;
+/// folded the trace-mode byte into their keys; v4 writes a profile's
+/// edge counts as dense per-function rows by edge id. Those rows are
+/// positional, so a change to the edge numbering (`Cfg::edges`) must
+/// bump it too.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// File extension for cache entries.
 const ENTRY_EXT: &str = "sfea";
@@ -465,20 +468,14 @@ mod tests {
     }
 
     fn sample_profile(seed: u64) -> Profile {
-        use flowgraph::BlockId;
-        use minic::sema::FuncId;
-        let mut p = Profile {
+        Profile {
             block_counts: vec![vec![seed, seed * 2, 3], vec![]],
             branch_counts: vec![(seed, 1), (0, 0)],
             call_site_counts: vec![5, seed],
             func_counts: vec![1, seed],
-            edge_counts: std::collections::HashMap::new(),
+            edge_counts: vec![vec![0, seed + 9], vec![3]],
             func_cost: vec![seed * 100, 7],
-        };
-        p.edge_counts
-            .insert((FuncId(0), BlockId(1), BlockId(2)), seed + 9);
-        p.edge_counts.insert((FuncId(1), BlockId(0), BlockId(0)), 3);
-        p
+        }
     }
 
     fn opt(opt_level: u8, pipeline_version: u32) -> ArtifactKind {
@@ -496,15 +493,15 @@ mod tests {
         let hex = |k: ArtifactKey| format!("{:032x}", k.0);
         assert_eq!(
             hex(ArtifactKey::derive(ArtifactKind::Profile, src, &cfg)),
-            "b8408110251c7e8dec198e412502558d"
+            "436fd2737df8862c7748dfa47dde5d2c"
         );
         assert_eq!(
             hex(ArtifactKey::derive(opt(3, 2), src, &cfg)),
-            "4548ee40e17352221c1bca115b5b7722"
+            "270790e9da566d5dfdda6cba543e925d"
         );
         assert_eq!(
             hex(ArtifactKey::derive(ArtifactKind::ReuseProfile, src, &cfg)),
-            "2313bf1cd73db68f22bc295faaca0b8f"
+            "2061773d03794e7c2009e17fd705a37c"
         );
     }
 

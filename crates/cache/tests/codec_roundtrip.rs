@@ -5,15 +5,12 @@
 
 use cache::codec::{decode_entry, encode_entry, Artifact};
 use cache::{ArtifactKey, ArtifactKind, Cache};
-use flowgraph::BlockId;
-use minic::sema::FuncId;
 use profiler::{Profile, RunConfig};
 use proptest::{proptest, ProptestConfig, Strategy, TestRng};
 use std::path::PathBuf;
 
-/// Generates structurally arbitrary profiles: ragged block tables,
-/// arbitrary counts (including the u64 extremes), and random sparse
-/// edge maps.
+/// Generates structurally arbitrary profiles: ragged block and edge
+/// tables and arbitrary counts (including the u64 extremes).
 struct ProfileGen;
 
 fn big(rng: &mut TestRng) -> u64 {
@@ -32,25 +29,19 @@ impl Strategy for ProfileGen {
 
     fn generate(&self, rng: &mut TestRng) -> Profile {
         let n_funcs = rng.below(6);
-        let mut p = Profile {
-            block_counts: (0..n_funcs)
+        let rows = |rng: &mut TestRng| -> Vec<Vec<u64>> {
+            (0..n_funcs)
                 .map(|_| (0..rng.below(8)).map(|_| big(rng)).collect())
-                .collect(),
+                .collect()
+        };
+        Profile {
+            block_counts: rows(rng),
             branch_counts: (0..rng.below(8)).map(|_| (big(rng), big(rng))).collect(),
             call_site_counts: (0..rng.below(8)).map(|_| big(rng)).collect(),
             func_counts: (0..n_funcs).map(|_| big(rng)).collect(),
-            edge_counts: std::collections::HashMap::new(),
+            edge_counts: rows(rng),
             func_cost: (0..n_funcs).map(|_| big(rng)).collect(),
-        };
-        for _ in 0..rng.below(12) {
-            let key = (
-                FuncId(rng.below(6) as u32),
-                BlockId(rng.below(8) as u32),
-                BlockId(rng.below(8) as u32),
-            );
-            p.edge_counts.insert(key, big(rng));
         }
-        p
     }
 }
 

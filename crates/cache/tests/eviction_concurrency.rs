@@ -29,7 +29,7 @@ fn sample_profile(seed: u64) -> Profile {
         branch_counts: vec![(seed, 1)],
         call_site_counts: vec![seed],
         func_counts: vec![1],
-        edge_counts: std::collections::HashMap::new(),
+        edge_counts: vec![vec![seed]],
         func_cost: vec![seed],
     }
 }

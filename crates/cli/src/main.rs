@@ -427,7 +427,7 @@ fn run(program: &Program, input_path: Option<&str>, opt_level: u8) -> ExitCode {
     let config = profiler::RunConfig::with_input(input);
     let compiled = profiler::compile(program);
     let (compiled, stats) = if opt_level > 0 {
-        let ranking = estimators::ranking::StaticRanking::new(program);
+        let ranking = estimators::ranking::Ranking::static_estimate(program);
         let plan = bench::plan_from_ranking(&ranking, &compiled, opt_level, compiled.funcs.len());
         let (ocp, stats) = opt::optimize(&compiled, &plan);
         (ocp, Some(stats))

@@ -62,6 +62,8 @@ pub fn global_blocks(
 
 /// Estimates the whole-run traversal count of every CFG arc: source
 /// block's global frequency × the arc's (smart-prediction) probability.
+/// The arcs come function by function, each function's by edge id, so
+/// they line up with [`Profile::edge_counts`]' rows.
 pub fn global_arcs(
     program: &Program,
     intra: &IntraEstimates,
@@ -73,15 +75,13 @@ pub fn global_arcs(
         let cfg = program.cfg(f);
         let probs = edge_probabilities(program, cfg, &intra.predictions);
         let blocks = intra.blocks_of(f);
-        for (src, outs) in probs.iter().enumerate() {
-            for &(dst, p) in outs {
-                out.push(GlobalArc {
-                    func: f,
-                    from: BlockId(src as u32),
-                    to: dst,
-                    freq: blocks[src] * p * inv,
-                });
-            }
+        for ((from, to), p) in cfg.edges().zip(probs) {
+            out.push(GlobalArc {
+                func: f,
+                from,
+                to,
+                freq: blocks[from.0 as usize] * p * inv,
+            });
         }
     }
     out
@@ -120,18 +120,14 @@ pub fn global_arc_score(
     profiles: &[Profile],
     cutoff: f64,
 ) -> f64 {
-    let arcs = global_arcs(program, intra, inter);
-    let est: Vec<f64> = arcs.iter().map(|a| a.freq).collect();
+    let est: Vec<f64> = (global_arcs(program, intra, inter).iter())
+        .map(|a| a.freq)
+        .collect();
     let mut sum = 0.0;
     for p in profiles {
-        let actual: Vec<f64> = arcs
-            .iter()
-            .map(|a| {
-                p.edge_counts
-                    .get(&(a.func, a.from, a.to))
-                    .copied()
-                    .unwrap_or(0) as f64
-            })
+        let actual: Vec<f64> = (program.defined_ids().into_iter())
+            .flat_map(|f| p.edges_of(f))
+            .map(|&c| c as f64)
             .collect();
         sum += weight_matching(&est, &actual, cutoff);
     }
@@ -195,14 +191,14 @@ mod tests {
     fn arc_estimates_cover_every_cfg_edge() {
         let (program, ia, ie, profile) = setup(SRC);
         let arcs = global_arcs(&program, &ia, &ie);
-        // Each profiled edge must appear among the estimated arcs.
-        for (f, from, to) in profile.edge_counts.keys() {
-            assert!(
-                arcs.iter()
-                    .any(|a| a.func == *f && a.from == *from && a.to == *to),
-                "missing arc {f:?} {from:?}->{to:?}"
-            );
-        }
+        // One arc per CFG edge, lined up with the profile's edge rows.
+        let edges: Vec<_> = (program.defined_ids().into_iter())
+            .flat_map(|f| program.cfg(f).edges().map(move |(from, to)| (f, from, to)))
+            .collect();
+        let listed: Vec<_> = arcs.iter().map(|a| (a.func, a.from, a.to)).collect();
+        assert_eq!(listed, edges);
+        let profiled: usize = profile.edge_counts.iter().map(Vec::len).sum();
+        assert_eq!(arcs.len(), profiled);
         let s = global_arc_score(&program, &ia, &ie, &[profile], 0.25);
         assert!(s > 0.7, "arc score {s}");
     }

@@ -534,28 +534,22 @@ impl AstWalker<'_> {
 
 // ----- Markov estimator -----
 
-/// The arc probabilities the Markov model assigns to a block's
-/// out-edges, built from the smart predictions (§5.1): the arcs of
-/// [`for_each_arc`], listed per source block.
-pub fn edge_probabilities(
-    program: &Program,
-    cfg: &Cfg,
-    predictions: &Predictions,
-) -> Vec<Vec<(BlockId, f64)>> {
-    let mut out = vec![Vec::new(); cfg.len()];
-    for_each_arc(program, cfg, predictions, |src, dst, p| {
-        out[src.0 as usize].push((dst, p));
-    });
+/// The probability the Markov model assigns to each CFG edge, built
+/// from the smart predictions (§5.1): a dense column by edge id
+/// ([`Cfg::edges`]), the probabilities of [`for_each_arc`].
+pub fn edge_probabilities(program: &Program, cfg: &Cfg, predictions: &Predictions) -> Vec<f64> {
+    let mut out = Vec::new();
+    for_each_arc(program, cfg, predictions, |_, _, p| out.push(p));
     out
 }
 
 /// Calls `arc(src, dst, probability)` for every out-edge of every
-/// block, in block order. A branch's arcs come then-first; a switch's
-/// come in target order, each weighted by the number of case labels
-/// routing to it, the default target getting the default section's
-/// share (or one share if there is no default section). The order is
-/// fixed because arc insertion order reaches the sparse solver's float
-/// accumulation.
+/// block, in edge-id order ([`Cfg::edges`]). A branch's arcs come
+/// then-first; a switch's come in target order, each weighted by the
+/// number of case labels routing to it, the default target getting
+/// the default section's share (or one share if there is no default
+/// section). The order is fixed because arc insertion order reaches
+/// the sparse solver's float accumulation.
 pub fn for_each_arc(
     program: &Program,
     cfg: &Cfg,

@@ -6,15 +6,15 @@
 //! functions as a measured profile? This module provides the three
 //! ranking providers the experiment compares:
 //!
-//! - [`StaticRanking`] — pure compile-time estimates: the *smart*
-//!   intra-procedural estimator (§4.2) scaled by the call-graph
+//! - [`Ranking::static_estimate`] — pure compile-time estimates: the
+//!   *smart* intra-procedural estimator (§4.2) scaled by the call-graph
 //!   *Markov* invocation model (§5.2), no execution required;
-//! - [`ProfileRanking::measured`] — measured profiles from *training*
-//!   inputs (the classic profile-guided baseline);
-//! - [`ProfileRanking::oracle`] — a profile of the *evaluation* input
-//!   itself: the unbeatable upper bound.
+//! - [`Ranking::measured`] — measured profiles from *training* inputs
+//!   (the classic profile-guided baseline);
+//! - [`Ranking::oracle`] — a profile of the *evaluation* input itself:
+//!   the unbeatable upper bound.
 //!
-//! All three expose the same [`Ranking`] view — hottest-first function
+//! All three are the same [`Ranking`] value — hottest-first function
 //! order plus whole-run block and call-site frequencies — so the
 //! optimizer is indifferent to where its hotness numbers came from.
 
@@ -23,17 +23,18 @@ use flowgraph::Program;
 use minic::sema::FuncId;
 use profiler::Profile;
 
-/// A source of hotness information for optimization budgeting.
-pub trait Ranking {
+/// Hotness information for optimization budgeting.
+#[derive(Debug, Clone)]
+pub struct Ranking {
     /// Provider name, for reports ("static", "profile", "oracle").
-    fn name(&self) -> &'static str;
+    pub name: &'static str,
     /// Defined functions, hottest first (ties broken by `FuncId` so
     /// every provider is deterministic).
-    fn func_order(&self) -> Vec<FuncId>;
+    pub order: Vec<FuncId>,
     /// Whole-run block execution frequencies, `[func][block]`.
-    fn block_freqs(&self) -> Vec<Vec<f64>>;
+    pub block_freqs: Vec<Vec<f64>>,
     /// Whole-run call-site frequencies, indexed by `CallSiteId`.
-    fn site_freqs(&self) -> Vec<f64>;
+    pub site_freqs: Vec<f64>,
 }
 
 /// Sorts `(FuncId, score)` pairs hottest-first with deterministic ties.
@@ -42,17 +43,10 @@ fn order_by_score(mut scored: Vec<(FuncId, f64)>) -> Vec<FuncId> {
     scored.into_iter().map(|(f, _)| f).collect()
 }
 
-/// Compile-time hotness: smart intra-procedural block frequencies
-/// scaled by Markov invocation counts. Requires no execution.
-pub struct StaticRanking {
-    order: Vec<FuncId>,
-    block_freqs: Vec<Vec<f64>>,
-    site_freqs: Vec<f64>,
-}
-
-impl StaticRanking {
-    /// Builds the static ranking for `program`.
-    pub fn new(program: &Program) -> StaticRanking {
+impl Ranking {
+    /// Compile-time hotness: smart intra-procedural block frequencies
+    /// scaled by Markov invocation counts. Requires no execution.
+    pub fn static_estimate(program: &Program) -> Ranking {
         let ia = intra::estimate_program(program, intra::IntraEstimator::Smart);
         let ie = inter::estimate_invocations(program, &ia, inter::InterEstimator::Markov);
 
@@ -82,41 +76,28 @@ impl StaticRanking {
             site_freqs[s.site.0 as usize] = s.freq;
         }
 
-        StaticRanking {
+        Ranking {
+            name: "static",
             order: order_by_score(scored),
             block_freqs,
             site_freqs,
         }
     }
-}
 
-impl Ranking for StaticRanking {
-    fn name(&self) -> &'static str {
-        "static"
+    /// A training-input ranking (the profile-guided baseline).
+    pub fn measured(program: &Program, profiles: &[&Profile]) -> Ranking {
+        Ranking::from_profiles("profile", program, profiles)
     }
-    fn func_order(&self) -> Vec<FuncId> {
-        self.order.clone()
-    }
-    fn block_freqs(&self) -> Vec<Vec<f64>> {
-        self.block_freqs.clone()
-    }
-    fn site_freqs(&self) -> Vec<f64> {
-        self.site_freqs.clone()
-    }
-}
 
-/// Measured hotness, summed over one or more profiles. Functions are
-/// ranked by accumulated cost (the paper ranks by time spent, not
-/// entry count).
-pub struct ProfileRanking {
-    name: &'static str,
-    order: Vec<FuncId>,
-    block_freqs: Vec<Vec<f64>>,
-    site_freqs: Vec<f64>,
-}
+    /// The oracle: a profile of the evaluation input itself.
+    pub fn oracle(program: &Program, profile: &Profile) -> Ranking {
+        Ranking::from_profiles("oracle", program, &[profile])
+    }
 
-impl ProfileRanking {
-    fn build(name: &'static str, program: &Program, profiles: &[&Profile]) -> ProfileRanking {
+    /// Measured hotness, summed over one or more profiles. Functions
+    /// are ranked by accumulated cost (the paper ranks by time spent,
+    /// not entry count).
+    fn from_profiles(name: &'static str, program: &Program, profiles: &[&Profile]) -> Ranking {
         let n_funcs = program.cfgs.len();
         let mut cost = vec![0.0f64; n_funcs];
         let mut block_freqs: Vec<Vec<f64>> = program
@@ -143,37 +124,12 @@ impl ProfileRanking {
             .into_iter()
             .map(|f| (f, cost[f.0 as usize]))
             .collect();
-        ProfileRanking {
+        Ranking {
             name,
             order: order_by_score(scored),
             block_freqs,
             site_freqs,
         }
-    }
-
-    /// A training-input ranking (the profile-guided baseline).
-    pub fn measured(program: &Program, profiles: &[&Profile]) -> ProfileRanking {
-        ProfileRanking::build("profile", program, profiles)
-    }
-
-    /// The oracle: a profile of the evaluation input itself.
-    pub fn oracle(program: &Program, profile: &Profile) -> ProfileRanking {
-        ProfileRanking::build("oracle", program, &[profile])
-    }
-}
-
-impl Ranking for ProfileRanking {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-    fn func_order(&self) -> Vec<FuncId> {
-        self.order.clone()
-    }
-    fn block_freqs(&self) -> Vec<Vec<f64>> {
-        self.block_freqs.clone()
-    }
-    fn site_freqs(&self) -> Vec<f64> {
-        self.site_freqs.clone()
     }
 }
 
@@ -203,8 +159,8 @@ mod tests {
     #[test]
     fn static_ranks_hot_above_cold() {
         let p = program(HOT_COLD);
-        let r = StaticRanking::new(&p);
-        let order = r.func_order();
+        let r = Ranking::static_estimate(&p);
+        let order = &r.order;
         let hot = p.function_id("hot").unwrap();
         let cold = p.function_id("cold").unwrap();
         let pos = |f| order.iter().position(|&x| x == f).unwrap();
@@ -216,14 +172,14 @@ mod tests {
     fn profile_ranking_matches_measured_hotness() {
         let p = program(HOT_COLD);
         let out = profiler::run(&p, &profiler::RunConfig::default()).unwrap();
-        let r = ProfileRanking::measured(&p, &[&out.profile]);
+        let r = Ranking::measured(&p, &[&out.profile]);
         let hot = p.function_id("hot").unwrap();
-        assert_eq!(r.func_order()[0], hot);
+        assert_eq!(r.order[0], hot);
         // Whole-run block frequencies reflect actual counts.
-        let hot_total: f64 = r.block_freqs()[hot.0 as usize].iter().sum();
+        let hot_total: f64 = r.block_freqs[hot.0 as usize].iter().sum();
         assert!(hot_total > 100.0, "hot ran 100 times: {hot_total}");
         // The hot call site dominates.
-        let sf = r.site_freqs();
+        let sf = &r.site_freqs;
         assert!(sf.iter().cloned().fold(0.0, f64::max) >= 100.0);
     }
 
@@ -231,9 +187,9 @@ mod tests {
     fn static_and_profile_agree_on_the_hottest_function() {
         let p = program(HOT_COLD);
         let out = profiler::run(&p, &profiler::RunConfig::default()).unwrap();
-        let st = StaticRanking::new(&p);
-        let pr = ProfileRanking::oracle(&p, &out.profile);
-        assert_eq!(st.func_order()[0], pr.func_order()[0]);
-        assert_eq!(pr.name(), "oracle");
+        let st = Ranking::static_estimate(&p);
+        let pr = Ranking::oracle(&p, &out.profile);
+        assert_eq!(st.order[0], pr.order[0]);
+        assert_eq!(pr.name, "oracle");
     }
 }

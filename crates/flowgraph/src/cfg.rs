@@ -11,6 +11,8 @@
 //! from the matching statement-level slot. Adjacency queries allocate
 //! nothing per block: [`Cfg::successors`] borrows its targets, and
 //! [`Cfg::predecessors`] returns one flat [`BlockLists`].
+//!
+//! A CFG numbers its edges once, in [`Cfg::edges`].
 
 use minic::ast::{Expr, NodeId};
 use minic::sema::{BranchId, FuncId, LocalId, SwitchId};
@@ -261,6 +263,36 @@ impl Cfg {
         })
     }
 
+    /// Every edge `(from, to)` in edge-id order: edge `e` is the `e`-th
+    /// pair of `for b in blocks { for s in successors(b) }`. This is
+    /// the one edge numbering: profile edge rows, the VM's edge
+    /// counters and the Markov arc probabilities are columns by it.
+    /// Cached profiles store edge rows by position, so a change to
+    /// this order must bump the artifact cache's `FORMAT_VERSION`, or
+    /// old entries decode with their counts on the wrong edges.
+    pub fn edges(&self) -> impl Iterator<Item = (BlockId, BlockId)> + '_ {
+        self.blocks
+            .iter()
+            .flat_map(move |b| self.successors(b.id).into_iter().map(move |s| (b.id, s)))
+    }
+
+    /// Each block's first edge id in the [`Cfg::edges`] numbering.
+    pub fn edge_ids(&self) -> EdgeIds {
+        let (mut first, mut next) = (Vec::with_capacity(self.blocks.len()), 0);
+        for b in &self.blocks {
+            first.push(next);
+            next += self.successors(b.id).len() as u32;
+        }
+        EdgeIds(first)
+    }
+
+    /// The id of edge `from → to`, if the CFG has it; `ids` is this
+    /// CFG's [`Cfg::edge_ids`].
+    pub fn edge_id(&self, ids: &EdgeIds, from: BlockId, to: BlockId) -> Option<usize> {
+        let k = self.successors(from).iter().position(|&s| s == to)?;
+        Some(ids.first(from) + k)
+    }
+
     /// The predecessors of every block, each list in block order.
     pub fn predecessors(&self) -> BlockLists {
         let n = self.blocks.len();
@@ -396,6 +428,19 @@ impl Iterator for SuccessorsIter<'_> {
 }
 
 impl ExactSizeIterator for SuccessorsIter<'_> {}
+
+/// Where each block's out-edges start in a CFG's edge numbering
+/// ([`Cfg::edge_ids`]): block `b`'s edges are the ids from `first(b)`
+/// on, one per successor in [`Cfg::successors`] order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct EdgeIds(Vec<u32>);
+
+impl EdgeIds {
+    /// The id of `b`'s first out-edge.
+    pub fn first(&self, b: BlockId) -> usize {
+        self.0[b.0 as usize] as usize
+    }
+}
 
 /// One list of blocks per block, stored flat (compressed sparse rows):
 /// block `v`'s list is `ids[off[v]..off[v + 1]]` — two allocations for

@@ -28,7 +28,7 @@ pub mod lower;
 pub mod simplify;
 
 pub use callgraph::CallGraph;
-pub use cfg::{Block, BlockId, Cfg, Instr, Terminator};
+pub use cfg::{Block, BlockId, Cfg, EdgeIds, Instr, Terminator};
 
 use minic::sema::{FuncId, Module};
 

@@ -345,7 +345,13 @@ fn profile_diff(vm: &Profile, ast: &Profile) -> String {
 // Oracle 4: structural invariants
 // ---------------------------------------------------------------------
 
-fn profile_invariants(program: &Program, profile: &Profile) -> Result<(), Failure> {
+/// Oracle 4 on one profile of `program`: every function's edge row
+/// has one count per edge of its CFG and conserves flow (entry
+/// injection plus inflow equals the block count, which equals outflow
+/// out of a non-return block), every invocation leaves through one
+/// return, branch totals match their blocks, and call sites account
+/// for every invocation.
+pub fn profile_invariants(program: &Program, profile: &Profile) -> Result<(), Failure> {
     let module = &program.module;
     for cfg in program.cfgs.iter().flatten() {
         let f = cfg.func;
@@ -353,55 +359,44 @@ fn profile_invariants(program: &Program, profile: &Profile) -> Result<(), Failur
         let counts = &profile.block_counts[fi];
         let invocations = profile.func_counts[fi];
         let name = &module.functions[fi].name;
-        let preds = cfg.predecessors();
-
+        let row = profile.edges_of(f);
+        if row.len() != cfg.edges().count() {
+            return Err(Failure::new(
+                FailureKind::Invariant,
+                format!(
+                    "{name}: {} edge counts for {} edges",
+                    row.len(),
+                    cfg.edges().count()
+                ),
+            ));
+        }
         // Flow conservation: inflow (+ entry injection) == count ==
         // outflow (for non-return blocks).
+        let (mut inflow, mut outflow) = (vec![0u64; cfg.len()], vec![0u64; cfg.len()]);
+        for ((from, to), &c) in cfg.edges().zip(row) {
+            outflow[from.0 as usize] += c;
+            inflow[to.0 as usize] += c;
+        }
+        inflow[cfg.entry.0 as usize] += invocations;
         for b in &cfg.blocks {
             let bi = b.id.0 as usize;
-            let mut inflow: u64 = preds[bi]
-                .iter()
-                .map(|p| {
-                    profile
-                        .edge_counts
-                        .get(&(f, *p, b.id))
-                        .copied()
-                        .unwrap_or(0)
-                })
-                .sum();
-            if b.id == cfg.entry {
-                inflow += invocations;
-            }
-            if inflow != counts[bi] {
+            if inflow[bi] != counts[bi] {
                 return Err(Failure::new(
                     FailureKind::Invariant,
                     format!(
-                        "flow not conserved into {name} block {bi}: inflow {inflow} != count {}",
-                        counts[bi]
+                        "flow not conserved into {name} block {bi}: inflow {} != count {}",
+                        inflow[bi], counts[bi]
                     ),
                 ));
             }
-            if !matches!(b.term, Terminator::Return(_)) {
-                let outflow: u64 = cfg
-                    .successors(b.id)
-                    .iter()
-                    .map(|s| {
-                        profile
-                            .edge_counts
-                            .get(&(f, b.id, *s))
-                            .copied()
-                            .unwrap_or(0)
-                    })
-                    .sum();
-                if outflow != counts[bi] {
-                    return Err(Failure::new(
-                        FailureKind::Invariant,
-                        format!(
-                            "flow not conserved out of {name} block {bi}: outflow {outflow} != count {}",
-                            counts[bi]
-                        ),
-                    ));
-                }
+            if !matches!(b.term, Terminator::Return(_)) && outflow[bi] != counts[bi] {
+                return Err(Failure::new(
+                    FailureKind::Invariant,
+                    format!(
+                        "flow not conserved out of {name} block {bi}: outflow {} != count {}",
+                        outflow[bi], counts[bi]
+                    ),
+                ));
             }
         }
 

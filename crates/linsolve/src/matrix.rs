@@ -77,17 +77,6 @@ impl Matrix {
         self.cols
     }
 
-    /// Returns the transpose of `self`.
-    pub fn transposed(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                t[(c, r)] = self[(r, c)];
-            }
-        }
-        t
-    }
-
     /// Computes the matrix–vector product `self · v`.
     ///
     /// # Panics
@@ -226,15 +215,6 @@ mod tests {
         assert_eq!(m[(1, 0)], 3.0);
         assert_eq!(m.rows(), 2);
         assert_eq!(m.cols(), 2);
-    }
-
-    #[test]
-    fn transpose() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
-        let t = m.transposed();
-        assert_eq!(t.rows(), 3);
-        assert_eq!(t.cols(), 2);
-        assert_eq!(t[(2, 1)], 6.0);
     }
 
     #[test]

@@ -47,14 +47,6 @@ impl Value {
         }
     }
 
-    /// The value as an array, if it is one.
-    pub fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-
     /// The value as an object, if it is one.
     pub fn as_obj(&self) -> Option<&BTreeMap<String, Value>> {
         match self {
@@ -386,7 +378,10 @@ mod tests {
         let v = parse(src).unwrap();
         let emitted = v.to_string();
         assert_eq!(parse(&emitted).unwrap(), v);
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap()[2], Value::Num(-300.0));
+        assert_eq!(
+            v.get("a").unwrap(),
+            &Value::Arr(vec![Value::Num(1.0), Value::Num(2.5), Value::Num(-300.0)])
+        );
         assert_eq!(v.get("b").unwrap().get("x").unwrap(), &Value::Bool(true));
         assert_eq!(v.get("s").unwrap().as_str().unwrap(), "hi\n\"q\"");
     }

@@ -35,8 +35,8 @@
 //!   with a single global `Mutex` those probes serialize, with shards
 //!   they scale. A shard outlives its thread (the registry holds it
 //!   strongly), so work done on pool workers that have since gone
-//!   idle is never lost. Gauges keep the global registry — last-write
-//!   semantics need a global order anyway.
+//!   idle is never lost. Gauges are high-water marks
+//!   ([`gauge_max`]) and keep the global registry.
 //! - **Schema-stable JSON.** [`Metrics::to_json`] emits one object
 //!   with sorted keys (`schema`, then `counters`/`gauges`/`spans`
 //!   maps, which are `BTreeMap`s); [`Metrics::from_json`] reads it
@@ -210,19 +210,6 @@ pub fn counter_add(name: &'static str, delta: u64) {
     with_shard(|s| *s.counters.entry(name).or_insert(0) += delta);
 }
 
-/// Sets gauge `name` to `value`, keeping the last write (no-op while
-/// disabled). Gauges record "most recent observation" quantities like
-/// the final residual of a damped solve.
-#[inline]
-pub fn gauge_set(name: &'static str, value: f64) {
-    if !enabled() {
-        return;
-    }
-    with_registry(|r| {
-        r.gauges.insert(name, value);
-    });
-}
-
 /// Sets gauge `name` to the maximum of its current value and `value`
 /// (no-op while disabled).
 #[inline]
@@ -259,7 +246,7 @@ pub struct Metrics {
     pub spans: BTreeMap<String, SpanStat>,
     /// Monotonic counters.
     pub counters: BTreeMap<String, u64>,
-    /// Last-write gauges.
+    /// High-water gauges ([`gauge_max`]).
     pub gauges: BTreeMap<String, f64>,
 }
 
@@ -468,16 +455,6 @@ impl Metrics {
         out
     }
 
-    /// Sum of `total_ns` over root spans (paths without a `/`) — the
-    /// aggregate wall time of the outermost instrumented regions.
-    pub fn root_total_ns(&self) -> u64 {
-        self.spans
-            .iter()
-            .filter(|(p, _)| !p.contains('/'))
-            .map(|(_, s)| s.total_ns)
-            .sum()
-    }
-
     /// The direct children of `path` (one `/` segment deeper).
     pub fn children_of<'a>(
         &'a self,
@@ -511,7 +488,7 @@ mod tests {
         {
             let _s = span("ghost");
             counter_add("ghost", 5);
-            gauge_set("ghost", 1.0);
+            gauge_max("ghost", 1.0);
         }
         let m = snapshot();
         assert!(m.spans.is_empty());
@@ -537,7 +514,6 @@ mod tests {
         assert!(m.spans["outer/inner"].total_ns <= m.spans["outer"].total_ns);
         let children: Vec<_> = m.children_of("outer").map(|(p, _)| p.clone()).collect();
         assert_eq!(children, ["outer/inner"]);
-        assert_eq!(m.root_total_ns(), m.spans["outer"].total_ns);
     }
 
     #[test]
@@ -588,17 +564,14 @@ mod tests {
     }
 
     #[test]
-    fn gauges_keep_last_and_max() {
+    fn gauges_keep_the_max() {
         let _guard = serial();
         reset();
         set_enabled(true);
-        gauge_set("residual", 0.5);
-        gauge_set("residual", 0.25);
         gauge_max("peak", 1.0);
         gauge_max("peak", 0.125);
         set_enabled(false);
         let m = snapshot();
-        assert_eq!(m.gauges["residual"], 0.25);
         assert_eq!(m.gauges["peak"], 1.0);
     }
 

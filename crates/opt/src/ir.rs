@@ -419,7 +419,6 @@ pub fn lower(cp: &CompiledProgram, irs: &[Option<FuncIr>], order: &[usize]) -> C
         images: cp.images.clone(),
         fails: cp.fails.clone(),
         data_image: cp.data_image.clone(),
-        block_lens: cp.block_lens.clone(),
         edge_keys: cp.edge_keys.clone(),
         counters: cp.counters.clone(),
         n_branches: cp.n_branches,

@@ -76,7 +76,7 @@ use crate::runtime::{
     member_offset, NodeTables, NodeTy, RuntimeError, StaticLayout, TyClass, Value,
 };
 use flowgraph::analysis::loop_depths;
-use flowgraph::{BlockId, Cfg, Instr, Program, Terminator};
+use flowgraph::{BlockId, Cfg, EdgeIds, Instr, Program, Terminator};
 use minic::ast::{BinOp, Expr, ExprKind, UnOp};
 use minic::sema::{CalleeKind, FuncId, Resolution};
 use minic::types::Type;
@@ -98,12 +98,6 @@ pub(super) fn compile(program: &Program) -> Parts {
     let layout = StaticLayout::of(module);
     let data_image = layout.image(module);
 
-    let block_lens = program
-        .cfgs
-        .iter()
-        .map(|c| c.as_ref().map_or(0, |c| c.len() as u32))
-        .collect();
-
     let mut c = Compiler {
         program,
         tables: NodeTables::build(program),
@@ -112,8 +106,9 @@ pub(super) fn compile(program: &Program) -> Parts {
         switch_tables: Vec::new(),
         images: Vec::new(),
         fails: Vec::new(),
-        out_edges: Vec::new(),
         edge_keys: Vec::new(),
+        edge_ids: EdgeIds::default(),
+        edge_base: 0,
         chord: Vec::new(),
         cur_fn: FuncId(0),
         pending: 0,
@@ -159,7 +154,6 @@ pub(super) fn compile(program: &Program) -> Parts {
         images: c.images,
         fails: c.fails,
         data_image,
-        block_lens,
         edge_keys: c.edge_keys,
         counters,
         n_branches: module.side.branches.len(),
@@ -189,10 +183,12 @@ struct Compiler<'p> {
     switch_tables: Vec<SwitchTable>,
     images: Vec<Vec<Value>>,
     fails: Vec<RuntimeError>,
-    edge_keys: Vec<(FuncId, BlockId, BlockId)>,
-    /// Per block of the current function, its out-edges' counter
-    /// range in `edge_keys` (allocated contiguously, in stub order).
-    out_edges: Vec<(u32, u32)>,
+    /// Every function's CFG edges, in the CFG's edge numbering.
+    edge_keys: Vec<(BlockId, BlockId)>,
+    /// The current function's edge numbering, and the counter index
+    /// of its edge 0.
+    edge_ids: EdgeIds,
+    edge_base: u32,
     /// Whether each edge counter is a chord (kept) or a tree edge.
     chord: Vec<bool>,
     // Per-function state.
@@ -549,12 +545,12 @@ impl<'p> Compiler<'p> {
     }
 
     /// The dense counter index of edge `src → dst` in the current
-    /// function (allocated by [`Self::place_counters`]).
+    /// function: its edge id past the function's first counter.
     fn edge(&self, src: BlockId, dst: BlockId) -> u32 {
-        let (lo, hi) = self.out_edges[src.0 as usize];
-        (lo..hi)
-            .find(|&i| self.edge_keys[i as usize].2 == dst)
-            .expect("every CFG edge has a counter index")
+        let id = (self.program.cfg(self.cur_fn))
+            .edge_id(&self.edge_ids, src, dst)
+            .expect("every CFG edge has a counter index");
+        self.edge_base + id as u32
     }
 
     /// Whether edge `src → dst` carries a counter.
@@ -588,36 +584,42 @@ impl<'p> Compiler<'p> {
         self.elided.push((self.ops.len() as u32, dst.0));
     }
 
-    /// Allocates the function's edge counters in stub order and places
-    /// them: only chords of the maximum-weight spanning tree count.
+    /// Allocates the function's edge counters in the CFG's edge
+    /// numbering and places them: only chords of the maximum-weight
+    /// spanning tree count. The tree builder is offered each edge once,
+    /// in stub order (a switch's cases, then its default), which its
+    /// tie-break depends on.
     fn place_counters(&mut self, fid: FuncId, cfg: &Cfg) -> CounterPlan {
-        let base = self.edge_keys.len() as u32;
+        self.cur_fn = fid;
+        self.edge_base = self.edge_keys.len() as u32;
+        self.edge_ids = cfg.edge_ids();
+        self.edge_keys.extend(cfg.edges());
+        let n_edges = self.edge_keys.len() - self.edge_base as usize;
         let depth = loop_depths(cfg);
-        let mut cands: Vec<Candidate> = Vec::new();
+        let mut cands: Vec<Candidate> = Vec::with_capacity(n_edges);
+        let mut offered = vec![false; n_edges];
         let mut returns = Vec::new();
         let mut branches = Vec::new();
-        self.out_edges.clear();
         for block in &cfg.blocks {
             let b = block.id;
-            let lo = self.edge_keys.len() as u32;
-            // Allocates `b → dst` unless the block already has it.
-            let mut add = |c: &mut Self, dst: BlockId, rank: u8| -> u32 {
-                let hi = c.edge_keys.len() as u32;
-                if let Some(i) = (lo..hi).find(|&i| c.edge_keys[i as usize].2 == dst) {
-                    return i;
+            // Offers `b → dst` unless it already was, and returns its
+            // counter index.
+            let mut add = |dst: BlockId, rank: u8| -> u32 {
+                let edge = self.edge(b, dst);
+                if !std::mem::replace(&mut offered[(edge - self.edge_base) as usize], true) {
+                    cands.push(Candidate {
+                        src: b.0,
+                        dst: dst.0,
+                        weight: depth[b.0 as usize].min(depth[dst.0 as usize]) as u32,
+                        rank,
+                        edge,
+                    });
                 }
-                c.edge_keys.push((fid, b, dst));
-                cands.push(Candidate {
-                    src: b.0,
-                    dst: dst.0,
-                    weight: depth[b.0 as usize].min(depth[dst.0 as usize]) as u32,
-                    rank,
-                });
-                hi
+                edge
             };
             match &block.term {
                 Terminator::Goto(t) => {
-                    add(self, *t, 2);
+                    add(*t, 2);
                 }
                 Terminator::Branch {
                     branch,
@@ -625,27 +627,26 @@ impl<'p> Compiler<'p> {
                     else_blk,
                     ..
                 } => {
-                    let te = add(self, *then_blk, 0);
-                    let ee = add(self, *else_blk, 1);
+                    let te = add(*then_blk, 0);
+                    let ee = add(*else_blk, 1);
                     if let (Some(br), true) = (branch, then_blk != else_blk) {
                         branches.push((br.0, te, ee));
                     }
                 }
                 Terminator::Switch { cases, default, .. } => {
                     for &(_, t) in cases {
-                        add(self, t, 1);
+                        add(t, 1);
                     }
-                    add(self, *default, 1);
+                    add(*default, 1);
                 }
                 Terminator::Return(_) => returns.push(b.0),
             }
-            self.out_edges.push((lo, self.edge_keys.len() as u32));
         }
-        let peel = place::spanning_tree(cfg.blocks.len(), &cands, &returns, base, &mut self.chord);
+        let peel = place::spanning_tree(cfg.blocks.len(), &cands, &returns, &mut self.chord);
         CounterPlan {
             entry: cfg.entry.0,
             n_blocks: cfg.blocks.len() as u32,
-            edges: (base, self.edge_keys.len() as u32),
+            edges: (self.edge_base, self.edge_keys.len() as u32),
             peel,
             branches,
         }

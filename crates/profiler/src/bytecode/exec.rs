@@ -18,7 +18,6 @@ use crate::runtime::{
 use minic::ast::BinOp;
 use minic::types::MAX_STATIC_WORDS;
 use std::cell::Cell;
-use std::collections::HashMap;
 
 struct Frame {
     ret_pc: usize,
@@ -211,11 +210,13 @@ fn execute_on<T: MemTap>(
         }
     };
     let mut profile = Profile {
-        block_counts: cp.block_lens.iter().map(|&n| vec![0; n as usize]).collect(),
+        block_counts: (cp.counters.iter())
+            .map(|plan| vec![0; plan.n_blocks as usize])
+            .collect(),
         branch_counts: branches,
         call_site_counts: sites,
         func_counts,
-        edge_counts: HashMap::new(),
+        edge_counts: Vec::new(),
         func_cost,
     };
     rebuild_counts(
@@ -236,8 +237,9 @@ fn execute_on<T: MemTap>(
 
 /// Completes `profile` from the run's chord counts in `edges` (see
 /// `place.rs`): block counts, tree-edge counts, and the branch counts
-/// that follow from edges. `departures` holds the `(function, block)`
-/// of every activation `exit()` left live.
+/// that follow from edges; each function's counter range is then its
+/// edge row. `departures` holds the `(function, block)` of every
+/// activation `exit()` left live.
 fn rebuild_counts(
     cp: &CompiledProgram,
     profile: &mut Profile,
@@ -266,11 +268,9 @@ fn rebuild_counts(
         );
         derive_branches(plan, edges, &mut profile.branch_counts);
     }
-    for (i, &c) in edges.iter().enumerate() {
-        if c > 0 {
-            profile.edge_counts.insert(cp.edge_keys[i], c);
-        }
-    }
+    profile.edge_counts = (cp.counters.iter())
+        .map(|plan| edges[plan.edges.0 as usize..plan.edges.1 as usize].to_vec())
+        .collect();
     if let Some(bumps) = bumps {
         // The counter ledger: increments executed, against those full
         // block + edge + branch instrumentation would have executed.

@@ -1091,13 +1091,14 @@ pub struct Parts {
     /// The static data segment (globals + string literals), in the
     /// runtime's one layout, which the AST walker loads too.
     pub data_image: Vec<Value>,
-    /// Block count per function.
-    pub block_lens: Vec<u32>,
-    /// Dense edge-counter keys, parallel to the runtime counter array
-    /// (each function's edges are contiguous).
-    pub edge_keys: Vec<(FuncId, BlockId, BlockId)>,
+    /// The `(from, to)` of every edge counter, parallel to the runtime
+    /// counter array. Each function's counters are contiguous
+    /// ([`CounterPlan::edges`]) and in its CFG's edge numbering, so
+    /// the range is the function's profile edge row.
+    pub edge_keys: Vec<(BlockId, BlockId)>,
     /// Per-function counter placement (default for prototypes): how
-    /// block, edge and branch counts are rebuilt after a run.
+    /// block, edge and branch counts are rebuilt after a run, and the
+    /// function's block count and counter range.
     pub counters: Vec<CounterPlan>,
     /// Number of registered branch sites.
     pub n_branches: usize,

@@ -27,7 +27,6 @@
 
 use super::NONE32;
 use flowgraph::BlockId;
-use minic::sema::FuncId;
 
 /// One step of the leaf-peeling order: conservation at `leaf` fixes
 /// the count of its last unresolved tree edge, which joins it to
@@ -70,17 +69,21 @@ pub(super) struct Candidate {
     pub weight: u32,
     /// Tie-break among equal weights: lower joins the tree first.
     pub rank: u8,
+    /// The edge's counter index.
+    pub edge: u32,
 }
 
 /// Builds the maximum-weight spanning forest over `n` blocks plus
-/// EXIT. `edges[i]` has edge-counter index `base + i`; `returns` are
-/// the blocks ending in `Return`. Appends one chord flag per edge to
-/// `chord` and returns the leaf-peeling order of the tree edges.
+/// EXIT. `edges` offers each CFG edge of the function once; their
+/// counter indices are the `edges.len()` slots past `chord.len()`, in
+/// any order, while ties between equal weights and ranks go to the
+/// earlier candidate. `returns` are the blocks ending in `Return`.
+/// Appends one chord flag per edge to `chord` and returns the
+/// leaf-peeling order of the tree edges.
 pub(super) fn spanning_tree(
     n: usize,
     edges: &[Candidate],
     returns: &[u32],
-    base: u32,
     chord: &mut Vec<bool>,
 ) -> Vec<Peel> {
     let exit = n as u32;
@@ -97,13 +100,12 @@ pub(super) fn spanning_tree(
         let e = &edges[i as usize];
         (std::cmp::Reverse(e.weight), e.rank, i)
     });
-    let first = chord.len();
-    chord.resize(first + edges.len(), true);
+    chord.resize(chord.len() + edges.len(), true);
     for &i in &work {
         let e = &edges[i as usize];
         if uf.union(e.src, e.dst) {
-            chord[first + i as usize] = false;
-            tree.push((e.src, e.dst, base + i));
+            chord[e.edge as usize] = false;
+            tree.push((e.src, e.dst, e.edge));
         }
     }
 
@@ -181,7 +183,7 @@ impl UnionFind {
 /// live activation. `excess` is scratch.
 pub(super) fn rebuild(
     plan: &CounterPlan,
-    edge_keys: &[(FuncId, BlockId, BlockId)],
+    edge_keys: &[(BlockId, BlockId)],
     func_count: u64,
     departures: impl Iterator<Item = u32>,
     edges: &mut [u64],
@@ -199,7 +201,7 @@ pub(super) fn rebuild(
         excess[b as usize] -= 1;
         excess[exit] += 1;
     }
-    for (&(_, s, d), &c) in edge_keys[lo..hi].iter().zip(&edges[lo..hi]) {
+    for (&(s, d), &c) in edge_keys[lo..hi].iter().zip(&edges[lo..hi]) {
         excess[s.0 as usize] -= c as i64;
         excess[d.0 as usize] += c as i64;
     }
@@ -215,7 +217,7 @@ pub(super) fn rebuild(
         }
     }
     blocks[plan.entry as usize] += func_count;
-    for (&(_, _, d), &c) in edge_keys[lo..hi].iter().zip(&edges[lo..hi]) {
+    for (&(_, d), &c) in edge_keys[lo..hi].iter().zip(&edges[lo..hi]) {
         blocks[d.0 as usize] += c;
     }
 }
@@ -234,12 +236,15 @@ pub(super) fn derive_branches(plan: &CounterPlan, edges: &[u64], branches: &mut 
 mod tests {
     use super::*;
 
-    fn cand(src: u32, dst: u32, weight: u32, rank: u8) -> Candidate {
+    /// Candidate `edge` of a test CFG whose edges are offered in
+    /// counter order.
+    fn cand(edge: u32, src: u32, dst: u32, weight: u32, rank: u8) -> Candidate {
         Candidate {
             src,
             dst,
             weight,
             rank,
+            edge,
         }
     }
 
@@ -247,13 +252,13 @@ mod tests {
     fn loop_back_edge_is_the_only_chord() {
         // 0 → 1 (header) ⇄ 2 (body), 1 → 3 (exit, returns).
         let edges = [
-            cand(0, 1, 0, 2),
-            cand(1, 2, 1, 0),
-            cand(1, 3, 0, 1),
-            cand(2, 1, 1, 2),
+            cand(0, 0, 1, 0, 2),
+            cand(1, 1, 2, 1, 0),
+            cand(2, 1, 3, 0, 1),
+            cand(3, 2, 1, 1, 2),
         ];
         let mut chord = Vec::new();
-        let peel = spanning_tree(4, &edges, &[3], 0, &mut chord);
+        let peel = spanning_tree(4, &edges, &[3], &mut chord);
         assert_eq!(chord, vec![false, false, false, true]);
         // Four tree edges (three CFG + one return) over five nodes.
         assert_eq!(peel.len(), 4);
@@ -261,27 +266,41 @@ mod tests {
 
     #[test]
     fn self_loops_are_always_chords() {
-        let edges = [cand(0, 0, 9, 0), cand(0, 1, 0, 2)];
+        let edges = [cand(0, 0, 0, 9, 0), cand(1, 0, 1, 0, 2)];
         let mut chord = Vec::new();
-        spanning_tree(2, &edges, &[1], 0, &mut chord);
+        spanning_tree(2, &edges, &[1], &mut chord);
         assert_eq!(chord, vec![true, false]);
+    }
+
+    #[test]
+    fn ties_go_to_the_earlier_offer_and_flags_land_by_counter() {
+        // A switch in block 0 offers its edges in case order (to 2,
+        // then to 1), the reverse of their counter order; the heavier
+        // 1 → 2 joins first, so only the first offered of the two can.
+        let edges = [
+            cand(1, 0, 2, 0, 1),
+            cand(0, 0, 1, 0, 1),
+            cand(2, 1, 2, 5, 2),
+        ];
+        let mut chord = Vec::new();
+        spanning_tree(3, &edges, &[2], &mut chord);
+        assert_eq!(chord, vec![true, false, false]);
     }
 
     #[test]
     fn rebuild_recovers_loop_counts() {
         // Same loop as above, run with 10 iterations, one invocation.
         let edges = [
-            cand(0, 1, 0, 2),
-            cand(1, 2, 1, 0),
-            cand(1, 3, 0, 1),
-            cand(2, 1, 1, 2),
+            cand(0, 0, 1, 0, 2),
+            cand(1, 1, 2, 1, 0),
+            cand(2, 1, 3, 0, 1),
+            cand(3, 2, 1, 1, 2),
         ];
         let mut chord = Vec::new();
-        let peel = spanning_tree(4, &edges, &[3], 0, &mut chord);
-        let f = FuncId(0);
+        let peel = spanning_tree(4, &edges, &[3], &mut chord);
         let keys: Vec<_> = edges
             .iter()
-            .map(|e| (f, BlockId(e.src), BlockId(e.dst)))
+            .map(|e| (BlockId(e.src), BlockId(e.dst)))
             .collect();
         let truth = [1u64, 10, 1, 10];
         let mut counts: Vec<u64> = truth

@@ -28,8 +28,8 @@ use super::{Field, FuncMeta, Op, Parts, SwitchTable, Table, NONE32};
 /// - direct calls name functions with a body;
 /// - every block ends in a control transfer, and no function can run
 ///   off the end of its code;
-/// - each function's counter plan stays inside the edge, block and
-///   branch arrays.
+/// - each function's counter plan, prototypes' too, stays inside the
+///   edge and branch arrays and its own blocks.
 ///
 /// # Errors
 ///
@@ -40,14 +40,16 @@ pub fn verify(cp: &Parts) -> Result<(), String> {
             return Err(format!("main id {} outside the function table", main.0));
         }
     }
-    if cp.block_lens.len() != cp.funcs.len() || cp.counters.len() != cp.funcs.len() {
+    if cp.counters.len() != cp.funcs.len() {
         return Err("per-function tables disagree in length".into());
     }
     for (f, meta) in cp.funcs.iter().enumerate() {
+        let fail = |pc: u32, msg: String| Err(format!("function `{}` pc {pc}: {msg}", meta.name));
+        // Every function's counter range becomes its profile edge row.
+        check_plan(cp, f).or_else(|msg| fail(meta.code.0, msg))?;
         if meta.entry == NONE32 {
             continue;
         }
-        let fail = |pc: u32, msg: String| Err(format!("function `{}` pc {pc}: {msg}", meta.name));
         let (start, end) = meta.code;
         if start >= end || end as usize > cp.ops.len() {
             return fail(
@@ -76,7 +78,6 @@ pub fn verify(cp: &Parts) -> Result<(), String> {
             check_span(cp, meta, op).or_else(|msg| fail(pc, msg))?;
         }
         check_blocks(meta, &cp.ops).or_else(|(pc, msg)| fail(pc, msg))?;
-        check_plan(cp, f).or_else(|msg| fail(start, msg))?;
     }
     Ok(())
 }
@@ -215,9 +216,9 @@ fn check_blocks(meta: &FuncMeta, ops: &[Op]) -> Result<(), (u32, String)> {
 fn check_plan(cp: &Parts, f: usize) -> Result<(), String> {
     let plan = &cp.counters[f];
     let (lo, hi) = plan.edges;
-    let n_blocks = cp.block_lens[f];
-    if lo > hi || hi as usize > cp.edge_keys.len() || plan.n_blocks != n_blocks {
-        return Err("counter plan outside the edge or block arrays".into());
+    let n_blocks = plan.n_blocks;
+    if lo > hi || hi as usize > cp.edge_keys.len() {
+        return Err("counter plan outside the edge array".into());
     }
     if n_blocks > 0 && plan.entry >= n_blocks {
         return Err(format!(
@@ -228,7 +229,7 @@ fn check_plan(cp: &Parts, f: usize) -> Result<(), String> {
     let in_edges = |e: u32| (lo..hi).contains(&e);
     if cp.edge_keys[lo as usize..hi as usize]
         .iter()
-        .any(|&(ef, s, d)| ef.0 as usize != f || s.0 >= n_blocks || d.0 >= n_blocks)
+        .any(|&(s, d)| s.0 >= n_blocks || d.0 >= n_blocks)
     {
         return Err("edge key outside the function".into());
     }

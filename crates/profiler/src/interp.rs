@@ -16,7 +16,7 @@ use crate::runtime::{
     convert_for_class, member_offset, Abort, Libc, Memory, NodeTables, NodeTy, RunConfig,
     RunOutcome, RuntimeError, StaticLayout, StrBufs, TyClass, Value, CALL_COST, STACK_BASE,
 };
-use flowgraph::{BlockId, Cfg, Instr, Program, Terminator};
+use flowgraph::{Cfg, EdgeIds, Instr, Program, Terminator};
 use minic::ast::{BinOp, Expr, ExprKind, UnOp};
 use minic::sema::{CalleeKind, FuncId, Resolution};
 use minic::types::Type;
@@ -112,6 +112,9 @@ fn run_on_this_thread<T: MemTap>(
         program,
         tables: NodeTables::build(program),
         profile: Profile::for_program(program),
+        edge_ids: (program.cfgs.iter())
+            .map(|c| c.as_ref().map(Cfg::edge_ids).unwrap_or_default())
+            .collect(),
         steps: 0,
         max_steps: config.max_steps,
         depth: 0,
@@ -147,6 +150,8 @@ struct Interp<'p, T: MemTap> {
     program: &'p Program,
     tables: NodeTables<'p>,
     profile: Profile,
+    /// Each function's [`Cfg::edge_ids`], for bumping edge rows.
+    edge_ids: Vec<EdgeIds>,
     steps: u64,
     max_steps: u64,
     depth: usize,
@@ -228,18 +233,10 @@ impl<'p, T: MemTap> Interp<'p, T> {
 
     fn run_cfg(&mut self, cfg: &Cfg) -> VResult {
         let fidx = cfg.func.0 as usize;
-        let mut prev: Option<BlockId> = None;
         let mut cur = cfg.entry;
         loop {
             self.tick()?;
             self.profile.block_counts[fidx][cur.0 as usize] += 1;
-            if let Some(p) = prev {
-                *self
-                    .profile
-                    .edge_counts
-                    .entry((cfg.func, p, cur))
-                    .or_insert(0) += 1;
-            }
             let block = cfg.block(cur);
             for instr in &block.instrs {
                 self.exec_instr(instr)?;
@@ -287,7 +284,9 @@ impl<'p, T: MemTap> Interp<'p, T> {
                     };
                 }
             };
-            prev = Some(cur);
+            let edge = (cfg.edge_id(&self.edge_ids[fidx], cur, next))
+                .expect("the next block is a successor");
+            self.profile.edge_counts[fidx][edge] += 1;
             cur = next;
         }
     }

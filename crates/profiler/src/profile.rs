@@ -6,11 +6,12 @@
 //! profiles *predict* other runs: normalize every profile to the same
 //! total basic-block count, then sum.
 
-use flowgraph::BlockId;
 use minic::sema::{BranchId, CallSiteId, FuncId};
-use std::collections::HashMap;
 
-/// Dynamic counts from one program run.
+/// Dynamic counts from one program run. Every table is dense:
+/// per-function rows are indexed by [`FuncId`], block rows by
+/// [`BlockId`](flowgraph::BlockId) and edge rows by the CFG's edge
+/// numbering ([`Cfg::edges`](flowgraph::Cfg::edges)).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Profile {
     /// `block_counts[func][block]` = times the block executed.
@@ -21,8 +22,9 @@ pub struct Profile {
     pub call_site_counts: Vec<u64>,
     /// Invocations of each function.
     pub func_counts: Vec<u64>,
-    /// CFG edge traversal counts.
-    pub edge_counts: HashMap<(FuncId, BlockId, BlockId), u64>,
+    /// `edge_counts[func][edge]` = times the CFG edge was traversed,
+    /// by the CFG's edge id.
+    pub edge_counts: Vec<Vec<u64>>,
     /// Abstract cost units accumulated per function: one per
     /// expression node evaluated and per block entered, plus
     /// [`CALL_COST`](crate::runtime::CALL_COST) per call; serve's
@@ -34,17 +36,19 @@ impl Profile {
     /// Creates an all-zero profile shaped for the given program.
     pub fn for_program(program: &flowgraph::Program) -> Self {
         let module = &program.module;
-        let block_counts = program
-            .cfgs
-            .iter()
-            .map(|c| vec![0u64; c.as_ref().map_or(0, |c| c.len())])
-            .collect();
+        let rows = |n: fn(&flowgraph::Cfg) -> usize| -> Vec<Vec<u64>> {
+            program
+                .cfgs
+                .iter()
+                .map(|c| vec![0; c.as_ref().map_or(0, n)])
+                .collect()
+        };
         Profile {
-            block_counts,
+            block_counts: rows(flowgraph::Cfg::len),
             branch_counts: vec![(0, 0); module.side.branches.len()],
             call_site_counts: vec![0; module.side.call_sites.len()],
             func_counts: vec![0; module.functions.len()],
-            edge_counts: HashMap::new(),
+            edge_counts: rows(|c| c.edges().count()),
             func_cost: vec![0; module.functions.len()],
         }
     }
@@ -66,6 +70,15 @@ impl Profile {
     /// Panics if `f` is out of range.
     pub fn blocks_of(&self, f: FuncId) -> &[u64] {
         &self.block_counts[f.0 as usize]
+    }
+
+    /// The edge counts of one function, by edge id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f` is out of range.
+    pub fn edges_of(&self, f: FuncId) -> &[u64] {
+        &self.edge_counts[f.0 as usize]
     }
 
     /// Times branch `b` was taken / not taken.
@@ -166,7 +179,7 @@ mod tests {
             branch_counts: vec![(8 * scale, 2 * scale)],
             call_site_counts: vec![3 * scale],
             func_counts: vec![scale],
-            edge_counts: HashMap::new(),
+            edge_counts: vec![vec![2 * scale]],
             func_cost: vec![100 * scale],
         }
     }

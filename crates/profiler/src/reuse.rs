@@ -82,16 +82,6 @@ pub fn bin_of(dist: u64) -> usize {
     }
 }
 
-/// The inclusive distance range `(lo, hi)` a bin covers (`COLD_BIN`
-/// reports `(u64::MAX, u64::MAX)`).
-pub fn bin_range(bin: usize) -> (u64, u64) {
-    match bin {
-        0 => (0, 0),
-        COLD_BIN => (u64::MAX, u64::MAX),
-        b => (1 << (b - 1), (1u64 << b) - 1),
-    }
-}
-
 /// The static data-segment layout: one object per global (in
 /// declaration order, at the addresses both engines load them), plus
 /// one catch-all region for string literals and everything `malloc`
@@ -366,9 +356,8 @@ mod tests {
         assert_eq!(bin_of(1024), 11);
         assert_eq!(bin_of(u64::MAX), 32);
         for b in 1..=32 {
-            let (lo, hi) = bin_range(b);
-            assert_eq!(bin_of(lo), b);
-            assert_eq!(bin_of(hi), b);
+            assert_eq!(bin_of(1u64 << (b - 1)), b);
+            assert_eq!(bin_of((1u64 << b) - 1), b);
         }
     }
 

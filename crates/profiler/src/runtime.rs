@@ -795,16 +795,20 @@ fn emit(output: &mut Vec<u8>, bytes: &[u8]) -> Result<(), RuntimeError> {
 
 /// `printf`-style formatting of `fmt` into `out` (cleared first);
 /// `tmp` holds each conversion's text before it is padded. A
-/// conversion takes C's flags `-`, `0`, `+` and space, a decimal
-/// width, a `.precision` (digits for `%f`, most characters for `%s`,
-/// fewest digits for `%d`/`%i`/`%u`/`%x`/`%o`) and the length letters
-/// `l` and `h`, which change nothing. `%u` prints as `%d`, and `%e`
-/// and `%g` print Rust's shortest round-trip form (padded, but with no
-/// precision); a `*` width and C's spelling of `%e`/`%g` are not
-/// supported. A missing argument reads as `Int(0)`. A result longer
-/// than `room` bytes is the error `past`, found at the conversion that
-/// passes it and before its padding or digits are written, so a huge
-/// width or precision allocates nothing.
+/// conversion takes C's flags `-`, `0`, `+`, space and `#` (a `0x`
+/// prefix on a nonzero `%x`, a leading `0` on `%o`; zero padding goes
+/// after the prefix), a width, a `.precision` (digits for `%f`, most
+/// characters for `%s`, fewest digits for `%d`/`%i`/`%u`/`%x`/`%o`)
+/// and the length letters `l` and `h`, which change nothing. A width
+/// or precision is decimal or `*`, which takes the next argument as
+/// an `int`: a negative `*` width sets the `-` flag, and a negative
+/// `*` precision counts as none. `%u` prints as `%d`, and `%e` and
+/// `%g` print Rust's shortest round-trip form (padded, but with no
+/// precision); C's spelling of `%e`/`%g` is not supported. A missing
+/// argument reads as `Int(0)`. A result longer than `room` bytes is
+/// the error `past`, found at the conversion that passes it and before
+/// its padding or digits are written, so a huge width or precision
+/// allocates nothing.
 fn format<T: MemTap>(
     mem: &mut Memory<T>,
     fmt: &str,
@@ -823,19 +827,32 @@ fn format<T: MemTap>(
             out.push(c);
             continue;
         }
-        let (mut left, mut zero, mut plus, mut space) = (false, false, false, false);
-        while let Some(flag) = chars.next_if(|c| matches!(c, '-' | '0' | '+' | ' ')) {
+        let (mut left, mut zero, mut plus, mut space, mut alt) =
+            (false, false, false, false, false);
+        while let Some(flag) = chars.next_if(|c| matches!(c, '-' | '0' | '+' | ' ' | '#')) {
             match flag {
                 '-' => left = true,
                 '0' => zero = true,
                 '+' => plus = true,
+                '#' => alt = true,
                 _ => space = true,
             }
         }
-        let width = number(&mut chars);
-        let prec = chars.next_if_eq(&'.').map(|_| number(&mut chars));
-        while chars.next_if(|c| matches!(c, 'l' | 'h')).is_some() {}
         let mut take = || args.next().unwrap_or(Value::Int(0));
+        let width = match chars.next_if_eq(&'*') {
+            Some(_) => {
+                let w = take().to_int();
+                left |= w < 0;
+                usize::try_from(w.unsigned_abs()).unwrap_or(usize::MAX)
+            }
+            None => number(&mut chars),
+        };
+        let prec = match chars.next_if_eq(&'.').map(|_| chars.next_if_eq(&'*')) {
+            Some(Some(_)) => usize::try_from(take().to_int()).ok(),
+            Some(None) => Some(number(&mut chars)),
+            None => None,
+        };
+        while chars.next_if(|c| matches!(c, 'l' | 'h')).is_some() {}
         let sign_of = |negative: bool| {
             if negative {
                 "-"
@@ -863,8 +880,15 @@ fn format<T: MemTap>(
                 if prec == Some(0) && v == 0 {
                     tmp.clear(); // C prints no digits for a zero
                 }
-                let signed = !matches!(conv, 'x' | 'o');
-                (if signed { sign_of(v < 0) } else { "" }, true, true)
+                if conv == 'o' && alt && !tmp.starts_with('0') {
+                    tmp.insert(0, '0'); // a digit, so a precision counts it
+                }
+                let sign = match conv {
+                    'x' if alt && v != 0 => "0x",
+                    'x' | 'o' => "",
+                    _ => sign_of(v < 0),
+                };
+                (sign, true, true)
             }
             Some(conv @ ('f' | 'e' | 'g')) => {
                 let x = take().to_float();

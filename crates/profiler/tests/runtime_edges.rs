@@ -424,21 +424,46 @@ fn printf_flags_widths_and_precisions() {
     );
 }
 
+/// `#` and `*` widths and precisions, each line as the C library
+/// prints it: a later conversion reads the right argument only if
+/// every `*` before it took one.
+#[test]
+fn printf_alternate_forms_and_star_widths() {
+    let out = run_both(
+        r#"
+        int main(void) {
+            printf("%#x|%#o|%*d|%-*d|%.*f|%#x|%*d|%#5x|%#08x\n", 255, 8, 3, 7, 3, 7, 2, 3.14159, 0, -4, 9, 26, 26);
+            printf("%#.5o|%#08o|%#o|%#.0o|%#.4x|%.*d|%-*.*d\n", 8, 8, 0, 0, 26, -1, 5, -6, 3, 4);
+            return 0;
+        }
+        "#,
+    )
+    .expect("runs");
+    assert_eq!(
+        out.stdout(),
+        "0xff|010|  7|7  |3.14|0|9   | 0x1a|0x00001a\n\
+         00010|00000010|0|0|0x001a|5|004   \n"
+    );
+}
+
 #[test]
 fn a_huge_width_or_precision_is_the_output_budget() {
     // Each would print at least a trillion characters; the padding is
     // refused before anything is written or allocated. A width or
-    // precision past `usize` saturates.
+    // precision past `usize` saturates, and a `*` one is held to the
+    // same budget.
     for spec in [
-        "%999999999999d",
-        "%.999999999999d",
-        "%.999999999999f",
-        "%-99999999999999999999999s",
-        "%99999999999999999999999.99999999999999999999999d",
-        "%+.99999999999999999999999d",
-        "%.99999999999999999999999f",
+        r#""%999999999999d", 1"#,
+        r#""%.999999999999d", 1"#,
+        r#""%.999999999999f", 1"#,
+        r#""%-99999999999999999999999s", 1"#,
+        r#""%99999999999999999999999.99999999999999999999999d", 1"#,
+        r#""%+.99999999999999999999999d", 1"#,
+        r#""%.99999999999999999999999f", 1"#,
+        r#""%*d", 999999999999, 1"#,
+        r#""%.*d", 999999999999, 1"#,
     ] {
-        let src = format!("int main(void) {{ printf(\"{spec}\", 1); return 0; }}");
+        let src = format!("int main(void) {{ printf({spec}); return 0; }}");
         let e = run_both(&src).expect_err("over budget");
         assert!(
             matches!(e, RuntimeError::OutputBudget { .. }),

@@ -172,6 +172,29 @@ impl Strategy for ProgramGen {
     }
 }
 
+/// Every suite program on its smallest standard input: the VM's
+/// rebuilt profile equals the walker's fully counted one, field for
+/// field (edge rows included), and it passes fuzz oracle 4's
+/// invariants, flow conservation over the edge rows among them. The
+/// switch-heavy programs (xlisp, cc, awk, gs) reach the counters whose
+/// order follows the CFG's sorted switch targets.
+#[test]
+fn suite_profiles_match_the_walker_and_conserve_flow() {
+    for bench in suite::all() {
+        let p = bench.compile().expect("suite programs compile");
+        let input = (bench.inputs().into_iter())
+            .min_by_key(Vec::len)
+            .expect("suite programs have inputs");
+        let config = RunConfig::with_input(input);
+        let vm = run(&p, &config).expect("the VM runs");
+        let ast = run_ast(&p, &config).expect("the walker runs");
+        assert_eq!(vm.profile, ast.profile, "{}", bench.name);
+        if let Err(e) = fuzzgen::oracle::profile_invariants(&p, &vm.profile) {
+            panic!("{}: {}", bench.name, e.detail);
+        }
+    }
+}
+
 fn compile(src: &str) -> flowgraph::Program {
     let module = minic::compile(src).expect("generated source must compile");
     flowgraph::build_program(module)

@@ -387,6 +387,7 @@ impl<'p> FuncModel<'p> {
         let cfg = program.cfg(f);
         let forest = LoopForest::compute(cfg);
         let probs = edge_probabilities(program, cfg, predictions);
+        let edge_ids = cfg.edge_ids();
         let preds = cfg.predecessors();
 
         let mods: Vec<HashSet<VarRef>> = forest
@@ -411,12 +412,8 @@ impl<'p> FuncModel<'p> {
                     .iter()
                     .filter(|p| !l.contains(**p))
                     .map(|&p| {
-                        let edge = probs[p.0 as usize]
-                            .iter()
-                            .find(|(t, _)| *t == l.header)
-                            .map(|(_, pr)| *pr)
-                            .unwrap_or(0.0);
-                        freq(p) * edge
+                        let edge = cfg.edge_id(&edge_ids, p, l.header);
+                        freq(p) * edge.map_or(0.0, |e| probs[e])
                     })
                     .sum();
                 (head / enter.max(EPS)).clamp(1.0, 1e9)

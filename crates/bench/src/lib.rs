@@ -18,6 +18,7 @@ use estimators::ranking::Ranking;
 use flowgraph::Program;
 use profiler::{CompiledProgram, Profile, RunConfig};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 use suite::BenchProgram;
 
 /// A compiled-and-profiled suite program.
@@ -32,13 +33,15 @@ pub struct ProgramData {
 
 /// One profile, by cache lookup when possible, by execution otherwise
 /// (writing through on a miss). The unit of work the pool schedules.
-/// At `opt_level` > 0 `compiled` is the optimized image and the entry
-/// is an [`ArtifactKind::OptProfile`] keyed by the level and the pass
+/// `image` yields the image to run and is called only on a miss, so a
+/// fully cached program is never compiled. At `opt_level` > 0 the
+/// image is the optimized one and the entry is an
+/// [`ArtifactKind::OptProfile`] keyed by the level and the pass
 /// pipeline version, so a level change or an optimizer change always
 /// re-executes.
-fn profile_one(
+fn profile_one<'a>(
     bench: BenchProgram,
-    compiled: &CompiledProgram,
+    image: impl FnOnce() -> &'a CompiledProgram,
     opt_level: u8,
     input: Vec<u8>,
     cache: Option<&Cache>,
@@ -53,7 +56,7 @@ fn profile_one(
         }
     };
     cache::get_or_run(cache, kind, bench.source, &config, || {
-        compiled.execute(&config, None).map(|out| out.profile)
+        image().execute(&config, None).map(|out| out.profile)
     })
     .unwrap_or_else(|e| panic!("{}: runtime error at -O{opt_level}: {e}", bench.name))
 }
@@ -71,7 +74,7 @@ pub fn load_program(bench: BenchProgram) -> ProgramData {
     let program = compile_bench(bench);
     let compiled = profiler::compile(&program);
     let profiles = pool::global().map(bench.inputs(), |input| {
-        profile_one(bench, &compiled, 0, input, None)
+        profile_one(bench, || &compiled, 0, input, None)
     });
     obs::counter_add("bench.programs", 1);
     obs::counter_add("bench.profiles", profiles.len() as u64);
@@ -102,17 +105,19 @@ pub fn load_suite() -> Vec<ProgramData> {
 /// Compiles and profiles the whole suite as *(program, input)* tasks
 /// on `pool`, consulting `cache` per input.
 ///
-/// At `opt_level` > 0 every program is optimized at that level (full
-/// budget, static-estimate frequencies — no profiling needed to build
-/// the plan) before profiling, and profiles hit the
-/// [`ArtifactKind::OptProfile`] cache. The returned profiles then carry
-/// optimized `func_cost`; all count counters are identical to
-/// unoptimized runs by the optimizer's contract.
+/// A program is compiled only when one of its profiles misses the
+/// cache, once, by the first such task. At `opt_level` > 0 it is then
+/// also optimized at that level (full budget, static-estimate
+/// frequencies — no profiling needed to build the plan), and profiles
+/// hit the [`ArtifactKind::OptProfile`] cache. The returned profiles
+/// then carry optimized `func_cost`; all count counters are identical
+/// to unoptimized runs by the optimizer's contract.
 ///
-/// Two flat maps: one task per program compiles (and optimizes), then
-/// one task per *(program, input)* pair profiles, so workers drain a
-/// single task supply and a straggler program's inputs spread across
-/// every idle core. Both maps return in input order, so the output is
+/// Two flat maps: one task per program parses it and builds its
+/// CFGs, then one task per *(program, input)* pair profiles, so
+/// workers drain a single task supply and a straggler program's
+/// inputs spread across every idle core. Both maps return in input
+/// order, so the output is
 /// byte-identical in Table 1 order for any pool size and any task
 /// interleaving (asserted by `tests/determinism.rs`).
 pub fn load_suite_with(
@@ -125,33 +130,39 @@ pub fn load_suite_with(
     // envelope of the whole fan-out.
     let _sp = obs::span("bench.load_suite");
     let benches = suite::all();
-    let mut compiled = pool.map(&benches, |&bench| {
+    let mut loaded = pool.map(&benches, |&bench| {
         let program = compile_bench(bench);
-        let cp = profiler::compile(&program);
-        let cp = if opt_level == 0 {
-            cp
-        } else {
-            let ranking = Ranking::static_estimate(&program);
-            let plan = plan_from_ranking(&ranking, &cp, opt_level, cp.funcs.len());
-            opt::optimize(&cp, &plan).0
-        };
         obs::counter_add("bench.programs", 1);
-        (program, cp, bench.inputs())
+        (program, OnceLock::new(), bench.inputs())
     });
-    let counts: Vec<usize> = compiled.iter().map(|(_, _, inputs)| inputs.len()).collect();
-    let runs: Vec<(usize, Vec<u8>)> = compiled
+    let counts: Vec<usize> = loaded.iter().map(|(_, _, inputs)| inputs.len()).collect();
+    let runs: Vec<(usize, Vec<u8>)> = loaded
         .iter_mut()
         .enumerate()
         .flat_map(|(i, (_, _, inputs))| std::mem::take(inputs).into_iter().map(move |x| (i, x)))
         .collect();
+    // A program's image is built by the first of its inputs whose
+    // profile misses the cache, so a warm run compiles nothing.
+    let image = |i: usize| {
+        let (program, cell, _) = &loaded[i];
+        cell.get_or_init(|| {
+            let cp = profiler::compile(program);
+            if opt_level == 0 {
+                return cp;
+            }
+            let ranking = Ranking::static_estimate(program);
+            let plan = plan_from_ranking(&ranking, &cp, opt_level, cp.funcs.len());
+            opt::optimize(&cp, &plan).0
+        })
+    };
     let mut profiles = pool
         .map(runs, |(i, input)| {
-            profile_one(benches[i], &compiled[i].1, opt_level, input, cache)
+            profile_one(benches[i], || image(i), opt_level, input, cache)
         })
         .into_iter();
     benches
         .into_iter()
-        .zip(compiled)
+        .zip(loaded)
         .zip(counts)
         .map(|((bench, (program, _, _)), n)| {
             let profiles: Vec<Profile> = profiles.by_ref().take(n).collect();

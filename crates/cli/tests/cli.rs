@@ -369,21 +369,18 @@ fn an_unopenable_cache_dir_runs_uncached() {
     assert!(!warnings[2].contains("cache"), "{}", warnings[2]);
 }
 
-#[test]
-fn reuse_traces_replay_from_the_cache() {
+/// Runs `sfe --cache-dir <fresh dir> --metrics-out <file> <args>`
+/// twice, cold then warm, and returns each run's stdout and metrics
+/// document.
+fn cold_and_warm(name: &str, args: &[&str]) -> [(Vec<u8>, String); 2] {
     let mut dir = std::env::temp_dir();
-    dir.push(format!("sfe-test-{}-reuse-cache", std::process::id()));
+    dir.push(format!("sfe-test-{}-{name}-cache", std::process::id()));
     let _fresh = std::fs::remove_dir_all(&dir);
     let dir = dir.to_str().expect("utf8 path").to_string();
-    let run = |metrics: &tempfile::NamedFile| {
-        let out = sfe(&[
-            "--cache-dir",
-            &dir,
-            "--metrics-out",
-            metrics.path(),
-            "reuse",
-            "compress",
-        ]);
+    let runs = ["cold", "warm"].map(|side| {
+        let metrics = tempfile::NamedFile::new(&format!("{name}-{side}.json"));
+        let flags = ["--cache-dir", &dir, "--metrics-out", metrics.path()];
+        let out = sfe(&[&flags[..], args].concat());
         assert!(
             out.status.success(),
             "{}",
@@ -391,14 +388,26 @@ fn reuse_traces_replay_from_the_cache() {
         );
         let doc = std::fs::read_to_string(metrics.path()).expect("metrics written");
         (out.stdout, doc)
-    };
-    let (cold_metrics, warm_metrics) = (
-        tempfile::NamedFile::new("reuse-cold.json"),
-        tempfile::NamedFile::new("reuse-warm.json"),
-    );
-    let (cold, cold_doc) = run(&cold_metrics);
-    let (warm, warm_doc) = run(&warm_metrics);
+    });
     let _cleanup = std::fs::remove_dir_all(&dir);
+    runs
+}
+
+#[test]
+fn a_warm_suite_compiles_nothing() {
+    // Every profile of a warm run is a cache hit, so no program is
+    // compiled to bytecode: the trace has no `profiler.compile` span.
+    let [(cold, cold_doc), (warm, warm_doc)] = cold_and_warm("suite", &["suite"]);
+    let inputs: u64 = suite::all().iter().map(|b| b.inputs().len() as u64).sum();
+    assert!(cold_doc.contains("profiler.compile"), "{cold_doc}");
+    assert_eq!(counter(&warm_doc, "cache.hits"), inputs, "{warm_doc}");
+    assert!(!warm_doc.contains("profiler.compile"), "{warm_doc}");
+    assert_eq!(cold, warm);
+}
+
+#[test]
+fn reuse_traces_replay_from_the_cache() {
+    let [(cold, cold_doc), (warm, warm_doc)] = cold_and_warm("reuse", &["reuse", "compress"]);
     let inputs = suite::by_name("compress")
         .expect("suite program")
         .inputs()

@@ -6,6 +6,23 @@
 //! live in one shared vector addressed through a per-frame window
 //! base (`rp`). Memory and the C library are the ones the AST walker
 //! runs too ([`crate::runtime`]): this file owns only the dispatch.
+//!
+//! The loop keeps its hot state in locals, which the compiler keeps
+//! in machine registers: the pc, the op base, the step budget, the
+//! running function's cost mark, and two raw bases, the register
+//! window's (`regs.as_mut_ptr() + rp`) and the frame's
+//! (`stack.as_mut_ptr() + fp`). Each op is matched in place (`&Op`),
+//! so an arm loads only its own fields. One countdown budget stands
+//! for both the step count (`max_steps - budget`) and the running
+//! function's pending cost (`mark - budget`), so a tick is one
+//! subtraction and one branch. The bases are re-derived (`rebase!`)
+//! after the ops that can move the register file or the stack or
+//! switch activations — calls, `Ret`/`ConstRet` and `CallBuiltin` —
+//! and nothing in between makes a reference to either vector's
+//! slice: `Memory` reaches stack words through `Vec::as_mut_ptr` too.
+//! Debug builds assert both bases at every dispatch. Ops that the
+//! suite and Fig 10 rarely or never dispatch keep their bodies in
+//! `#[cold]` functions.
 
 use super::place::{derive_branches, rebuild};
 use super::{ArithMode, CompiledProgram, Op, ParamBind, NONE32};
@@ -283,49 +300,13 @@ fn rebuild_counts(
 }
 
 impl<'a, T: MemTap> Vm<'a, T> {
-    // ----- registers, frame slots and globals -----
+    // ----- globals -----
     //
-    // The hot accessors skip bounds checks, traced or not. They rest
-    // on `CompiledProgram::new`, the image's only constructor, which
-    // runs `verify`: every register operand is `< max_regs`, every
-    // frame offset is `< frame_size` and every global index lies in
-    // the data image. `enter`/`run` size the register window and frame
-    // before any op of the function executes. Debug builds keep the
-    // assertions.
-
-    #[inline(always)]
-    fn reg(&self, r: u16) -> Value {
-        let i = self.rp + r as usize;
-        debug_assert!(i < self.regs.len());
-        // SAFETY: see above — `rp + max_regs <= regs.len()` holds
-        // between `enter`/`Ret` transitions, and `r < max_regs`.
-        unsafe { *self.regs.get_unchecked(i) }
-    }
-
-    #[inline(always)]
-    fn set_reg(&mut self, r: u16, v: Value) {
-        let i = self.rp + r as usize;
-        debug_assert!(i < self.regs.len());
-        // SAFETY: as in `reg`.
-        unsafe { *self.regs.get_unchecked_mut(i) = v }
-    }
-
-    #[inline(always)]
-    fn local(&self, off: u32) -> Value {
-        let i = self.fp + off as usize;
-        debug_assert!(i < self.mem.stack.len());
-        // SAFETY: `fp + frame_size <= stack.len()` for the running
-        // frame, and every verified offset is `< frame_size`.
-        unsafe { *self.mem.stack.get_unchecked(i) }
-    }
-
-    #[inline(always)]
-    fn set_local(&mut self, off: u32, v: Value) {
-        let i = self.fp + off as usize;
-        debug_assert!(i < self.mem.stack.len());
-        // SAFETY: as in `local`.
-        unsafe { *self.mem.stack.get_unchecked_mut(i) = v }
-    }
+    // Registers and frame slots are read in `run` through its cached
+    // bases. Globals are read here, without bounds checks, traced or
+    // not: `CompiledProgram::new`, the image's only constructor, runs
+    // `verify`, and every verified global index lies in the data image.
+    // Debug builds keep the assertions.
 
     /// Reads global slot `idx`, one data-segment access for the tap.
     #[inline(always)]
@@ -461,6 +442,21 @@ impl<'a, T: MemTap> Vm<'a, T> {
         Ok(self.cp.funcs[f].entry as usize)
     }
 
+    /// Pops the running activation back to its caller: the caller's
+    /// frame base, register window and function, and the return pc
+    /// and result register. `None` when the running activation is
+    /// `main`'s.
+    #[inline(always)]
+    fn leave(&mut self) -> Option<(usize, u16)> {
+        let fr = self.frames.pop()?;
+        self.mem.stack.truncate(self.fp);
+        self.depth -= 1;
+        self.fp = fr.fp;
+        self.rp = fr.rp;
+        self.cur_fn = fr.func;
+        Some((fr.ret_pc, fr.ret_dst))
+    }
+
     // ----- the dispatch loop -----
 
     fn run(&mut self, main: usize) -> Result<i64, Abort> {
@@ -486,64 +482,157 @@ impl<'a, T: MemTap> Vm<'a, T> {
         self.fp = 0;
         self.rp = 0;
 
-        // The hot VM state lives in locals: `pc` and `steps` would
-        // otherwise cost a memory round-trip per dispatched op, and
-        // `cost_acc` batches `func_cost[cur_fn]` updates between
-        // function transitions. They are written back to `self` only
-        // where someone can observe them: calls/returns for the cost,
-        // the final return and `exit()` for the step count.
+        // The hot VM state lives in locals, so that LLVM keeps it in
+        // registers: the pc, the op base, the running activation's
+        // register-window and frame bases, and the step budget. They
+        // are written back to `self` only where someone can observe
+        // them: calls, returns and builtins for the cost, the final
+        // return and `exit()` for the step count.
         let cp = self.cp;
+        let ops = cp.ops.as_ptr();
         let max_steps = self.max_steps;
         let mut pc = meta.entry as usize;
-        let mut steps: u64 = 0;
-        let mut cost_acc: u64 = 0;
+        // Steps left before the limit: every tick counts it down, so
+        // the run has taken `max_steps - budget` steps, and the running
+        // function has a pending cost of `mark - budget` that reaches
+        // `func_cost` at its next call, return or builtin.
+        let mut budget = max_steps;
+        let mut mark = budget;
+        // `regs` is `self.regs.as_mut_ptr() + rp` and `frame` is
+        // `self.mem.stack.as_mut_ptr() + fp`. Both are derived only
+        // through `Vec::as_mut_ptr`, which creates no reference to the
+        // slice, and nothing between two `rebase!`s makes a `&`/`&mut`
+        // slice of either vector (`Memory` reaches stack words the same
+        // way). `rebase!` re-derives them after every op that can move
+        // either vector or change `rp`/`fp`: calls, returns and
+        // builtins. The dispatch head asserts both in debug builds.
+        let mut regs: *mut Value;
+        let mut frame: *mut Value;
+
+        macro_rules! rebase {
+            () => {{
+                // SAFETY: `rp + max_regs <= regs.len()` and
+                // `fp + frame_size <= stack.len()` for the running
+                // activation (`enter`/`run` size both before its first
+                // op), so each offset is in bounds or one past the end.
+                regs = unsafe { self.regs.as_mut_ptr().add(self.rp) };
+                frame = unsafe { self.mem.stack.as_mut_ptr().add(self.fp) };
+            }};
+        }
+        rebase!();
+
+        // The register and frame accessors skip bounds checks, traced
+        // or not. They rest on `CompiledProgram::new`, the image's only
+        // constructor, which runs `verify`: every register operand is
+        // `< max_regs` and every frame offset is `< frame_size`. The
+        // dispatch head asserts that `regs` and `frame` are the running
+        // activation's bases and that its window and frame lie inside
+        // their vectors; each access asserts its operand. Debug builds
+        // keep the assertions.
+        macro_rules! reg {
+            ($r:expr) => {{
+                let r = $r as usize;
+                debug_assert!(r < cp.funcs[self.cur_fn].max_regs as usize);
+                // SAFETY: `r < max_regs` (above).
+                unsafe { regs.add(r).read() }
+            }};
+        }
+        macro_rules! set_reg {
+            ($r:expr, $v:expr) => {{
+                let (r, v) = ($r as usize, $v);
+                debug_assert!(r < cp.funcs[self.cur_fn].max_regs as usize);
+                // SAFETY: as in `reg!`.
+                unsafe { regs.add(r).write(v) }
+            }};
+        }
+        macro_rules! local {
+            ($off:expr) => {{
+                let off = $off as usize;
+                debug_assert!(off < cp.funcs[self.cur_fn].frame_size as usize);
+                // SAFETY: `off < frame_size` (above).
+                unsafe { frame.add(off).read() }
+            }};
+        }
+        macro_rules! set_local {
+            ($off:expr, $v:expr) => {{
+                let (off, v) = ($off as usize, $v);
+                debug_assert!(off < cp.funcs[self.cur_fn].frame_size as usize);
+                // SAFETY: as in `local!`.
+                unsafe { frame.add(off).write(v) }
+            }};
+        }
+        macro_rules! lea {
+            ($off:expr) => {
+                STACK_BASE + (self.fp + $off as usize) as u64
+            };
+        }
 
         macro_rules! tick {
             ($n:expr) => {{
-                let n = $n;
-                if n != 0 {
-                    steps += n as u64;
-                    cost_acc += n as u64;
-                    if steps > max_steps {
-                        return Err(RuntimeError::StepLimit { limit: max_steps }.into());
-                    }
+                match budget.checked_sub(u64::from($n)) {
+                    Some(left) => budget = left,
+                    None => return Err(RuntimeError::StepLimit { limit: max_steps }.into()),
                 }
+            }};
+        }
+        // Books the running function's pending cost.
+        macro_rules! settle {
+            () => {{
+                self.func_cost[self.cur_fn] += mark - budget;
+                mark = budget;
+            }};
+        }
+        macro_rules! ret {
+            ($v:expr) => {{
+                let v: Value = $v;
+                settle!();
+                let Some((ret_pc, ret_dst)) = self.leave() else {
+                    self.steps = max_steps - budget;
+                    return Ok(v.to_int());
+                };
+                pc = ret_pc;
+                rebase!();
+                set_reg!(ret_dst, v);
             }};
         }
 
         loop {
             debug_assert!(pc < cp.ops.len());
+            debug_assert!(
+                {
+                    let f = &cp.funcs[self.cur_fn];
+                    regs == self.regs.as_mut_ptr().wrapping_add(self.rp)
+                        && frame == self.mem.stack.as_mut_ptr().wrapping_add(self.fp)
+                        && self.rp + f.max_regs as usize <= self.regs.len()
+                        && self.fp + f.frame_size as usize <= self.mem.stack.len()
+                },
+                "stale register or frame base at pc {pc}"
+            );
             // SAFETY: `pc` is a function's entry, a jump target or the
             // successor of a non-terminating op, and
             // `CompiledProgram::new` verified that every entry and
             // target lies in its function's code and that no function
-            // can run off the end of its code.
-            let op = unsafe { *cp.ops.get_unchecked(pc) };
+            // can run off the end of its code. The op is matched in
+            // place, so each arm loads only its own fields.
+            let op = unsafe { &*ops.add(pc) };
             pc += 1;
-            match op {
+            match *op {
                 Op::Tick(n) => tick!(n),
                 Op::BumpSite(i) => self.sites[i as usize] += 1,
                 Op::BumpFunc(f) => self.func_counts[f as usize] += 1,
                 Op::BumpBranch { branch, taken } => self.bump_branch(branch, taken),
-                Op::Const { dst, v } => self.set_reg(dst, v),
-                Op::LeaLocal { dst, off } => {
-                    let addr = STACK_BASE + (self.fp + off as usize) as u64;
-                    self.set_reg(dst, Value::Ptr(addr));
-                }
-                Op::LoadLocal { dst, off } => {
-                    let v = self.local(off);
-                    self.set_reg(dst, v);
-                }
+                Op::Const { dst, v } => set_reg!(dst, v),
+                Op::LeaLocal { dst, off } => set_reg!(dst, Value::Ptr(lea!(off))),
+                Op::LoadLocal { dst, off } => set_reg!(dst, local!(off)),
                 Op::LoadLocal2 { dst, off_a, off_b } => {
-                    let a = self.local(off_a);
-                    let b = self.local(off_b);
-                    self.set_reg(dst, a);
-                    self.set_reg(dst + 1, b);
+                    let a = local!(off_a);
+                    let b = local!(off_b);
+                    set_reg!(dst, a);
+                    set_reg!(dst + 1, b);
                 }
                 Op::LoadLocalImm { dst, off, imm } => {
-                    let a = self.local(off);
-                    self.set_reg(dst, a);
-                    self.set_reg(dst + 1, Value::Int(imm));
+                    set_reg!(dst, local!(off));
+                    set_reg!(dst + 1, Value::Int(imm));
                 }
                 Op::StoreLocal {
                     off,
@@ -551,13 +640,13 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     class,
                     dst,
                 } => {
-                    let v = convert_for_class(class, self.reg(src));
-                    self.set_local(off, v);
-                    self.set_reg(dst, v);
+                    let v = convert_for_class(class, reg!(src));
+                    set_local!(off, v);
+                    set_reg!(dst, v);
                 }
                 Op::LoadGlobal { dst, idx } => {
                     let v = self.global(idx);
-                    self.set_reg(dst, v);
+                    set_reg!(dst, v);
                 }
                 Op::StoreGlobal {
                     idx,
@@ -565,14 +654,14 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     class,
                     dst,
                 } => {
-                    let v = convert_for_class(class, self.reg(src));
+                    let v = convert_for_class(class, reg!(src));
                     self.set_global(idx, v);
-                    self.set_reg(dst, v);
+                    set_reg!(dst, v);
                 }
                 Op::Load { dst, addr, tick } => {
                     tick!(tick);
-                    let v = self.mem.load(self.reg(addr).to_ptr())?;
-                    self.set_reg(dst, v);
+                    let v = self.mem.load(reg!(addr).to_ptr())?;
+                    set_reg!(dst, v);
                 }
                 Op::Store {
                     addr,
@@ -582,9 +671,9 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     tick,
                 } => {
                     tick!(tick);
-                    let v = convert_for_class(class, self.reg(src));
-                    self.mem.store(self.reg(addr).to_ptr(), v)?;
-                    self.set_reg(dst, v);
+                    let v = convert_for_class(class, reg!(src));
+                    self.mem.store(reg!(addr).to_ptr(), v)?;
+                    set_reg!(dst, v);
                 }
                 Op::CopyWords {
                     dst_addr,
@@ -594,57 +683,45 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     tick,
                 } => {
                     tick!(tick);
-                    let d = self.reg(dst_addr).to_ptr();
-                    let s = self.reg(src).to_ptr();
-                    self.mem.copy_words(d, s, n as usize)?;
-                    self.set_reg(dst, Value::Ptr(d));
+                    let d = reg!(dst_addr).to_ptr();
+                    self.copy_words(d, reg!(src).to_ptr(), n)?;
+                    set_reg!(dst, Value::Ptr(d));
                 }
                 Op::InitWordsLocal { off, img } => {
-                    let img = &self.cp.images[img as usize];
-                    let base = self.fp + off as usize;
-                    self.mem.stack[base..base + img.len()].copy_from_slice(img);
+                    let img = &cp.images[img as usize];
+                    debug_assert!(
+                        off as usize + img.len() <= cp.funcs[self.cur_fn].frame_size as usize
+                    );
+                    // SAFETY: `verify` holds `off + img.len()` to the
+                    // frame size, and `frame` is the running frame.
+                    unsafe { init_words(frame.add(off as usize), img) }
                 }
                 Op::ZeroLocal { off, len } => {
-                    let base = self.fp + off as usize;
-                    self.mem.stack[base..base + len as usize].fill(Value::Int(0));
+                    for i in off..off + len {
+                        set_local!(i, Value::Int(0));
+                    }
                 }
-                Op::ToPtr { dst, src } => {
-                    let v = Value::Ptr(self.reg(src).to_ptr());
-                    self.set_reg(dst, v);
-                }
-                Op::Bool { dst, src } => {
-                    let v = Value::Int(self.reg(src).truthy() as i64);
-                    self.set_reg(dst, v);
-                }
-                Op::LogicNot { dst, src } => {
-                    let v = Value::Int(!self.reg(src).truthy() as i64);
-                    self.set_reg(dst, v);
-                }
+                Op::ToPtr { dst, src } => set_reg!(dst, Value::Ptr(reg!(src).to_ptr())),
+                Op::Bool { dst, src } => set_reg!(dst, Value::Int(reg!(src).truthy() as i64)),
+                Op::LogicNot { dst, src } => set_reg!(dst, Value::Int(!reg!(src).truthy() as i64)),
                 Op::Neg { dst, src } => {
-                    let v = match self.reg(src) {
+                    let v = match reg!(src) {
                         Value::Float(f) => Value::Float(-f),
                         other => Value::Int(other.to_int().wrapping_neg()),
                     };
-                    self.set_reg(dst, v);
+                    set_reg!(dst, v);
                 }
-                Op::BitNot { dst, src } => {
-                    let v = Value::Int(!self.reg(src).to_int());
-                    self.set_reg(dst, v);
-                }
-                Op::Conv { dst, src, class } => {
-                    let v = convert_for_class(class, self.reg(src));
-                    self.set_reg(dst, v);
-                }
+                Op::BitNot { dst, src } => set_reg!(dst, Value::Int(!reg!(src).to_int())),
+                Op::Conv { dst, src, class } => set_reg!(dst, convert_for_class(class, reg!(src))),
                 Op::IndexAddr {
                     dst,
                     base,
                     idx,
                     elem,
                 } => {
-                    let b = self.reg(base).to_ptr();
-                    let i = self.reg(idx).to_int();
-                    let addr = b.wrapping_add_signed(i.wrapping_mul(elem as i64));
-                    self.set_reg(dst, Value::Ptr(addr));
+                    let b = reg!(base).to_ptr();
+                    let i = reg!(idx).to_int();
+                    set_reg!(dst, Value::Ptr(index(b, i, elem)));
                 }
                 Op::IndexAddrLL {
                     dst,
@@ -652,10 +729,9 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     off_b,
                     elem,
                 } => {
-                    let b = self.local(off_a).to_ptr();
-                    let i = self.local(off_b).to_int();
-                    let addr = b.wrapping_add_signed(i.wrapping_mul(elem as i64));
-                    self.set_reg(dst, Value::Ptr(addr));
+                    let b = local!(off_a).to_ptr();
+                    let i = local!(off_b).to_int();
+                    set_reg!(dst, Value::Ptr(index(b, i, elem)));
                 }
                 Op::IndexAddrPL {
                     dst,
@@ -663,9 +739,8 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     idx_off,
                     elem,
                 } => {
-                    let i = self.local(idx_off).to_int();
-                    let addr = base.wrapping_add_signed(i.wrapping_mul(elem as i64));
-                    self.set_reg(dst, Value::Ptr(addr));
+                    let i = local!(idx_off).to_int();
+                    set_reg!(dst, Value::Ptr(index(base, i, elem)));
                 }
                 Op::IndexAddrLeaL {
                     dst,
@@ -673,10 +748,8 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     idx_off,
                     elem,
                 } => {
-                    let b = STACK_BASE + (self.fp + lea_off as usize) as u64;
-                    let i = self.local(idx_off).to_int();
-                    let addr = b.wrapping_add_signed(i.wrapping_mul(elem as i64));
-                    self.set_reg(dst, Value::Ptr(addr));
+                    let i = local!(idx_off).to_int();
+                    set_reg!(dst, Value::Ptr(index(lea!(lea_off), i, elem)));
                 }
                 Op::LoadIdx {
                     dst,
@@ -686,12 +759,10 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     tick,
                 } => {
                     tick!(tick);
-                    let b = self.reg(base).to_ptr();
-                    let i = self.reg(idx).to_int();
-                    let v = self
-                        .mem
-                        .load(b.wrapping_add_signed(i.wrapping_mul(elem as i64)))?;
-                    self.set_reg(dst, v);
+                    let b = reg!(base).to_ptr();
+                    let i = reg!(idx).to_int();
+                    let v = self.mem.load(index(b, i, elem))?;
+                    set_reg!(dst, v);
                 }
                 Op::LoadIdxLL {
                     dst,
@@ -701,12 +772,10 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     tick,
                 } => {
                     tick!(tick);
-                    let b = self.local(off_a).to_ptr();
-                    let i = self.local(off_b).to_int();
-                    let v = self
-                        .mem
-                        .load(b.wrapping_add_signed(i.wrapping_mul(elem as i64)))?;
-                    self.set_reg(dst, v);
+                    let b = local!(off_a).to_ptr();
+                    let i = local!(off_b).to_int();
+                    let v = self.mem.load(index(b, i, elem))?;
+                    set_reg!(dst, v);
                 }
                 Op::LoadIdxPL {
                     dst,
@@ -716,11 +785,9 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     tick,
                 } => {
                     tick!(tick);
-                    let i = self.local(idx_off).to_int();
-                    let v = self
-                        .mem
-                        .load(base.wrapping_add_signed(i.wrapping_mul(elem as i64)))?;
-                    self.set_reg(dst, v);
+                    let i = local!(idx_off).to_int();
+                    let v = self.mem.load(index(base, i, elem))?;
+                    set_reg!(dst, v);
                 }
                 Op::LoadIdxLeaL {
                     dst,
@@ -730,12 +797,9 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     tick,
                 } => {
                     tick!(tick);
-                    let b = STACK_BASE + (self.fp + lea_off as usize) as u64;
-                    let i = self.local(idx_off).to_int();
-                    let v = self
-                        .mem
-                        .load(b.wrapping_add_signed(i.wrapping_mul(elem as i64)))?;
-                    self.set_reg(dst, v);
+                    let i = local!(idx_off).to_int();
+                    let v = self.mem.load(index(lea!(lea_off), i, elem))?;
+                    set_reg!(dst, v);
                 }
                 Op::MemberAddr {
                     dst,
@@ -744,11 +808,7 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     tick,
                 } => {
                     tick!(tick);
-                    let base = self.reg(src).to_ptr();
-                    if base == 0 {
-                        return Err(RuntimeError::NullDeref.into());
-                    }
-                    self.set_reg(dst, Value::Ptr(base + off as u64));
+                    set_reg!(dst, Value::Ptr(member_addr(reg!(src).to_ptr(), off)?));
                 }
                 Op::IncDecLocal {
                     dst,
@@ -756,10 +816,10 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     delta,
                     post,
                 } => {
-                    let old = self.local(off);
+                    let old = local!(off);
                     let new = incdec(old, delta);
-                    self.set_local(off, new);
-                    self.set_reg(dst, if post { old } else { new });
+                    set_local!(off, new);
+                    set_reg!(dst, if post { old } else { new });
                 }
                 Op::IncDecGlobal {
                     dst,
@@ -770,7 +830,7 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     let old = self.global(idx);
                     let new = incdec(old, delta);
                     self.set_global(idx, new);
-                    self.set_reg(dst, if post { old } else { new });
+                    set_reg!(dst, if post { old } else { new });
                 }
                 Op::IncDec {
                     dst,
@@ -780,11 +840,11 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     tick,
                 } => {
                     tick!(tick);
-                    let a = self.reg(addr).to_ptr();
+                    let a = reg!(addr).to_ptr();
                     let old = self.mem.load(a)?;
                     let new = incdec(old, delta);
                     self.mem.store(a, new)?;
-                    self.set_reg(dst, if post { old } else { new });
+                    set_reg!(dst, if post { old } else { new });
                 }
                 Op::Arith {
                     dst,
@@ -794,8 +854,8 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     tick,
                 } => {
                     tick!(tick);
-                    let v = arith(mode, self.reg(a), self.reg(b))?;
-                    self.set_reg(dst, v);
+                    let v = arith(mode, reg!(a), reg!(b))?;
+                    set_reg!(dst, v);
                 }
                 Op::ArithLL {
                     dst,
@@ -805,10 +865,8 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     tick,
                 } => {
                     tick!(tick);
-                    let a = self.local(off_a);
-                    let b = self.local(off_b);
-                    let v = arith(mode, a, b)?;
-                    self.set_reg(dst, v);
+                    let v = arith(mode, local!(off_a), local!(off_b))?;
+                    set_reg!(dst, v);
                 }
                 Op::ArithLI {
                     dst,
@@ -818,9 +876,8 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     tick,
                 } => {
                     tick!(tick);
-                    let a = self.local(off);
-                    let v = arith(mode, a, Value::Int(imm as i64))?;
-                    self.set_reg(dst, v);
+                    let v = arith(mode, local!(off), Value::Int(imm as i64))?;
+                    set_reg!(dst, v);
                 }
                 Op::ArithRL {
                     dst,
@@ -829,9 +886,8 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     tick,
                 } => {
                     tick!(tick);
-                    let b = self.local(off);
-                    let v = arith(mode, self.reg(dst), b)?;
-                    self.set_reg(dst, v);
+                    let v = arith(mode, reg!(dst), local!(off))?;
+                    set_reg!(dst, v);
                 }
                 Op::ArithRI {
                     dst,
@@ -840,8 +896,8 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     tick,
                 } => {
                     tick!(tick);
-                    let v = arith(mode, self.reg(dst), Value::Int(imm as i64))?;
-                    self.set_reg(dst, v);
+                    let v = arith(mode, reg!(dst), Value::Int(imm as i64))?;
+                    set_reg!(dst, v);
                 }
                 Op::StoreRR {
                     off,
@@ -851,9 +907,9 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     class,
                     dst,
                 } => {
-                    let v = convert_for_class(class, arith(mode, self.reg(a), self.reg(b))?);
-                    self.set_local(off, v);
-                    self.set_reg(dst, v);
+                    let v = convert_for_class(class, arith(mode, reg!(a), reg!(b))?);
+                    set_local!(off, v);
+                    set_reg!(dst, v);
                 }
                 Op::StoreLL {
                     off,
@@ -863,11 +919,9 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     class,
                     dst,
                 } => {
-                    let a = self.local(off_a);
-                    let b = self.local(off_b);
-                    let v = convert_for_class(class, arith(mode, a, b)?);
-                    self.set_local(off, v);
-                    self.set_reg(dst, v);
+                    let v = convert_for_class(class, arith(mode, local!(off_a), local!(off_b))?);
+                    set_local!(off, v);
+                    set_reg!(dst, v);
                 }
                 Op::StoreLI {
                     off,
@@ -877,10 +931,10 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     class,
                     dst,
                 } => {
-                    let a = self.local(off_a);
-                    let v = convert_for_class(class, arith(mode, a, Value::Int(imm as i64))?);
-                    self.set_local(off, v);
-                    self.set_reg(dst, v);
+                    let v = arith(mode, local!(off_a), Value::Int(imm as i64))?;
+                    let v = convert_for_class(class, v);
+                    set_local!(off, v);
+                    set_reg!(dst, v);
                 }
                 Op::StoreRL {
                     off,
@@ -889,10 +943,9 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     class,
                     dst,
                 } => {
-                    let b = self.local(off_b);
-                    let v = convert_for_class(class, arith(mode, self.reg(dst), b)?);
-                    self.set_local(off, v);
-                    self.set_reg(dst, v);
+                    let v = convert_for_class(class, arith(mode, reg!(dst), local!(off_b))?);
+                    set_local!(off, v);
+                    set_reg!(dst, v);
                 }
                 Op::StoreRI {
                     off,
@@ -901,10 +954,10 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     class,
                     dst,
                 } => {
-                    let a = self.reg(dst);
-                    let v = convert_for_class(class, arith(mode, a, Value::Int(imm as i64))?);
-                    self.set_local(off, v);
-                    self.set_reg(dst, v);
+                    let v = arith(mode, reg!(dst), Value::Int(imm as i64))?;
+                    let v = convert_for_class(class, v);
+                    set_local!(off, v);
+                    set_reg!(dst, v);
                 }
                 Op::RmwLocal {
                     off,
@@ -915,10 +968,9 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     tick,
                 } => {
                     tick!(tick);
-                    let cur = self.local(off);
-                    let v = convert_for_class(class, arith(mode, cur, self.reg(src))?);
-                    self.set_local(off, v);
-                    self.set_reg(dst, v);
+                    let v = convert_for_class(class, arith(mode, local!(off), reg!(src))?);
+                    set_local!(off, v);
+                    set_reg!(dst, v);
                 }
                 Op::RmwGlobal {
                     idx,
@@ -930,9 +982,9 @@ impl<'a, T: MemTap> Vm<'a, T> {
                 } => {
                     tick!(tick);
                     let cur = self.global(idx);
-                    let v = convert_for_class(class, arith(mode, cur, self.reg(src))?);
+                    let v = convert_for_class(class, arith(mode, cur, reg!(src))?);
                     self.set_global(idx, v);
-                    self.set_reg(dst, v);
+                    set_reg!(dst, v);
                 }
                 Op::Rmw {
                     addr,
@@ -943,11 +995,11 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     tick,
                 } => {
                     tick!(tick);
-                    let a = self.reg(addr).to_ptr();
+                    let a = reg!(addr).to_ptr();
                     let cur = self.mem.load(a)?;
-                    let v = convert_for_class(class, arith(mode, cur, self.reg(src))?);
+                    let v = convert_for_class(class, arith(mode, cur, reg!(src))?);
                     self.mem.store(a, v)?;
-                    self.set_reg(dst, v);
+                    set_reg!(dst, v);
                 }
                 Op::Jump { target, tick } => {
                     tick!(tick);
@@ -955,13 +1007,13 @@ impl<'a, T: MemTap> Vm<'a, T> {
                 }
                 Op::JumpIfFalse { src, target, tick } => {
                     tick!(tick);
-                    if !self.reg(src).truthy() {
+                    if !reg!(src).truthy() {
                         pc = target as usize;
                     }
                 }
                 Op::JumpIfTrue { src, target, tick } => {
                     tick!(tick);
-                    if self.reg(src).truthy() {
+                    if reg!(src).truthy() {
                         pc = target as usize;
                     }
                 }
@@ -972,7 +1024,7 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     tick,
                 } => {
                     tick!(tick);
-                    let taken = self.reg(src).truthy();
+                    let taken = reg!(src).truthy();
                     self.bump_branch(branch, taken);
                     if !taken {
                         pc = else_target as usize;
@@ -987,9 +1039,7 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     tick,
                 } => {
                     tick!(tick);
-                    let a = self.local(off_a);
-                    let b = self.local(off_b);
-                    let taken = cmp_vals(op, a, b);
+                    let taken = cmp_vals(op, local!(off_a), local!(off_b));
                     self.bump_branch(branch, taken);
                     if !taken {
                         pc = else_target as usize;
@@ -1004,8 +1054,7 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     tick,
                 } => {
                     tick!(tick);
-                    let a = self.local(off);
-                    let taken = cmp_vals(op, a, Value::Int(imm as i64));
+                    let taken = cmp_vals(op, local!(off), Value::Int(imm as i64));
                     self.bump_branch(branch, taken);
                     if !taken {
                         pc = else_target as usize;
@@ -1020,7 +1069,7 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     tick,
                 } => {
                     tick!(tick);
-                    let taken = cmp_vals(op, self.reg(a), self.reg(b));
+                    let taken = cmp_vals(op, reg!(a), reg!(b));
                     self.bump_branch(branch, taken);
                     if !taken {
                         pc = else_target as usize;
@@ -1035,8 +1084,7 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     tick,
                 } => {
                     tick!(tick);
-                    let b = self.local(off);
-                    let taken = cmp_vals(op, self.reg(a), b);
+                    let taken = cmp_vals(op, reg!(a), local!(off));
                     self.bump_branch(branch, taken);
                     if !taken {
                         pc = else_target as usize;
@@ -1051,7 +1099,7 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     tick,
                 } => {
                     tick!(tick);
-                    let taken = cmp_vals(op, self.reg(a), Value::Int(imm as i64));
+                    let taken = cmp_vals(op, reg!(a), Value::Int(imm as i64));
                     self.bump_branch(branch, taken);
                     if !taken {
                         pc = else_target as usize;
@@ -1064,14 +1112,12 @@ impl<'a, T: MemTap> Vm<'a, T> {
                 }
                 Op::SwitchJump { src, table, tick } => {
                     tick!(tick);
-                    let v = self.reg(src).to_int();
+                    let v = reg!(src).to_int();
                     pc = cp.switch_tables[table as usize].lookup(v) as usize;
                 }
                 Op::CheckFn { src, tick } => {
                     tick!(tick);
-                    if !matches!(self.reg(src), Value::Fn(_)) {
-                        return Err(RuntimeError::NotAFunction.into());
-                    }
+                    fn_index(reg!(src))?;
                 }
                 Op::CallDirect {
                     func,
@@ -1081,9 +1127,9 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     tick,
                 } => {
                     tick!(tick);
-                    self.func_cost[self.cur_fn] += cost_acc;
-                    cost_acc = 0;
+                    settle!();
                     pc = self.enter(func as usize, argbase, nargs, dst, pc)?;
+                    rebase!();
                 }
                 Op::CallIndirect {
                     callee,
@@ -1093,19 +1139,13 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     tick,
                 } => {
                     tick!(tick);
-                    let Value::Fn(fid) = self.reg(callee) else {
-                        return Err(RuntimeError::NotAFunction.into());
-                    };
-                    let f = fid.0 as usize;
+                    let f = fn_index(reg!(callee))?;
                     if cp.funcs[f].entry == NONE32 {
-                        return Err(RuntimeError::Undefined {
-                            name: cp.funcs[f].name.clone(),
-                        }
-                        .into());
+                        return Err(undefined(cp, f).into());
                     }
-                    self.func_cost[self.cur_fn] += cost_acc;
-                    cost_acc = 0;
+                    settle!();
                     pc = self.enter(f, argbase, nargs, dst, pc)?;
+                    rebase!();
                 }
                 Op::CallBuiltin {
                     b,
@@ -1115,16 +1155,30 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     tick,
                 } => {
                     tick!(tick);
+                    settle!();
                     self.func_cost[self.cur_fn] += CALL_COST;
-                    let args = self.rp + argbase as usize;
-                    let args = &self.regs[args..args + nargs as usize];
-                    match self.libc.call(&mut self.mem, b, args) {
-                        Ok(v) => self.set_reg(dst, v),
+                    let args: &[Value] = if nargs == 0 {
+                        &[]
+                    } else {
+                        debug_assert!(
+                            argbase as usize + nargs as usize
+                                <= cp.funcs[self.cur_fn].max_regs as usize
+                        );
+                        // SAFETY: `verify` holds a non-empty argument
+                        // range to the register window, and the libc
+                        // never touches the register file.
+                        unsafe {
+                            std::slice::from_raw_parts(regs.add(argbase as usize), nargs as usize)
+                        }
+                    };
+                    let result = self.libc.call(&mut self.mem, b, args);
+                    rebase!();
+                    match result {
+                        Ok(v) => set_reg!(dst, v),
                         Err(abort) => {
                             // `exit()` surfaces as an outcome, so the
-                            // locals must be visible to `execute`.
-                            self.steps = steps;
-                            self.func_cost[self.cur_fn] += cost_acc;
+                            // step count must be visible to `execute`.
+                            self.steps = max_steps - budget;
                             self.exit_pc = pc - 1;
                             return Err(abort);
                         }
@@ -1132,28 +1186,9 @@ impl<'a, T: MemTap> Vm<'a, T> {
                 }
                 Op::Ret { src, tick } => {
                     tick!(tick);
-                    let v = self.reg(src);
-                    self.func_cost[self.cur_fn] += cost_acc;
-                    cost_acc = 0;
-                    match self.frames.pop() {
-                        None => {
-                            self.steps = steps;
-                            return Ok(v.to_int());
-                        }
-                        Some(fr) => {
-                            self.mem.stack.truncate(self.fp);
-                            self.depth -= 1;
-                            self.fp = fr.fp;
-                            self.rp = fr.rp;
-                            self.cur_fn = fr.func;
-                            pc = fr.ret_pc;
-                            self.regs[fr.rp + fr.ret_dst as usize] = v;
-                        }
-                    }
+                    ret!(reg!(src));
                 }
-                Op::Fail(i) => {
-                    return Err(cp.fails[i as usize].clone().into());
-                }
+                Op::Fail(i) => return Err(fail(cp, i).into()),
 
                 // ----- mined superinstructions -----
                 // Each replicates its source pair's effects in order;
@@ -1165,29 +1200,12 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     tick,
                 } => {
                     tick!(tick);
-                    self.set_reg(dst, Value::Int(imm as i64));
+                    set_reg!(dst, Value::Int(imm as i64));
                     pc = target as usize;
                 }
                 Op::ConstRet { imm, tick } => {
                     tick!(tick);
-                    let v = Value::Int(imm as i64);
-                    self.func_cost[self.cur_fn] += cost_acc;
-                    cost_acc = 0;
-                    match self.frames.pop() {
-                        None => {
-                            self.steps = steps;
-                            return Ok(v.to_int());
-                        }
-                        Some(fr) => {
-                            self.mem.stack.truncate(self.fp);
-                            self.depth -= 1;
-                            self.fp = fr.fp;
-                            self.rp = fr.rp;
-                            self.cur_fn = fr.func;
-                            pc = fr.ret_pc;
-                            self.regs[fr.rp + fr.ret_dst as usize] = v;
-                        }
-                    }
+                    ret!(Value::Int(imm as i64));
                 }
                 Op::StoreLEdge {
                     off,
@@ -1198,9 +1216,9 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     tick,
                 } => {
                     tick!(tick);
-                    let v = convert_for_class(class, self.reg(src));
-                    self.set_local(off, v);
-                    self.set_reg(src, v);
+                    let v = convert_for_class(class, reg!(src));
+                    set_local!(off, v);
+                    set_reg!(src, v);
                     self.bump_edge(edge);
                     pc = target as usize;
                 }
@@ -1212,8 +1230,8 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     tick,
                 } => {
                     tick!(tick);
-                    let v = self.local(off);
-                    self.set_reg(dst, v);
+                    let v = local!(off);
+                    set_reg!(dst, v);
                     let taken = v.truthy();
                     self.bump_branch(branch, taken);
                     if !taken {
@@ -1230,7 +1248,7 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     tick!(tick);
                     let g = self.global(idx);
                     let v = arith(mode, g, Value::Int(imm as i64))?;
-                    self.set_reg(dst, v);
+                    set_reg!(dst, v);
                 }
                 Op::CmpBranchRCI {
                     a,
@@ -1242,8 +1260,8 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     tick,
                 } => {
                     tick!(tick);
-                    self.set_reg(dst, Value::Int(imm as i64));
-                    let taken = cmp_vals(op, self.reg(a), Value::Int(imm as i64));
+                    set_reg!(dst, Value::Int(imm as i64));
+                    let taken = cmp_vals(op, reg!(a), Value::Int(imm as i64));
                     self.bump_branch(branch, taken);
                     if !taken {
                         pc = else_target as usize;
@@ -1257,9 +1275,8 @@ impl<'a, T: MemTap> Vm<'a, T> {
                     tick,
                 } => {
                     tick!(tick);
-                    let b = self.local(off);
-                    let v = arith(mode, self.reg(dst), b)?;
-                    self.set_reg(dst, v);
+                    let v = arith(mode, reg!(dst), local!(off))?;
+                    set_reg!(dst, v);
                     if !v.truthy() {
                         pc = target as usize;
                     }
@@ -1267,6 +1284,72 @@ impl<'a, T: MemTap> Vm<'a, T> {
             }
         }
     }
+}
+
+// ----- cold arms -----
+//
+// The bodies of the ops that the suite and Fig 10 dispatch fewer than
+// 5,000 times in 100 million (EXPERIMENTS.md, *Dispatch census*), kept
+// out of the dispatch loop's function.
+
+impl<T: MemTap> Vm<'_, T> {
+    #[cold]
+    #[inline(never)]
+    fn copy_words(&mut self, dst: u64, src: u64, n: u32) -> Result<(), RuntimeError> {
+        self.mem.copy_words(dst, src, n as usize)
+    }
+}
+
+/// Copies `img` to `dst`.
+///
+/// # Safety
+///
+/// `dst` must be valid for `img.len()` writes.
+#[cold]
+#[inline(never)]
+unsafe fn init_words(dst: *mut Value, img: &[Value]) {
+    // SAFETY: the caller's.
+    unsafe { dst.copy_from_nonoverlapping(img.as_ptr(), img.len()) }
+}
+
+#[cold]
+#[inline(never)]
+fn member_addr(base: u64, off: u32) -> Result<u64, RuntimeError> {
+    if base == 0 {
+        return Err(RuntimeError::NullDeref);
+    }
+    Ok(base + off as u64)
+}
+
+/// The function `v` points to (its index), or the error of calling a
+/// non-function.
+#[cold]
+#[inline(never)]
+fn fn_index(v: Value) -> Result<usize, RuntimeError> {
+    match v {
+        Value::Fn(fid) => Ok(fid.0 as usize),
+        _ => Err(RuntimeError::NotAFunction),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn undefined(cp: &CompiledProgram, f: usize) -> RuntimeError {
+    RuntimeError::Undefined {
+        name: cp.funcs[f].name.clone(),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn fail(cp: &CompiledProgram, i: u32) -> RuntimeError {
+    cp.fails[i as usize].clone()
+}
+
+/// `base + i * elem`, wrapping: an indexed address.
+#[inline(always)]
+fn index(base: u64, i: i64, elem: u32) -> u64 {
+    base.wrapping_add_signed(i.wrapping_mul(elem as i64))
 }
 
 fn incdec(old: Value, delta: i64) -> Value {

@@ -472,8 +472,9 @@ impl<T: MemTap> Memory<T> {
             return Err(RuntimeError::NullDeref);
         }
         if addr >= STACK_BASE {
-            let v = self.stack.get((addr - STACK_BASE) as usize).copied();
-            return v.ok_or(RuntimeError::OutOfBounds { addr });
+            let i = self.stack_index(addr)?;
+            // SAFETY: `stack_index` checked `i < stack.len()`.
+            return Ok(unsafe { self.stack.as_mut_ptr().add(i).read() });
         }
         let v = self.data.get((addr - 1) as usize).copied();
         let v = v.ok_or(RuntimeError::OutOfBounds { addr })?;
@@ -489,8 +490,9 @@ impl<T: MemTap> Memory<T> {
             return Err(RuntimeError::NullDeref);
         }
         if addr >= STACK_BASE {
-            let slot = self.stack.get_mut((addr - STACK_BASE) as usize);
-            *slot.ok_or(RuntimeError::OutOfBounds { addr })? = v;
+            let i = self.stack_index(addr)?;
+            // SAFETY: as in `load`.
+            unsafe { self.stack.as_mut_ptr().add(i).write(v) };
             return Ok(());
         }
         let slot = self.data.get_mut((addr - 1) as usize);
@@ -499,6 +501,22 @@ impl<T: MemTap> Memory<T> {
             self.tap.access(addr);
         }
         Ok(())
+    }
+
+    /// The live-stack index of `addr` (at or past [`STACK_BASE`]), or
+    /// the out-of-bounds error. Stack words are read and written only
+    /// through `Vec::as_mut_ptr`, which creates no reference to the
+    /// slice: the VM caches a frame base derived the same way and keeps
+    /// using it across these accesses, which a `&mut` slice of the
+    /// stack would invalidate.
+    #[inline(always)]
+    fn stack_index(&self, addr: u64) -> Result<usize, RuntimeError> {
+        let i = addr - STACK_BASE;
+        if i < self.stack.len() as u64 {
+            Ok(i as usize)
+        } else {
+            Err(RuntimeError::OutOfBounds { addr })
+        }
     }
 
     pub(crate) fn copy_words(&mut self, dst: u64, src: u64, n: usize) -> Result<(), RuntimeError> {
@@ -793,19 +811,39 @@ fn emit(output: &mut Vec<u8>, bytes: &[u8]) -> Result<(), RuntimeError> {
     Ok(())
 }
 
+/// Writes `x` as C's `%.{digits}e` does: one digit, the point and
+/// `digits` more (no point when `digits` is 0), then `e`, the
+/// exponent's sign and at least two exponent digits. A non-finite `x`
+/// is written as `%f` writes it.
+fn c_exponent(out: &mut String, digits: usize, x: f64) -> std::fmt::Result {
+    use std::fmt::Write as _;
+    let start = out.len();
+    write!(out, "{x:.digits$e}")?;
+    let Some(at) = out[start..].find('e').map(|at| start + at) else {
+        return Ok(());
+    };
+    let exp: i32 = out[at + 1..]
+        .parse()
+        .expect("Rust writes a decimal exponent");
+    out.truncate(at);
+    let sign = if exp < 0 { '-' } else { '+' };
+    write!(out, "e{sign}{:02}", exp.unsigned_abs())
+}
+
 /// `printf`-style formatting of `fmt` into `out` (cleared first);
 /// `tmp` holds each conversion's text before it is padded. A
 /// conversion takes C's flags `-`, `0`, `+`, space and `#` (a `0x`
-/// prefix on a nonzero `%x`, a leading `0` on `%o`; zero padding goes
-/// after the prefix), a width, a `.precision` (digits for `%f`, most
-/// characters for `%s`, fewest digits for `%d`/`%i`/`%u`/`%x`/`%o`)
-/// and the length letters `l` and `h`, which change nothing. A width
-/// or precision is decimal or `*`, which takes the next argument as
-/// an `int`: a negative `*` width sets the `-` flag, and a negative
-/// `*` precision counts as none. `%u` prints as `%d`, and `%e` and
-/// `%g` print Rust's shortest round-trip form (padded, but with no
-/// precision); C's spelling of `%e`/`%g` is not supported. A missing
-/// argument reads as `Int(0)`. A result longer than `room` bytes is
+/// prefix on a nonzero `%x`, `0X` on `%X`, a leading `0` on `%o`; zero
+/// padding goes after the prefix), a width, a `.precision` (digits
+/// for `%f` and `%e`, most characters for `%s`, fewest digits for
+/// `%d`/`%i`/`%u`/`%x`/`%X`/`%o`) and the length letters `l` and `h`,
+/// which change nothing. A width or precision is decimal or `*`, which
+/// takes the next argument as an `int`: a negative `*` width sets the
+/// `-` flag, and a negative `*` precision counts as none. `%u` prints
+/// as `%d`. `%e` with a precision prints C's spelling (`1.5e+00`);
+/// without one, and `%g` always, it prints Rust's shortest round-trip
+/// form (padded, but with no precision). A missing argument reads as
+/// `Int(0)`. A result longer than `room` bytes is
 /// the error `past`, found at the conversion that passes it and before
 /// its padding or digits are written, so a huge width or precision
 /// allocates nothing.
@@ -869,10 +907,11 @@ fn format<T: MemTap>(
         // `0` flag pads it with zeros) and an integer (so a precision
         // is its fewest digits).
         let (sign, numeric, integer) = match chars.next() {
-            Some(conv @ ('d' | 'i' | 'u' | 'x' | 'o')) => {
+            Some(conv @ ('d' | 'i' | 'u' | 'x' | 'X' | 'o')) => {
                 let v = take().to_int();
                 let w = match conv {
                     'x' => write!(tmp, "{v:x}"),
+                    'X' => write!(tmp, "{v:X}"),
                     'o' => write!(tmp, "{v:o}"),
                     _ => write!(tmp, "{}", v.unsigned_abs()),
                 };
@@ -885,23 +924,29 @@ fn format<T: MemTap>(
                 }
                 let sign = match conv {
                     'x' if alt && v != 0 => "0x",
-                    'x' | 'o' => "",
+                    'X' if alt && v != 0 => "0X",
+                    'x' | 'X' | 'o' => "",
                     _ => sign_of(v < 0),
                 };
                 (sign, true, true)
             }
             Some(conv @ ('f' | 'e' | 'g')) => {
                 let x = take().to_float();
-                let w = if conv == 'f' {
-                    let digits = prec.unwrap_or(6);
-                    if digits > room.saturating_sub(out.len()) {
-                        return Err(past);
+                match (conv, prec) {
+                    ('f', _) | ('e', Some(_)) => {
+                        let digits = prec.unwrap_or(6);
+                        if digits > room.saturating_sub(out.len()) {
+                            return Err(past);
+                        }
+                        if conv == 'f' {
+                            write!(tmp, "{:.*}", digits, x.abs())
+                        } else {
+                            c_exponent(tmp, digits, x.abs())
+                        }
                     }
-                    write!(tmp, "{:.*}", digits, x.abs())
-                } else {
-                    write!(tmp, "{}", x.abs())
-                };
-                w.expect("writing to a String cannot fail");
+                    _ => write!(tmp, "{}", x.abs()),
+                }
+                .expect("writing to a String cannot fail");
                 (
                     sign_of(x.is_sign_negative() && !x.is_nan()),
                     x.is_finite(),

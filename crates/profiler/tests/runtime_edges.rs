@@ -446,6 +446,30 @@ fn printf_alternate_forms_and_star_widths() {
     );
 }
 
+/// `%X` and `%e` with a precision, each line as the C library prints
+/// it. Before `%X` was a conversion it printed literally and took no
+/// argument, so every later conversion read the wrong one.
+#[test]
+fn printf_upper_hex_and_exponents_with_a_precision() {
+    let out = run_both(
+        r#"
+        int main(void) {
+            printf("%X|%#X|%x|%5.1e|%c%c\n", 255, 255, 255, 1.5, 'a', 'b');
+            printf("%.0e|%#08X|%-8.2e|%+.3e|%.2e|%.1e|%.3X\n", 12345.0, 26, 0.000123, -2.5, 0.0, 9.96, 10);
+            printf("%.2e|%010.2e|%.1e\n", 1e300, -3.0, 1.0 / 0.0);
+            return 0;
+        }
+        "#,
+    )
+    .expect("runs");
+    assert_eq!(
+        out.stdout(),
+        "FF|0XFF|ff|1.5e+00|ab\n\
+         1e+04|0X00001A|1.23e-04|-2.500e+00|0.00e+00|1.0e+01|00A\n\
+         1.00e+300|-03.00e+00|inf\n"
+    );
+}
+
 #[test]
 fn a_huge_width_or_precision_is_the_output_budget() {
     // Each would print at least a trillion characters; the padding is
@@ -460,6 +484,7 @@ fn a_huge_width_or_precision_is_the_output_budget() {
         r#""%99999999999999999999999.99999999999999999999999d", 1"#,
         r#""%+.99999999999999999999999d", 1"#,
         r#""%.99999999999999999999999f", 1"#,
+        r#""%.999999999999e", 1.5"#,
         r#""%*d", 999999999999, 1"#,
         r#""%.*d", 999999999999, 1"#,
     ] {

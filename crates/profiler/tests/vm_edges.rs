@@ -429,3 +429,122 @@ fn compile_once_execute_many_inputs() {
         assert_eq!(out.exit_code, want);
     }
 }
+
+/// A run whose steps total exactly `max_steps` completes; one step
+/// less is the step limit. Checked for a run that returns from `main`
+/// and one that calls `exit()` from inside a callee.
+#[test]
+fn a_budget_of_exactly_the_run_s_steps_suffices() {
+    let returns = r#"
+        int sq(int x) { return x * x; }
+        int main(void) {
+            int i, s = 0;
+            for (i = 0; i < 20; i++) s += sq(i);
+            return s & 127;
+        }
+    "#;
+    let exits = r#"
+        int stop(int x) { if (x > 3) exit(x); return x; }
+        int main(void) {
+            int i;
+            for (i = 0; i < 10; i++) stop(i);
+            return 0;
+        }
+    "#;
+    for src in [returns, exits] {
+        let steps = run_ok(src).steps;
+        let budget = |max_steps| RunConfig {
+            max_steps,
+            ..RunConfig::default()
+        };
+        let exact = run_both(src, &budget(steps)).expect("the exact budget suffices");
+        assert_eq!(exact.steps, steps);
+        let err = run_both(src, &budget(steps - 1)).expect_err("one step short");
+        assert_eq!(err, RuntimeError::StepLimit { limit: steps - 1 });
+    }
+}
+
+/// `exit()` three calls below `main`: every activation is left live,
+/// and the VM books the same steps, per-function cost and profile as
+/// the walker (`run_both` compares them).
+#[test]
+fn exit_three_calls_deep_books_what_the_walker_books() {
+    let out = run_ok(
+        r#"
+        int depth3(int n) {
+            int i, s = 0;
+            for (i = 0; i < n; i++) s += i;
+            if (s > 10) exit(s % 7 + 3);
+            return s;
+        }
+        int depth2(int n) { int r = depth3(n + 2); return r + 1; }
+        int depth1(int n) { printf("in\n"); return depth2(n * 2) + 1; }
+        int main(void) {
+            int k = depth1(4);
+            printf("unreached %d\n", k);
+            return 0;
+        }
+        "#,
+    );
+    assert_eq!(out.exit_code, 6);
+    assert_eq!(out.stdout(), "in\n");
+    assert!(out.steps > 0);
+    assert_eq!(out.profile.func_counts, [1, 1, 1, 1]);
+    assert!(
+        out.profile.func_cost.iter().all(|&c| c > 0),
+        "{:?}",
+        out.profile.func_cost
+    );
+}
+
+/// Heap growth (`malloc` moves the data segment), calls deep enough to
+/// move the live stack, frame-local and global reads and writes, and
+/// stores through a pointer into the caller's frame, all in one loop:
+/// the VM's cached register and frame bases must follow every move.
+/// The expected line and status are what the C compiler's build prints.
+#[test]
+fn heap_growth_calls_and_frame_traffic_agree() {
+    let out = run_ok(
+        r#"
+        int g;
+        int total;
+        int *keep[40];
+
+        int fill(int *p, int n) {
+            int i;
+            int s = 0;
+            for (i = 0; i < n; i++) {
+                p[i] = i + g;
+                s += p[i];
+            }
+            g++;
+            return s;
+        }
+
+        int deep(int *out, int n) {
+            int pad[50];
+            pad[n % 50] = n;
+            if (n == 0) return 0;
+            *out += 1;
+            return deep(out, n - 1) + pad[n % 50];
+        }
+
+        int main(void) {
+            int i;
+            int hits = 0;
+            int local[8];
+            for (i = 0; i < 40; i++) {
+                int *p = malloc((i + 1) * 32 * sizeof(int));
+                keep[i] = p;
+                local[i % 8] = fill(p, (i + 1) * 32);
+                total += local[i % 8] + deep(&hits, i * 5);
+            }
+            for (i = 0; i < 40; i++) total += keep[i][i] + local[i % 8];
+            printf("%d %d %d\n", total, hits, g);
+            return total % 251;
+        }
+        "#,
+    );
+    assert_eq!(out.stdout(), "41298980 3900 40\n");
+    assert_eq!(out.exit_code, 193);
+}

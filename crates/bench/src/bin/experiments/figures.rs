@@ -190,9 +190,10 @@ pub struct Fig10 {
 /// Runs the modeled Figure 10 experiment: optimize the top-k functions
 /// of compress under three orderings, measure on a held-out input.
 pub fn fig10() -> Fig10 {
+    let compress = suite::by_name("compress").expect("compress in suite");
     let ProgramData {
         program, profiles, ..
-    } = bench::load_program(suite::by_name("compress").expect("compress in suite"));
+    } = bench::load(&[compress], pool::global(), None, 0).remove(0);
 
     // The held-out measurement input (not among the standard four).
     let holdout: Vec<u8> = {
@@ -418,7 +419,12 @@ pub fn averages<const N: usize>(rows: &[(&'static str, [f64; N])]) -> [f64; N] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bench::load_program;
+
+    /// Loads the named suite programs on the global pool, uncached.
+    fn load(names: &[&str]) -> Vec<ProgramData> {
+        let benches: Vec<_> = names.iter().map(|n| suite::by_name(n).unwrap()).collect();
+        bench::load(&benches, pool::global(), None, 0)
+    }
 
     #[test]
     fn table2_matches_the_paper() {
@@ -442,10 +448,7 @@ mod tests {
 
     #[test]
     fn ablation_and_extensions_are_sane_on_a_subset() {
-        let subset: Vec<ProgramData> = ["alvinn", "cc", "awk"]
-            .iter()
-            .map(|n| load_program(suite::by_name(n).unwrap()))
-            .collect();
+        let subset = load(&["alvinn", "cc", "awk"]);
 
         let a = ablation(&subset);
         assert!(a.full_miss > 0.0 && a.full_miss < 1.0);
@@ -475,10 +478,7 @@ mod tests {
     fn fig2_switch_fraction_is_small() {
         // The paper: switches are "less than 3% of dynamic branches on
         // average". Check on the switch-heaviest programs.
-        let subset: Vec<ProgramData> = ["cc", "gs"]
-            .iter()
-            .map(|n| load_program(suite::by_name(n).unwrap()))
-            .collect();
+        let subset = load(&["cc", "gs"]);
         for (name, rates, frac) in fig2(&subset) {
             assert!(rates.dynamic_branches > 0, "{name}");
             assert!((0.0..0.25).contains(&frac), "{name}: switch frac {frac}");

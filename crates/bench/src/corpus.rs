@@ -20,8 +20,8 @@
 //!
 //! ## Memory
 //!
-//! At most one program per running thread (the pool's workers and the
-//! caller) is in flight, and each task keeps only its fold record:
+//! At most one program per pool thread (`--jobs`, the caller counted)
+//! is in flight, and each task keeps only its fold record:
 //! scores land in fixed 2048-bin histograms (exact to 1/2048, which is
 //! far below the scores' own noise), a profile is dropped as soon as it
 //! is scored, and the profiler recycles its VM buffers per thread.
@@ -118,8 +118,8 @@ pub struct CorpusConfig {
     pub first_seed: u64,
     /// Stratification features (one bucket per feature per program).
     pub features: Vec<Feature>,
-    /// Worker threads: `Some(n)` builds a private pool, `None` uses
-    /// the global pool (honouring `SFE_POOL_THREADS`).
+    /// Threads: `Some(n)` builds a private pool of `n`, `None` uses
+    /// the global pool.
     pub jobs: Option<usize>,
 }
 
@@ -297,10 +297,8 @@ pub struct CorpusReport {
     pub p99_ms: f64,
     /// Peak RSS over the run, where `/proc` reports it.
     pub peak_rss_bytes: Option<u64>,
-    /// Worker threads the run actually used.
+    /// Threads the run actually used.
     pub jobs: usize,
-    /// `SFE_POOL_THREADS` as seen at run time, if set.
-    pub pool_threads_env: Option<String>,
     /// Per-bucket aggregates, in [`bucket_labels`] order.
     pub buckets: Vec<BucketAgg>,
     /// The unstratified `all` bucket.
@@ -396,8 +394,7 @@ pub fn run_corpus(cfg: &CorpusConfig) -> CorpusReport {
         p50_ms: pct(0.50),
         p99_ms: pct(0.99),
         peak_rss_bytes: obs::peak_rss_bytes(),
-        jobs: pool.workers(),
-        pool_threads_env: std::env::var("SFE_POOL_THREADS").ok(),
+        jobs: pool.threads(),
         buckets: agg.buckets,
         total: agg.total,
     }

@@ -1,6 +1,6 @@
 //! # bench — the suite loader, the corpus engine and the measured Fig 10
 //!
-//! [`load_suite_with`] compiles and profiles the 14-program suite as
+//! [`load`] compiles and profiles suite programs as
 //! *(program, input)* tasks on the worker pool, through the artifact
 //! cache; [`corpus`] streams generated programs through the same
 //! pipeline at volume; [`fig10_measured_program`] runs the paper's §6
@@ -61,30 +61,6 @@ fn profile_one<'a>(
     .unwrap_or_else(|e| panic!("{}: runtime error at -O{opt_level}: {e}", bench.name))
 }
 
-/// Compiles and profiles one suite program with no artifact cache:
-/// compilation happens on the calling thread, then each input becomes
-/// one task on the global pool. Profiles return in input order.
-///
-/// # Panics
-///
-/// Panics if the program fails to compile or run — suite programs are
-/// expected to be well-formed.
-pub fn load_program(bench: BenchProgram) -> ProgramData {
-    let _sp = obs::span("bench.load_program");
-    let program = compile_bench(bench);
-    let compiled = profiler::compile(&program);
-    let profiles = pool::global().map(bench.inputs(), |input| {
-        profile_one(bench, || &compiled, 0, input, None)
-    });
-    obs::counter_add("bench.programs", 1);
-    obs::counter_add("bench.profiles", profiles.len() as u64);
-    ProgramData {
-        bench,
-        program,
-        profiles,
-    }
-}
-
 /// Compiles and lowers a suite program.
 ///
 /// # Panics
@@ -99,11 +75,13 @@ fn compile_bench(bench: BenchProgram) -> Program {
 /// Compiles and profiles the whole suite on the global pool with no
 /// artifact cache (a few seconds of work cold).
 pub fn load_suite() -> Vec<ProgramData> {
-    load_suite_with(pool::global(), None, 0)
+    load(&suite::all(), pool::global(), None, 0)
 }
 
-/// Compiles and profiles the whole suite as *(program, input)* tasks
-/// on `pool`, consulting `cache` per input.
+/// Compiles and profiles `benches` as *(program, input)* tasks on
+/// `pool`, consulting `cache` per input, and returns them in the order
+/// given. `load(&[p], &Pool::new(1), None, 0)` loads one program on
+/// the calling thread alone.
 ///
 /// A program is compiled only when one of its profiles misses the
 /// cache, once, by the first such task. At `opt_level` > 0 it is then
@@ -117,20 +95,18 @@ pub fn load_suite() -> Vec<ProgramData> {
 /// CFGs, then one task per *(program, input)* pair profiles, so
 /// workers drain a single task supply and a straggler program's
 /// inputs spread across every idle core. Both maps return in input
-/// order, so the output is
-/// byte-identical in Table 1 order for any pool size and any task
-/// interleaving (asserted by `tests/determinism.rs`).
-pub fn load_suite_with(
+/// order, so the output is byte-identical for any pool size and any
+/// task interleaving (asserted by `tests/determinism.rs`), and every
+/// task's spans nest under `bench.load_suite`. Panics if a program
+/// fails to compile or run: suite programs are well-formed.
+pub fn load(
+    benches: &[BenchProgram],
     pool: &pool::Pool,
     cache: Option<&Cache>,
     opt_level: u8,
 ) -> Vec<ProgramData> {
-    // Worker threads carry their own span stacks, so per-program
-    // spans show up as overlapping roots; this span is the wall-clock
-    // envelope of the whole fan-out.
     let _sp = obs::span("bench.load_suite");
-    let benches = suite::all();
-    let mut loaded = pool.map(&benches, |&bench| {
+    let mut loaded = pool.map(benches, |&bench| {
         let program = compile_bench(bench);
         obs::counter_add("bench.programs", 1);
         (program, OnceLock::new(), bench.inputs())
@@ -161,10 +137,10 @@ pub fn load_suite_with(
         })
         .into_iter();
     benches
-        .into_iter()
+        .iter()
         .zip(loaded)
         .zip(counts)
-        .map(|((bench, (program, _, _)), n)| {
+        .map(|((&bench, (program, _, _)), n)| {
             let profiles: Vec<Profile> = profiles.by_ref().take(n).collect();
             obs::counter_add("bench.profiles", n as u64);
             ProgramData {

@@ -43,7 +43,7 @@ fn pool_sizes_one_two_and_n_agree() {
     // The whole uncached suite, as `sfe suite` loads it: one compile
     // task per program fans out one profile task per input.
     let load = |threads: usize| -> String {
-        render(&bench::load_suite_with(&Pool::new(threads), None, 0))
+        render(&bench::load(&suite::all(), &Pool::new(threads), None, 0))
     };
     let one = load(1);
     let two = load(2);
@@ -59,12 +59,12 @@ fn cold_and_warm_suite_loads_are_identical() {
     let cache = Cache::open(&dir).unwrap();
     let pool = pool::global();
 
-    let cold = render(&bench::load_suite_with(pool, Some(&cache), 0));
+    let cold = render(&bench::load(&suite::all(), pool, Some(&cache), 0));
     assert!(cache.entry_count() > 0, "cold run must populate the cache");
 
     obs::reset();
     obs::set_enabled(true);
-    let warm = render(&bench::load_suite_with(pool, Some(&cache), 0));
+    let warm = render(&bench::load(&suite::all(), pool, Some(&cache), 0));
     obs::set_enabled(false);
     let m = obs::snapshot();
     obs::reset();

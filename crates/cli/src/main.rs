@@ -26,7 +26,7 @@
 //! ```text
 //! --addr <host:port>  serve over TCP instead of stdin/stdout
 //! --suite             preload the 14 suite programs (with their inputs)
-//! --jobs <n>          worker threads for per-function fan-out (at most 256)
+//! --jobs <n>          threads for per-function fan-out, at most 256 (default: SFE_POOL_THREADS / cores)
 //! ```
 //!
 //! The service speaks the `serve/v1` NDJSON protocol (one request and
@@ -43,7 +43,7 @@
 //! --requests <n>       requests per client (default 100)
 //! --seed <n>           workload seed (default 1)
 //! --update-pct <n>     percentage of requests that are updates (default 20)
-//! --jobs <n>           worker threads for the in-process database (at most 256)
+//! --jobs <n>           threads for the in-process database, at most 256 (default: SFE_POOL_THREADS / cores)
 //! --addr <host:port>   drive a live daemon instead of an in-process database
 //! --assert-qps <x>     exit nonzero if sustained q/s falls below x
 //! --assert-p99-ms <x>  exit nonzero if p99 latency exceeds x milliseconds
@@ -55,7 +55,7 @@
 //! --count <n>        programs to evaluate (default 1000)
 //! --seed <n>         first generator seed (default 1)
 //! --buckets <spec>   comma-separated strata: recursion,indirect,loopskew,switch (default all)
-//! --jobs <n>         worker threads, at most 256 (default: global pool / SFE_POOL_THREADS)
+//! --jobs <n>         threads, at most 256 (default: global pool / SFE_POOL_THREADS)
 //! ```
 //!
 //! Global flags (any command):
@@ -497,7 +497,7 @@ fn open_cache(dir: Option<&str>, no_cache: bool) -> Option<cache::Cache> {
 /// `./cache`, override with `--cache-dir`, disable with `--no-cache`).
 fn suite_report(cache_dir: Option<&str>, no_cache: bool, opt_level: u8) -> ExitCode {
     let cache = open_cache(Some(cache_dir.unwrap_or("cache")), no_cache);
-    let data = bench::load_suite_with(pool::global(), cache.as_ref(), opt_level);
+    let data = bench::load(&suite::all(), pool::global(), cache.as_ref(), opt_level);
     writeln!(
         Out,
         "{:<12} {:>8} {:>8} {:>12}  {:>6} {:>6}",
@@ -895,13 +895,7 @@ fn corpus_report(args: &[String]) -> ExitCode {
     let rss = r.peak_rss_bytes.map_or("n/a".to_string(), |b| {
         format!("{:.1} MiB", b as f64 / (1024.0 * 1024.0))
     });
-    writeln!(
-        Out,
-        "  jobs {} (SFE_POOL_THREADS {}) | peak rss {}",
-        r.jobs,
-        r.pool_threads_env.as_deref().unwrap_or("unset"),
-        rss
-    );
+    writeln!(Out, "  jobs {} | peak rss {}", r.jobs, rss);
     writeln!(Out, "  aggregate digest {:016x}", r.aggregate_digest());
     writeln!(Out);
     write!(Out, "  {:<14} {:>6}", "bucket", "n");
@@ -1087,7 +1081,7 @@ fn storm_cmd(args: &[String]) -> ExitCode {
         },
         None => {
             let db = std::sync::Arc::new(serve::db::ServeDb::new(jobs, None));
-            let jobs_used = db.workers();
+            let jobs_used = db.threads();
             (run_in_process(&config, &db), jobs_used)
         }
     };

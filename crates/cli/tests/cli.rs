@@ -9,6 +9,15 @@ fn sfe(args: &[&str]) -> std::process::Output {
         .expect("sfe runs")
 }
 
+/// [`sfe`] with `SFE_POOL_THREADS` set to `threads`.
+fn sfe_on_threads(threads: &str, args: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_sfe"))
+        .args(args)
+        .env("SFE_POOL_THREADS", threads)
+        .output()
+        .expect("sfe runs")
+}
+
 fn demo_file() -> tempfile::NamedFile {
     let mut f = tempfile::NamedFile::new("demo.c");
     f.write(
@@ -330,6 +339,38 @@ fn storm_clamps_an_absurd_worker_count() {
     assert_eq!(out.status.code(), Some(0), "{err}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("\"jobs\":256"), "{stdout}");
+}
+
+#[test]
+fn storm_sizes_its_pool_like_every_pool() {
+    let out = sfe_on_threads("3", &["storm", "--clients", "1", "--requests", "5"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("\"jobs\":3"), "{stdout}");
+}
+
+#[test]
+fn a_one_thread_suite_is_one_trace_tree() {
+    // Every pool task runs under the span path of the map that queued
+    // it, so each VM run and CFG build sits under the suite load.
+    let metrics = tempfile::NamedFile::new("suite-tree.json");
+    let args = ["--no-cache", "--metrics-out", metrics.path(), "suite"];
+    let out = sfe_on_threads("1", &args);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let doc = std::fs::read_to_string(metrics.path()).expect("metrics written");
+    let inputs: u64 = suite::all().iter().map(|b| b.inputs().len() as u64).sum();
+    let programs = suite::all().len() as u64;
+    assert_eq!((inputs, programs), (56, 14));
+    for (leaf, n) in [("profiler.execute", inputs), ("flowgraph.build", programs)] {
+        assert_eq!(span_count(&doc, leaf), n, "{doc}");
+        let under_load = format!("bench.load_suite/{leaf}");
+        assert_eq!(span_count(&doc, &under_load), n, "{doc}");
+    }
 }
 
 /// The value of `counter` in an obs-metrics/v1 document (0 when the

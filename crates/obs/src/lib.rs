@@ -24,10 +24,10 @@
 //!   the profiler records per-run aggregates after execution.
 //! - **Spans aggregate by path.** Each thread keeps a stack of active
 //!   span names; when a guard drops, its duration is added to the
-//!   registry entry for the `/`-joined path (`bench.load_program/
-//!   minic.parse`). Identical shapes from the fourteen parallel suite
-//!   threads therefore merge into one row with a count, exactly what a
-//!   trajectory file wants.
+//!   registry entry for the `/`-joined path (`bench.load_suite/
+//!   minic.compile`). Identical shapes from the fourteen suite tasks
+//!   merge into one row with a count, and a pool task runs under the
+//!   path of the `map` that queued it ([`run_under`]): one trace tree.
 //! - **Sharded hot path.** Counters and spans record into a
 //!   *per-thread* shard (uncontended lock), and [`snapshot`] merges
 //!   every shard on demand. The corpus engine pushes tens of
@@ -198,6 +198,32 @@ impl Drop for Span {
             stat.total_ns += u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
         });
     }
+}
+
+/// A thread's active span path, captured by [`capture_path`] so that
+/// work on any thread can record under it with [`run_under`].
+#[derive(Clone, Debug)]
+pub struct SpanPath(Arc<[&'static str]>);
+
+/// The calling thread's active span path, or `None` while telemetry
+/// is off.
+pub fn capture_path() -> Option<SpanPath> {
+    enabled().then(|| SpanPath(SPAN_STACK.with(|s| s.borrow().as_slice().into())))
+}
+
+/// Runs `f` with `path`, if given, as this thread's span stack, so the
+/// spans `f` opens record under it; the thread's own stack comes back
+/// however `f` ends.
+pub fn run_under<R>(path: Option<&SpanPath>, f: impl FnOnce() -> R) -> R {
+    let Some(path) = path else { return f() };
+    struct Restore(Vec<&'static str>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SPAN_STACK.with(|s| *s.borrow_mut() = std::mem::take(&mut self.0));
+        }
+    }
+    let _own = Restore(SPAN_STACK.with(|s| s.replace(path.0.to_vec())));
+    f()
 }
 
 /// Adds `delta` to the monotonic counter `name` (no-op while
@@ -550,6 +576,31 @@ mod tests {
         let m = snapshot();
         assert_eq!(m.counters["ephemeral.items"], 3);
         assert_eq!(m.spans["ephemeral"].count, 1);
+    }
+
+    #[test]
+    fn a_captured_path_carries_to_another_thread() {
+        let _guard = serial();
+        reset();
+        set_enabled(true);
+        {
+            let _outer = span("outer");
+            let path = capture_path();
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let _own = span("own");
+                    run_under(path.as_ref(), || {
+                        let _sp = span("task");
+                    });
+                    // The thread's own stack is back after the run.
+                    let _after = span("after");
+                });
+            });
+        }
+        set_enabled(false);
+        let m = snapshot();
+        let paths: Vec<&str> = m.spans.keys().map(String::as_str).collect();
+        assert_eq!(paths, ["outer", "outer/task", "own", "own/after"]);
     }
 
     #[test]

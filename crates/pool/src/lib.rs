@@ -4,10 +4,13 @@
 //! inside each, one more per input — 14+ threads of oversubscription
 //! on a small runner, and a straggler program's inputs still ran on a
 //! single core. This crate replaces all of that with one process-wide
-//! pool of `available_parallelism` workers and one operation,
+//! pool of [`default_threads`] threads and one operation,
 //! [`Pool::map`]: run a function over a list of items as pool tasks
 //! and get the results back in input order. The function and the
 //! items may borrow from the caller's stack.
+//!
+//! A pool of n is n threads: the `map` caller runs tasks too, so
+//! `Pool::new(n)` spawns n − 1 workers.
 //!
 //! Scheduling is one FIFO queue behind a mutex: every task joins the
 //! back, workers pop from the front, and idle workers sleep on a
@@ -37,7 +40,8 @@
 //!
 //! When telemetry is enabled the pool counts into two `obs` counters:
 //! `pool.tasks` (tasks executed, one per item) and `pool.idle_ns`
-//! (total worker sleep time).
+//! (total worker sleep time). Each task's spans nest under the `map`
+//! call that queued it ([`obs::run_under`]), whichever thread runs it.
 //!
 //! ```
 //! let pool = pool::Pool::new(4);
@@ -54,7 +58,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Upper bound on the worker count of any pool: [`Pool::new`] clamps
+/// Upper bound on the thread count of any pool: [`Pool::new`] clamps
 /// its argument to `1..=MAX_THREADS`, so `--jobs` and
 /// `SFE_POOL_THREADS` cannot ask for more threads than a machine can
 /// usefully run.
@@ -162,11 +166,11 @@ pub struct Pool {
 }
 
 impl Pool {
-    /// Spawns a pool with `threads` workers, clamped to
-    /// `1..=`[`MAX_THREADS`].
+    /// A pool of `threads` threads, clamped to `1..=`[`MAX_THREADS`]:
+    /// the `map` caller and `threads` − 1 spawned workers.
     pub fn new(threads: usize) -> Pool {
         let shared = Arc::new(Shared::default());
-        let workers = (0..threads.clamp(1, MAX_THREADS))
+        let workers = (1..threads.clamp(1, MAX_THREADS))
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -178,9 +182,9 @@ impl Pool {
         Pool { shared, workers }
     }
 
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
+    /// Number of threads, the `map` caller counted.
+    pub fn threads(&self) -> usize {
+        self.workers.len() + 1
     }
 
     /// Runs `f` on every item as one pool task per item and returns
@@ -188,9 +192,10 @@ impl Pool {
     /// in. `f` and the items may borrow anything that outlives the
     /// call, as with `std::thread::scope`.
     ///
-    /// While waiting, the calling thread *helps*: it executes queued
-    /// pool tasks instead of blocking, so a `map` inside a task (on a
-    /// worker thread) cannot deadlock the pool.
+    /// While waiting, the calling thread *helps*: it is one of the
+    /// pool's threads and executes queued tasks instead of blocking,
+    /// so a `map` inside a task cannot deadlock the pool. Each task
+    /// runs under this call's span path.
     ///
     /// # Panics
     ///
@@ -214,10 +219,12 @@ impl Pool {
             shared: Arc::clone(&self.shared),
         });
         let f = &f;
+        let path = &obs::capture_path();
         for (item, slot) in items.into_iter().zip(slots.iter_mut()) {
             let batch = Arc::clone(&batch);
             let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                match catch_unwind(AssertUnwindSafe(|| f(item))) {
+                let run = || obs::run_under(path.as_ref(), || f(item));
+                match catch_unwind(AssertUnwindSafe(run)) {
                     Ok(r) => *slot = Some(r),
                     Err(payload) => {
                         batch.panic.lock().unwrap().get_or_insert(payload);
@@ -275,16 +282,16 @@ impl Drop for Pool {
     }
 }
 
-/// The process-wide pool of [`default_threads`] workers. Created on
+/// The process-wide pool of [`default_threads`] threads. Created on
 /// first use and never torn down.
 pub fn global() -> &'static Pool {
     static GLOBAL: OnceLock<Pool> = OnceLock::new();
     GLOBAL.get_or_init(|| Pool::new(default_threads()))
 }
 
-/// Worker count for the global pool: `SFE_POOL_THREADS` if set and
-/// parseable, else `available_parallelism`, else 1. [`Pool::new`]
-/// clamps it to `1..=`[`MAX_THREADS`].
+/// Thread count of every pool not given one: `SFE_POOL_THREADS` if
+/// set and parseable, else `available_parallelism`, else 1.
+/// [`Pool::new`] clamps it to `1..=`[`MAX_THREADS`].
 pub fn default_threads() -> usize {
     if let Ok(v) = std::env::var("SFE_POOL_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {
@@ -342,8 +349,8 @@ mod tests {
 
     #[test]
     fn map_returns_results_in_input_order() {
-        for workers in [1, 2, 4] {
-            let pool = Pool::new(workers);
+        for threads in [1, 2, 4] {
+            let pool = Pool::new(threads);
             // Early items take longest, so completion order runs
             // roughly backwards.
             let out = pool.map(0..24u64, |i| {
@@ -351,7 +358,7 @@ mod tests {
                 i * 10
             });
             let want: Vec<u64> = (0..24).map(|i| i * 10).collect();
-            assert_eq!(out, want, "{workers} workers");
+            assert_eq!(out, want, "{threads} threads");
         }
     }
 
@@ -393,7 +400,7 @@ mod tests {
     fn nested_map_on_a_one_worker_pool_does_not_deadlock() {
         // A task running a whole new map on the (only) worker thread:
         // the inner wait must help-execute instead of blocking.
-        let pool = Pool::new(1);
+        let pool = Pool::new(2);
         let out = pool.map(0..4u64, |i| {
             pool.map(0..4u64, |j| i * 4 + j).iter().sum::<u64>()
         });
@@ -410,25 +417,88 @@ mod tests {
 
     #[test]
     fn every_worker_wakes_for_a_queued_task() {
-        // One task per worker plus one for the helping caller, all held
-        // at one barrier: each thread can run only one of them, so the
+        // One task per thread (the helping caller counted), all held at
+        // one barrier: each thread can run only one of them, so the
         // barrier opens only if every worker was woken by its task. A
         // lost wakeup leaves a worker asleep and times out here.
-        for workers in [1, 2] {
-            let pool = Pool::new(workers);
+        for threads in [2, 3] {
+            let pool = Pool::new(threads);
             for round in 0..1000u32 {
-                let barrier = TimedBarrier::new(workers + 1);
-                let met = pool.map(0..=workers, |_| barrier.wait(Duration::from_secs(5)));
-                assert!(met.iter().all(|&m| m), "{workers} workers, round {round}");
+                let barrier = TimedBarrier::new(threads);
+                let met = pool.map(0..threads, |_| barrier.wait(Duration::from_secs(5)));
+                assert!(met.iter().all(|&m| m), "{threads} threads, round {round}");
             }
         }
+    }
+
+    #[test]
+    fn a_one_thread_pool_runs_every_task_on_the_caller() {
+        let pool = Pool::new(1);
+        assert_eq!(pool.threads(), 1);
+        let caller = std::thread::current().id();
+        let ran = pool.map(0..16, |_| {
+            let inner = pool.map(0..4, |_| std::thread::current().id());
+            (std::thread::current().id(), inner)
+        });
+        for (outer, inner) in ran {
+            assert_eq!(outer, caller);
+            assert!(inner.iter().all(|&t| t == caller));
+        }
+    }
+
+    #[test]
+    fn a_pool_of_n_uses_at_most_n_threads() {
+        let pool = Pool::new(3);
+        assert_eq!(pool.threads(), 3);
+        let ran = pool.map(0..64, |_| {
+            std::thread::sleep(Duration::from_micros(200));
+            std::thread::current().id()
+        });
+        let distinct: std::collections::HashSet<_> = ran.into_iter().collect();
+        assert!(distinct.len() <= 3, "{} threads ran tasks", distinct.len());
+    }
+
+    #[test]
+    fn task_spans_record_under_the_map_that_queued_them() {
+        // Two tasks held at one barrier, so the worker runs one and the
+        // caller the other; each opens a span and a nested map. Every
+        // span lands under the caller's path, whichever thread ran it.
+        let pool = Pool::new(2);
+        let barrier = TimedBarrier::new(2);
+        obs::set_enabled(true);
+        {
+            let _outer = obs::span("pool-test.outer");
+            pool.map(0..2, |_| {
+                assert!(barrier.wait(Duration::from_secs(5)), "barrier timed out");
+                let _task = obs::span("pool-test.task");
+                pool.map([()], |()| {
+                    let _inner = obs::span("pool-test.inner");
+                });
+            });
+        }
+        obs::set_enabled(false);
+        let m = obs::snapshot();
+        let ours: Vec<(&str, u64)> = m
+            .spans
+            .iter()
+            .filter(|(path, _)| path.contains("pool-test."))
+            .map(|(path, stat)| (path.as_str(), stat.count))
+            .collect();
+        assert_eq!(
+            ours,
+            [
+                ("pool-test.outer", 1),
+                ("pool-test.outer/pool-test.task", 2),
+                ("pool-test.outer/pool-test.task/pool-test.inner", 2),
+            ]
+        );
     }
 
     #[test]
     #[cfg(target_os = "linux")]
     fn idle_workers_sleep_without_polling() {
         use std::path::{Path, PathBuf};
-        let pool = Pool::new(2);
+        let pool = Pool::new(3);
         // Three tasks held at one barrier run on both workers and the
         // helping caller; each records its thread's
         // `/proc/self/task/<tid>` directory and name.
@@ -481,7 +551,7 @@ mod tests {
         // The two tasks meet at a barrier, so the worker runs one and
         // the caller the other; then the worker's sleeps for 300 ms
         // while the caller, its own task done, waits for it.
-        let pool = Pool::new(1);
+        let pool = Pool::new(2);
         let barrier = TimedBarrier::new(2);
         let caller = std::thread::current().id();
         let before = voluntary_switches();
@@ -504,7 +574,7 @@ mod tests {
         // its own done, waits; once the caller is asleep, the worker's
         // task queues four slow tasks, and the queueing must wake the
         // caller to help.
-        let pool = Pool::new(1);
+        let pool = Pool::new(2);
         let barrier = TimedBarrier::new(2);
         let caller = std::thread::current().id();
         let helped = AtomicU64::new(0);
@@ -531,7 +601,7 @@ mod tests {
         let g1 = global();
         let g2 = global();
         assert!(std::ptr::eq(g1, g2));
-        assert!(g1.workers() >= 1);
+        assert!(g1.threads() >= 1);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! - `&&`/`||`/`?:` become branches over a per-frame register window;
 //! - only the chords of a per-function spanning tree carry an edge
 //!   counter (see `place.rs`); block, tree-edge and branch counts are
-//!   rebuilt from them after the run, and the `HashMap` of edge counts
-//!   is only materialized then;
+//!   rebuilt from them after the run into the profile's dense
+//!   per-function edge rows, indexed by the CFG's edge numbering;
 //! - consecutive step-counter ticks are batched and carried as a
 //!   payload on the next control-flow or fallible op wherever no
 //!   intervening op can fail or `exit()` (so batching can never

@@ -77,7 +77,7 @@ fn all_programs_score_above_noise() {
 }
 
 /// The merged trace is a plain per-bin sum, so fanning the inputs out
-/// over any number of workers must produce byte-identical histograms.
+/// over any number of threads must produce byte-identical histograms.
 #[test]
 fn merged_trace_is_identical_at_any_pool_size() {
     let prog = suite::by_name("compress").expect("known program");

@@ -229,23 +229,21 @@ pub struct ServeDb {
 }
 
 impl ServeDb {
-    /// A database computing on `jobs` pool workers (`None`: one per
-    /// available core), optionally backed by a persistent artifact
-    /// cache for profiles.
+    /// A database computing on a pool of `jobs` threads (`None`:
+    /// [`pool::default_threads`]), optionally backed by a persistent
+    /// artifact cache for profiles.
     pub fn new(jobs: Option<usize>, cache: Option<Cache>) -> ServeDb {
-        let threads =
-            jobs.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
         ServeDb {
-            pool: Arc::new(pool::Pool::new(threads)),
+            pool: Arc::new(pool::Pool::new(jobs.unwrap_or_else(pool::default_threads))),
             cache,
             programs: RwLock::new(BTreeMap::new()),
             totals: Mutex::new(WorkCounters::default()),
         }
     }
 
-    /// Pool workers backing this database.
-    pub fn workers(&self) -> usize {
-        self.pool.workers()
+    /// Pool threads backing this database.
+    pub fn threads(&self) -> usize {
+        self.pool.threads()
     }
 
     /// Names of all loaded programs, sorted.

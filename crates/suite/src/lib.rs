@@ -18,8 +18,8 @@
 //!
 //! Every program has at least four deterministic inputs (§3 evaluated
 //! "four or more" inputs per program). The crate is data only: sources,
-//! inputs and the compile step; `bench::load_program` profiles a
-//! program on its inputs.
+//! inputs and the compile step; `bench::load` profiles programs on
+//! their inputs.
 //!
 //! ```
 //! let p = suite::by_name("compress").unwrap();

@@ -17,7 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bench = suite::by_name(&name).ok_or_else(|| format!("unknown suite program `{name}`"))?;
     let bench::ProgramData {
         program, profiles, ..
-    } = bench::load_program(bench);
+    } = bench::load(&[bench], pool::global(), None, 0).remove(0);
 
     // Static analysis only: intra smart + inter Markov.
     let ia = intra::estimate_program(&program, intra::IntraEstimator::Smart);

@@ -8,7 +8,8 @@ use estimators::intra::{estimate_program, IntraEstimator};
 use estimators::missrate::miss_rates;
 
 fn data(name: &str) -> (flowgraph::Program, Vec<profiler::Profile>) {
-    let data = bench::load_program(suite::by_name(name).expect("suite program"));
+    let bench = suite::by_name(name).expect("suite program");
+    let data = bench::load(&[bench], pool::global(), None, 0).remove(0);
     (data.program, data.profiles)
 }
 

@@ -37,6 +37,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::fmt::Write;
 
 /// Length of every generated array (power of two so indices can be
 /// masked in-bounds).
@@ -260,6 +261,10 @@ impl Prog {
 /// precedence so parentheses are inserted only where grouping demands
 /// them — a deliberately *minimal* parenthesization, so the round-trip
 /// oracle exercises the pretty-printer's own precedence logic.
+///
+/// Builders append into one buffer per expression: a compound reuses
+/// its leading operand's text when that needs no parentheses, and
+/// otherwise allocates once at the size it will reach.
 #[derive(Debug, Clone)]
 struct CExpr {
     text: String,
@@ -281,50 +286,76 @@ fn lit(v: i64) -> CExpr {
     }
 }
 
-/// Renders `e`, parenthesized if its precedence is below `min`.
-fn sub(e: &CExpr, min: u8) -> String {
+/// Appends `e` to `out`, parenthesized if its precedence is below `min`.
+fn sub(out: &mut String, e: &CExpr, min: u8) {
     if e.prec < min {
-        format!("({})", e.text)
+        out.push('(');
+        out.push_str(&e.text);
+        out.push(')');
     } else {
-        e.text.clone()
+        out.push_str(&e.text);
     }
 }
 
-/// Left-associative binary operator at precedence `prec`.
-fn bin(op: &str, prec: u8, a: &CExpr, b: &CExpr) -> CExpr {
-    CExpr {
-        text: format!("{} {op} {}", sub(a, prec), sub(b, prec + 1)),
-        prec,
+/// The buffer of a compound whose text starts with `a` at minimum
+/// precedence `min`, with room for `more` bytes after it: `a`'s own
+/// text when it needs no parentheses, else a fresh `(a)`.
+fn lead(a: CExpr, min: u8, more: usize) -> String {
+    if a.prec >= min {
+        let mut text = a.text;
+        text.reserve(more);
+        text
+    } else {
+        let mut text = String::with_capacity(a.text.len() + 2 + more);
+        sub(&mut text, &a, min);
+        text
     }
+}
+
+/// The buffer of a compound whose text starts with the literal
+/// `prefix`, with room for `more` bytes after it.
+fn prefixed(prefix: &str, more: usize) -> String {
+    let mut text = String::with_capacity(prefix.len() + more);
+    text.push_str(prefix);
+    text
+}
+
+/// Left-associative binary operator at precedence `prec`.
+fn bin(op: &str, prec: u8, a: CExpr, b: &CExpr) -> CExpr {
+    let mut text = lead(a, prec, op.len() + b.text.len() + 4);
+    text.push(' ');
+    text.push_str(op);
+    text.push(' ');
+    sub(&mut text, b, prec + 1);
+    CExpr { text, prec }
 }
 
 /// Prefix unary operator; the operand is parenthesized unless primary,
 /// which also prevents token gluing like `--x` from nested negation.
 fn unary(op: &str, a: &CExpr) -> CExpr {
-    let t = if a.prec == 16 {
-        a.text.clone()
-    } else {
-        format!("({})", a.text)
-    };
-    CExpr {
-        text: format!("{op}{t}"),
-        prec: 14,
-    }
+    let mut text = prefixed(op, a.text.len() + 2);
+    sub(&mut text, a, 16);
+    CExpr { text, prec: 14 }
 }
 
-fn ternary(c: &CExpr, t: &CExpr, e: &CExpr) -> CExpr {
-    CExpr {
-        text: format!("{} ? {} : {}", sub(c, 4), sub(t, 3), sub(e, 3)),
-        prec: 3,
-    }
+fn ternary(c: CExpr, t: &CExpr, e: &CExpr) -> CExpr {
+    let mut text = lead(c, 4, t.text.len() + e.text.len() + 10);
+    text.push_str(" ? ");
+    sub(&mut text, t, 3);
+    text.push_str(" : ");
+    sub(&mut text, e, 3);
+    CExpr { text, prec: 3 }
 }
 
-fn call(name: &str, args: &[CExpr]) -> CExpr {
-    let rendered: Vec<String> = args.iter().map(|a| sub(a, 3)).collect();
-    CExpr {
-        text: format!("{name}({})", rendered.join(", ")),
-        prec: 15,
-    }
+/// `callee(a, b)`; `callee` arrives as the start of the buffer.
+fn call(mut text: String, args: &[CExpr; 2]) -> CExpr {
+    text.reserve(args[0].text.len() + args[1].text.len() + 8);
+    text.push('(');
+    sub(&mut text, &args[0], 3);
+    text.push_str(", ");
+    sub(&mut text, &args[1], 3);
+    text.push(')');
+    CExpr { text, prec: 15 }
 }
 
 // ---------------------------------------------------------------------
@@ -534,34 +565,34 @@ impl FuncGen<'_> {
         }
         let a = self.int_expr(depth + 1);
         match self.rng.gen_range(0..20u32) {
-            0 => bin("+", 12, &a, &self.int_expr(depth + 1)),
-            1 => bin("-", 12, &a, &self.int_expr(depth + 1)),
-            2 => bin("*", 13, &a, &self.int_expr(depth + 1)),
+            0 => bin("+", 12, a, &self.int_expr(depth + 1)),
+            1 => bin("-", 12, a, &self.int_expr(depth + 1)),
+            2 => bin("*", 13, a, &self.int_expr(depth + 1)),
             3 => {
                 // Safe division: the denominator has its low bit set.
                 let d = self.int_expr(depth + 1);
-                let nz = bin("|", 6, &d, &lit(1));
+                let nz = bin("|", 6, d, &lit(1));
                 let op = if self.rng.gen_bool(0.5) { "/" } else { "%" };
-                bin(op, 13, &a, &nz)
+                bin(op, 13, a, &nz)
             }
             4 => {
                 let s = self.int_expr(depth + 1);
-                let masked = bin("&", 8, &s, &lit(7));
+                let masked = bin("&", 8, s, &lit(7));
                 let op = if self.rng.gen_bool(0.5) { "<<" } else { ">>" };
-                bin(op, 11, &a, &masked)
+                bin(op, 11, a, &masked)
             }
-            5 => bin("&", 8, &a, &self.int_expr(depth + 1)),
-            6 => bin("|", 6, &a, &self.int_expr(depth + 1)),
-            7 => bin("^", 7, &a, &self.int_expr(depth + 1)),
+            5 => bin("&", 8, a, &self.int_expr(depth + 1)),
+            6 => bin("|", 6, a, &self.int_expr(depth + 1)),
+            7 => bin("^", 7, a, &self.int_expr(depth + 1)),
             8 | 9 => {
                 let op = ["<", "<=", ">", ">=", "==", "!="][self.rng.gen_range(0..6usize)];
                 let prec = if op == "==" || op == "!=" { 9 } else { 10 };
-                bin(op, prec, &a, &self.int_expr(depth + 1))
+                bin(op, prec, a, &self.int_expr(depth + 1))
             }
-            10 => bin("&&", 5, &a, &self.int_expr(depth + 1)),
-            11 => bin("||", 4, &a, &self.int_expr(depth + 1)),
+            10 => bin("&&", 5, a, &self.int_expr(depth + 1)),
+            11 => bin("||", 4, a, &self.int_expr(depth + 1)),
             12 => unary(["-", "!", "~"][self.rng.gen_range(0..3usize)], &a),
-            13 => ternary(&a, &self.int_expr(depth + 1), &self.int_expr(depth + 1)),
+            13 => ternary(a, &self.int_expr(depth + 1), &self.int_expr(depth + 1)),
             14 => {
                 // Masked dynamic indexing.
                 let base = if self.has_local_array && self.rng.gen_bool(0.5) {
@@ -569,34 +600,34 @@ impl FuncGen<'_> {
                 } else {
                     "ga"
                 };
-                CExpr {
-                    text: format!("{base}[{} & {}]", sub(&a, 8), ARRAY_LEN - 1),
-                    prec: 15,
-                }
+                let mut text = prefixed(base, a.text.len() + 8);
+                text.push('[');
+                sub(&mut text, &a, 8);
+                let _ = write!(text, " & {}]", ARRAY_LEN - 1);
+                CExpr { text, prec: 15 }
             }
             15 => self.call_expr(depth),
             16 => {
                 if self.has_float {
                     let f = self.float_expr(depth + 1);
-                    CExpr {
-                        text: format!("(int) {}", sub(&f, 14)),
-                        prec: 14,
-                    }
+                    let mut text = prefixed("(int) ", f.text.len() + 2);
+                    sub(&mut text, &f, 14);
+                    CExpr { text, prec: 14 }
                 } else {
                     a
                 }
             }
             17 => {
                 // Pre/post increment of a plain variable, as a value.
-                let v = format!("v{}", self.rng.gen_range(0..self.n_vars));
+                let v = self.rng.gen_range(0..self.n_vars);
                 if self.rng.gen_bool(0.5) {
                     CExpr {
-                        text: format!("{v}++"),
+                        text: format!("v{v}++"),
                         prec: 15,
                     }
                 } else {
                     CExpr {
-                        text: format!("++{v}"),
+                        text: format!("++v{v}"),
                         prec: 14,
                     }
                 }
@@ -604,19 +635,22 @@ impl FuncGen<'_> {
             18 => {
                 // Comma expression.
                 let b = self.int_expr(depth + 1);
-                CExpr {
-                    text: format!("({}, {})", sub(&a, 2), sub(&b, 2)),
-                    prec: 16,
-                }
+                let mut text = String::with_capacity(a.text.len() + b.text.len() + 8);
+                text.push('(');
+                sub(&mut text, &a, 2);
+                text.push_str(", ");
+                sub(&mut text, &b, 2);
+                text.push(')');
+                CExpr { text, prec: 16 }
             }
             _ => {
                 // Embedded assignment.
-                let lv = self.int_lvalue();
+                let mut text = self.int_lvalue();
                 let b = self.int_expr(depth + 1);
-                CExpr {
-                    text: format!("{lv} = {}", sub(&b, 2)),
-                    prec: 2,
-                }
+                text.reserve(b.text.len() + 5);
+                text.push_str(" = ");
+                sub(&mut text, &b, 2);
+                CExpr { text, prec: 2 }
             }
         }
     }
@@ -629,10 +663,10 @@ impl FuncGen<'_> {
         }
         let args = [self.int_expr(depth + 1), self.int_expr(depth + 1)];
         if self.use_fnptr && self.rng.gen_bool(0.3) {
-            call("gfp", &args)
+            call(String::from("gfp"), &args)
         } else {
             let target = self.rng.gen_range(0..self.n_funcs);
-            call(&format!("f{target}"), &args)
+            call(format!("f{target}"), &args)
         }
     }
 
@@ -647,17 +681,16 @@ impl FuncGen<'_> {
                 }
                 _ => {
                     let i = self.int_atom();
-                    CExpr {
-                        text: format!("(float) {}", sub(&i, 14)),
-                        prec: 14,
-                    }
+                    let mut text = prefixed("(float) ", i.text.len() + 2);
+                    sub(&mut text, &i, 14);
+                    CExpr { text, prec: 14 }
                 }
             };
         }
         let a = self.float_expr(depth + 1);
         let b = self.float_expr(depth + 1);
         let op = ["+", "-", "*"][self.rng.gen_range(0..3usize)];
-        bin(op, if op == "*" { 13 } else { 12 }, &a, &b)
+        bin(op, if op == "*" { 13 } else { 12 }, a, &b)
     }
 
     // ---- statements ----
@@ -786,7 +819,7 @@ impl FuncGen<'_> {
 
     fn return_expr(&mut self) -> String {
         let e = self.int_expr(1);
-        bin("&", 8, &e, &lit(255)).text
+        bin("&", 8, e, &lit(255)).text
     }
 
     fn switch_arms(&mut self, left: &mut u32, depth: u32) -> Vec<Arm> {
@@ -849,43 +882,52 @@ impl FuncGen<'_> {
             0..=7 => {
                 let lv = self.int_lvalue();
                 let e = self.int_expr(0);
-                format!("{lv} = {};", sub(&e, 2))
+                assign(lv, "=", &e)
             }
             8..=10 => {
                 let lv = self.int_lvalue();
                 let op = ["+=", "-=", "*=", "&=", "|=", "^="][self.rng.gen_range(0..6usize)];
                 let e = self.int_expr(1);
-                format!("{lv} {op} {};", sub(&e, 2))
+                assign(lv, op, &e)
             }
             11 => {
-                let lv = self.int_lvalue();
+                let mut lv = self.int_lvalue();
                 if self.rng.gen_bool(0.5) {
-                    format!("{lv}++;")
+                    lv.push_str("++;");
+                    lv
                 } else {
-                    format!("--{lv};")
+                    let mut text = prefixed("--", lv.len() + 1);
+                    text.push_str(&lv);
+                    text.push(';');
+                    text
                 }
             }
             12 | 13 => {
                 let e = self.int_expr(1);
-                format!("printf(\"%d \", {});", sub(&e, 3))
+                let mut text = prefixed("printf(\"%d \", ", e.text.len() + 4);
+                sub(&mut text, &e, 3);
+                text.push_str(");");
+                text
             }
             14 | 15 => {
                 if self.n_funcs > 0 {
-                    let c = self.call_expr(0);
-                    format!("{};", c.text)
+                    let mut text = self.call_expr(0).text;
+                    text.push(';');
+                    text
                 } else {
-                    let lv = self.int_lvalue();
-                    format!("{lv} = 1;")
+                    let mut lv = self.int_lvalue();
+                    lv.push_str(" = 1;");
+                    lv
                 }
             }
             16 => {
                 if self.has_float {
                     let f = self.float_expr(0);
-                    format!("w0 = {};", sub(&f, 2))
+                    assign(String::from("w0"), "=", &f)
                 } else {
                     let lv = self.int_lvalue();
                     let e = self.int_expr(1);
-                    format!("{lv} = {};", sub(&e, 2))
+                    assign(lv, "=", &e)
                 }
             }
             17 | 18 => {
@@ -895,17 +937,20 @@ impl FuncGen<'_> {
                         1 => format!("pp = &v{};", self.rng.gen_range(0..self.n_vars)),
                         2 => {
                             let e = self.int_expr(1);
-                            format!("pp = &ga[{} & {}];", sub(&e, 8), ARRAY_LEN - 1)
+                            let mut text = prefixed("pp = &ga[", e.text.len() + 10);
+                            sub(&mut text, &e, 8);
+                            let _ = write!(text, " & {}];", ARRAY_LEN - 1);
+                            text
                         }
                         _ => {
                             let e = self.int_expr(1);
-                            format!("*pp = {};", sub(&e, 2))
+                            assign(String::from("*pp"), "=", &e)
                         }
                     }
                 } else {
                     let lv = self.int_lvalue();
                     let e = self.int_expr(1);
-                    format!("{lv} = {};", sub(&e, 2))
+                    assign(lv, "=", &e)
                 }
             }
             19 => {
@@ -930,30 +975,45 @@ impl FuncGen<'_> {
                 if self.use_fnptr && self.n_funcs > 0 {
                     format!("gfp = f{};", self.rng.gen_range(0..self.n_funcs))
                 } else {
-                    let lv = self.int_lvalue();
-                    format!("{lv} = 0;")
+                    let mut lv = self.int_lvalue();
+                    lv.push_str(" = 0;");
+                    lv
                 }
             }
             21 => {
                 if self.has_char {
                     let e = self.int_expr(1);
-                    format!("c0 = {};", sub(&e, 2))
+                    assign(String::from("c0"), "=", &e)
                 } else {
                     let lv = self.int_lvalue();
                     let e = self.int_expr(1);
-                    format!("{lv} = {};", sub(&e, 2))
+                    assign(lv, "=", &e)
                 }
             }
             _ => {
                 // Chained / multi-effect statement: a, b or nested
                 // assignment.
-                let a = self.int_lvalue();
+                let mut a = self.int_lvalue();
                 let b = self.int_lvalue();
                 let e = self.int_expr(1);
-                format!("{a} = {b} = {};", sub(&e, 2))
+                a.push_str(" = ");
+                a.push_str(&b);
+                assign(a, "=", &e)
             }
         }
     }
+}
+
+/// The statement `{lhs} {op} {e};`, with `e` at assignment precedence,
+/// written into `lhs`'s buffer.
+fn assign(mut lhs: String, op: &str, e: &CExpr) -> String {
+    lhs.reserve(op.len() + e.text.len() + 5);
+    lhs.push(' ');
+    lhs.push_str(op);
+    lhs.push(' ');
+    sub(&mut lhs, e, 2);
+    lhs.push(';');
+    lhs
 }
 
 // ---------------------------------------------------------------------
@@ -963,7 +1023,8 @@ impl FuncGen<'_> {
 impl Prog {
     /// Renders the program to MiniC source.
     pub fn render(&self) -> String {
-        let mut out = String::new();
+        // Generated programs average about 2.5 KB of text.
+        let mut out = String::with_capacity(4096);
         if self.use_struct {
             if self.use_floats {
                 out.push_str("struct S { int x; int y; float w; };\n\n");
@@ -971,18 +1032,19 @@ impl Prog {
                 out.push_str("struct S { int x; int y; };\n\n");
             }
         }
-        out.push_str(&format!("int rfuel = {};\n", self.fuel));
+        let _ = writeln!(out, "int rfuel = {};", self.fuel);
         for (i, v) in self.global_init.iter().enumerate() {
-            out.push_str(&format!("int g{i} = {v};\n"));
+            let _ = writeln!(out, "int g{i} = {v};");
         }
-        let vals: Vec<String> = self.array_init.iter().map(|v| v.to_string()).collect();
-        out.push_str(&format!("int ga[{ARRAY_LEN}] = {{{}}};\n", vals.join(", ")));
+        let _ = write!(out, "int ga[{ARRAY_LEN}] = {{");
+        write_list(&mut out, self.array_init.iter().copied());
+        out.push_str("};\n");
         if self.use_struct {
             out.push_str("struct S gs;\n");
         }
         out.push('\n');
         for i in 0..self.n_funcs() {
-            out.push_str(&format!("int f{i}(int p0, int p1);\n"));
+            let _ = writeln!(out, "int f{i}(int p0, int p1);");
         }
         if self.use_fnptr {
             out.push_str("int (*gfp)(int, int);\n");
@@ -999,24 +1061,26 @@ impl Prog {
         if f.is_main {
             out.push_str("int main(void) {\n");
         } else {
-            out.push_str(&format!("int f{}(int p0, int p1) {{\n", f.idx));
+            let _ = writeln!(out, "int f{}(int p0, int p1) {{", f.idx);
         }
         // Declarations.
         for (i, v) in f.var_init.iter().enumerate() {
-            out.push_str(&format!("    int v{i} = {v};\n"));
+            let _ = writeln!(out, "    int v{i} = {v};");
         }
         if f.n_guards > 0 {
-            let names: Vec<String> = (0..f.n_guards).map(|i| format!("t{i} = 0")).collect();
-            out.push_str(&format!("    int {};\n", names.join(", ")));
+            out.push_str("    int ");
+            for i in 0..f.n_guards {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                let _ = write!(out, "t{i} = 0");
+            }
+            out.push_str(";\n");
         }
         if f.has_local_array {
-            let vals: Vec<String> = (0..ARRAY_LEN)
-                .map(|i| (i as i64 * 3 - 5).to_string())
-                .collect();
-            out.push_str(&format!(
-                "    int la[{ARRAY_LEN}] = {{{}}};\n",
-                vals.join(", ")
-            ));
+            let _ = write!(out, "    int la[{ARRAY_LEN}] = {{");
+            write_list(out, (0..ARRAY_LEN as i64).map(|i| i * 3 - 5));
+            out.push_str("};\n");
         }
         if f.has_float {
             out.push_str("    float w0 = 1.5;\n");
@@ -1041,7 +1105,7 @@ impl Prog {
             }
         }
         if f.is_main && self.use_fnptr {
-            out.push_str(&format!("    gfp = f{};\n", self.fnptr_target));
+            let _ = writeln!(out, "    gfp = f{};", self.fnptr_target);
         }
         for s in &f.body {
             render_stmt(s, 1, out);
@@ -1056,6 +1120,16 @@ impl Prog {
             out.push_str("    return (v0 + p0) & 255;\n");
         }
         out.push_str("}\n");
+    }
+}
+
+/// Writes `values` separated by `", "`.
+fn write_list(out: &mut String, values: impl Iterator<Item = i64>) {
+    for (i, v) in values.enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        let _ = write!(out, "{v}");
     }
 }
 
@@ -1083,7 +1157,9 @@ fn render_stmt(s: &Stmt, indent: usize, out: &mut String) {
         }
         Stmt::If(cond, then_b, else_b) => {
             pad(indent, out);
-            out.push_str(&format!("if ({cond})"));
+            out.push_str("if (");
+            out.push_str(cond);
+            out.push(')');
             render_block(then_b, indent, out);
             if !else_b.is_empty() {
                 pad(indent, out);
@@ -1098,9 +1174,9 @@ fn render_stmt(s: &Stmt, indent: usize, out: &mut String) {
             body,
         } => {
             pad(indent, out);
-            out.push_str(&format!("t{guard} = 0;\n"));
+            let _ = writeln!(out, "t{guard} = 0;");
             pad(indent, out);
-            out.push_str(&format!("while (t{guard}++ < {limit} && ({cond}))"));
+            let _ = write!(out, "while (t{guard}++ < {limit} && ({cond}))");
             render_block(body, indent, out);
         }
         Stmt::DoWhile {
@@ -1110,14 +1186,14 @@ fn render_stmt(s: &Stmt, indent: usize, out: &mut String) {
             body,
         } => {
             pad(indent, out);
-            out.push_str(&format!("t{guard} = 0;\n"));
+            let _ = writeln!(out, "t{guard} = 0;");
             pad(indent, out);
             out.push_str("do");
             render_block(body, indent, out);
             // render_block leaves "}\n"; rewrite the tail to attach the
             // do-while condition.
             out.truncate(out.len() - 2);
-            out.push_str(&format!("}} while (++t{guard} < {limit} && ({cond}));\n"));
+            let _ = writeln!(out, "}} while (++t{guard} < {limit} && ({cond}));");
         }
         Stmt::For {
             guard,
@@ -1126,18 +1202,19 @@ fn render_stmt(s: &Stmt, indent: usize, out: &mut String) {
             body,
         } => {
             pad(indent, out);
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 "for (t{guard} = 0; t{guard} < {limit} && ({cond}); t{guard}++)"
-            ));
+            );
             render_block(body, indent, out);
         }
         Stmt::Switch { scrut, arms } => {
             pad(indent, out);
-            out.push_str(&format!("switch (({scrut}) & 3) {{\n"));
+            let _ = writeln!(out, "switch (({scrut}) & 3) {{");
             for arm in arms {
                 for l in &arm.labels {
                     pad(indent, out);
-                    out.push_str(&format!("case {l}:\n"));
+                    let _ = writeln!(out, "case {l}:");
                 }
                 if arm.is_default {
                     pad(indent, out);
@@ -1164,7 +1241,9 @@ fn render_stmt(s: &Stmt, indent: usize, out: &mut String) {
         }
         Stmt::Return(e) => {
             pad(indent, out);
-            out.push_str(&format!("return {e};\n"));
+            out.push_str("return ");
+            out.push_str(e);
+            out.push_str(";\n");
         }
         Stmt::BackGoto {
             guard,
@@ -1172,12 +1251,12 @@ fn render_stmt(s: &Stmt, indent: usize, out: &mut String) {
             label,
             body,
         } => {
-            out.push_str(&format!("lab{label}: ;\n"));
+            let _ = writeln!(out, "lab{label}: ;");
             for s in body {
                 render_stmt(s, indent, out);
             }
             pad(indent, out);
-            out.push_str(&format!("if (t{guard}++ < {limit}) goto lab{label};\n"));
+            let _ = writeln!(out, "if (t{guard}++ < {limit}) goto lab{label};");
         }
         Stmt::FwdGoto {
             cond,
@@ -1185,11 +1264,11 @@ fn render_stmt(s: &Stmt, indent: usize, out: &mut String) {
             skipped,
         } => {
             pad(indent, out);
-            out.push_str(&format!("if ({cond}) goto lab{label};\n"));
+            let _ = writeln!(out, "if ({cond}) goto lab{label};");
             for s in skipped {
                 render_stmt(s, indent, out);
             }
-            out.push_str(&format!("lab{label}: ;\n"));
+            let _ = writeln!(out, "lab{label}: ;");
         }
         Stmt::GotoIntoLoop {
             guard,
@@ -1201,13 +1280,13 @@ fn render_stmt(s: &Stmt, indent: usize, out: &mut String) {
             after,
         } => {
             pad(indent, out);
-            out.push_str(&format!("if (t{guard}++ < 1) goto lab{label};\n"));
+            let _ = writeln!(out, "if (t{guard}++ < 1) goto lab{label};");
             pad(indent, out);
-            out.push_str(&format!("while (t{lguard}++ < {limit} && ({cond})) {{\n"));
+            let _ = writeln!(out, "while (t{lguard}++ < {limit} && ({cond})) {{");
             for s in before {
                 render_stmt(s, indent + 1, out);
             }
-            out.push_str(&format!("lab{label}: ;\n"));
+            let _ = writeln!(out, "lab{label}: ;");
             for s in after {
                 render_stmt(s, indent + 1, out);
             }

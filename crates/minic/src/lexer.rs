@@ -10,6 +10,13 @@
 //! - `#include ...` — ignored (the suite programs are self-contained).
 //!
 //! Comments (`/* */` and `//`) are skipped.
+//!
+//! The lexer is built for the corpus, which lexes thousands of
+//! generated programs. Each token is one dispatch on its first byte (a
+//! jump table over all 256 values), and a punctuator's arm matches the
+//! bytes after it. Whitespace and identifier runs scan with one
+//! byte-class table lookup per byte. Integer literals accumulate with
+//! checked arithmetic.
 
 use crate::error::{CompileError, ErrorKind};
 use crate::symbol::{Interner, Symbol};
@@ -61,6 +68,39 @@ struct RawTokens {
     defines: Vec<Define>,
 }
 
+/// [`CLASS`] bit of the whitespace bytes (`is_ascii_whitespace`: space,
+/// `\t`, `\n`, form feed, `\r`).
+const SPACE: u8 = 1;
+/// [`CLASS`] bit of the bytes that continue an identifier: ASCII
+/// letters, digits and `_`.
+const WORD: u8 = 2;
+
+/// The class bits of every byte, for the loops that scan whitespace
+/// and identifier runs: one load per byte.
+static CLASS: [u8; 256] = {
+    let mut t = [0; 256];
+    let mut b = 0;
+    while b < 256 {
+        t[b] = match b as u8 {
+            b' ' | b'\t' | b'\n' | 0x0c | b'\r' => SPACE,
+            b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'_' => WORD,
+            _ => 0,
+        };
+        b += 1;
+    }
+    t
+};
+
+#[inline]
+fn is_space(b: u8) -> bool {
+    CLASS[b as usize] & SPACE != 0
+}
+
+#[inline]
+fn is_word(b: u8) -> bool {
+    CLASS[b as usize] & WORD != 0
+}
+
 struct RawLexer<'a> {
     src: &'a str,
     bytes: &'a [u8],
@@ -81,6 +121,13 @@ impl<'a> RawLexer<'a> {
         }
     }
 
+    /// The byte at `pos + i`, or 0 past the end (no lookahead test
+    /// matches 0).
+    #[inline]
+    fn at(&self, i: usize) -> u8 {
+        self.bytes.get(self.pos + i).copied().unwrap_or(0)
+    }
+
     fn run(mut self) -> Result<RawTokens, CompileError> {
         // Tokens average more than two bytes of source each (under
         // three in generated programs), so this one allocation almost
@@ -90,42 +137,52 @@ impl<'a> RawLexer<'a> {
             defines: Vec::new(),
         };
         loop {
-            self.skip_ws_and_comments()?;
-            if self.pos >= self.bytes.len() {
-                let span = Span::new(self.pos as u32, self.pos as u32);
-                raw.tokens.push(Token {
-                    kind: TokenKind::Eof,
-                    span,
-                });
-                return Ok(raw);
-            }
-            if self.bytes[self.pos] == b'#' {
-                if let Some((name, body)) = self.directive()? {
-                    raw.defines.push(Define {
-                        at: raw.tokens.len(),
-                        name,
-                        body,
-                    });
+            self.skip_space();
+            let Some(&b) = self.bytes.get(self.pos) else {
+                break;
+            };
+            match b {
+                b'/' if self.skip_comment()? => continue,
+                b'#' => {
+                    if let Some((name, body)) = self.directive()? {
+                        raw.defines.push(Define {
+                            at: raw.tokens.len(),
+                            name,
+                            body,
+                        });
+                    }
+                    continue;
                 }
-                continue;
+                _ => {}
             }
-            let tok = self.next_token()?;
-            raw.tokens.push(tok);
+            self.token(&mut raw.tokens)?;
+        }
+        let span = Span::new(self.pos as u32, self.pos as u32);
+        raw.tokens.push(Token {
+            kind: TokenKind::Eof,
+            span,
+        });
+        Ok(raw)
+    }
+
+    /// Skips whitespace.
+    #[inline(always)]
+    fn skip_space(&mut self) {
+        while self.pos < self.bytes.len() && is_space(self.bytes[self.pos]) {
+            self.pos += 1;
         }
     }
 
-    fn skip_ws_and_comments(&mut self) -> Result<(), CompileError> {
-        loop {
-            while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-                self.pos += 1;
-            }
-            if self.pos + 1 < self.bytes.len() && &self.bytes[self.pos..self.pos + 2] == b"//" {
+    /// Skips the comment starting at `pos` (a `/`), if one does.
+    fn skip_comment(&mut self) -> Result<bool, CompileError> {
+        match self.at(1) {
+            b'/' => {
                 while self.pos < self.bytes.len() && self.bytes[self.pos] != b'\n' {
                     self.pos += 1;
                 }
-                continue;
+                Ok(true)
             }
-            if self.pos + 1 < self.bytes.len() && &self.bytes[self.pos..self.pos + 2] == b"/*" {
+            b'*' => {
                 let start = self.pos;
                 self.pos += 2;
                 loop {
@@ -134,13 +191,12 @@ impl<'a> RawLexer<'a> {
                     }
                     if &self.bytes[self.pos..self.pos + 2] == b"*/" {
                         self.pos += 2;
-                        break;
+                        return Ok(true);
                     }
                     self.pos += 1;
                 }
-                continue;
             }
-            return Ok(());
+            _ => Ok(false),
         }
     }
 
@@ -170,33 +226,18 @@ impl<'a> RawLexer<'a> {
                 let mut body = Vec::new();
                 loop {
                     self.skip_line_ws();
-                    if self.pos >= self.bytes.len()
-                        || self.bytes[self.pos] == b'\n'
-                        || (self.pos + 1 < self.bytes.len()
-                            && &self.bytes[self.pos..self.pos + 2] == b"//")
-                    {
-                        break;
-                    }
-                    // A block comment inside the directive is skipped
-                    // like the C preprocessor does (replaced by a space).
-                    if self.pos + 1 < self.bytes.len()
-                        && &self.bytes[self.pos..self.pos + 2] == b"/*"
-                    {
-                        let cstart = self.pos;
-                        self.pos += 2;
-                        loop {
-                            if self.pos + 1 >= self.bytes.len() {
-                                return Err(self.err(cstart, "unterminated block comment"));
-                            }
-                            if &self.bytes[self.pos..self.pos + 2] == b"*/" {
-                                self.pos += 2;
-                                break;
-                            }
-                            self.pos += 1;
+                    match self.at(0) {
+                        b'\n' => break,
+                        _ if self.pos >= self.bytes.len() => break,
+                        b'/' if self.at(1) == b'/' => break,
+                        // A block comment inside the directive is
+                        // skipped like the C preprocessor does
+                        // (replaced by a space).
+                        b'/' if self.at(1) == b'*' => {
+                            self.skip_comment()?;
                         }
-                        continue;
+                        _ => self.token(&mut body)?,
                     }
-                    body.push(self.next_token()?);
                 }
                 Ok(Some((macro_name, body)))
             }
@@ -212,16 +253,17 @@ impl<'a> RawLexer<'a> {
     }
 
     /// Consumes an identifier-shaped run (possibly empty).
+    #[inline]
     fn ident(&mut self) -> &'a str {
         let start = self.pos;
-        while self.pos < self.bytes.len()
-            && (self.bytes[self.pos].is_ascii_alphanumeric() || self.bytes[self.pos] == b'_')
-        {
+        while self.pos < self.bytes.len() && is_word(self.bytes[self.pos]) {
             self.pos += 1;
         }
         &self.src[start..self.pos]
     }
 
+    #[cold]
+    #[inline(never)]
     fn err(&self, at: usize, msg: &str) -> CompileError {
         CompileError::new(
             ErrorKind::Lex,
@@ -230,128 +272,142 @@ impl<'a> RawLexer<'a> {
         )
     }
 
-    fn next_token(&mut self) -> Result<Token, CompileError> {
-        let start = self.pos;
-        let b = self.bytes[self.pos];
-        let kind = if b.is_ascii_alphabetic() || b == b'_' {
-            let s = self.ident();
-            match Keyword::lookup(s) {
-                Some(kw) => TokenKind::Kw(kw),
-                None => TokenKind::Ident(self.names.intern(s)),
-            }
-        } else if b.is_ascii_digit() {
-            self.number(start)?
-        } else if b == b'"' {
-            self.string(start)?
-        } else if b == b'\'' {
-            self.char_const(start)?
-        } else {
-            self.punct(start)?
-        };
-        Ok(Token {
-            kind,
-            span: Span::new(start as u32, self.pos as u32),
-        })
+    /// An identifier or keyword.
+    #[inline(always)]
+    fn word(&mut self) -> TokenKind {
+        let s = self.ident();
+        match Keyword::lookup(s) {
+            Some(kw) => TokenKind::Kw(kw),
+            None => TokenKind::Ident(self.names.intern(s)),
+        }
     }
 
-    fn number(&mut self, start: usize) -> Result<TokenKind, CompileError> {
-        // Hex.
-        if self.bytes[self.pos] == b'0'
-            && self.pos + 1 < self.bytes.len()
-            && (self.bytes[self.pos + 1] | 0x20) == b'x'
-        {
-            self.pos += 2;
-            let digits_start = self.pos;
-            while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_hexdigit() {
-                self.pos += 1;
-            }
-            let digits = &self.src[digits_start..self.pos];
-            if digits.is_empty() {
-                return Err(self.err(start, "hex literal needs digits"));
-            }
-            let v = i64::from_str_radix(digits, 16)
-                .map_err(|_| self.err(start, "hex literal out of range"))?;
-            self.eat_int_suffix();
-            return Ok(TokenKind::Int(v));
-        }
+    /// Consumes a run of decimal digits.
+    #[inline]
+    fn digits(&mut self) {
         while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_digit() {
             self.pos += 1;
         }
-        let is_float = self.pos < self.bytes.len()
-            && (self.bytes[self.pos] == b'.'
-                || (self.bytes[self.pos] | 0x20) == b'e'
-                    && self.pos + 1 < self.bytes.len()
-                    && (self.bytes[self.pos + 1].is_ascii_digit()
-                        || self.bytes[self.pos + 1] == b'-'
-                        || self.bytes[self.pos + 1] == b'+'));
-        if is_float {
-            if self.bytes[self.pos] == b'.' {
-                self.pos += 1;
-                while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_digit() {
-                    self.pos += 1;
-                }
-            }
-            if self.pos < self.bytes.len() && (self.bytes[self.pos] | 0x20) == b'e' {
-                self.pos += 1;
-                if self.pos < self.bytes.len()
-                    && (self.bytes[self.pos] == b'-' || self.bytes[self.pos] == b'+')
-                {
-                    self.pos += 1;
-                }
-                while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_digit() {
-                    self.pos += 1;
-                }
-            }
-            let text = &self.src[start..self.pos];
-            let v: f64 = text
-                .parse()
-                .map_err(|_| self.err(start, "malformed float literal"))?;
-            // Allow `f` suffix.
-            if self.pos < self.bytes.len() && (self.bytes[self.pos] | 0x20) == b'f' {
+    }
+
+    #[inline(always)]
+    fn number(&mut self, start: usize) -> Result<TokenKind, CompileError> {
+        if self.bytes[self.pos] == b'0' && (self.at(1) | 0x20) == b'x' {
+            self.pos += 2;
+            let digits = self.pos;
+            while self.at(0).is_ascii_hexdigit() {
                 self.pos += 1;
             }
-            Ok(TokenKind::Float(v))
-        } else {
-            let text = &self.src[start..self.pos];
-            let v: i64 = if text.len() > 1 && text.starts_with('0') {
-                i64::from_str_radix(&text[1..], 8)
-                    .map_err(|_| self.err(start, "malformed octal literal"))?
-            } else {
-                text.parse()
-                    .map_err(|_| self.err(start, "integer literal out of range"))?
-            };
+            if self.pos == digits {
+                return Err(self.err(start, "hex literal needs digits"));
+            }
+            let v = accumulate(&self.bytes[digits..self.pos], 16)
+                .ok_or_else(|| self.err(start, "hex literal out of range"))?;
             self.eat_int_suffix();
-            Ok(TokenKind::Int(v))
+            return Ok(TokenKind::Int(v));
         }
+        self.digits();
+        let b = self.at(0);
+        if b == b'.' || (b | 0x20) == b'e' && matches!(self.at(1), b'0'..=b'9' | b'-' | b'+') {
+            return self.fraction(start);
+        }
+        let text = &self.bytes[start..self.pos];
+        let v = if text.len() > 1 && text[0] == b'0' {
+            accumulate(&text[1..], 8).ok_or_else(|| self.err(start, "malformed octal literal"))?
+        } else {
+            accumulate(text, 10).ok_or_else(|| self.err(start, "integer literal out of range"))?
+        };
+        self.eat_int_suffix();
+        Ok(TokenKind::Int(v))
+    }
+
+    /// The rest of a floating constant that started at `start`: an
+    /// optional `.` and fraction digits, an optional exponent and an
+    /// optional `f` suffix. `pos` is past the integer digits, if any.
+    fn fraction(&mut self, start: usize) -> Result<TokenKind, CompileError> {
+        if self.at(0) == b'.' {
+            self.pos += 1;
+            self.digits();
+        }
+        if (self.at(0) | 0x20) == b'e' {
+            self.pos += 1;
+            if matches!(self.at(0), b'-' | b'+') {
+                self.pos += 1;
+            }
+            self.digits();
+        }
+        let v: f64 = self.src[start..self.pos]
+            .parse()
+            .map_err(|_| self.err(start, "malformed float literal"))?;
+        // Allow `f` suffix.
+        if (self.at(0) | 0x20) == b'f' {
+            self.pos += 1;
+        }
+        Ok(TokenKind::Float(v))
     }
 
     fn eat_int_suffix(&mut self) {
-        while self.pos < self.bytes.len() && matches!(self.bytes[self.pos] | 0x20, b'l' | b'u') {
+        while matches!(self.at(0) | 0x20, b'l' | b'u') {
             self.pos += 1;
         }
     }
 
+    /// The escape sequence at `pos` (a backslash) as one byte. Octal
+    /// (`\` and one to three octal digits) and hex (`\x` and hex
+    /// digits) escapes must stay within ASCII: literals are interned
+    /// as `str`.
     fn escape(&mut self, start: usize) -> Result<u8, CompileError> {
         self.pos += 1; // backslash
-        if self.pos >= self.bytes.len() {
+        let Some(&c) = self.bytes.get(self.pos) else {
             return Err(self.err(start, "unterminated escape"));
-        }
-        let c = self.bytes[self.pos];
+        };
+        let spelled = self.pos;
         self.pos += 1;
-        Ok(match c {
-            b'n' => b'\n',
-            b't' => b'\t',
-            b'r' => b'\r',
-            b'0' => 0,
-            b'\\' => b'\\',
-            b'\'' => b'\'',
-            b'"' => b'"',
+        let v: u32 = match c {
+            b'n' => 10,
+            b't' => 9,
+            b'r' => 13,
+            b'\\' => u32::from(b'\\'),
+            b'\'' => u32::from(b'\''),
+            b'"' => u32::from(b'"'),
             b'a' => 7,
             b'b' => 8,
             b'f' => 12,
             b'v' => 11,
+            b'0'..=b'7' => {
+                let mut v = u32::from(c - b'0');
+                for _ in 0..2 {
+                    match self.at(0) {
+                        d @ b'0'..=b'7' => {
+                            v = v * 8 + u32::from(d - b'0');
+                            self.pos += 1;
+                        }
+                        _ => break,
+                    }
+                }
+                v
+            }
+            b'x' => {
+                let mut v: u32 = 0;
+                while let Some(d) = (self.at(0) as char).to_digit(16) {
+                    v = v.saturating_mul(16).saturating_add(d);
+                    self.pos += 1;
+                }
+                if self.pos == spelled + 1 {
+                    return Err(self.err(start, "escape \\x needs hex digits"));
+                }
+                v
+            }
             other => return Err(self.err(start, &format!("unknown escape \\{}", other as char))),
-        })
+        };
+        if v > 127 {
+            let spelling = &self.src[spelled..self.pos];
+            return Err(self.err(
+                start,
+                &format!("escape \\{spelling} is above 127: literals are ASCII"),
+            ));
+        }
+        Ok(v as u8)
     }
 
     fn string(&mut self, start: usize) -> Result<TokenKind, CompileError> {
@@ -406,70 +462,118 @@ impl<'a> RawLexer<'a> {
             self.pos += 1;
             c
         };
-        if self.pos >= self.bytes.len() || self.bytes[self.pos] != b'\'' {
+        if self.at(0) != b'\'' {
             return Err(self.err(start, "unterminated char constant"));
         }
         self.pos += 1;
         Ok(TokenKind::Int(v))
     }
 
-    fn punct(&mut self, start: usize) -> Result<TokenKind, CompileError> {
+    /// Lexes the token at `pos`, which is not whitespace, a comment or
+    /// a directive, onto `out`: one dispatch on its first byte.
+    #[inline(always)]
+    fn token(&mut self, out: &mut Vec<Token>) -> Result<(), CompileError> {
+        let start = self.pos;
+        let kind = match self.bytes[start] {
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => self.word(),
+            b'0'..=b'9' => self.number(start)?,
+            b'.' if self.at(1).is_ascii_digit() => self.fraction(start)?,
+            b'"' => self.string(start)?,
+            b'\'' => self.char_const(start)?,
+            first => TokenKind::Punct(self.punct(first, start)?),
+        };
+        out.push(Token {
+            kind,
+            span: Span::new(start as u32, self.pos as u32),
+        });
+        Ok(())
+    }
+
+    /// The punctuator at `pos`, whose first byte is `first`: its arm
+    /// matches the bytes after it for the longest spelling they
+    /// complete.
+    #[inline(always)]
+    fn punct(&mut self, first: u8, start: usize) -> Result<Punct, CompileError> {
         use Punct::*;
-        let at = |i: usize| self.bytes.get(self.pos + i).copied().unwrap_or(0);
-        let (b0, b1) = (at(0), at(1));
-        let (p, len) = match (b0, b1) {
-            (b'<', b'<') if at(2) == b'=' => (ShlEq, 3),
-            (b'>', b'>') if at(2) == b'=' => (ShrEq, 3),
-            (b'=', b'=') => (EqEq, 2),
-            (b'!', b'=') => (Ne, 2),
-            (b'<', b'=') => (Le, 2),
-            (b'>', b'=') => (Ge, 2),
-            (b'&', b'&') => (AmpAmp, 2),
-            (b'|', b'|') => (PipePipe, 2),
-            (b'<', b'<') => (Shl, 2),
-            (b'>', b'>') => (Shr, 2),
-            (b'+', b'=') => (PlusEq, 2),
-            (b'-', b'=') => (MinusEq, 2),
-            (b'*', b'=') => (StarEq, 2),
-            (b'/', b'=') => (SlashEq, 2),
-            (b'%', b'=') => (PercentEq, 2),
-            (b'&', b'=') => (AmpEq, 2),
-            (b'|', b'=') => (PipeEq, 2),
-            (b'^', b'=') => (CaretEq, 2),
-            (b'+', b'+') => (PlusPlus, 2),
-            (b'-', b'-') => (MinusMinus, 2),
-            (b'-', b'>') => (Arrow, 2),
-            (b'(', _) => (LParen, 1),
-            (b')', _) => (RParen, 1),
-            (b'{', _) => (LBrace, 1),
-            (b'}', _) => (RBrace, 1),
-            (b'[', _) => (LBracket, 1),
-            (b']', _) => (RBracket, 1),
-            (b';', _) => (Semi, 1),
-            (b',', _) => (Comma, 1),
-            (b':', _) => (Colon, 1),
-            (b'?', _) => (Question, 1),
-            (b'+', _) => (Plus, 1),
-            (b'-', _) => (Minus, 1),
-            (b'*', _) => (Star, 1),
-            (b'/', _) => (Slash, 1),
-            (b'%', _) => (Percent, 1),
-            (b'&', _) => (Amp, 1),
-            (b'|', _) => (Pipe, 1),
-            (b'^', _) => (Caret, 1),
-            (b'~', _) => (Tilde, 1),
-            (b'!', _) => (Bang, 1),
-            (b'<', _) => (Lt, 1),
-            (b'>', _) => (Gt, 1),
-            (b'=', _) => (Assign, 1),
-            (b'.', _) => (Dot, 1),
-            (other, _) => {
+        // Picks the two-byte form when the next byte is `second`.
+        let pair = |next: u8, second: u8, two: Punct, one: Punct| {
+            if next == second {
+                (two, 2)
+            } else {
+                (one, 1)
+            }
+        };
+        let b1 = self.at(1);
+        let (p, len) = match first {
+            b'(' => (LParen, 1),
+            b')' => (RParen, 1),
+            b'{' => (LBrace, 1),
+            b'}' => (RBrace, 1),
+            b'[' => (LBracket, 1),
+            b']' => (RBracket, 1),
+            b';' => (Semi, 1),
+            b',' => (Comma, 1),
+            b':' => (Colon, 1),
+            b'?' => (Question, 1),
+            b'~' => (Tilde, 1),
+            b'.' => (Dot, 1),
+            b'=' => pair(b1, b'=', EqEq, Assign),
+            b'!' => pair(b1, b'=', Ne, Bang),
+            b'*' => pair(b1, b'=', StarEq, Star),
+            b'/' => pair(b1, b'=', SlashEq, Slash),
+            b'%' => pair(b1, b'=', PercentEq, Percent),
+            b'^' => pair(b1, b'=', CaretEq, Caret),
+            b'+' => match b1 {
+                b'+' => (PlusPlus, 2),
+                b'=' => (PlusEq, 2),
+                _ => (Plus, 1),
+            },
+            b'-' => match b1 {
+                b'-' => (MinusMinus, 2),
+                b'=' => (MinusEq, 2),
+                b'>' => (Arrow, 2),
+                _ => (Minus, 1),
+            },
+            b'&' => match b1 {
+                b'&' => (AmpAmp, 2),
+                b'=' => (AmpEq, 2),
+                _ => (Amp, 1),
+            },
+            b'|' => match b1 {
+                b'|' => (PipePipe, 2),
+                b'=' => (PipeEq, 2),
+                _ => (Pipe, 1),
+            },
+            b'<' => match b1 {
+                b'<' if self.at(2) == b'=' => (ShlEq, 3),
+                b'<' => (Shl, 2),
+                b'=' => (Le, 2),
+                _ => (Lt, 1),
+            },
+            b'>' => match b1 {
+                b'>' if self.at(2) == b'=' => (ShrEq, 3),
+                b'>' => (Shr, 2),
+                b'=' => (Ge, 2),
+                _ => (Gt, 1),
+            },
+            other => {
                 return Err(self.err(start, &format!("stray character `{}`", other as char)));
             }
         };
         self.pos += len;
-        Ok(TokenKind::Punct(p))
+        Ok(p)
     }
+}
+
+/// The value of `digits` in `radix`, or `None` if one is not a digit
+/// of the radix or the value passes `i64::MAX`.
+fn accumulate(digits: &[u8], radix: u32) -> Option<i64> {
+    let mut v: i64 = 0;
+    for &b in digits {
+        let d = (b as char).to_digit(radix)?;
+        v = v.checked_mul(i64::from(radix))?.checked_add(i64::from(d))?;
+    }
+    Some(v)
 }
 
 /// Applies object-macro substitution to the raw token stream. Each
@@ -587,6 +691,67 @@ mod tests {
         assert_eq!(kinds("'a'")[0], TokenKind::Int(97));
         assert_eq!(kinds(r"'\n'")[0], TokenKind::Int(10));
         assert_eq!(kinds(r"'\0'")[0], TokenKind::Int(0));
+    }
+
+    #[test]
+    fn lexes_octal_and_hex_escapes() {
+        let (ks, names) = lexed(r#""a\012b|\n" "\0" "\1234" "\x41\x7f""#);
+        assert_eq!(ks[0], TokenKind::Str(names.get("a\nb|\n").unwrap()));
+        assert_eq!(ks[1], TokenKind::Str(names.get("\0").unwrap()));
+        // An octal escape stops after three digits.
+        assert_eq!(ks[2], TokenKind::Str(names.get("S4").unwrap()));
+        assert_eq!(ks[3], TokenKind::Str(names.get("A\x7f").unwrap()));
+        // Leading zeros do not count against the range.
+        assert_eq!(kinds(r"'\x0000000000000041'")[0], TokenKind::Int(65));
+        assert_eq!(kinds(r"'\101'")[0], TokenKind::Int(65));
+        assert_eq!(kinds(r"'\7'")[0], TokenKind::Int(7));
+        assert_eq!(kinds(r"'\x0a'")[0], TokenKind::Int(10));
+        assert_eq!(kinds(r"'\0'")[0], TokenKind::Int(0));
+    }
+
+    #[test]
+    fn escapes_past_ascii_are_diagnostics() {
+        let msg = |src: &str| lex_fresh(src).unwrap_err().message().to_string();
+        assert_eq!(
+            msg(r#""\200""#),
+            "escape \\200 is above 127: literals are ASCII"
+        );
+        assert_eq!(
+            msg(r"'\377'"),
+            "escape \\377 is above 127: literals are ASCII"
+        );
+        assert_eq!(
+            msg(r#""\x80""#),
+            "escape \\x80 is above 127: literals are ASCII"
+        );
+        assert_eq!(
+            msg(r#""\x10000000000000000000041""#),
+            "escape \\x10000000000000000000041 is above 127: literals are ASCII"
+        );
+        assert_eq!(msg(r#""\xg""#), "escape \\x needs hex digits");
+        assert_eq!(msg(r"'\8'"), "unknown escape \\8");
+    }
+
+    #[test]
+    fn leading_dot_floats() {
+        assert_eq!(kinds(".5")[0], TokenKind::Float(0.5));
+        assert_eq!(kinds(".25e1")[0], TokenKind::Float(2.5));
+        assert_eq!(kinds(".5f")[0], TokenKind::Float(0.5));
+        assert_eq!(kinds("x = .5;")[2], TokenKind::Float(0.5));
+        // A `.` before anything but a digit is still member access.
+        let (ks, names) = lexed("s.x");
+        let ident = |s: &str| TokenKind::Ident(names.get(s).unwrap());
+        assert_eq!(
+            ks,
+            vec![
+                ident("s"),
+                TokenKind::Punct(Punct::Dot),
+                ident("x"),
+                TokenKind::Eof
+            ]
+        );
+        assert_eq!(kinds("1.")[0], TokenKind::Float(1.0));
+        assert_eq!(kinds("1.")[1], TokenKind::Eof);
     }
 
     #[test]

@@ -412,13 +412,19 @@ impl<'a> Printer<'a> {
             }
             ExprKind::StrLit(s) => {
                 self.out.push('"');
-                for c in self.names[*s].chars() {
+                let mut chars = self.names[*s].chars().peekable();
+                while let Some(c) = chars.next() {
                     match c {
                         '\n' => self.out.push_str("\\n"),
                         '\t' => self.out.push_str("\\t"),
                         '\r' => self.out.push_str("\\r"),
                         '\\' => self.out.push_str("\\\\"),
                         '"' => self.out.push_str("\\\""),
+                        // An octal escape takes up to three digits, so a
+                        // NUL before an octal digit must spell all three.
+                        '\0' if chars.peek().is_some_and(|d| ('0'..='7').contains(d)) => {
+                            self.out.push_str("\\000")
+                        }
                         '\0' => self.out.push_str("\\0"),
                         c => self.out.push(c),
                     }
@@ -786,6 +792,16 @@ mod tests {
         let (a, b) = round_trip(src);
         assert_eq!(a, b);
         assert!(a.contains("{ 1, 2 }"), "list initializer dropped: {a}");
+    }
+
+    #[test]
+    fn escapes_round_trip_exactly() {
+        // `\012` is a newline and `\x41` is `A`. A NUL before an octal
+        // digit prints as `\000`, or it would read back as one longer
+        // octal escape; elsewhere it prints as `\0`.
+        let (a, b) = round_trip(r#"char *s = "a\012b\0007\x41\0|";"#);
+        assert_eq!(a, b);
+        assert!(a.contains(r#""a\nb\0007A\0|""#), "{a}");
     }
 
     #[test]

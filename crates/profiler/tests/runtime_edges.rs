@@ -584,3 +584,23 @@ fn sprintf_stops_at_the_end_of_its_destination_segment() {
     .expect("runs");
     assert_eq!(out.stdout(), "5 42-ab\n");
 }
+
+#[test]
+fn octal_and_hex_escapes_and_leading_dot_floats_run_as_c() {
+    // What gcc's build of the same file prints and returns: `\012` is a
+    // newline (it once lexed as a NUL and cut the string at `a`), `\101`
+    // and `\x41` are `A`, and `.5`/`.25e1` are floating constants.
+    let out = run_both(
+        r#"
+        int main(void) {
+            float h = .5;
+            printf("a\012b|\n");
+            printf("%c%c %d\n", '\101', '\x41', (int) ((h + .25e1) * 10));
+            return '\101';
+        }
+        "#,
+    )
+    .expect("runs");
+    assert_eq!(out.stdout(), "a\nb|\nAA 30\n");
+    assert_eq!(out.exit_code, 65);
+}

@@ -126,9 +126,7 @@ pub fn load(
             if opt_level == 0 {
                 return cp;
             }
-            let ranking = Ranking::static_estimate(program);
-            let plan = plan_from_ranking(&ranking, &cp, opt_level, cp.funcs.len());
-            opt::optimize(&cp, &plan).0
+            optimize_at_level(program, &cp, opt_level).0
         })
     };
     let mut profiles = pool
@@ -207,6 +205,19 @@ pub fn plan_from_ranking(
         site_freqs: ranking.site_freqs.clone(),
         inline_budget: opt::default_inline_budget(cp),
     }
+}
+
+/// The `-O<level>` image of `program` (`cp` is its compiled image), as
+/// `sfe run` and `sfe suite` build it: every function budgeted, every
+/// frequency-guided pass steered by the static estimates, so no
+/// profile run is needed to build the plan.
+pub fn optimize_at_level(
+    program: &Program,
+    cp: &CompiledProgram,
+    level: u8,
+) -> (CompiledProgram, opt::OptStats) {
+    let ranking = Ranking::static_estimate(program);
+    opt::optimize(cp, &plan_from_ranking(&ranking, cp, level, cp.funcs.len()))
 }
 
 /// Runs the measured Fig 10 experiment for one suite program at the

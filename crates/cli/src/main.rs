@@ -26,7 +26,6 @@
 //! ```text
 //! --addr <host:port>  serve over TCP instead of stdin/stdout
 //! --suite             preload the 14 suite programs (with their inputs)
-//! --jobs <n>          threads for per-function fan-out, at most 256 (default: SFE_POOL_THREADS / cores)
 //! ```
 //!
 //! The service speaks the `serve/v1` NDJSON protocol (one request and
@@ -34,7 +33,8 @@
 //! a program into the incremental database, `estimate`/`profile`/
 //! `score` read from it, `shutdown` drains and exits. An `update` that
 //! edits one function recomputes only that function's CFG and flow
-//! solves; everything untouched is reused, bit for bit.
+//! solves; everything untouched is reused, bit for bit. Each request
+//! runs on its connection's thread, one thread per connection.
 //!
 //! `sfe storm` flags:
 //!
@@ -42,8 +42,7 @@
 //! --clients <n>        concurrent clients (default 4)
 //! --requests <n>       requests per client (default 100)
 //! --seed <n>           workload seed (default 1)
-//! --update-pct <n>     percentage of requests that are updates (default 20)
-//! --jobs <n>           threads for the in-process database, at most 256 (default: SFE_POOL_THREADS / cores)
+//! --update-pct <n>     percentage of requests that are updates, 0 to 100 (default 20)
 //! --addr <host:port>   drive a live daemon instead of an in-process database
 //! --assert-qps <x>     exit nonzero if sustained q/s falls below x
 //! --assert-p99-ms <x>  exit nonzero if p99 latency exceeds x milliseconds
@@ -427,9 +426,7 @@ fn run(program: &Program, input_path: Option<&str>, opt_level: u8) -> ExitCode {
     let config = profiler::RunConfig::with_input(input);
     let compiled = profiler::compile(program);
     let (compiled, stats) = if opt_level > 0 {
-        let ranking = estimators::ranking::Ranking::static_estimate(program);
-        let plan = bench::plan_from_ranking(&ranking, &compiled, opt_level, compiled.funcs.len());
-        let (ocp, stats) = opt::optimize(&compiled, &plan);
+        let (ocp, stats) = bench::optimize_at_level(program, &compiled, opt_level);
         (ocp, Some(stats))
     } else {
         (compiled, None)
@@ -924,7 +921,6 @@ fn serve_cmd(args: &[String], cache_dir: Option<&str>, no_cache: bool) -> ExitCo
     use serve::db::ServeDb;
 
     let mut addr: Option<String> = None;
-    let mut jobs: Option<usize> = None;
     let mut preload_suite = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -936,22 +932,15 @@ fn serve_cmd(args: &[String], cache_dir: Option<&str>, no_cache: bool) -> ExitCo
                     return ExitCode::from(2);
                 }
             },
-            "--jobs" => match it.next().map(|s| s.parse()) {
-                Some(Ok(n)) if n > 0 => jobs = Some(n),
-                _ => {
-                    eprintln!("sfe: serve --jobs needs a positive number");
-                    return ExitCode::from(2);
-                }
-            },
             "--suite" => preload_suite = true,
             other => {
-                eprintln!("sfe: unknown serve flag `{other}` (see --addr, --jobs, --suite)");
+                eprintln!("sfe: unknown serve flag `{other}` (see --addr, --suite)");
                 return ExitCode::from(2);
             }
         }
     }
 
-    let db = std::sync::Arc::new(ServeDb::new(jobs, open_cache(cache_dir, no_cache)));
+    let db = std::sync::Arc::new(ServeDb::new(open_cache(cache_dir, no_cache)));
     if preload_suite {
         for p in suite::all() {
             if let Err(e) = db.upsert_with_inputs(p.name, p.source, Some(p.inputs())) {
@@ -1004,41 +993,43 @@ fn storm_cmd(args: &[String]) -> ExitCode {
     use serve::storm::{run_in_process, run_tcp, StormConfig};
 
     let mut config = StormConfig::default();
-    let mut jobs: Option<usize> = None;
     let mut addr: Option<String> = None;
     let mut assert_qps: Option<f64> = None;
     let mut assert_p99_ms: Option<f64> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut num = |what: &str| -> Option<u64> {
-            match it.next().map(|s| s.parse()) {
-                Some(Ok(n)) => Some(n),
-                _ => {
-                    eprintln!("sfe: storm {what} needs a number");
-                    None
-                }
+        // The flag's value, or `None` after a diagnostic that names
+        // the flag and its valid range.
+        let mut num = |what: &str, valid: std::ops::RangeInclusive<u64>| -> Option<u64> {
+            let n = it.next().and_then(|s| s.parse().ok());
+            let n = n.filter(|n| valid.contains(n));
+            if n.is_none() {
+                let (lo, hi) = valid.into_inner();
+                let hi = if hi == u64::MAX {
+                    String::new()
+                } else {
+                    format!("={hi}")
+                };
+                eprintln!("sfe: storm {what} needs a number in {lo}..{hi}");
             }
+            n
         };
         match a.as_str() {
-            "--clients" => match num("--clients") {
-                Some(n) if n > 0 => config.clients = n as usize,
-                _ => return ExitCode::from(2),
+            "--clients" => match num("--clients", 1..=u64::MAX) {
+                Some(n) => config.clients = n as usize,
+                None => return ExitCode::from(2),
             },
-            "--requests" => match num("--requests") {
+            "--requests" => match num("--requests", 0..=u64::MAX) {
                 Some(n) => config.requests = n as usize,
                 None => return ExitCode::from(2),
             },
-            "--seed" => match num("--seed") {
+            "--seed" => match num("--seed", 0..=u64::MAX) {
                 Some(n) => config.seed = n,
                 None => return ExitCode::from(2),
             },
-            "--update-pct" => match num("--update-pct") {
-                Some(n) if n <= 100 => config.update_pct = n as u32,
-                _ => return ExitCode::from(2),
-            },
-            "--jobs" => match num("--jobs") {
-                Some(n) if n > 0 => jobs = Some(n as usize),
-                _ => return ExitCode::from(2),
+            "--update-pct" => match num("--update-pct", 0..=100) {
+                Some(n) => config.update_pct = n as u32,
+                None => return ExitCode::from(2),
             },
             "--addr" => match it.next() {
                 Some(v) => addr = Some(v.clone()),
@@ -1064,29 +1055,25 @@ fn storm_cmd(args: &[String]) -> ExitCode {
             other => {
                 eprintln!(
                     "sfe: unknown storm flag `{other}` (see --clients, --requests, --seed, \
-                     --update-pct, --jobs, --addr, --assert-qps, --assert-p99-ms)"
+                     --update-pct, --addr, --assert-qps, --assert-p99-ms)"
                 );
                 return ExitCode::from(2);
             }
         }
     }
 
-    let (report, jobs_used) = match addr {
+    let report = match addr {
         Some(addr) => match run_tcp(&config, &addr) {
-            Ok(r) => (r, 0),
+            Ok(r) => r,
             Err(e) => {
                 eprintln!("sfe storm: {e}");
                 return ExitCode::FAILURE;
             }
         },
-        None => {
-            let db = std::sync::Arc::new(serve::db::ServeDb::new(jobs, None));
-            let jobs_used = db.threads();
-            (run_in_process(&config, &db), jobs_used)
-        }
+        None => run_in_process(&config, &std::sync::Arc::new(serve::db::ServeDb::new(None))),
     };
 
-    writeln!(Out, "{}", report.to_value(&config, jobs_used));
+    writeln!(Out, "{}", report.to_value(&config));
 
     let mut ok = true;
     if report.errors > 0 {

@@ -308,11 +308,24 @@ fn a_closed_stdout_ends_the_run_quietly() {
 }
 
 #[test]
-fn serve_clamps_an_absurd_worker_count() {
+fn serve_and_storm_take_no_worker_count() {
+    for cmd in ["serve", "storm"] {
+        let out = sfe(&[cmd, "--jobs", "2"]);
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown {cmd} flag `--jobs`")),
+            "{cmd}: {err}"
+        );
+    }
+}
+
+#[test]
+fn serve_shuts_down_on_request() {
     use std::io::Write;
     use std::process::Stdio;
     let mut child = Command::new(env!("CARGO_BIN_EXE_sfe"))
-        .args(["serve", "--jobs", "1000000"])
+        .args(["serve"])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -332,22 +345,25 @@ fn serve_clamps_an_absurd_worker_count() {
 }
 
 #[test]
-fn storm_clamps_an_absurd_worker_count() {
-    let args = "storm --jobs 1000000 --clients 1 --requests 5";
-    let out = sfe(&args.split(' ').collect::<Vec<_>>());
+fn storm_rejects_zero_clients_by_name() {
+    let out = sfe(&["storm", "--clients", "0"]);
+    assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(0), "{err}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\"jobs\":256"), "{stdout}");
+    assert!(
+        err.contains("storm --clients needs a number in 1.."),
+        "{err}"
+    );
 }
 
 #[test]
-fn storm_sizes_its_pool_like_every_pool() {
-    let out = sfe_on_threads("3", &["storm", "--clients", "1", "--requests", "5"]);
+fn storm_rejects_an_update_share_over_100_by_name() {
+    let out = sfe(&["storm", "--update-pct", "101"]);
+    assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(0), "{err}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\"jobs\":3"), "{stdout}");
+    assert!(
+        err.contains("storm --update-pct needs a number in 0..=100"),
+        "{err}"
+    );
 }
 
 #[test]

@@ -22,7 +22,7 @@ use flowgraph::cfg::BlockLists;
 use flowgraph::{BlockId, Cfg, Program, Terminator};
 use linsolve::solve_sparse;
 use minic::ast::{NodeId, Stmt, StmtKind};
-use minic::sema::{BranchId, FuncId};
+use minic::sema::{BranchId, FuncId, Module};
 use std::sync::Arc;
 
 /// The paper's loop-count assumption: every loop iterates five times,
@@ -133,7 +133,8 @@ pub fn estimate_program_with(
         .iter()
         .map(|f| {
             if f.is_defined() {
-                let fe = FnEstimator::new(program, f.id, &predictions, options, &trips);
+                let cfg = program.cfg(f.id);
+                let fe = FnEstimator::new(&program.module, cfg, &predictions, options, &trips);
                 fe.estimate(which, &mut scratch)
             } else {
                 Vec::new()
@@ -156,21 +157,16 @@ pub(crate) fn estimate_all_three(
     predictions: &Arc<Predictions>,
 ) -> [IntraEstimates; 3] {
     let _sp = obs::span("estimate.intra");
-    let options = IntraOptions::default();
-    let trips = TripCounts::default();
     let n = program.module.functions.len();
     let mut block_freqs: [Vec<Vec<f64>>; 3] = std::array::from_fn(|_| Vec::with_capacity(n));
     let mut scratch = Scratch::default();
     for f in &program.module.functions {
-        if !f.is_defined() {
-            for freqs in &mut block_freqs {
-                freqs.push(Vec::new());
-            }
-            continue;
-        }
-        let fe = FnEstimator::new(program, f.id, predictions, &options, &trips);
-        for (which, freqs) in IntraEstimator::ALL.into_iter().zip(&mut block_freqs) {
-            freqs.push(fe.estimate(which, &mut scratch));
+        let three = match program.cfg_opt(f.id) {
+            Some(cfg) => all_three(&program.module, cfg, predictions, &mut scratch),
+            None => Default::default(),
+        };
+        for (column, freqs) in block_freqs.iter_mut().zip(three) {
+            column.push(freqs);
         }
     }
     let [l, s, m] = block_freqs;
@@ -186,26 +182,45 @@ pub(crate) fn estimate_all_three(
     })
 }
 
+/// The three estimators' block frequencies (in [`IntraEstimator::ALL`]
+/// order) for the function `cfg` lowers, with the default options and
+/// caller-supplied module predictions: one step of
+/// [`crate::estimate_all`], and the unit of recomputation of the
+/// incremental serve database, which solves each function whose
+/// fingerprint changed as soon as it has its CFG.
+pub fn estimate_function_all_three(
+    module: &Module,
+    cfg: &Cfg,
+    predictions: &Predictions,
+) -> [Vec<f64>; 3] {
+    all_three(module, cfg, predictions, &mut Scratch::default())
+}
+
+/// [`estimate_function_all_three`] in caller-kept scratch buffers.
+fn all_three(
+    module: &Module,
+    cfg: &Cfg,
+    predictions: &Predictions,
+    scratch: &mut Scratch,
+) -> [Vec<f64>; 3] {
+    let options = IntraOptions::default();
+    let trips = TripCounts::default();
+    let fe = FnEstimator::new(module, cfg, predictions, &options, &trips);
+    IntraEstimator::ALL.map(|which| fe.estimate(which, scratch))
+}
+
 /// Estimates block frequencies for one function (entry normalized to 1).
 pub fn estimate_function(program: &Program, f: FuncId, which: IntraEstimator) -> Vec<f64> {
     let predictions = predict_module(&program.module);
-    estimate_function_with(program, f, which, &predictions, &IntraOptions::default())
-}
-
-/// Estimates one function's block frequencies against caller-supplied
-/// module predictions — the unit of recomputation of the incremental
-/// serve database, which computes predictions once per update and then
-/// solves only the functions whose fingerprints changed.
-pub fn estimate_function_with(
-    program: &Program,
-    f: FuncId,
-    which: IntraEstimator,
-    predictions: &Predictions,
-    options: &IntraOptions,
-) -> Vec<f64> {
-    let trips = TripCounts::default();
-    FnEstimator::new(program, f, predictions, options, &trips)
-        .estimate(which, &mut Scratch::default())
+    let (options, trips) = (IntraOptions::default(), TripCounts::default());
+    let fe = FnEstimator::new(
+        &program.module,
+        program.cfg(f),
+        &predictions,
+        &options,
+        &trips,
+    );
+    fe.estimate(which, &mut Scratch::default())
 }
 
 /// Buffers and CFG order work one function's estimators share, kept
@@ -222,10 +237,11 @@ struct Scratch {
     inject: Vec<f64>,
 }
 
-/// One defined function and everything its estimators read.
+/// One defined function (the one `cfg` lowers) and everything its
+/// estimators read.
 struct FnEstimator<'a> {
-    program: &'a Program,
-    f: FuncId,
+    module: &'a Module,
+    cfg: &'a Cfg,
     predictions: &'a Predictions,
     options: &'a IntraOptions,
     trips: &'a TripCounts,
@@ -233,15 +249,15 @@ struct FnEstimator<'a> {
 
 impl<'a> FnEstimator<'a> {
     fn new(
-        program: &'a Program,
-        f: FuncId,
+        module: &'a Module,
+        cfg: &'a Cfg,
         predictions: &'a Predictions,
         options: &'a IntraOptions,
         trips: &'a TripCounts,
     ) -> Self {
         FnEstimator {
-            program,
-            f,
+            module,
+            cfg,
             predictions,
             options,
             trips,
@@ -259,15 +275,14 @@ impl<'a> FnEstimator<'a> {
     /// Runs the AST walk of Figure 3 into `column`.
     fn walk(&self, smart: bool, column: &mut Vec<Option<f64>>) -> NodeId {
         let body = self
-            .program
             .module
-            .function(self.f)
+            .function(self.cfg.func)
             .body
             .as_ref()
             .expect("defined function");
         column.clear();
         let walker = AstWalker {
-            module: &self.program.module,
+            module: self.module,
             predictions: self.predictions,
             smart,
             test_count: self.options.loop_count,
@@ -284,7 +299,7 @@ impl<'a> FnEstimator<'a> {
     fn ast_walk_blocks(&self, smart: bool, scratch: &mut Scratch) -> Vec<f64> {
         let body = self.walk(smart, &mut scratch.column);
         let column = &scratch.column;
-        let cfg = self.program.cfg(self.f);
+        let cfg = self.cfg;
         let anchored =
             |b: &flowgraph::Block| match b.anchor.and_then(|a| column_get(body, column, a)) {
                 None if b.id == cfg.entry => Some(1.0),
@@ -296,8 +311,8 @@ impl<'a> FnEstimator<'a> {
         let mut out: Vec<Option<f64>> = cfg.blocks.iter().map(anchored).collect();
         // Propagate to unanchored blocks: take the max anchored
         // predecessor estimate, iterating in reverse post-order.
-        if !matches!(scratch.order, Some((f, ..)) if f == self.f) {
-            scratch.order = Some((self.f, cfg.reverse_post_order(), cfg.predecessors()));
+        if !matches!(scratch.order, Some((f, ..)) if f == cfg.func) {
+            scratch.order = Some((cfg.func, cfg.reverse_post_order(), cfg.predecessors()));
         }
         let (_, rpo, preds) = scratch.order.as_ref().expect("just filled");
         for _ in 0..cfg.len() {
@@ -325,7 +340,7 @@ impl<'a> FnEstimator<'a> {
     }
 
     fn markov_blocks(&self, scratch: &mut Scratch) -> Vec<f64> {
-        let cfg = self.program.cfg(self.f);
+        let cfg = self.cfg;
         let n = cfg.len();
         // The system `FlowSystem` would build, in buffers kept from one
         // function to the next: one unit injected at the entry, the
@@ -341,7 +356,7 @@ impl<'a> FnEstimator<'a> {
             (Some(p), Some(trip)) if p.taken => trip / (trip + 1.0),
             _ => self.predictions.prob_taken(b),
         };
-        arcs_with(self.program, cfg, prob, |src, dst, p| {
+        arcs_with(self.module, cfg, prob, |src, dst, p| {
             arcs.push((src.0 as usize, dst.0 as usize, p));
         });
         match solve_sparse(n, arcs, inject) {
@@ -409,7 +424,14 @@ pub fn ast_frequencies_with(
 ) -> AstFrequencies {
     let trips = TripCounts::default();
     let mut column = Vec::new();
-    let body = FnEstimator::new(program, f, predictions, options, &trips).walk(smart, &mut column);
+    let body = FnEstimator::new(
+        &program.module,
+        program.cfg(f),
+        predictions,
+        options,
+        &trips,
+    )
+    .walk(smart, &mut column);
     AstFrequencies { body, column }
 }
 
@@ -556,13 +578,13 @@ pub fn for_each_arc(
     predictions: &Predictions,
     arc: impl FnMut(BlockId, BlockId, f64),
 ) {
-    arcs_with(program, cfg, |b| predictions.prob_taken(b), arc);
+    arcs_with(&program.module, cfg, |b| predictions.prob_taken(b), arc);
 }
 
 /// [`for_each_arc`] with the probability of each branch's true edge
 /// given by `prob`.
 fn arcs_with(
-    program: &Program,
+    module: &Module,
     cfg: &Cfg,
     prob: impl Fn(BranchId) -> f64,
     mut arc: impl FnMut(BlockId, BlockId, f64),
@@ -591,7 +613,7 @@ fn arcs_with(
                 targets,
                 ..
             } => {
-                let info = &program.module.side.switches[switch.0 as usize];
+                let info = &module.side.switches[switch.0 as usize];
                 let total: usize = info.section_labels.iter().sum::<usize>().max(1);
                 // One share per case label; every weight is a whole
                 // number, so these sums are exact in any order.

@@ -32,9 +32,8 @@
 //! caller that folds them in that order is deterministic by
 //! construction. `bench::load_suite` produces byte-identical results
 //! for pool sizes 1, 2, and N (asserted by
-//! `crates/bench/tests/determinism.rs`), and so do `sfe reuse`, the
-//! serve database and `bench::corpus`, which maps its seeds in fixed
-//! chunks.
+//! `crates/bench/tests/determinism.rs`), and so do `sfe reuse` and
+//! `bench::corpus`, which maps its seeds in fixed chunks.
 //!
 //! ## Observability
 //!

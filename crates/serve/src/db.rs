@@ -43,7 +43,7 @@ use crate::fp::{self, fold_f64s};
 use cache::{ArtifactKind, Cache};
 use estimators::eval::{score_estimates, EstimateScores};
 use estimators::inter::InterEstimator;
-use estimators::intra::{estimate_function_with, IntraEstimates, IntraEstimator, IntraOptions};
+use estimators::intra::{estimate_function_all_three, IntraEstimates, IntraEstimator};
 use estimators::{predict_module, Estimates};
 use flowgraph::cfg::{Cfg, Instr, Terminator};
 use flowgraph::{CallGraph, Program};
@@ -201,7 +201,7 @@ impl ProgramEntry {
     }
 
     /// Digest of every materialized estimate, bit-exact — the unit the
-    /// storm determinism test compares across `--jobs` values.
+    /// storm determinism test compares across runs.
     pub fn estimates_digest(&self) -> u128 {
         let mut h = fp::hasher();
         h.word(self.fingerprint as u64);
@@ -218,32 +218,24 @@ impl ProgramEntry {
     }
 }
 
-/// The resident incremental database: named programs, a worker pool
-/// for per-function fan-out, and an optional content-addressed cache
-/// backing the profile layer.
+/// The resident incremental database: named programs and an optional
+/// content-addressed cache backing the profile layer. Every operation
+/// runs on its caller's thread.
 pub struct ServeDb {
-    pool: Arc<pool::Pool>,
     cache: Option<Cache>,
     programs: RwLock<BTreeMap<String, Arc<ProgramEntry>>>,
     totals: Mutex<WorkCounters>,
 }
 
 impl ServeDb {
-    /// A database computing on a pool of `jobs` threads (`None`:
-    /// [`pool::default_threads`]), optionally backed by a persistent
-    /// artifact cache for profiles.
-    pub fn new(jobs: Option<usize>, cache: Option<Cache>) -> ServeDb {
+    /// An empty database, optionally backed by a persistent artifact
+    /// cache for profiles.
+    pub fn new(cache: Option<Cache>) -> ServeDb {
         ServeDb {
-            pool: Arc::new(pool::Pool::new(jobs.unwrap_or_else(pool::default_threads))),
             cache,
             programs: RwLock::new(BTreeMap::new()),
             totals: Mutex::new(WorkCounters::default()),
         }
-    }
-
-    /// Pool threads backing this database.
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
     }
 
     /// Names of all loaded programs, sorted.
@@ -308,60 +300,64 @@ impl ServeDb {
         let ctx_fp = context_fingerprint(decls, &module, predictions.error_functions());
         let old = self.lock_programs().get(name).cloned();
 
+        // Phase 1 — per function, in order: a function whose
+        // fingerprints match the old revision's reuses its CFG
+        // (remapped) and copies its three intra frequency columns;
+        // any other defined function is lowered and solved afresh.
         let mut work = WorkCounters::default();
-
-        // Which functions can reuse the previous revision's artifacts:
-        // the old revision's id of each, by name.
-        let reuse_from: Vec<Option<FuncId>> = module
-            .functions
-            .iter()
-            .map(|f| {
-                let o = old.as_ref()?;
-                let same = f.is_defined()
-                    && o.ctx_fp == ctx_fp
-                    && o.fn_fps.get(&f.name) == fn_fps.get(&f.name);
-                let of = o.program.module.function_id(&f.name)?;
-                (same && o.program.cfg_opt(of).is_some()).then_some(of)
-            })
-            .collect();
-
-        // Phase 1 — CFGs: reuse + remap where fingerprints allow,
-        // lower fresh otherwise, fanning out on the pool. Results come
-        // back in function order, so counters and results are
-        // deterministic for any worker count.
-        let defined: Vec<&minic::sema::Function> = module
-            .functions
-            .iter()
-            .filter(|f| f.body.is_some())
-            .collect();
-        let lowered = self.pool.map(&defined, |f| {
-            let reused = reuse_from[f.id.0 as usize].and_then(|of| {
-                let o = old.as_ref().expect("reusable implies old entry");
-                remap_cfg(&o.program, of, &module, f.id)
-            });
-            match reused {
-                Some(cfg) => (cfg, true),
-                None => (flowgraph::lower::lower_function(&module, f), false),
-            }
-        });
-        let mut lowered = lowered.into_iter();
         let mut cfgs: Vec<Option<Cfg>> = Vec::with_capacity(module.functions.len());
+        let mut block_freqs: [Vec<Vec<f64>>; 3] = Default::default();
         for f in &module.functions {
-            if f.body.is_none() {
+            if !f.is_defined() {
                 cfgs.push(None);
+                for column in &mut block_freqs {
+                    column.push(Vec::new());
+                }
                 continue;
             }
-            let (cfg, reused) = lowered.next().expect("one CFG per defined function");
-            let blocks = cfg.blocks.len() as u64;
-            if reused {
-                work.funcs_reused += 1;
-                work.blocks_reused += blocks;
-            } else {
-                work.funcs_lowered += 1;
-                work.blocks_lowered += blocks;
-            }
+            let from = old.as_ref().and_then(|o| {
+                let of = o.program.module.function_id(&f.name)?;
+                let same = o.ctx_fp == ctx_fp
+                    && o.fn_fps.get(&f.name) == fn_fps.get(&f.name)
+                    && o.program.cfg_opt(of).is_some();
+                same.then_some((o, of))
+            });
+            let cfg = match from.and_then(|(o, of)| remap_cfg(&o.program, of, &module, f.id)) {
+                Some(cfg) => {
+                    work.funcs_reused += 1;
+                    work.blocks_reused += cfg.blocks.len() as u64;
+                    cfg
+                }
+                None => {
+                    let cfg = flowgraph::lower::lower_function(&module, f);
+                    work.funcs_lowered += 1;
+                    work.blocks_lowered += cfg.blocks.len() as u64;
+                    cfg
+                }
+            };
+            let three = match from {
+                Some((o, of)) => {
+                    let three = o.estimates.intra.each_ref();
+                    let three = three.map(|ia| ia.block_freqs[of.0 as usize].clone());
+                    work.solves_reused += three.iter().map(|v| v.len() as u64).sum::<u64>();
+                    three
+                }
+                None => {
+                    let three = estimate_function_all_three(&module, &cfg, &predictions);
+                    work.blocks_solved += three.iter().map(|v| v.len() as u64).sum::<u64>();
+                    three
+                }
+            };
             cfgs.push(Some(cfg));
+            for (column, freqs) in block_freqs.iter_mut().zip(three) {
+                column.push(freqs);
+            }
         }
+        let intra = IntraEstimator::ALL.map(|which| IntraEstimates {
+            estimator: which,
+            block_freqs: std::mem::take(&mut block_freqs[which as usize]),
+            predictions: Arc::clone(&predictions),
+        });
 
         // Phase 2 — assemble the program and rebuild the call graph
         // (a linear scan over the CFGs).
@@ -373,59 +369,7 @@ impl ServeDb {
         program.callgraph = CallGraph::build(&program);
         let program = Arc::new(program);
 
-        // Phase 3 — intra estimates: cached frequencies are reused per
-        // (function, estimator); everything else is solved on the pool.
-        let options = IntraOptions::default();
-        let solves: Vec<(&minic::sema::Function, usize)> = program
-            .module
-            .functions
-            .iter()
-            .filter(|f| f.body.is_some())
-            .flat_map(|f| (0..IntraEstimator::ALL.len()).map(move |ei| (f, ei)))
-            .collect();
-        let solved = self
-            .pool
-            .map(solves, |(f, ei)| match reuse_from[f.id.0 as usize] {
-                Some(of) => {
-                    let o = old.as_ref().expect("reusable implies old entry");
-                    o.estimates.intra[ei].block_freqs[of.0 as usize].clone()
-                }
-                None => estimate_function_with(
-                    &program,
-                    f.id,
-                    IntraEstimator::ALL[ei],
-                    &predictions,
-                    &options,
-                ),
-            });
-        let mut solved = solved.into_iter();
-        let mut block_freqs: [Vec<Vec<f64>>; 3] = Default::default();
-        for f in &program.module.functions {
-            for column in &mut block_freqs {
-                let freqs = if f.body.is_some() {
-                    solved
-                        .next()
-                        .expect("one solve per defined function and estimator")
-                } else {
-                    Vec::new()
-                };
-                if f.is_defined() {
-                    if reuse_from[f.id.0 as usize].is_some() {
-                        work.solves_reused += freqs.len() as u64;
-                    } else {
-                        work.blocks_solved += freqs.len() as u64;
-                    }
-                }
-                column.push(freqs);
-            }
-        }
-        let intra = IntraEstimator::ALL.map(|which| IntraEstimates {
-            estimator: which,
-            block_freqs: std::mem::take(&mut block_freqs[which as usize]),
-            predictions: Arc::clone(&predictions),
-        });
-
-        // Phase 4 — inter-procedural estimates: always recomputed
+        // Phase 3 — inter-procedural estimates: always recomputed
         // (they depend on every function's intra estimates), built on
         // smart intra as in the paper.
         let estimates = Estimates::from_intra(&program, intra);
@@ -433,7 +377,7 @@ impl ServeDb {
             (program.module.functions.len() + program.module.side.call_sites.len()) as u64;
         work.inter_units = inter_unit * InterEstimator::ALL.len() as u64;
 
-        // Phase 5 — publish the new revision.
+        // Phase 4 — publish the new revision.
         let fingerprint = {
             let mut h = fp::hasher();
             h.word(ctx_fp as u64);
@@ -553,8 +497,8 @@ impl ServeDb {
 
     /// Bit-exact digest of the whole database state — program sources,
     /// fingerprints, and every materialized estimate — independent of
-    /// insertion order and worker count. The storm determinism test
-    /// compares this across `--jobs` values.
+    /// insertion order and client interleaving. The storm determinism
+    /// test compares this across runs.
     pub fn state_digest(&self) -> u128 {
         let mut h = fp::hasher();
         for (name, entry) in self.lock_programs().iter() {
@@ -728,7 +672,7 @@ int main(void) {
 
     #[test]
     fn first_load_lowers_everything() {
-        let db = ServeDb::new(Some(2), None);
+        let db = ServeDb::new(None);
         let out = db.upsert("p", TWO_FN).unwrap();
         assert_eq!(out.revision, 1);
         assert_eq!(out.work.funcs_lowered, 2);
@@ -738,7 +682,7 @@ int main(void) {
 
     #[test]
     fn unchanged_reload_reuses_everything() {
-        let db = ServeDb::new(Some(2), None);
+        let db = ServeDb::new(None);
         db.upsert("p", TWO_FN).unwrap();
         let out = db.upsert("p", TWO_FN).unwrap();
         assert_eq!(out.revision, 2);
@@ -749,7 +693,7 @@ int main(void) {
 
     #[test]
     fn single_function_edit_recomputes_only_it() {
-        let db = ServeDb::new(Some(2), None);
+        let db = ServeDb::new(None);
         db.upsert("p", TWO_FN).unwrap();
         let edited = TWO_FN.replace("s += i;", "s += i * 2;");
         assert_ne!(edited, TWO_FN);
@@ -760,12 +704,12 @@ int main(void) {
 
     #[test]
     fn incremental_matches_cold_estimates() {
-        let db = ServeDb::new(Some(2), None);
+        let db = ServeDb::new(None);
         db.upsert("p", TWO_FN).unwrap();
         let edited = TWO_FN.replace("i < 10", "i < 99");
         db.upsert("p", &edited).unwrap();
 
-        let cold = ServeDb::new(Some(1), None);
+        let cold = ServeDb::new(None);
         cold.upsert("p", &edited).unwrap();
 
         let a = db.entry("p").unwrap();
@@ -793,7 +737,7 @@ int main(void) { return f(3); }
         // changed, so every cached function must be invalidated even
         // though f's own text is untouched.
         let src1 = src0.replace("exit(1);", "return;");
-        let db = ServeDb::new(Some(1), None);
+        let db = ServeDb::new(None);
         db.upsert("p", src0).unwrap();
         let out = db.upsert("p", &src1).unwrap();
         assert_eq!(
@@ -801,7 +745,7 @@ int main(void) { return f(3); }
             "context change must invalidate all"
         );
 
-        let cold = ServeDb::new(Some(1), None);
+        let cold = ServeDb::new(None);
         cold.upsert("p", &src1).unwrap();
         assert_eq!(
             db.entry("p").unwrap().estimates_digest(),
@@ -811,7 +755,7 @@ int main(void) { return f(3); }
 
     #[test]
     fn profile_runs_and_caches_in_memory() {
-        let db = ServeDb::new(Some(1), None);
+        let db = ServeDb::new(None);
         db.upsert("p", TWO_FN).unwrap();
         let p1 = db.profile("p", b"").unwrap();
         let p2 = db.profile("p", b"").unwrap();
@@ -824,7 +768,7 @@ int main(void) { return f(3); }
 
     #[test]
     fn unknown_program_is_an_error() {
-        let db = ServeDb::new(Some(1), None);
+        let db = ServeDb::new(None);
         assert!(matches!(db.entry("nope"), Err(DbError::UnknownProgram(_))));
     }
 }

@@ -22,11 +22,12 @@
 //!   [`SCHEMA`]) with `load`/`update`/`estimate`/`profile`/`score`/
 //!   `shutdown` methods, encoded with the in-tree `obs::json` codec;
 //! - [`server`]: the `sfe serve` daemon loop over stdin/stdout or a
-//!   local TCP socket, one session per connection. `load` and `update`
-//!   lower and solve their functions in parallel on the database's
-//!   worker pool; `estimate` reads materialized results, and
-//!   `profile` and `score` run the VM on the connection's thread —
-//!   `score` profiles its inputs one after another;
+//!   local TCP socket, one session and one thread per connection.
+//!   Every request runs on its connection's thread: `load` and
+//!   `update` lower and solve their changed functions one after
+//!   another, `estimate` reads materialized results, and `profile`
+//!   and `score` run the VM — `score` profiles its inputs one after
+//!   another;
 //! - [`storm`]: the `stormgen` synthetic-client driver — N concurrent
 //!   clients replaying a seed-deterministic mixed read/update workload,
 //!   reporting sustained q/s, p50/p99 latency, and the incremental

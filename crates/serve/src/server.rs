@@ -2,10 +2,8 @@
 //! TCP socket with one thread (and one [`Session`]) per connection.
 //!
 //! All sessions share one [`ServeDb`]. Concurrency comes from parallel
-//! connections and, inside a `load` or `update`, from the per-function
-//! lowering and flow solves the database fans out on its worker
-//! pool. `profile` and `score` run the VM serially on the connection's
-//! thread.
+//! connections alone: each request, `load` and `update` included, runs
+//! start to finish on its connection's thread.
 //!
 //! Shutdown is cooperative: any client's `shutdown` request flips a
 //! shared flag, the acceptor is unblocked with a loopback poke, every
@@ -261,7 +259,7 @@ mod tests {
 
     #[test]
     fn stdio_style_loop_handles_and_stops() {
-        let db = Arc::new(ServeDb::new(Some(1), None));
+        let db = Arc::new(ServeDb::new(None));
         let input = format!(
             "{}\n{}\n{}\n",
             load_line("p"),
@@ -278,7 +276,7 @@ mod tests {
 
     #[test]
     fn long_and_non_utf8_lines_get_errors_and_the_session_goes_on() {
-        let db = Arc::new(ServeDb::new(Some(1), None));
+        let db = Arc::new(ServeDb::new(None));
         let mut input = vec![b'x'; MAX_LINE_BYTES + 10];
         input.extend_from_slice(b"\n\xff\xfe\r\n");
         input.extend_from_slice(br#"{"sfe":"serve/v1","id":2,"method":"list"}"#);
@@ -305,7 +303,7 @@ mod tests {
 
     #[test]
     fn tcp_roundtrip_and_clean_shutdown() {
-        let db = Arc::new(ServeDb::new(Some(2), None));
+        let db = Arc::new(ServeDb::new(None));
         let server = spawn_tcp(db, "127.0.0.1:0").unwrap();
         let addr = server.addr();
 
@@ -328,7 +326,7 @@ mod tests {
 
     #[test]
     fn concurrent_connections_share_one_db() {
-        let db = Arc::new(ServeDb::new(Some(2), None));
+        let db = Arc::new(ServeDb::new(None));
         let server = spawn_tcp(Arc::clone(&db), "127.0.0.1:0").unwrap();
         let addr = server.addr();
 

@@ -16,8 +16,8 @@
 //!
 //! The session is stateless apart from the shared database: responses
 //! depend only on the database contents, never on connection history,
-//! which is what makes the storm driver's cross-`--jobs` determinism
-//! check meaningful.
+//! which is what makes the storm driver's determinism check across
+//! client interleavings meaningful.
 
 use crate::db::{DbError, ServeDb, WorkCounters};
 use crate::proto::{error_response, fp_str, num_u64, obj, ok_response, parse_request, Request};
@@ -328,7 +328,7 @@ mod tests {
     const SRC: &str = "int main(void) { int i, s = 0; for (i = 0; i < 8; i++) s += i; return s; }";
 
     fn session() -> Session {
-        Session::new(Arc::new(ServeDb::new(Some(1), None)))
+        Session::new(Arc::new(ServeDb::new(None)))
     }
 
     fn load_req(name: &str, src: &str) -> String {

@@ -9,9 +9,9 @@
 //! and the response stream must be too: the report carries an
 //! order-insensitive digest (per-client FNV over response bytes,
 //! XOR-combined across clients) plus the database's state digest, and
-//! both must be identical for any `--jobs` value and any thread
-//! interleaving. That is the storm determinism contract the tests and
-//! the CI smoke step assert.
+//! both must be identical for any interleaving of the client threads.
+//! That is the storm determinism contract the tests and the CI smoke
+//! step assert.
 //!
 //! Latency is measured per request in nanoseconds around the
 //! send/receive pair; the report aggregates sustained q/s and p50/p99.
@@ -81,12 +81,11 @@ pub struct StormReport {
 
 impl StormReport {
     /// The report as a JSON value, for the CLI.
-    pub fn to_value(&self, config: &StormConfig, jobs: usize) -> Value {
+    pub fn to_value(&self, config: &StormConfig) -> Value {
         let mut pairs = vec![
             ("clients", num_u64(config.clients as u64)),
             ("digest", Value::Str(format!("{:016x}", self.digest))),
             ("errors", num_u64(self.errors)),
-            ("jobs", num_u64(jobs as u64)),
             ("p50_us", num_u64(self.p50_us)),
             ("p99_us", num_u64(self.p99_us)),
             ("qps", Value::Num(round2(self.qps))),
@@ -248,9 +247,9 @@ fn aggregate(
 }
 
 /// Runs the storm in-process against `db`: one OS thread per client,
-/// all sharing the database (per-request work still fans out on the
-/// database's pool). This is the mode the determinism and soak tests
-/// use — it can read back [`ServeDb::state_digest`].
+/// all sharing the database, each request running on its client's
+/// thread. This is the mode the determinism and soak tests use — it
+/// can read back [`ServeDb::state_digest`].
 pub fn run_in_process(config: &StormConfig, db: &Arc<ServeDb>) -> StormReport {
     let work_before = db.total_work();
     let scripts: Vec<Vec<String>> = (0..config.clients)
@@ -344,7 +343,7 @@ mod tests {
             requests: 15,
             ..StormConfig::default()
         };
-        let db = Arc::new(ServeDb::new(Some(2), None));
+        let db = Arc::new(ServeDb::new(None));
         let report = run_in_process(&config, &db);
         assert_eq!(report.total_requests, 2 * 16);
         assert_eq!(report.errors, 0, "storm scripts must not produce errors");
@@ -352,18 +351,18 @@ mod tests {
     }
 
     #[test]
-    fn digests_agree_across_worker_counts() {
+    fn digests_agree_across_fresh_databases() {
         let config = StormConfig {
             clients: 3,
             requests: 20,
             ..StormConfig::default()
         };
-        let mut digests = Vec::new();
-        for jobs in [1, 2] {
-            let db = Arc::new(ServeDb::new(Some(jobs), None));
-            let report = run_in_process(&config, &db);
-            digests.push((report.digest, report.db_digest));
-        }
+        let digests: Vec<_> = (0..2)
+            .map(|_| {
+                let report = run_in_process(&config, &Arc::new(ServeDb::new(None)));
+                (report.digest, report.db_digest)
+            })
+            .collect();
         assert_eq!(digests[0], digests[1]);
     }
 }

@@ -29,8 +29,7 @@ fn estimate_requests(name: &str) -> Vec<String> {
 
 #[test]
 fn incremental_update_is_byte_identical_to_cold_recompute() {
-    let warm_db = Arc::new(ServeDb::new(Some(2), None));
-    let cold_jobs = [1usize, 2, 4];
+    let warm_db = Arc::new(ServeDb::new(None));
     let mut mutated = 0u64;
     let mut profiled = 0u64;
 
@@ -53,12 +52,8 @@ fn incremental_update_is_byte_identical_to_cold_recompute() {
             .upsert(&name, &src1)
             .unwrap_or_else(|e| panic!("seed {seed}: incremental update failed: {e:?}"));
 
-        // Cold recompute in a fresh database — vary the worker count
-        // too, so the comparison also covers pool-size independence.
-        let cold_db = Arc::new(ServeDb::new(
-            Some(cold_jobs[seed as usize % cold_jobs.len()]),
-            None,
-        ));
+        // Cold recompute in a fresh database.
+        let cold_db = Arc::new(ServeDb::new(None));
         cold_db
             .upsert(&name, &src1)
             .unwrap_or_else(|e| panic!("seed {seed}: cold load failed: {e:?}"));
@@ -131,13 +126,13 @@ fn suite_program_edit_is_byte_identical_and_cheap() {
     let src0 = program.source;
     let src1 = serve::edits::edit_function_source(src0, 3).expect("editable function");
 
-    let warm = Arc::new(ServeDb::new(Some(2), None));
+    let warm = Arc::new(ServeDb::new(None));
     let cold_out;
     let warm_out;
     {
         warm.upsert("compress", src0).unwrap();
         warm_out = warm.upsert("compress", &src1).unwrap();
-        let cold = Arc::new(ServeDb::new(Some(1), None));
+        let cold = Arc::new(ServeDb::new(None));
         cold_out = cold.upsert("compress", &src1).unwrap();
         assert_eq!(
             warm.entry("compress").unwrap().estimates_digest(),
@@ -166,7 +161,7 @@ fn compress_edit_redoes_under_a_tenth_of_the_suite_load() {
     let compress = suite::by_name("compress").expect("compress in suite");
     let edited = serve::edits::edit_function_source(compress.source, 3).expect("editable function");
 
-    let db = Arc::new(ServeDb::new(Some(2), None));
+    let db = Arc::new(ServeDb::new(None));
     let mut full_units = 0u64;
     for p in &programs {
         let outcome = db
@@ -190,7 +185,7 @@ fn compress_edit_redoes_under_a_tenth_of_the_suite_load() {
         inc_units as f64 / full_units as f64 * 100.0
     );
 
-    let cold = Arc::new(ServeDb::new(Some(1), None));
+    let cold = Arc::new(ServeDb::new(None));
     for p in &programs {
         let src = if p.name == "compress" {
             edited.as_str()
@@ -255,7 +250,7 @@ fn a_new_name_before_unchanged_functions_renumbers_them_and_they_are_still_reuse
     );
     assert_ne!(edited, RENUMBERED);
 
-    let warm_db = Arc::new(ServeDb::new(Some(2), None));
+    let warm_db = Arc::new(ServeDb::new(None));
     warm_db.upsert("renumbered", RENUMBERED).unwrap();
     let before = warm_db.entry("renumbered").unwrap();
     let update = warm_db.upsert("renumbered", &edited).unwrap();
@@ -267,7 +262,7 @@ fn a_new_name_before_unchanged_functions_renumbers_them_and_they_are_still_reuse
         assert_ne!(old.get(name), new.get(name), "`{name}` keeps its symbol");
     }
 
-    let cold_db = Arc::new(ServeDb::new(Some(1), None));
+    let cold_db = Arc::new(ServeDb::new(None));
     cold_db.upsert("renumbered", &edited).unwrap();
     assert_eq!(
         after.estimates_digest(),
@@ -323,7 +318,7 @@ fn unchanged_functions_keep_byte_identical_side_table_rows() {
     // same node ids, and sema gives those ids the same rows.
     let compress = suite::by_name("compress").expect("compress in suite");
     let edited = serve::edits::edit_function_source(compress.source, 3).expect("editable function");
-    let db = Arc::new(ServeDb::new(Some(1), None));
+    let db = Arc::new(ServeDb::new(None));
     db.upsert("compress", compress.source).unwrap();
     let before = db.entry("compress").unwrap();
     db.upsert("compress", &edited).unwrap();

@@ -120,7 +120,7 @@ fn render_transcript() -> String {
     let input = requests.join("\n") + "\n";
     let mut responses = Vec::new();
     serve_lines(
-        &Arc::new(ServeDb::new(Some(1), None)),
+        &Arc::new(ServeDb::new(None)),
         input.as_bytes(),
         &mut responses,
     )

@@ -34,7 +34,7 @@ const SRC: &str =
 #[test]
 fn profile_requests_flush_cache_to_disk() {
     let dir = temp_dir("flush");
-    let db = Arc::new(ServeDb::new(Some(1), Some(Cache::open(&dir).unwrap())));
+    let db = Arc::new(ServeDb::new(Some(Cache::open(&dir).unwrap())));
     let session = Session::new(Arc::clone(&db));
     session.handle(&format!(
         r#"{{"sfe":"serve/v1","id":1,"method":"load","params":{{"program":"p","source":"{SRC}"}}}}"#
@@ -53,7 +53,7 @@ fn profile_requests_flush_cache_to_disk() {
 
     // And a fresh database over that directory must hit it: profile
     // responses are byte-identical warm (VM) vs cold (cache load).
-    let db2 = Arc::new(ServeDb::new(Some(1), Some(other)));
+    let db2 = Arc::new(ServeDb::new(Some(other)));
     let session2 = Session::new(db2);
     session2.handle(&format!(
         r#"{{"sfe":"serve/v1","id":1,"method":"load","params":{{"program":"p","source":"{SRC}"}}}}"#
@@ -70,7 +70,7 @@ fn concurrent_profiles_match_serial() {
         .map(|i| (format!("p{i}"), fuzzgen::gen::generate(1000 + i).render()))
         .collect();
 
-    let serial_db = Arc::new(ServeDb::new(Some(1), None));
+    let serial_db = Arc::new(ServeDb::new(None));
     let serial = Session::new(Arc::clone(&serial_db));
     let mut expected = Vec::new();
     for (name, src) in &programs {
@@ -90,7 +90,7 @@ fn concurrent_profiles_match_serial() {
         );
     }
 
-    let db = Arc::new(ServeDb::new(Some(4), None));
+    let db = Arc::new(ServeDb::new(None));
     let setup = Session::new(Arc::clone(&db));
     for (name, src) in &programs {
         let src_esc = src
@@ -122,7 +122,7 @@ fn concurrent_profiles_match_serial() {
 /// `compile-error` response, and the session keeps serving.
 #[test]
 fn deeply_nested_load_is_an_error_response() {
-    let db = Arc::new(ServeDb::new(Some(1), None));
+    let db = Arc::new(ServeDb::new(None));
     let session = Session::new(db);
     let deep = format!(
         "int main(void) {{ return {}1{}; }}",
